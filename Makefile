@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchdiff vet fmt lint lint-json callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo scale-demo fleet-demo clean
+.PHONY: all build test race bench benchdiff bench-smoke vet fmt lint lint-json callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo scale-demo fleet-demo clean
 
 all: build test lint
 
@@ -25,6 +25,13 @@ bench:
 #   go run ./cmd/benchdiff -update -benchtime 0.5s
 benchdiff:
 	$(GO) run ./cmd/benchdiff -benchtime 0.5s
+
+# The nested kalis/benchmark module (BENCHMARK.json) is not part of
+# `./...`: vet and test it against this tree, then run every workload
+# at a few per cent of full size — a correctness run, not a measurement.
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
+	bash benchmark/run.sh -workload all -smoke
 
 vet:
 	$(GO) vet ./...

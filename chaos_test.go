@@ -162,7 +162,7 @@ func TestChaosScenario(t *testing.T) {
 	if err := k1.Install("chaos-bomb", nil); err != nil {
 		t.Fatal(err)
 	}
-	k1.Manager().SetSupervisor(module.SupervisorConfig{
+	k1.SetSupervisor(module.SupervisorConfig{
 		Backoff:      5 * time.Second,
 		MaxBackoff:   time.Minute,
 		ProbePackets: 3,
@@ -213,7 +213,7 @@ func TestChaosScenario(t *testing.T) {
 		return c
 	}
 	packetsSeen := func(n uint64) func() bool {
-		return func() bool { p, _, _ := k1.Manager().Stats(); return p >= n }
+		return func() bool { p, _, _ := k1.Stats(); return p >= n }
 	}
 
 	// --- act I: partition the peer link, detonate the module --------
@@ -230,7 +230,7 @@ func TestChaosScenario(t *testing.T) {
 	if q := k1.QuarantinedModules(); len(q) != 1 || q[0] != "chaos-bomb" {
 		t.Fatalf("quarantined = %v", q)
 	}
-	if lp := k1.Manager().LastPanic("chaos-bomb"); lp != "chaos: crafted frame" {
+	if lp := k1.LastPanic("chaos-bomb"); lp != "chaos: crafted frame" {
 		t.Fatalf("last panic = %q", lp)
 	}
 

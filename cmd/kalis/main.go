@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +69,7 @@ func run(args []string, stdout io.Writer) error {
 		list          = fs.Bool("list", false, "list built-in scenarios and exit")
 		telemetryAddr = fs.String("telemetry", "", "serve the runtime-telemetry admin endpoint on this address (e.g. 127.0.0.1:9090)")
 		stateDir      = fs.String("state-dir", "", "persist node state in this directory and warm-restart from it (empty: no persistence)")
-		shards        = fs.Int("shards", runtime.NumCPU(), "ingestion shards (1 = synchronous dispatch; default scales to the CPU count)")
+		shards        = fs.Int("shards", 1, "ingestion shards (default 1: synchronous in-line dispatch; n > 1 shards by packet source — not safe for WSN scenarios yet)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -65,8 +65,8 @@ func TestRunScenario(t *testing.T) {
 // provenance (a shard's single-hop declaration must not clobber
 // another's forwarding proof — smurf), and ingest skew pacing (module
 // activation knowledge must not lag whole episodes behind a racing
-// worker). Multi-core CI runs the sharded path by default (-shards
-// NumCPU), so a regression here also breaks TestRunScenario there.
+// worker). The default run is -shards 1 (in-line dispatch); only an
+// explicit -shards n takes this path.
 func TestRunScenarioSharded(t *testing.T) {
 	alerts := func(args ...string) string {
 		t.Helper()

@@ -69,7 +69,7 @@ func persistedNode(t *testing.T, dir string) (*core.Kalis, *[]module.Alert) {
 		t.Fatal(err)
 	}
 	var alerts []module.Alert
-	k.Manager().OnAlert(func(a module.Alert) { alerts = append(alerts, a) })
+	k.OnAlert(func(a module.Alert) { alerts = append(alerts, a) })
 	return k, &alerts
 }
 

@@ -33,8 +33,6 @@ type Store struct {
 // StoreMetrics are the store's optional telemetry hooks; zero-value
 // fields are skipped (all telemetry types are nil-safe).
 type StoreMetrics struct {
-	// Occupancy tracks the number of packets in the sliding window.
-	Occupancy *telemetry.Gauge
 	// Appended counts packets ever appended.
 	Appended *telemetry.Counter
 }
@@ -76,7 +74,6 @@ func (s *Store) Append(c *packet.Captured) error {
 		s.size++
 	}
 	s.total++
-	s.met.Occupancy.Set(int64(s.size))
 	s.met.Appended.Inc()
 	if s.logger != nil {
 		raw := rawOf(c)

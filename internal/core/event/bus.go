@@ -1,7 +1,9 @@
 // Package event implements the event-driven backbone of Kalis (§V
-// "Event-driven Architecture"): components publish packet, knowledge
-// and detection events; subscribers are notified and process them
-// independently.
+// "Event-driven Architecture"): components publish knowledge,
+// detection and flow-record events; subscribers are notified and
+// process them independently. Packets do not travel on the bus: the
+// Communication System hands them straight to a shard (internal/core),
+// inline or through an ingest ring.
 //
 // The bus has two delivery modes. Synchronous delivery invokes
 // subscribers inline in subscription order — deterministic, used by
@@ -10,10 +12,10 @@
 // reproducing the paper's "all the components in Kalis run
 // independently" architecture; Close drains and joins every worker (no
 // fire-and-forget goroutines). When an async subscriber's queue is
-// full the event is dropped and counted — a passive IDS must never
-// exert backpressure on the capture path — and the drop is surfaced
-// through Drops and the telemetry counters instead of silently
-// blocking the publisher.
+// full the event is dropped and counted (unless the topic's policy says
+// otherwise, see OverflowPolicy) and the drop is surfaced through Drops
+// and the telemetry counters instead of silently blocking the
+// publisher.
 package event
 
 import (
@@ -25,7 +27,6 @@ import (
 
 // Topic names used by Kalis.
 const (
-	TopicPacket      = "packet"
 	TopicKnowledge   = "knowledge"
 	TopicDetection   = "detection"
 	TopicFlowRecords = "flow.records"
@@ -47,8 +48,8 @@ type OverflowPolicy int
 
 const (
 	// DropNewest drops the incoming event when the queue is full — the
-	// default: a passive IDS must never exert backpressure on the
-	// capture path. Right for the high-rate packet topic.
+	// default for any topic without a policy of its own (custom topics
+	// included): a slow consumer never stalls its publisher.
 	DropNewest OverflowPolicy = iota
 	// CoalesceByKey keeps at most one in-flight event per key: a newer
 	// event replaces the queued one with the same key instead of
@@ -104,7 +105,7 @@ type Bus struct {
 	met   Metrics
 	// tmet holds the per-topic telemetry child handles, resolved off
 	// the hot path (at SetMetrics/Subscribe time): Publish must never
-	// pay a Vec.With lookup per packet.
+	// pay a Vec.With lookup per event.
 	tmet  map[string]*topicMetrics
 	drops atomic.Uint64
 	// wg tracks worker goroutines; pubWG tracks in-flight Publish
@@ -147,7 +148,7 @@ func NewBus(async bool) *Bus {
 		pols:  make(map[string]TopicPolicy),
 		tmet:  make(map[string]*topicMetrics),
 	}
-	for _, topic := range []string{TopicPacket, TopicKnowledge, TopicDetection, TopicFlowRecords} {
+	for _, topic := range []string{TopicKnowledge, TopicDetection, TopicFlowRecords} {
 		b.resolveTopicLocked(topic)
 	}
 	return b

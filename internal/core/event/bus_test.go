@@ -9,13 +9,17 @@ import (
 	"kalis/internal/telemetry"
 )
 
+// topicTest is an arbitrary custom topic: no policy installed, so it
+// gets the DropNewest default in async mode.
+const topicTest = "test"
+
 func TestSyncDeliveryOrder(t *testing.T) {
 	b := NewBus(false)
 	var got []int
-	b.Subscribe(TopicPacket, func(p interface{}) { got = append(got, p.(int)*10) })
-	b.Subscribe(TopicPacket, func(p interface{}) { got = append(got, p.(int)*10+1) })
-	b.Publish(TopicPacket, 1)
-	b.Publish(TopicPacket, 2)
+	b.Subscribe(topicTest, func(p interface{}) { got = append(got, p.(int)*10) })
+	b.Subscribe(topicTest, func(p interface{}) { got = append(got, p.(int)*10+1) })
+	b.Publish(topicTest, 1)
+	b.Publish(topicTest, 2)
 	want := []int{10, 11, 20, 21}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)
@@ -31,7 +35,7 @@ func TestTopicsAreIsolated(t *testing.T) {
 	b := NewBus(false)
 	count := 0
 	b.Subscribe(TopicDetection, func(interface{}) { count++ })
-	b.Publish(TopicPacket, 1)
+	b.Publish(topicTest, 1)
 	b.Publish(TopicKnowledge, 2)
 	if count != 0 {
 		t.Errorf("cross-topic delivery: %d", count)
@@ -46,14 +50,14 @@ func TestAsyncDeliversAll(t *testing.T) {
 	b := NewBus(true)
 	var mu sync.Mutex
 	sum := 0
-	b.Subscribe(TopicPacket, func(p interface{}) {
+	b.Subscribe(topicTest, func(p interface{}) {
 		mu.Lock()
 		sum += p.(int)
 		mu.Unlock()
 	})
 	total := 0
 	for i := 1; i <= 100; i++ {
-		b.Publish(TopicPacket, i)
+		b.Publish(topicTest, i)
 		total += i
 	}
 	b.Close() // drains and joins
@@ -65,9 +69,9 @@ func TestAsyncDeliversAll(t *testing.T) {
 func TestPublishAfterCloseIsNoop(t *testing.T) {
 	b := NewBus(false)
 	count := 0
-	b.Subscribe(TopicPacket, func(interface{}) { count++ })
+	b.Subscribe(topicTest, func(interface{}) { count++ })
 	b.Close()
-	b.Publish(TopicPacket, 1)
+	b.Publish(topicTest, 1)
 	if count != 0 {
 		t.Errorf("delivered after close")
 	}
@@ -76,13 +80,13 @@ func TestPublishAfterCloseIsNoop(t *testing.T) {
 func TestSubscribeAfterCloseIsNoop(t *testing.T) {
 	b := NewBus(true)
 	b.Close()
-	b.Subscribe(TopicPacket, func(interface{}) { t.Error("handler invoked") })
-	b.Publish(TopicPacket, 1)
+	b.Subscribe(topicTest, func(interface{}) { t.Error("handler invoked") })
+	b.Publish(topicTest, 1)
 }
 
 func TestDoubleCloseSafe(t *testing.T) {
 	b := NewBus(true)
-	b.Subscribe(TopicPacket, func(interface{}) {})
+	b.Subscribe(topicTest, func(interface{}) {})
 	b.Close()
 	b.Close()
 }
@@ -92,14 +96,14 @@ func TestConcurrentPublishAndClose(t *testing.T) {
 	// channel) nor deadlock. Run with -race.
 	for round := 0; round < 20; round++ {
 		b := NewBus(true)
-		b.Subscribe(TopicPacket, func(interface{}) {})
+		b.Subscribe(topicTest, func(interface{}) {})
 		var wg sync.WaitGroup
 		for p := 0; p < 4; p++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 100; i++ {
-					b.Publish(TopicPacket, i)
+					b.Publish(topicTest, i)
 				}
 			}()
 		}
@@ -113,12 +117,12 @@ func TestReentrantPublish(t *testing.T) {
 	// does: packet handling raises detection events).
 	b := NewBus(false)
 	var got []string
-	b.Subscribe(TopicPacket, func(interface{}) {
+	b.Subscribe(topicTest, func(interface{}) {
 		got = append(got, "packet")
 		b.Publish(TopicDetection, "alert")
 	})
 	b.Subscribe(TopicDetection, func(interface{}) { got = append(got, "detection") })
-	b.Publish(TopicPacket, 1)
+	b.Publish(topicTest, 1)
 	if len(got) != 2 || got[0] != "packet" || got[1] != "detection" {
 		t.Errorf("got %v", got)
 	}
@@ -136,7 +140,7 @@ func TestAsyncFullQueueDropsAndCounts(t *testing.T) {
 
 	block := make(chan struct{})
 	var handled atomic.Uint64
-	b.Subscribe(TopicPacket, func(interface{}) {
+	b.Subscribe(topicTest, func(interface{}) {
 		<-block
 		handled.Add(1)
 	})
@@ -146,7 +150,7 @@ func TestAsyncFullQueueDropsAndCounts(t *testing.T) {
 	// the queue by at least extra.
 	const extra = 10
 	for i := 0; i < AsyncQueueCap+1+extra; i++ {
-		b.Publish(TopicPacket, i) // must never block
+		b.Publish(topicTest, i) // must never block
 	}
 	if got := b.Drops(); got < extra {
 		t.Errorf("Drops() = %d, want >= %d", got, extra)
@@ -159,7 +163,7 @@ func TestAsyncFullQueueDropsAndCounts(t *testing.T) {
 	if got, want := handled.Load()+b.Drops(), uint64(AsyncQueueCap+1+extra); got != want {
 		t.Errorf("handled+dropped = %d, want %d", got, want)
 	}
-	if got := drops.With(TopicPacket).Value(); got != b.Drops() {
+	if got := drops.With(topicTest).Value(); got != b.Drops() {
 		t.Errorf("telemetry drops = %d, bus drops = %d", got, b.Drops())
 	}
 }
@@ -169,11 +173,11 @@ func TestPublishMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pubs := reg.CounterVec("kalis_bus_publishes_total", "topic", "Publishes.")
 	b.SetMetrics(Metrics{Publishes: pubs})
-	b.Subscribe(TopicPacket, func(interface{}) {})
-	b.Publish(TopicPacket, 1)
-	b.Publish(TopicPacket, 2)
+	b.Subscribe(topicTest, func(interface{}) {})
+	b.Publish(topicTest, 1)
+	b.Publish(topicTest, 2)
 	b.Publish(TopicDetection, 3) // counted even with no subscribers
-	if got := pubs.With(TopicPacket).Value(); got != 2 {
+	if got := pubs.With(topicTest).Value(); got != 2 {
 		t.Errorf("packet publishes = %d, want 2", got)
 	}
 	if got := pubs.With(TopicDetection).Value(); got != 1 {
@@ -199,7 +203,7 @@ func TestAsyncCloseAccounting(t *testing.T) {
 	var delivered atomic.Uint64
 	var closed atomic.Bool
 	stall := make(chan struct{})
-	b.Subscribe(TopicPacket, func(interface{}) {
+	b.Subscribe(topicTest, func(interface{}) {
 		<-stall // first delivery parks the worker, so the queue backs up
 		if closed.Load() {
 			t.Error("event delivered after Close returned")
@@ -216,7 +220,7 @@ func TestAsyncCloseAccounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perPublisher; i++ {
-				b.Publish(TopicPacket, i)
+				b.Publish(topicTest, i)
 				issued.Add(1)
 			}
 		}()
@@ -231,7 +235,7 @@ func TestAsyncCloseAccounting(t *testing.T) {
 	closed.Store(true)
 	wg.Wait() // publishers finishing after Close must be silent no-ops
 
-	accepted := pubs.With(TopicPacket).Value()
+	accepted := pubs.With(topicTest).Value()
 	if accepted == 0 {
 		t.Fatal("no publish was accepted before Close")
 	}

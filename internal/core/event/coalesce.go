@@ -39,7 +39,7 @@ func (q *coalesceQueue) put(key string, payload interface{}) (coalesced bool) {
 		// Synthesize a unique key; "\x00" cannot collide with a real
 		// knowgget key.
 		q.seq++
-		//lint:ignore hotalloc keyless async events are detection/flow topics (alert- and export-gated); per-packet delivery is synchronous and never enters the queue
+		//lint:ignore hotalloc keyless async events are detection/flow topics (alert- and export-gated); packets never travel on the bus
 		key = "\x00" + strconv.FormatUint(q.seq, 10)
 	} else if _, ok := q.pending[key]; ok {
 		q.pending[key] = payload

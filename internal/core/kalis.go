@@ -1,17 +1,18 @@
 // Package core assembles a complete Kalis node from its components
-// (Fig. 4): the Communication System feeds captured packets through the
-// event bus to the Data Store and the Module Manager; sensing modules
-// distill knowggets into the Knowledge Base; the Knowledge Base drives
-// dynamic activation of detection modules; alerts flow to subscribers
-// (dashboards, countermeasures, the smart firewall) and collective
-// knowledge synchronizes with peer Kalis nodes.
+// (Fig. 4): the Communication System hands captured packets to a shard
+// — Data Store, flow table and Module Manager — inline or through an
+// ingest ring; sensing modules distill knowggets into the Knowledge
+// Base; the Knowledge Base drives dynamic activation of detection
+// modules; knowledge, alerts and flow records travel the event bus to
+// subscribers (dashboards, countermeasures, the smart firewall) and
+// collective knowledge synchronizes with peer Kalis nodes.
 package core
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"kalis/internal/core/collective"
@@ -40,9 +41,12 @@ type Config struct {
 	// WindowSize is the Data Store sliding-window capacity (packets);
 	// 0 selects the default.
 	WindowSize int
-	// Async selects asynchronous event delivery (the paper's
-	// "all components run independently" mode); synchronous delivery
-	// is deterministic and is the default for experiments.
+	// Async selects asynchronous delivery (the paper's "all components
+	// run independently" mode): bus consumers (knowledge, detection,
+	// flow records) each get their own goroutine and queue, and packets
+	// go through an ingest ring to a worker even with a single shard.
+	// Synchronous delivery is deterministic and is the default for
+	// experiments.
 	Async bool
 	// ConfigText is an optional configuration file in the Fig. 6
 	// grammar: module activations and a-priori knowggets.
@@ -67,54 +71,75 @@ type Config struct {
 	// capture clock; 0 selects persist.DefaultInterval. Ignored without
 	// StateDir.
 	PersistInterval time.Duration
-	// Shards selects the ingestion parallelism. 0 or 1 keep today's
-	// synchronous in-line dispatch (deterministic; the simulator and
-	// virtual-clock tests depend on it). n > 1 runs n shard pipelines
-	// — each with its own ring buffer, worker, Data Store window, flow
-	// table and module instances — sharded by hash of the packet
-	// source, so per-source state and ordering stay shard-local while
-	// aggregate throughput scales with cores.
+	// Shards selects the ingestion parallelism. 0 or 1 is one shard,
+	// dispatched in line unless Async is set (deterministic; the
+	// simulator and virtual-clock tests depend on it). n > 1 runs n
+	// shards — each with its own ring buffer, worker, Data Store
+	// window, flow table and module instances — sharded by hash of the
+	// packet source, so per-source state and ordering stay shard-local.
 	Shards int
 	// IngestRing is the per-shard ring capacity in packets (rounded up
-	// to a power of two); 0 selects ingest.DefaultRingSize. Ignored
-	// when Shards <= 1.
+	// to a power of two); 0 selects ingest.DefaultRingSize. Honoured
+	// whenever a ring exists (Shards > 1 or Async).
 	IngestRing int
 	// IngestBatch caps the packets per drained batch; 0 selects
-	// ingest.DefaultBatchSize. Ignored when Shards <= 1.
+	// ingest.DefaultBatchSize. Honoured whenever a ring exists.
 	IngestBatch int
 	// IngestBlock selects lossless ingestion backpressure (spin until
 	// ring space frees) instead of the default drop-newest policy.
-	// Ignored when Shards <= 1.
+	// Honoured whenever a ring exists.
 	IngestBlock bool
 	// IngestMaxSkew bounds, in capture time, how far the feed may run
 	// ahead of the slowest busy shard — see ingest.Config.MaxSkew.
-	// Only honoured with IngestBlock; 0 disables.
+	// Only honoured with IngestBlock and Shards > 1; 0 disables.
 	IngestMaxSkew time.Duration
 }
 
-// Kalis is one IDS node.
+// shard is one packet pipeline and the owner of its state: a Data Store
+// window, a flow table and a Module Manager with its own module
+// *instances* (detection modules keep per-source state and are not
+// written for concurrent dispatch). Every packet reaches the modules
+// through HandleBatch, called by exactly one goroutine per shard.
 //
-// Sharding (Config.Shards > 1): the node runs one pipeline per shard —
-// Data Store window, flow table, module manager and module *instances*
-// are all per-shard, because detection modules keep per-source state
-// and are not written for concurrent dispatch. The Knowledge Base,
-// module registry, event bus, telemetry registry, alert subscribers
-// and durable state are shared. Shard 0 is the primary: its Data
-// Store carries the disk log and the persisted window, and its worker
-// drives the persistence clock. Accessors that return one component
-// (Store, Manager, Flows) return shard 0's.
+// The first shard is the primary. Two things exist on the primary only:
+// the traffic log (SetLog: the trace format is one serial stream) and
+// durable state (persist snapshots the primary's window, and the
+// primary's packets drive the compaction clock). On a node with more
+// than one shard the other shards' windows are neither logged nor
+// persisted.
+type shard struct {
+	store   *datastore.Store
+	table   *flow.Table
+	manager *module.Manager
+	persist *persist.Manager // primary only, nil without a state dir
+}
+
+// HandleBatch implements ingest.Sink for a non-empty batch: module
+// dispatch, then the durable-state compaction tick on the batch's
+// latest capture time (compaction runs on the capture clock, like every
+// other time-driven behavior in the pipeline).
+func (s *shard) HandleBatch(batch []*packet.Captured) {
+	s.manager.HandleBatch(batch)
+	if s.persist != nil {
+		s.persist.Tick(batch[len(batch)-1].Time)
+	}
+}
+
+// Kalis is one IDS node: one or more shards behind a shared Knowledge
+// Base, module registry, event bus and telemetry registry. There is one
+// packet path — HandleCapture → shard.HandleBatch — with two executors:
+// in line on the caller's goroutine when the node has no ingest ring,
+// on the shard's ring worker otherwise.
 type Kalis struct {
 	id       string
 	kb       *knowledge.Base
-	stores   []*datastore.Store
 	registry *module.Registry
-	managers []*module.Manager
 	bus      *event.Bus
-	tables   []*flow.Table
-	pipe     *ingest.Pipeline
-	coll     *collective.Node
 	tel      *telemetry.Registry
-	persist  *persist.Manager
+	shards   []*shard
+	pipe     *ingest.Pipeline // nil: in-line dispatch
+	coll     *collective.Node
+	closed   atomic.Bool
 }
 
 // New builds a Kalis node.
@@ -122,17 +147,33 @@ func New(cfg Config) (*Kalis, error) {
 	if cfg.NodeID == "" {
 		cfg.NodeID = "K1"
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
+	k := construct(cfg)
+	// Durable state recovers BEFORE modules are installed and before
+	// any traffic flows: knowledge-driven activation at install time
+	// must see the recovered Knowledge Base, and recovery bulk-loads
+	// without firing knowledge events.
+	if err := k.recover(cfg); err != nil {
+		return nil, err
 	}
-	kb := knowledge.NewBase(cfg.NodeID)
-	registry := module.NewRegistry()
-	sensing.Register(registry)
-	detection.Register(registry)
-	stores := make([]*datastore.Store, shards)
-	tables := make([]*flow.Table, shards)
-	managers := make([]*module.Manager, shards)
+	k.wire(cfg)
+	if err := k.install(cfg); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// construct allocates the node's components, unconnected.
+func construct(cfg Config) *Kalis {
+	k := &Kalis{
+		id:       cfg.NodeID,
+		kb:       knowledge.NewBase(cfg.NodeID),
+		registry: module.NewRegistry(),
+		bus:      event.NewBus(cfg.Async),
+		tel:      telemetry.NewRegistry(),
+		shards:   make([]*shard, max(cfg.Shards, 1)),
+	}
+	sensing.Register(k.registry)
+	detection.Register(k.registry)
 	// One endpoint-tracker registry for all shards: packets shard by
 	// source hash, but victim windows, handshake ledgers and identity
 	// fingerprints key their evidence by the *other* endpoint — a
@@ -143,17 +184,58 @@ func New(cfg Config) (*Kalis, error) {
 	if flowCfg.Trackers == nil {
 		flowCfg.Trackers = flow.NewTrackers()
 	}
-	for i := range stores {
-		stores[i] = datastore.New(cfg.WindowSize)
-		tables[i] = flow.NewTable(flowCfg)
-		managers[i] = module.NewManager(kb, stores[i], cfg.KnowledgeDriven)
+	for i := range k.shards {
+		store := datastore.New(cfg.WindowSize)
+		k.shards[i] = &shard{
+			store:   store,
+			table:   flow.NewTable(flowCfg),
+			manager: module.NewManager(k.kb, store, cfg.KnowledgeDriven),
+		}
 	}
-	bus := event.NewBus(cfg.Async)
-	// Per-topic overflow policies (async mode): the packet topic keeps
-	// the default drop-newest (a passive IDS never blocks capture),
-	// knowledge events coalesce per knowgget key (only the latest value
-	// of a knowgget matters), and detection events are lossless — a
-	// dropped alert is a missed detection.
+	return k
+}
+
+// primary returns the shard that carries the traffic log and durable
+// state (see shard). It also answers questions the shared Knowledge
+// Base decides identically for every shard (which modules are
+// installed, which are active).
+func (k *Kalis) primary() *shard { return k.shards[0] }
+
+// recover opens the state directory, if any, and loads the persisted
+// Knowledge Base and window into the primary shard.
+func (k *Kalis) recover(cfg Config) error {
+	if cfg.StateDir == "" {
+		return nil
+	}
+	p := k.primary()
+	pm, err := persist.Open(persist.Config{
+		Dir:      cfg.StateDir,
+		Interval: cfg.PersistInterval,
+		Metrics: persist.Metrics{
+			Snapshots: k.tel.Counter("kalis_persist_snapshot_total",
+				"Durable snapshots written (periodic compaction and shutdown flush)."),
+			JournalBytes: k.tel.Gauge("kalis_persist_journal_bytes",
+				"Current size of the KB write-ahead journal in bytes."),
+			Recoveries: k.tel.CounterVec("kalis_persist_recoveries_total", "outcome",
+				"State recoveries at startup, by outcome (warm, truncated, cold)."),
+		},
+	}, k.kb, p.store)
+	if err != nil {
+		return fmt.Errorf("kalis: persist: %w", err)
+	}
+	p.persist = pm
+	return nil
+}
+
+// wire connects the components: bus policies, telemetry, the shards'
+// outputs (alerts, flow records, knowledge changes) onto the bus, and
+// the ingest ring when the node needs one.
+func (k *Kalis) wire(cfg Config) {
+	bus := k.bus
+	// Per-topic overflow policies (async mode): knowledge events
+	// coalesce per knowgget key (only the latest value of a knowgget
+	// matters), and detection events are lossless — a dropped alert is
+	// a missed detection.
 	bus.SetTopicPolicy(event.TopicKnowledge, event.TopicPolicy{
 		Policy: event.CoalesceByKey,
 		Key: func(payload interface{}) string {
@@ -176,145 +258,86 @@ func New(cfg Config) (*Kalis, error) {
 			return ""
 		},
 	})
-	for _, t := range tables {
-		//lint:ignore hotalloc flow records box once per export (expiry/eviction), amortized across the flow's packets
-		t.OnExport(func(r flow.Record) { bus.Publish(event.TopicFlowRecords, r) })
-	}
-	tel := telemetry.NewRegistry()
-	wireTelemetry(tel, bus, managers, stores, tables)
-	// The supervisor's circuit breaker reads queue pressure from the
-	// bus; under saturation it sheds persistently-over-budget modules.
-	// (Sharded nodes re-point this at the ingest rings below.)
-	for _, m := range managers {
-		m.SetPressure(bus.QueueDepth)
-	}
-
-	k := &Kalis{
-		id:       cfg.NodeID,
-		kb:       kb,
-		stores:   stores,
-		registry: registry,
-		managers: managers,
-		bus:      bus,
-		tables:   tables,
-		tel:      tel,
-	}
-	// Durable state recovers BEFORE modules are installed and before
-	// any traffic flows: knowledge-driven activation at install time
-	// must see the recovered Knowledge Base, and recovery bulk-loads
-	// without firing knowledge events.
-	if cfg.StateDir != "" {
-		pm, err := persist.Open(persist.Config{
-			Dir:      cfg.StateDir,
-			Interval: cfg.PersistInterval,
-			Metrics: persist.Metrics{
-				Snapshots: tel.Counter("kalis_persist_snapshot_total",
-					"Durable snapshots written (periodic compaction and shutdown flush)."),
-				JournalBytes: tel.Gauge("kalis_persist_journal_bytes",
-					"Current size of the KB write-ahead journal in bytes."),
-				Recoveries: tel.CounterVec("kalis_persist_recoveries_total", "outcome",
-					"State recoveries at startup, by outcome (warm, truncated, cold)."),
-			},
-		}, kb, stores[0])
-		if err != nil {
-			return nil, fmt.Errorf("kalis: persist: %w", err)
-		}
-		k.persist = pm
-	}
-	if shards == 1 {
-		// Synchronous in-line dispatch: exactly the pre-sharding
-		// behavior, preserved bit-for-bit for the simulator and the
-		// virtual-clock tests.
-		manager := managers[0]
-		bus.Subscribe(event.TopicPacket, func(payload interface{}) {
-			if c, ok := payload.(*packet.Captured); ok {
-				manager.HandlePacket(c)
-				if k.persist != nil {
-					// Compaction runs on the capture clock, like every
-					// other time-driven behavior in the pipeline.
-					k.persist.Tick(c.Time)
-				}
-			}
-		})
-	} else {
-		sinks := make([]ingest.Sink, shards)
-		for i, m := range managers {
-			sinks[i] = m
-		}
-		// Shard 0's worker also drives the persistence clock, so
-		// compaction stays on the capture clock in sharded mode.
-		sinks[0] = &persistSink{m: managers[0], k: k}
-		k.pipe = ingest.New(ingest.Config{
-			Shards:    shards,
-			RingSize:  cfg.IngestRing,
-			BatchSize: cfg.IngestBatch,
-			Block:     cfg.IngestBlock,
-			MaxSkew:   cfg.IngestMaxSkew,
-		}, sinks, ingestMetrics(tel, shards))
-		// In sharded mode the pressure signal is the ingest backlog,
-		// not the (bypassed) packet-topic queue.
-		for _, m := range managers {
-			m.SetPressure(k.pipe.Depth)
-		}
-	}
-	alerts := tel.CounterVec("kalis_alerts_total", "attack",
+	k.wireTelemetry()
+	alerts := k.tel.CounterVec("kalis_alerts_total", "attack",
 		"Detection alerts raised, by canonical attack name.")
-	for _, m := range managers {
-		m.OnAlert(func(a module.Alert) {
+	for _, s := range k.shards {
+		//lint:ignore hotalloc flow records box once per export (expiry/eviction), amortized across the flow's packets
+		s.table.OnExport(func(r flow.Record) { bus.Publish(event.TopicFlowRecords, r) })
+		s.manager.OnAlert(func(a module.Alert) {
 			//lint:ignore hotpath alerts are rare and cooldown-gated; one label lookup per alert is off the per-packet budget
 			alerts.With(a.Attack).Inc()
 			//lint:ignore hotalloc alert boxing happens once per raised alert, cooldown-gated far below packet rate
 			bus.Publish(event.TopicDetection, a)
 		})
+		// The supervisor's circuit breaker sheds persistently-over-budget
+		// modules while the node is backlogged.
+		s.manager.SetPressure(k.backlog)
 	}
 	//lint:ignore hotalloc knowgget boxing happens once per knowledge change, change-gated far below packet rate
-	kb.SubscribeAll(func(kg knowledge.Knowgget) { bus.Publish(event.TopicKnowledge, kg) })
+	k.kb.SubscribeAll(func(kg knowledge.Knowgget) { bus.Publish(event.TopicKnowledge, kg) })
 
-	// Each shard's manager gets its own module instances: modules keep
-	// per-source detector state, which is exactly the state the source
-	// hash keeps shard-local.
+	// The executor follows from what the node already knows: several
+	// shards need rings to be fed in parallel, and an asynchronous node
+	// must not dispatch on the capture goroutine. Everything else
+	// dispatches in line.
+	if len(k.shards) > 1 || cfg.Async {
+		sinks := make([]ingest.Sink, len(k.shards))
+		for i, s := range k.shards {
+			sinks[i] = s
+		}
+		k.pipe = ingest.New(ingest.Config{
+			Shards:    len(k.shards),
+			RingSize:  cfg.IngestRing,
+			BatchSize: cfg.IngestBatch,
+			Block:     cfg.IngestBlock,
+			MaxSkew:   cfg.IngestMaxSkew,
+		}, sinks, ingestMetrics(k.tel, len(k.shards)))
+	}
+}
+
+// backlog is the node's queue pressure: packets waiting in the ingest
+// rings plus events queued for asynchronous bus consumers.
+func (k *Kalis) backlog() int {
+	n := k.bus.QueueDepth()
+	if k.pipe != nil {
+		n += k.pipe.Depth()
+	}
+	return n
+}
+
+// install loads the configuration file's knowggets and modules, then
+// the rest of the library when asked to. Each shard's manager gets its
+// own module instances: modules keep per-source detector state, which
+// is exactly the state the source hash keeps shard-local.
+func (k *Kalis) install(cfg Config) error {
 	installed := make(map[string]bool)
 	if cfg.ConfigText != "" {
 		parsed, err := kconfig.Parse(cfg.ConfigText)
 		if err != nil {
-			return nil, fmt.Errorf("kalis: config: %w", err)
+			return fmt.Errorf("kalis: config: %w", err)
 		}
 		for _, kg := range parsed.Knowggets {
-			kb.PutStatic(kg.Label, kg.Entity, kg.Value)
+			k.kb.PutStatic(kg.Label, kg.Entity, kg.Value)
 		}
 		for _, def := range parsed.Modules {
 			if err := k.Install(def.Name, def.Params); err != nil {
-				return nil, fmt.Errorf("kalis: config: %w", err)
+				return fmt.Errorf("kalis: config: %w", err)
 			}
 			installed[def.Name] = true
 		}
 	}
 	if cfg.InstallAll {
-		for _, name := range registry.Names() {
+		for _, name := range k.registry.Names() {
 			if installed[name] {
 				continue
 			}
 			if err := k.Install(name, nil); err != nil {
-				return nil, fmt.Errorf("kalis: install %s: %w", name, err)
+				return fmt.Errorf("kalis: install %s: %w", name, err)
 			}
 		}
 	}
-	return k, nil
-}
-
-// persistSink is shard 0's ingest sink: normal batch dispatch plus the
-// durable-state compaction tick on the batch's latest capture time.
-type persistSink struct {
-	m *module.Manager
-	k *Kalis
-}
-
-// HandleBatch implements ingest.Sink.
-func (s *persistSink) HandleBatch(batch []*packet.Captured) {
-	s.m.HandleBatch(batch)
-	if s.k.persist != nil {
-		s.k.persist.Tick(batch[len(batch)-1].Time)
-	}
+	return nil
 }
 
 // ingestMetrics registers the per-shard ingestion metrics and
@@ -342,12 +365,12 @@ func ingestMetrics(tel *telemetry.Registry, shards int) ingest.Metrics {
 // hooks into every instrumented component. Metric names are documented
 // in the "Runtime telemetry" section of README.md.
 //
-// Counters and histograms are additive and shared across shards. Set-
-// based gauges are not (concurrent shards would overwrite each other),
-// so in sharded mode the occupancy/active/quarantined gauges become
-// GaugeFuncs that sum the per-shard components at exposition time;
-// shards == 1 wires the exact single-pipeline metrics as before.
-func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, managers []*module.Manager, stores []*datastore.Store, tables []*flow.Table) {
+// Counters and histograms are additive and shared by all shards. Gauges
+// are computed at scrape time from the components themselves, so the
+// packet path never stores one and concurrent shards cannot overwrite
+// each other.
+func (k *Kalis) wireTelemetry() {
+	tel, bus := k.tel, k.bus
 	bus.SetMetrics(event.Metrics{
 		Publishes: tel.CounterVec("kalis_bus_publishes_total", "topic",
 			"Events published on the bus, by topic."),
@@ -361,7 +384,31 @@ func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, managers []*module.M
 	tel.GaugeFunc("kalis_bus_queue_depth",
 		"Events queued across async subscribers (0 in sync mode).",
 		func() float64 { return float64(bus.QueueDepth()) })
-	sharded := len(managers) > 1
+	tel.GaugeFunc("kalis_modules_active",
+		"Currently active modules (knowledge-driven adaptation).",
+		func() float64 { return float64(len(k.ActiveModules())) })
+	// perShard registers a gauge that sums one per-shard quantity.
+	perShard := func(name, help string, of func(*shard) int) {
+		tel.GaugeFunc(name, help, func() float64 {
+			n := 0
+			for _, s := range k.shards {
+				n += of(s)
+			}
+			return float64(n)
+		})
+	}
+	perShard("kalis_module_quarantined",
+		"Modules currently withheld from dispatch (quarantined or shed), summed over shards.",
+		func(s *shard) int { return len(s.manager.Quarantined()) })
+	perShard("kalis_store_window_occupancy",
+		"Packets currently held in the Data Store sliding windows (all shards).",
+		func(s *shard) int { return s.store.Len() })
+	perShard("kalis_store_window_capacity",
+		"Data Store sliding-window capacity in packets (all shards).",
+		func(s *shard) int { return s.store.Capacity() })
+	perShard("kalis_flow_active",
+		"Flows currently tracked across all shard flow tables.",
+		func(s *shard) int { return s.table.Len() })
 	mmet := module.ManagerMetrics{
 		Packets: tel.Counter("kalis_packets_total",
 			"Packets dispatched to the module pipeline."),
@@ -372,79 +419,23 @@ func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, managers []*module.M
 		BreakerTrips: tel.Counter("kalis_breaker_trips_total",
 			"Latency circuit-breaker trips (modules shed under queue pressure)."),
 	}
-	if sharded {
-		tel.GaugeFunc("kalis_modules_active",
-			"Currently active modules (knowledge-driven adaptation).",
-			func() float64 { return float64(len(managers[0].Active())) })
-		tel.GaugeFunc("kalis_module_quarantined",
-			"Modules currently withheld from dispatch (quarantined or shed), summed over shards.",
-			func() float64 {
-				n := 0
-				for _, m := range managers {
-					n += len(m.Quarantined())
-				}
-				return float64(n)
-			})
-	} else {
-		mmet.ActiveModules = tel.Gauge("kalis_modules_active",
-			"Currently active modules (knowledge-driven adaptation).")
-		mmet.Quarantined = tel.Gauge("kalis_module_quarantined",
-			"Modules currently withheld from dispatch (quarantined or shed).")
-	}
 	smet := datastore.StoreMetrics{
 		Appended: tel.Counter("kalis_store_appended_total",
 			"Packets ever appended to the Data Store."),
 	}
-	if sharded {
-		tel.GaugeFunc("kalis_store_window_occupancy",
-			"Packets currently held in the Data Store sliding windows (all shards).",
-			func() float64 {
-				n := 0
-				for _, s := range stores {
-					n += s.Len()
-				}
-				return float64(n)
-			})
-	} else {
-		smet.Occupancy = tel.Gauge("kalis_store_window_occupancy",
-			"Packets currently held in the Data Store sliding window.")
-	}
-	tel.GaugeFunc("kalis_store_window_capacity",
-		"Data Store sliding-window capacity in packets (all shards).",
-		func() float64 {
-			n := 0
-			for _, s := range stores {
-				n += s.Capacity()
-			}
-			return float64(n)
-		})
 	fmet := flow.Metrics{
 		Expirations: tel.Counter("kalis_flow_expirations_total",
 			"Flows exported after idle or active timeout (incl. shutdown flush)."),
 		Evictions: tel.Counter("kalis_flow_evictions_total",
 			"Flows exported early because the table hit its capacity bound."),
 	}
-	if sharded {
-		tel.GaugeFunc("kalis_flow_active",
-			"Flows currently tracked across all shard flow tables.",
-			func() float64 {
-				n := 0
-				for _, t := range tables {
-					n += t.Len()
-				}
-				return float64(n)
-			})
-	} else {
-		fmet.Active = tel.Gauge("kalis_flow_active",
-			"Flows currently tracked in the flow table.")
-	}
 	flowLat := tel.Histogram("kalis_flow_update_seconds",
 		"Per-packet flow-table and feature update latency.", nil)
-	for i := range managers {
-		managers[i].SetMetrics(mmet)
-		stores[i].SetMetrics(smet)
-		tables[i].SetMetrics(fmet)
-		managers[i].SetFlows(tables[i], flowLat)
+	for _, s := range k.shards {
+		s.manager.SetMetrics(mmet)
+		s.store.SetMetrics(smet)
+		s.table.SetMetrics(fmet)
+		s.manager.SetFlows(s.table, flowLat)
 	}
 	telemetry.RegisterRuntimeMetrics(tel)
 }
@@ -460,13 +451,6 @@ func (k *Kalis) Telemetry() *telemetry.Registry { return k.tel }
 // KB returns the node's Knowledge Base.
 func (k *Kalis) KB() *knowledge.Base { return k.kb }
 
-// Store returns the node's Data Store (shard 0's when sharded: the
-// primary window, which also carries the disk log and durable state).
-func (k *Kalis) Store() *datastore.Store { return k.stores[0] }
-
-// Manager returns the node's Module Manager (shard 0's when sharded).
-func (k *Kalis) Manager() *module.Manager { return k.managers[0] }
-
 // Registry returns the node's module registry (for installing custom
 // modules).
 func (k *Kalis) Registry() *module.Registry { return k.registry }
@@ -475,40 +459,58 @@ func (k *Kalis) Registry() *module.Registry { return k.registry }
 // one instance per shard, since modules hold per-source state and each
 // shard dispatches independently.
 func (k *Kalis) Install(name string, params map[string]string) error {
-	for _, m := range k.managers {
+	for _, s := range k.shards {
 		mod, err := k.registry.New(name, params)
 		if err != nil {
 			return err
 		}
-		m.Install(mod, params)
+		s.manager.Install(mod, params)
 	}
 	return nil
 }
 
+// Installed returns the names of all installed modules, in install
+// order (every shard installs the same set).
+func (k *Kalis) Installed() []string { return k.primary().manager.Installed() }
+
+// SetSupervisor replaces the module supervisor's tuning on every shard.
+// Call it before traffic flows.
+func (k *Kalis) SetSupervisor(cfg module.SupervisorConfig) {
+	for _, s := range k.shards {
+		s.manager.SetSupervisor(cfg)
+	}
+}
+
 // HandleCapture feeds one captured packet into the node — the entry
-// point wired to sniffers and trace replay. Sharded nodes enqueue to
-// the source's shard ring (the packet bus topic is bypassed);
-// unsharded nodes publish synchronously as always.
+// point wired to sniffers and trace replay. With an ingest ring the
+// packet is enqueued to its source's shard and dispatched by that
+// shard's worker; without one (a single synchronous shard) it is
+// dispatched here, as a one-element batch, before HandleCapture
+// returns. A closed node ignores captures.
 func (k *Kalis) HandleCapture(c *packet.Captured) {
 	if k.pipe != nil {
 		k.pipe.Enqueue(c)
 		return
 	}
-	k.bus.Publish(event.TopicPacket, c)
+	if k.closed.Load() {
+		return
+	}
+	one := [1]*packet.Captured{c}
+	k.shards[0].HandleBatch(one[:])
 }
 
-// DrainIngest blocks until every packet accepted by the shard rings so
-// far has been dispatched. A no-op on unsharded nodes (dispatch is
-// synchronous). Call it before reading alerts or counters after a
-// replay, or rely on Close, which drains losslessly.
+// DrainIngest blocks until every packet accepted by the ingest rings so
+// far has been dispatched. A no-op on nodes that dispatch in line. Call
+// it before reading alerts or counters after a replay, or rely on
+// Close, which drains losslessly.
 func (k *Kalis) DrainIngest() {
 	if k.pipe != nil {
 		k.pipe.Drain()
 	}
 }
 
-// IngestStats returns the sharded pipeline's packet accounting (the
-// zero Stats on unsharded nodes).
+// IngestStats returns the ingest rings' packet accounting (the zero
+// Stats on nodes that dispatch in line).
 func (k *Kalis) IngestStats() ingest.Stats {
 	if k.pipe != nil {
 		return k.pipe.Stats()
@@ -516,8 +518,19 @@ func (k *Kalis) IngestStats() ingest.Stats {
 	return ingest.Stats{}
 }
 
-// Shards returns the node's ingestion shard count.
-func (k *Kalis) Shards() int { return len(k.managers) }
+// Shards returns the node's shard count.
+func (k *Kalis) Shards() int { return len(k.shards) }
+
+// Stats returns the node's work-accounting counters, summed over
+// shards: packets dispatched, (packet × active module) invocations —
+// the paper's CPU proxy — and activation transitions.
+func (k *Kalis) Stats() (packets, invocations, activations uint64) {
+	for _, s := range k.shards {
+		p, i, a := s.manager.Stats()
+		packets, invocations, activations = packets+p, invocations+i, activations+a
+	}
+	return packets, invocations, activations
+}
 
 // OnAlert registers a detection-event consumer.
 func (k *Kalis) OnAlert(fn func(module.Alert)) {
@@ -537,58 +550,83 @@ func (k *Kalis) OnKnowledge(fn func(knowledge.Knowgget)) {
 	})
 }
 
-// Alerts returns every alert collected so far; on sharded nodes the
-// per-shard collections are merged in capture-time order.
+// mergeByTime merges per-shard lists, each in its shard's dispatch
+// order, into one list ordered by capture time; a single list comes
+// back as it is.
+func mergeByTime[T any](lists [][]T, at func(T) time.Time) []T {
+	var out []T
+	for {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || at(l[0]).Before(at(lists[best][0]))) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+}
+
+// Alerts returns every alert collected so far, the shards' collections
+// merged in capture-time order.
 func (k *Kalis) Alerts() []module.Alert {
-	if len(k.managers) == 1 {
-		return k.managers[0].Alerts()
+	lists := make([][]module.Alert, len(k.shards))
+	for i, s := range k.shards {
+		lists[i] = s.manager.Alerts()
 	}
-	var out []module.Alert
-	for _, m := range k.managers {
-		out = append(out, m.Alerts()...)
+	return mergeByTime(lists, func(a module.Alert) time.Time { return a.Time })
+}
+
+// Recent returns up to n of the most recently observed packets, oldest
+// first, from every shard's Data Store window merged by capture time.
+// n <= 0 returns the whole windows.
+func (k *Kalis) Recent(n int) []*packet.Captured {
+	lists := make([][]*packet.Captured, len(k.shards))
+	for i, s := range k.shards {
+		lists[i] = s.store.Recent(n)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	out := mergeByTime(lists, func(c *packet.Captured) time.Time { return c.Time })
+	if n > 0 && len(out) > n {
+		out = out[len(out)-n:]
+	}
 	return out
 }
 
 // ActiveModules returns the names of currently active modules.
 // Activation is a Knowledge Base decision and the KB is shared, so
-// every shard activates identically; shard 0 answers for all.
-func (k *Kalis) ActiveModules() []string { return k.managers[0].Active() }
+// every shard activates identically.
+func (k *Kalis) ActiveModules() []string { return k.primary().manager.Active() }
 
-// QuarantinedModules returns the modules the supervisor currently
-// withholds from dispatch (panicked or shed by the circuit breaker) on
-// any shard — supervision is per shard instance.
+// QuarantinedModules returns, in install order, the modules the
+// supervisor currently withholds from dispatch (panicked or shed by the
+// circuit breaker) on any shard — supervision is per shard instance.
 func (k *Kalis) QuarantinedModules() []string {
-	if len(k.managers) == 1 {
-		return k.managers[0].Quarantined()
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range k.managers {
-		for _, name := range m.Quarantined() {
-			if !seen[name] {
-				seen[name] = true
-				out = append(out, name)
-			}
+	withheld := make(map[string]bool)
+	for _, s := range k.shards {
+		for _, name := range s.manager.Quarantined() {
+			withheld[name] = true
 		}
 	}
-	sort.Strings(out)
+	var out []string
+	for _, name := range k.Installed() {
+		if withheld[name] {
+			out = append(out, name)
+		}
+	}
 	return out
 }
 
 // ModuleHealth reports every installed module's activation and
 // supervision state ("inactive", "healthy", "quarantined", "probing",
-// "shed"). On sharded nodes each module reports its most-degraded
-// state across shards.
+// "shed"): its most-degraded state across shards.
 func (k *Kalis) ModuleHealth() map[string]string {
-	if len(k.managers) == 1 {
-		return k.managers[0].Health()
-	}
 	rank := map[string]int{"inactive": 0, "healthy": 1, "probing": 2, "shed": 3, "quarantined": 4}
 	out := make(map[string]string)
-	for _, m := range k.managers {
-		for name, state := range m.Health() {
+	for _, s := range k.shards {
+		for name, state := range s.manager.Health() {
 			if prev, ok := out[name]; !ok || rank[state] > rank[prev] {
 				out[name] = state
 			}
@@ -597,12 +635,19 @@ func (k *Kalis) ModuleHealth() map[string]string {
 	return out
 }
 
+// LastPanic returns the most recent recovered panic value of a module
+// on any shard ("" when it never panicked), for diagnostics and tests.
+func (k *Kalis) LastPanic(name string) string {
+	for _, s := range k.shards {
+		if p := s.manager.LastPanic(name); p != "" {
+			return p
+		}
+	}
+	return ""
+}
+
 // Bus returns the node's event bus (for policy tuning and tests).
 func (k *Kalis) Bus() *event.Bus { return k.bus }
-
-// Flows returns the node's flow table (shard 0's when sharded; each
-// shard tracks the flows of the sources that hash to it).
-func (k *Kalis) Flows() *flow.Table { return k.tables[0] }
 
 // OnFlowRecord registers a consumer for exported flow records (flows
 // that expired, were evicted, or were flushed at shutdown).
@@ -614,10 +659,12 @@ func (k *Kalis) OnFlowRecord(fn func(flow.Record)) {
 	})
 }
 
-// SetLog enables traffic logging to w in the Kalis trace format. On
-// sharded nodes only shard 0's traffic is logged (the trace format is
-// a serial stream; interleaving concurrent shards would scramble it).
-func (k *Kalis) SetLog(w io.Writer) { k.stores[0].SetLog(w) }
+// SetLog enables traffic logging to w in the Kalis trace format (the
+// primary shard's traffic, see shard).
+func (k *Kalis) SetLog(w io.Writer) { k.primary().store.SetLog(w) }
+
+// FlushLog flushes the traffic log, if enabled.
+func (k *Kalis) FlushLog() error { return k.primary().store.FlushLog() }
 
 // EnableCollective attaches collective knowledge management over the
 // given transport with a pre-shared passphrase.
@@ -672,12 +719,13 @@ func (k *Kalis) Collective() *collective.Node { return k.coll }
 // discovery entirely. The result parses back with kconfig.Parse.
 func (k *Kalis) SuggestConfig() string {
 	cfg := &kconfig.Config{}
-	for _, name := range k.managers[0].Active() {
-		if kind, ok := k.managers[0].ModuleKind(name); !ok || kind != module.KindDetection {
+	m := k.primary().manager
+	for _, name := range m.Active() {
+		if kind, ok := m.ModuleKind(name); !ok || kind != module.KindDetection {
 			continue
 		}
 		def := kconfig.ModuleDef{Name: name}
-		if params := k.managers[0].ParamsOf(name); len(params) > 0 {
+		if params := m.ParamsOf(name); len(params) > 0 {
 			def.Params = params
 		}
 		cfg.Modules = append(cfg.Modules, def)
@@ -697,24 +745,26 @@ func (k *Kalis) SuggestConfig() string {
 
 // Persistence returns the durable-state manager, or nil when the node
 // runs without a state directory.
-func (k *Kalis) Persistence() *persist.Manager { return k.persist }
+func (k *Kalis) Persistence() *persist.Manager { return k.primary().persist }
 
-// Close shuts the node down: the shard rings drain losslessly (every
+// Close shuts the node down: the ingest rings drain losslessly (every
 // accepted packet is dispatched), the flow tables flush their
 // remaining flows as records, the event bus drains, the traffic log
 // flushes and closes, durable state takes its final snapshot, and the
-// collective layer closes.
+// collective layer closes. HandleCapture is a no-op afterwards.
 func (k *Kalis) Close() error {
+	k.closed.Store(true)
 	if k.pipe != nil {
 		k.pipe.Stop()
 	}
-	for _, t := range k.tables {
-		t.Flush()
+	for _, s := range k.shards {
+		s.table.Flush()
 	}
 	k.bus.Close()
-	err := k.stores[0].CloseLog()
-	if k.persist != nil {
-		if perr := k.persist.Stop(); err == nil {
+	p := k.primary()
+	err := p.store.CloseLog()
+	if p.persist != nil {
+		if perr := p.persist.Stop(); err == nil {
 			err = perr
 		}
 	}

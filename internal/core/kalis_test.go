@@ -34,7 +34,7 @@ func TestNewInstallsFullLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	if got := len(k.Manager().Installed()); got != 16 { // 3 sensing + 13 detection
+	if got := len(k.Installed()); got != 16 { // 3 sensing + 13 detection
 		t.Errorf("installed = %d, want 16", got)
 	}
 	// Only sensing modules may be active with an empty Knowledge Base.
@@ -62,7 +62,7 @@ knowggets = {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	if got := k.Manager().Installed(); len(got) != 2 {
+	if got := k.Installed(); len(got) != 2 {
 		t.Errorf("installed = %v", got)
 	}
 	if v, ok := k.KB().Bool(knowledge.LabelMobility); !ok || v {
@@ -110,8 +110,8 @@ func TestEndToEndKnowledgeActivationAlert(t *testing.T) {
 	if len(knowggets) == 0 {
 		t.Error("no knowledge events published")
 	}
-	if k.Store().Total() != 31 {
-		t.Errorf("data store total = %d", k.Store().Total())
+	if p, _, _ := k.Stats(); p != 31 {
+		t.Errorf("packets dispatched = %d", p)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestAsyncModeDeliversEverything(t *testing.T) {
 	if err := k.Close(); err != nil { // drains the async bus
 		t.Fatal(err)
 	}
-	if k.Store().Total() != 50 {
-		t.Errorf("total = %d, want 50 after drain", k.Store().Total())
+	if p, _, _ := k.Stats(); p != 50 {
+		t.Errorf("packets dispatched = %d, want 50 after drain", p)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestTrafficLogging(t *testing.T) {
 		k.HandleCapture(mkCap(t, packet.MediumIEEE802154,
 			stack.BuildCTPBeacon(2, 1, 10, uint8(i)), t0.Add(time.Duration(i)*time.Second), -60))
 	}
-	if err := k.Store().FlushLog(); err != nil {
+	if err := k.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := trace.ReadAll(&buf)
@@ -226,41 +226,185 @@ func TestDefaultNodeID(t *testing.T) {
 	}
 }
 
+// sensingOnly installs the three sensing modules and no detection
+// module. The multi-shard tests use it: a knowledge flip on one shard's
+// worker activates the other shards' detection-module instances from
+// that goroutine, concurrently with their own dispatch — the sharding
+// hazard a later issue owns, and not what these tests are about.
+const sensingOnly = `modules = { TopologyDiscoveryModule, TrafficStatsModule, MobilityAwarenessModule }`
+
 func TestTelemetryWiredThroughPipeline(t *testing.T) {
-	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, InstallAll: true})
+	// The same wiring serves every shard count: the gauges are computed
+	// at scrape from the components, so they must agree with the node's
+	// own accessors on a 1-shard and a 2-shard node alike.
+	for _, shards := range []int{1, 2} {
+		k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, ConfigText: sensingOnly,
+			Shards: shards, IngestBlock: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			at := t0.Add(time.Duration(i) * time.Second)
+			k.HandleCapture(mkCap(t, packet.MediumIEEE802154,
+				stack.BuildCTPBeacon(uint16(2+i%4), 1, 10, uint8(i)), at, -60))
+		}
+		k.DrainIngest()
+
+		var sb strings.Builder
+		if err := k.Telemetry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		out := sb.String()
+		if !strings.Contains(out, "kalis_packets_total 20") {
+			t.Errorf("shards=%d: packets counter missing/wrong:\n%s", shards, out)
+		}
+		if strings.Contains(out, `topic="packet"`) {
+			t.Errorf("shards=%d: packets still counted on the bus:\n%s", shards, out)
+		}
+		window, active, flows := len(k.Recent(0)), len(k.ActiveModules()), 0
+		for _, s := range k.shards {
+			flows += s.table.Len()
+		}
+		if window != 20 || flows == 0 || active == 0 {
+			t.Errorf("shards=%d: window %d, flows %d, active %d: nothing to compare",
+				shards, window, flows, active)
+		}
+		snap := k.Telemetry().Snapshot()
+		for name, want := range map[string]int{
+			"kalis_modules_active":         active,
+			"kalis_module_quarantined":     len(k.QuarantinedModules()),
+			"kalis_store_window_occupancy": window,
+			"kalis_flow_active":            flows,
+		} {
+			if got := snap[name].Value; got != float64(want) {
+				t.Errorf("shards=%d: %s = %v, want %d", shards, name, got, want)
+			}
+		}
+		// Sensing modules ran on every packet, so their latency histograms
+		// must have observations.
+		if !regexp.MustCompile(`kalis_module_packet_seconds_count\{module="TopologyDiscoveryModule"\} 20`).
+			MatchString(out) {
+			t.Errorf("shards=%d: module latency histogram missing:\n%s", shards, out)
+		}
+		k.Close()
+	}
+}
+
+// TestQuarantineGaugeAtScrape: kalis_module_quarantined is computed from
+// the supervisors at scrape time and follows a panic without any
+// per-packet gauge store.
+func TestQuarantineGaugeAtScrape(t *testing.T) {
+	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	for i := 0; i < 20; i++ {
-		at := t0.Add(time.Duration(i) * time.Second)
-		k.HandleCapture(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPBeacon(2, 1, 10, uint8(i)), at, -60))
-	}
-
-	var sb strings.Builder
-	if err := k.Telemetry().WritePrometheus(&sb); err != nil {
+	k.Registry().Register("bomb", func(map[string]string) (module.Module, error) {
+		return bombModule{}, nil
+	})
+	if err := k.Install("bomb", nil); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "kalis_packets_total 20") {
-		t.Errorf("packets counter missing/wrong:\n%s", out)
+	k.HandleCapture(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(2, 1, 10, 1), t0, -60))
+	if q := k.QuarantinedModules(); len(q) != 1 || q[0] != "bomb" {
+		t.Fatalf("quarantined = %v", q)
 	}
-	if !strings.Contains(out, `kalis_bus_publishes_total{topic="packet"} 20`) {
-		t.Errorf("bus publish counter missing/wrong:\n%s", out)
+	if got := k.Telemetry().Snapshot()["kalis_module_quarantined"].Value; got != float64(1) {
+		t.Errorf("kalis_module_quarantined = %v, want 1", got)
 	}
-	if !strings.Contains(out, "kalis_store_window_occupancy 20") {
-		t.Errorf("window occupancy missing/wrong:\n%s", out)
+	if k.LastPanic("bomb") != "boom" {
+		t.Errorf("LastPanic = %q", k.LastPanic("bomb"))
 	}
-	if active := k.Telemetry().Snapshot()["kalis_modules_active"]; active.Value.(int64) !=
-		int64(len(k.ActiveModules())) {
-		t.Errorf("kalis_modules_active = %v, ActiveModules = %d",
-			active.Value, len(k.ActiveModules()))
+}
+
+// bombModule is an always-on module that panics on every packet.
+type bombModule struct{}
+
+func (bombModule) Name() string                    { return "bomb" }
+func (bombModule) Kind() module.Kind               { return module.KindDetection }
+func (bombModule) WatchLabels() []string           { return nil }
+func (bombModule) Required(*knowledge.Base) bool   { return true }
+func (bombModule) Activate(*module.Context)        {}
+func (bombModule) Deactivate()                     {}
+func (bombModule) HandlePacket(c *packet.Captured) { panic("boom") }
+
+// TestShardedAccessorsCoverEveryShard: the node-level accessors answer
+// for all shards — Stats sums them (the eval CPU proxy read shard 0
+// only) and Recent merges every window in capture order.
+func TestShardedAccessorsCoverEveryShard(t *testing.T) {
+	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, ConfigText: sensingOnly,
+		Shards: 2, IngestBlock: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Sensing modules ran on every packet, so their latency histograms
-	// must have observations.
-	if !regexp.MustCompile(`kalis_module_packet_seconds_count\{module="TopologyDiscoveryModule"\} 20`).
-		MatchString(out) {
-		t.Errorf("module latency histogram missing:\n%s", out)
+	defer k.Close()
+	const n = 64
+	for i := 0; i < n; i++ {
+		at := t0.Add(time.Duration(i) * time.Second)
+		k.HandleCapture(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPBeacon(uint16(2+i%8), 1, 10, uint8(i)), at, -60))
+	}
+	k.DrainIngest()
+	packets, invocations, _ := k.Stats()
+	if packets != n {
+		t.Errorf("Stats packets = %d, want %d", packets, n)
+	}
+	if invocations < n {
+		t.Errorf("Stats invocations = %d, want >= %d (sensing modules see every packet)", invocations, n)
+	}
+	for i, s := range k.shards {
+		if p, _, _ := s.manager.Stats(); p == 0 || p == n {
+			t.Fatalf("shard %d dispatched %d of %d packets: the sources did not spread", i, p, n)
+		}
+	}
+	recent := k.Recent(0)
+	if len(recent) != n {
+		t.Fatalf("Recent(0) = %d packets, want %d", len(recent), n)
+	}
+	for i, c := range recent {
+		if want := t0.Add(time.Duration(i) * time.Second); !c.Time.Equal(want) {
+			t.Fatalf("Recent(0)[%d] captured at %v, want %v (capture order across shards)", i, c.Time, want)
+		}
+	}
+	if last := k.Recent(10); len(last) != 10 || !last[0].Time.Equal(t0.Add((n-10)*time.Second)) {
+		t.Errorf("Recent(10) = %d packets starting %v", len(last), last[0].Time)
+	}
+}
+
+// TestHandleCaptureAfterClose: a closed node ignores captures on the
+// in-line path as it does on the ring path.
+func TestHandleCaptureAfterClose(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, InstallAll: true,
+			Async: async, StateDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(2, 1, 10, 1), t0, -60)
+		k.HandleCapture(c)
+		if err := k.Close(); err != nil {
+			t.Fatal(err)
+		}
+		k.HandleCapture(c)
+		if p, _, _ := k.Stats(); p != 1 {
+			t.Errorf("async=%v: %d packets dispatched, want 1 (none after Close)", async, p)
+		}
+	}
+}
+
+// TestInlineHandleCaptureAllocs pins the in-line executor's one-element
+// batch to the stack: with no modules installed and a repeated same-
+// flow frame, HandleCapture allocates nothing — as at the commit before
+// packets left the event bus (measured there: 0 allocs/op).
+func TestInlineHandleCaptureAllocs(t *testing.T) {
+	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	c := mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(2, 1, 10, 1), t0, -60)
+	k.HandleCapture(c) // creates the flow
+	if avg := testing.AllocsPerRun(1000, func() { k.HandleCapture(c) }); avg != 0 {
+		t.Errorf("in-line HandleCapture allocates %.2f objects per packet, want 0", avg)
 	}
 }

@@ -2,6 +2,7 @@ package module
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kalis/internal/core/datastore"
@@ -43,13 +44,16 @@ type Manager struct {
 	alertFns        []AlertFunc
 	alerts          []Alert
 
-	// snap is the immutable active-module snapshot HandlePacket
+	// snap is the immutable active-module snapshot HandleBatch
 	// iterates: rebuilt under mu whenever activation, supervision or
 	// metrics change, so the per-packet path neither allocates nor
 	// resolves telemetry children.
 	snap []activeEntry
+	// snapGen counts snapshot rebuilds, so a batch in flight notices a
+	// rebuild with one atomic load per packet.
+	snapGen atomic.Uint64
 	// timed reports whether per-module latency observation is wired
-	// (when false HandlePacket skips the clock reads too).
+	// (when false HandleBatch skips the clock reads too).
 	timed bool
 
 	// degraded counts modules currently quarantined or shed; the
@@ -100,17 +104,11 @@ type activeEntry struct {
 type ManagerMetrics struct {
 	// Packets counts packets dispatched to the module pipeline.
 	Packets *telemetry.Counter
-	// ActiveModules tracks the number of currently active modules —
-	// the observable face of knowledge-driven adaptation.
-	ActiveModules *telemetry.Gauge
 	// PacketLatency observes per-module HandlePacket wall time, by
 	// module name. When nil, the manager skips the clock reads too.
 	PacketLatency *telemetry.HistogramVec
 	// Panics counts recovered module panics, by module name.
 	Panics *telemetry.CounterVec
-	// Quarantined tracks the number of modules currently withheld from
-	// dispatch by the supervisor (quarantined or shed).
-	Quarantined *telemetry.Gauge
 	// BreakerTrips counts latency-circuit-breaker trips.
 	BreakerTrips *telemetry.Counter
 }
@@ -183,6 +181,7 @@ func (m *Manager) rebuildSnapLocked() {
 		snap = append(snap, e)
 	}
 	m.snap = snap
+	m.snapGen.Add(1)
 }
 
 // OnAlert registers a consumer for every alert raised by any module.
@@ -230,11 +229,6 @@ func (m *Manager) reevaluate(mod Module) {
 	if want != st.want {
 		st.want = want
 		m.activations++
-		if want {
-			m.met.ActiveModules.Inc()
-		} else {
-			m.met.ActiveModules.Dec()
-		}
 		m.rebuildSnapLocked()
 	}
 	if st.transitioning || st.applied == st.want {
@@ -293,92 +287,27 @@ func (m *Manager) emit(a Alert) {
 	}
 }
 
-// HandlePacket records the capture in the Data Store, folds it into
-// the flow table, and routes it to every dispatchable module under the
-// supervisor's panic barrier. The snapshot is immutable, so the
-// per-packet work is one lock round-trip, the flow update and the
-// module invocations themselves — no allocation, no telemetry child
-// lookups. Supervision bookkeeping (revival scans, breaker evaluation)
-// runs on the virtual capture clock and only when armed.
+// HandlePacket dispatches one packet: HandleBatch over a one-element
+// batch (the array stays on the caller's stack).
 func (m *Manager) HandlePacket(c *packet.Captured) {
-	// Data Store append errors surface only when disk logging is
-	// enabled; the window append itself cannot fail. A passive IDS
-	// keeps observing either way.
-	_ = m.store.Append(c)
-
-	m.mu.Lock()
-	m.packets++
-	if m.degraded > 0 {
-		m.reviveLocked(c.Time)
-	}
-	if m.pressure != nil && m.sup.BreakerWindow > 0 && m.packets%uint64(m.sup.BreakerWindow) == 0 {
-		m.breakerLocked(c.Time)
-	}
-	snap := m.snap
-	timed := m.timed
-	flows, flowLat := m.flows, m.flowLat
-	// The flow-update latency is sampled (1 in 16 packets): two clock
-	// reads per packet would cost more than the update they measure.
-	if m.packets&0xf != 0 {
-		flowLat = nil
-	}
-	var health []healthEvent
-	if len(m.pendingHealth) > 0 {
-		health = m.pendingHealth
-		m.pendingHealth = nil
-	}
-	m.invocations += uint64(len(snap))
-	m.met.Packets.Inc()
-	m.mu.Unlock()
-
-	if len(health) > 0 {
-		m.publishHealth(health)
-	}
-
-	// The flow table updates exactly once per packet, before module
-	// fan-out, so every module reads post-packet flow state. The
-	// latency is measured here (wall clock) rather than inside
-	// internal/flow, which stays on the virtual capture clock.
-	if flows != nil {
-		if flowLat != nil {
-			start := time.Now()
-			flows.Update(c)
-			flowLat.Observe(time.Since(start))
-		} else {
-			flows.Update(c)
-		}
-	}
-
-	for _, e := range snap {
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		ok, cause := m.invoke(e.mod, c)
-		if !ok {
-			m.quarantine(e.st, c.Time, cause)
-			continue
-		}
-		if timed {
-			e.lat.Observe(time.Since(start))
-		}
-		if e.probing {
-			m.probeOK(e.st)
-		}
-	}
+	one := [1]*packet.Captured{c}
+	m.HandleBatch(one[:])
 }
 
-// HandleBatch dispatches a batch of packets through the same pipeline
-// as HandlePacket, amortizing the lock round-trip, snapshot read and
-// supervision bookkeeping across the batch — the per-shard worker path
-// of the sharded ingestion pipeline (internal/ingest). The supervisor
-// runs once per batch on the last packet's timestamp: revival and
-// breaker decisions are windowed anyway, so batch-granular evaluation
-// only defers them by at most one batch. A module that panics mid-
-// batch keeps being invoked (and contained) for the rest of the batch
-// under the stale snapshot, exactly as a quarantined module still
-// receives the in-flight packet under HandlePacket; quarantine is
-// idempotent.
+// HandleBatch is the one dispatch loop: every packet of the batch is
+// recorded in the Data Store, folded into the flow table and routed to
+// every dispatchable module under the supervisor's panic barrier. The
+// snapshot is immutable, so the per-batch work is one lock round-trip
+// and the per-packet work the store append, the flow update and the
+// module invocations themselves — no allocation, no telemetry child
+// lookups. The inline executor hands it one packet, a ring worker up to
+// a batch (internal/ingest). The supervisor runs once per batch on the
+// last packet's capture time: revival and breaker decisions are
+// windowed anyway, so batch-granular evaluation only defers them by at
+// most one batch. The snapshot, however, is re-read as soon as a packet
+// of the batch changes it (a knowledge flip activating a module, a
+// quarantine), so a batch dispatches to the same modules, packet for
+// packet, as the same packets handed over one at a time.
 func (m *Manager) HandleBatch(batch []*packet.Captured) {
 	if len(batch) == 0 {
 		return
@@ -395,7 +324,7 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 		m.packets/uint64(m.sup.BreakerWindow) != base/uint64(m.sup.BreakerWindow) {
 		m.breakerLocked(last.Time)
 	}
-	snap := m.snap
+	snap, gen := m.snap, m.snapGen.Load()
 	timed := m.timed
 	flows, flowLat := m.flows, m.flowLat
 	var health []healthEvent
@@ -412,10 +341,17 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 	}
 
 	for bi, c := range batch {
+		// Data Store append errors surface only when disk logging is
+		// enabled; the window append itself cannot fail. A passive IDS
+		// keeps observing either way.
 		_ = m.store.Append(c)
+		// The flow table updates exactly once per packet, before module
+		// fan-out, so every module reads post-packet flow state. The
+		// latency is measured here (wall clock) rather than inside
+		// internal/flow, which stays on the virtual capture clock, and
+		// sampled (1 packet in 16, counted across batches): two clock
+		// reads per packet would cost more than the update they measure.
 		if flows != nil {
-			// Same 1-in-16 sampling as HandlePacket, continued across
-			// batch boundaries by the pre-batch packet count.
 			if flowLat != nil && (base+uint64(bi))&0xf == 0 {
 				start := time.Now()
 				flows.Update(c)
@@ -440,6 +376,12 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 			if e.probing {
 				m.probeOK(e.st)
 			}
+		}
+		if rest := uint64(len(batch) - bi - 1); rest > 0 && m.snapGen.Load() != gen {
+			m.mu.Lock()
+			m.invocations += uint64(len(m.snap))*rest - uint64(len(snap))*rest
+			snap, gen, timed = m.snap, m.snapGen.Load(), m.timed
+			m.mu.Unlock()
 		}
 	}
 }

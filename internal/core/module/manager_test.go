@@ -173,3 +173,64 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind string")
 	}
 }
+
+// flipper is a sensing module that stores a knowgget when it sees the
+// packet captured at flipAt — a mid-batch knowledge change.
+type flipper struct {
+	fakeModule
+	kb     *knowledge.Base
+	flipAt time.Time
+	value  bool
+}
+
+func (f *flipper) HandlePacket(c *packet.Captured) {
+	f.fakeModule.HandlePacket(c)
+	if c.Time.Equal(f.flipAt) {
+		f.kb.PutBool("Multihop", f.value)
+	}
+}
+
+// TestBatchDispatchMatchesPerPacket: a batch reaches the same modules,
+// packet for packet, as the same packets handed over one at a time — a
+// knowledge flip on packet i (de)activates a module from packet i+1 on,
+// not from the next batch — and the invocation count stays exact.
+func TestBatchDispatchMatchesPerPacket(t *testing.T) {
+	t0 := time.Unix(1500000000, 0)
+	batch := make([]*packet.Captured, 8)
+	for i := range batch {
+		batch[i] = &packet.Captured{Time: t0.Add(time.Duration(i) * time.Second), Kind: packet.KindUDP}
+	}
+	for _, activate := range []bool{true, false} {
+		run := func(feed func(*Manager)) (seen int, invocations uint64) {
+			m, kb := newTestManager(true)
+			kb.PutBool("Multihop", !activate)
+			sensor := &flipper{fakeModule: fakeModule{name: "S", kind: KindSensing},
+				kb: kb, flipAt: batch[2].Time, value: activate}
+			det := &fakeModule{name: "D", kind: KindDetection, watch: []string{"Multihop"},
+				required: func(kb *knowledge.Base) bool { v, _ := kb.Bool("Multihop"); return v }}
+			m.Install(sensor, nil)
+			m.Install(det, nil)
+			feed(m)
+			_, invocations, _ = m.Stats()
+			return det.packets, invocations
+		}
+		onePacket, oneInv := run(func(m *Manager) {
+			for _, c := range batch {
+				m.HandlePacket(c)
+			}
+		})
+		batched, batchInv := run(func(m *Manager) { m.HandleBatch(batch) })
+		want := 5 // packets 3..7 after the flip on packet 2
+		if !activate {
+			want = 3 // packets 0..2 up to and including the flip
+		}
+		if onePacket != want || batched != want {
+			t.Errorf("activate=%v: detection module saw %d packets one at a time, %d batched, want %d",
+				activate, onePacket, batched, want)
+		}
+		if batchInv != oneInv || batchInv != uint64(len(batch)+want) {
+			t.Errorf("activate=%v: invocations %d batched, %d one at a time, want %d",
+				activate, batchInv, oneInv, len(batch)+want)
+		}
+	}
+}

@@ -68,7 +68,7 @@ type healthEvent struct {
 
 // noteHealthLocked queues a module's current supervision state for
 // publication. Callers must hold m.mu; the event is published by the
-// next drain point (HandlePacket's per-packet check, or the cold-path
+// next drain point (HandleBatch's per-batch check, or the cold-path
 // callers' own drainHealth), outside the lock.
 func (m *Manager) noteHealthLocked(st *moduleState) {
 	m.pendingHealth = append(m.pendingHealth, healthEvent{name: st.name, state: st.health.String()})
@@ -87,7 +87,7 @@ func (m *Manager) publishHealth(evs []healthEvent) {
 
 // drainHealth publishes any queued transitions. Used by the cold-path
 // transition sites (quarantine, probation exit) that own their own
-// locking; the per-packet path drains inline in HandlePacket instead.
+// locking; the packet path drains inline in HandleBatch instead.
 func (m *Manager) drainHealth() {
 	m.mu.Lock()
 	evs := m.pendingHealth
@@ -250,7 +250,6 @@ func (m *Manager) quarantine(st *moduleState, at time.Time, cause interface{}) {
 	st.until = at.Add(m.backoffLocked(st.strikes))
 	st.lastPanic = fmt.Sprint(cause)
 	st.panics.Inc()
-	m.met.Quarantined.Set(int64(m.degraded))
 	m.noteHealthLocked(st)
 	m.rebuildSnapLocked()
 	m.mu.Unlock()
@@ -306,7 +305,6 @@ func (m *Manager) reviveLocked(now time.Time) {
 		}
 	}
 	if changed {
-		m.met.Quarantined.Set(int64(m.degraded))
 		m.rebuildSnapLocked()
 	}
 }
@@ -372,7 +370,6 @@ func (m *Manager) breakerLocked(now time.Time) {
 		}
 	}
 	if changed {
-		m.met.Quarantined.Set(int64(m.degraded))
 		m.rebuildSnapLocked()
 	}
 }

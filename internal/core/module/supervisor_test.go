@@ -30,10 +30,8 @@ func wireSupervisorMetrics(m *Manager) *telemetry.Registry {
 	tel := telemetry.NewRegistry()
 	m.SetMetrics(ManagerMetrics{
 		Packets:       tel.Counter("kalis_packets_total", "t"),
-		ActiveModules: tel.Gauge("kalis_modules_active", "t"),
 		PacketLatency: tel.HistogramVec("kalis_module_packet_seconds", "module", "t", nil),
 		Panics:        tel.CounterVec("kalis_module_panics_total", "module", "t"),
-		Quarantined:   tel.Gauge("kalis_module_quarantined", "t"),
 		BreakerTrips:  tel.Counter("kalis_breaker_trips_total", "t"),
 	})
 	return tel
@@ -237,8 +235,8 @@ func TestBreakerShedsUnderPressureAndReadmits(t *testing.T) {
 	if v := snap["kalis_breaker_trips_total"].Value; fmt.Sprint(v) != "1" {
 		t.Errorf("kalis_breaker_trips_total = %v", v)
 	}
-	if v := snap["kalis_module_quarantined"].Value; fmt.Sprint(v) != "1" {
-		t.Errorf("kalis_module_quarantined = %v", v)
+	if q := m.Quarantined(); len(q) != 1 || q[0] != "slow" {
+		t.Errorf("Quarantined = %v", q)
 	}
 
 	// Backoff elapsed but the queue is still saturated: stay shed.

@@ -50,7 +50,7 @@ func (k *kalisIDS) HandleCapture(c *packet.Captured) { k.node.HandleCapture(c) }
 func (k *kalisIDS) Close()                           { _ = k.node.Close() }
 
 func (k *kalisIDS) WorkUnits() uint64 {
-	_, invocations, _ := k.node.Manager().Stats()
+	_, invocations, _ := k.node.Stats()
 	return invocations
 }
 

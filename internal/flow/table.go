@@ -57,8 +57,6 @@ func (cfg Config) withDefaults() Config {
 // Metrics are the table's optional telemetry hooks; zero-value fields
 // are skipped (all telemetry types are nil-safe).
 type Metrics struct {
-	// Active tracks the number of flows currently in the table.
-	Active *telemetry.Gauge
 	// Expirations counts flows exported by idle/active timeout.
 	Expirations *telemetry.Counter
 	// Evictions counts flows exported by the capacity bound.
@@ -83,16 +81,13 @@ type Table struct {
 	featFns  []Factory
 	featured bool
 
-	mu      sync.Mutex
-	flows   map[Key]*Flow
-	lruHead *Flow // most recently touched
-	lruTail *Flow // least recently touched
-	toSweep int
-	// lastActive is the flow count last pushed to the Active gauge, so
-	// the steady state (count unchanged) skips the per-packet store.
-	lastActive int
-	lastSeen   time.Time
-	met        Metrics
+	mu       sync.Mutex
+	flows    map[Key]*Flow
+	lruHead  *Flow // most recently touched
+	lruTail  *Flow // least recently touched
+	toSweep  int
+	lastSeen time.Time
+	met      Metrics
 
 	// exports is copy-on-write: Update snapshots the slice header under
 	// mu and iterates after unlock.
@@ -218,10 +213,6 @@ func (t *Table) Update(c *packet.Captured) {
 		t.toSweep = t.cfg.SweepEvery
 		exported = t.sweepLocked(c.Time, exported)
 	}
-	if n := len(t.flows); n != t.lastActive {
-		t.lastActive = n
-		t.met.Active.Set(int64(n))
-	}
 	exports := t.exports
 	t.mu.Unlock()
 
@@ -255,8 +246,6 @@ func (t *Table) Flush() {
 	for t.lruTail != nil {
 		exported = append(exported, t.removeLocked(t.lruTail, ReasonShutdown))
 	}
-	t.lastActive = 0
-	t.met.Active.Set(0)
 	exports := t.exports
 	t.mu.Unlock()
 	for _, fn := range exports {

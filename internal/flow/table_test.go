@@ -182,17 +182,16 @@ func TestFlushExportsEverything(t *testing.T) {
 
 func TestMetricsHooks(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	active := reg.Gauge("test_flow_active", "t")
 	exps := reg.Counter("test_flow_exp", "t")
 	evs := reg.Counter("test_flow_ev", "t")
 	tbl := NewTable(Config{MaxFlows: 1, IdleTimeout: 10 * time.Second, ActiveTimeout: time.Hour})
-	tbl.SetMetrics(Metrics{Active: active, Expirations: exps, Evictions: evs})
+	tbl.SetMetrics(Metrics{Expirations: exps, Evictions: evs})
 
 	tbl.Update(cap1("A", "B", t0))
 	tbl.Update(cap1("C", "D", t0.Add(time.Second)))    // evicts A>B
 	tbl.Update(cap1("C", "D", t0.Add(20*time.Second))) // idle-expires C>D
-	if got := active.Value(); got != 1 {
-		t.Errorf("active gauge = %v, want 1", got)
+	if got := tbl.Len(); got != 1 {
+		t.Errorf("live flows = %v, want 1", got)
 	}
 	if got := evs.Value(); got != 1 {
 		t.Errorf("evictions counter = %v, want 1", got)

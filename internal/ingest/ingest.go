@@ -1,8 +1,8 @@
 // Package ingest is the sharded, batched ingestion pipeline between
-// packet capture and module dispatch: the throughput stage that lets a
-// Kalis node scale to NumCPU instead of funneling every capture
-// through one serial fan-out (ROADMAP "Sharded, batched ingestion
-// pipeline").
+// packet capture and module dispatch: the rings and workers a Kalis
+// node puts in front of its shards when captures must not be
+// dispatched on the capture goroutine — several shards fed in
+// parallel, or one shard on an asynchronous node.
 //
 // Packets are sharded by a hash of the source endpoint (falling back
 // to the capture medium for frames without one), so every flow, every
@@ -15,10 +15,9 @@
 // by one worker goroutine that hands *batches* to its Sink, amortizing
 // the per-dispatch lock round-trip, snapshot read and supervision
 // bookkeeping across the batch. Backpressure is drop-newest with a
-// per-shard counter by default — a passive IDS never blocks capture,
-// matching the event bus' packet-topic policy — or lossless (spin)
-// when Config.Block is set, for offline replay and benchmarks where
-// every packet must be observed.
+// per-shard counter by default — a passive IDS never blocks capture —
+// or lossless (spin) when Config.Block is set, for offline replay and
+// benchmarks where every packet must be observed.
 package ingest
 
 import (
@@ -335,8 +334,8 @@ func (p *Pipeline) minBusyProgress() int64 {
 }
 
 // Depth returns the total number of packets currently queued across
-// all shard rings — the pipeline's pressure signal (the supervisor's
-// circuit breaker reads it in sharded mode).
+// all shard rings — the pipeline's pressure signal (part of what the
+// supervisor's circuit breaker reads).
 func (p *Pipeline) Depth() int {
 	total := 0
 	for _, s := range p.shards {

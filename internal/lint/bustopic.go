@@ -6,7 +6,7 @@ import (
 
 // BusTopic keeps event-bus topic names bounded: Bus.Publish and
 // Bus.Subscribe must be called with a named topic constant (such as
-// event.TopicPacket), never a string literal. Topics become telemetry
+// event.TopicKnowledge), never a string literal. Topics become telemetry
 // label values (kalis_bus_publishes_total{topic=...}); ad-hoc literals
 // would silently grow label cardinality and drift from the documented
 // topic set.

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -47,5 +48,24 @@ func TestCallGraphGolden(t *testing.T) {
 			"diff it against `go run ./cmd/kalislint -callgraph HandlePacket` and, "+
 			"if the wiring change is intentional, regenerate with UPDATE_GOLDEN=1",
 			golden)
+	}
+
+	// The one dispatch body must be on the hot-path walk from both
+	// executors' roots: the in-line entry point (a static call chain) and
+	// the ring worker (through the ingest.Sink interface), under the
+	// production hotpath/hotalloc scopes.
+	roots := PathScope("kalis/internal/core", "kalis/internal/ingest")
+	walk := PathScope("kalis/internal/core", "kalis/internal/flow", "kalis/internal/ingest")
+	for _, root := range []string{"HandleCapture", "drainShard"} {
+		dump := DumpMethodGraph(target, root, roots, walk)
+		for _, node := range []string{
+			"\n(*kalis/internal/core.shard).HandleBatch\n",
+			"\n(*kalis/internal/core/module.Manager).HandleBatch\n",
+			"\n(*kalis/internal/core/module.Manager).invoke\n",
+		} {
+			if !strings.Contains(dump, node) {
+				t.Errorf("hot-path walk from %s does not reach %s", root, strings.TrimSpace(node))
+			}
+		}
 	}
 }

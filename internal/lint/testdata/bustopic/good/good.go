@@ -8,6 +8,6 @@ const topicAudit = "audit"
 
 // Wire subscribes and publishes through named constants only.
 func Wire(b *event.Bus) {
-	b.Subscribe(event.TopicPacket, func(interface{}) {})
+	b.Subscribe(event.TopicKnowledge, func(interface{}) {})
 	b.Publish(topicAudit, nil)
 }

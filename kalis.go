@@ -77,8 +77,8 @@ type (
 	// FlowKey identifies one unidirectional flow (medium + endpoints +
 	// protocol class + ports).
 	FlowKey = flow.Key
-	// IngestStats is the sharded ingestion pipeline's packet
-	// accounting: Enqueued == Accepted + Dropped always, and
+	// IngestStats is the ingest rings' packet accounting:
+	// Enqueued == Accepted + Dropped always, and
 	// Accepted == Delivered at every quiescent point (after
 	// DrainIngest or Close).
 	IngestStats = ingest.Stats
@@ -118,9 +118,13 @@ func WithWindowSize(n int) Option {
 	return func(c *core.Config) { c.WindowSize = n }
 }
 
-// WithAsyncEvents switches the event bus to asynchronous delivery
-// (each subscriber on its own goroutine); the default synchronous mode
-// is deterministic.
+// WithAsyncEvents switches the node to asynchronous delivery: every
+// event-bus subscriber (knowledge, alerts, flow records) runs on its
+// own goroutine, and captures go through an ingest ring to a worker
+// instead of being dispatched inside HandleCapture — call DrainIngest
+// (or Close) before reading alerts or counters. The ring drops the
+// newest capture when full unless WithIngestBlocking is set. The
+// default synchronous mode is deterministic.
 func WithAsyncEvents() Option {
 	return func(c *core.Config) { c.Async = true }
 }
@@ -156,29 +160,29 @@ func WithPersistInterval(d time.Duration) Option {
 	return func(c *core.Config) { c.PersistInterval = d }
 }
 
-// WithShards selects the ingestion parallelism. n <= 1 keeps the
-// default synchronous in-line dispatch (deterministic: HandleCapture
-// returns only after every module saw the packet). n > 1 runs n shard
-// pipelines — per-shard ring buffer, worker, Data Store window, flow
-// table and module instances — sharded by hash of the packet source,
-// so per-source detector state and per-source capture order stay
-// intact while aggregate throughput scales with cores. Pass
-// runtime.NumCPU() for the usual live deployment. In sharded mode
-// HandleCapture only enqueues; call DrainIngest (or Close) before
-// reading alerts or counters after a replay.
+// WithShards selects the ingestion parallelism. n <= 1 is one shard,
+// dispatched in line by default (deterministic: HandleCapture returns
+// only after every module saw the packet). n > 1 runs n shards — each
+// with its own ring buffer, worker, Data Store window, flow table and
+// module instances — sharded by hash of the packet source, so
+// per-source detector state and per-source capture order stay intact.
+// HandleCapture then only enqueues; call DrainIngest (or Close) before
+// reading alerts or counters after a replay. Only the first shard's
+// window is persisted and logged (WithStateDir, SetLog).
 func WithShards(n int) Option {
 	return func(c *core.Config) { c.Shards = n }
 }
 
 // WithIngestRing sets the per-shard ring capacity in packets (rounded
-// up to a power of two; default 4096). Only meaningful with
-// WithShards(n > 1).
+// up to a power of two; default 4096). Honoured whenever the node has
+// an ingest ring: WithShards(n > 1) or WithAsyncEvents.
 func WithIngestRing(n int) Option {
 	return func(c *core.Config) { c.IngestRing = n }
 }
 
 // WithIngestBatch caps how many packets a shard worker dispatches per
-// batch (default 256). Only meaningful with WithShards(n > 1).
+// batch (default 256). Honoured whenever the node has an ingest ring:
+// WithShards(n > 1) or WithAsyncEvents.
 func WithIngestBatch(n int) Option {
 	return func(c *core.Config) { c.IngestBatch = n }
 }
@@ -187,8 +191,9 @@ func WithIngestBatch(n int) Option {
 // shard ring makes HandleCapture spin until space frees instead of
 // dropping the packet. The default drop-newest policy matches a
 // passive IDS (never block capture); blocking mode is for offline
-// replay and benchmarks where every packet must be observed. Only
-// meaningful with WithShards(n > 1).
+// replay and benchmarks where every packet must be observed. Honoured
+// whenever the node has an ingest ring: WithShards(n > 1) or
+// WithAsyncEvents.
 func WithIngestBlocking() Option {
 	return func(c *core.Config) { c.IngestBlock = true }
 }
@@ -237,12 +242,13 @@ func (n *Node) ID() string { return n.inner.ID() }
 // live capture source or to trace replay.
 func (n *Node) HandleCapture(c *Captured) { n.inner.HandleCapture(c) }
 
-// DrainIngest blocks until every packet the shard rings accepted so
-// far has been dispatched to the modules. A no-op on unsharded nodes.
+// DrainIngest blocks until every packet the ingest rings accepted so
+// far has been dispatched to the modules. A no-op on nodes that
+// dispatch in line (no WithShards(n > 1), no WithAsyncEvents).
 func (n *Node) DrainIngest() { n.inner.DrainIngest() }
 
-// IngestStats returns the sharded ingestion pipeline's packet
-// accounting (the zero value on unsharded nodes).
+// IngestStats returns the ingest rings' packet accounting (the zero
+// value on nodes that dispatch in line).
 func (n *Node) IngestStats() IngestStats { return n.inner.IngestStats() }
 
 // Shards returns the node's ingestion shard count (1 when unsharded).
@@ -304,14 +310,16 @@ func (n *Node) RegisterModule(name string, factory func(params map[string]string
 // coalesces per flow under queue pressure.
 func (n *Node) OnFlowRecord(fn func(FlowRecord)) { n.inner.OnFlowRecord(fn) }
 
-// SetLog writes all observed traffic to w in the Kalis trace format.
+// SetLog writes all observed traffic to w in the Kalis trace format
+// (with WithShards(n > 1), the first shard's traffic only).
 func (n *Node) SetLog(w io.Writer) { n.inner.SetLog(w) }
 
 // Recent returns up to count of the most recently observed frames,
-// oldest first — the Data Store's sliding window (§IV-B2), typically
-// pulled by an operator to analyze the traffic around an incident.
-// count <= 0 returns the whole window.
-func (n *Node) Recent(count int) []*Captured { return n.inner.Store().Recent(count) }
+// oldest first — the Data Store's sliding window (§IV-B2; every
+// shard's, merged by capture time), typically pulled by an operator to
+// analyze the traffic around an incident. count <= 0 returns the whole
+// window.
+func (n *Node) Recent(count int) []*Captured { return n.inner.Recent(count) }
 
 // ReplayTrace feeds a recorded trace through the node, transparently
 // to the modules. It returns the number of frames replayed and skipped

@@ -21,7 +21,8 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Compare the hot-path benchmarks against bench_baseline.json; fails on
-# a >25% ns/op regression. Re-record with:
+# a >25% ns/op regression or on any allocs/op increase. Re-record (and
+# restamp the host header) with:
 #   go run ./cmd/benchdiff -update -benchtime 0.5s
 benchdiff:
 	$(GO) run ./cmd/benchdiff -benchtime 0.5s
@@ -53,13 +54,16 @@ crash-demo:
 	$(GO) test -run TestCrashRecoveryDrill -v .
 
 # Short native-fuzz passes: the collective receive path (truncated /
-# corrupted / replayed datagrams must never panic or taint the KB) and
-# the durable-state loaders (arbitrary snapshot/journal bytes must
-# never panic or partially apply).
+# corrupted / replayed datagrams must never panic or taint the KB), the
+# durable-state loaders (arbitrary snapshot/journal bytes must never
+# panic or partially apply) and the frame decoder (arbitrary captured
+# bytes must never panic, must decode as the per-layer reference does,
+# and must stay allocation-bounded).
 fuzz-short:
 	$(GO) test -fuzz=FuzzNodeReceive -fuzztime=30s -run '^$$' ./internal/core/collective/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s -run '^$$' ./internal/persist/
+	$(GO) test -fuzz=FuzzStackDecode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &
 # invariants"): simulated-clock discipline, named bus topics, hot-path

@@ -308,18 +308,22 @@ func BenchmarkAblationBusMode(b *testing.B) {
 }
 
 // BenchmarkProtocolDecode measures the Communication System's parsing
-// path per medium.
+// path per stack shape. Gated by benchdiff in ns/op and, exactly, in
+// allocs/op: a decoded frame is one allocation.
 func BenchmarkProtocolDecode(b *testing.B) {
 	src, dst := netip.MustParseAddr("192.168.1.5"), netip.MustParseAddr("34.2.2.2")
 	frames := map[string]struct {
 		medium packet.Medium
 		raw    []byte
 	}{
-		"ctp-data":  {packet.MediumIEEE802154, stack.BuildCTPData(5, 3, 5, 1, 0, 10, []byte{0x01, 0x01})},
-		"zigbee":    {packet.MediumIEEE802154, stack.BuildZigbeeData(2, 1, 9, 1, 5, []byte("cmd"))},
-		"rpl-dio":   {packet.MediumIEEE802154, stack.BuildRPLDIO(3, 1, 512, 1)},
-		"tcp-wifi":  {packet.MediumWiFi, stack.BuildTCP(src, dst, 4000, 443, 0x12, 1, 1, 1, nil)},
-		"icmp-wifi": {packet.MediumWiFi, stack.BuildICMPEcho(src, dst, 0, 1, 1, 64)},
+		"ctp-data":   {packet.MediumIEEE802154, stack.BuildCTPData(5, 3, 5, 1, 0, 10, []byte{0x01, 0x01})},
+		"ctp-beacon": {packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 1, 30, 2)},
+		"zigbee":     {packet.MediumIEEE802154, stack.BuildZigbeeData(2, 1, 9, 1, 5, []byte("cmd"))},
+		"rpl-dio":    {packet.MediumIEEE802154, stack.BuildRPLDIO(3, 1, 512, 1)},
+		"tcp-wifi":   {packet.MediumWiFi, stack.BuildTCP(src, dst, 4000, 443, 0x12, 1, 1, 1, nil)},
+		"icmp-wifi":  {packet.MediumWiFi, stack.BuildICMPEcho(src, dst, 0, 1, 1, 64)},
+		"udp-wifi":   {packet.MediumWiFi, stack.BuildUDP(src, dst, 56700, 56700, 1, []byte("lifx"))},
+		"ble-adv":    {packet.MediumBluetooth, stack.BuildBLEAdv([6]byte{1, 2, 3, 4, 5, 6}, []byte{0x02, 0x01, 0x06})},
 	}
 	for name, f := range frames {
 		b.Run(name, func(b *testing.B) {

@@ -1,12 +1,17 @@
 // Command benchdiff guards the hot-path performance budget: it re-runs
 // the benchmarks recorded in bench_baseline.json and fails when any of
-// them regressed by more than the configured threshold in ns/op.
+// them regressed by more than the configured threshold in ns/op, or —
+// in the suites that record allocs_per_op — allocates more per
+// operation than the baseline at all.
 //
 // Each baseline suite names a package and an anchored -bench regex;
-// benchdiff executes `go test -run ^$ -bench <regex> -count N` for the
-// suite and keeps the minimum ns/op per benchmark across the N runs —
-// the minimum is the least noisy estimator of the true cost, since
-// scheduling jitter only ever adds time.
+// benchdiff executes `go test -run ^$ -bench <regex> -benchmem -count N`
+// for the suite and keeps the minimum ns/op and allocs/op per benchmark
+// across the N runs — the minimum is the least noisy estimator of the
+// true cost, since scheduling jitter only ever adds time. The baseline
+// also records where it was measured (Go version, CPU model,
+// GOMAXPROCS); comparing on another host prints a note, because ns/op
+// does not travel.
 //
 // Usage:
 //
@@ -22,9 +27,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,7 +45,17 @@ type baseline struct {
 	// Threshold is the tolerated fractional ns/op increase (0.25 =
 	// +25%) before the gate fails.
 	Threshold float64 `json:"threshold"`
-	Suites    []suite `json:"suites"`
+	// Env is where the recorded numbers were measured; rewritten by
+	// -update.
+	Env    *env    `json:"env,omitempty"`
+	Suites []suite `json:"suites"`
+}
+
+// env identifies a measurement host as far as it moves ns/op.
+type env struct {
+	Go         string `json:"go"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
 type suite struct {
@@ -49,6 +66,17 @@ type suite struct {
 	// NsPerOp maps canonical benchmark names (sub-benchmarks
 	// included, GOMAXPROCS suffix stripped) to the recorded minimum.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// AllocsPerOp, when present, gates allocs/op exactly: any increase
+	// over the recorded minimum fails, and -update re-records it. A
+	// suite whose count is not deterministic (the gossip round draws a
+	// random fan-out and lands on 25 or 26) leaves the key out and is
+	// compared in ns/op alone; opt a suite in with an empty object.
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+}
+
+// result is one benchmark's minima across the suite's runs.
+type result struct {
+	ns, allocs float64
 }
 
 func main() {
@@ -73,22 +101,37 @@ func main() {
 	}
 
 	failed := false
+	here := env{Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for i := range base.Suites {
 		s := &base.Suites[i]
-		measured, err := runSuite(s, base.Count, *benchtime)
+		measured, cpu, err := runSuite(s, base.Count, *benchtime)
 		if err != nil {
 			fatalf("benchdiff: %s: %v", s.Package, err)
 		}
+		here.CPU = cpu
 		if *update {
-			s.NsPerOp = measured
+			s.NsPerOp = make(map[string]float64, len(measured))
+			if s.AllocsPerOp != nil {
+				s.AllocsPerOp = make(map[string]float64, len(measured))
+			}
+			for name, r := range measured {
+				s.NsPerOp[name] = r.ns
+				if s.AllocsPerOp != nil {
+					s.AllocsPerOp[name] = r.allocs
+				}
+			}
 			continue
 		}
 		if !compareSuite(s, measured, base.Threshold) {
 			failed = true
 		}
 	}
+	if !*update && base.Env != nil && *base.Env != here {
+		fmt.Printf("note: baseline recorded on %+v, this host is %+v: ns/op verdicts compare two machines\n", *base.Env, here)
+	}
 
 	if *update {
+		base.Env = &here
 		if err := writeBaseline(*baselinePath, base); err != nil {
 			fatalf("benchdiff: %v", err)
 		}
@@ -128,9 +171,9 @@ func writeBaseline(path string, b *baseline) error {
 }
 
 // runSuite executes the suite's benchmarks Count times and returns the
-// per-benchmark minimum ns/op.
-func runSuite(s *suite, count int, benchtime string) (map[string]float64, error) {
-	args := []string{"test", "-run", "^$", "-bench", s.Bench, "-count", strconv.Itoa(count)}
+// per-benchmark minima and the CPU model go test reported.
+func runSuite(s *suite, count int, benchtime string) (map[string]result, string, error) {
+	args := []string{"test", "-run", "^$", "-bench", s.Bench, "-benchmem", "-count", strconv.Itoa(count)}
 	if benchtime != "" {
 		args = append(args, "-benchtime", benchtime)
 	}
@@ -139,55 +182,69 @@ func runSuite(s *suite, count int, benchtime string) (map[string]float64, error)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go %s: %w", strings.Join(args, " "), err)
+		return nil, "", fmt.Errorf("go %s: %w", strings.Join(args, " "), err)
 	}
-	measured := parseBenchOutput(string(out))
+	measured, cpu := parseBenchOutput(string(out))
 	if len(measured) == 0 {
-		return nil, fmt.Errorf("no benchmark results for -bench %s (output: %q)", s.Bench, string(out))
+		return nil, "", fmt.Errorf("no benchmark results for -bench %s (output: %q)", s.Bench, string(out))
 	}
-	return measured, nil
+	return measured, cpu, nil
 }
 
 // procSuffix is the trailing -GOMAXPROCS the bench framework appends to
 // every benchmark name.
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
-// parseBenchOutput extracts minimum ns/op per benchmark from `go test
-// -bench` output lines of the form:
+// parseBenchOutput extracts the minimum ns/op and allocs/op per
+// benchmark, and the "cpu:" header, from `go test -bench -benchmem`
+// output lines of the form:
 //
-//	BenchmarkName/sub-8   12345   92.36 ns/op   0 B/op
-func parseBenchOutput(out string) map[string]float64 {
-	min := make(map[string]float64)
+//	cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+//	BenchmarkName/sub-8   12345   92.36 ns/op   16 B/op   1 allocs/op
+//
+// A line without an allocs/op column (no -benchmem) leaves allocs at -1.
+func parseBenchOutput(out string) (map[string]result, string) {
+	min := make(map[string]result)
+	cpu := ""
 	for _, line := range strings.Split(out, "\n") {
+		if model, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = strings.TrimSpace(model)
+			continue
+		}
 		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		idx := -1
-		for i, f := range fields {
-			if f == "ns/op" {
-				idx = i
-				break
+		r := result{ns: -1, allocs: -1}
+		for i := 2; i < len(fields); i++ {
+			v, err := strconv.ParseFloat(fields[i-1], 64)
+			if err != nil {
+				continue
+			}
+			switch fields[i] {
+			case "ns/op":
+				r.ns = v
+			case "allocs/op":
+				r.allocs = v
 			}
 		}
-		if idx < 2 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[idx-1], 64)
-		if err != nil {
+		if r.ns < 0 {
 			continue
 		}
 		name := procSuffix.ReplaceAllString(fields[0], "")
-		if prev, ok := min[name]; !ok || v < prev {
-			min[name] = v
+		if prev, ok := min[name]; ok {
+			r.ns = math.Min(r.ns, prev.ns)
+			r.allocs = math.Min(r.allocs, prev.allocs)
 		}
+		min[name] = r
 	}
-	return min
+	return min, cpu
 }
 
 // compareSuite reports the per-benchmark verdicts and returns false if
-// any baseline benchmark regressed beyond threshold or disappeared.
-func compareSuite(s *suite, measured map[string]float64, threshold float64) bool {
+// any baseline benchmark regressed beyond threshold in ns/op, allocates
+// more than its recorded allocs/op, or disappeared.
+func compareSuite(s *suite, measured map[string]result, threshold float64) bool {
 	ok := true
 	names := make([]string, 0, len(s.NsPerOp))
 	for name := range s.NsPerOp {
@@ -197,26 +254,34 @@ func compareSuite(s *suite, measured map[string]float64, threshold float64) bool
 	for _, name := range names {
 		base := s.NsPerOp[name]
 		got, found := measured[name]
+		baseAllocs, gated := s.AllocsPerOp[name]
 		switch {
 		case !found:
 			fmt.Printf("MISSING  %-55s baseline %10.2f ns/op, benchmark no longer runs\n", name, base)
 			ok = false
-		case base > 0 && got > base*(1+threshold):
+		case base > 0 && got.ns > base*(1+threshold):
 			fmt.Printf("REGRESS  %-55s %10.2f -> %10.2f ns/op (%+.1f%%, budget %+.0f%%)\n",
-				name, base, got, (got/base-1)*100, threshold*100)
+				name, base, got.ns, (got.ns/base-1)*100, threshold*100)
+			ok = false
+		case gated && got.allocs > baseAllocs:
+			fmt.Printf("ALLOCS   %-55s %10.0f -> %10.0f allocs/op (any increase fails)\n", name, baseAllocs, got.allocs)
 			ok = false
 		default:
 			delta := 0.0
 			if base > 0 {
-				delta = (got/base - 1) * 100
+				delta = (got.ns/base - 1) * 100
 			}
-			fmt.Printf("ok       %-55s %10.2f -> %10.2f ns/op (%+.1f%%)\n", name, base, got, delta)
+			allocs := ""
+			if gated {
+				allocs = fmt.Sprintf(", %.0f -> %.0f allocs/op", baseAllocs, got.allocs)
+			}
+			fmt.Printf("ok       %-55s %10.2f -> %10.2f ns/op (%+.1f%%)%s\n", name, base, got.ns, delta, allocs)
 		}
 	}
-	for name := range measured {
+	for name, r := range measured {
 		if _, known := s.NsPerOp[name]; !known {
 			fmt.Printf("NEW      %-55s %10.2f ns/op (not in baseline; run -update to record)\n",
-				name, measured[name])
+				name, r.ns)
 		}
 	}
 	return ok

@@ -19,8 +19,9 @@
 // remains, 2 on load errors. -baseline filters out findings recorded in
 // a committed baseline file (matched by file, rule and message — line
 // numbers drift), supporting gradual adoption of new rules. -callgraph
-// prints the devirtualized call graph reachable from every method of
-// the given name, using the production hot-path scopes.
+// prints the devirtualized call graph reachable from every method or
+// package-level function of the given name, using the production
+// hot-path scopes.
 package main
 
 import (
@@ -46,7 +47,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	tests := fs.Bool("tests", true, "also lint _test.go files with the relaxed rule set")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
 	baseline := fs.String("baseline", "", "filter out findings recorded in this JSON baseline file")
-	callgraph := fs.String("callgraph", "", "print the devirtualized call graph from every method with this name and exit")
+	callgraph := fs.String("callgraph", "", "print the devirtualized call graph from every method or function with this name and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -95,11 +96,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	if *callgraph != "" {
-		// The production hot-path scopes: roots in internal/core, walk
-		// spilling into the flow layer.
-		dump := lint.DumpMethodGraph(target, *callgraph,
-			lint.PathScope(target.Module+"/internal/core"),
-			lint.PathScope(target.Module+"/internal/core", target.Module+"/internal/flow"))
+		// The production hot-path scopes.
+		dump := lint.DumpMethodGraph(target, *callgraph, lint.PacketPathRoots, lint.PacketPathWalk)
 		fmt.Fprint(stdout, dump)
 		return 0
 	}

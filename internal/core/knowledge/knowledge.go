@@ -557,14 +557,13 @@ func (b *Base) EntityFloat(label, entity string) (float64, bool) {
 func (b *Base) QueryPrefix(prefix string) []Knowgget {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var out []Knowgget
-	for key, k := range b.entries {
+	var keys []string
+	for key := range b.entries {
 		if strings.HasPrefix(key, prefix) {
-			out = append(out, k)
+			keys = append(keys, key)
 		}
 	}
-	sortKnowggets(out)
-	return out
+	return b.sortedByKey(keys)
 }
 
 // QueryLocal returns all knowggets created by the local node.
@@ -574,14 +573,13 @@ func (b *Base) QueryLocal() []Knowgget { return b.QueryPrefix(EscapeComponent(b.
 func (b *Base) QueryCollective() []Knowgget {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var out []Knowgget
-	for _, k := range b.entries {
+	var keys []string
+	for key, k := range b.entries {
 		if k.Creator != b.local {
-			out = append(out, k)
+			keys = append(keys, key)
 		}
 	}
-	sortKnowggets(out)
-	return out
+	return b.sortedByKey(keys)
 }
 
 // QueryEntity returns all knowggets (any creator) about the entity,
@@ -589,15 +587,14 @@ func (b *Base) QueryCollective() []Knowgget {
 func (b *Base) QueryEntity(entity string) []Knowgget {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var out []Knowgget
+	var keys []string
 	suffix := "@" + EscapeComponent(entity)
-	for key, k := range b.entries {
+	for key := range b.entries {
 		if strings.HasSuffix(key, suffix) {
-			out = append(out, k)
+			keys = append(keys, key)
 		}
 	}
-	sortKnowggets(out)
-	return out
+	return b.sortedByKey(keys)
 }
 
 // Children returns the sub-knowggets of a local multilevel knowgget:
@@ -663,12 +660,11 @@ func (b *Base) StaticLabels() []string {
 func (b *Base) Snapshot() []Knowgget {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	out := make([]Knowgget, 0, len(b.entries))
-	for _, k := range b.entries {
-		out = append(out, k)
+	keys := make([]string, 0, len(b.entries))
+	for key := range b.entries {
+		keys = append(keys, key)
 	}
-	sortKnowggets(out)
-	return out
+	return b.sortedByKey(keys)
 }
 
 // Len returns the number of stored knowggets.
@@ -678,6 +674,19 @@ func (b *Base) Len() int {
 	return len(b.entries)
 }
 
-func sortKnowggets(ks []Knowgget) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i].Key() < ks[j].Key() })
+// sortedByKey returns the entries stored under keys, in key order (nil
+// for nil keys). Every entry is stored under its Key(), so sorting the
+// map keys the caller already holds gives the order sorting on Key()
+// would, without rebuilding two keys per comparison. The caller holds
+// b.mu and gives keys away.
+func (b *Base) sortedByKey(keys []string) []Knowgget {
+	if keys == nil {
+		return nil
+	}
+	sort.Strings(keys)
+	out := make([]Knowgget, len(keys))
+	for i, key := range keys {
+		out[i] = b.entries[key]
+	}
+	return out
 }

@@ -1,6 +1,8 @@
 package knowledge
 
 import (
+	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -304,6 +306,46 @@ func TestKeySeparatorEscaping(t *testing.T) {
 	}
 	if got := b.QueryEntity("b"); len(got) != 0 {
 		t.Errorf("QueryEntity(b) matched an escaped entity suffix: %d", len(got))
+	}
+}
+
+// TestQueryOrderIsKeyOrder: every query sorts on the storage keys it
+// iterated, and that must be the order sorting on Knowgget.Key() gives
+// — including components that need escaping, where the key is not the
+// plain concatenation of the fields ('%' < '.' < '@': "a%40b" sorts
+// before "a.b" although "a@b" as text sorts after it).
+func TestQueryOrderIsKeyOrder(t *testing.T) {
+	b := NewBase("K$1")
+	for _, label := range []string{"Sig@nal", "Sig.nal", "Sig%nal", "Signal", "Sig$nal", "Sig"} {
+		b.Put(label, "v")
+		for _, entity := range []string{"a@b", "a.b", "a%40b", "a", "a$b", "b"} {
+			b.PutEntity(label, entity, "v")
+		}
+	}
+	for i, creator := range []string{"K$2", "K@2", "K%2", "K2"} {
+		if !b.AcceptGossip(creator, Knowgget{Creator: creator, Label: "Sig@nal", Entity: "a@b", Value: "v", Version: uint64(i + 1)}) {
+			t.Fatalf("gossip from %q rejected", creator)
+		}
+	}
+	queries := map[string][]Knowgget{
+		"Snapshot":        b.Snapshot(),
+		"QueryLocal":      b.QueryLocal(),
+		"QueryCollective": b.QueryCollective(),
+		"QueryEntity":     b.QueryEntity("a@b"),
+		"Children":        b.Children("Sig"),
+	}
+	if n := len(queries["Snapshot"]); n != 6*7+4 {
+		t.Fatalf("Snapshot holds %d knowggets, want %d", n, 6*7+4)
+	}
+	for name, got := range queries {
+		if len(got) < 4 {
+			t.Errorf("%s returned %d knowggets: too few to pin an order", name, len(got))
+		}
+		want := append([]Knowgget(nil), got...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s is not in Key() order:\n got %v\nwant %v", name, got, want)
+		}
 	}
 }
 

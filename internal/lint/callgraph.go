@@ -114,13 +114,20 @@ func (g *CallGraph) EdgesAt(n *CGNode, pos token.Pos) []CGEdge {
 	return out
 }
 
-// MethodRoots returns every method node whose name is in names and
-// whose package is in scope — the packet-path roots.
-func (g *CallGraph) MethodRoots(names map[string]bool, scope ScopeFunc) []*CGNode {
+// Roots returns the packet-path roots in scope: every method whose
+// name is in methods and every package-level function whose name is in
+// funcs.
+func (g *CallGraph) Roots(methods, funcs map[string]bool, scope ScopeFunc) []*CGNode {
 	var out []*CGNode
 	for _, n := range g.Nodes {
-		if n.Fn != nil && n.Decl != nil && n.Decl.Recv != nil &&
-			names[n.Fn.Name()] && scope(n.Pkg.Path) {
+		if n.Fn == nil || n.Decl == nil || !scope(n.Pkg.Path) {
+			continue
+		}
+		names := funcs
+		if n.Decl.Recv != nil {
+			names = methods
+		}
+		if names[n.Fn.Name()] {
 			out = append(out, n)
 		}
 	}

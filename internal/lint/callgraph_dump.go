@@ -6,10 +6,11 @@ import (
 )
 
 // DumpMethodGraph renders the devirtualized call graph reachable from
-// every method named rootName (in rootScope), walking synchronous
-// in-scope edges exactly as the path rules do. The output is stable
-// across builds — nodes sorted by name, one "-> callee" line per edge —
-// so a committed golden file makes graph regressions visible in review.
+// every method or package-level function named rootName (in
+// rootScope), walking synchronous in-scope edges exactly as the path
+// rules do. The output is stable across builds — nodes sorted by name,
+// one "-> callee" line per edge — so a committed golden file makes
+// graph regressions visible in review.
 //
 // Edges the walk does not follow are still listed, annotated:
 //
@@ -18,7 +19,8 @@ import (
 //	[out]       callee outside the walk scope
 func DumpMethodGraph(t *Target, rootName string, rootScope, walkScope ScopeFunc) string {
 	g := CallGraphOf(t)
-	roots := g.MethodRoots(map[string]bool{rootName: true}, rootScope)
+	name := map[string]bool{rootName: true}
+	roots := g.Roots(name, name, rootScope)
 	within := func(n *CGNode) bool { return walkScope(n.Pkg.Path) || rootScope(n.Pkg.Path) }
 	reach := g.Reachable(roots, within)
 

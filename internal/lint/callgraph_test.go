@@ -8,10 +8,11 @@ import (
 )
 
 // TestCallGraphGolden pins the devirtualized packet-path call graph:
-// every method named HandlePacket rooted in internal/core, walked
-// through internal/flow exactly as the hot-path rules walk it. A
-// wiring change that adds, drops or reroutes an edge shows up as a
-// golden diff in review instead of a silent analysis gap.
+// every method named HandlePacket under the production root scope,
+// walked through the production walk scope (flow, the protocol
+// substrates, the capture envelope) exactly as the hot-path rules walk
+// it. A wiring change that adds, drops or reroutes an edge shows up as
+// a golden diff in review instead of a silent analysis gap.
 //
 // Regenerate after intentional graph changes with either
 //
@@ -26,9 +27,7 @@ func TestCallGraphGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := DumpMethodGraph(target, "HandlePacket",
-		PathScope("kalis/internal/core"),
-		PathScope("kalis/internal/core", "kalis/internal/flow"))
+	got := DumpMethodGraph(target, "HandlePacket", PacketPathRoots, PacketPathWalk)
 	if got == "" {
 		t.Fatal("empty HandlePacket call graph: roots not found")
 	}
@@ -52,19 +51,32 @@ func TestCallGraphGolden(t *testing.T) {
 
 	// The one dispatch body must be on the hot-path walk from both
 	// executors' roots: the in-line entry point (a static call chain) and
-	// the ring worker (through the ingest.Sink interface), under the
-	// production hotpath/hotalloc scopes.
-	roots := PathScope("kalis/internal/core", "kalis/internal/ingest")
-	walk := PathScope("kalis/internal/core", "kalis/internal/flow", "kalis/internal/ingest")
-	for _, root := range []string{"HandleCapture", "drainShard"} {
-		dump := DumpMethodGraph(target, root, roots, walk)
-		for _, node := range []string{
-			"\n(*kalis/internal/core.shard).HandleBatch\n",
-			"\n(*kalis/internal/core/module.Manager).HandleBatch\n",
-			"\n(*kalis/internal/core/module.Manager).invoke\n",
-		} {
-			if !strings.Contains(dump, node) {
-				t.Errorf("hot-path walk from %s does not reach %s", root, strings.TrimSpace(node))
+	// the ring worker (through the ingest.Sink interface). And the walk
+	// from the frame decoder — a function root — must reach every
+	// layer's one decoding body, the frame allocation (behind an
+	// explicit generic instantiation) and the identity table.
+	dispatch := []string{
+		"(*kalis/internal/core.shard).HandleBatch",
+		"(*kalis/internal/core/module.Manager).HandleBatch",
+		"(*kalis/internal/core/module.Manager).invoke",
+	}
+	reach := map[string][]string{
+		"HandleCapture": dispatch,
+		"drainShard":    dispatch,
+		"Decode": {
+			"kalis/internal/proto/stack.newFrame",
+			"kalis/internal/proto/stack.intern",
+			"kalis/internal/proto/stack.render",
+		},
+	}
+	for _, layer := range []string{"ble", "icmp", "ieee802154", "ipv4", "sixlowpan", "tcp", "udp", "wifi", "zigbee"} {
+		reach["Decode"] = append(reach["Decode"], "kalis/internal/proto/"+layer+".DecodeInto")
+	}
+	for root, nodes := range reach {
+		dump := DumpMethodGraph(target, root, PacketPathRoots, PacketPathWalk)
+		for _, node := range nodes {
+			if !strings.Contains(dump, "\n"+node+"\n") {
+				t.Errorf("hot-path walk from %s does not reach %s", root, node)
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // Flagged on the path, outside module.Alert composite literals (the
 // cold, cooldown-gated alert branch):
 //
-//   - pointer composite literals (&T{...}) and slice/map literals —
-//     one heap object per packet;
+//   - pointer composite literals (&T{...}), new(T) and slice/map
+//     literals — one heap object per packet;
 //   - non-constant string concatenation — builds a fresh string per
 //     packet (use a struct key or a preallocated buffer);
 //   - append to a locally declared slice with no capacity — growth
@@ -90,6 +90,11 @@ func (a *HotAlloc) checkNode(t *Target, node, root *CGNode) []Finding {
 				return false // the operands are part of the same chain
 			}
 		case *ast.CallExpr:
+			if isBuiltin(info, n, "new") {
+				flag(n, "heap allocation: new("+types.ExprString(n.Args[0])+") per packet"+
+					"; hoist it off the path or reuse a pooled value")
+				return true
+			}
 			if isBuiltin(info, n, "append") {
 				if v := localSliceBase(info, n); v != nil && !sized[v] {
 					flag(n, "append growth on an unsized local slice allocates per packet"+

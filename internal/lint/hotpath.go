@@ -7,9 +7,10 @@ import (
 
 // HotPath guards the per-packet budget behind the paper's §VI-B
 // overhead results. The packet path — every method named HandlePacket,
-// HandleCapture or drainShard in RootScope, plus its transitive
-// callees within WalkScope on the devirtualized call graph (see
-// callgraph.go) — must not:
+// HandleCapture, drainShard or gossipRound and every package-level
+// function named Decode in RootScope, plus its transitive callees
+// within WalkScope on the devirtualized call graph (see callgraph.go)
+// — must not:
 //
 //   - format with fmt.Sprintf/fmt.Errorf (allocation and reflection per
 //     packet). Formatting inside a module.Alert composite literal is
@@ -46,6 +47,17 @@ var rootMethodNames = map[string]bool{
 	"gossipRound":   true,
 }
 
+// rootFuncNames seed the traversal with package-level functions. The
+// production RootScope admits internal/proto/stack only, so this is
+// stack.Decode: every captured frame goes through it before any
+// HandleCapture sees a packet, on whatever goroutine captured it (the
+// replay loop, a sharded node's producer, a simulator sniffer), so no
+// method root reaches it — and it is the one parser that eats attacker
+// bytes.
+var rootFuncNames = map[string]bool{
+	"Decode": true,
+}
+
 // vecWithMethods are the telemetry child lookups banned on the path.
 var vecWithMethods = map[string]bool{
 	"(*kalis/internal/telemetry.CounterVec).With":   true,
@@ -65,7 +77,7 @@ func (*HotPath) Doc() string {
 // HotAlloc, which patrols the same path.
 func pathReachable(t *Target, rootScope, walkScope ScopeFunc) map[*CGNode]*CGNode {
 	g := CallGraphOf(t)
-	roots := g.MethodRoots(rootMethodNames, rootScope)
+	roots := g.Roots(rootMethodNames, rootFuncNames, rootScope)
 	return g.Reachable(roots, func(n *CGNode) bool {
 		return walkScope(n.Pkg.Path) || rootScope(n.Pkg.Path)
 	})

@@ -9,10 +9,11 @@
 //     comes from the sim clock or the capture timestamp.
 //   - bustopic: event.Bus topics must be named constants, keeping
 //     telemetry label cardinality bounded.
-//   - hotpath: the packet path (HandlePacket/HandleCapture methods and
-//     their transitive callees within internal/core) must not format
-//     with fmt, block on channel sends, or do per-packet telemetry
-//     Vec.With lookups.
+//   - hotpath: the packet path (HandlePacket/HandleCapture methods,
+//     stack.Decode and their transitive callees within internal/core,
+//     internal/flow, internal/proto and internal/packet) must not
+//     format with fmt, block on channel sends, or do per-packet
+//     telemetry Vec.With lookups.
 //   - nopanic: no panic outside init-time registration in internal/.
 //   - errcheck: no silently discarded error returns in internal/core
 //     and internal/proto.
@@ -76,6 +77,16 @@ func PathScope(paths ...string) ScopeFunc {
 // AllPackages scopes to the whole module.
 func AllPackages(string) bool { return true }
 
+// The production packet path, shared by hotpath, hotalloc and the
+// -callgraph dump: roots in the core, the ingestion workers and the
+// frame decoder; the walk spills into the flow layer, the protocol
+// substrates and the capture envelope.
+var (
+	PacketPathRoots = PathScope("kalis/internal/core", "kalis/internal/ingest", "kalis/internal/proto/stack")
+	PacketPathWalk  = PathScope("kalis/internal/core", "kalis/internal/flow", "kalis/internal/ingest",
+		"kalis/internal/proto", "kalis/internal/packet")
+)
+
 // DefaultAnalyzers returns the production rule set with the scopes the
 // repository's invariants call for.
 func DefaultAnalyzers() []Analyzer {
@@ -90,10 +101,7 @@ func DefaultAnalyzers() []Analyzer {
 			"kalis/internal/core/sensing",
 		)},
 		&BusTopic{Scope: AllPackages},
-		&HotPath{
-			RootScope: PathScope("kalis/internal/core", "kalis/internal/ingest"),
-			WalkScope: PathScope("kalis/internal/core", "kalis/internal/flow", "kalis/internal/ingest"),
-		},
+		&HotPath{RootScope: PacketPathRoots, WalkScope: PacketPathWalk},
 		&NoPanic{
 			Scope: PathScope("kalis/internal", "kalis/cmd", "kalis/examples"),
 			// The supervisor's panic barrier is the single legal recover
@@ -101,10 +109,7 @@ func DefaultAnalyzers() []Analyzer {
 			RecoverExempt: []string{"internal/core/module/supervisor.go"},
 		},
 		&ErrCheck{Scope: PathScope("kalis/internal/core", "kalis/internal/persist", "kalis/internal/proto", "kalis/cmd", "kalis/examples")},
-		&HotAlloc{
-			RootScope: PathScope("kalis/internal/core", "kalis/internal/ingest"),
-			WalkScope: PathScope("kalis/internal/core", "kalis/internal/flow", "kalis/internal/ingest"),
-		},
+		&HotAlloc{RootScope: PacketPathRoots, WalkScope: PacketPathWalk},
 		&LockOrder{Scope: PathScope("kalis/internal")},
 		&Taint{Scope: PathScope("kalis/internal/core", "kalis/internal/flow")},
 	}
@@ -225,17 +230,25 @@ func collectSuppressions(t *Target) *suppressions {
 }
 
 // calleeOf resolves the *types.Func a call expression statically
-// invokes, or nil for calls through function values, interfaces and
-// built-ins.
+// invokes (the generic declaration for an instantiated call, explicit —
+// f[T](x) — or inferred), or nil for calls through function values,
+// interfaces and built-ins.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	}
 	return nil

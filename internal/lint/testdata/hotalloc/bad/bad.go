@@ -1,6 +1,7 @@
 // Package bad violates hotalloc: per-packet heap allocations of every
-// flavor the rule knows — pointer composite literals, slice literals,
-// string concatenation, unsized append growth, and interface boxing.
+// flavor the rule knows — pointer composite literals, new, slice
+// literals, string concatenation, unsized append growth, and interface
+// boxing.
 package bad
 
 import "kalis/internal/packet"
@@ -24,6 +25,8 @@ func NewDetector() *Detector {
 func (d *Detector) HandlePacket(c *packet.Captured) {
 	t := &track{seen: 1} // want hotalloc
 	t.seen++
+	u := new(track) // want hotalloc
+	t.seen += u.seen
 	ids := []string{string(c.Src)}             // want hotalloc
 	key := string(c.Src) + "|" + string(c.Dst) // want hotalloc
 	d.counts[key] += len(ids)

@@ -37,6 +37,7 @@ func (m Medium) String() string {
 	case MediumWired:
 		return "wired"
 	default:
+		//lint:ignore hotpath only a Medium outside the four constants gets here, and no capture interface or decoder produces one
 		return fmt.Sprintf("medium(%d)", int(m))
 	}
 }
@@ -107,6 +108,21 @@ type NodeID string
 
 // Broadcast is the ID used for link-layer broadcast destinations.
 const Broadcast NodeID = "ff:ff"
+
+// ColonHex renders a 48-bit hardware address (802.11 MAC, BLE device
+// address) in the colon-hex form their NodeIDs use. It sits on the
+// capture path, so the digits are placed by hand rather than by fmt.
+func ColonHex(a [6]byte) string {
+	const digits = "0123456789abcdef"
+	var b [17]byte
+	for i, v := range a {
+		if i > 0 {
+			b[3*i-1] = ':'
+		}
+		b[3*i], b[3*i+1] = digits[v>>4], digits[v&0xf]
+	}
+	return string(b[:])
+}
 
 // Layer is one decoded protocol layer of a captured frame. Concrete
 // implementations live in the internal/proto/... packages.

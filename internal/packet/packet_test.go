@@ -1,9 +1,24 @@
 package packet
 
 import (
+	"fmt"
 	"testing"
+	"testing/quick"
 	"time"
 )
+
+// TestColonHex: the hand-placed digits are what fmt rendered before.
+func TestColonHex(t *testing.T) {
+	prop := func(a [6]byte) bool {
+		return ColonHex(a) == fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+	if got := ColonHex([6]byte{0, 0x0f, 0xf0, 0xff, 0x1a, 0xa1}); got != "00:0f:f0:ff:1a:a1" {
+		t.Errorf("ColonHex = %q", got)
+	}
+}
 
 func TestMediumString(t *testing.T) {
 	cases := map[Medium]string{

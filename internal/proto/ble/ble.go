@@ -8,6 +8,8 @@ package ble
 import (
 	"errors"
 	"fmt"
+
+	"kalis/internal/packet"
 )
 
 // PDUType is the BLE PDU type.
@@ -27,9 +29,7 @@ const (
 type Address [6]byte
 
 // String renders the address in colon-hex form.
-func (a Address) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
-}
+func (a Address) String() string { return packet.ColonHex(a) }
 
 // ErrTruncated is returned for PDUs shorter than the header.
 var ErrTruncated = errors.New("ble: truncated PDU")
@@ -61,19 +61,28 @@ func (p *PDU) Encode() []byte {
 	return append(buf, p.Payload...)
 }
 
-// Decode parses a simplified BLE PDU.
+// Decode parses a simplified BLE PDU into a new PDU.
 func Decode(b []byte) (*PDU, error) {
+	p := new(PDU)
+	if err := DecodeInto(p, b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto parses a simplified BLE PDU into dst, overwriting every
+// field; Payload aliases b. dst is unspecified after an error.
+func DecodeInto(dst *PDU, b []byte) error {
 	if len(b) < 8 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	n := int(b[1])
 	if len(b) < 8+n {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	p := &PDU{Type: PDUType(b[0])}
-	copy(p.Adv[:], b[2:8])
+	*dst = PDU{Type: PDUType(b[0]), Adv: Address(b[2:8])}
 	if n > 0 {
-		p.Payload = b[8 : 8+n]
+		dst.Payload = b[8 : 8+n]
 	}
-	return p, nil
+	return nil
 }

@@ -116,43 +116,73 @@ func (b *Beacon) Encode() []byte {
 // Decode parses a CTP frame (data or beacon) from an 802.15.4 payload.
 // It returns either *Data or *Beacon.
 func Decode(b []byte) (interface{}, error) {
+	if IsBeacon(b) {
+		bc := new(Beacon)
+		if err := DecodeBeaconInto(bc, b); err != nil {
+			return nil, err
+		}
+		return bc, nil
+	}
+	d := new(Data)
+	if err := DecodeDataInto(d, b); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// DecodeDataInto parses a CTP data frame into dst, overwriting every
+// field; Payload aliases b. dst is unspecified after an error.
+func DecodeDataInto(dst *Data, b []byte) error {
 	if len(b) < 1 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	switch b[0] {
-	case amData:
-		if len(b) < 9 {
-			return nil, ErrTruncated
-		}
-		d := &Data{
-			Pull:       b[1]&0x80 != 0,
-			Congestion: b[1]&0x40 != 0,
-			THL:        b[2],
-			ETX:        binary.BigEndian.Uint16(b[3:5]),
-			Origin:     binary.BigEndian.Uint16(b[5:7]),
-			SeqNo:      b[7],
-			CollectID:  b[8],
-		}
-		if len(b) > 9 {
-			d.Payload = b[9:]
-		}
-		return d, nil
-	case amBeacon:
-		if len(b) < 6 {
-			return nil, ErrTruncated
-		}
-		return &Beacon{
-			Pull:       b[1]&0x80 != 0,
-			Congestion: b[1]&0x40 != 0,
-			Parent:     binary.BigEndian.Uint16(b[2:4]),
-			ETX:        binary.BigEndian.Uint16(b[4:6]),
-		}, nil
-	default:
-		return nil, ErrBadType
+	if b[0] != amData {
+		return ErrBadType
 	}
+	if len(b) < 9 {
+		return ErrTruncated
+	}
+	*dst = Data{
+		Pull:       b[1]&0x80 != 0,
+		Congestion: b[1]&0x40 != 0,
+		THL:        b[2],
+		ETX:        binary.BigEndian.Uint16(b[3:5]),
+		Origin:     binary.BigEndian.Uint16(b[5:7]),
+		SeqNo:      b[7],
+		CollectID:  b[8],
+	}
+	if len(b) > 9 {
+		dst.Payload = b[9:]
+	}
+	return nil
+}
+
+// DecodeBeaconInto parses a CTP routing beacon into dst, overwriting
+// every field. dst is unspecified after an error.
+func DecodeBeaconInto(dst *Beacon, b []byte) error {
+	if len(b) < 1 {
+		return ErrTruncated
+	}
+	if b[0] != amBeacon {
+		return ErrBadType
+	}
+	if len(b) < 6 {
+		return ErrTruncated
+	}
+	*dst = Beacon{
+		Pull:       b[1]&0x80 != 0,
+		Congestion: b[1]&0x40 != 0,
+		Parent:     binary.BigEndian.Uint16(b[2:4]),
+		ETX:        binary.BigEndian.Uint16(b[4:6]),
+	}
+	return nil
 }
 
 // IsCTP reports whether the payload looks like a CTP frame.
 func IsCTP(b []byte) bool {
 	return len(b) > 0 && (b[0] == amData || b[0] == amBeacon)
 }
+
+// IsBeacon reports whether the payload's AM dispatch byte says routing
+// beacon (as opposed to a data frame).
+func IsBeacon(b []byte) bool { return len(b) > 0 && b[0] == amBeacon }

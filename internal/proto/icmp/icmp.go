@@ -56,22 +56,34 @@ func (m *Message) Encode() []byte {
 	return buf
 }
 
-// Decode parses an ICMP message and verifies its checksum.
+// Decode parses an ICMP message into a new Message and verifies its
+// checksum.
 func Decode(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := DecodeInto(m, b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeInto parses an ICMP message into dst and verifies its checksum,
+// overwriting every field; Payload aliases b. dst is unspecified after
+// an error.
+func DecodeInto(dst *Message, b []byte) error {
 	if len(b) < 8 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if ipv4.Checksum(b) != 0 {
-		return nil, ErrChecksum
+		return ErrChecksum
 	}
-	m := &Message{
+	*dst = Message{
 		Type: b[0],
 		Code: b[1],
 		ID:   binary.BigEndian.Uint16(b[4:6]),
 		Seq:  binary.BigEndian.Uint16(b[6:8]),
 	}
 	if len(b) > 8 {
-		m.Payload = b[8:]
+		dst.Payload = b[8:]
 	}
-	return m, nil
+	return nil
 }

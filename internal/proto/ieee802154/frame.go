@@ -138,17 +138,29 @@ func appendAddr(buf []byte, mode AddrMode, short uint16, ext uint64) []byte {
 	}
 }
 
-// Decode parses an IEEE 802.15.4 frame including FCS verification.
+// Decode parses an IEEE 802.15.4 frame into a new Frame, including FCS
+// verification.
 func Decode(b []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := DecodeInto(f, b); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeInto parses an IEEE 802.15.4 frame into f, including FCS
+// verification, overwriting every field; Payload aliases b. f is
+// unspecified after an error.
+func DecodeInto(f *Frame, b []byte) error {
 	if len(b) < 5 { // fcf + seq + fcs
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	body, fcsWant := b[:len(b)-2], binary.LittleEndian.Uint16(b[len(b)-2:])
 	if CRC16(body) != fcsWant {
-		return nil, ErrFCS
+		return ErrFCS
 	}
 	fcf := binary.LittleEndian.Uint16(body[0:2])
-	f := &Frame{
+	*f = Frame{
 		Type:          FrameType(fcf & 0x7),
 		Security:      fcf&(1<<3) != 0,
 		FramePending:  fcf&(1<<4) != 0,
@@ -159,25 +171,25 @@ func Decode(b []byte) (*Frame, error) {
 		Seq:           body[2],
 	}
 	if f.DstMode == 1 || f.SrcMode == 1 {
-		return nil, ErrAddrMode
+		return ErrAddrMode
 	}
 	rest := body[3:]
 	var err error
 	if f.DstMode != AddrNone {
 		if len(rest) < 2 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		f.DstPAN = binary.LittleEndian.Uint16(rest)
 		rest = rest[2:]
 		rest, f.DstShort, f.DstExt, err = readAddr(rest, f.DstMode)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if f.SrcMode != AddrNone {
 		if !f.PANIDCompress {
 			if len(rest) < 2 {
-				return nil, ErrTruncated
+				return ErrTruncated
 			}
 			f.SrcPAN = binary.LittleEndian.Uint16(rest)
 			rest = rest[2:]
@@ -186,11 +198,11 @@ func Decode(b []byte) (*Frame, error) {
 		}
 		rest, f.SrcShort, f.SrcExt, err = readAddr(rest, f.SrcMode)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	f.Payload = rest
-	return f, nil
+	return nil
 }
 
 func readAddr(b []byte, mode AddrMode) (rest []byte, short uint16, ext uint64, err error) {
@@ -211,11 +223,21 @@ func readAddr(b []byte, mode AddrMode) (rest []byte, short uint16, ext uint64, e
 }
 
 // CRC16 computes the ITU-T CRC-16 (polynomial 0x1021, LSB-first) used
-// as the 802.15.4 frame check sequence.
+// as the 802.15.4 frame check sequence, a byte at a time through
+// crcTable.
 func CRC16(data []byte) uint16 {
 	var crc uint16
 	for _, b := range data {
-		crc ^= uint16(b)
+		crc = crc>>8 ^ crcTable[byte(crc)^b]
+	}
+	return crc
+}
+
+// crcTable[v] is the CRC register after shifting the byte v through
+// the reflected polynomial 0x8408.
+var crcTable = func() (t [256]uint16) {
+	for v := range t {
+		crc := uint16(v)
 		for i := 0; i < 8; i++ {
 			if crc&1 != 0 {
 				crc = (crc >> 1) ^ 0x8408
@@ -223,6 +245,7 @@ func CRC16(data []byte) uint16 {
 				crc >>= 1
 			}
 		}
+		t[v] = crc
 	}
-	return crc
-}
+	return t
+}()

@@ -122,6 +122,30 @@ func TestCRC16KnownVector(t *testing.T) {
 	}
 }
 
+// TestCRC16MatchesBitwise: the table-driven CRC16 is the same function
+// as the bit-at-a-time definition it replaced — the FCS test accepts
+// and rejects exactly the frames it did.
+func TestCRC16MatchesBitwise(t *testing.T) {
+	bitwise := func(data []byte) uint16 {
+		var crc uint16
+		for _, b := range data {
+			crc ^= uint16(b)
+			for i := 0; i < 8; i++ {
+				if crc&1 != 0 {
+					crc = (crc >> 1) ^ 0x8408
+				} else {
+					crc >>= 1
+				}
+			}
+		}
+		return crc
+	}
+	prop := func(data []byte) bool { return CRC16(data) == bitwise(data) }
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestQuickRoundTrip(t *testing.T) {
 	prop := func(seq uint8, dst, src uint16, compress bool, payload []byte) bool {
 		f := &Frame{

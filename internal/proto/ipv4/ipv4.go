@@ -61,47 +61,72 @@ func (h *Header) Encode() []byte {
 	return buf
 }
 
-// Decode parses an IPv4 packet and verifies the header checksum.
+// Decode parses an IPv4 packet into a new Header and verifies the
+// header checksum.
 func Decode(b []byte) (*Header, error) {
+	h := new(Header)
+	if err := DecodeInto(h, b); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// DecodeInto parses an IPv4 packet into dst and verifies the header
+// checksum, overwriting every field; Payload aliases b. dst is
+// unspecified after an error.
+func DecodeInto(dst *Header, b []byte) error {
 	if len(b) < 20 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0]>>4 != 4 {
-		return nil, ErrVersion
+		return ErrVersion
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < 20 || len(b) < ihl {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if Checksum(b[:ihl]) != 0 {
-		return nil, ErrChecksum
+		return ErrChecksum
 	}
+	// A total length short of the header itself is as unusable as one
+	// beyond the capture (and would be a reversed slice below).
 	total := int(binary.BigEndian.Uint16(b[2:4]))
-	if total > len(b) {
-		return nil, ErrTruncated
+	if total < ihl || total > len(b) {
+		return ErrTruncated
 	}
-	h := &Header{
+	*dst = Header{
 		TOS:      b[1],
 		ID:       binary.BigEndian.Uint16(b[4:6]),
 		TTL:      b[8],
 		Protocol: b[9],
 		Src:      netip.AddrFrom4([4]byte(b[12:16])),
 		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
+		Payload:  b[ihl:total],
 	}
-	h.Payload = b[ihl:total]
-	return h, nil
+	return nil
 }
 
 // Checksum computes the RFC 1071 internet checksum over b. When b
 // already contains a checksum field the result is 0 iff it verifies.
-func Checksum(b []byte) uint16 {
-	var sum uint32
+func Checksum(b []byte) uint16 { return Fold(Sum(0, b)) }
+
+// Sum adds the big-endian 16-bit words of b (an odd trailing byte is
+// padded with zero) to the running one's-complement sum, so that a
+// checksum over several pieces — a pseudo-header and a segment — needs
+// no buffer joining them. Every piece but the last must have even
+// length.
+func Sum(sum uint32, b []byte) uint32 {
 	for i := 0; i+1 < len(b); i += 2 {
 		sum += uint32(binary.BigEndian.Uint16(b[i:]))
 	}
 	if len(b)%2 == 1 {
 		sum += uint32(b[len(b)-1]) << 8
 	}
+	return sum
+}
+
+// Fold reduces a running sum to the 16-bit internet checksum.
+func Fold(sum uint32) uint16 {
 	for sum>>16 != 0 {
 		sum = (sum & 0xffff) + (sum >> 16)
 	}

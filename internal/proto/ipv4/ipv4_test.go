@@ -2,6 +2,7 @@ package ipv4
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"testing"
@@ -55,6 +56,33 @@ func TestDecodeErrors(t *testing.T) {
 	raw := h.Encode()
 	if _, err := Decode(raw[:22]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated payload: %v", err)
+	}
+}
+
+// TestTotalLengthShorterThanHeader: a total length below the header
+// length, under a checksum that verifies, is a truncated packet — it
+// used to reach the payload slice expression reversed and panic.
+func TestTotalLengthShorterThanHeader(t *testing.T) {
+	h := &Header{TTL: 64, Protocol: ProtoICMP, Src: addr("10.0.0.1"), Dst: addr("10.0.0.2"), Payload: []byte("ping")}
+	raw := h.Encode()
+	binary.BigEndian.PutUint16(raw[2:4], 12)
+	raw[10], raw[11] = 0, 0
+	binary.BigEndian.PutUint16(raw[10:12], Checksum(raw[:20]))
+	if _, err := Decode(raw); !errors.Is(err, ErrTruncated) {
+		t.Errorf("err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestSumInPieces: Sum over an even-length piece and then the rest is
+// the sum over the two joined, which is what lets tcp checksum a
+// pseudo-header and a segment without copying them together.
+func TestSumInPieces(t *testing.T) {
+	prop := func(head [12]byte, tail []byte) bool {
+		joined := append(head[:], tail...)
+		return Fold(Sum(Sum(0, head[:]), tail)) == Checksum(joined)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -25,6 +25,8 @@ const (
 var (
 	ErrTruncated = errors.New("sixlowpan: truncated frame")
 	ErrDispatch  = errors.New("sixlowpan: unknown dispatch")
+
+	errFragments = fmt.Errorf("sixlowpan: fragments unsupported: %w", ErrDispatch)
 )
 
 // MeshHeader is the RFC 4944 mesh-addressing header: a layer-2.5
@@ -78,42 +80,86 @@ func (p *Packet) Encode() []byte {
 	return append(buf, p.Payload...)
 }
 
-// Decode parses a 6LoWPAN frame from an 802.15.4 payload.
+// Frame is a Packet together with the storage its Mesh and RPL
+// pointers refer to when the frame carries those headers, so that a
+// decoded 6LoWPAN frame is one value. A Frame must not be copied after
+// DecodeInto: the copy's pointers would still refer to the original.
+type Frame struct {
+	Packet
+	mesh MeshHeader
+	rpl  RPLMessage
+}
+
+// Decode parses a 6LoWPAN frame from an 802.15.4 payload into a new
+// Packet.
 func Decode(b []byte) (*Packet, error) {
-	p := &Packet{}
-	if len(b) < 1 {
-		return nil, ErrTruncated
+	f := new(Frame)
+	if err := DecodeInto(f, b); err != nil {
+		return nil, err
 	}
-	if b[0]&0xC0 == dispatchMeshTo {
-		if len(b) < 5 {
-			return nil, ErrTruncated
-		}
-		p.Mesh = &MeshHeader{
+	return &f.Packet, nil
+}
+
+// DecodeInto parses a 6LoWPAN frame from an 802.15.4 payload into f,
+// overwriting every field; Payload aliases b, Mesh and RPL point into
+// f. f is unspecified after an error.
+func DecodeInto(f *Frame, b []byte) error {
+	meshed, err := dispatch(b)
+	if err != nil {
+		return err
+	}
+	*f = Frame{}
+	if meshed {
+		f.mesh = MeshHeader{
 			HopsLeft: b[0] & 0x0f,
 			Origin:   binary.BigEndian.Uint16(b[1:3]),
 			Dst:      binary.BigEndian.Uint16(b[3:5]),
 		}
+		f.Mesh = &f.mesh
 		b = b[5:]
+	}
+	f.NextHeader = b[1]
+	f.HopLimit = b[2]
+	f.Src = binary.BigEndian.Uint16(b[3:5])
+	f.Dst = binary.BigEndian.Uint16(b[5:7])
+	rest := b[7:]
+	if f.NextHeader == 58 && decodeRPL(&f.rpl, rest) { // ICMPv6: try RPL
+		f.RPL = &f.rpl
+		return nil
+	}
+	f.Payload = rest
+	return nil
+}
+
+// dispatch checks the dispatch bytes — every test that can make
+// DecodeInto fail — and reports whether a mesh addressing header
+// precedes the IPHC header.
+func dispatch(b []byte) (meshed bool, err error) {
+	if len(b) < 1 {
+		return false, ErrTruncated
+	}
+	if b[0]&0xC0 == dispatchMeshTo {
+		if len(b) < 5 {
+			return false, ErrTruncated
+		}
+		meshed, b = true, b[5:]
 	}
 	if len(b) < 7 || b[0]&0xE0 != dispatchIPHC {
 		if len(b) >= 1 && (b[0]&0xF8 == dispatchFrag1 || b[0]&0xF8 == dispatchFragN) {
-			return nil, fmt.Errorf("sixlowpan: fragments unsupported: %w", ErrDispatch)
+			return false, errFragments
 		}
-		return nil, ErrDispatch
+		return false, ErrDispatch
 	}
-	p.NextHeader = b[1]
-	p.HopLimit = b[2]
-	p.Src = binary.BigEndian.Uint16(b[3:5])
-	p.Dst = binary.BigEndian.Uint16(b[5:7])
-	rest := b[7:]
-	if p.NextHeader == 58 && len(rest) > 0 { // ICMPv6: try RPL
-		if m, err := decodeRPL(rest); err == nil {
-			p.RPL = m
-			return p, nil
-		}
-	}
-	p.Payload = rest
-	return p, nil
+	return meshed, nil
+}
+
+// IsLoWPAN reports whether DecodeInto accepts the payload: a caller
+// that falls back to another protocol (ZigBee NWK shares the 802.15.4
+// payload with no dispatch byte of its own) can decide before it
+// commits storage to a Frame.
+func IsLoWPAN(b []byte) bool {
+	_, err := dispatch(b)
+	return err == nil
 }
 
 // RPLType is an RPL control message code (RFC 6550 §6).
@@ -170,18 +216,18 @@ func (m *RPLMessage) encode() []byte {
 	return buf
 }
 
-func decodeRPL(b []byte) (*RPLMessage, error) {
-	if len(b) < 8 {
-		return nil, ErrTruncated
+// decodeRPL parses an RPL control message into m and reports whether
+// b is one; anything else in ICMPv6 stays opaque payload.
+func decodeRPL(m *RPLMessage, b []byte) bool {
+	if len(b) < 8 || b[0] != rplICMPType {
+		return false
 	}
-	if b[0] != rplICMPType {
-		return nil, fmt.Errorf("sixlowpan: not RPL (icmp type %d): %w", b[0], ErrDispatch)
-	}
-	return &RPLMessage{
+	*m = RPLMessage{
 		Type:       RPLType(b[1]),
 		InstanceID: b[2],
 		Version:    b[3],
 		Rank:       binary.BigEndian.Uint16(b[4:6]),
 		DODAGID:    binary.BigEndian.Uint16(b[6:8]),
-	}, nil
+	}
+	return true
 }

@@ -13,9 +13,6 @@
 package stack
 
 import (
-	"fmt"
-	"net/netip"
-
 	"kalis/internal/packet"
 	"kalis/internal/proto/ble"
 	"kalis/internal/proto/ctp"
@@ -29,41 +26,15 @@ import (
 	"kalis/internal/proto/zigbee"
 )
 
-// ShortID renders an 802.15.4/ZigBee 16-bit short address as a NodeID
-// in the canonical "0x%04x" form. It runs per decoded layer on the
-// capture path, so the hex digits are assembled by hand instead of
-// going through fmt's reflection machinery.
-func ShortID(addr uint16) packet.NodeID {
-	if addr == 0xffff {
-		return packet.Broadcast
-	}
-	const digits = "0123456789abcdef"
-	b := [6]byte{'0', 'x',
-		digits[addr>>12&0xf], digits[addr>>8&0xf],
-		digits[addr>>4&0xf], digits[addr&0xf]}
-	return packet.NodeID(b[:])
-}
-
-// IPID renders an IP address as a NodeID.
-func IPID(a netip.Addr) packet.NodeID { return packet.NodeID(a.String()) }
-
-// macIdentity maps a WiFi transmitter MAC back into the IP namespace
-// when it follows the locally-administered encoding used by macFromIP,
-// so that per-hop transmitters and end-to-end IP sources share one
-// identity space. A station transmitting its own traffic then has
-// Transmitter == Src, while relayed/forwarded traffic (e.g. a router
-// forwarding Internet-side frames) exposes Transmitter != Src — the
-// multi-hop evidence the Topology Discovery module looks for.
-func macIdentity(m wifi.MAC) packet.NodeID {
-	if m[0] == 0x02 && m[1] == 0x00 {
-		return packet.NodeID(netip.AddrFrom4([4]byte{m[2], m[3], m[4], m[5]}).String())
-	}
-	return packet.NodeID(m.String())
-}
-
 // Decode parses raw bytes captured on the given medium into the layer
 // stack, filling Src, Dst, Transmitter and Kind of the returned
 // Captured. Capture metadata (Time, RSSI) is left for the caller.
+//
+// Ownership: the Captured and all its layers are ONE heap allocation,
+// sized to the layers this frame carries, and every Payload in it
+// aliases raw — the caller gives raw away and must not write to it
+// again. Layers are immutable after decode. Nothing is pooled or
+// reused: the datastore window retains frames. Safe from any goroutine.
 func Decode(medium packet.Medium, raw []byte) (*packet.Captured, error) {
 	switch medium {
 	case packet.MediumIEEE802154:
@@ -73,74 +44,143 @@ func Decode(medium packet.Medium, raw []byte) (*packet.Captured, error) {
 	case packet.MediumBluetooth:
 		return decodeBLE(raw)
 	default:
-		return nil, fmt.Errorf("stack: unsupported medium %v", medium)
+		return nil, mediumError(medium)
 	}
 }
 
+// mediumError reports a medium Decode has no parser for.
+type mediumError packet.Medium
+
+func (e mediumError) Error() string {
+	return "stack: unsupported medium " + packet.Medium(e).String()
+}
+
+// macError prefixes an 802.15.4 MAC decode error with the medium;
+// errors.Is sees the cause.
+type macError struct{ err error }
+
+func (e macError) Error() string { return "802.15.4: " + e.err.Error() }
+func (e macError) Unwrap() error { return e.err }
+
+// The frame values: a Captured, the backing array of its Layers and the
+// layer structs themselves, one type per stack shape so that a frame
+// pays for the layers it carries and no others (the window holds
+// thousands of them). Decode parses the headers into locals — which
+// keeps error returns free — and captureN moves them into one new
+// frame value.
+type (
+	frame1[A any] struct {
+		packet.Captured
+		layers [1]packet.Layer
+		a      A
+	}
+	frame2[A, B any] struct {
+		packet.Captured
+		layers [2]packet.Layer
+		a      A
+		b      B
+	}
+	frame3[A, B, C any] struct {
+		packet.Captured
+		layers [3]packet.Layer
+		a      A
+		b      B
+		c      C
+	}
+	// lowpanFrame is the 6LoWPAN shape. sixlowpan.Frame points into
+	// itself and cannot be moved, so it is decoded in place; the third
+	// layer slot is for the RPL message it may hold.
+	lowpanFrame struct {
+		packet.Captured
+		layers [3]packet.Layer
+		mac    ieee802154.Frame
+		lp     sixlowpan.Frame
+	}
+)
+
+// newFrame is where a decoded frame's memory comes from.
+func newFrame[F any]() *F {
+	//lint:ignore hotalloc the frame value is the one allocation of a decoded frame; the datastore window retains frames, so it can be neither pooled nor reused
+	return new(F)
+}
+
+// layerPtr is *T for a layer struct T.
+type layerPtr[T any] interface {
+	*T
+	packet.Layer
+}
+
+func capture1[A any, PA layerPtr[A]](c *packet.Captured, a *A) *packet.Captured {
+	f := newFrame[frame1[A]]()
+	f.Captured, f.a = *c, *a
+	f.layers = [1]packet.Layer{PA(&f.a)}
+	f.Layers = f.layers[:]
+	return &f.Captured
+}
+
+func capture2[A, B any, PA layerPtr[A], PB layerPtr[B]](c *packet.Captured, a *A, b *B) *packet.Captured {
+	f := newFrame[frame2[A, B]]()
+	f.Captured, f.a, f.b = *c, *a, *b
+	f.layers = [2]packet.Layer{PA(&f.a), PB(&f.b)}
+	f.Layers = f.layers[:]
+	return &f.Captured
+}
+
+func capture3[A, B, C any, PA layerPtr[A], PB layerPtr[B], PC layerPtr[C]](c *packet.Captured, a *A, b *B, l4 *C) *packet.Captured {
+	f := newFrame[frame3[A, B, C]]()
+	f.Captured, f.a, f.b, f.c = *c, *a, *b, *l4
+	f.layers = [3]packet.Layer{PA(&f.a), PB(&f.b), PC(&f.c)}
+	f.Layers = f.layers[:]
+	return &f.Captured
+}
+
 func decode802154(raw []byte) (*packet.Captured, error) {
-	mac, err := ieee802154.Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("802.15.4: %w", err)
+	var mac ieee802154.Frame
+	if err := ieee802154.DecodeInto(&mac, raw); err != nil {
+		return nil, macError{err}
 	}
-	c := &packet.Captured{
+	src := ShortID(mac.SrcShort)
+	c := packet.Captured{
 		Medium:      packet.MediumIEEE802154,
-		Src:         ShortID(mac.SrcShort),
+		Src:         src,
 		Dst:         ShortID(mac.DstShort),
-		Transmitter: ShortID(mac.SrcShort),
+		Transmitter: src,
 		Kind:        packet.KindUnknown,
-		Layers:      []packet.Layer{mac},
-	}
-	if mac.Type != ieee802154.FrameData || len(mac.Payload) == 0 {
-		c.Payload = mac.Payload
-		return c, nil
 	}
 	// Link-layer security means the payload is ciphertext: opaque to a
 	// passive monitor, but the frame itself (addresses, RSSI, the
 	// security bit that Topology Discovery turns into the Encrypted
 	// feature) is still valuable.
-	if mac.Security {
+	if mac.Type != ieee802154.FrameData || len(mac.Payload) == 0 || mac.Security {
 		c.Payload = mac.Payload
-		return c, nil
+		return capture1(&c, &mac), nil
 	}
+	switch {
 	// CTP frames are identified by their AM dispatch byte.
-	if ctp.IsCTP(mac.Payload) {
-		msg, err := ctp.Decode(mac.Payload)
-		if err != nil {
+	case ctp.IsBeacon(mac.Payload):
+		var b ctp.Beacon
+		if err := ctp.DecodeBeaconInto(&b, mac.Payload); err != nil {
 			return nil, err
 		}
-		switch m := msg.(type) {
-		case *ctp.Data:
-			c.Layers = append(c.Layers, m)
-			c.Kind = packet.KindCTPData
-			c.Src = ShortID(m.Origin) // end-to-end origin
-			c.Payload = m.Payload
-		case *ctp.Beacon:
-			c.Layers = append(c.Layers, m)
-			c.Kind = packet.KindCTPBeacon
+		c.Kind = packet.KindCTPBeacon
+		return capture2(&c, &mac, &b), nil
+	case ctp.IsCTP(mac.Payload):
+		var d ctp.Data
+		if err := ctp.DecodeDataInto(&d, mac.Payload); err != nil {
+			return nil, err
 		}
-		return c, nil
-	}
+		c.Kind = packet.KindCTPData
+		c.Src = ShortID(d.Origin) // end-to-end origin
+		c.Payload = d.Payload
+		return capture2(&c, &mac, &d), nil
 	// 6LoWPAN next (dispatch-based), then ZigBee NWK as the fallback.
-	if lp, err := sixlowpan.Decode(mac.Payload); err == nil {
-		c.Layers = append(c.Layers, lp)
-		c.Src, c.Dst = ShortID(lp.Src), ShortID(lp.Dst)
-		if lp.Mesh != nil {
-			c.Src, c.Dst = ShortID(lp.Mesh.Origin), ShortID(lp.Mesh.Dst)
-		}
-		if lp.RPL != nil {
-			c.Layers = append(c.Layers, lp.RPL)
-			c.Kind = packet.KindRPLControl
-		} else {
-			c.Kind = packet.KindSixLowPAN
-			c.Payload = lp.Payload
-		}
-		return c, nil
+	case sixlowpan.IsLoWPAN(mac.Payload):
+		return captureLoWPAN(&c, &mac)
 	}
-	nwk, err := zigbee.Decode(mac.Payload)
-	if err != nil {
+	var nwk zigbee.Frame
+	if err := zigbee.DecodeInto(&nwk, mac.Payload); err != nil {
 		return nil, err
 	}
-	c.Layers = append(c.Layers, nwk)
 	c.Src, c.Dst = ShortID(nwk.Src), ShortID(nwk.Dst)
 	if nwk.IsRouting() {
 		c.Kind = packet.KindZigbeeRouting
@@ -148,43 +188,60 @@ func decode802154(raw []byte) (*packet.Captured, error) {
 		c.Kind = packet.KindZigbeeData
 	}
 	c.Payload = nwk.Payload
-	return c, nil
+	return capture2(&c, &mac, &nwk), nil
+}
+
+func captureLoWPAN(c *packet.Captured, mac *ieee802154.Frame) (*packet.Captured, error) {
+	f := newFrame[lowpanFrame]()
+	if err := sixlowpan.DecodeInto(&f.lp, mac.Payload); err != nil {
+		return nil, err
+	}
+	f.Captured, f.mac = *c, *mac
+	lp := &f.lp.Packet
+	f.layers[0], f.layers[1] = &f.mac, lp
+	f.Layers = f.layers[:2:2]
+	f.Src, f.Dst = ShortID(lp.Src), ShortID(lp.Dst)
+	if lp.Mesh != nil {
+		f.Src, f.Dst = ShortID(lp.Mesh.Origin), ShortID(lp.Mesh.Dst)
+	}
+	if lp.RPL != nil {
+		f.layers[2] = lp.RPL
+		f.Layers = f.layers[:]
+		f.Kind = packet.KindRPLControl
+	} else {
+		f.Kind = packet.KindSixLowPAN
+		f.Payload = lp.Payload
+	}
+	return &f.Captured, nil
 }
 
 func decodeWiFi(medium packet.Medium, raw []byte) (*packet.Captured, error) {
-	fr, err := wifi.Decode(raw)
-	if err != nil {
+	var fr wifi.Frame
+	if err := wifi.DecodeInto(&fr, raw); err != nil {
 		return nil, err
 	}
-	c := &packet.Captured{
-		Medium:      medium,
-		Src:         packet.NodeID(fr.Addr2.String()),
-		Dst:         packet.NodeID(fr.Addr1.String()),
-		Transmitter: macIdentity(fr.Addr2),
-		Layers:      []packet.Layer{fr},
-	}
-	if fr.Type == wifi.TypeManagement {
-		c.Kind = packet.KindWiFiMgmt
-		c.Payload = fr.Payload
-		return c, nil
-	}
+	c := packet.Captured{Medium: medium, Transmitter: macIdentity(fr.Addr2)}
 	if fr.Type != wifi.TypeData || len(fr.Payload) == 0 {
+		// No IP inside: the 802.11 addresses are the end-to-end
+		// identities too.
+		if fr.Type == wifi.TypeManagement {
+			c.Kind = packet.KindWiFiMgmt
+		}
+		c.Src, c.Dst = hwID(fr.Addr2), hwID(fr.Addr1)
 		c.Payload = fr.Payload
-		return c, nil
+		return capture1(&c, &fr), nil
 	}
-	ip, err := ipv4.Decode(fr.Payload)
-	if err != nil {
+	var ip ipv4.Header
+	if err := ipv4.DecodeInto(&ip, fr.Payload); err != nil {
 		return nil, err
 	}
-	c.Layers = append(c.Layers, ip)
 	c.Src, c.Dst = IPID(ip.Src), IPID(ip.Dst)
 	switch ip.Protocol {
 	case ipv4.ProtoICMP:
-		m, err := icmp.Decode(ip.Payload)
-		if err != nil {
+		var m icmp.Message
+		if err := icmp.DecodeInto(&m, ip.Payload); err != nil {
 			return nil, err
 		}
-		c.Layers = append(c.Layers, m)
 		switch {
 		case m.IsEchoRequest():
 			c.Kind = packet.KindICMPEchoRequest
@@ -194,12 +251,12 @@ func decodeWiFi(medium packet.Medium, raw []byte) (*packet.Captured, error) {
 			c.Kind = packet.KindICMPOther
 		}
 		c.Payload = m.Payload
+		return capture3(&c, &fr, &ip, &m), nil
 	case ipv4.ProtoTCP:
-		seg, err := tcp.Decode(ip.Src, ip.Dst, ip.Payload)
-		if err != nil {
+		var seg tcp.Segment
+		if err := tcp.DecodeInto(&seg, ip.Src, ip.Dst, ip.Payload); err != nil {
 			return nil, err
 		}
-		c.Layers = append(c.Layers, seg)
 		switch {
 		case seg.IsSYN():
 			c.Kind = packet.KindTCPSYN
@@ -209,37 +266,37 @@ func decodeWiFi(medium packet.Medium, raw []byte) (*packet.Captured, error) {
 			c.Kind = packet.KindTCPOther
 		}
 		c.Payload = seg.Payload
+		return capture3(&c, &fr, &ip, &seg), nil
 	case ipv4.ProtoUDP:
-		d, err := udp.Decode(ip.Payload)
-		if err != nil {
+		var d udp.Datagram
+		if err := udp.DecodeInto(&d, ip.Payload); err != nil {
 			return nil, err
 		}
-		c.Layers = append(c.Layers, d)
 		c.Kind = packet.KindUDP
 		c.Payload = d.Payload
+		return capture3(&c, &fr, &ip, &d), nil
 	default:
 		c.Payload = ip.Payload
+		return capture2(&c, &fr, &ip), nil
 	}
-	return c, nil
 }
 
 func decodeBLE(raw []byte) (*packet.Captured, error) {
-	pdu, err := ble.Decode(raw)
-	if err != nil {
+	var pdu ble.PDU
+	if err := ble.DecodeInto(&pdu, raw); err != nil {
 		return nil, err
 	}
-	c := &packet.Captured{
+	adv := hwID(pdu.Adv)
+	c := packet.Captured{
 		Medium:      packet.MediumBluetooth,
-		Src:         packet.NodeID(pdu.Adv.String()),
+		Src:         adv,
 		Dst:         packet.Broadcast,
-		Transmitter: packet.NodeID(pdu.Adv.String()),
-		Layers:      []packet.Layer{pdu},
+		Transmitter: adv,
+		Kind:        packet.KindBLEData,
 		Payload:     pdu.Payload,
 	}
 	if pdu.IsAdvertising() {
 		c.Kind = packet.KindBLEAdvertising
-	} else {
-		c.Kind = packet.KindBLEData
 	}
-	return c, nil
+	return capture1(&c, &pdu), nil
 }

@@ -96,20 +96,31 @@ func (s *Segment) Encode(src, dst netip.Addr) []byte {
 	return buf
 }
 
-// Decode parses a TCP segment and verifies its checksum against the
-// IPv4 pseudo-header.
+// Decode parses a TCP segment into a new Segment and verifies its
+// checksum against the IPv4 pseudo-header.
 func Decode(src, dst netip.Addr, b []byte) (*Segment, error) {
+	s := new(Segment)
+	if err := DecodeInto(s, src, dst, b); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// DecodeInto parses a TCP segment into seg and verifies its checksum
+// against the IPv4 pseudo-header, overwriting every field; Payload
+// aliases b. seg is unspecified after an error.
+func DecodeInto(seg *Segment, src, dst netip.Addr, b []byte) error {
 	if len(b) < 20 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if checksum(src, dst, b) != 0 {
-		return nil, ErrChecksum
+		return ErrChecksum
 	}
 	off := int(b[12]>>4) * 4
 	if off < 20 || off > len(b) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	s := &Segment{
+	*seg = Segment{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Seq:     binary.BigEndian.Uint32(b[4:8]),
@@ -118,18 +129,19 @@ func Decode(src, dst netip.Addr, b []byte) (*Segment, error) {
 		Window:  binary.BigEndian.Uint16(b[14:16]),
 	}
 	if len(b) > off {
-		s.Payload = b[off:]
+		seg.Payload = b[off:]
 	}
-	return s, nil
+	return nil
 }
 
+// checksum sums the 12-byte IPv4 pseudo-header and then the segment
+// where it lies: no joined copy of the two is built.
 func checksum(src, dst netip.Addr, seg []byte) uint16 {
-	pseudo := make([]byte, 12, 12+len(seg)+1)
+	var pseudo [12]byte
 	a, b := src.As4(), dst.As4()
 	copy(pseudo[0:4], a[:])
 	copy(pseudo[4:8], b[:])
 	pseudo[9] = ipv4.ProtoTCP
 	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(seg)))
-	pseudo = append(pseudo, seg...)
-	return ipv4.Checksum(pseudo)
+	return ipv4.Fold(ipv4.Sum(ipv4.Sum(0, pseudo[:]), seg))
 }

@@ -37,21 +37,31 @@ func (d *Datagram) Encode() []byte {
 	return buf
 }
 
-// Decode parses a UDP datagram.
+// Decode parses a UDP datagram into a new Datagram.
 func Decode(b []byte) (*Datagram, error) {
+	d := new(Datagram)
+	if err := DecodeInto(d, b); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// DecodeInto parses a UDP datagram into dst, overwriting every field;
+// Payload aliases b. dst is unspecified after an error.
+func DecodeInto(dst *Datagram, b []byte) error {
 	if len(b) < 8 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	length := int(binary.BigEndian.Uint16(b[4:6]))
 	if length < 8 || length > len(b) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	d := &Datagram{
+	*dst = Datagram{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 	}
 	if length > 8 {
-		d.Payload = b[8:length]
+		dst.Payload = b[8:length]
 	}
-	return d, nil
+	return nil
 }

@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"kalis/internal/packet"
 )
 
 // FrameType is the 802.11 type field.
@@ -37,9 +39,7 @@ const (
 type MAC [6]byte
 
 // String renders the address in colon-hex form.
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
+func (m MAC) String() string { return packet.ColonHex(m) }
 
 // BroadcastMAC is the all-ones broadcast address.
 var BroadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
@@ -88,24 +88,34 @@ func (f *Frame) Encode() []byte {
 	return append(buf, f.Payload...)
 }
 
-// Decode parses a simplified 802.11 frame.
+// Decode parses a simplified 802.11 frame into a new Frame.
 func Decode(b []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := DecodeInto(f, b); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeInto parses a simplified 802.11 frame into dst, overwriting
+// every field; Payload aliases b. dst is unspecified after an error.
+func DecodeInto(dst *Frame, b []byte) error {
 	if len(b) < 24 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	fc := binary.LittleEndian.Uint16(b[0:2])
-	f := &Frame{
+	*dst = Frame{
 		Type:    FrameType((fc >> 2) & 0x3),
 		Subtype: uint8((fc >> 4) & 0xf),
 		ToDS:    fc&(1<<8) != 0,
 		FromDS:  fc&(1<<9) != 0,
+		Addr1:   MAC(b[4:10]),
+		Addr2:   MAC(b[10:16]),
+		Addr3:   MAC(b[16:22]),
 		Seq:     binary.LittleEndian.Uint16(b[22:24]) >> 4,
 	}
-	copy(f.Addr1[:], b[4:10])
-	copy(f.Addr2[:], b[10:16])
-	copy(f.Addr3[:], b[16:22])
 	if len(b) > 24 {
-		f.Payload = b[24:]
+		dst.Payload = b[24:]
 	}
-	return f, nil
+	return nil
 }

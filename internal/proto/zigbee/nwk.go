@@ -113,13 +113,26 @@ func (f *Frame) Encode() []byte {
 	return append(buf, f.Payload...)
 }
 
-// Decode parses a ZigBee NWK frame from an 802.15.4 payload.
+// Decode parses a ZigBee NWK frame from an 802.15.4 payload into a new
+// Frame.
 func Decode(b []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := DecodeInto(f, b); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeInto parses a ZigBee NWK frame from an 802.15.4 payload into
+// f, overwriting every field; Payload aliases b, and a source-route
+// relay list is the one thing allocated. f is unspecified after an
+// error.
+func DecodeInto(f *Frame, b []byte) error {
 	if len(b) < 8 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	fcf := binary.LittleEndian.Uint16(b[0:2])
-	f := &Frame{
+	*f = Frame{
 		Type:        FrameType(fcf & 0x3),
 		Protocol:    uint8((fcf >> 2) & 0xf),
 		Discovery:   uint8((fcf >> 6) & 0x3),
@@ -132,12 +145,12 @@ func Decode(b []byte) (*Frame, error) {
 	rest := b[8:]
 	if f.SourceRoute {
 		if len(rest) < 2 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		n := int(rest[0])
 		rest = rest[2:]
 		if len(rest) < 2*n {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		f.Relays = make([]uint16, n)
 		for i := 0; i < n; i++ {
@@ -147,11 +160,11 @@ func Decode(b []byte) (*Frame, error) {
 	}
 	if f.Type == FrameCommand {
 		if len(rest) < 1 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		f.Command = CommandID(rest[0])
 		rest = rest[1:]
 	}
 	f.Payload = rest
-	return f, nil
+	return nil
 }

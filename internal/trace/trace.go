@@ -186,6 +186,9 @@ func (r *Reader) Read() (*Record, error) {
 	return parseRecord(body)
 }
 
+// parseRecord decodes one record body. The record's Raw aliases body
+// (capacity clipped, so an append cannot reach the fields behind it):
+// the caller hands body over and does not touch it again.
 func parseRecord(body []byte) (*Record, error) {
 	nanos, off := binary.Varint(body)
 	if off <= 0 || off >= len(body) {
@@ -205,8 +208,7 @@ func parseRecord(body []byte) (*Record, error) {
 		return nil, ErrCorrupt
 	}
 	body = body[off:]
-	rec.Raw = make([]byte, rawLen)
-	copy(rec.Raw, body[:rawLen])
+	rec.Raw = body[:rawLen:rawLen]
 	body = body[rawLen:]
 	if len(body) < 1 {
 		return nil, ErrCorrupt

@@ -160,6 +160,48 @@ func TestEOFAfterRecords(t *testing.T) {
 	}
 }
 
+// TestReadRawIndependent pins the aliasing contract of Reader.Read: Raw
+// is a view of the record's own body buffer, so consecutive records
+// share no memory, and its capacity is clipped, so appending to it
+// cannot reach the ground-truth fields that follow it in the body.
+func TestReadRawIndependent(t *testing.T) {
+	recs := sampleRecords()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf)
+	first, err := r.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(first.Raw) != len(first.Raw) {
+		t.Fatalf("Raw has cap %d beyond len %d: an append would write into the record body", cap(first.Raw), len(first.Raw))
+	}
+	for i := range first.Raw {
+		first.Raw[i] = 0xEE
+	}
+	second, err := r.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second.Raw, recs[1].Raw) {
+		t.Errorf("second record's Raw changed by writes to the first: % x", second.Raw)
+	}
+	for i := range second.Raw {
+		second.Raw[i] = 0xDD
+	}
+	if bytes.Contains(first.Raw, []byte{0xDD}) {
+		t.Error("records share memory: a write to the second reached the first")
+	}
+}
+
 func TestMerge(t *testing.T) {
 	t0 := time.Unix(1500000000, 0).UTC()
 	at := func(sec int) *Record {

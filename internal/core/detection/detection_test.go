@@ -9,6 +9,7 @@ import (
 	"kalis/internal/core/datastore"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
+	"kalis/internal/flow"
 	"kalis/internal/packet"
 	"kalis/internal/proto/icmp"
 	"kalis/internal/proto/stack"
@@ -19,19 +20,30 @@ var t0 = time.Unix(1500000000, 0).UTC()
 
 type harness struct {
 	kb     *knowledge.Base
+	table  *flow.Table
 	alerts []module.Alert
 	ctx    *module.Context
 }
 
 func newHarness(knowledgeDriven bool) *harness {
-	h := &harness{kb: knowledge.NewBase("K1")}
+	h := &harness{kb: knowledge.NewBase("K1"), table: flow.NewTable(flow.Config{})}
 	h.ctx = &module.Context{
 		KB:              h.kb,
 		Store:           datastore.New(64),
+		Flows:           h.table,
 		Emit:            func(a module.Alert) { h.alerts = append(h.alerts, a) },
 		KnowledgeDriven: knowledgeDriven,
 	}
 	return h
+}
+
+// deliver hands one capture over the way the manager does: the flow
+// table folds it in once, then every module sees it.
+func (h *harness) deliver(c *packet.Captured, mods ...module.Module) {
+	h.table.Update(c)
+	for _, m := range mods {
+		m.HandlePacket(c)
+	}
 }
 
 func (h *harness) attackNames() map[string]int {
@@ -61,14 +73,14 @@ var (
 
 // feedFlood sends n echo replies to the victim, alternating spoofed
 // sources, all at the given RSSI (single physical transmitter).
-func feedFlood(t *testing.T, mod module.Module, n int, rssi float64) {
+func feedFlood(t *testing.T, h *harness, mod module.Module, n int, rssi float64) {
 	for i := 0; i < n; i++ {
 		src := spoofA
 		if i%2 == 1 {
 			src = spoofB
 		}
 		raw := stack.BuildICMPEcho(src, victimIP, icmp.TypeEchoReply, 1, uint16(i), 64)
-		mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(i)*100*time.Millisecond), rssi))
+		h.deliver(mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(i)*100*time.Millisecond), rssi), mod)
 	}
 }
 
@@ -76,7 +88,7 @@ func TestICMPFloodDetects(t *testing.T) {
 	h := newHarness(true)
 	mod, _ := NewICMPFlood(map[string]string{"detectionThresh": "20"})
 	mod.Activate(h.ctx)
-	feedFlood(t, mod, 30, -58)
+	feedFlood(t, h, mod, 30, -58)
 	if n := h.attackNames()[attack.ICMPFlood]; n != 1 {
 		t.Fatalf("flood alerts = %d, want 1 (suppression)", n)
 	}
@@ -95,7 +107,7 @@ func TestICMPFloodFingerprintsSuspect(t *testing.T) {
 	h.kb.PutEntity(knowledge.LabelSignalStrength, "192.168.1.22", "-75.0")
 	mod, _ := NewICMPFlood(map[string]string{"detectionThresh": "20"})
 	mod.Activate(h.ctx)
-	feedFlood(t, mod, 30, -58)
+	feedFlood(t, h, mod, 30, -58)
 	if len(h.alerts) != 1 {
 		t.Fatalf("alerts = %d", len(h.alerts))
 	}
@@ -114,7 +126,7 @@ func TestICMPFloodMultihopRejectsMultiSource(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		rssi := []float64{-50, -60, -70}[i%3]
 		raw := stack.BuildICMPEcho(spoofA, victimIP, icmp.TypeEchoReply, 1, uint16(i), 64)
-		mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(i)*100*time.Millisecond), rssi))
+		h.deliver(mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(i)*100*time.Millisecond), rssi), mod)
 	}
 	if len(h.alerts) != 0 {
 		t.Errorf("knowledge-driven flood module alerted on multi-source replies: %v", h.alerts)
@@ -127,7 +139,7 @@ func TestSmurfRequiresMultipleSources(t *testing.T) {
 	mod, _ := NewSmurf(map[string]string{"detectionThresh": "20"})
 	mod.Activate(h.ctx)
 	// Single-source flood: smurf module must stay silent.
-	feedFlood(t, mod, 30, -58)
+	feedFlood(t, h, mod, 30, -58)
 	if len(h.alerts) != 0 {
 		t.Fatalf("smurf alerted on single-source flood: %v", h.alerts)
 	}
@@ -135,7 +147,7 @@ func TestSmurfRequiresMultipleSources(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		rssi := []float64{-50, -60, -70}[i%3]
 		raw := stack.BuildICMPEcho(spoofA, victimIP, icmp.TypeEchoReply, 1, uint16(100+i), 64)
-		mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(100+i)*100*time.Millisecond), rssi))
+		h.deliver(mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(100+i)*100*time.Millisecond), rssi), mod)
 	}
 	if n := h.attackNames()[attack.Smurf]; n != 1 {
 		t.Errorf("smurf alerts = %d, want 1", n)
@@ -153,8 +165,7 @@ func TestNaiveModeAmbiguity(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		raw := stack.BuildICMPEcho(spoofA, victimIP, icmp.TypeEchoReply, 1, uint16(i), 64)
 		c := mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(i)*100*time.Millisecond), -58)
-		flood.HandlePacket(c)
-		smurf.HandlePacket(c)
+		h.deliver(c, flood, smurf)
 	}
 	names := h.attackNames()
 	if names[attack.ICMPFlood] != 1 || names[attack.Smurf] != 1 {
@@ -168,7 +179,7 @@ func TestSYNFloodDetectsHalfOpen(t *testing.T) {
 	mod.Activate(h.ctx)
 	for i := 0; i < 30; i++ {
 		raw := stack.BuildTCP(spoofA, victimIP, uint16(10000+i), 443, tcp.FlagSYN, uint32(i), 0, uint16(i), nil)
-		mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(i)*100*time.Millisecond), -58))
+		h.deliver(mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(i)*100*time.Millisecond), -58), mod)
 	}
 	if n := h.attackNames()[attack.SYNFlood]; n != 1 {
 		t.Errorf("syn-flood alerts = %d, want 1", n)
@@ -182,13 +193,13 @@ func TestSYNFloodIgnoresCompletedHandshakes(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		at := t0.Add(time.Duration(i) * 100 * time.Millisecond)
 		syn := stack.BuildTCP(spoofA, victimIP, uint16(10000+i), 443, tcp.FlagSYN, uint32(i), 0, uint16(3*i), nil)
-		mod.HandlePacket(mkCap(t, packet.MediumWiFi, syn, at, -58))
+		h.deliver(mkCap(t, packet.MediumWiFi, syn, at, -58), mod)
 		synack := stack.BuildTCP(victimIP, spoofA, 443, uint16(10000+i), tcp.FlagSYN|tcp.FlagACK, 99, uint32(i)+1, uint16(3*i+1), nil)
-		mod.HandlePacket(mkCap(t, packet.MediumWiFi, synack, at.Add(10*time.Millisecond), -55))
+		h.deliver(mkCap(t, packet.MediumWiFi, synack, at.Add(10*time.Millisecond), -55), mod)
 		// The initiator completes the handshake — a real client, not a
 		// spoofed flood source.
 		ack := stack.BuildTCP(spoofA, victimIP, uint16(10000+i), 443, tcp.FlagACK, uint32(i)+1, 100, uint16(3*i+2), nil)
-		mod.HandlePacket(mkCap(t, packet.MediumWiFi, ack, at.Add(20*time.Millisecond), -58))
+		h.deliver(mkCap(t, packet.MediumWiFi, ack, at.Add(20*time.Millisecond), -58), mod)
 	}
 	if len(h.alerts) != 0 {
 		t.Errorf("legitimate burst flagged: %v", h.alerts)

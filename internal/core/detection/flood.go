@@ -105,9 +105,6 @@ type ICMPFlood struct {
 	minEvents int
 	cooldown  time.Duration
 	win       *flow.VictimWindow
-	// self marks a standalone (table-less) window the module must
-	// observe packets into itself.
-	self bool
 }
 
 var _ module.Module = (*ICMPFlood)(nil)
@@ -137,11 +134,7 @@ func (d *ICMPFlood) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (d *ICMPFlood) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
-	if ctx.Flows != nil {
-		d.win, d.self = ctx.Flows.VictimWindow(echoReplyMask, d.window), false
-	} else {
-		d.win, d.self = flow.NewVictimWindow(echoReplyMask, d.window), true
-	}
+	d.win = ctx.Flows.VictimWindow(echoReplyMask, d.window)
 	d.win.ResetGate(d.Name())
 }
 
@@ -156,9 +149,6 @@ func (d *ICMPFlood) Deactivate() {
 func (d *ICMPFlood) HandlePacket(c *packet.Captured) {
 	if !d.active() {
 		return
-	}
-	if d.self {
-		d.win.Observe(c)
 	}
 	if c.Kind != packet.KindICMPEchoReply {
 		return
@@ -225,7 +215,6 @@ type Smurf struct {
 	minEvents int
 	cooldown  time.Duration
 	win       *flow.VictimWindow
-	self      bool
 	// edges is the module-local communication graph used for the
 	// 2-hop suspect heuristic (maintained from observed traffic, so it
 	// works even without a Knowledge Base).
@@ -263,11 +252,7 @@ func (d *Smurf) Required(kb *knowledge.Base) bool {
 func (d *Smurf) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
 	d.edges = make(map[packet.NodeID]map[packet.NodeID]bool)
-	if ctx.Flows != nil {
-		d.win, d.self = ctx.Flows.VictimWindow(echoReplyMask, d.window), false
-	} else {
-		d.win, d.self = flow.NewVictimWindow(echoReplyMask, d.window), true
-	}
+	d.win = ctx.Flows.VictimWindow(echoReplyMask, d.window)
 	d.win.ResetGate(d.Name())
 }
 
@@ -282,9 +267,6 @@ func (d *Smurf) Deactivate() {
 func (d *Smurf) HandlePacket(c *packet.Captured) {
 	if !d.active() {
 		return
-	}
-	if d.self {
-		d.win.Observe(c)
 	}
 	d.observeEdge(c.Src, c.Dst)
 	if c.Kind != packet.KindICMPEchoReply {
@@ -379,7 +361,6 @@ type SYNFlood struct {
 	cooldown  time.Duration
 	win       *flow.VictimWindow
 	hs        *flow.TCPHandshakes
-	self      bool
 }
 
 var _ module.Module = (*SYNFlood)(nil)
@@ -408,15 +389,8 @@ func (d *SYNFlood) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (d *SYNFlood) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
-	if ctx.Flows != nil {
-		d.win = ctx.Flows.VictimWindow(tcpSYNMask, d.window)
-		d.hs = ctx.Flows.Handshakes(d.window)
-		d.self = false
-	} else {
-		d.win = flow.NewVictimWindow(tcpSYNMask, d.window)
-		d.hs = flow.NewTCPHandshakes(d.window)
-		d.self = true
-	}
+	d.win = ctx.Flows.VictimWindow(tcpSYNMask, d.window)
+	d.hs = ctx.Flows.Handshakes(d.window)
 	d.win.ResetGate(d.Name())
 }
 
@@ -432,10 +406,6 @@ func (d *SYNFlood) Deactivate() {
 func (d *SYNFlood) HandlePacket(c *packet.Captured) {
 	if !d.active() {
 		return
-	}
-	if d.self {
-		d.win.Observe(c)
-		d.hs.Observe(c)
 	}
 	if c.Kind != packet.KindTCPSYN {
 		return

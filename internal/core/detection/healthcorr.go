@@ -74,10 +74,9 @@ func NewHealthCorr(params map[string]string) (module.Module, error) {
 func (d *HealthCorr) Name() string { return HealthCorrName }
 
 // WatchLabels implements module.Module: peer count changes gate the
-// module on and off; health reports drive it.
-func (d *HealthCorr) WatchLabels() []string {
-	return []string{"Peers", knowledge.LabelModuleHealth}
-}
+// module on and off. The health reports that drive it do not decide
+// Required; it subscribes to those itself in Activate.
+func (d *HealthCorr) WatchLabels() []string { return []string{"Peers"} }
 
 // Required implements module.Module: correlating health across nodes
 // only makes sense while the collective layer has peers.

@@ -24,10 +24,7 @@ func TestWatchdogNeverAccusesHealthyRelay(t *testing.T) {
 		sel.Activate(h.ctx)
 		bh.Activate(h.ctx)
 
-		handle := func(c *packet.Captured) {
-			sel.HandlePacket(c)
-			bh.HandlePacket(c)
-		}
+		handle := func(c *packet.Captured) { h.deliver(c, sel, bh) }
 		handle(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(1, 1, 0, 1), t0, -50))
 		at := t0
 		for i := 0; i < n; i++ {
@@ -56,12 +53,12 @@ func TestWatchdogAlwaysCatchesTotalDrop(t *testing.T) {
 		h := newHarness(true)
 		bh, _ := NewBlackhole(nil)
 		bh.Activate(h.ctx)
-		bh.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(1, 1, 0, 1), t0, -50))
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(1, 1, 0, 1), t0, -50), bh)
 		at := t0
 		for i := 0; i < 20; i++ {
 			at = at.Add(time.Duration(1000+rng.Intn(2000)) * time.Millisecond)
-			bh.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-				stack.BuildCTPData(3, 2, 3, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at, -65))
+			h.deliver(mkCap(t, packet.MediumIEEE802154,
+				stack.BuildCTPData(3, 2, 3, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at, -65), bh)
 		}
 		return len(h.alerts) > 0
 	}

@@ -38,10 +38,7 @@ type replicationCore struct {
 	alpha      float64
 	minSamples int
 
-	motion *flow.IdentityMotion
-	// self marks a standalone (table-less) tracker the module must
-	// observe packets into itself.
-	self     bool
+	motion   *flow.IdentityMotion
 	suppress map[packet.NodeID]time.Time
 }
 
@@ -79,21 +76,15 @@ func newReplicationCore(params map[string]string) (*replicationCore, error) {
 }
 
 // acquire attaches the core to the flow layer's shared motion tracker
-// (or a standalone one when the module runs without a flow pipeline)
 // and resets the alert policy.
 func (c *replicationCore) acquire(ctx *module.Context) {
-	cfg := flow.MotionConfig{
+	c.motion = ctx.Flows.Motion(flow.MotionConfig{
 		Medium:     packet.MediumIEEE802154,
 		Threshold:  c.threshold,
 		Window:     c.window,
 		Alpha:      c.alpha,
 		MinSamples: c.minSamples,
-	}
-	if ctx.Flows != nil {
-		c.motion, c.self = ctx.Flows.Motion(cfg), false
-	} else {
-		c.motion, c.self = flow.NewIdentityMotion(cfg), true
-	}
+	})
 	c.suppress = make(map[packet.NodeID]time.Time)
 }
 
@@ -101,14 +92,6 @@ func (c *replicationCore) acquire(ctx *module.Context) {
 func (c *replicationCore) release() {
 	c.motion.Release()
 	c.motion = nil
-}
-
-// observe feeds the packet to a standalone tracker (table-attached
-// trackers are updated by the flow table before module fan-out).
-func (c *replicationCore) observe(cap *packet.Captured) {
-	if c.self {
-		c.motion.Observe(cap)
-	}
 }
 
 func (c *replicationCore) suppressed(id packet.NodeID, now time.Time) bool {
@@ -175,7 +158,6 @@ func (d *ReplicationStatic) HandlePacket(c *packet.Captured) {
 	if !d.active() || c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
 	}
-	d.core.observe(c)
 	s := d.core.motion.Snapshot(c.Transmitter)
 	// Alert only on fresh evidence: the current packet must itself be
 	// a jump, so stale window contents cannot re-trigger after the
@@ -255,7 +237,6 @@ func (d *ReplicationMobile) HandlePacket(c *packet.Captured) {
 	if !d.active() || c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
 	}
-	d.core.observe(c)
 	s := d.core.motion.Snapshot(c.Transmitter)
 	// Fresh evidence only: the triggering packet must itself be a
 	// sequence conflict.

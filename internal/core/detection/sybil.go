@@ -40,10 +40,7 @@ type Sybil struct {
 	// cooldown suppresses repeated alerts for the same cluster.
 	cooldown time.Duration
 
-	ids *flow.IdentityStats
-	// self marks a standalone (table-less) tracker the module must
-	// observe packets into itself.
-	self     bool
+	ids      *flow.IdentityStats
 	suppress time.Time
 }
 
@@ -99,11 +96,7 @@ func (d *Sybil) Required(kb *knowledge.Base) bool {
 func (d *Sybil) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
 	d.suppress = time.Time{}
-	if ctx.Flows != nil {
-		d.ids, d.self = ctx.Flows.IdentityStats(sybilAlpha, packet.MediumIEEE802154), false
-	} else {
-		d.ids, d.self = flow.NewIdentityStats(sybilAlpha, packet.MediumIEEE802154), true
-	}
+	d.ids = ctx.Flows.IdentityStats(sybilAlpha, packet.MediumIEEE802154)
 }
 
 // Deactivate implements module.Module.
@@ -117,9 +110,6 @@ func (d *Sybil) Deactivate() {
 func (d *Sybil) HandlePacket(c *packet.Captured) {
 	if !d.active() || c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
-	}
-	if d.self {
-		d.ids.Observe(c)
 	}
 	if !d.suppress.IsZero() && c.Time.Before(d.suppress) {
 		return

@@ -2,7 +2,6 @@ package detection
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -10,8 +9,8 @@ import (
 	"kalis/internal/attack"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
+	"kalis/internal/flow"
 	"kalis/internal/packet"
-	"kalis/internal/proto/ctp"
 )
 
 // Registry names of the forwarding-watchdog modules.
@@ -20,269 +19,132 @@ const (
 	BlackholeName           = "BlackholeModule"
 )
 
-// watchdog implements promiscuous forwarding surveillance over CTP
-// data traffic [13], [29]: every data frame handed to a relay is
-// expected to be overheard again, retransmitted by that relay with an
-// incremented THL, within a timeout. Per-relay drop ratios over a
-// sliding window separate healthy relays from selective forwarders
-// (partial drops) and blackholes (near-total drops) — the paper's
-// example of techniques "generalized to detect attacks with similar
-// symptoms but different severity or root causes" (§IV-B4).
-type watchdog struct {
-	timeout    time.Duration
-	window     time.Duration
-	minSamples int
+// forwardingCore is what the two forwarding-watchdog modules share:
+// parameters, the knowledge predicate and the handle on the flow
+// layer's forwarding watch (flow.ForwardingWatch), which holds all the
+// evidence — each module embeds its own core and adds only its band of
+// the drop ratio and the verdict it raises there.
+type forwardingCore struct {
+	base
+	cfg      flow.ForwardingConfig
+	cooldown time.Duration
 
-	// pending maps relay → (origin|seq) → deadline.
-	pending map[packet.NodeID]map[pendKey]time.Time
-	// outcomes per relay within the sliding window.
-	outcomes map[packet.NodeID][]outcome
-	// roots are collection roots (advertise ETX 0); they legitimately
-	// never forward.
-	roots map[packet.NodeID]bool
-	// droppedOrigins records which origins a relay dropped (for
-	// wormhole correlation).
-	droppedOrigins map[packet.NodeID]map[uint16]bool
+	watch *flow.ForwardingWatch
+	// ratios is the reused read buffer for watch.Ratios.
+	ratios   []flow.RelayRatio
+	suppress map[packet.NodeID]time.Time
 }
 
-type outcome struct {
-	at      time.Time
-	dropped bool
-}
-
-func newWatchdog(timeout, window time.Duration, minSamples int) *watchdog {
-	w := &watchdog{timeout: timeout, window: window, minSamples: minSamples}
-	w.reset()
-	return w
-}
-
-func (w *watchdog) reset() {
-	w.pending = make(map[packet.NodeID]map[pendKey]time.Time)
-	w.outcomes = make(map[packet.NodeID][]outcome)
-	w.roots = make(map[packet.NodeID]bool)
-	w.droppedOrigins = make(map[packet.NodeID]map[uint16]bool)
-}
-
-// pendKey identifies a forwarded frame by its CTP origin and sequence
-// number. A comparable struct keeps the per-frame expectation update
-// allocation-free (hotalloc); the previous strconv+concat key cost two
-// allocations per data frame.
-type pendKey struct {
-	origin uint16
-	seq    uint8
-}
-
-// observe processes one capture and returns the drop ratio and sample
-// count for the frame's relay whenever new evidence about that relay
-// materialized (sample count 0 otherwise).
-func (w *watchdog) observe(c *packet.Captured) (relay packet.NodeID, ratio float64, samples int) {
-	if b, ok := c.Layer("ctp-beacon").(*ctp.Beacon); ok {
-		if b.ETX == 0 {
-			w.roots[c.Transmitter] = true
-		}
-		return "", 0, 0
+// newForwardingCore reads the parameters "timeout", "window",
+// "cooldown" (durations) and "minSamples" (int).
+func newForwardingCore(params map[string]string) (forwardingCore, error) {
+	c := forwardingCore{
+		cfg:      flow.ForwardingConfig{Timeout: 500 * time.Millisecond, Window: 30 * time.Second, MinSamples: 8},
+		cooldown: 20 * time.Second,
 	}
-	d, ok := c.Layer("ctp-data").(*ctp.Data)
-	if !ok {
-		return "", 0, 0
-	}
-	w.expire(c.Time)
-
-	key := pendKey{origin: d.Origin, seq: d.SeqNo}
-	// The transmitter just forwarded (or originated) this frame; any
-	// pending expectation on it is satisfied.
-	satisfied := false
-	if m := w.pending[c.Transmitter]; m != nil {
-		if _, waiting := m[key]; waiting {
-			delete(m, key)
-			w.outcomes[c.Transmitter] = append(w.outcomes[c.Transmitter], outcome{at: c.Time, dropped: false})
-			satisfied = true
-		}
-	}
-	// The frame is now in the hands of its link-layer destination; if
-	// that node is a relay (not a collection root, not broadcast), it
-	// must forward in turn — register the expectation even for frames
-	// that themselves satisfied one, so every hop of a chain is
-	// monitored.
-	if c.Dst != packet.Broadcast && c.Dst != "" && !w.roots[c.Dst] {
-		if w.pending[c.Dst] == nil {
-			w.pending[c.Dst] = make(map[pendKey]time.Time)
-		}
-		w.pending[c.Dst][key] = c.Time.Add(w.timeout)
-	}
-	if satisfied {
-		return w.ratio(c.Transmitter, c.Time)
-	}
-	return "", 0, 0
-}
-
-// expire converts overdue expectations into drop outcomes.
-func (w *watchdog) expire(now time.Time) {
-	for relay, m := range w.pending {
-		for key, deadline := range m {
-			if now.After(deadline) {
-				delete(m, key)
-				w.outcomes[relay] = append(w.outcomes[relay], outcome{at: now, dropped: true})
-				if w.droppedOrigins[relay] == nil {
-					w.droppedOrigins[relay] = make(map[uint16]bool)
-				}
-				w.droppedOrigins[relay][key.origin] = true
-			}
-		}
-	}
-}
-
-// ratio returns the windowed drop ratio and sample count for a relay.
-func (w *watchdog) ratio(relay packet.NodeID, now time.Time) (packet.NodeID, float64, int) {
-	evs := w.outcomes[relay]
-	cut := 0
-	for cut < len(evs) && now.Sub(evs[cut].at) > w.window {
-		cut++
-	}
-	evs = evs[cut:]
-	w.outcomes[relay] = evs
-	if len(evs) == 0 {
-		return relay, 0, 0
-	}
-	drops := 0
-	for _, e := range evs {
-		if e.dropped {
-			drops++
-		}
-	}
-	return relay, float64(drops) / float64(len(evs)), len(evs)
-}
-
-// latestRatios returns the windowed ratios of every relay with enough
-// samples; used on expiry-driven paths where the dropper itself never
-// transmits again.
-func (w *watchdog) latestRatios(now time.Time) map[packet.NodeID]float64 {
-	out := make(map[packet.NodeID]float64)
-	for relay := range w.outcomes {
-		_, ratio, n := w.ratio(relay, now)
-		if n >= w.minSamples {
-			out[relay] = ratio
-		}
-	}
-	return out
-}
-
-// origins returns the sorted origins dropped by a relay, rendered as a
-// comma-separated list (the payload of SuspectBlackhole knowggets).
-func (w *watchdog) origins(relay packet.NodeID) string {
-	set := w.droppedOrigins[relay]
-	ids := make([]int, 0, len(set))
-	for o := range set {
-		ids = append(ids, int(o))
-	}
-	sort.Ints(ids)
-	parts := make([]string, len(ids))
-	for i, o := range ids {
-		parts[i] = strconv.Itoa(o)
-	}
-	return strings.Join(parts, ",")
-}
-
-// parseWatchdogParams reads common watchdog parameters.
-func parseWatchdogParams(params map[string]string) (timeout, window time.Duration, minSamples int, cooldown time.Duration, err error) {
-	timeout, window, minSamples, cooldown = 500*time.Millisecond, 30*time.Second, 8, 20*time.Second
+	var err error
 	if v, ok := params["timeout"]; ok {
-		if timeout, err = time.ParseDuration(v); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("timeout: %w", err)
+		if c.cfg.Timeout, err = time.ParseDuration(v); err != nil {
+			return c, fmt.Errorf("timeout: %w", err)
 		}
 	}
 	if v, ok := params["window"]; ok {
-		if window, err = time.ParseDuration(v); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("window: %w", err)
+		if c.cfg.Window, err = time.ParseDuration(v); err != nil {
+			return c, fmt.Errorf("window: %w", err)
 		}
 	}
 	if v, ok := params["minSamples"]; ok {
-		if minSamples, err = strconv.Atoi(v); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("minSamples: %w", err)
+		if c.cfg.MinSamples, err = strconv.Atoi(v); err != nil {
+			return c, fmt.Errorf("minSamples: %w", err)
 		}
 	}
 	if v, ok := params["cooldown"]; ok {
-		if cooldown, err = time.ParseDuration(v); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("cooldown: %w", err)
+		if c.cooldown, err = time.ParseDuration(v); err != nil {
+			return c, fmt.Errorf("cooldown: %w", err)
 		}
 	}
-	return timeout, window, minSamples, cooldown, nil
+	return c, nil
+}
+
+// WatchLabels implements module.Module.
+func (f *forwardingCore) WatchLabels() []string {
+	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
+}
+
+// Required implements module.Module: "a selective forwarding attack
+// cannot be carried out in a single-hop network" (§III).
+func (f *forwardingCore) Required(kb *knowledge.Base) bool {
+	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMultihop, true)
+}
+
+// Activate implements module.Module.
+func (f *forwardingCore) Activate(ctx *module.Context) {
+	f.base.Activate(ctx)
+	f.watch = ctx.Flows.Forwarding(f.cfg)
+	f.suppress = make(map[packet.NodeID]time.Time)
+}
+
+// Deactivate implements module.Module.
+func (f *forwardingCore) Deactivate() {
+	f.watch.Release()
+	f.watch = nil
+	f.base.Deactivate()
+}
+
+// relays returns the verdict input as of the capture time now (nothing
+// while inactive).
+func (f *forwardingCore) relays(now time.Time) []flow.RelayRatio {
+	if !f.active() {
+		return nil
+	}
+	f.ratios = f.watch.Ratios(now, f.ratios)
+	return f.ratios
 }
 
 // SelectiveForwarding detects relays that drop a fraction of the
 // traffic they should forward (drop ratio in the selective band).
-type SelectiveForwarding struct {
-	base
-	wd       *watchdog
-	cooldown time.Duration
-	suppress map[packet.NodeID]time.Time
-}
+type SelectiveForwarding struct{ forwardingCore }
 
 var _ module.Module = (*SelectiveForwarding)(nil)
 
 // NewSelectiveForwarding creates the module. Parameters: "timeout",
 // "window", "cooldown" (durations), "minSamples" (int).
 func NewSelectiveForwarding(params map[string]string) (module.Module, error) {
-	timeout, window, minSamples, cooldown, err := parseWatchdogParams(params)
+	core, err := newForwardingCore(params)
 	if err != nil {
 		return nil, err
 	}
-	return &SelectiveForwarding{
-		wd:       newWatchdog(timeout, window, minSamples),
-		cooldown: cooldown,
-	}, nil
+	return &SelectiveForwarding{core}, nil
 }
 
 // Name implements module.Module.
 func (d *SelectiveForwarding) Name() string { return SelectiveForwardingName }
 
-// WatchLabels implements module.Module.
-func (d *SelectiveForwarding) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
-}
-
-// Required implements module.Module: "a selective forwarding attack
-// cannot be carried out in a single-hop network" (§III).
-func (d *SelectiveForwarding) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMultihop, true)
-}
-
-// Activate implements module.Module.
-func (d *SelectiveForwarding) Activate(ctx *module.Context) {
-	d.base.Activate(ctx)
-	d.wd.reset()
-	d.suppress = make(map[packet.NodeID]time.Time)
-}
-
 // HandlePacket implements module.Module.
 func (d *SelectiveForwarding) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
-	d.wd.observe(c)
-	for relay, ratio := range d.wd.latestRatios(c.Time) {
-		if ratio >= 0.9 {
+	for _, r := range d.relays(c.Time) {
+		if r.Ratio >= 0.9 {
 			// Blackhole-grade: handled by the Blackhole module. The
 			// windowed ratio will pass back through the selective band
 			// while it decays after the attack stops — suppress the
 			// relay for a full window so the decay is not misreported.
-			d.suppress[relay] = c.Time.Add(d.wd.window)
+			d.suppress[r.Relay] = c.Time.Add(d.cfg.Window)
 			continue
 		}
-		if ratio < 0.25 {
+		if r.Ratio < 0.25 {
 			continue // healthy
 		}
-		if until, ok := d.suppress[relay]; ok && c.Time.Before(until) {
+		if until, ok := d.suppress[r.Relay]; ok && c.Time.Before(until) {
 			continue
 		}
-		d.suppress[relay] = c.Time.Add(d.cooldown)
+		d.suppress[r.Relay] = c.Time.Add(d.cooldown)
 		d.ctx.Emit(module.Alert{
 			Time:       c.Time,
 			Attack:     attack.SelectiveForwarding,
 			Module:     d.Name(),
-			Suspects:   []packet.NodeID{relay},
+			Suspects:   []packet.NodeID{r.Relay},
 			Confidence: 0.8,
-			Details:    fmt.Sprintf("relay %s drops %.0f%% of forwarded traffic", relay, ratio*100),
+			Details:    fmt.Sprintf("relay %s drops %.0f%% of forwarded traffic", r.Relay, r.Ratio*100),
 		})
 	}
 }
@@ -292,10 +154,10 @@ func (d *SelectiveForwarding) HandlePacket(c *packet.Captured) {
 // knowgget naming the dropped origins, which peer Kalis nodes correlate
 // into wormhole detections (§VI-D).
 type Blackhole struct {
-	base
-	wd       *watchdog
-	cooldown time.Duration
-	suppress map[packet.NodeID]time.Time
+	forwardingCore
+	// published is, per relay, the dropped-origin count as of the last
+	// SuspectBlackhole put: the set is rendered again only once it grew.
+	published map[packet.NodeID]int
 }
 
 var _ module.Module = (*Blackhole)(nil)
@@ -303,60 +165,53 @@ var _ module.Module = (*Blackhole)(nil)
 // NewBlackhole creates the module. Parameters as
 // NewSelectiveForwarding.
 func NewBlackhole(params map[string]string) (module.Module, error) {
-	timeout, window, minSamples, cooldown, err := parseWatchdogParams(params)
+	core, err := newForwardingCore(params)
 	if err != nil {
 		return nil, err
 	}
-	return &Blackhole{
-		wd:       newWatchdog(timeout, window, minSamples),
-		cooldown: cooldown,
-	}, nil
+	return &Blackhole{forwardingCore: core}, nil
 }
 
 // Name implements module.Module.
 func (d *Blackhole) Name() string { return BlackholeName }
 
-// WatchLabels implements module.Module.
-func (d *Blackhole) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
-}
-
-// Required implements module.Module.
-func (d *Blackhole) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMultihop, true)
-}
-
 // Activate implements module.Module.
 func (d *Blackhole) Activate(ctx *module.Context) {
-	d.base.Activate(ctx)
-	d.wd.reset()
-	d.suppress = make(map[packet.NodeID]time.Time)
+	d.forwardingCore.Activate(ctx)
+	d.published = make(map[packet.NodeID]int)
 }
 
 // HandlePacket implements module.Module.
 func (d *Blackhole) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
-	d.wd.observe(c)
-	for relay, ratio := range d.wd.latestRatios(c.Time) {
-		if ratio < 0.9 {
+	for _, r := range d.relays(c.Time) {
+		if r.Ratio < 0.9 {
 			continue
 		}
-		if d.knowledgeDriven() {
-			d.ctx.KB.PutCollective(knowledge.LabelSuspectBlackhole, string(relay), d.wd.origins(relay))
+		if d.knowledgeDriven() && d.published[r.Relay] != r.Origins {
+			d.published[r.Relay] = r.Origins
+			d.ctx.KB.PutCollective(knowledge.LabelSuspectBlackhole, string(r.Relay), originList(d.watch.DroppedOrigins(r.Relay)))
 		}
-		if until, ok := d.suppress[relay]; ok && c.Time.Before(until) {
+		if until, ok := d.suppress[r.Relay]; ok && c.Time.Before(until) {
 			continue
 		}
-		d.suppress[relay] = c.Time.Add(d.cooldown)
+		d.suppress[r.Relay] = c.Time.Add(d.cooldown)
 		d.ctx.Emit(module.Alert{
 			Time:       c.Time,
 			Attack:     attack.Blackhole,
 			Module:     d.Name(),
-			Suspects:   []packet.NodeID{relay},
+			Suspects:   []packet.NodeID{r.Relay},
 			Confidence: 0.85,
-			Details:    fmt.Sprintf("relay %s drops %.0f%% of forwarded traffic", relay, ratio*100),
+			Details:    fmt.Sprintf("relay %s drops %.0f%% of forwarded traffic", r.Relay, r.Ratio*100),
 		})
 	}
+}
+
+// originList renders origins as the comma-separated payload of
+// SuspectBlackhole knowggets.
+func originList(origins []uint16) string {
+	parts := make([]string, len(origins))
+	for i, o := range origins {
+		parts[i] = strconv.Itoa(int(o))
+	}
+	return strings.Join(parts, ",")
 }

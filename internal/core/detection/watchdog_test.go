@@ -6,19 +6,16 @@ import (
 
 	"kalis/internal/attack"
 	"kalis/internal/core/knowledge"
+	"kalis/internal/core/module"
 	"kalis/internal/packet"
 	"kalis/internal/proto/stack"
 )
 
 // feedForwarding simulates a 3..1 CTP chain where relay 2 forwards a
 // fraction of origin 3's packets: n rounds, dropping when drop(i).
-func feedForwarding(t *testing.T, mods []interface{ HandlePacket(*packet.Captured) }, n int, drop func(int) bool) {
+func feedForwarding(t *testing.T, h *harness, mods []module.Module, n int, drop func(int) bool) {
 	t.Helper()
-	handle := func(c *packet.Captured) {
-		for _, m := range mods {
-			m.HandlePacket(c)
-		}
-	}
+	handle := func(c *packet.Captured) { h.deliver(c, mods...) }
 	// Root beacon so the watchdog learns node 1 is the sink.
 	handle(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(1, 1, 0, 1), t0, -50))
 	for i := 0; i < n; i++ {
@@ -38,7 +35,7 @@ func TestSelectiveForwardingDetected(t *testing.T) {
 	h := newHarness(true)
 	mod, _ := NewSelectiveForwarding(nil)
 	mod.Activate(h.ctx)
-	feedForwarding(t, []interface{ HandlePacket(*packet.Captured) }{mod}, 40,
+	feedForwarding(t, h, []module.Module{mod}, 40,
 		func(i int) bool { return i%2 == 0 }) // 50% drops
 	names := h.attackNames()
 	if names[attack.SelectiveForwarding] == 0 {
@@ -57,7 +54,7 @@ func TestHealthyRelayNotFlagged(t *testing.T) {
 	bh, _ := NewBlackhole(nil)
 	sel.Activate(h.ctx)
 	bh.Activate(h.ctx)
-	feedForwarding(t, []interface{ HandlePacket(*packet.Captured) }{sel, bh}, 40,
+	feedForwarding(t, h, []module.Module{sel, bh}, 40,
 		func(int) bool { return false })
 	if len(h.alerts) != 0 {
 		t.Errorf("healthy relay flagged: %v", h.alerts)
@@ -68,7 +65,7 @@ func TestBlackholeDetectedAndShared(t *testing.T) {
 	h := newHarness(true)
 	mod, _ := NewBlackhole(nil)
 	mod.Activate(h.ctx)
-	feedForwarding(t, []interface{ HandlePacket(*packet.Captured) }{mod}, 30,
+	feedForwarding(t, h, []module.Module{mod}, 30,
 		func(int) bool { return true }) // total drop
 	if h.attackNames()[attack.Blackhole] == 0 {
 		t.Fatal("blackhole not detected")
@@ -88,7 +85,7 @@ func TestSelectiveForwardingIgnoresBlackholeGrade(t *testing.T) {
 	h := newHarness(true)
 	mod, _ := NewSelectiveForwarding(nil)
 	mod.Activate(h.ctx)
-	feedForwarding(t, []interface{ HandlePacket(*packet.Captured) }{mod}, 30,
+	feedForwarding(t, h, []module.Module{mod}, 30,
 		func(int) bool { return true })
 	if h.attackNames()[attack.SelectiveForwarding] != 0 {
 		t.Error("selective-forwarding module alerted on blackhole-grade drops")
@@ -102,15 +99,15 @@ func TestReplicationStaticDetectsRSSIJumps(t *testing.T) {
 	// Background identities keep the jumpy-fraction guard low.
 	for i := 0; i < 30; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(4, 1, 4, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at, -62))
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(5, 1, 5, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at.Add(100*time.Millisecond), -58))
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(4, 1, 4, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at, -62), mod)
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(5, 1, 5, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at.Add(100*time.Millisecond), -58), mod)
 		// Identity 3 alternates between two positions (orig at -60,
 		// replica at -75).
 		rssi := -60.0
 		if i%2 == 1 {
 			rssi = -75
 		}
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(3, 1, 3, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at.Add(200*time.Millisecond), rssi))
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(3, 1, 3, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at.Add(200*time.Millisecond), rssi), mod)
 	}
 	names := h.attackNames()
 	if names[attack.Replication] == 0 {
@@ -133,7 +130,7 @@ func TestReplicationStaticSilentUnderMobility(t *testing.T) {
 		at := t0.Add(time.Duration(i) * time.Second)
 		for id := uint16(3); id <= 6; id++ {
 			rssi := -55.0 - float64((i+int(id))%2)*20
-			mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(id, 1, id, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at, rssi))
+			h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(id, 1, id, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at, rssi), mod)
 		}
 	}
 	if len(h.alerts) != 0 {
@@ -149,10 +146,10 @@ func TestReplicationMobileDetectsSeqConflict(t *testing.T) {
 	// 100,101,... — interleaved.
 	for i := 0; i < 20; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(3, 1, 3, uint8(10+i), 0, 20, []byte{0x01, uint8(10 + i)}), at, -60))
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(3, 1, 3, uint8(100+i), 0, 20, []byte{0x01, uint8(100 + i)}), at.Add(500*time.Millisecond), -70))
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(3, 1, 3, uint8(10+i), 0, 20, []byte{0x01, uint8(10 + i)}), at, -60), mod)
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(3, 1, 3, uint8(100+i), 0, 20, []byte{0x01, uint8(100 + i)}), at.Add(500*time.Millisecond), -70), mod)
 	}
 	if h.attackNames()[attack.Replication] == 0 {
 		t.Fatal("replication (mobile) not detected")
@@ -168,10 +165,10 @@ func TestReplicationMobileIgnoresForwardedCounters(t *testing.T) {
 	// counters must not count as flips.
 	for i := 0; i < 20; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(2, 1, 3, uint8(10+i), 1, 10, []byte{0x01, uint8(10 + i)}), at, -60))
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(2, 1, 4, uint8(200+i), 1, 10, []byte{0x01, uint8(200 + i)}), at.Add(300*time.Millisecond), -60))
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(2, 1, 3, uint8(10+i), 1, 10, []byte{0x01, uint8(10 + i)}), at, -60), mod)
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(2, 1, 4, uint8(200+i), 1, 10, []byte{0x01, uint8(200 + i)}), at.Add(300*time.Millisecond), -60), mod)
 	}
 	if len(h.alerts) != 0 {
 		t.Errorf("relay flagged as replica: %v", h.alerts)
@@ -185,14 +182,14 @@ func TestSybilDetectsColocatedNewIdentities(t *testing.T) {
 	// Warmup: legitimate identities at distinct RSSI.
 	for i := 0; i < 30; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(2, 1, 2, uint8(i), 0, 20, nil), at, -55))
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(3, 1, 3, uint8(i), 0, 20, nil), at.Add(100*time.Millisecond), -65))
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(2, 1, 2, uint8(i), 0, 20, nil), at, -55), mod)
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(3, 1, 3, uint8(i), 0, 20, nil), at.Add(100*time.Millisecond), -65), mod)
 	}
 	// Attack: five fresh identities, one radio (same RSSI).
 	for f := 0; f < 3; f++ {
 		at := t0.Add(time.Duration(40+f) * time.Second)
 		for id := uint16(0x500); id < 0x505; id++ {
-			mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(id, 1, id, uint8(f), 0, 20, nil), at.Add(time.Duration(id%16)*50*time.Millisecond), -60.2))
+			h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(id, 1, id, uint8(f), 0, 20, nil), at.Add(time.Duration(id%16)*50*time.Millisecond), -60.2), mod)
 		}
 	}
 	if h.attackNames()[attack.Sybil] == 0 {
@@ -212,7 +209,7 @@ func TestSybilIgnoresEstablishedIdentities(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
 		for id := uint16(2); id < 8; id++ {
-			mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(id, 1, id, uint8(i), 0, 20, nil), at.Add(time.Duration(id)*20*time.Millisecond), -60))
+			h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPData(id, 1, id, uint8(i), 0, 20, nil), at.Add(time.Duration(id)*20*time.Millisecond), -60), mod)
 		}
 	}
 	if len(h.alerts) != 0 {
@@ -227,12 +224,12 @@ func TestSinkholeDetectsRootBandClaim(t *testing.T) {
 	// Learning: root (ETX 0) and normal advertisers.
 	for i := 0; i < 5; i++ {
 		at := t0.Add(time.Duration(i) * 10 * time.Second)
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(1, 1, 0, uint8(i)), at, -50))
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(2, 1, 10, uint8(i)), at.Add(time.Second), -55))
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 2, 20, uint8(i)), at.Add(2*time.Second), -60))
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(1, 1, 0, uint8(i)), at, -50), mod)
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(2, 1, 10, uint8(i)), at.Add(time.Second), -55), mod)
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 2, 20, uint8(i)), at.Add(2*time.Second), -60), mod)
 	}
 	// After learning, node 3 suddenly claims cost 1.
-	mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 1, 1, 99), t0.Add(2*time.Minute), -60))
+	h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 1, 1, 99), t0.Add(2*time.Minute), -60), mod)
 	names := h.attackNames()
 	if names[attack.Sinkhole] != 1 {
 		t.Fatalf("sinkhole alerts = %v", names)
@@ -241,7 +238,7 @@ func TestSinkholeDetectsRootBandClaim(t *testing.T) {
 		t.Errorf("suspect = %v", h.alerts[0].Suspects)
 	}
 	// The legitimate root keeps advertising 0 without alerts.
-	mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(1, 1, 0, 100), t0.Add(3*time.Minute), -50))
+	h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(1, 1, 0, 100), t0.Add(3*time.Minute), -50), mod)
 	if len(h.alerts) != 1 {
 		t.Error("root flagged")
 	}
@@ -253,9 +250,9 @@ func TestSinkholeDetectsBaselineDrop(t *testing.T) {
 	mod.Activate(h.ctx)
 	for i := 0; i < 6; i++ {
 		at := t0.Add(time.Duration(i) * 10 * time.Second)
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 2, 30, uint8(i)), at, -60))
+		h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 2, 30, uint8(i)), at, -60), mod)
 	}
-	mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 2, 8, 99), t0.Add(2*time.Minute), -60))
+	h.deliver(mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(3, 2, 8, 99), t0.Add(2*time.Minute), -60), mod)
 	if h.attackNames()[attack.Sinkhole] != 1 {
 		t.Fatalf("baseline-drop sinkhole not detected: %v", h.alerts)
 	}
@@ -274,8 +271,8 @@ func TestWormholeCorrelation(t *testing.T) {
 	// it never received.
 	for i := 0; i < 4; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(9, 1, 7, uint8(i), 2, 10, []byte{0x01, uint8(i)}), at, -60))
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(9, 1, 7, uint8(i), 2, 10, []byte{0x01, uint8(i)}), at, -60), mod)
 	}
 	names := h.attackNames()
 	if names[attack.Wormhole] != 1 {
@@ -299,8 +296,8 @@ func TestWormholeNoCorrelationWithoutOverlap(t *testing.T) {
 		Label: knowledge.LabelSuspectBlackhole, Value: "7", Creator: "K2", Entity: "0x0005",
 	})
 	for i := 0; i < 4; i++ {
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(9, 1, 12, uint8(i), 2, 10, nil), t0.Add(time.Duration(i)*time.Second), -60))
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(9, 1, 12, uint8(i), 2, 10, nil), t0.Add(time.Duration(i)*time.Second), -60), mod)
 	}
 	if len(h.alerts) != 0 {
 		t.Errorf("wormhole alerted without origin overlap: %v", h.alerts)
@@ -314,10 +311,10 @@ func TestWormholeIgnoresNormalForwarding(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
 		// Hand-off to 2, then 2 forwards: not emergent.
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(3, 2, 3, uint8(i), 0, 20, nil), at, -65))
-		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(2, 1, 3, uint8(i), 1, 10, nil), at.Add(30*time.Millisecond), -55))
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(3, 2, 3, uint8(i), 0, 20, nil), at, -65), mod)
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(2, 1, 3, uint8(i), 1, 10, nil), at.Add(30*time.Millisecond), -55), mod)
 	}
 	if _, ok := h.kb.Get("K1$" + knowledge.LabelEmergentSource + "@0x0002"); ok {
 		t.Error("normal relay published as emergent source")
@@ -329,18 +326,76 @@ func TestDataAlterationDetected(t *testing.T) {
 	mod, _ := NewDataAlteration(nil)
 	mod.Activate(h.ctx)
 	// Consistent frame: fine.
-	mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-		stack.BuildCTPData(2, 1, 3, 5, 1, 10, []byte{0x01, 5}), t0, -60))
+	h.deliver(mkCap(t, packet.MediumIEEE802154,
+		stack.BuildCTPData(2, 1, 3, 5, 1, 10, []byte{0x01, 5}), t0, -60), mod)
 	if len(h.alerts) != 0 {
 		t.Fatal("consistent payload flagged")
 	}
 	// Tampered frame: payload counter disagrees with header.
-	mod.HandlePacket(mkCap(t, packet.MediumIEEE802154,
-		stack.BuildCTPData(2, 1, 3, 6, 1, 10, []byte{0x01, 99}), t0.Add(time.Second), -60))
+	h.deliver(mkCap(t, packet.MediumIEEE802154,
+		stack.BuildCTPData(2, 1, 3, 6, 1, 10, []byte{0x01, 99}), t0.Add(time.Second), -60), mod)
 	if h.attackNames()[attack.DataAlteration] != 1 {
 		t.Fatalf("alteration not detected: %v", h.alerts)
 	}
 	if h.alerts[0].Suspects[0] != "0x0002" {
 		t.Errorf("suspect = %v", h.alerts[0].Suspects)
+	}
+}
+
+// TestForwardingModulesShareOneWatch: the two verdicts read one
+// evidence tracker when configured alike, and a differently configured
+// instance gets its own.
+func TestForwardingModulesShareOneWatch(t *testing.T) {
+	h := newHarness(true)
+	sel, _ := NewSelectiveForwarding(nil)
+	bh, _ := NewBlackhole(nil)
+	odd, _ := NewBlackhole(map[string]string{"timeout": "1s"})
+	for _, m := range []module.Module{sel, bh, odd} {
+		m.Activate(h.ctx)
+	}
+	shared := h.table.Forwarding(bh.(*Blackhole).cfg)
+	defer shared.Release()
+	if sel.(*SelectiveForwarding).watch != shared || bh.(*Blackhole).watch != shared {
+		t.Error("alike-configured forwarding modules hold distinct watches")
+	}
+	if odd.(*Blackhole).watch == shared {
+		t.Error("differently configured module shares the watch")
+	}
+	// Evidence lives from first acquire to last release.
+	sel.Deactivate()
+	if w := h.table.Forwarding(bh.(*Blackhole).cfg); w != shared {
+		t.Error("one module's deactivation dropped evidence the other still reads")
+	} else {
+		w.Release()
+	}
+}
+
+// TestBlackholePublishesOnChange: SuspectBlackhole is put when the
+// relay's dropped-origin set grew, not once per frame — a frame that
+// brings no new evidence costs the module nothing.
+func TestBlackholePublishesOnChange(t *testing.T) {
+	h := newHarness(true)
+	var puts []string
+	h.kb.Subscribe(knowledge.LabelSuspectBlackhole, func(kg knowledge.Knowgget) { puts = append(puts, kg.Value) })
+	mod, _ := NewBlackhole(nil)
+	mod.Activate(h.ctx)
+	feedForwarding(t, h, []module.Module{mod}, 30, func(int) bool { return true })
+	if len(puts) != 1 || puts[0] != "3" {
+		t.Fatalf("puts = %q, want one naming origin 3", puts)
+	}
+	// Inside the alert cooldown, with the relay still blackhole-grade.
+	last := t0.Add(29 * 3 * time.Second)
+	idle := mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(4, 2, 30, 1), last, -60)
+	if n := testing.AllocsPerRun(50, func() { mod.HandlePacket(idle) }); n != 0 {
+		t.Errorf("frame without new evidence: %v allocs, want 0", n)
+	}
+	// A second origin's frames vanish at the relay: the set grew.
+	for i := 0; i < 2; i++ {
+		at := last.Add(time.Duration(i+1) * time.Second)
+		h.deliver(mkCap(t, packet.MediumIEEE802154,
+			stack.BuildCTPData(4, 2, 4, uint8(i), 0, 20, []byte{0x01, uint8(i)}), at, -65), mod)
+	}
+	if len(puts) != 2 || puts[1] != "3,4" {
+		t.Errorf("puts = %q, want a second one naming origins 3,4", puts)
 	}
 }

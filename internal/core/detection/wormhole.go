@@ -77,15 +77,11 @@ func NewWormhole(params map[string]string) (module.Module, error) {
 // Name implements module.Module.
 func (d *Wormhole) Name() string { return WormholeName }
 
-// WatchLabels implements module.Module: the module reacts to blackhole
-// suspicions and emergent sources arriving from peer Kalis nodes.
+// WatchLabels implements module.Module. The blackhole suspicions and
+// emergent sources the module correlates do not decide Required; it
+// subscribes to those itself in Activate.
 func (d *Wormhole) WatchLabels() []string {
-	return []string{
-		knowledge.LabelMediums,
-		knowledge.LabelMultihop,
-		knowledge.LabelSuspectBlackhole,
-		knowledge.LabelEmergentSource,
-	}
+	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
 }
 
 // Required implements module.Module.

@@ -185,11 +185,11 @@ func construct(cfg Config) *Kalis {
 		flowCfg.Trackers = flow.NewTrackers()
 	}
 	for i := range k.shards {
-		store := datastore.New(cfg.WindowSize)
+		store, table := datastore.New(cfg.WindowSize), flow.NewTable(flowCfg)
 		k.shards[i] = &shard{
 			store:   store,
-			table:   flow.NewTable(flowCfg),
-			manager: module.NewManager(k.kb, store, cfg.KnowledgeDriven),
+			table:   table,
+			manager: module.NewManager(k.kb, store, table, cfg.KnowledgeDriven),
 		}
 	}
 	return k
@@ -418,6 +418,8 @@ func (k *Kalis) wireTelemetry() {
 			"Module panics recovered by the supervisor, by module."),
 		BreakerTrips: tel.Counter("kalis_breaker_trips_total",
 			"Latency circuit-breaker trips (modules shed under queue pressure)."),
+		FlowUpdate: tel.Histogram("kalis_flow_update_seconds",
+			"Per-packet flow-table and feature update latency.", nil),
 	}
 	smet := datastore.StoreMetrics{
 		Appended: tel.Counter("kalis_store_appended_total",
@@ -429,13 +431,10 @@ func (k *Kalis) wireTelemetry() {
 		Evictions: tel.Counter("kalis_flow_evictions_total",
 			"Flows exported early because the table hit its capacity bound."),
 	}
-	flowLat := tel.Histogram("kalis_flow_update_seconds",
-		"Per-packet flow-table and feature update latency.", nil)
 	for _, s := range k.shards {
 		s.manager.SetMetrics(mmet)
 		s.store.SetMetrics(smet)
 		s.table.SetMetrics(fmet)
-		s.manager.SetFlows(s.table, flowLat)
 	}
 	telemetry.RegisterRuntimeMetrics(tel)
 }

@@ -35,6 +35,9 @@ type AlertFunc func(Alert)
 type Manager struct {
 	kb    *knowledge.Base
 	store *datastore.Store
+	// flows is the shard's flow table, updated once per packet before
+	// module fan-out and handed to every activated module's Context.
+	flows *flow.Table
 
 	mu              sync.Mutex
 	modules         []Module
@@ -59,14 +62,6 @@ type Manager struct {
 	// degraded counts modules currently quarantined or shed; the
 	// supervisor's revival scan runs only while it is non-zero.
 	degraded int
-
-	// flows is the node's flow table, updated once per packet before
-	// module fan-out (nil disables the flow pipeline); flowLat is the
-	// optional feature-update latency histogram, observed here rather
-	// than inside internal/flow so the flow package itself stays on
-	// the virtual capture clock.
-	flows   *flow.Table
-	flowLat *telemetry.Histogram
 
 	// pendingHealth queues supervisor state transitions for
 	// publication as ModuleHealth knowggets once the lock is released
@@ -111,15 +106,20 @@ type ManagerMetrics struct {
 	Panics *telemetry.CounterVec
 	// BreakerTrips counts latency-circuit-breaker trips.
 	BreakerTrips *telemetry.Counter
+	// FlowUpdate observes the flow-table update latency, sampled. It is
+	// measured here rather than inside internal/flow so the flow package
+	// itself stays on the virtual capture clock.
+	FlowUpdate *telemetry.Histogram
 }
 
-// NewManager creates a manager bound to a Knowledge Base and Data
-// Store. knowledgeDriven selects adaptive module activation (Kalis)
-// vs all-modules-always-on (traditional IDS baseline).
-func NewManager(kb *knowledge.Base, store *datastore.Store, knowledgeDriven bool) *Manager {
+// NewManager creates a manager bound to a Knowledge Base, Data Store
+// and flow table. knowledgeDriven selects adaptive module activation
+// (Kalis) vs all-modules-always-on (traditional IDS baseline).
+func NewManager(kb *knowledge.Base, store *datastore.Store, flows *flow.Table, knowledgeDriven bool) *Manager {
 	return &Manager{
 		kb:              kb,
 		store:           store,
+		flows:           flows,
 		states:          make(map[string]*moduleState),
 		params:          make(map[string]map[string]string),
 		knowledgeDriven: knowledgeDriven,
@@ -129,17 +129,6 @@ func NewManager(kb *knowledge.Base, store *datastore.Store, knowledgeDriven bool
 
 // KnowledgeDriven reports whether adaptive activation is enabled.
 func (m *Manager) KnowledgeDriven() bool { return m.knowledgeDriven }
-
-// SetFlows installs the flow table the manager updates once per packet
-// before module fan-out, and the optional feature-update latency
-// histogram. Call it before traffic flows (the table also lands in
-// every subsequently activated module's Context).
-func (m *Manager) SetFlows(t *flow.Table, lat *telemetry.Histogram) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.flows = t
-	m.flowLat = lat
-}
 
 // SetMetrics installs telemetry hooks. Call it before traffic flows.
 func (m *Manager) SetMetrics(met ManagerMetrics) {
@@ -253,7 +242,6 @@ func (m *Manager) applyTransitions(mod Module, st *moduleState, params map[strin
 	for {
 		m.mu.Lock()
 		want := st.want
-		flows := m.flows
 		if want == st.applied {
 			st.transitioning = false
 			m.mu.Unlock()
@@ -265,7 +253,7 @@ func (m *Manager) applyTransitions(mod Module, st *moduleState, params map[strin
 			m.safeActivate(mod, &Context{
 				KB:              m.kb,
 				Store:           m.store,
-				Flows:           flows,
+				Flows:           m.flows,
 				Emit:            m.emit,
 				Params:          params,
 				KnowledgeDriven: m.knowledgeDriven,
@@ -326,7 +314,7 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 	}
 	snap, gen := m.snap, m.snapGen.Load()
 	timed := m.timed
-	flows, flowLat := m.flows, m.flowLat
+	flowLat := m.met.FlowUpdate
 	var health []healthEvent
 	if len(m.pendingHealth) > 0 {
 		health = m.pendingHealth
@@ -351,14 +339,12 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 		// internal/flow, which stays on the virtual capture clock, and
 		// sampled (1 packet in 16, counted across batches): two clock
 		// reads per packet would cost more than the update they measure.
-		if flows != nil {
-			if flowLat != nil && (base+uint64(bi))&0xf == 0 {
-				start := time.Now()
-				flows.Update(c)
-				flowLat.Observe(time.Since(start))
-			} else {
-				flows.Update(c)
-			}
+		if flowLat != nil && (base+uint64(bi))&0xf == 0 {
+			start := time.Now()
+			m.flows.Update(c)
+			flowLat.Observe(time.Since(start))
+		} else {
+			m.flows.Update(c)
 		}
 		for _, e := range snap {
 			var start time.Time

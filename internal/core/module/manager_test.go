@@ -6,6 +6,7 @@ import (
 
 	"kalis/internal/core/datastore"
 	"kalis/internal/core/knowledge"
+	"kalis/internal/flow"
 	"kalis/internal/packet"
 )
 
@@ -40,7 +41,7 @@ func (f *fakeModule) HandlePacket(c *packet.Captured) {
 
 func newTestManager(kd bool) (*Manager, *knowledge.Base) {
 	kb := knowledge.NewBase("K1")
-	return NewManager(kb, datastore.New(16), kd), kb
+	return NewManager(kb, datastore.New(16), flow.NewTable(flow.Config{}), kd), kb
 }
 
 func TestDynamicActivation(t *testing.T) {

@@ -64,11 +64,9 @@ type Context struct {
 	KB *knowledge.Base
 	// Store is the node's Data Store (recent-traffic window).
 	Store *datastore.Store
-	// Flows is the node's flow table, updated once per packet before
-	// module fan-out; detection modules acquire their endpoint
-	// trackers from it. Nil when the manager runs without a flow
-	// pipeline (direct-construction tests): modules then fall back to
-	// standalone trackers they update themselves.
+	// Flows is the flow table the manager updates once per packet before
+	// module fan-out; detection modules acquire their endpoint trackers
+	// from it and own no evidence themselves. Never nil.
 	Flows *flow.Table
 	// Emit raises a detection alert.
 	Emit func(Alert)

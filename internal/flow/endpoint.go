@@ -66,9 +66,7 @@ type VictimWindow struct {
 	byDst    map[packet.NodeID][]Event
 	suppress map[gateID]time.Time
 
-	reg  *Trackers
-	vkey victimKey
-	refs int
+	handle
 }
 
 // gateID keys an armed alert cooldown: the policy owner (module name)
@@ -94,23 +92,7 @@ func NewVictimWindow(mask KindMask, window time.Duration) *VictimWindow {
 // when done (module Deactivate). Tables sharing a registry
 // (Config.Trackers) return the same window.
 func (t *Table) VictimWindow(mask KindMask, window time.Duration) *VictimWindow {
-	return t.trk.VictimWindow(mask, window)
-}
-
-// Release returns the handle; the last release detaches the tracker
-// from its registry (standalone windows ignore Release).
-func (w *VictimWindow) Release() {
-	if w.reg == nil {
-		return
-	}
-	r := w.reg
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w.refs--
-	if w.refs <= 0 {
-		delete(r.victims, w.vkey)
-		r.dropLocked(w)
-	}
+	return acquire(t.trk, victimKey{mask, window}, func() *VictimWindow { return NewVictimWindow(mask, window) })
 }
 
 // Observe implements Tracker.
@@ -213,6 +195,9 @@ func (w *VictimWindow) Events(dst packet.NodeID, now time.Time) []Event {
 	return out
 }
 
+// handshakeKey deduplicates handshake trackers by completion window.
+type handshakeKey time.Duration
+
 // TCPHandshakes tracks open TCP handshakes per initiator→responder pair
 // and handshake-completing pure ACKs per responder — the evidence that
 // separates a legitimate connection burst from a spoofed SYN flood.
@@ -223,8 +208,7 @@ type TCPHandshakes struct {
 	pending map[hsKey]bool
 	comps   map[packet.NodeID][]time.Time
 
-	reg  *Trackers
-	refs int
+	handle
 }
 
 // hsKey identifies a half-open handshake by its endpoint pair. A
@@ -247,22 +231,7 @@ func NewTCPHandshakes(window time.Duration) *TCPHandshakes {
 // Handshakes acquires the table's shared handshake tracker for the
 // given completion window.
 func (t *Table) Handshakes(window time.Duration) *TCPHandshakes {
-	return t.trk.Handshakes(window)
-}
-
-// Release returns the handle (see VictimWindow.Release).
-func (h *TCPHandshakes) Release() {
-	if h.reg == nil {
-		return
-	}
-	r := h.reg
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h.refs--
-	if h.refs <= 0 {
-		delete(r.handshakes, h.window)
-		r.dropLocked(h)
-	}
+	return acquire(t.trk, handshakeKey(window), func() *TCPHandshakes { return NewTCPHandshakes(window) })
 }
 
 // Observe implements Tracker.
@@ -336,9 +305,7 @@ type IdentityStats struct {
 	start time.Time
 	ids   map[packet.NodeID]*identStat
 
-	reg  *Trackers
-	ikey identityKey
-	refs int
+	handle
 }
 
 // identStat is one identity's fingerprint state, held in a single map
@@ -361,22 +328,7 @@ func NewIdentityStats(alpha float64, medium packet.Medium) *IdentityStats {
 // IdentityStats acquires the table's shared identity tracker for the
 // given EWMA smoothing factor and medium.
 func (t *Table) IdentityStats(alpha float64, medium packet.Medium) *IdentityStats {
-	return t.trk.IdentityStats(alpha, medium)
-}
-
-// Release returns the handle (see VictimWindow.Release).
-func (s *IdentityStats) Release() {
-	if s.reg == nil {
-		return
-	}
-	r := s.reg
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.refs--
-	if s.refs <= 0 {
-		delete(r.identities, s.ikey)
-		r.dropLocked(s)
-	}
+	return acquire(t.trk, identityKey{alpha, medium}, func() *IdentityStats { return NewIdentityStats(alpha, medium) })
 }
 
 // Observe implements Tracker.
@@ -467,8 +419,7 @@ type IdentityMotion struct {
 	mu     sync.Mutex
 	tracks map[packet.NodeID]*motionTrack
 
-	reg  *Trackers
-	refs int
+	handle
 }
 
 // MotionSnapshot is the race-safe read of one identity's current
@@ -492,22 +443,7 @@ func NewIdentityMotion(cfg MotionConfig) *IdentityMotion {
 // configuration (the static and mobile replication modules share one
 // tracker when configured alike, so the state updates once per packet).
 func (t *Table) Motion(cfg MotionConfig) *IdentityMotion {
-	return t.trk.Motion(cfg)
-}
-
-// Release returns the handle (see VictimWindow.Release).
-func (m *IdentityMotion) Release() {
-	if m.reg == nil {
-		return
-	}
-	r := m.reg
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m.refs--
-	if m.refs <= 0 {
-		delete(r.motions, m.cfg)
-		r.dropLocked(m)
-	}
+	return acquire(t.trk, cfg, func() *IdentityMotion { return NewIdentityMotion(cfg) })
 }
 
 // Observe implements Tracker.

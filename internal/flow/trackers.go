@@ -3,16 +3,13 @@ package flow
 import (
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"kalis/internal/packet"
 )
 
 // Trackers is the endpoint-tracker registry: victim windows, TCP
-// handshake ledgers, identity fingerprints and motion tracks,
-// deduplicated by configuration and reference-counted. Every Table
-// points at one — private by default, or shared across tables via
-// Config.Trackers.
+// handshake ledgers, identity fingerprints, motion tracks and
+// forwarding watches, deduplicated by configuration and
+// reference-counted. Every Table points at one — private by default, or
+// shared across tables via Config.Trackers.
 //
 // Sharing exists for the sharded ingestion pipeline: packets shard by
 // *source* hash, but these trackers key their evidence by victim,
@@ -24,11 +21,10 @@ import (
 // stays shard-local. Every tracker locks internally, so concurrent
 // Observe calls from several shard workers are safe.
 type Trackers struct {
-	mu         sync.Mutex
-	victims    map[victimKey]*VictimWindow
-	handshakes map[time.Duration]*TCPHandshakes
-	identities map[identityKey]*IdentityStats
-	motions    map[MotionConfig]*IdentityMotion
+	mu sync.Mutex
+	// byKey holds every live tracker under its configuration key; each
+	// tracker kind has its own key type, so kinds cannot collide.
+	byKey map[any]Tracker
 
 	// observe is the copy-on-write Tracker list: Table.Update loads the
 	// snapshot with one atomic read per packet; acquire and release swap
@@ -38,13 +34,55 @@ type Trackers struct {
 
 // NewTrackers creates an empty registry, shareable across flow tables
 // via Config.Trackers.
-func NewTrackers() *Trackers {
-	return &Trackers{
-		victims:    make(map[victimKey]*VictimWindow),
-		handshakes: make(map[time.Duration]*TCPHandshakes),
-		identities: make(map[identityKey]*IdentityStats),
-		motions:    make(map[MotionConfig]*IdentityMotion),
+func NewTrackers() *Trackers { return &Trackers{byKey: make(map[any]Tracker)} }
+
+// handle is the registry bookkeeping every tracker embeds: the registry
+// holding it (nil for a standalone tracker), its key there, the tracker
+// itself as the observe list holds it, and the number of acquirers.
+type handle struct {
+	reg  *Trackers
+	key  any
+	tr   Tracker
+	refs int
+}
+
+func (h *handle) registration() *handle { return h }
+
+// Release returns the handle; the last release detaches the tracker
+// from its registry, and its evidence goes with it (standalone
+// trackers ignore Release).
+func (h *handle) Release() {
+	r := h.reg
+	if r == nil {
+		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if h.refs--; h.refs <= 0 {
+		delete(r.byKey, h.key)
+		r.dropLocked(h.tr)
+	}
+}
+
+// acquire returns the registry's tracker for the configuration key,
+// creating it with mk on first use, and counts the caller as a holder:
+// alike-configured callers share one tracker, so its state updates once
+// per packet however many modules read it.
+func acquire[T interface {
+	Tracker
+	registration() *handle
+}](r *Trackers, key any, mk func() T) T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	tr, ok := r.byKey[key].(T)
+	if !ok {
+		tr = mk()
+		*tr.registration() = handle{reg: r, key: key, tr: tr}
+		r.byKey[key] = tr
+		r.addLocked(tr)
+	}
+	tr.registration().refs++
+	return tr
 }
 
 // snapshot returns the current observe list (nil when empty).
@@ -71,72 +109,4 @@ func (r *Trackers) dropLocked(tr Tracker) {
 		}
 	}
 	r.observe.Store(next)
-}
-
-// VictimWindow acquires the registry's shared victim window for the
-// given kind mask and window, creating it on first use. Release the
-// handle when done (module Deactivate).
-func (r *Trackers) VictimWindow(mask KindMask, window time.Duration) *VictimWindow {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := victimKey{mask: mask, window: window}
-	w := r.victims[k]
-	if w == nil {
-		w = NewVictimWindow(mask, window)
-		w.reg, w.vkey = r, k
-		r.victims[k] = w
-		r.addLocked(w)
-	}
-	w.refs++
-	return w
-}
-
-// Handshakes acquires the registry's shared handshake tracker for the
-// given completion window.
-func (r *Trackers) Handshakes(window time.Duration) *TCPHandshakes {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.handshakes[window]
-	if h == nil {
-		h = NewTCPHandshakes(window)
-		h.reg = r
-		r.handshakes[window] = h
-		r.addLocked(h)
-	}
-	h.refs++
-	return h
-}
-
-// IdentityStats acquires the registry's shared identity tracker for the
-// given EWMA smoothing factor and medium.
-func (r *Trackers) IdentityStats(alpha float64, medium packet.Medium) *IdentityStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := identityKey{alpha: alpha, medium: medium}
-	s := r.identities[k]
-	if s == nil {
-		s = NewIdentityStats(alpha, medium)
-		s.reg, s.ikey = r, k
-		r.identities[k] = s
-		r.addLocked(s)
-	}
-	s.refs++
-	return s
-}
-
-// Motion acquires the registry's shared motion tracker for the given
-// configuration (the static and mobile replication modules share one
-// tracker when configured alike, so the state updates once per packet).
-func (r *Trackers) Motion(cfg MotionConfig) *IdentityMotion {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.motions[cfg]
-	if m == nil {
-		m = NewIdentityMotion(cfg)
-		m.reg = r
-		r.motions[cfg] = m
-		r.addLocked(m)
-	}
-	m.refs++
-	return m
 }

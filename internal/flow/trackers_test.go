@@ -76,6 +76,25 @@ func TestSharedTrackersAcrossTables(t *testing.T) {
 	} else {
 		w.Release()
 	}
+
+	// The forwarding watch lives by the same rule: evidence from first
+	// acquire to last release, whichever table's module holds it.
+	fA, fB := tblA.Forwarding(fwdCfg), tblB.Forwarding(fwdCfg)
+	fA.Release()
+	if f := tblB.Forwarding(fwdCfg); f != fB {
+		t.Error("release of one handle detached a still-referenced forwarding watch")
+	} else {
+		f.Release()
+	}
+	fB.Release()
+	if n := len(reg.snapshot()); n != 0 {
+		t.Errorf("%d trackers still observe after their last release", n)
+	}
+	if f := tblA.Forwarding(fwdCfg); f == fB {
+		t.Error("fully released forwarding watch was resurrected instead of recreated")
+	} else {
+		f.Release()
+	}
 }
 
 // TestPrivateTrackersByDefault: tables built without Config.Trackers

@@ -54,11 +54,15 @@ func TestCallGraphGolden(t *testing.T) {
 	// the ring worker (through the ingest.Sink interface). And the walk
 	// from the frame decoder — a function root — must reach every
 	// layer's one decoding body, the frame allocation (behind an
-	// explicit generic instantiation) and the identity table.
+	// explicit generic instantiation) and the identity table. Evidence
+	// is folded in by the flow table, so the forwarding watch's Observe
+	// must be on the dispatch walk too (through flow.Tracker).
 	dispatch := []string{
 		"(*kalis/internal/core.shard).HandleBatch",
 		"(*kalis/internal/core/module.Manager).HandleBatch",
 		"(*kalis/internal/core/module.Manager).invoke",
+		"(*kalis/internal/flow.Table).Update",
+		"(*kalis/internal/flow.ForwardingWatch).Observe",
 	}
 	reach := map[string][]string{
 		"HandleCapture": dispatch,

@@ -55,8 +55,12 @@ func (m *RandomWaypoint) Start(start time.Time, interval time.Duration) {
 // characterizes a mobile network. It is the mobility model of the
 // replication experiment: topology-safe, observably mobile.
 type JitterMover struct {
-	sim    *Sim
-	homes  map[*Node]Position
+	sim *Sim
+	// nodes and homes are parallel, in the order the mover was built
+	// from: every step draws from the seeded sim RNG per node, so the
+	// walk order decides which node gets which draw.
+	nodes  []*Node
+	homes  []Position
 	radius float64
 	active bool
 }
@@ -64,11 +68,11 @@ type JitterMover struct {
 // NewJitterMover creates a mover; each node's current position becomes
 // its home.
 func NewJitterMover(sim *Sim, nodes []*Node, radius float64) *JitterMover {
-	homes := make(map[*Node]Position, len(nodes))
-	for _, n := range nodes {
-		homes[n] = n.Pos
+	homes := make([]Position, len(nodes))
+	for i, n := range nodes {
+		homes[i] = n.Pos
 	}
-	return &JitterMover{sim: sim, homes: homes, radius: radius}
+	return &JitterMover{sim: sim, nodes: nodes, homes: homes, radius: radius}
 }
 
 // SetActive enables or disables movement. Disabling returns every node
@@ -76,8 +80,8 @@ func NewJitterMover(sim *Sim, nodes []*Node, radius float64) *JitterMover {
 func (m *JitterMover) SetActive(v bool) {
 	m.active = v
 	if !v {
-		for n, home := range m.homes {
-			n.MoveTo(home)
+		for i, n := range m.nodes {
+			n.MoveTo(m.homes[i])
 		}
 	}
 }
@@ -91,10 +95,11 @@ func (m *JitterMover) Start(start time.Time, interval time.Duration) {
 		if !m.active {
 			return true
 		}
-		for n, home := range m.homes {
+		for i, n := range m.nodes {
 			if n.Revoked() {
 				continue
 			}
+			home := m.homes[i]
 			n.MoveTo(Position{
 				X: home.X + (m.sim.rng.Float64()*2-1)*m.radius,
 				Y: home.Y + (m.sim.rng.Float64()*2-1)*m.radius,

@@ -66,7 +66,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzStackDecode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &
-# invariants"): simulated-clock discipline, named bus topics, hot-path
+# invariants"): simulated-clock discipline, hot-path
 # allocation/formatting/blocking bans over the devirtualized call
 # graph, lock-order and packet-taint checks, panic policy, discarded
 # errors. The committed baseline (normally empty) supports gradual
@@ -112,10 +112,10 @@ flow-demo:
 scale-demo:
 	$(GO) run ./cmd/kalis-bench -exp scale
 
-# Fleet-scale collective: anti-entropy digest gossip vs legacy snapshot
-# push on 1k-10k simulated nodes, with live kalis_collective_* scrapes,
-# a partition convergence curve and the loss/partition fault matrix
-# (EXPERIMENTS.md "Fleet scaling").
+# Fleet-scale collective: anti-entropy digest gossip on 1k-10k simulated
+# nodes, with live kalis_collective_* scrapes, a partition convergence
+# curve and the loss/partition fault matrix (EXPERIMENTS.md "Fleet
+# scaling").
 fleet-demo:
 	$(GO) run ./cmd/kalis-bench -exp fleet
 

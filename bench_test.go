@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"kalis/internal/core/datastore"
-	"kalis/internal/core/event"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/eval"
@@ -281,28 +280,6 @@ func BenchmarkAblationWindowSize(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationBusMode compares synchronous vs asynchronous event
-// delivery (§V event-driven architecture).
-func BenchmarkAblationBusMode(b *testing.B) {
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "async"
-		}
-		b.Run(name, func(b *testing.B) {
-			const topic = "bench" // a custom topic: DropNewest when async
-			bus := event.NewBus(async)
-			sink := 0
-			bus.Subscribe(topic, func(interface{}) { sink++ })
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bus.Publish(topic, i)
-			}
-			bus.Close()
 		})
 	}
 }

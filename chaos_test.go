@@ -2,10 +2,10 @@ package kalis
 
 // Chaos scenario: the ISSUE's scripted resilience drill. From one fixed
 // seed, a fault scenario partitions the collective link, detonates a
-// detection module mid-traffic, and bursts the knowledge topic — then
-// the test asserts the pipeline degraded exactly as designed and fully
-// recovered, with every transition visible in a real HTTP telemetry
-// scrape:
+// detection module mid-traffic, and bursts knowledge changes and alerts
+// at a lagging consumer — then the test asserts the pipeline degraded
+// exactly as designed and fully recovered, with every transition
+// visible in a real HTTP telemetry scrape:
 //
 //   - the panicking module is quarantined, probed and re-admitted
 //     (kalis_module_panics_total, kalis_module_quarantined);
@@ -13,10 +13,9 @@ package kalis
 //     (kalis_collective_peer_evictions_total);
 //   - a transient send failure is retried, not dropped
 //     (kalis_collective_send_retries_total);
-//   - the knowledge burst coalesces per knowgget key and the detection
-//     topic loses nothing under its Block policy
-//     (kalis_bus_coalesced_total, kalis_bus_watermark_total, zero
-//     detection drops);
+//   - every knowledge change and every alert of a burst reaches its
+//     consumer, and the ingest ring — the node's only queue — accounts
+//     for every capture (kalis_bus_publishes_total, IngestStats);
 //   - every injected fault is counted (kalis_fault_injected_total).
 
 import (
@@ -34,7 +33,6 @@ import (
 
 	"kalis/internal/core"
 	"kalis/internal/core/collective"
-	"kalis/internal/core/event"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/fault"
@@ -44,18 +42,25 @@ import (
 )
 
 // chaosBomb is a detection module that panics on every packet while
-// armed — the crafted-frame crash the supervisor must contain.
-type chaosBomb struct{ armed atomic.Bool }
+// armed — the crafted-frame crash the supervisor must contain — and
+// raises an alert on every packet while alerting.
+type chaosBomb struct {
+	armed, alerting atomic.Bool
+	emit            func(module.Alert)
+}
 
 func (b *chaosBomb) Name() string                  { return "chaos-bomb" }
 func (b *chaosBomb) Kind() module.Kind             { return module.KindDetection }
 func (b *chaosBomb) WatchLabels() []string         { return nil }
 func (b *chaosBomb) Required(*knowledge.Base) bool { return true }
-func (b *chaosBomb) Activate(*module.Context)      {}
+func (b *chaosBomb) Activate(ctx *module.Context)  { b.emit = ctx.Emit }
 func (b *chaosBomb) Deactivate()                   {}
-func (b *chaosBomb) HandlePacket(*packet.Captured) {
+func (b *chaosBomb) HandlePacket(c *packet.Captured) {
 	if b.armed.Load() {
 		panic("chaos: crafted frame")
+	}
+	if b.alerting.Load() {
+		b.emit(module.Alert{Attack: "chaos-burst", Time: c.Time})
 	}
 }
 
@@ -94,8 +99,8 @@ func (c *virtualClock) advance(d time.Duration) {
 }
 
 // waitFor polls cond until it holds or the deadline passes. The chaos
-// node runs an async bus, so state changes land shortly after the
-// publishing call returns.
+// node dispatches on a ring worker, so state changes land shortly after
+// HandleCapture returns.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -274,39 +279,37 @@ func TestChaosScenario(t *testing.T) {
 		t.Fatalf("still quarantined after probation: %v", q)
 	}
 
-	// --- act V: knowledge burst coalesces, detection stays lossless -
-	gate := make(chan struct{})
-	var gateOnce sync.Once
+	// --- act V: bursts at a lagging consumer lose nothing -----------
 	var kgSeen atomic.Uint64
-	k1.OnKnowledge(func(knowledge.Knowgget) {
-		kgSeen.Add(1)
-		gateOnce.Do(func() { <-gate }) // park the worker: let the burst pile up
-	})
-	k1.KB().PutInt("ChaosBurst", 0)
-	waitFor(t, "knowledge worker parked", func() bool { return kgSeen.Load() >= 1 })
-	for i := 1; i <= 50; i++ {
-		k1.KB().PutInt("ChaosBurst", i) // same knowgget key: coalesces
+	k1.OnKnowledge(func(knowledge.Knowgget) { kgSeen.Add(1) })
+	const knowledgeBurst = 51
+	for i := 0; i < knowledgeBurst; i++ {
+		k1.KB().PutInt("ChaosBurst", i) // one key, every value a change
 	}
-	close(gate)
-	waitFor(t, "burst drained", func() bool { return k1.Bus().QueueDepth() == 0 })
-	if n := kgSeen.Load(); n >= 51 {
-		t.Fatalf("knowledge burst was not coalesced: %d deliveries", n)
+	if n := kgSeen.Load(); n != knowledgeBurst {
+		t.Fatalf("knowledge burst: %d of %d changes delivered", n, knowledgeBurst)
 	}
 
 	var alertsSeen atomic.Uint64
 	k1.OnAlert(func(module.Alert) {
 		alertsSeen.Add(1)
-		time.Sleep(10 * time.Microsecond) // lag the consumer past the watermark
+		time.Sleep(10 * time.Microsecond) // lag the consumer: the ring absorbs it
 	})
-	const alertBurst = event.AsyncQueueCap + 128
-	go func() {
-		for i := 0; i < alertBurst; i++ {
-			k1.Bus().Publish(event.TopicDetection, module.Alert{Attack: "chaos-burst"})
-		}
-	}()
-	waitFor(t, "lossless detection burst", func() bool {
-		return alertsSeen.Load() == alertBurst
-	})
+	before := k1.IngestStats()
+	bomb.alerting.Store(true)
+	const alertBurst = 1152
+	for i := 0; i < alertBurst; i++ {
+		k1.HandleCapture(pktAt(10*time.Second + time.Duration(i)*time.Millisecond))
+	}
+	k1.DrainIngest()
+	bomb.alerting.Store(false)
+	st := k1.IngestStats()
+	if st.Enqueued-before.Enqueued != alertBurst || st.Enqueued != st.Accepted+st.Dropped || st.Accepted != st.Delivered {
+		t.Fatalf("ingest accounting does not balance after the burst: %+v (before %+v)", st, before)
+	}
+	if got, want := alertsSeen.Load(), st.Delivered-before.Delivered; got != want {
+		t.Fatalf("alert burst: %d alerts delivered for %d dispatched packets", got, want)
+	}
 
 	// --- epilogue: every transition visible in one real scrape ------
 	body := scrape(t, k1.Telemetry().Handler())
@@ -323,18 +326,15 @@ func TestChaosScenario(t *testing.T) {
 	}
 	for sample, min := range map[string]float64{
 		`kalis_collective_send_retries_total`:          1,
-		`kalis_bus_coalesced_total{topic="knowledge"}`: 1,
-		`kalis_bus_watermark_total{topic="detection"}`: 1,
+		`kalis_bus_publishes_total{topic="knowledge"}`: knowledgeBurst,
 		`kalis_fault_injected_total{kind="partition"}`: 2, // Partition() + ≥1 blocked datagram
 	} {
 		if got := metricValue(t, body, sample); got < min {
 			t.Errorf("scrape: %s = %v (want >= %v)", sample, got, min)
 		}
 	}
-	if re := regexp.MustCompile(`(?m)^kalis_bus_drops_total\{topic="detection"\} (\d+)$`); true {
-		if m := re.FindStringSubmatch(body); m != nil && m[1] != "0" {
-			t.Errorf("detection topic dropped %s events under Block policy", m[1])
-		}
+	if got, want := metricValue(t, body, `kalis_bus_publishes_total{topic="detection"}`), float64(alertsSeen.Load()); got != want {
+		t.Errorf("scrape: %v alerts published, %v delivered", got, want)
 	}
 	if testing.Verbose() {
 		fmt.Println(body)

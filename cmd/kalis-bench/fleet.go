@@ -1,9 +1,8 @@
 package main
 
 // The fleet experiment measures the collective layer at scale:
-// anti-entropy digest gossip (delta sync, capped fan-out) against the
-// legacy snapshot-push protocol, on fleets of 1k-10k simulated nodes.
-// Each row runs one fleet, then scrapes the run's own live /metrics
+// anti-entropy digest gossip (delta sync, capped fan-out) on fleets of
+// 1k-10k simulated nodes. Each row runs one fleet, then scrapes the run's own live /metrics
 // endpoint for the kalis_collective_* totals — the table reports what
 // an operator's Prometheus would see, not internal counters. A second
 // table drills convergence under a half/half partition and a link-loss
@@ -39,41 +38,23 @@ func fleetRow(cfg fleet.Config) (*fleet.Result, float64, error) {
 }
 
 func runFleet(out io.Writer, seed int64) error {
-	fmt.Fprintln(out, "Fleet scaling — anti-entropy digest gossip vs legacy snapshot push")
+	fmt.Fprintln(out, "Fleet scaling — anti-entropy digest gossip")
 	fmt.Fprintln(out, "(bytes are live kalis_collective_bytes_sent_total scrapes; 30 updates/key churned over 3 gossip ticks)")
-	fmt.Fprintf(out, "%-7s %-7s %-7s %-11s %-11s %-13s %-9s %-8s\n",
-		"nodes", "mode", "rounds", "converged", "bytes(MB)", "bytes/node", "digests", "deltas")
-
-	type row struct {
-		nodes  int
-		legacy bool
-	}
-	rows := []row{{1000, false}, {4000, false}, {10000, false}, {1000, true}}
-	var gossip1k, legacy1k float64
-	for _, r := range rows {
-		res, bytes, err := fleetRow(fleet.Config{Nodes: r.nodes, LegacyPush: r.legacy, Seed: seed})
+	fmt.Fprintf(out, "%-7s %-7s %-11s %-11s %-13s %-9s %-8s\n",
+		"nodes", "rounds", "converged", "bytes(MB)", "bytes/node", "digests", "deltas")
+	for _, nodes := range []int{1000, 4000, 10000} {
+		res, bytes, err := fleetRow(fleet.Config{Nodes: nodes, Seed: seed})
 		if err != nil {
 			return err
 		}
-		mode := "gossip"
-		if r.legacy {
-			mode = "legacy"
-			if r.nodes == 1000 {
-				legacy1k = bytes
-			}
-		} else if r.nodes == 1000 {
-			gossip1k = bytes
-		}
-		fmt.Fprintf(out, "%-7d %-7s %-7d %-11s %-11.2f %-13s %-9d %-8d\n",
-			r.nodes, mode, res.Rounds,
+		fmt.Fprintf(out, "%-7d %-7d %-11s %-11.2f %-13s %-9d %-8d\n",
+			nodes, res.Rounds,
 			fmt.Sprintf("%d/%d", res.ConvergedNodes, res.Nodes),
 			bytes/1e6,
-			fmt.Sprintf("%.1fKB", bytes/float64(r.nodes)/1e3),
+			fmt.Sprintf("%.1fKB", bytes/float64(nodes)/1e3),
 			res.Digests, res.Deltas)
 	}
-	if gossip1k > 0 {
-		fmt.Fprintf(out, "bytes ratio at 1k nodes: legacy/gossip = %.1fx\n\n", legacy1k/gossip1k)
-	}
+	fmt.Fprintln(out)
 
 	// Convergence curve at 1k under a 10-round half/half partition.
 	res, _, err := fleetRow(fleet.Config{Nodes: 1000, Seed: seed, PartitionRounds: 10})

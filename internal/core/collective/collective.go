@@ -49,7 +49,6 @@ type Node struct {
 	dirty      map[string]knowledge.Knowgget
 	flushedVer uint64
 	fanout     int
-	legacyPush bool
 	rng        *mrand.Rand
 
 	// Resilience knobs (see resilience.go). now and sleep are
@@ -161,7 +160,7 @@ func NewNode(kb *knowledge.Base, t Transport, passphrase string) (*Node, error) 
 }
 
 // Beacon broadcasts one discovery advertisement, sweeps the peer table
-// for silent peers, and (in gossip mode) runs one anti-entropy round.
+// for silent peers, and runs one anti-entropy round.
 // Call it periodically (a real deployment uses RunBeacon; simulations
 // drive it from the virtual clock).
 func (n *Node) Beacon() {
@@ -173,12 +172,9 @@ func (n *Node) Beacon() {
 	n.mu.Lock()
 	n.bytesSent += uint64(len(data))
 	n.met.BytesSent.Add(uint64(len(data)))
-	legacy := n.legacyPush
 	n.mu.Unlock()
 	_ = n.transport.Broadcast(data)
-	if !legacy {
-		n.gossipRound()
-	}
+	n.gossipRound()
 }
 
 // Gossip runs one anti-entropy round immediately: flush the dirty
@@ -192,15 +188,6 @@ func (n *Node) SetFanout(k int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.fanout = k
-}
-
-// SetLegacyPush switches the node back to the pre-gossip protocol —
-// every local change is immediately pushed to every peer — used as the
-// bytes-on-wire baseline in the fleet experiments.
-func (n *Node) SetLegacyPush(on bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.legacyPush = on
 }
 
 // SetGossipSeed reseeds the fan-out selection RNG (simulations).
@@ -306,45 +293,13 @@ func (n *Node) VersionVector() map[string]uint64 {
 	return out
 }
 
-// push is installed as the Knowledge Base's sync hook. In gossip mode
-// it only buffers the dirty key — the change rides the next gossip
-// tick, coalesced with everything else that changed since the last
-// flush. In legacy mode it reproduces the original per-update push to
-// every peer.
-//
-//lint:coldpath collective sync runs once per collective-knowgget change (cooldown-gated in the detection modules), not per packet; gossip mode buffers one dirty key, legacy mode seals and sends by design
+// push is installed as the Knowledge Base's sync hook. It only buffers
+// the dirty key — the change rides the next gossip tick, coalesced with
+// everything else that changed since the last flush.
 func (n *Node) push(k knowledge.Knowgget) {
-	key := k.Key()
 	n.mu.Lock()
-	if !n.legacyPush {
-		n.dirty[key] = k
-		n.mu.Unlock()
-		return
-	}
-	addrs := make([]string, 0, len(n.peers))
-	for _, p := range n.peers {
-		addrs = append(addrs, p.addr)
-	}
-	n.sent += len(addrs)
-	n.met.SyncSent.Add(uint64(len(addrs)))
-	n.deltasSent += len(addrs)
-	n.met.DeltasSent.Add(uint64(len(addrs)))
+	n.dirty[k.Key()] = k
 	n.mu.Unlock()
-	if len(addrs) == 0 {
-		return
-	}
-	// from=0, upTo=0: a pure value push that never moves watermarks.
-	data, err := n.seal(encodeWire(&wireMsg{
-		kind:     kindDelta,
-		sender:   n.kb.LocalID(),
-		sections: []deltaSection{{creator: k.Creator, entries: []knowledge.Knowgget{k}}},
-	}))
-	if err != nil {
-		return
-	}
-	for _, addr := range addrs {
-		n.sendReliable(addr, data)
-	}
 }
 
 // gossipRound runs one anti-entropy round: pick up to fanout random
@@ -365,6 +320,9 @@ func (n *Node) gossipRound() {
 		return
 	}
 	if n.fanout > 0 && len(targets) > n.fanout {
+		// The shuffle draws from the seeded RNG, so it must start from
+		// an order that is not the map's.
+		sort.Strings(targets)
 		// Partial Fisher-Yates: the first fanout slots become a
 		// uniform random subset.
 		for i := 0; i < n.fanout; i++ {

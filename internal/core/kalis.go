@@ -3,9 +3,9 @@
 // — Data Store, flow table and Module Manager — inline or through an
 // ingest ring; sensing modules distill knowggets into the Knowledge
 // Base; the Knowledge Base drives dynamic activation of detection
-// modules; knowledge, alerts and flow records travel the event bus to
-// subscribers (dashboards, countermeasures, the smart firewall) and
-// collective knowledge synchronizes with peer Kalis nodes.
+// modules; knowledge changes, alerts and flow records are handed to
+// typed subscribers (dashboards, countermeasures, the smart firewall)
+// and collective knowledge synchronizes with peer Kalis nodes.
 package core
 
 import (
@@ -18,7 +18,6 @@ import (
 	"kalis/internal/core/collective"
 	"kalis/internal/core/datastore"
 	"kalis/internal/core/detection"
-	"kalis/internal/core/event"
 	"kalis/internal/core/kconfig"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
@@ -41,12 +40,13 @@ type Config struct {
 	// WindowSize is the Data Store sliding-window capacity (packets);
 	// 0 selects the default.
 	WindowSize int
-	// Async selects asynchronous delivery (the paper's "all components
-	// run independently" mode): bus consumers (knowledge, detection,
-	// flow records) each get their own goroutine and queue, and packets
-	// go through an ingest ring to a worker even with a single shard.
-	// Synchronous delivery is deterministic and is the default for
-	// experiments.
+	// Async takes dispatch off the capture goroutine (the paper's "all
+	// components run independently" mode): packets go through an ingest
+	// ring to a worker even with a single shard — drop-newest when the
+	// ring is full, counted exactly in IngestStats — and that worker
+	// runs the modules and every OnAlert/OnKnowledge/OnFlowRecord
+	// subscriber. In-line dispatch is deterministic and is the default
+	// for experiments.
 	Async bool
 	// ConfigText is an optional configuration file in the Fig. 6
 	// grammar: module activations and a-priori knowggets.
@@ -59,7 +59,7 @@ type Config struct {
 	// Flow tunes the flow table (zero fields select the defaults; see
 	// flow.Config). The flow pipeline is always on: the table is
 	// updated once per packet before module fan-out and expired flows
-	// are exported on the flow.records bus topic.
+	// are exported to the OnFlowRecord subscribers.
 	Flow flow.Config
 	// StateDir, when non-empty, enables durable state: the Knowledge
 	// Base and Data Store window are recovered from this directory at
@@ -126,20 +126,24 @@ func (s *shard) HandleBatch(batch []*packet.Captured) {
 }
 
 // Kalis is one IDS node: one or more shards behind a shared Knowledge
-// Base, module registry, event bus and telemetry registry. There is one
-// packet path — HandleCapture → shard.HandleBatch — with two executors:
-// in line on the caller's goroutine when the node has no ingest ring,
-// on the shard's ring worker otherwise.
+// Base, module registry, event fan-outs and telemetry registry. There
+// is one packet path — HandleCapture → shard.HandleBatch — with two
+// executors: in line on the caller's goroutine when the node has no
+// ingest ring, on the shard's ring worker otherwise.
 type Kalis struct {
 	id       string
 	kb       *knowledge.Base
 	registry *module.Registry
-	bus      *event.Bus
 	tel      *telemetry.Registry
 	shards   []*shard
 	pipe     *ingest.Pipeline // nil: in-line dispatch
 	coll     *collective.Node
 	closed   atomic.Bool
+	// The node's three outputs, each with one publisher: the shards'
+	// managers, the Knowledge Base and the shards' flow tables.
+	alerts  fanout[module.Alert]
+	changes fanout[knowledge.Knowgget]
+	records fanout[flow.Record]
 }
 
 // New builds a Kalis node.
@@ -168,7 +172,6 @@ func construct(cfg Config) *Kalis {
 		id:       cfg.NodeID,
 		kb:       knowledge.NewBase(cfg.NodeID),
 		registry: module.NewRegistry(),
-		bus:      event.NewBus(cfg.Async),
 		tel:      telemetry.NewRegistry(),
 		shards:   make([]*shard, max(cfg.Shards, 1)),
 	}
@@ -227,55 +230,19 @@ func (k *Kalis) recover(cfg Config) error {
 	return nil
 }
 
-// wire connects the components: bus policies, telemetry, the shards'
-// outputs (alerts, flow records, knowledge changes) onto the bus, and
-// the ingest ring when the node needs one.
+// wire connects the components: telemetry, the shards' outputs (alerts,
+// flow records) and the Knowledge Base's changes onto the node's
+// fan-outs, and the ingest ring when the node needs one.
 func (k *Kalis) wire(cfg Config) {
-	bus := k.bus
-	// Per-topic overflow policies (async mode): knowledge events
-	// coalesce per knowgget key (only the latest value of a knowgget
-	// matters), and detection events are lossless — a dropped alert is
-	// a missed detection.
-	bus.SetTopicPolicy(event.TopicKnowledge, event.TopicPolicy{
-		Policy: event.CoalesceByKey,
-		Key: func(payload interface{}) string {
-			if kg, ok := payload.(knowledge.Knowgget); ok {
-				return kg.Key()
-			}
-			return ""
-		},
-	})
-	bus.SetTopicPolicy(event.TopicDetection, event.TopicPolicy{Policy: event.Block})
-	// Flow records coalesce per flow key: if a consumer lags, only the
-	// latest record for a given flow is kept (a re-expired flow
-	// supersedes its earlier record).
-	bus.SetTopicPolicy(event.TopicFlowRecords, event.TopicPolicy{
-		Policy: event.CoalesceByKey,
-		Key: func(payload interface{}) string {
-			if r, ok := payload.(flow.Record); ok {
-				return r.CoalesceKey()
-			}
-			return ""
-		},
-	})
 	k.wireTelemetry()
-	alerts := k.tel.CounterVec("kalis_alerts_total", "attack",
-		"Detection alerts raised, by canonical attack name.")
 	for _, s := range k.shards {
-		//lint:ignore hotalloc flow records box once per export (expiry/eviction), amortized across the flow's packets
-		s.table.OnExport(func(r flow.Record) { bus.Publish(event.TopicFlowRecords, r) })
-		s.manager.OnAlert(func(a module.Alert) {
-			//lint:ignore hotpath alerts are rare and cooldown-gated; one label lookup per alert is off the per-packet budget
-			alerts.With(a.Attack).Inc()
-			//lint:ignore hotalloc alert boxing happens once per raised alert, cooldown-gated far below packet rate
-			bus.Publish(event.TopicDetection, a)
-		})
+		s.table.OnExport(k.records.publish)
+		s.manager.OnAlert(k.alerts.publish)
 		// The supervisor's circuit breaker sheds persistently-over-budget
 		// modules while the node is backlogged.
 		s.manager.SetPressure(k.backlog)
 	}
-	//lint:ignore hotalloc knowgget boxing happens once per knowledge change, change-gated far below packet rate
-	k.kb.SubscribeAll(func(kg knowledge.Knowgget) { bus.Publish(event.TopicKnowledge, kg) })
+	k.kb.SubscribeAll(k.changes.publish)
 
 	// The executor follows from what the node already knows: several
 	// shards need rings to be fed in parallel, and an asynchronous node
@@ -297,13 +264,12 @@ func (k *Kalis) wire(cfg Config) {
 }
 
 // backlog is the node's queue pressure: packets waiting in the ingest
-// rings plus events queued for asynchronous bus consumers.
+// rings (none on a node that dispatches in line).
 func (k *Kalis) backlog() int {
-	n := k.bus.QueueDepth()
 	if k.pipe != nil {
-		n += k.pipe.Depth()
+		return k.pipe.Depth()
 	}
-	return n
+	return 0
 }
 
 // install loads the configuration file's knowggets and modules, then
@@ -370,20 +336,20 @@ func ingestMetrics(tel *telemetry.Registry, shards int) ingest.Metrics {
 // packet path never stores one and concurrent shards cannot overwrite
 // each other.
 func (k *Kalis) wireTelemetry() {
-	tel, bus := k.tel, k.bus
-	bus.SetMetrics(event.Metrics{
-		Publishes: tel.CounterVec("kalis_bus_publishes_total", "topic",
-			"Events published on the bus, by topic."),
-		Drops: tel.CounterVec("kalis_bus_drops_total", "topic",
-			"Events lost to full async subscriber queues, by topic."),
-		Coalesced: tel.CounterVec("kalis_bus_coalesced_total", "topic",
-			"Events absorbed by per-key coalescing (replaced, not lost), by topic."),
-		Watermarks: tel.CounterVec("kalis_bus_watermark_total", "topic",
-			"High-watermark crossings on lossless (Block-policy) topics."),
+	tel := k.tel
+	// The series keeps the name it had when these events crossed an
+	// event bus: dashboards and benchmark/perlayer.go read it.
+	published := tel.CounterVec("kalis_bus_publishes_total", "topic",
+		"Events handed to the node's subscribers, by topic (knowledge, detection, flow.records).")
+	k.changes.published = published.With("knowledge")
+	k.alerts.published = published.With("detection")
+	k.records.published = published.With("flow.records")
+	alerts := tel.CounterVec("kalis_alerts_total", "attack",
+		"Detection alerts raised, by canonical attack name.")
+	k.alerts.subscribe(func(a module.Alert) {
+		//lint:ignore hotpath alerts are rare and cooldown-gated; one label lookup per alert is off the per-packet budget
+		alerts.With(a.Attack).Inc()
 	})
-	tel.GaugeFunc("kalis_bus_queue_depth",
-		"Events queued across async subscribers (0 in sync mode).",
-		func() float64 { return float64(bus.QueueDepth()) })
 	tel.GaugeFunc("kalis_modules_active",
 		"Currently active modules (knowledge-driven adaptation).",
 		func() float64 { return float64(len(k.ActiveModules())) })
@@ -531,23 +497,14 @@ func (k *Kalis) Stats() (packets, invocations, activations uint64) {
 	return packets, invocations, activations
 }
 
-// OnAlert registers a detection-event consumer.
-func (k *Kalis) OnAlert(fn func(module.Alert)) {
-	k.bus.Subscribe(event.TopicDetection, func(payload interface{}) {
-		if a, ok := payload.(module.Alert); ok {
-			fn(a)
-		}
-	})
-}
+// OnAlert registers a consumer of raised alerts. Like OnKnowledge and
+// OnFlowRecord it may be called at any time; consumers run in
+// registration order on the goroutine that produced the event (see
+// fanout), until Close returns.
+func (k *Kalis) OnAlert(fn func(module.Alert)) { k.alerts.subscribe(fn) }
 
-// OnKnowledge registers a knowledge-event consumer.
-func (k *Kalis) OnKnowledge(fn func(knowledge.Knowgget)) {
-	k.bus.Subscribe(event.TopicKnowledge, func(payload interface{}) {
-		if kg, ok := payload.(knowledge.Knowgget); ok {
-			fn(kg)
-		}
-	})
-}
+// OnKnowledge registers a consumer of accepted Knowledge Base changes.
+func (k *Kalis) OnKnowledge(fn func(knowledge.Knowgget)) { k.changes.subscribe(fn) }
 
 // mergeByTime merges per-shard lists, each in its shard's dispatch
 // order, into one list ordered by capture time; a single list comes
@@ -645,18 +602,9 @@ func (k *Kalis) LastPanic(name string) string {
 	return ""
 }
 
-// Bus returns the node's event bus (for policy tuning and tests).
-func (k *Kalis) Bus() *event.Bus { return k.bus }
-
 // OnFlowRecord registers a consumer for exported flow records (flows
-// that expired, were evicted, or were flushed at shutdown).
-func (k *Kalis) OnFlowRecord(fn func(flow.Record)) {
-	k.bus.Subscribe(event.TopicFlowRecords, func(payload interface{}) {
-		if r, ok := payload.(flow.Record); ok {
-			fn(r)
-		}
-	})
-}
+// that expired, were evicted, or were flushed by Close).
+func (k *Kalis) OnFlowRecord(fn func(flow.Record)) { k.records.subscribe(fn) }
 
 // SetLog enables traffic logging to w in the Kalis trace format (the
 // primary shard's traffic, see shard).
@@ -748,9 +696,10 @@ func (k *Kalis) Persistence() *persist.Manager { return k.primary().persist }
 
 // Close shuts the node down: the ingest rings drain losslessly (every
 // accepted packet is dispatched), the flow tables flush their
-// remaining flows as records, the event bus drains, the traffic log
-// flushes and closes, durable state takes its final snapshot, and the
-// collective layer closes. HandleCapture is a no-op afterwards.
+// remaining flows as records to the OnFlowRecord consumers, event
+// delivery ends, the traffic log flushes and closes, durable state takes
+// its final snapshot, and the collective layer closes. HandleCapture is
+// a no-op afterwards.
 func (k *Kalis) Close() error {
 	k.closed.Store(true)
 	if k.pipe != nil {
@@ -759,7 +708,9 @@ func (k *Kalis) Close() error {
 	for _, s := range k.shards {
 		s.table.Flush()
 	}
-	k.bus.Close()
+	k.alerts.close()
+	k.changes.close()
+	k.records.close()
 	p := k.primary()
 	err := p.store.CloseLog()
 	if p.persist != nil {

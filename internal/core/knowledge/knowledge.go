@@ -173,7 +173,7 @@ type Base struct {
 	defaults  map[string]bool // keys whose current value is an absence-default
 	localVer  uint64          // last version assigned to a local collective change
 	subsAll   []SubscribeFunc
-	subs      map[string][]SubscribeFunc // by label
+	subs      map[string][]SubscribeFunc // by label; these lists and subsAll are copy-on-write (notifyLists)
 	syncFn    SyncFunc
 	journalFn JournalFunc
 }
@@ -317,10 +317,9 @@ func (b *Base) AcceptGossip(from string, k Knowgget) bool {
 		return false
 	}
 	b.entries[key] = k
-	changed := !existed || old.Value != k.Value
-	var subs []SubscribeFunc
-	if changed {
-		subs = b.notifyList(k.Label)
+	var subs subLists
+	if !existed || old.Value != k.Value {
+		subs = b.notifyLists(k.Label)
 	}
 	journalFn := b.journalFn
 	b.mu.Unlock()
@@ -328,9 +327,7 @@ func (b *Base) AcceptGossip(from string, k Knowgget) bool {
 	if journalFn != nil {
 		journalFn(OpPut, key, k)
 	}
-	for _, fn := range subs {
-		fn(k)
-	}
+	subs.notify(k)
 	return true
 }
 
@@ -427,7 +424,7 @@ func (b *Base) storeWith(k Knowgget, mode putMode) bool {
 		k.Version = b.localVer
 	}
 	b.entries[key] = k
-	subs := b.notifyList(k.Label)
+	subs := b.notifyLists(k.Label)
 	syncFn := b.syncFn
 	journalFn := b.journalFn
 	b.mu.Unlock()
@@ -435,27 +432,35 @@ func (b *Base) storeWith(k Knowgget, mode putMode) bool {
 	if journalFn != nil {
 		journalFn(OpPut, key, k)
 	}
-	for _, fn := range subs {
-		fn(k)
-	}
+	subs.notify(k)
 	if k.Collective && k.Creator == b.local && syncFn != nil {
 		syncFn(k)
 	}
 	return true
 }
 
-// notifyList must be called with b.mu held; it returns the handlers to
-// invoke (called after unlock so handlers may re-enter the Base).
-func (b *Base) notifyList(label string) []SubscribeFunc {
-	out := make([]SubscribeFunc, 0, len(b.subsAll)+4)
-	out = append(out, b.subsAll...)
-	out = append(out, b.subs[label]...)
+// subLists are the handlers one change reaches, in delivery order: the
+// SubscribeAll list, the label's, then its multilevel parent's.
+type subLists [3][]SubscribeFunc
+
+// notifyLists must be called with b.mu held; the lists are walked after
+// unlock so handlers may re-enter the Base.
+func (b *Base) notifyLists(label string) subLists {
+	lists := subLists{b.subsAll, b.subs[label]}
 	// Multilevel: a subscription to "TrafficFrequency" also fires for
 	// "TrafficFrequency.TCPSYN".
 	if i := strings.IndexByte(label, '.'); i > 0 {
-		out = append(out, b.subs[label[:i]]...)
+		lists[2] = b.subs[label[:i]]
 	}
-	return out
+	return lists
+}
+
+func (l subLists) notify(k Knowgget) {
+	for _, fns := range l {
+		for _, fn := range fns {
+			fn(k)
+		}
+	}
 }
 
 // Delete removes a knowgget by key. It returns true if present.
@@ -611,14 +616,20 @@ func (b *Base) Children(label string) []Knowgget {
 func (b *Base) Subscribe(label string, fn SubscribeFunc) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.subs[label] = append(b.subs[label], fn)
+	b.subs[label] = appendCopy(b.subs[label], fn)
 }
 
 // SubscribeAll registers fn for every knowgget change.
 func (b *Base) SubscribeAll(fn SubscribeFunc) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.subsAll = append(b.subsAll, fn)
+	b.subsAll = appendCopy(b.subsAll, fn)
+}
+
+// appendCopy never writes into fns' backing array: a store that took
+// the old list keeps walking it.
+func appendCopy(fns []SubscribeFunc, fn SubscribeFunc) []SubscribeFunc {
+	return append(fns[:len(fns):len(fns)], fn)
 }
 
 // Restore bulk-loads recovered state into the Base: every knowgget is

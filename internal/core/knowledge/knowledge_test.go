@@ -167,6 +167,58 @@ func TestSubscriberMayReenter(t *testing.T) {
 	}
 }
 
+// TestNotifyOrderAndSubscribeDuringNotify: one change reaches the
+// SubscribeAll list, then the label's, then the multilevel parent's; a
+// handler subscribing mid-notification neither disturbs the walk in
+// progress nor misses the next change.
+func TestNotifyOrderAndSubscribeDuringNotify(t *testing.T) {
+	b := NewBase("K1")
+	var order []string
+	late := false
+	b.Subscribe("Freq", func(Knowgget) { order = append(order, "parent") })
+	b.Subscribe("Freq.SYN", func(Knowgget) {
+		order = append(order, "label")
+		if !late {
+			late = true
+			b.Subscribe("Freq.SYN", func(Knowgget) { order = append(order, "late") })
+		}
+	})
+	b.SubscribeAll(func(Knowgget) { order = append(order, "all") })
+	b.Put("Freq.SYN", "1")
+	b.Put("Freq.SYN", "2")
+	want := []string{"all", "label", "parent", "all", "label", "late", "parent"}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+}
+
+// TestAcceptedPutAllocatesNothingToNotify: an accepted store costs the
+// same allocations with handlers on all three lists as with none — the
+// lists are walked in place, not gathered.
+func TestAcceptedPutAllocatesNothingToNotify(t *testing.T) {
+	cost := func(b *Base) float64 {
+		i := 0
+		return testing.AllocsPerRun(200, func() {
+			i++
+			b.Put("Freq.SYN", []string{"1", "2"}[i%2])
+		})
+	}
+	bare := cost(NewBase("K1"))
+	b := NewBase("K1")
+	seen := 0
+	for i := 0; i < 3; i++ {
+		b.SubscribeAll(func(Knowgget) { seen++ })
+		b.Subscribe("Freq.SYN", func(Knowgget) { seen++ })
+		b.Subscribe("Freq", func(Knowgget) { seen++ })
+	}
+	if got := cost(b); got != bare {
+		t.Errorf("accepted Put: %v allocs with 9 subscribers, %v with none", got, bare)
+	}
+	if seen == 0 {
+		t.Error("no handler ran")
+	}
+}
+
 func TestCollectiveSyncHook(t *testing.T) {
 	b := NewBase("K1")
 	var synced []Knowgget

@@ -181,8 +181,8 @@ func (m *Manager) SetSupervisor(cfg SupervisorConfig) {
 }
 
 // SetPressure installs the queue-pressure hook feeding the latency
-// circuit breaker (typically the event bus' QueueDepth). The breaker
-// stays disarmed until a hook is installed.
+// circuit breaker (the node's ingest-ring depth). The breaker stays
+// disarmed until a hook is installed.
 func (m *Manager) SetPressure(fn func() int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -33,23 +33,18 @@ type Config struct {
 	// UpdatesPerKey is the churn factor: how many times each key is
 	// rewritten over the run (default 30). Only each key's final value
 	// must reach the fleet — the gap between updates published and
-	// values that must arrive is exactly what delta gossip exploits and
-	// snapshot push squanders.
+	// values that must arrive is exactly what delta gossip exploits.
 	UpdatesPerKey int
 	// ChurnRounds spreads the updates over this many gossip ticks
 	// (default 3). Knowledge churns faster than gossip ticks — traffic
 	// statistics update per second, gossip per beacon interval — so
-	// several rewrites of a key coalesce into one dirty entry per tick,
-	// while the legacy baseline pushes every single rewrite.
+	// several rewrites of a key coalesce into one dirty entry per tick.
 	ChurnRounds int
 	// Degree is each node's overlay peer count, ring + random chords
-	// (default 6). Ignored in legacy mode, which uses the full mesh the
-	// pre-gossip protocol assumed.
+	// (default 6).
 	Degree int
 	// Fanout caps peers contacted per gossip round (default 3).
 	Fanout int
-	// LegacyPush selects the pre-gossip snapshot-push baseline.
-	LegacyPush bool
 	// Seed feeds topology, fan-out and fault randomness.
 	Seed int64
 	// MaxRounds bounds the run (default: generous multiple of log2 N).
@@ -164,18 +159,14 @@ func Run(cfg Config) (*Result, error) {
 		n.SetMaxPeers(0)
 		n.SetFanout(cfg.Fanout)
 		n.SetGossipSeed(cfg.Seed + int64(i)*7919)
-		n.SetLegacyPush(cfg.LegacyPush)
 		if cfg.Registry != nil {
 			n.SetMetrics(met)
 		}
 		nodes[i] = n
 	}
 
-	// Overlay. Gossip rides a sparse ring-plus-chords graph (epidemic
-	// dissemination needs only connectivity plus a few shortcuts); the
-	// legacy push baseline gets the full mesh its protocol was built
-	// around — per-update push has no relay, so a sparse overlay would
-	// never deliver beyond direct peers.
+	// Overlay: a sparse ring-plus-chords graph (epidemic dissemination
+	// needs only connectivity plus a few shortcuts).
 	topo := make([][]int, cfg.Nodes)
 	addEdge := func(a, b int) {
 		topo[a] = append(topo[a], b)
@@ -183,36 +174,28 @@ func Run(cfg Config) (*Result, error) {
 		nodes[a].AddPeer(nodeID(b), nodeAddr(b))
 		nodes[b].AddPeer(nodeID(a), nodeAddr(a))
 	}
-	if cfg.LegacyPush {
-		for i := 0; i < cfg.Nodes; i++ {
-			for j := i + 1; j < cfg.Nodes; j++ {
-				addEdge(i, j)
-			}
+	seen := make(map[[2]int]bool)
+	edge := func(a, b int) [2]int {
+		if a > b {
+			a, b = b, a
 		}
-	} else {
-		seen := make(map[[2]int]bool)
-		edge := func(a, b int) [2]int {
-			if a > b {
-				a, b = b, a
-			}
-			return [2]int{a, b}
+		return [2]int{a, b}
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		j := (i + 1) % cfg.Nodes
+		if e := edge(i, j); !seen[e] {
+			seen[e] = true
+			addEdge(i, j)
 		}
-		for i := 0; i < cfg.Nodes; i++ {
-			j := (i + 1) % cfg.Nodes
-			if e := edge(i, j); !seen[e] {
-				seen[e] = true
-				addEdge(i, j)
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		for tries := 0; len(topo[i]) < cfg.Degree && tries < 100; tries++ {
+			j := rng.Intn(cfg.Nodes)
+			if j == i || seen[edge(i, j)] || len(topo[j]) >= cfg.Degree+2 {
+				continue
 			}
-		}
-		for i := 0; i < cfg.Nodes; i++ {
-			for tries := 0; len(topo[i]) < cfg.Degree && tries < 100; tries++ {
-				j := rng.Intn(cfg.Nodes)
-				if j == i || seen[edge(i, j)] || len(topo[j]) >= cfg.Degree+2 {
-					continue
-				}
-				seen[edge(i, j)] = true
-				addEdge(i, j)
-			}
+			seen[edge(i, j)] = true
+			addEdge(i, j)
 		}
 	}
 
@@ -251,12 +234,8 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.PartitionRounds > 0 && round == cfg.PartitionRounds+1 {
 			heal(fts)
 		}
-		if !cfg.LegacyPush {
-			// Legacy push already transmitted synchronously at Put time;
-			// only the gossip protocol has per-round work to do.
-			for _, n := range nodes {
-				n.Gossip()
-			}
+		for _, n := range nodes {
+			n.Gossip()
 		}
 		conv := converged(kbs, final)
 		res.Curve = append(res.Curve, Sample{Round: round, Converged: conv, Bytes: bytesSent(nodes)})

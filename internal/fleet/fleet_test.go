@@ -26,28 +26,43 @@ func TestGossipFleetConverges(t *testing.T) {
 	}
 }
 
-func TestGossipBeatsLegacyOnBytes(t *testing.T) {
-	base := Config{Nodes: 96, Producers: 4, Keys: 2, UpdatesPerKey: 20, Seed: 3}
-	gossip, err := Run(base)
+func TestGossipBytesPerNodeCeiling(t *testing.T) {
+	res, err := Run(Config{Nodes: 96, Producers: 4, Keys: 2, UpdatesPerKey: 20, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyCfg := base
-	legacyCfg.LegacyPush = true
-	legacy, err := Run(legacyCfg)
+	if !res.Converged {
+		t.Fatalf("never converged: %d/%d after %d rounds", res.ConvergedNodes, res.Nodes, res.Rounds)
+	}
+	// 40 runs of this config at the commit before the fan-out sample
+	// became a function of the seed read 1835–2251 B/node (4–5 rounds);
+	// it is 1955 now. The deleted per-update push protocol this test used
+	// to compare against cost more than twice that on a full mesh.
+	const ceiling = 2500
+	if perNode := res.BytesSent / uint64(res.Nodes); perNode > ceiling {
+		t.Fatalf("gossip cost %d B/node over %d rounds, ceiling %d", perNode, res.Rounds, ceiling)
+	}
+}
+
+// TestFleetRunIsAFunctionOfItsSeed: the fan-out shuffle draws from the
+// seeded RNG, so it must not start from a map's iteration order.
+func TestFleetRunIsAFunctionOfItsSeed(t *testing.T) {
+	cfg := Config{Nodes: 200, Seed: 1}
+	first, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gossip.Converged || !legacy.Converged {
-		t.Fatalf("convergence: gossip=%v legacy=%v", gossip.Converged, legacy.Converged)
-	}
-	// Even at 96 nodes the delta protocol must be clearly ahead of the
-	// full-mesh per-update push; the win grows with fleet size (legacy
-	// bytes scale with N², gossip with N·rounds) and the 10× acceptance
-	// bar is checked at 1k nodes by the kalis-bench fleet experiment.
-	if gossip.BytesSent*2 > legacy.BytesSent {
-		t.Fatalf("gossip %d bytes vs legacy %d bytes: less than 2x win",
-			gossip.BytesSent, legacy.BytesSent)
+	for i := 0; i < 2; i++ {
+		again, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.BytesSent != first.BytesSent || again.Digests != first.Digests ||
+			again.Deltas != first.Deltas || again.Rounds != first.Rounds {
+			t.Fatalf("run %d differs: bytes %d/%d digests %d/%d deltas %d/%d rounds %d/%d", i+2,
+				again.BytesSent, first.BytesSent, again.Digests, first.Digests,
+				again.Deltas, first.Deltas, again.Rounds, first.Rounds)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@
 // full flow lifecycle deterministically (the simclock discipline).
 //
 // Expired, evicted and flushed flows are exported as Records through
-// OnExport callbacks; the core wires these onto the "flow.records" bus
-// topic with a CoalesceByKey overflow policy.
+// OnExport callbacks; the core hands them to its OnFlowRecord
+// subscribers.
 package flow
 
 import (
@@ -181,8 +181,3 @@ type Record struct {
 	// configured feature order.
 	Features []Value
 }
-
-// CoalesceKey is the per-flow coalescing key for the flow.records bus
-// topic: under queue pressure, a newer record of the same flow replaces
-// the queued one.
-func (r Record) CoalesceKey() string { return r.Key.String() }

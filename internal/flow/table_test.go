@@ -213,10 +213,6 @@ func TestKeyOfAndString(t *testing.T) {
 	if got, want := k.String(), "wifi/icmp/A>B"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
-	r := Record{Key: k}
-	if r.CoalesceKey() != k.String() {
-		t.Errorf("CoalesceKey %q != Key.String %q", r.CoalesceKey(), k.String())
-	}
 	// Distinct kinds of the same class share a flow; distinct classes
 	// do not.
 	c2 := cap1("A", "B", t0)

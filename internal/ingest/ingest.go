@@ -137,9 +137,8 @@ type Pipeline struct {
 	maxSkew int64 // capture-time pacing bound in nanos; 0 = off
 	met     Metrics
 
-	// stopping gates Enqueue and inflight tracks producers mid-call,
-	// mirroring the event bus' publish/Close accounting: Stop flips
-	// stopping, waits out in-flight enqueues, then signals workers to
+	// stopping gates Enqueue and inflight tracks producers mid-call: Stop
+	// flips stopping, waits out in-flight enqueues, then signals workers to
 	// drain — so every accepted packet is delivered, and accounting
 	// is exact.
 	stopping atomic.Bool

@@ -19,7 +19,7 @@ import (
 //   - a call through a function value fans out to every function,
 //     method value or literal observed flowing into the value's
 //     variable, field, or parameter — or, for values of a named
-//     in-module function type (event.Handler, flow.ExportFunc, ...),
+//     in-module function type (module.AlertFunc, flow.ExportFunc, ...),
 //     to every function coerced to that type anywhere in the module;
 //   - a function literal nested in a body is an edge of that body
 //     unless it is only launched with go.
@@ -194,7 +194,7 @@ type cgBuilder struct {
 	// var) of function type to the function values observed flowing
 	// into it anywhere in the module.
 	varBinds map[*types.Var][]*CGNode
-	// coercions maps a named in-module function type (event.Handler,
+	// coercions maps a named in-module function type (module.AlertFunc,
 	// flow.Tracker factories, ...) to every function value coerced to
 	// it — the function-type analogue of CHA.
 	coercions map[*types.TypeName][]*CGNode
@@ -411,14 +411,16 @@ func (b *cgBuilder) funcValues(pkg *Package, e ast.Expr) []*CGNode {
 		}
 	case *ast.Ident:
 		if fn, ok := pkg.Info.Uses[e].(*types.Func); ok {
-			if n := b.g.byFn[fn]; n != nil {
+			if n := b.g.byFn[fn.Origin()]; n != nil {
 				return []*CGNode{n}
 			}
 		}
 	case *ast.SelectorExpr:
+		// Origin: a method value of an instantiated generic type is the
+		// one declared body (as in calleeOf).
 		if sel, ok := pkg.Info.Selections[e]; ok && sel.Kind() == types.MethodVal {
 			if fn, ok := sel.Obj().(*types.Func); ok {
-				if n := b.g.byFn[fn]; n != nil {
+				if n := b.g.byFn[fn.Origin()]; n != nil {
 					return []*CGNode{n}
 				}
 				// Method value on an interface: all implementations.
@@ -426,7 +428,7 @@ func (b *cgBuilder) funcValues(pkg *Package, e ast.Expr) []*CGNode {
 			}
 		}
 		if fn, ok := pkg.Info.Uses[e.Sel].(*types.Func); ok {
-			if n := b.g.byFn[fn]; n != nil {
+			if n := b.g.byFn[fn.Origin()]; n != nil {
 				return []*CGNode{n}
 			}
 		}

@@ -21,7 +21,7 @@ import (
 func TestCallGraphGolden(t *testing.T) {
 	// Load the bare module, not the shared fixture-augmented target:
 	// fixture packages implement in-module interfaces (flow.Tracker,
-	// event handler types) and would leak class-hierarchy edges into
+	// callback types) and would leak class-hierarchy edges into
 	// the dump that `kalislint -callgraph` never sees.
 	target, err := Load(moduleRoot)
 	if err != nil {
@@ -56,13 +56,16 @@ func TestCallGraphGolden(t *testing.T) {
 	// layer's one decoding body, the frame allocation (behind an
 	// explicit generic instantiation) and the identity table. Evidence
 	// is folded in by the flow table, so the forwarding watch's Observe
-	// must be on the dispatch walk too (through flow.Tracker).
+	// must be on the dispatch walk too (through flow.Tracker). Alerts,
+	// flow records and knowledge changes leave through the node's
+	// fan-outs: a method value of a generic type, handed to a callback.
 	dispatch := []string{
 		"(*kalis/internal/core.shard).HandleBatch",
 		"(*kalis/internal/core/module.Manager).HandleBatch",
 		"(*kalis/internal/core/module.Manager).invoke",
 		"(*kalis/internal/flow.Table).Update",
 		"(*kalis/internal/flow.ForwardingWatch).Observe",
+		"(*kalis/internal/core.fanout[T]).publish",
 	}
 	reach := map[string][]string{
 		"HandleCapture": dispatch,

@@ -111,7 +111,7 @@ func (a *HotAlloc) checkNode(t *Target, node, root *CGNode) []Finding {
 
 // checkBoxing flags concrete values boxed into interface-typed
 // parameters of in-module calls (stdlib calls are out of scope — the
-// interesting per-packet boxing is bus publishes and handler payloads).
+// interesting per-packet boxing is handler payloads).
 func (a *HotAlloc) checkBoxing(t *Target, node *CGNode, call *ast.CallExpr, suffix string) []Finding {
 	info := node.Pkg.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {

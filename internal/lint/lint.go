@@ -7,8 +7,6 @@
 //
 //   - simclock: no time.Now/time.Sleep in simulated components — time
 //     comes from the sim clock or the capture timestamp.
-//   - bustopic: event.Bus topics must be named constants, keeping
-//     telemetry label cardinality bounded.
 //   - hotpath: the packet path (HandlePacket/HandleCapture methods,
 //     stack.Decode and their transitive callees within internal/core,
 //     internal/flow, internal/proto and internal/packet) must not
@@ -100,7 +98,6 @@ func DefaultAnalyzers() []Analyzer {
 			"kalis/internal/core/detection",
 			"kalis/internal/core/sensing",
 		)},
-		&BusTopic{Scope: AllPackages},
 		&HotPath{RootScope: PacketPathRoots, WalkScope: PacketPathWalk},
 		&NoPanic{
 			Scope: PathScope("kalis/internal", "kalis/cmd", "kalis/examples"),
@@ -121,7 +118,6 @@ func DefaultAnalyzers() []Analyzer {
 func FixtureAnalyzers(scope ScopeFunc) []Analyzer {
 	return []Analyzer{
 		&SimClock{Scope: scope},
-		&BusTopic{Scope: scope},
 		&HotPath{RootScope: scope, WalkScope: scope},
 		&NoPanic{Scope: scope},
 		&ErrCheck{Scope: scope},

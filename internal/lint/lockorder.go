@@ -10,17 +10,15 @@ import (
 )
 
 // LockOrder checks mutex discipline across the devirtualized call
-// graph. PR 3/4 added real concurrency — per-topic Block overflow on
-// the bus, supervisor state machines, ref-counted endpoint trackers —
-// and the repo's convention is copy-under-lock, call-after-unlock: no
-// callback, bus publish or channel send ever runs with a mutex held.
-// Two violations are flagged:
+// graph. The node has real concurrency — ingest-ring workers,
+// supervisor state machines, ref-counted endpoint trackers — and the
+// repo's convention is copy-under-lock, call-after-unlock: no callback
+// or channel send ever runs with a mutex held. Two violations are
+// flagged:
 //
 //   - a lock held across a call that can block: a blocking channel
-//     send (no select-default), directly or transitively. Under the
-//     bus's Block overflow policy a publish with a lock held is a
-//     deadlock: the consumer that would drain the queue may need the
-//     same lock.
+//     send (no select-default), directly or transitively. The consumer
+//     that would drain the channel may need the same lock.
 //   - inconsistent acquisition order: if one code path locks A then B
 //     and another locks B then A (same lock classes, where a class is
 //     the declared mutex variable or field), the paths deadlock under
@@ -42,7 +40,7 @@ func (*LockOrder) Name() string { return "lockorder" }
 
 // Doc implements Analyzer.
 func (*LockOrder) Doc() string {
-	return "consistent mutex acquisition order; no lock held across a blocking send or bus publish"
+	return "consistent mutex acquisition order; no lock held across a blocking send"
 }
 
 // lockOp classifies one sync.(RW)Mutex method call.

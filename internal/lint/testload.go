@@ -14,21 +14,18 @@ import (
 
 // This file adds the _test.go loading pass. Test files are excluded
 // from the production rule set (the invariants guard the runtime packet
-// path, and tests legitimately sleep, panic and format), but two rules
-// still pay for themselves there: bustopic, because a literal topic in
-// a test silently drifts from the documented topic set the moment it is
-// renamed, and errcheck on test *helpers*, because a helper that drops
-// an error hides real failures from every test that calls it. Test
-// function bodies themselves (Test*/Benchmark*/Example*/Fuzz*) stay
-// exempt from errcheck — a test discards errors on purpose when
-// provoking failures.
+// path, and tests legitimately sleep, panic and format), but one rule
+// still pays for itself there: errcheck on test *helpers*, because a
+// helper that drops an error hides real failures from every test that
+// calls it. Test function bodies themselves
+// (Test*/Benchmark*/Example*/Fuzz*) stay exempt from errcheck — a test
+// discards errors on purpose when provoking failures.
 
 // TestFileAnalyzers returns the relaxed rule set for _test.go files:
-// bustopic everywhere, errcheck-lite on test helpers in the packages
-// the production errcheck covers.
+// errcheck-lite on test helpers in the packages the production
+// errcheck covers.
 func TestFileAnalyzers() []Analyzer {
 	return []Analyzer{
-		&BusTopic{Scope: AllPackages},
 		&ErrCheck{
 			Scope:         PathScope("kalis/internal/core", "kalis/internal/proto"),
 			SkipTestFuncs: true,

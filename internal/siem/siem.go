@@ -43,7 +43,7 @@ func FromAlert(sensor string, a module.Alert) Event {
 }
 
 // Exporter streams events to a writer as NDJSON. It is safe for
-// concurrent use (alerts may arrive from an async event bus).
+// concurrent use (alerts of a sharded node arrive from several workers).
 type Exporter struct {
 	sensor string
 

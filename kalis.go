@@ -118,13 +118,14 @@ func WithWindowSize(n int) Option {
 	return func(c *core.Config) { c.WindowSize = n }
 }
 
-// WithAsyncEvents switches the node to asynchronous delivery: every
-// event-bus subscriber (knowledge, alerts, flow records) runs on its
-// own goroutine, and captures go through an ingest ring to a worker
-// instead of being dispatched inside HandleCapture — call DrainIngest
-// (or Close) before reading alerts or counters. The ring drops the
-// newest capture when full unless WithIngestBlocking is set. The
-// default synchronous mode is deterministic.
+// WithAsyncEvents takes dispatch off the capture goroutine: captures go
+// through an ingest ring to a worker instead of being dispatched inside
+// HandleCapture, and that worker runs the modules and every OnAlert,
+// OnKnowledge and OnFlowRecord callback — call DrainIngest (or Close)
+// before reading alerts or counters. The ring is the node's only queue:
+// it drops the newest capture when full unless WithIngestBlocking is
+// set, and IngestStats accounts for every capture. The default in-line
+// mode is deterministic.
 func WithAsyncEvents() Option {
 	return func(c *core.Config) { c.Async = true }
 }
@@ -254,9 +255,12 @@ func (n *Node) IngestStats() IngestStats { return n.inner.IngestStats() }
 // Shards returns the node's ingestion shard count (1 when unsharded).
 func (n *Node) Shards() int { return n.inner.Shards() }
 
-// OnAlert registers a consumer for detection events. On sharded nodes
-// callbacks are invoked from shard worker goroutines (possibly
-// concurrently); synchronize any shared state they touch.
+// OnAlert registers a consumer for detection events. Consumers run
+// synchronously, in registration order, on the goroutine that raised
+// the alert: the HandleCapture caller by default, the ring worker with
+// WithAsyncEvents. On sharded nodes that is the shard workers (possibly
+// concurrently); synchronize any shared state they touch. Nothing is
+// delivered once Close has returned.
 func (n *Node) OnAlert(fn func(Alert)) { n.inner.OnAlert(fn) }
 
 // OnKnowledge registers a consumer for Knowledge Base changes.
@@ -306,8 +310,8 @@ func (n *Node) RegisterModule(name string, factory func(params map[string]string
 
 // OnFlowRecord registers a callback invoked for every flow exported
 // from the flow table (idle/active timeout, capacity eviction, or
-// shutdown flush). Records arrive via the flow.records bus topic, which
-// coalesces per flow under queue pressure.
+// the flush Close performs), on the goroutine that exported the flow;
+// every record is delivered.
 func (n *Node) OnFlowRecord(fn func(FlowRecord)) { n.inner.OnFlowRecord(fn) }
 
 // SetLog writes all observed traffic to w in the Kalis trace format
@@ -449,7 +453,8 @@ func (n *Node) RecoveryOutcome() string {
 	return ""
 }
 
-// Close shuts the node down, draining the event bus, flushing and
+// Close shuts the node down: draining the ingest rings, flushing the
+// remaining flows to OnFlowRecord, ending event delivery, flushing and
 // closing the traffic log, taking the final durable-state snapshot,
 // and closing the collective layer.
 func (n *Node) Close() error { return n.inner.Close() }

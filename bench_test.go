@@ -232,7 +232,7 @@ func BenchmarkAblationSnortRulesetSize(b *testing.B) {
 }
 
 // BenchmarkAblationKBLookup measures the Knowledge Base's key-encoding
-// query paths (exact / creator prefix / entity suffix), §V.
+// query paths (exact / creator prefix), §V.
 func BenchmarkAblationKBLookup(b *testing.B) {
 	kb := knowledge.NewBase("K1")
 	for i := 0; i < 64; i++ {
@@ -250,13 +250,6 @@ func BenchmarkAblationKBLookup(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if got := kb.QueryLocal(); len(got) == 0 {
 				b.Fatal("empty")
-			}
-		}
-	})
-	b.Run("suffix-entity", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := kb.QueryEntity("node-07"); len(got) != 1 {
-				b.Fatal("wrong count")
 			}
 		}
 	})

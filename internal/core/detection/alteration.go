@@ -66,9 +66,6 @@ func (d *DataAlteration) Activate(ctx *module.Context) {
 
 // HandlePacket implements module.Module.
 func (d *DataAlteration) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
 	data, ok := c.Layer("ctp-data").(*ctp.Data)
 	if !ok {
 		return

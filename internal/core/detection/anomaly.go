@@ -132,9 +132,6 @@ func (d *TrafficAnomaly) Activate(ctx *module.Context) {
 
 // HandlePacket implements module.Module.
 func (d *TrafficAnomaly) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
 	if d.windowStart.IsZero() {
 		d.windowStart = c.Time
 	}

@@ -35,8 +35,6 @@ func (b *base) Activate(ctx *module.Context) { b.ctx = ctx }
 
 func (b *base) Deactivate() { b.ctx = nil }
 
-func (b *base) active() bool { return b.ctx != nil }
-
 // knowledgeDriven reports whether the module may rely on the Knowledge
 // Base for technique selection. The traditional-IDS baseline runs
 // "without Knowledge Base" (§VI-B), so modules fall back to their

@@ -37,6 +37,17 @@ func newHarness(knowledgeDriven bool) *harness {
 	return h
 }
 
+// activate stands in for the manager: it activates mod and, if the
+// module listens to knowledge, hands it every change of its labels.
+func (h *harness) activate(mod module.Module) {
+	mod.Activate(h.ctx)
+	if l, ok := mod.(module.KnowledgeHandler); ok {
+		for _, label := range l.KnowledgeLabels() {
+			h.kb.Subscribe(label, l.HandleKnowledge)
+		}
+	}
+}
+
 // deliver hands one capture over the way the manager does: the flow
 // table folds it in once, then every module sees it.
 func (h *harness) deliver(c *packet.Captured, mods ...module.Module) {

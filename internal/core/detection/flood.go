@@ -147,9 +147,6 @@ func (d *ICMPFlood) Deactivate() {
 
 // HandlePacket implements module.Module.
 func (d *ICMPFlood) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
 	if c.Kind != packet.KindICMPEchoReply {
 		return
 	}
@@ -265,9 +262,6 @@ func (d *Smurf) Deactivate() {
 
 // HandlePacket implements module.Module.
 func (d *Smurf) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
 	d.observeEdge(c.Src, c.Dst)
 	if c.Kind != packet.KindICMPEchoReply {
 		return
@@ -404,9 +398,6 @@ func (d *SYNFlood) Deactivate() {
 
 // HandlePacket implements module.Module.
 func (d *SYNFlood) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
 	if c.Kind != packet.KindTCPSYN {
 		return
 	}

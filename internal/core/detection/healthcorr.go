@@ -37,14 +37,16 @@ type HealthCorr struct {
 
 	// quarantines maps module name → reporting creator → when the
 	// quarantine report arrived here. Maintained incrementally from
-	// Knowledge Base subscriptions; reports are removed when a creator
-	// later reports the module healthy/probing again.
+	// HandleKnowledge; reports are removed when a creator later reports
+	// the module healthy/probing again.
 	quarantines map[string]map[string]time.Time
 	suppress    map[string]time.Time
-	subbed      bool
 }
 
-var _ module.Module = (*HealthCorr)(nil)
+var (
+	_ module.Module           = (*HealthCorr)(nil)
+	_ module.KnowledgeHandler = (*HealthCorr)(nil)
+)
 
 // NewHealthCorr creates the module. Parameters: "minPeers" (int,
 // default 3), "window" (duration, default 60s), "cooldown" (duration,
@@ -75,8 +77,12 @@ func (d *HealthCorr) Name() string { return HealthCorrName }
 
 // WatchLabels implements module.Module: peer count changes gate the
 // module on and off. The health reports that drive it do not decide
-// Required; it subscribes to those itself in Activate.
+// Required; those are its KnowledgeLabels.
 func (d *HealthCorr) WatchLabels() []string { return []string{"Peers"} }
+
+// KnowledgeLabels implements module.KnowledgeHandler: every
+// ModuleHealth.<module> report, local or gossiped.
+func (d *HealthCorr) KnowledgeLabels() []string { return []string{knowledge.LabelModuleHealth} }
 
 // Required implements module.Module: correlating health across nodes
 // only makes sense while the collective layer has peers.
@@ -97,19 +103,11 @@ func (d *HealthCorr) Activate(ctx *module.Context) {
 		//lint:ignore simclock gossiped health reports arrive on wall time (UDP receive), not capture time; the window is over wall arrival
 		d.record(kg, time.Now())
 	}
-	if !d.subbed {
-		d.subbed = true
-		ctx.KB.Subscribe(knowledge.LabelModuleHealth, d.onKnowledge)
-	}
 }
 
-// onKnowledge fires on every ModuleHealth.<module> change, local or
-// gossiped. It runs off the packet path (Knowledge Base notification),
-// so correlation happens here — the module needs no packet evidence.
-func (d *HealthCorr) onKnowledge(kg knowledge.Knowgget) {
-	if !d.active() {
-		return
-	}
+// HandleKnowledge implements module.KnowledgeHandler. Correlation
+// happens here — the module needs no packet evidence.
+func (d *HealthCorr) HandleKnowledge(kg knowledge.Knowgget) {
 	//lint:ignore simclock gossiped health reports arrive on wall time (UDP receive), not capture time; the window is over wall arrival
 	now := time.Now()
 	if mod := d.record(kg, now); mod != "" {
@@ -175,5 +173,5 @@ func (d *HealthCorr) correlate(mod string, now time.Time) {
 }
 
 // HandlePacket implements module.Module: this module is driven
-// entirely by Knowledge Base notifications, not packets.
+// entirely by HandleKnowledge, not packets.
 func (d *HealthCorr) HandlePacket(c *packet.Captured) {}

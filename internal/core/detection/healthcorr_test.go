@@ -33,7 +33,7 @@ func TestHealthCorrAlertsOnCoordinatedQuarantine(t *testing.T) {
 	if !mod.Required(h.kb) {
 		t.Fatal("not required with peers present")
 	}
-	mod.Activate(h.ctx)
+	h.activate(mod)
 
 	// Two peers and the local supervisor quarantine the same module.
 	gossipHealth(t, h.kb, "K2", "SybilModule", "quarantined", 1)
@@ -65,7 +65,7 @@ func TestHealthCorrRecoveryRetiresReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.kb.PutInt("Peers", 2)
-	mod.Activate(h.ctx)
+	h.activate(mod)
 
 	gossipHealth(t, h.kb, "K2", "FloodModule", "quarantined", 1)
 	// K2 recovers before anyone else reports: its probing transition
@@ -95,7 +95,7 @@ func TestHealthCorrWindowExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.kb.PutInt("Peers", 1)
-	mod.Activate(h.ctx)
+	h.activate(mod)
 
 	gossipHealth(t, h.kb, "K2", "SybilModule", "quarantined", 1)
 	time.Sleep(5 * time.Millisecond)
@@ -114,7 +114,7 @@ func TestHealthCorrGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.kb.PutInt("Peers", 1)
-	mod.Activate(h.ctx)
+	h.activate(mod)
 	gossipHealth(t, h.kb, "K2", "SybilModule", "quarantined", 1)
 	if len(h.alerts) != 0 {
 		t.Fatalf("knowledge-driven correlation in baseline mode: %v", h.alerts)

@@ -155,7 +155,7 @@ func (d *ReplicationStatic) Deactivate() {
 
 // HandlePacket implements module.Module.
 func (d *ReplicationStatic) HandlePacket(c *packet.Captured) {
-	if !d.active() || c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
+	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
 	}
 	s := d.core.motion.Snapshot(c.Transmitter)
@@ -234,7 +234,7 @@ func (d *ReplicationMobile) Deactivate() {
 
 // HandlePacket implements module.Module.
 func (d *ReplicationMobile) HandlePacket(c *packet.Captured) {
-	if !d.active() || c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
+	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
 	}
 	s := d.core.motion.Snapshot(c.Transmitter)

@@ -107,9 +107,6 @@ func (d *Sinkhole) Activate(ctx *module.Context) {
 
 // HandlePacket implements module.Module.
 func (d *Sinkhole) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
 	if d.firstAt.IsZero() {
 		d.firstAt = c.Time
 	}

@@ -108,7 +108,7 @@ func (d *Sybil) Deactivate() {
 
 // HandlePacket implements module.Module.
 func (d *Sybil) HandlePacket(c *packet.Captured) {
-	if !d.active() || c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
+	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
 	}
 	if !d.suppress.IsZero() && c.Time.Before(d.suppress) {

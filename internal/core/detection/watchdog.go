@@ -91,12 +91,8 @@ func (f *forwardingCore) Deactivate() {
 	f.base.Deactivate()
 }
 
-// relays returns the verdict input as of the capture time now (nothing
-// while inactive).
+// relays returns the verdict input as of the capture time now.
 func (f *forwardingCore) relays(now time.Time) []flow.RelayRatio {
-	if !f.active() {
-		return nil
-	}
 	f.ratios = f.watch.Ratios(now, f.ratios)
 	return f.ratios
 }

@@ -261,11 +261,11 @@ func TestSinkholeDetectsBaselineDrop(t *testing.T) {
 func TestWormholeCorrelation(t *testing.T) {
 	h := newHarness(true)
 	mod, _ := NewWormhole(map[string]string{"minEmergent": "3"})
-	mod.Activate(h.ctx)
+	h.activate(mod)
 	// A peer Kalis node reported a blackhole at 0x0005 dropping
 	// origins 7 and 8.
-	h.kb.AcceptRemote("K2", knowledge.Knowgget{
-		Label: knowledge.LabelSuspectBlackhole, Value: "7,8", Creator: "K2", Entity: "0x0005",
+	h.kb.AcceptGossip("K2", knowledge.Knowgget{
+		Label: knowledge.LabelSuspectBlackhole, Value: "7,8", Creator: "K2", Entity: "0x0005", Version: 1,
 	})
 	// Locally, node 0x0009 emits forwarded traffic for origin 7 that
 	// it never received.
@@ -291,9 +291,9 @@ func TestWormholeCorrelation(t *testing.T) {
 func TestWormholeNoCorrelationWithoutOverlap(t *testing.T) {
 	h := newHarness(true)
 	mod, _ := NewWormhole(map[string]string{"minEmergent": "3"})
-	mod.Activate(h.ctx)
-	h.kb.AcceptRemote("K2", knowledge.Knowgget{
-		Label: knowledge.LabelSuspectBlackhole, Value: "7", Creator: "K2", Entity: "0x0005",
+	h.activate(mod)
+	h.kb.AcceptGossip("K2", knowledge.Knowgget{
+		Label: knowledge.LabelSuspectBlackhole, Value: "7", Creator: "K2", Entity: "0x0005", Version: 1,
 	})
 	for i := 0; i < 4; i++ {
 		h.deliver(mkCap(t, packet.MediumIEEE802154,
@@ -307,7 +307,7 @@ func TestWormholeNoCorrelationWithoutOverlap(t *testing.T) {
 func TestWormholeIgnoresNormalForwarding(t *testing.T) {
 	h := newHarness(true)
 	mod, _ := NewWormhole(map[string]string{"minEmergent": "3"})
-	mod.Activate(h.ctx)
+	h.activate(mod)
 	for i := 0; i < 10; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
 		// Hand-off to 2, then 2 forwards: not emergent.
@@ -324,7 +324,7 @@ func TestWormholeIgnoresNormalForwarding(t *testing.T) {
 func TestDataAlterationDetected(t *testing.T) {
 	h := newHarness(true)
 	mod, _ := NewDataAlteration(nil)
-	mod.Activate(h.ctx)
+	h.activate(mod)
 	// Consistent frame: fine.
 	h.deliver(mkCap(t, packet.MediumIEEE802154,
 		stack.BuildCTPData(2, 1, 3, 5, 1, 10, []byte{0x01, 5}), t0, -60), mod)
@@ -378,7 +378,7 @@ func TestBlackholePublishesOnChange(t *testing.T) {
 	var puts []string
 	h.kb.Subscribe(knowledge.LabelSuspectBlackhole, func(kg knowledge.Knowgget) { puts = append(puts, kg.Value) })
 	mod, _ := NewBlackhole(nil)
-	mod.Activate(h.ctx)
+	h.activate(mod)
 	feedForwarding(t, h, []module.Module{mod}, 30, func(int) bool { return true })
 	if len(puts) != 1 || puts[0] != "3" {
 		t.Fatalf("puts = %q, want one naming origin 3", puts)

@@ -45,16 +45,18 @@ type Wormhole struct {
 	alerted      map[string]bool
 
 	// sinks and sources mirror the SuspectBlackhole / EmergentSource
-	// knowggets (local and collective), maintained incrementally via
-	// Knowledge Base subscriptions — scanning the whole base per
-	// packet would be far too expensive.
+	// knowggets (local and collective), maintained incrementally from
+	// HandleKnowledge — scanning the whole base per packet would be far
+	// too expensive.
 	sinks   map[packet.NodeID]map[string]bool
 	sources map[packet.NodeID]map[string]bool
 	dirty   bool
-	subbed  bool
 }
 
-var _ module.Module = (*Wormhole)(nil)
+var (
+	_ module.Module           = (*Wormhole)(nil)
+	_ module.KnowledgeHandler = (*Wormhole)(nil)
+)
 
 // NewWormhole creates the module. Parameters: "minEmergent" (int,
 // default 5), "cooldown" (duration).
@@ -78,10 +80,15 @@ func NewWormhole(params map[string]string) (module.Module, error) {
 func (d *Wormhole) Name() string { return WormholeName }
 
 // WatchLabels implements module.Module. The blackhole suspicions and
-// emergent sources the module correlates do not decide Required; it
-// subscribes to those itself in Activate.
+// emergent sources the module correlates do not decide Required; those
+// are its KnowledgeLabels.
 func (d *Wormhole) WatchLabels() []string {
 	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
+}
+
+// KnowledgeLabels implements module.KnowledgeHandler.
+func (d *Wormhole) KnowledgeLabels() []string {
+	return []string{knowledge.LabelSuspectBlackhole, knowledge.LabelEmergentSource}
 }
 
 // Required implements module.Module.
@@ -100,27 +107,16 @@ func (d *Wormhole) Activate(ctx *module.Context) {
 	d.sinks = make(map[packet.NodeID]map[string]bool)
 	d.sources = make(map[packet.NodeID]map[string]bool)
 	d.dirty = false
-	// Seed the mirrors from knowledge that predates activation, then
-	// track changes via subscription (installed once per instance; the
-	// handler no-ops while inactive).
+	// Seed the mirrors from knowledge that predates activation; changes
+	// arrive through HandleKnowledge from here on.
 	for _, kg := range ctx.KB.Snapshot() {
-		d.mirror(kg)
-	}
-	if !d.subbed {
-		d.subbed = true
-		ctx.KB.Subscribe(knowledge.LabelSuspectBlackhole, d.onKnowledge)
-		ctx.KB.Subscribe(knowledge.LabelEmergentSource, d.onKnowledge)
+		d.HandleKnowledge(kg)
 	}
 }
 
-func (d *Wormhole) onKnowledge(kg knowledge.Knowgget) {
-	if !d.active() {
-		return
-	}
-	d.mirror(kg)
-}
-
-func (d *Wormhole) mirror(kg knowledge.Knowgget) {
+// HandleKnowledge implements module.KnowledgeHandler: it mirrors one
+// blackhole suspicion or emergent source.
+func (d *Wormhole) HandleKnowledge(kg knowledge.Knowgget) {
 	switch kg.Label {
 	case knowledge.LabelSuspectBlackhole:
 		d.sinks[packet.NodeID(kg.Entity)] = originSet(kg.Value)
@@ -133,9 +129,6 @@ func (d *Wormhole) mirror(kg knowledge.Knowgget) {
 
 // HandlePacket implements module.Module.
 func (d *Wormhole) HandlePacket(c *packet.Captured) {
-	if !d.active() {
-		return
-	}
 	data, ok := c.Layer("ctp-data").(*ctp.Data)
 	if !ok {
 		d.maybeCorrelate(c.Time)
@@ -163,7 +156,12 @@ func (d *Wormhole) HandlePacket(c *packet.Captured) {
 			d.lastEmergent[tx] = c.Time
 			d.dirty = true
 			if d.knowledgeDriven() && d.total(tx) == d.minEmergent {
-				d.ctx.KB.PutCollective(knowledge.LabelEmergentSource, packet.CleanID(tx), d.originsOf(tx))
+				// Mirrored here as well as published: the knowgget comes
+				// back through the manager at the next packet boundary,
+				// and this frame's pairing pass should already see it.
+				kg := knowledge.Knowgget{Label: knowledge.LabelEmergentSource, Entity: packet.CleanID(tx), Value: d.originsOf(tx)}
+				d.HandleKnowledge(kg)
+				d.ctx.KB.PutCollective(kg.Label, kg.Entity, kg.Value)
 			}
 		}
 	}

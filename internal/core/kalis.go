@@ -451,7 +451,9 @@ func (k *Kalis) SetSupervisor(cfg module.SupervisorConfig) {
 // packet is enqueued to its source's shard and dispatched by that
 // shard's worker; without one (a single synchronous shard) it is
 // dispatched here, as a one-element batch, before HandleCapture
-// returns. A closed node ignores captures.
+// returns (it waits for the shard's dispatch token, so concurrent
+// callers take turns and a module or subscriber must not call it from
+// inside a dispatch). A closed node ignores captures.
 func (k *Kalis) HandleCapture(c *packet.Captured) {
 	if k.pipe != nil {
 		k.pipe.Enqueue(c)

@@ -33,8 +33,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				_ = b.QueryLocal()
-				_, _ = b.Float("TrafficFrequency.Kind0")
-				_ = b.QueryEntity("node-1")
+				_, _ = b.Int("TrafficFrequency.Kind0")
+				_, _ = b.EntityFloat("SignalStrength", "node-1")
 				_ = b.Snapshot()
 				_ = b.Len()
 			}
@@ -44,7 +44,7 @@ func TestConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			b.AcceptRemote("K2", Knowgget{Label: "X", Value: fmt.Sprint(i), Creator: "K2"})
+			b.AcceptGossip("K2", Knowgget{Label: "X", Value: fmt.Sprint(i), Creator: "K2", Version: uint64(i + 1)})
 			b.Delete("K2$X")
 		}
 	}()

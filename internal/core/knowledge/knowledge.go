@@ -247,16 +247,11 @@ func (b *Base) PutCollective(label, entity, value string) bool {
 	return b.store(Knowgget{Label: label, Value: value, Creator: b.local, Entity: entity, Collective: true})
 }
 
-// PutBool, PutInt and PutFloat are typed conveniences over Put.
+// PutBool and PutInt are typed conveniences over Put.
 func (b *Base) PutBool(label string, v bool) bool { return b.Put(label, strconv.FormatBool(v)) }
 
 // PutInt stores an integer-valued local knowgget.
 func (b *Base) PutInt(label string, v int) bool { return b.Put(label, strconv.Itoa(v)) }
-
-// PutFloat stores a float-valued local knowgget.
-func (b *Base) PutFloat(label string, v float64) bool {
-	return b.Put(label, strconv.FormatFloat(v, 'g', -1, 64))
-}
 
 // PutBoolDefault stores an absence-default boolean: a sensing module's
 // declaration that, having watched enough traffic without evidence of
@@ -279,25 +274,13 @@ func (b *Base) PutIntMax(label string, v int) bool {
 	return b.storeWith(Knowgget{Label: label, Value: strconv.Itoa(v), Creator: b.local}, putMax)
 }
 
-// AcceptRemote stores a knowgget received from the peer Kalis node
-// identified by from. Per §IV-B3, a node can only update knowggets
-// that it originally generated: the knowgget is rejected unless its
-// creator field equals the sending peer. It returns true if accepted
-// and changed.
-func (b *Base) AcceptRemote(from string, k Knowgget) bool {
-	if k.Creator != from || from == b.local {
-		return false
-	}
-	k.Collective = true
-	return b.store(k)
-}
-
-// AcceptGossip stores a collective knowgget received through the
-// anti-entropy gossip layer. Unlike AcceptRemote it admits relayed
-// knowggets whose creator is a third node (epidemic dissemination
-// depends on relaying — the shared-passphrase envelope is the trust
-// boundary), but it keeps the §IV-B3 ownership invariant where it
-// matters: a knowgget claiming the local node as creator is always
+// AcceptGossip stores a collective knowgget received from the peer
+// Kalis node identified by from, through the anti-entropy gossip layer.
+// It admits relayed knowggets whose creator is a third node (epidemic
+// dissemination depends on relaying — the shared-passphrase envelope is
+// the trust boundary), and keeps the §IV-B3 ownership invariant ("a
+// node can only update knowggets that it originally generated") where
+// it matters: a knowgget claiming the local node as creator is always
 // rejected, so no peer can overwrite local knowledge. Staleness is
 // resolved by the creator-local version: the knowgget is rejected
 // unless its Version is strictly newer than the stored entry's.
@@ -529,19 +512,6 @@ func (b *Base) Int(label string) (int, bool) {
 	return parsed, true
 }
 
-// Float parses a local knowgget as float64.
-func (b *Base) Float(label string) (float64, bool) {
-	s, ok := b.Value(label)
-	if !ok {
-		return 0, false
-	}
-	parsed, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, false
-	}
-	return parsed, true
-}
-
 // EntityFloat parses a local entity-specific knowgget as float64.
 func (b *Base) EntityFloat(label, entity string) (float64, bool) {
 	s, ok := b.EntityValue(label, entity)
@@ -573,40 +543,6 @@ func (b *Base) QueryPrefix(prefix string) []Knowgget {
 
 // QueryLocal returns all knowggets created by the local node.
 func (b *Base) QueryLocal() []Knowgget { return b.QueryPrefix(EscapeComponent(b.local) + "$") }
-
-// QueryCollective returns all knowggets created by peer nodes.
-func (b *Base) QueryCollective() []Knowgget {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var keys []string
-	for key, k := range b.entries {
-		if k.Creator != b.local {
-			keys = append(keys, key)
-		}
-	}
-	return b.sortedByKey(keys)
-}
-
-// QueryEntity returns all knowggets (any creator) about the entity,
-// using the "@entity" key suffix.
-func (b *Base) QueryEntity(entity string) []Knowgget {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var keys []string
-	suffix := "@" + EscapeComponent(entity)
-	for key := range b.entries {
-		if strings.HasSuffix(key, suffix) {
-			keys = append(keys, key)
-		}
-	}
-	return b.sortedByKey(keys)
-}
-
-// Children returns the sub-knowggets of a local multilevel knowgget:
-// all local knowggets whose label begins with "label.".
-func (b *Base) Children(label string) []Knowgget {
-	return b.QueryPrefix(EscapeComponent(b.local) + "$" + EscapeComponent(label) + ".")
-}
 
 // Subscribe registers fn to be notified of changes to knowggets with
 // the given label (any creator or entity). Subscribing to a multilevel

@@ -32,7 +32,6 @@ func TestPutGetTyped(t *testing.T) {
 	b := NewBase("K1")
 	b.PutBool("Multihop", true)
 	b.PutInt("MonitoredNodes", 8)
-	b.PutFloat("Rate", 0.037)
 	b.PutEntity("SignalStrength", "SensorA", "-67.5")
 
 	if v, ok := b.Bool("Multihop"); !ok || !v {
@@ -40,9 +39,6 @@ func TestPutGetTyped(t *testing.T) {
 	}
 	if v, ok := b.Int("MonitoredNodes"); !ok || v != 8 {
 		t.Error("Int")
-	}
-	if v, ok := b.Float("Rate"); !ok || v != 0.037 {
-		t.Error("Float")
 	}
 	if v, ok := b.EntityFloat("SignalStrength", "SensorA"); !ok || v != -67.5 {
 		t.Error("EntityFloat")
@@ -75,46 +71,49 @@ func TestQueries(t *testing.T) {
 	b.Put("TrafficFrequency.TCPSYN", "0.037")
 	b.Put("TrafficFrequency.TCPACK", "0.090")
 	b.PutEntity("SignalStrength", "SensorA", "-67")
-	b.AcceptRemote("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorA"})
+	b.AcceptGossip("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorA", Version: 1})
 
 	if got := len(b.QueryLocal()); got != 4 {
 		t.Errorf("QueryLocal = %d, want 4", got)
 	}
-	coll := b.QueryCollective()
-	if len(coll) != 1 || coll[0].Creator != "K2" {
-		t.Errorf("QueryCollective = %+v", coll)
+	peer := b.QueryPrefix("K2$")
+	if len(peer) != 1 || peer[0].Creator != "K2" {
+		t.Errorf("QueryPrefix(K2$) = %+v", peer)
 	}
-	ent := b.QueryEntity("SensorA")
-	if len(ent) != 2 {
-		t.Errorf("QueryEntity = %d, want 2 (both creators)", len(ent))
-	}
-	kids := b.Children("TrafficFrequency")
+	kids := b.QueryPrefix("K1$TrafficFrequency.")
 	if len(kids) != 2 {
-		t.Errorf("Children = %d, want 2", len(kids))
+		t.Errorf("multilevel children = %d, want 2", len(kids))
 	}
 	if kids[0].Label != "TrafficFrequency.TCPACK" {
 		t.Errorf("children not sorted: %+v", kids)
 	}
 }
 
-func TestAcceptRemoteCreatorRule(t *testing.T) {
+// TestAcceptGossipCreatorRule: §IV-B3's ownership rule as the gossip
+// receive path keeps it — a knowgget claiming the local node as creator
+// is rejected whoever sends it, so no peer can overwrite local
+// knowledge; a peer's own knowggets are accepted and updated in place.
+func TestAcceptGossipCreatorRule(t *testing.T) {
 	b := NewBase("K1")
-	// Peer may only write knowggets it created.
-	if b.AcceptRemote("K2", Knowgget{Label: "X", Value: "1", Creator: "K3"}) {
-		t.Error("forged creator accepted")
-	}
-	if b.AcceptRemote("K2", Knowgget{Label: "X", Value: "1", Creator: "K1"}) {
+	b.Put("X", "mine")
+	if b.AcceptGossip("K2", Knowgget{Label: "X", Value: "1", Creator: "K1", Version: 9}) {
 		t.Error("peer overwrote local knowledge")
 	}
-	if b.AcceptRemote("K1", Knowgget{Label: "X", Value: "1", Creator: "K1"}) {
+	if b.AcceptGossip("K1", Knowgget{Label: "X", Value: "1", Creator: "K1", Version: 9}) {
 		t.Error("self-acceptance")
 	}
-	if !b.AcceptRemote("K2", Knowgget{Label: "X", Value: "1", Creator: "K2"}) {
+	if v, _ := b.Value("X"); v != "mine" {
+		t.Errorf("local X = %q after forged gossip", v)
+	}
+	if !b.AcceptGossip("K2", Knowgget{Label: "X", Value: "1", Creator: "K2", Version: 1}) {
 		t.Error("legitimate remote update rejected")
 	}
 	// Update of the same knowgget by its creator is allowed.
-	if !b.AcceptRemote("K2", Knowgget{Label: "X", Value: "2", Creator: "K2"}) {
+	if !b.AcceptGossip("K2", Knowgget{Label: "X", Value: "2", Creator: "K2", Version: 2}) {
 		t.Error("legitimate remote re-update rejected")
+	}
+	if k, _ := b.Get("K2$X"); k.Value != "2" || !k.Collective {
+		t.Errorf("stored peer knowgget = %+v", k)
 	}
 }
 
@@ -225,7 +224,7 @@ func TestCollectiveSyncHook(t *testing.T) {
 	b.SetSync(func(k Knowgget) { synced = append(synced, k) })
 	b.PutCollective("SignalStrength", "SensorA", "-67")
 	b.Put("Local", "x")
-	b.AcceptRemote("K2", Knowgget{Label: "Y", Value: "2", Creator: "K2", Collective: true})
+	b.AcceptGossip("K2", Knowgget{Label: "Y", Value: "2", Creator: "K2", Version: 1})
 	if len(synced) != 1 || synced[0].Label != "SignalStrength" {
 		t.Errorf("synced = %+v (remote/local knowggets must not re-sync)", synced)
 	}
@@ -280,7 +279,7 @@ func TestFigure5Representation(t *testing.T) {
 	b.PutBool("Multihop", true)
 	b.PutInt("MonitoredNodes", 8)
 	b.PutEntity("SignalStrength", "SensorA", "-67")
-	b.AcceptRemote("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorA"})
+	b.AcceptGossip("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorA", Version: 1})
 	b.Put("TrafficFrequency.TCPSYN", "0.037")
 	b.Put("TrafficFrequency.TCPACK", "0.090")
 
@@ -353,11 +352,8 @@ func TestKeySeparatorEscaping(t *testing.T) {
 	if v, ok := b.EntityValue("Sig@nal", "a@b"); !ok || v != "-67" {
 		t.Errorf("EntityValue through escaped key = (%q,%v)", v, ok)
 	}
-	if got := b.QueryEntity("a@b"); len(got) != 1 {
-		t.Errorf("QueryEntity(a@b) = %d knowggets, want 1", len(got))
-	}
-	if got := b.QueryEntity("b"); len(got) != 0 {
-		t.Errorf("QueryEntity(b) matched an escaped entity suffix: %d", len(got))
+	if _, ok := b.EntityValue("Sig@nal", "b"); ok {
+		t.Error("EntityValue(b) matched an escaped entity suffix")
 	}
 }
 
@@ -380,11 +376,9 @@ func TestQueryOrderIsKeyOrder(t *testing.T) {
 		}
 	}
 	queries := map[string][]Knowgget{
-		"Snapshot":        b.Snapshot(),
-		"QueryLocal":      b.QueryLocal(),
-		"QueryCollective": b.QueryCollective(),
-		"QueryEntity":     b.QueryEntity("a@b"),
-		"Children":        b.Children("Sig"),
+		"Snapshot":    b.Snapshot(),
+		"QueryLocal":  b.QueryLocal(),
+		"QueryPrefix": b.QueryPrefix(EscapeComponent("K$1") + "$Sig."),
 	}
 	if n := len(queries["Snapshot"]); n != 6*7+4 {
 		t.Fatalf("Snapshot holds %d knowggets, want %d", n, 6*7+4)

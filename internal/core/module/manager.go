@@ -1,6 +1,7 @@
 package module
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,59 +28,88 @@ type AlertFunc func(Alert)
 // running our system without Knowledge Base, and with all the modules
 // active at all times").
 //
-// The manager is also the module supervisor (see supervisor.go): a
-// panicking module is quarantined and re-admitted after clean probes
-// instead of killing the node, and a latency circuit breaker sheds
-// persistently-over-budget modules while the pipeline is under queue
-// pressure.
+// The manager is its modules' only caller and enters them on one
+// goroutine at a time (see token). It is also the module supervisor
+// (see supervisor.go): a panicking module is quarantined and
+// re-admitted after clean probes instead of killing the node, and a
+// latency circuit breaker sheds persistently-over-budget modules while
+// the pipeline is under queue pressure.
 type Manager struct {
 	kb    *knowledge.Base
 	store *datastore.Store
 	// flows is the shard's flow table, updated once per packet before
 	// module fan-out and handed to every activated module's Context.
-	flows *flow.Table
-
-	mu              sync.Mutex
-	modules         []Module
-	states          map[string]*moduleState
-	params          map[string]map[string]string
+	flows           *flow.Table
 	knowledgeDriven bool
-	alertFns        []AlertFunc
-	alerts          []Alert
 
-	// snap is the immutable active-module snapshot HandleBatch
-	// iterates: rebuilt under mu whenever activation, supervision or
-	// metrics change, so the per-packet path neither allocates nor
-	// resolves telemetry children.
-	snap []activeEntry
-	// snapGen counts snapshot rebuilds, so a batch in flight notices a
-	// rebuild with one atomic load per packet.
-	snapGen atomic.Uint64
-	// timed reports whether per-module latency observation is wired
-	// (when false HandleBatch skips the clock reads too).
+	// token is the dispatch token: module code (Activate, Deactivate,
+	// HandlePacket, HandleKnowledge) runs only on the goroutine holding
+	// it. HandleBatch waits for it; everyone else — a Knowledge Base
+	// writer on any goroutine, this shard's modules and other shards'
+	// included — only ever tries for it (drain), so a goroutine holding
+	// one manager's token never waits for another's.
+	token sync.Mutex
+	// dirty reports a non-empty inbox. Writers set it after appending;
+	// the token holder checks it at every packet boundary and once more
+	// after giving the token up, so no change is stranded.
+	dirty atomic.Bool
+	// snap is the immutable active-module snapshot HandleBatch iterates
+	// and timed whether per-module latency observation is wired (when
+	// false HandleBatch skips the clock reads too). Both are rebuilt
+	// under mu by the token holder, whenever activation, supervision or
+	// metrics change, so the holder reads them without mu and the
+	// per-packet path neither allocates nor resolves telemetry children.
+	snap  []activeEntry
 	timed bool
+	// spare is the inbox's other buffer, the token holder's.
+	spare []change
+	// invocations counts (packet, active module) pairs — the basis of
+	// the CPU-usage comparison — once per batch.
+	invocations atomic.Uint64
+
+	mu      sync.Mutex
+	modules []*moduleState // install order
+	states  map[string]*moduleState
+	// watches holds the manager's Knowledge Base subscriptions, one per
+	// distinct label its modules watch or listen to.
+	watches map[string]*watch
+	// inbox is what the token holder has yet to do, in arrival order:
+	// knowledge changes to act on and supervisor transitions to publish.
+	// It has no bound of its own: what fills it while the shard is busy
+	// is paced by packets (modules, of any shard) or the network (gossip).
+	inbox []change
+	// alertFns is copy-on-write (OnAlert): emit walks it in place.
+	alertFns []AlertFunc
+	alerts   []Alert
 
 	// degraded counts modules currently quarantined or shed; the
 	// supervisor's revival scan runs only while it is non-zero.
 	degraded int
 
-	// pendingHealth queues supervisor state transitions for
-	// publication as ModuleHealth knowggets once the lock is released
-	// (the Knowledge Base notifies subscribers synchronously, so
-	// publishing under mu could deadlock through re-entrant
-	// activation).
-	pendingHealth []healthEvent
-
 	sup      SupervisorConfig
 	pressure func() int
 
-	// Work accounting, the basis of the CPU-usage comparison: every
-	// (packet, active module) pair costs one invocation.
+	// Work accounting: packets dispatched and activation transitions.
 	packets     uint64
-	invocations uint64
 	activations uint64
 
 	met ManagerMetrics
+}
+
+// watch is one Knowledge Base subscription: the modules whose Required
+// reads the label and the modules that asked to be handed its changes,
+// each in install order.
+type watch struct {
+	deciders, listeners []*moduleState
+}
+
+// change is one inbox entry. With a watch it is an accepted knowgget
+// change for that watch's modules (an Install files one for the new
+// module alone); without, kg is a supervisor transition to publish: the
+// new ModuleHealth state of module kg.Entity.
+type change struct {
+	w  *watch
+	kg knowledge.Knowgget
 }
 
 // activeEntry pairs a dispatchable module with its pre-resolved
@@ -121,7 +151,7 @@ func NewManager(kb *knowledge.Base, store *datastore.Store, flows *flow.Table, k
 		store:           store,
 		flows:           flows,
 		states:          make(map[string]*moduleState),
-		params:          make(map[string]map[string]string),
+		watches:         make(map[string]*watch),
 		knowledgeDriven: knowledgeDriven,
 		sup:             DefaultSupervisorConfig(),
 	}
@@ -132,11 +162,13 @@ func (m *Manager) KnowledgeDriven() bool { return m.knowledgeDriven }
 
 // SetMetrics installs telemetry hooks. Call it before traffic flows.
 func (m *Manager) SetMetrics(met ManagerMetrics) {
+	m.token.Lock()
+	defer m.token.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.met = met
-	for _, mod := range m.modules {
-		m.resolveStateLocked(m.states[mod.Name()], mod.Name())
+	for _, st := range m.modules {
+		m.resolveStateLocked(st)
 	}
 	m.rebuildSnapLocked()
 }
@@ -144,131 +176,163 @@ func (m *Manager) SetMetrics(met ManagerMetrics) {
 // resolveStateLocked caches a state's telemetry children so the packet
 // path and the (cold but on-path) quarantine branch never pay a Vec
 // lookup. Callers must hold m.mu.
-func (m *Manager) resolveStateLocked(st *moduleState, name string) {
+func (m *Manager) resolveStateLocked(st *moduleState) {
 	//lint:ignore hotpath wiring-time child resolution, never on the packet path
-	st.panics = m.met.Panics.With(name)
+	st.panics = m.met.Panics.With(st.name)
 }
 
 // rebuildSnapLocked recomputes the dispatchable-module snapshot,
 // resolving each module's latency histogram child once — off the
 // packet path. A module is dispatched when its knowledge predicate
 // wants it active and the supervisor holds it neither quarantined nor
-// shed. Callers must hold m.mu.
+// shed. Callers must hold the token and m.mu.
 func (m *Manager) rebuildSnapLocked() {
 	m.timed = m.met.PacketLatency != nil
 	snap := make([]activeEntry, 0, len(m.modules))
-	for _, mod := range m.modules {
-		st := m.states[mod.Name()]
+	for _, st := range m.modules {
 		if !st.want || (st.health != stateHealthy && st.health != stateProbing) {
 			continue
 		}
-		e := activeEntry{mod: mod, st: st, probing: st.health == stateProbing}
+		e := activeEntry{mod: st.mod, st: st, probing: st.health == stateProbing}
 		if m.timed {
 			//lint:ignore hotpath snapshot rebuild is a rare supervision/activation event, not per-packet work
-			e.lat = m.met.PacketLatency.With(mod.Name())
+			e.lat = m.met.PacketLatency.With(st.name)
 		}
 		snap = append(snap, e)
 	}
 	m.snap = snap
-	m.snapGen.Add(1)
 }
 
 // OnAlert registers a consumer for every alert raised by any module.
 func (m *Manager) OnAlert(fn AlertFunc) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.alertFns = append(m.alertFns, fn)
+	m.alertFns = append(m.alertFns[:len(m.alertFns):len(m.alertFns)], fn)
 }
 
-// Install adds a module (inactive until its knowledge predicate first
-// holds) and subscribes its watch labels to the Knowledge Base.
+// Install adds a module, subscribes the manager to the labels it
+// watches or listens to that no earlier module did, and files the
+// module's first evaluation: it is inactive until its knowledge
+// predicate first holds — on an idle shard, before Install returns.
 func (m *Manager) Install(mod Module, params map[string]string) {
+	st := &moduleState{mod: mod, name: mod.Name(), params: params}
 	m.mu.Lock()
-	m.modules = append(m.modules, mod)
-	st := &moduleState{name: mod.Name()}
-	m.resolveStateLocked(st, mod.Name())
-	m.states[mod.Name()] = st
-	m.params[mod.Name()] = params
-	m.mu.Unlock()
-
+	m.resolveStateLocked(st)
+	m.modules = append(m.modules, st)
+	m.states[st.name] = st
 	for _, label := range mod.WatchLabels() {
-		mod := mod
-		m.kb.Subscribe(label, func(knowledge.Knowgget) { m.reevaluate(mod) })
+		w := m.watchLocked(label)
+		w.deciders = append(w.deciders, st)
 	}
-	m.reevaluate(mod)
+	if l, ok := mod.(KnowledgeHandler); ok {
+		for _, label := range l.KnowledgeLabels() {
+			w := m.watchLocked(label)
+			w.listeners = append(w.listeners, st)
+		}
+	}
+	m.mu.Unlock()
+	m.file(change{w: &watch{deciders: []*moduleState{st}}})
 }
 
-// reevaluate synchronizes one module's activation with the current
-// knowledge. Transitions are serialized per module: the first caller to
-// observe a pending transition becomes the owner of the module's
-// transition loop, and concurrent knowledge updates only move the
-// target state — they never interleave Activate/Deactivate calls, so a
-// module always ends up last-called with the transition matching the
-// final knowledge state (no stale Context).
-//
-//lint:coldpath activation transitions run on knowledge flips and install/param changes, not per packet; Activate/Deactivate and flow-tracker acquisition are off the per-packet budget
-func (m *Manager) reevaluate(mod Module) {
-	m.mu.Lock()
-	st := m.states[mod.Name()]
-	if st == nil {
-		m.mu.Unlock()
-		return
+// watchLocked returns the subscription for a label, subscribing on
+// first use. Callers must hold m.mu.
+func (m *Manager) watchLocked(label string) *watch {
+	w := m.watches[label]
+	if w == nil {
+		w = &watch{}
+		m.watches[label] = w
+		// The handler runs on whichever goroutine stored the knowgget — a
+		// module of this shard or of another, the gossip receive loop — so
+		// it evaluates nothing and calls no module: it files the change.
+		m.kb.Subscribe(label, func(kg knowledge.Knowgget) { m.file(change{w: w, kg: kg}) })
 	}
-	want := !m.knowledgeDriven || mod.Required(m.kb)
-	if want != st.want {
-		st.want = want
-		m.activations++
+	return w
+}
+
+// file puts one entry in the inbox and, if the shard is idle, applies
+// it on the spot.
+func (m *Manager) file(c change) {
+	m.mu.Lock()
+	m.inbox = append(m.inbox, c)
+	m.mu.Unlock()
+	m.dirty.Store(true)
+	m.drain()
+}
+
+// drain applies the inbox if nobody holds the token. If somebody does,
+// they will: at their next packet boundary, or — the lost-wake-up case,
+// a change filed between their last check and their Unlock — here, in
+// the drain every holder runs after giving the token up.
+func (m *Manager) drain() {
+	for m.dirty.Load() && m.token.TryLock() {
+		m.apply()
+		m.token.Unlock()
+	}
+}
+
+// apply empties the inbox in arrival order; changes filed meanwhile (a
+// module storing knowledge from Activate, a published transition coming
+// back as a knowgget) are applied before it returns. For a knowledge
+// change: the modules watching the label are re-evaluated and the ones
+// whose target flipped get Activate or Deactivate, in install order;
+// then the active modules listening to the label are handed the
+// knowgget. The caller holds the token, so every call lands between two
+// packets of this shard and matches the knowledge as of that boundary.
+//
+//lint:coldpath knowledge changes on watched labels, installs and supervisor transitions are rare by construction; Activate/Deactivate/HandleKnowledge and flow-tracker acquisition are off the per-packet budget
+func (m *Manager) apply() {
+	for m.dirty.Swap(false) {
+		m.mu.Lock()
+		todo := m.inbox
+		m.inbox = m.spare[:0]
+		m.mu.Unlock()
+		for _, c := range todo {
+			if c.w == nil {
+				m.kb.PutCollective(c.kg.Label+"."+c.kg.Entity, "", c.kg.Value)
+				continue
+			}
+			flipped, listeners := m.retarget(c.w)
+			for _, st := range flipped {
+				if st.want {
+					m.activate(st)
+				} else {
+					m.deactivate(st)
+				}
+			}
+			for _, st := range listeners {
+				if st.want {
+					m.hand(st, c.kg)
+				}
+			}
+		}
+		clear(todo)
+		m.spare = todo
+	}
+}
+
+// retarget re-evaluates a watch's deciding modules against the current
+// knowledge and returns the ones whose target changed, with the watch's
+// listeners as of now (Install may be appending to either list).
+func (m *Manager) retarget(w *watch) (flipped, listeners []*moduleState) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, st := range w.deciders {
+		if want := !m.knowledgeDriven || st.mod.Required(m.kb); want != st.want {
+			st.want = want
+			m.activations++
+			flipped = append(flipped, st)
+		}
+	}
+	if flipped != nil {
 		m.rebuildSnapLocked()
 	}
-	if st.transitioning || st.applied == st.want {
-		// Another goroutine owns this module's transition loop and will
-		// observe the new target before it exits — or there is nothing
-		// to do. Either way, returning here cannot strand a transition.
-		m.mu.Unlock()
-		return
-	}
-	st.transitioning = true
-	params := m.params[mod.Name()]
-	m.mu.Unlock()
-	m.applyTransitions(mod, st, params)
-}
-
-// applyTransitions delivers Activate/Deactivate calls until the
-// module's applied state matches the target. Only one goroutine runs
-// this loop per module (st.transitioning); the loop re-reads the
-// target after every call, so a knowledge flip that lands mid-call is
-// applied next — never lost, never reordered.
-func (m *Manager) applyTransitions(mod Module, st *moduleState, params map[string]string) {
-	for {
-		m.mu.Lock()
-		want := st.want
-		if want == st.applied {
-			st.transitioning = false
-			m.mu.Unlock()
-			return
-		}
-		st.applied = want
-		m.mu.Unlock()
-		if want {
-			m.safeActivate(mod, &Context{
-				KB:              m.kb,
-				Store:           m.store,
-				Flows:           m.flows,
-				Emit:            m.emit,
-				Params:          params,
-				KnowledgeDriven: m.knowledgeDriven,
-			})
-		} else {
-			m.safeDeactivate(mod)
-		}
-	}
+	return flipped, w.listeners
 }
 
 func (m *Manager) emit(a Alert) {
 	m.mu.Lock()
 	m.alerts = append(m.alerts, a)
-	fns := make([]AlertFunc, len(m.alertFns))
-	copy(fns, m.alertFns)
+	fns := m.alertFns
 	m.mu.Unlock()
 	for _, fn := range fns {
 		fn(a)
@@ -284,24 +348,27 @@ func (m *Manager) HandlePacket(c *packet.Captured) {
 
 // HandleBatch is the one dispatch loop: every packet of the batch is
 // recorded in the Data Store, folded into the flow table and routed to
-// every dispatchable module under the supervisor's panic barrier. The
-// snapshot is immutable, so the per-batch work is one lock round-trip
-// and the per-packet work the store append, the flow update and the
-// module invocations themselves — no allocation, no telemetry child
-// lookups. The inline executor hands it one packet, a ring worker up to
-// a batch (internal/ingest). The supervisor runs once per batch on the
-// last packet's capture time: revival and breaker decisions are
-// windowed anyway, so batch-granular evaluation only defers them by at
-// most one batch. The snapshot, however, is re-read as soon as a packet
-// of the batch changes it (a knowledge flip activating a module, a
-// quarantine), so a batch dispatches to the same modules, packet for
-// packet, as the same packets handed over one at a time.
+// every dispatchable module under the supervisor's panic barrier, with
+// the dispatch token held from the first packet to the last. The
+// snapshot is immutable, so the per-batch work is the token, one lock
+// round-trip and one counter, and the per-packet work the store append,
+// the flow update and the module invocations themselves — no
+// allocation, no telemetry child lookups. The inline executor hands it
+// one packet, a ring worker up to a batch (internal/ingest). The
+// supervisor runs once per batch on the last packet's capture time:
+// revival and breaker decisions are windowed anyway, so batch-granular
+// evaluation only defers them by at most one batch. The inbox, however,
+// is checked before every packet (one atomic load) — a knowledge flip
+// activating a module, a quarantine to publish — so a batch dispatches
+// to the same modules, packet for packet, as the same packets handed
+// over one at a time.
 func (m *Manager) HandleBatch(batch []*packet.Captured) {
 	if len(batch) == 0 {
 		return
 	}
 	last := batch[len(batch)-1]
 
+	m.token.Lock()
 	m.mu.Lock()
 	base := m.packets
 	m.packets += uint64(len(batch))
@@ -312,23 +379,17 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 		m.packets/uint64(m.sup.BreakerWindow) != base/uint64(m.sup.BreakerWindow) {
 		m.breakerLocked(last.Time)
 	}
-	snap, gen := m.snap, m.snapGen.Load()
-	timed := m.timed
 	flowLat := m.met.FlowUpdate
-	var health []healthEvent
-	if len(m.pendingHealth) > 0 {
-		health = m.pendingHealth
-		m.pendingHealth = nil
-	}
-	m.invocations += uint64(len(snap)) * uint64(len(batch))
 	m.met.Packets.Add(uint64(len(batch)))
 	m.mu.Unlock()
 
-	if len(health) > 0 {
-		m.publishHealth(health)
-	}
-
+	var invoked uint64
 	for bi, c := range batch {
+		if m.dirty.Load() {
+			m.apply()
+		}
+		snap, timed := m.snap, m.timed
+		invoked += uint64(len(snap))
 		// Data Store append errors surface only when disk logging is
 		// enabled; the window append itself cannot fail. A passive IDS
 		// keeps observing either way.
@@ -363,13 +424,10 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 				m.probeOK(e.st)
 			}
 		}
-		if rest := uint64(len(batch) - bi - 1); rest > 0 && m.snapGen.Load() != gen {
-			m.mu.Lock()
-			m.invocations += uint64(len(m.snap))*rest - uint64(len(snap))*rest
-			snap, gen, timed = m.snap, m.snapGen.Load(), m.timed
-			m.mu.Unlock()
-		}
 	}
+	m.invocations.Add(invoked)
+	m.token.Unlock()
+	m.drain()
 }
 
 // Active returns the names of the modules the knowledge currently
@@ -380,9 +438,9 @@ func (m *Manager) Active() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.modules))
-	for _, mod := range m.modules {
-		if m.states[mod.Name()].want {
-			out = append(out, mod.Name())
+	for _, st := range m.modules {
+		if st.want {
+			out = append(out, st.name)
 		}
 	}
 	return out
@@ -394,32 +452,29 @@ func (m *Manager) Installed() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.modules))
-	for _, mod := range m.modules {
-		out = append(out, mod.Name())
+	for _, st := range m.modules {
+		out = append(out, st.name)
 	}
 	return out
 }
 
-// ParamsOf returns the parameters a module was installed with.
+// ParamsOf returns a copy of the parameters a module was installed
+// with.
 func (m *Manager) ParamsOf(name string) map[string]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	params := m.params[name]
-	out := make(map[string]string, len(params))
-	for k, v := range params {
-		out[k] = v
+	if st := m.states[name]; st != nil {
+		return maps.Clone(st.params)
 	}
-	return out
+	return nil
 }
 
 // ModuleKind returns the kind of an installed module.
 func (m *Manager) ModuleKind(name string) (Kind, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, mod := range m.modules {
-		if mod.Name() == name {
-			return mod.Kind(), true
-		}
+	if st := m.states[name]; st != nil {
+		return st.mod.Kind(), true
 	}
 	return 0, false
 }
@@ -438,5 +493,5 @@ func (m *Manager) Alerts() []Alert {
 func (m *Manager) Stats() (packets, invocations, activations uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.packets, m.invocations, m.activations
+	return m.packets, m.invocations.Load(), m.activations
 }

@@ -1,6 +1,7 @@
 package module
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -131,6 +132,90 @@ func TestAlertsCollectedAndFannedOut(t *testing.T) {
 	}
 	if got[0].Attack != "sybil" {
 		t.Errorf("alert = %+v", got[0])
+	}
+}
+
+// TestEmitWalksConsumersInPlace: an alert costs the consumer list no
+// copy (the collected-alerts slice grows, amortized to nothing).
+func TestEmitWalksConsumersInPlace(t *testing.T) {
+	m, _ := newTestManager(true)
+	seen := 0
+	for i := 0; i < 3; i++ {
+		m.OnAlert(func(Alert) { seen++ })
+	}
+	a := Alert{Attack: "sybil", Module: "M"}
+	if n := testing.AllocsPerRun(1000, func() { m.emit(a) }); n != 0 {
+		t.Errorf("emit allocates %v objects per alert, want 0", n)
+	}
+	if seen != 3*1001 {
+		t.Errorf("consumers ran %d times, want %d", seen, 3*1001)
+	}
+}
+
+// listenerModule is a fakeModule that asked for knowledge.
+type listenerModule struct {
+	fakeModule
+	labels []string
+	heard  []string
+}
+
+func (l *listenerModule) KnowledgeLabels() []string { return l.labels }
+func (l *listenerModule) HandleKnowledge(kg knowledge.Knowgget) {
+	if l.ctx == nil {
+		panic("knowledge to inactive module")
+	}
+	l.heard = append(l.heard, kg.Label+"="+kg.Value)
+}
+
+// TestKnowledgeHandedToActiveListeners: a module that implements
+// KnowledgeHandler gets every change of its labels (multilevel children
+// and peers' knowggets included) in order, only while active, and a
+// change that both activates it and concerns it is handed over after
+// Activate.
+func TestKnowledgeHandedToActiveListeners(t *testing.T) {
+	m, kb := newTestManager(true)
+	mod := &listenerModule{
+		fakeModule: fakeModule{name: "L", kind: KindDetection, watch: []string{"Wanted"},
+			required: func(kb *knowledge.Base) bool { v, _ := kb.Bool("Wanted"); return v }},
+		labels: []string{"News", "Wanted"},
+	}
+	m.Install(mod, nil)
+	kb.Put("News", "missed") // inactive: not handed over
+	kb.PutBool("Wanted", true)
+	kb.Put("News.sub", "1")
+	kb.AcceptGossip("K2", knowledge.Knowgget{Label: "News", Value: "2", Creator: "K2", Version: 1})
+	kb.Put("Other", "x")
+	kb.PutBool("Wanted", false)
+	kb.Put("News", "late")
+	want := "[Wanted=true News.sub=1 News=2]"
+	if got := fmt.Sprint(mod.heard); got != want {
+		t.Errorf("heard %v, want %v", got, want)
+	}
+	if h := m.Health(); h["L"] != "inactive" {
+		t.Errorf("Health = %v", h)
+	}
+}
+
+// TestOneSubscriptionPerLabel: however many modules watch or listen to
+// a label, the manager subscribes to it once, and one change costs each
+// watching module one Required.
+func TestOneSubscriptionPerLabel(t *testing.T) {
+	m, kb := newTestManager(true)
+	evaluated := 0
+	for _, name := range []string{"A", "B", "C"} {
+		m.Install(&listenerModule{
+			fakeModule: fakeModule{name: name, kind: KindDetection, watch: []string{"Multihop", "Mediums"},
+				required: func(*knowledge.Base) bool { evaluated++; return false }},
+			labels: []string{"Multihop"},
+		}, nil)
+	}
+	if len(m.watches) != 2 {
+		t.Errorf("%d subscriptions for 2 distinct labels", len(m.watches))
+	}
+	evaluated = 0
+	kb.PutBool("Multihop", true)
+	if evaluated != 3 {
+		t.Errorf("one change of a label three modules watch cost %d Required calls, want 3", evaluated)
 	}
 }
 

@@ -78,9 +78,16 @@ type Context struct {
 	KnowledgeDriven bool
 }
 
-// Module is a Kalis module. Implementations must be single-goroutine
-// safe with respect to the manager: HandlePacket, Activate and
-// Deactivate are never called concurrently.
+// Module is a Kalis module. A module has one caller, its manager, and
+// the manager enters it on one goroutine at a time: Activate,
+// Deactivate, HandlePacket and — for modules that implement
+// KnowledgeHandler — HandleKnowledge all run under the manager's
+// dispatch token, never concurrently and never re-entrantly, whichever
+// goroutine holds the token at the moment (the shard's capture or ring
+// goroutine, or a Knowledge Base writer that found the shard idle). A
+// module therefore needs no lock of its own and no "am I active" check:
+// HandlePacket and HandleKnowledge are only ever called between an
+// Activate and the next Deactivate.
 type Module interface {
 	// Name returns the unique module name used in configuration files.
 	Name() string
@@ -100,6 +107,25 @@ type Module interface {
 	Deactivate()
 	// HandlePacket processes one captured packet while active.
 	HandlePacket(c *packet.Captured)
+}
+
+// KnowledgeHandler is the optional interface of a module that consumes
+// knowggets as evidence (as opposed to WatchLabels, which only decide
+// Required). The manager subscribes to KnowledgeLabels on the module's
+// behalf and hands every change of one of them — local or from a peer,
+// any creator or entity, multilevel children included — to
+// HandleKnowledge while the module is active, in the order the
+// Knowledge Base accepted them, at a packet boundary of the module's
+// shard. Changes accepted while it was inactive are not replayed: a
+// module that needs them reads the Knowledge Base in Activate. Modules
+// do not subscribe to the Knowledge Base themselves: a subscription
+// runs on the writer's goroutine.
+type KnowledgeHandler interface {
+	// KnowledgeLabels lists the labels to be handed over; it is read
+	// once, at install time.
+	KnowledgeLabels() []string
+	// HandleKnowledge receives one accepted change while active.
+	HandleKnowledge(kg knowledge.Knowgget)
 }
 
 // Factory builds a module instance with the given parameters.

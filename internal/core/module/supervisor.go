@@ -60,56 +60,32 @@ func (h moduleHealth) String() string {
 	}
 }
 
-// healthEvent is one supervisor state transition queued for
-// publication as a ModuleHealth.<name> collective knowgget.
-type healthEvent struct {
-	name, state string
-}
-
-// noteHealthLocked queues a module's current supervision state for
-// publication. Callers must hold m.mu; the event is published by the
-// next drain point (HandleBatch's per-batch check, or the cold-path
-// callers' own drainHealth), outside the lock.
+// noteHealthLocked files a module's current supervision state for
+// publication as a collective ModuleHealth.<name> knowgget, so peer
+// Kalis nodes can correlate module crashes across the network. Every
+// supervisor transition happens under the dispatch token, and the
+// holder publishes at its next packet boundary (Manager.apply) — not
+// here: the Knowledge Base notifies synchronously and m.mu is held.
+// Callers must hold m.mu.
 func (m *Manager) noteHealthLocked(st *moduleState) {
-	m.pendingHealth = append(m.pendingHealth, healthEvent{name: st.name, state: st.health.String()})
-}
-
-// publishHealth stores queued transitions as collective
-// ModuleHealth.<name> knowggets, so peer Kalis nodes can correlate
-// module crashes across the network. Must be called without m.mu held.
-//
-//lint:coldpath health knowggets publish on supervisor state transitions (crash, quarantine, probation exit), which are rare by construction
-func (m *Manager) publishHealth(evs []healthEvent) {
-	for _, e := range evs {
-		m.kb.PutCollective(knowledge.LabelModuleHealth+"."+e.name, "", e.state)
-	}
-}
-
-// drainHealth publishes any queued transitions. Used by the cold-path
-// transition sites (quarantine, probation exit) that own their own
-// locking; the packet path drains inline in HandleBatch instead.
-func (m *Manager) drainHealth() {
-	m.mu.Lock()
-	evs := m.pendingHealth
-	m.pendingHealth = nil
-	m.mu.Unlock()
-	if len(evs) > 0 {
-		m.publishHealth(evs)
-	}
+	m.inbox = append(m.inbox, change{kg: knowledge.Knowgget{
+		Label: knowledge.LabelModuleHealth, Entity: st.name, Value: st.health.String(),
+	}})
+	m.dirty.Store(true)
 }
 
 // moduleState is the manager's per-module bookkeeping: activation
 // (knowledge-driven) and supervision (fault containment).
 type moduleState struct {
-	// name is the module's registry name (for health publication).
-	name string
-	// Activation. want is the target the knowledge predicate asks for;
-	// applied is the last transition actually delivered to the module;
-	// transitioning marks the single goroutine currently applying
-	// transitions (see reevaluate).
-	want          bool
-	applied       bool
-	transitioning bool
+	mod Module
+	// name is the module's registry name.
+	name   string
+	params map[string]string
+	// want is the activation target the knowledge predicate asked for at
+	// the last evaluation. Activate/Deactivate follow in the same step
+	// (Manager.apply), so it is also what the module was last told.
+	// Written under m.mu by the token holder.
+	want bool
 
 	// Supervision.
 	health    moduleHealth
@@ -202,44 +178,45 @@ func (m *Manager) invoke(mod Module, c *packet.Captured) (ok bool, cause interfa
 	return true, nil
 }
 
-// safeActivate delivers Activate under the panic barrier; a module that
-// panics while activating is quarantined on the spot (with a zero
+// contain is the panic barrier of the entry points apply calls: a
+// module that panics there is quarantined on the spot (with a zero
 // virtual timestamp: the first packet's revival scan re-times it).
-func (m *Manager) safeActivate(mod Module, ctx *Context) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.quarantine(m.stateOf(mod.Name()), time.Time{}, r)
-		}
-	}()
-	mod.Activate(ctx)
+func (m *Manager) contain(st *moduleState) {
+	if r := recover(); r != nil {
+		m.quarantine(st, time.Time{}, r)
+	}
 }
 
-// safeDeactivate delivers Deactivate under the panic barrier.
-func (m *Manager) safeDeactivate(mod Module) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.quarantine(m.stateOf(mod.Name()), time.Time{}, r)
-		}
-	}()
-	mod.Deactivate()
+func (m *Manager) activate(st *moduleState) {
+	defer m.contain(st)
+	st.mod.Activate(&Context{
+		KB:              m.kb,
+		Store:           m.store,
+		Flows:           m.flows,
+		Emit:            m.emit,
+		Params:          st.params,
+		KnowledgeDriven: m.knowledgeDriven,
+	})
 }
 
-// stateOf returns a module's state under the lock.
-func (m *Manager) stateOf(name string) *moduleState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.states[name]
+func (m *Manager) deactivate(st *moduleState) {
+	defer m.contain(st)
+	st.mod.Deactivate()
+}
+
+// hand is for the modules on a watch's listeners list: Install put
+// them there because they implement KnowledgeHandler.
+func (m *Manager) hand(st *moduleState, kg knowledge.Knowgget) {
+	defer m.contain(st)
+	st.mod.(KnowledgeHandler).HandleKnowledge(kg)
 }
 
 // quarantine withholds a panicked module from dispatch and schedules
 // its probation with exponential backoff on the virtual clock.
 func (m *Manager) quarantine(st *moduleState, at time.Time, cause interface{}) {
-	if st == nil {
-		return
-	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if st.health == stateQuarantined {
-		m.mu.Unlock()
 		return
 	}
 	if st.health == stateHealthy || st.health == stateProbing {
@@ -252,8 +229,6 @@ func (m *Manager) quarantine(st *moduleState, at time.Time, cause interface{}) {
 	st.panics.Inc()
 	m.noteHealthLocked(st)
 	m.rebuildSnapLocked()
-	m.mu.Unlock()
-	m.drainHealth()
 }
 
 // backoffLocked computes the quarantine backoff for the given strike
@@ -277,7 +252,7 @@ func (m *Manager) backoffLocked(strikes int) time.Duration {
 // queue pressure subsided. Runs under m.mu, only while degraded > 0.
 func (m *Manager) reviveLocked(now time.Time) {
 	changed := false
-	for _, st := range m.states {
+	for _, st := range m.modules {
 		switch st.health {
 		case stateQuarantined:
 			if !now.Before(st.until) {
@@ -314,22 +289,16 @@ func (m *Manager) reviveLocked(now time.Time) {
 // reset.
 func (m *Manager) probeOK(st *moduleState) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if st.health != stateProbing {
-		m.mu.Unlock()
 		return
 	}
 	st.probeLeft--
-	readmitted := false
 	if st.probeLeft <= 0 {
 		st.health = stateHealthy
 		st.strikes = 0
 		m.noteHealthLocked(st)
 		m.rebuildSnapLocked()
-		readmitted = true
-	}
-	m.mu.Unlock()
-	if readmitted {
-		m.drainHealth()
 	}
 }
 
@@ -380,9 +349,9 @@ func (m *Manager) Quarantined() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []string
-	for _, mod := range m.modules {
-		if h := m.states[mod.Name()].health; h == stateQuarantined || h == stateShed {
-			out = append(out, mod.Name())
+	for _, st := range m.modules {
+		if st.health == stateQuarantined || st.health == stateShed {
+			out = append(out, st.name)
 		}
 	}
 	return out
@@ -395,13 +364,11 @@ func (m *Manager) Health() map[string]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[string]string, len(m.modules))
-	for _, mod := range m.modules {
-		st := m.states[mod.Name()]
-		if !st.want {
-			out[mod.Name()] = "inactive"
-			continue
+	for _, st := range m.modules {
+		out[st.name] = "inactive"
+		if st.want {
+			out[st.name] = st.health.String()
 		}
-		out[mod.Name()] = st.health.String()
 	}
 	return out
 }

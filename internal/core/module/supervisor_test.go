@@ -259,10 +259,9 @@ func TestBreakerShedsUnderPressureAndReadmits(t *testing.T) {
 	}
 }
 
-// churnModule tracks its own activation with a lock so the -race
-// detector sees any Activate/Deactivate vs HandlePacket overlap.
+// churnModule keeps unguarded state: it is the manager's job that the
+// -race detector sees no Activate/Deactivate vs HandlePacket overlap.
 type churnModule struct {
-	mu      sync.Mutex
 	active  bool
 	packets int
 }
@@ -274,27 +273,16 @@ func (c *churnModule) Required(kb *knowledge.Base) bool {
 	v, ok := kb.Bool("Multihop")
 	return ok && v
 }
-func (c *churnModule) Activate(*Context) {
-	c.mu.Lock()
-	c.active = true
-	c.mu.Unlock()
-}
-func (c *churnModule) Deactivate() {
-	c.mu.Lock()
-	c.active = false
-	c.mu.Unlock()
-}
-func (c *churnModule) HandlePacket(*packet.Captured) {
-	c.mu.Lock()
-	c.packets++
-	c.mu.Unlock()
-}
+func (c *churnModule) Activate(*Context)             { c.active = true }
+func (c *churnModule) Deactivate()                   { c.active = false }
+func (c *churnModule) HandlePacket(*packet.Captured) { c.packets++ }
 
 // TestActivationChurnUnderTraffic is the regression test for the
 // activation-transition race: two goroutines flip a watched label while
 // packets flow, and the module's last-applied transition must match the
 // final knowledge state (no stale Context, no interleaved
-// Activate/Deactivate), with the race detector watching.
+// Activate/Deactivate), with the race detector watching a module that
+// does not defend itself.
 func TestActivationChurnUnderTraffic(t *testing.T) {
 	m, kb := newTestManager(true)
 	mod := &churnModule{}
@@ -324,16 +312,14 @@ func TestActivationChurnUnderTraffic(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// Settle on a known final state; after every reevaluate returns the
-	// owner loop guarantees applied == want.
+	// Settle on a known final state: the shard is idle, so each Put is
+	// applied before it returns, and reading the module here is ordered
+	// after the manager's last call into it by the token.
 	kb.PutBool("Multihop", true)
 	if got := m.Active(); len(got) != 1 || got[0] != "churn" {
 		t.Fatalf("Active = %v", got)
 	}
-	mod.mu.Lock()
-	active := mod.active
-	mod.mu.Unlock()
-	if !active {
+	if !mod.active {
 		t.Fatal("module last-called with Deactivate despite knowledge wanting it active")
 	}
 
@@ -341,10 +327,7 @@ func TestActivationChurnUnderTraffic(t *testing.T) {
 	if got := m.Active(); len(got) != 0 {
 		t.Fatalf("Active = %v", got)
 	}
-	mod.mu.Lock()
-	active = mod.active
-	mod.mu.Unlock()
-	if active {
+	if mod.active {
 		t.Fatal("module last-called with Activate despite knowledge wanting it inactive")
 	}
 }

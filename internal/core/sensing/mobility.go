@@ -54,7 +54,6 @@ type Mobility struct {
 	// remote mirrors peer-observed signal strengths per entity; a peer
 	// change flags the entity for cross-node corroboration.
 	remote  map[packet.NodeID]remoteSignal
-	subbed  bool
 	localID string
 }
 
@@ -64,7 +63,10 @@ type remoteSignal struct {
 	changed bool // a threshold/2 change since the previous report
 }
 
-var _ module.Module = (*Mobility)(nil)
+var (
+	_ module.Module           = (*Mobility)(nil)
+	_ module.KnowledgeHandler = (*Mobility)(nil)
+)
 
 // NewMobility creates the module. Parameters: "threshold" (dB, default
 // 4), "quiet" (duration, default 12s), "collective" (bool, default
@@ -121,16 +123,22 @@ func (m *Mobility) Activate(ctx *module.Context) {
 	m.mobile = false
 	m.remote = make(map[packet.NodeID]remoteSignal)
 	m.localID = ctx.KB.LocalID()
-	if m.collective && !m.subbed {
-		m.subbed = true
-		ctx.KB.Subscribe(knowledge.LabelSignalStrength, m.onRemoteSignal)
-	}
 }
 
-// onRemoteSignal mirrors peer-observed signal strengths and marks
-// entities whose strength changed at a peer.
-func (m *Mobility) onRemoteSignal(kg knowledge.Knowgget) {
-	if m.ctx == nil || kg.Creator == m.localID || kg.Entity == "" {
+// KnowledgeLabels implements module.KnowledgeHandler: with "collective"
+// on, the signal strengths peers observe.
+func (m *Mobility) KnowledgeLabels() []string {
+	if !m.collective {
+		return nil
+	}
+	return []string{knowledge.LabelSignalStrength}
+}
+
+// HandleKnowledge implements module.KnowledgeHandler: it mirrors
+// peer-observed signal strengths and marks entities whose strength
+// changed at a peer.
+func (m *Mobility) HandleKnowledge(kg knowledge.Knowgget) {
+	if kg.Creator == m.localID || kg.Entity == "" {
 		return
 	}
 	v, err := strconv.ParseFloat(kg.Value, 64)
@@ -148,7 +156,7 @@ func (m *Mobility) Deactivate() { m.ctx = nil }
 
 // HandlePacket implements module.Module.
 func (m *Mobility) HandlePacket(c *packet.Captured) {
-	if m.ctx == nil || c.Transmitter == "" || c.RSSI == 0 {
+	if c.Transmitter == "" || c.RSSI == 0 {
 		return
 	}
 	id := c.Transmitter

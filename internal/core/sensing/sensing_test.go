@@ -222,6 +222,11 @@ func TestMobilityCollectiveCorrelation(t *testing.T) {
 	kb := knowledge.NewBase("K1")
 	mod, _ := NewMobility(map[string]string{"threshold": "6", "collective": "true"})
 	mod.Activate(newCtx(kb))
+	// The manager's part: hand the module the knowledge it asked for.
+	listener := mod.(module.KnowledgeHandler)
+	for _, label := range listener.KnowledgeLabels() {
+		kb.Subscribe(label, listener.HandleKnowledge)
+	}
 
 	raw := stack.BuildCTPBeacon(5, 1, 10, 1)
 	// Stable local baseline for entity 0x0005.
@@ -237,10 +242,10 @@ func TestMobilityCollectiveCorrelation(t *testing.T) {
 		t.Fatal("sub-threshold deviation alone declared mobility")
 	}
 	// A peer (K2) reports a significant change for the same entity...
-	kb.AcceptRemote("K2", knowledge.Knowgget{
-		Label: knowledge.LabelSignalStrength, Value: "-70", Creator: "K2", Entity: "0x0005"})
-	kb.AcceptRemote("K2", knowledge.Knowgget{
-		Label: knowledge.LabelSignalStrength, Value: "-77", Creator: "K2", Entity: "0x0005"})
+	kb.AcceptGossip("K2", knowledge.Knowgget{
+		Label: knowledge.LabelSignalStrength, Value: "-70", Creator: "K2", Entity: "0x0005", Version: 1})
+	kb.AcceptGossip("K2", knowledge.Knowgget{
+		Label: knowledge.LabelSignalStrength, Value: "-77", Creator: "K2", Entity: "0x0005", Version: 2})
 	// ...and the next local sub-threshold deviation corroborates it
 	// (EWMA sits near -61.2 after the -64 sample; -65 deviates ~3.8 dB,
 	// between threshold/2 and threshold).

@@ -94,9 +94,6 @@ func (t *Topology) Deactivate() { t.ctx = nil }
 
 // HandlePacket implements module.Module.
 func (t *Topology) HandlePacket(c *packet.Captured) {
-	if t.ctx == nil {
-		return
-	}
 	t.packets++
 	kb := t.ctx.KB
 

@@ -85,9 +85,6 @@ func (t *TrafficStats) reset() {
 
 // HandlePacket implements module.Module.
 func (t *TrafficStats) HandlePacket(c *packet.Captured) {
-	if t.ctx == nil {
-		return
-	}
 	if t.windowStart.IsZero() {
 		t.windowStart = c.Time
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -229,16 +230,14 @@ func Reactivity(opts Options) (*ReactivityResult, error) {
 			topoAt = run.Sim.Now()
 		}
 	})
-	node.KB().Subscribe(knowledge.LabelMultihop, func(knowledge.Knowgget) {
-		if activeAt.IsZero() {
-			for _, name := range node.ActiveModules() {
-				if name == "SelectiveForwardingModule" {
-					activeAt = run.Sim.Now()
-				}
-			}
+	// Knowledge reaches the modules at the packet boundary, so activation
+	// is looked for once the frame that brought the knowledge is handled.
+	run.Sniffer.Subscribe(func(c *packet.Captured) {
+		node.HandleCapture(c)
+		if !topoAt.IsZero() && activeAt.IsZero() && slices.Contains(node.ActiveModules(), "SelectiveForwardingModule") {
+			activeAt = run.Sim.Now()
 		}
 	})
-	run.Sniffer.Subscribe(node.HandleCapture)
 	run.Sim.Run(run.End)
 
 	ids := &kalisIDS{label: "Kalis", node: node}

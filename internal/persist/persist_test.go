@@ -69,7 +69,7 @@ func TestWarmRestart(t *testing.T) {
 	kb.Put("Multihop", "true")
 	kb.PutEntity("SignalStrength", "Sensor@A", "-67") // separator in entity
 	kb.PutStatic("Mobility", "", "false")
-	kb.AcceptRemote("K2", knowledge.Knowgget{Label: "Y", Value: "2", Creator: "K2", Collective: true})
+	kb.AcceptGossip("K2", knowledge.Knowgget{Label: "Y", Value: "2", Creator: "K2", Version: 1})
 	for _, c := range sampleCaptures(t) {
 		if err := store.Append(c); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -98,9 +98,8 @@ func TestWarmRestart(t *testing.T) {
 	if !kb2.IsStatic("Mobility") {
 		t.Error("static label lost across restart")
 	}
-	coll := kb2.QueryCollective()
-	if len(coll) != 1 || !coll[0].Collective {
-		t.Errorf("collective flag lost: %+v", coll)
+	if peer, ok := kb2.Get("K2$Y"); !ok || !peer.Collective || peer.Version != 1 {
+		t.Errorf("peer knowgget's collective flag or version lost: %+v", peer)
 	}
 	if store2.Len() != 2 {
 		t.Errorf("window = %d records, want 2", store2.Len())

@@ -58,7 +58,17 @@ type (
 	// NodeID identifies a monitored network entity.
 	NodeID = packet.NodeID
 	// Module is the interface custom sensing/detection modules
-	// implement.
+	// implement. The node is a module's only caller and enters it on one
+	// goroutine at a time, so a module needs no locking of its own. A
+	// module that also has the two methods
+	//
+	//	KnowledgeLabels() []string
+	//	HandleKnowledge(Knowgget)
+	//
+	// is handed every change of those labels — local or from a peer
+	// node — while it is active, between two packets of its shard; that
+	// replaces subscribing to the Knowledge Base from inside a module,
+	// which would run on the writer's goroutine.
 	Module = module.Module
 	// ModuleContext carries the dependencies injected into an active
 	// module.
@@ -259,8 +269,9 @@ func (n *Node) Shards() int { return n.inner.Shards() }
 // synchronously, in registration order, on the goroutine that raised
 // the alert: the HandleCapture caller by default, the ring worker with
 // WithAsyncEvents. On sharded nodes that is the shard workers (possibly
-// concurrently); synchronize any shared state they touch. Nothing is
-// delivered once Close has returned.
+// concurrently); synchronize any shared state they touch. A consumer
+// runs inside the node's dispatch and must not call HandleCapture on
+// the same node. Nothing is delivered once Close has returned.
 func (n *Node) OnAlert(fn func(Alert)) { n.inner.OnAlert(fn) }
 
 // OnKnowledge registers a consumer for Knowledge Base changes.

@@ -24,7 +24,6 @@ const DataAlterationName = "DataAlterationModule"
 type DataAlteration struct {
 	base
 	cooldown time.Duration
-	suppress map[packet.NodeID]time.Time
 }
 
 var _ module.Module = (*DataAlteration)(nil)
@@ -32,19 +31,12 @@ var _ module.Module = (*DataAlteration)(nil)
 // NewDataAlteration creates the module. Parameters: "cooldown"
 // (duration, default 10s).
 func NewDataAlteration(params map[string]string) (module.Module, error) {
-	d := &DataAlteration{cooldown: 10 * time.Second}
-	if v, ok := params["cooldown"]; ok {
-		cd, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, fmt.Errorf("cooldown: %w", err)
-		}
-		d.cooldown = cd
-	}
-	return d, nil
+	p := module.ReadParams(params)
+	return p.Done(&DataAlteration{
+		base:     base{name: DataAlterationName},
+		cooldown: p.Duration("cooldown", 10*time.Second),
+	})
 }
-
-// Name implements module.Module.
-func (d *DataAlteration) Name() string { return DataAlterationName }
 
 // WatchLabels implements module.Module.
 func (d *DataAlteration) WatchLabels() []string {
@@ -56,12 +48,6 @@ func (d *DataAlteration) WatchLabels() []string {
 func (d *DataAlteration) Required(kb *knowledge.Base) bool {
 	return hasMedium(kb, packet.MediumIEEE802154) &&
 		boolIsOrUnknown(kb, knowledge.LabelEncrypted, false)
-}
-
-// Activate implements module.Module.
-func (d *DataAlteration) Activate(ctx *module.Context) {
-	d.base.Activate(ctx)
-	d.suppress = make(map[packet.NodeID]time.Time)
 }
 
 // HandlePacket implements module.Module.
@@ -80,10 +66,9 @@ func (d *DataAlteration) HandlePacket(c *packet.Captured) {
 		return
 	}
 	suspect := c.Transmitter
-	if until, ok := d.suppress[suspect]; ok && c.Time.Before(until) {
+	if !d.gate.Pass(string(suspect), c.Time, d.cooldown) {
 		return
 	}
-	d.suppress[suspect] = c.Time.Add(d.cooldown)
 	d.ctx.Emit(module.Alert{
 		Time:       c.Time,
 		Attack:     attack.DataAlteration,

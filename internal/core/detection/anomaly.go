@@ -3,7 +3,6 @@ package detection
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"kalis/internal/core/knowledge"
@@ -45,7 +44,6 @@ type TrafficAnomaly struct {
 	windowStart time.Time
 	counts      map[packet.Kind]int
 	baselines   map[packet.Kind]*welford
-	suppress    map[packet.Kind]time.Time
 	// lastDst remembers the dominant destination per kind in the
 	// current window, to give alerts a victim.
 	dsts map[packet.Kind]map[packet.NodeID]int
@@ -78,38 +76,15 @@ var _ module.Module = (*TrafficAnomaly)(nil)
 // (duration, default 5s), "zThreshold" (float, default 4),
 // "minWindows" (int, default 6), "cooldown" (duration, default 15s).
 func NewTrafficAnomaly(params map[string]string) (module.Module, error) {
-	d := &TrafficAnomaly{
-		interval:   5 * time.Second,
-		zThreshold: 4,
-		minWindows: 6,
-		cooldown:   15 * time.Second,
-	}
-	var err error
-	if v, ok := params["interval"]; ok {
-		if d.interval, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("interval: %w", err)
-		}
-	}
-	if v, ok := params["zThreshold"]; ok {
-		if d.zThreshold, err = strconv.ParseFloat(v, 64); err != nil {
-			return nil, fmt.Errorf("zThreshold: %w", err)
-		}
-	}
-	if v, ok := params["minWindows"]; ok {
-		if d.minWindows, err = strconv.Atoi(v); err != nil {
-			return nil, fmt.Errorf("minWindows: %w", err)
-		}
-	}
-	if v, ok := params["cooldown"]; ok {
-		if d.cooldown, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("cooldown: %w", err)
-		}
-	}
-	return d, nil
+	p := module.ReadParams(params)
+	return p.Done(&TrafficAnomaly{
+		base:       base{name: TrafficAnomalyName},
+		interval:   p.Duration("interval", 5*time.Second),
+		zThreshold: p.Float("zThreshold", 4),
+		minWindows: p.Int("minWindows", 6),
+		cooldown:   p.Duration("cooldown", 15*time.Second),
+	})
 }
-
-// Name implements module.Module.
-func (d *TrafficAnomaly) Name() string { return TrafficAnomalyName }
 
 // WatchLabels implements module.Module.
 func (d *TrafficAnomaly) WatchLabels() []string { return []string{"AnomalyDetection"} }
@@ -126,7 +101,6 @@ func (d *TrafficAnomaly) Activate(ctx *module.Context) {
 	d.windowStart = time.Time{}
 	d.counts = make(map[packet.Kind]int)
 	d.baselines = make(map[packet.Kind]*welford)
-	d.suppress = make(map[packet.Kind]time.Time)
 	d.dsts = make(map[packet.Kind]map[packet.NodeID]int)
 }
 
@@ -169,8 +143,7 @@ func (d *TrafficAnomaly) closeWindow(at time.Time) {
 				sd = 1 // quantized counts: a floor keeps z sane
 			}
 			z := (x - w.mean) / sd
-			if z > d.zThreshold && at.After(d.suppress[kind]) {
-				d.suppress[kind] = at.Add(d.cooldown)
+			if z > d.zThreshold && d.gate.Pass(kind.String(), at, d.cooldown) {
 				d.ctx.Emit(module.Alert{
 					Time:       at,
 					Attack:     AnomalyAttack,

@@ -21,19 +21,49 @@ import (
 
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
+	"kalis/internal/flow"
 	"kalis/internal/packet"
 )
 
-// base carries the state shared by every detection module.
+// base carries the state shared by every detection module: its registry
+// name, the context of the current activation, the handles acquired
+// from the flow layer for it, and the first of them — gate, the
+// module's alert cooldown ledger. A detector owns neither evidence nor
+// repeat policy: "may this verdict be raised again?" is always
+// gate.Pass, on a ledger the module's instances on every shard share.
 type base struct {
-	ctx *module.Context
+	name string
+	ctx  *module.Context
+	gate *flow.Cooldown
+	held []interface{ Release() }
 }
+
+// Name implements module.Module.
+func (b *base) Name() string { return b.name }
 
 func (b *base) Kind() module.Kind { return module.KindDetection }
 
-func (b *base) Activate(ctx *module.Context) { b.ctx = ctx }
+// Activate implements module.Module.
+func (b *base) Activate(ctx *module.Context) {
+	b.ctx = ctx
+	b.gate = hold(b, ctx.Flows.Cooldown(b.name))
+}
 
-func (b *base) Deactivate() { b.ctx = nil }
+// hold keeps a handle acquired from the flow layer until Deactivate
+// releases it.
+func hold[H interface{ Release() }](b *base, h H) H {
+	b.held = append(b.held, h)
+	return h
+}
+
+// Deactivate implements module.Module: it returns every handle the
+// activation acquired.
+func (b *base) Deactivate() {
+	for _, h := range b.held {
+		h.Release()
+	}
+	b.held, b.gate, b.ctx = nil, nil, nil
+}
 
 // knowledgeDriven reports whether the module may rely on the Knowledge
 // Base for technique selection. The traditional-IDS baseline runs

@@ -3,7 +3,6 @@ package detection
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"kalis/internal/attack"
@@ -25,14 +24,6 @@ var (
 	echoReplyMask = flow.MaskOf(packet.KindICMPEchoReply)
 	tcpSYNMask    = flow.MaskOf(packet.KindTCPSYN)
 )
-
-// The per-victim alert policy — event threshold plus cooldown — is
-// enforced by flow.VictimWindow.Gate, keyed by module name so the
-// several modules reading one shared window gate independently, and
-// armed in the same critical section as the threshold check so a
-// sharded node (whose per-shard module instances share the window, see
-// flow.Trackers) raises one alert per burst per module, not one per
-// shard.
 
 // eventRSSIs extracts the RSSI samples of a victim window.
 func eventRSSIs(evs []flow.Event) []float64 {
@@ -68,25 +59,40 @@ func eventSrcs(evs []flow.Event) []packet.NodeID {
 	return out
 }
 
-// parseRateParams reads the common rate-detector parameters.
-func parseRateParams(params map[string]string, defMin int) (window time.Duration, minEvents int, cooldown time.Duration, err error) {
-	window, minEvents, cooldown = 5*time.Second, defMin, 10*time.Second
-	if v, ok := params["window"]; ok {
-		if window, err = time.ParseDuration(v); err != nil {
-			return 0, 0, 0, fmt.Errorf("window: %w", err)
-		}
+// rate is what the three rate-based detectors share: the victim-window
+// length, the event threshold and the cooldown, and the handle on the
+// flow layer's shared window.
+type rate struct {
+	base
+	window    time.Duration
+	minEvents int
+	cooldown  time.Duration
+	win       *flow.VictimWindow
+}
+
+// newRate reads the parameters "window", "cooldown" (durations) and
+// "detectionThresh" (events per window, default 25).
+func newRate(name string, p *module.ParamReader) rate {
+	return rate{
+		base:      base{name: name},
+		window:    p.Duration("window", 5*time.Second),
+		minEvents: p.Int("detectionThresh", 25),
+		cooldown:  p.Duration("cooldown", 10*time.Second),
 	}
-	if v, ok := params["detectionThresh"]; ok {
-		if minEvents, err = strconv.Atoi(v); err != nil {
-			return 0, 0, 0, fmt.Errorf("detectionThresh: %w", err)
-		}
-	}
-	if v, ok := params["cooldown"]; ok {
-		if cooldown, err = time.ParseDuration(v); err != nil {
-			return 0, 0, 0, fmt.Errorf("cooldown: %w", err)
-		}
-	}
-	return window, minEvents, cooldown, nil
+}
+
+// watch activates the module on the shared victim window for mask.
+func (r *rate) watch(ctx *module.Context, mask flow.KindMask) {
+	r.base.Activate(ctx)
+	r.win = hold(&r.base, ctx.Flows.VictimWindow(mask, r.window))
+}
+
+// crossed reports whether the victim's window holds the threshold at
+// now and the module may say so: passing arms the per-victim cooldown
+// even if a knowledge veto then withholds the alert, one decision per
+// burst.
+func (r *rate) crossed(victim packet.NodeID, now time.Time) bool {
+	return r.win.Len(victim, now) >= r.minEvents && r.gate.Pass(string(victim), now, r.cooldown)
 }
 
 // ICMPFlood detects ICMP Flood attacks: a high rate of ICMP Echo Reply
@@ -99,28 +105,16 @@ func parseRateParams(params map[string]string, defMin int) (window time.Duration
 // Smurf (many real amplifiers); on single-hop networks the distinction
 // is unnecessary because Smurf is impossible there. Without knowledge
 // (traditional-IDS baseline) it is a naive symptom-only detector.
-type ICMPFlood struct {
-	base
-	window    time.Duration
-	minEvents int
-	cooldown  time.Duration
-	win       *flow.VictimWindow
-}
+type ICMPFlood struct{ rate }
 
 var _ module.Module = (*ICMPFlood)(nil)
 
 // NewICMPFlood creates the module. Parameters: "window", "cooldown"
 // (durations), "detectionThresh" (events per window, default 25).
 func NewICMPFlood(params map[string]string) (module.Module, error) {
-	w, n, cd, err := parseRateParams(params, 25)
-	if err != nil {
-		return nil, err
-	}
-	return &ICMPFlood{window: w, minEvents: n, cooldown: cd}, nil
+	p := module.ReadParams(params)
+	return p.Done(&ICMPFlood{newRate(ICMPFloodName, p)})
 }
-
-// Name implements module.Module.
-func (d *ICMPFlood) Name() string { return ICMPFloodName }
 
 // WatchLabels implements module.Module.
 func (d *ICMPFlood) WatchLabels() []string { return []string{knowledge.LabelMediums} }
@@ -132,25 +126,11 @@ func (d *ICMPFlood) Required(kb *knowledge.Base) bool {
 }
 
 // Activate implements module.Module.
-func (d *ICMPFlood) Activate(ctx *module.Context) {
-	d.base.Activate(ctx)
-	d.win = ctx.Flows.VictimWindow(echoReplyMask, d.window)
-	d.win.ResetGate(d.Name())
-}
-
-// Deactivate implements module.Module.
-func (d *ICMPFlood) Deactivate() {
-	d.win.Release()
-	d.win = nil
-	d.base.Deactivate()
-}
+func (d *ICMPFlood) Activate(ctx *module.Context) { d.watch(ctx, echoReplyMask) }
 
 // HandlePacket implements module.Module.
 func (d *ICMPFlood) HandlePacket(c *packet.Captured) {
-	if c.Kind != packet.KindICMPEchoReply {
-		return
-	}
-	if !d.win.Gate(d.Name(), c.Dst, d.minEvents, d.cooldown, c.Time) {
+	if c.Kind != packet.KindICMPEchoReply || !d.crossed(c.Dst, c.Time) {
 		return
 	}
 	evs := d.win.Events(c.Dst, c.Time)
@@ -207,11 +187,7 @@ func (d *ICMPFlood) suspects(evs []flow.Event) []packet.NodeID {
 // and therefore indistinguishable from ICMPFlood — exactly the
 // ambiguity the paper attributes to the traditional IDS.
 type Smurf struct {
-	base
-	window    time.Duration
-	minEvents int
-	cooldown  time.Duration
-	win       *flow.VictimWindow
+	rate
 	// edges is the module-local communication graph used for the
 	// 2-hop suspect heuristic (maintained from observed traffic, so it
 	// works even without a Knowledge Base).
@@ -222,15 +198,9 @@ var _ module.Module = (*Smurf)(nil)
 
 // NewSmurf creates the module. Parameters as NewICMPFlood.
 func NewSmurf(params map[string]string) (module.Module, error) {
-	w, n, cd, err := parseRateParams(params, 25)
-	if err != nil {
-		return nil, err
-	}
-	return &Smurf{window: w, minEvents: n, cooldown: cd}, nil
+	p := module.ReadParams(params)
+	return p.Done(&Smurf{rate: newRate(SmurfName, p)})
 }
-
-// Name implements module.Module.
-func (d *Smurf) Name() string { return SmurfName }
 
 // WatchLabels implements module.Module.
 func (d *Smurf) WatchLabels() []string {
@@ -247,26 +217,14 @@ func (d *Smurf) Required(kb *knowledge.Base) bool {
 
 // Activate implements module.Module.
 func (d *Smurf) Activate(ctx *module.Context) {
-	d.base.Activate(ctx)
+	d.watch(ctx, echoReplyMask)
 	d.edges = make(map[packet.NodeID]map[packet.NodeID]bool)
-	d.win = ctx.Flows.VictimWindow(echoReplyMask, d.window)
-	d.win.ResetGate(d.Name())
-}
-
-// Deactivate implements module.Module.
-func (d *Smurf) Deactivate() {
-	d.win.Release()
-	d.win = nil
-	d.base.Deactivate()
 }
 
 // HandlePacket implements module.Module.
 func (d *Smurf) HandlePacket(c *packet.Captured) {
 	d.observeEdge(c.Src, c.Dst)
-	if c.Kind != packet.KindICMPEchoReply {
-		return
-	}
-	if !d.win.Gate(d.Name(), c.Dst, d.minEvents, d.cooldown, c.Time) {
+	if c.Kind != packet.KindICMPEchoReply || !d.crossed(c.Dst, c.Time) {
 		return
 	}
 	evs := d.win.Events(c.Dst, c.Time)
@@ -349,12 +307,8 @@ func (d *Smurf) suspects(victim packet.NodeID) []packet.NodeID {
 // streams — the SYN rate window and the handshake-completion ledger —
 // come from the flow layer's shared trackers.
 type SYNFlood struct {
-	base
-	window    time.Duration
-	minEvents int
-	cooldown  time.Duration
-	win       *flow.VictimWindow
-	hs        *flow.TCPHandshakes
+	rate
+	hs *flow.TCPHandshakes
 }
 
 var _ module.Module = (*SYNFlood)(nil)
@@ -362,15 +316,9 @@ var _ module.Module = (*SYNFlood)(nil)
 // NewSYNFlood creates the module. Parameters as NewICMPFlood
 // (detectionThresh default 25).
 func NewSYNFlood(params map[string]string) (module.Module, error) {
-	w, n, cd, err := parseRateParams(params, 25)
-	if err != nil {
-		return nil, err
-	}
-	return &SYNFlood{window: w, minEvents: n, cooldown: cd}, nil
+	p := module.ReadParams(params)
+	return p.Done(&SYNFlood{rate: newRate(SYNFloodName, p)})
 }
-
-// Name implements module.Module.
-func (d *SYNFlood) Name() string { return SYNFloodName }
 
 // WatchLabels implements module.Module.
 func (d *SYNFlood) WatchLabels() []string { return []string{knowledge.LabelMediums} }
@@ -382,26 +330,13 @@ func (d *SYNFlood) Required(kb *knowledge.Base) bool {
 
 // Activate implements module.Module.
 func (d *SYNFlood) Activate(ctx *module.Context) {
-	d.base.Activate(ctx)
-	d.win = ctx.Flows.VictimWindow(tcpSYNMask, d.window)
-	d.hs = ctx.Flows.Handshakes(d.window)
-	d.win.ResetGate(d.Name())
-}
-
-// Deactivate implements module.Module.
-func (d *SYNFlood) Deactivate() {
-	d.win.Release()
-	d.hs.Release()
-	d.win, d.hs = nil, nil
-	d.base.Deactivate()
+	d.watch(ctx, tcpSYNMask)
+	d.hs = hold(&d.base, ctx.Flows.Handshakes(d.window))
 }
 
 // HandlePacket implements module.Module.
 func (d *SYNFlood) HandlePacket(c *packet.Captured) {
-	if c.Kind != packet.KindTCPSYN {
-		return
-	}
-	if !d.win.Gate(d.Name(), c.Dst, d.minEvents, d.cooldown, c.Time) {
+	if c.Kind != packet.KindTCPSYN || !d.crossed(c.Dst, c.Time) {
 		return
 	}
 	evs := d.win.Events(c.Dst, c.Time)

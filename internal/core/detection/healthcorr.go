@@ -3,7 +3,6 @@ package detection
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -40,7 +39,6 @@ type HealthCorr struct {
 	// HandleKnowledge; reports are removed when a creator later reports
 	// the module healthy/probing again.
 	quarantines map[string]map[string]time.Time
-	suppress    map[string]time.Time
 }
 
 var (
@@ -52,28 +50,14 @@ var (
 // default 3), "window" (duration, default 60s), "cooldown" (duration,
 // default 5m).
 func NewHealthCorr(params map[string]string) (module.Module, error) {
-	d := &HealthCorr{minPeers: 3, window: time.Minute, cooldown: 5 * time.Minute}
-	var err error
-	if v, ok := params["minPeers"]; ok {
-		if d.minPeers, err = strconv.Atoi(v); err != nil {
-			return nil, fmt.Errorf("minPeers: %w", err)
-		}
-	}
-	if v, ok := params["window"]; ok {
-		if d.window, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("window: %w", err)
-		}
-	}
-	if v, ok := params["cooldown"]; ok {
-		if d.cooldown, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("cooldown: %w", err)
-		}
-	}
-	return d, nil
+	p := module.ReadParams(params)
+	return p.Done(&HealthCorr{
+		base:     base{name: HealthCorrName},
+		minPeers: p.Int("minPeers", 3),
+		window:   p.Duration("window", time.Minute),
+		cooldown: p.Duration("cooldown", 5*time.Minute),
+	})
 }
-
-// Name implements module.Module.
-func (d *HealthCorr) Name() string { return HealthCorrName }
 
 // WatchLabels implements module.Module: peer count changes gate the
 // module on and off. The health reports that drive it do not decide
@@ -95,7 +79,6 @@ func (d *HealthCorr) Required(kb *knowledge.Base) bool {
 func (d *HealthCorr) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
 	d.quarantines = make(map[string]map[string]time.Time)
-	d.suppress = make(map[string]time.Time)
 	// Seed from health reports that predate activation (their arrival
 	// time is unknown; dating them "now" keeps them inside the window,
 	// which errs toward detection), then track changes incrementally.
@@ -152,10 +135,9 @@ func (d *HealthCorr) correlate(mod string, now time.Time) {
 	if len(fresh) < d.minPeers {
 		return
 	}
-	if until, ok := d.suppress[mod]; ok && now.Before(until) {
+	if !d.gate.Pass(mod, now, d.cooldown) {
 		return
 	}
-	d.suppress[mod] = now.Add(d.cooldown)
 	sort.Strings(fresh)
 	suspects := make([]packet.NodeID, len(fresh))
 	for i, c := range fresh {

@@ -69,11 +69,12 @@ func TestWatchdogAlwaysCatchesTotalDrop(t *testing.T) {
 
 // TestRateWindowInvariant: the victim window (shared through the flow
 // layer) never reports an event older than its configured bound, and
-// the window's per-owner alert gate never passes during cooldown.
+// the cooldown ledger beside it never passes during cooldown.
 func TestRateWindowInvariant(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		win := flow.NewVictimWindow(flow.MaskOf(packet.KindICMPEchoReply), 5*time.Second)
+		gate := flow.NewCooldown()
 		at := t0
 		var lastAlert time.Time
 		for i := 0; i < 300; i++ {
@@ -81,7 +82,7 @@ func TestRateWindowInvariant(t *testing.T) {
 			win.Observe(&packet.Captured{
 				Kind: packet.KindICMPEchoReply, Time: at, RSSI: -60, Src: "s", Dst: "victim",
 			})
-			if !win.Gate("mod", "victim", 10, 10*time.Second, at) {
+			if win.Len("victim", at) < 10 || !gate.Pass("victim", at, 10*time.Second) {
 				continue
 			}
 			for _, e := range win.Events("victim", at) {

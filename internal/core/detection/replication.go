@@ -2,7 +2,6 @@ package detection
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"kalis/internal/attack"
@@ -28,9 +27,11 @@ const (
 // identity-motion tracker; when configured alike, the state updates
 // once per packet for both.
 
-// replicationCore holds the configuration and alert policy shared by
-// both variants, plus the handle on the flow layer's motion tracker.
+// replicationCore is what both variants share: configuration and the
+// handle on the flow layer's motion tracker. Each module embeds its own
+// core and adds only its knowledge predicate and verdict.
 type replicationCore struct {
+	base
 	threshold  float64 // RSSI jump threshold (dB)
 	window     time.Duration
 	minEvents  int
@@ -38,68 +39,39 @@ type replicationCore struct {
 	alpha      float64
 	minSamples int
 
-	motion   *flow.IdentityMotion
-	suppress map[packet.NodeID]time.Time
+	motion *flow.IdentityMotion
 }
 
-func newReplicationCore(params map[string]string) (*replicationCore, error) {
-	c := &replicationCore{
-		threshold:  6,
-		window:     30 * time.Second,
-		minEvents:  3,
-		cooldown:   20 * time.Second,
+// newReplicationCore reads the parameters "threshold" (dB), "window",
+// "cooldown" (durations) and "minEvents" (int).
+func newReplicationCore(name string, p *module.ParamReader) replicationCore {
+	return replicationCore{
+		base:       base{name: name},
+		threshold:  p.Float("threshold", 6),
+		window:     p.Duration("window", 30*time.Second),
+		minEvents:  p.Int("minEvents", 3),
+		cooldown:   p.Duration("cooldown", 20*time.Second),
 		alpha:      0.3,
 		minSamples: 3,
 	}
-	var err error
-	if v, ok := params["threshold"]; ok {
-		if c.threshold, err = strconv.ParseFloat(v, 64); err != nil {
-			return nil, fmt.Errorf("threshold: %w", err)
-		}
-	}
-	if v, ok := params["window"]; ok {
-		if c.window, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("window: %w", err)
-		}
-	}
-	if v, ok := params["minEvents"]; ok {
-		if c.minEvents, err = strconv.Atoi(v); err != nil {
-			return nil, fmt.Errorf("minEvents: %w", err)
-		}
-	}
-	if v, ok := params["cooldown"]; ok {
-		if c.cooldown, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("cooldown: %w", err)
-		}
-	}
-	return c, nil
 }
 
-// acquire attaches the core to the flow layer's shared motion tracker
-// and resets the alert policy.
-func (c *replicationCore) acquire(ctx *module.Context) {
-	c.motion = ctx.Flows.Motion(flow.MotionConfig{
+// WatchLabels implements module.Module.
+func (r *replicationCore) WatchLabels() []string {
+	return []string{knowledge.LabelMediums, knowledge.LabelMobility}
+}
+
+// Activate implements module.Module: it attaches the module to the
+// flow layer's shared motion tracker.
+func (r *replicationCore) Activate(ctx *module.Context) {
+	r.base.Activate(ctx)
+	r.motion = hold(&r.base, ctx.Flows.Motion(flow.MotionConfig{
 		Medium:     packet.MediumIEEE802154,
-		Threshold:  c.threshold,
-		Window:     c.window,
-		Alpha:      c.alpha,
-		MinSamples: c.minSamples,
-	})
-	c.suppress = make(map[packet.NodeID]time.Time)
-}
-
-// release returns the tracker handle.
-func (c *replicationCore) release() {
-	c.motion.Release()
-	c.motion = nil
-}
-
-func (c *replicationCore) suppressed(id packet.NodeID, now time.Time) bool {
-	if until, ok := c.suppress[id]; ok && now.Before(until) {
-		return true
-	}
-	c.suppress[id] = now.Add(c.cooldown)
-	return false
+		Threshold:  r.threshold,
+		Window:     r.window,
+		Alpha:      r.alpha,
+		MinSamples: r.minSamples,
+	}))
 }
 
 // ReplicationStatic detects node replication in static networks: a
@@ -110,29 +82,15 @@ func (c *replicationCore) suppressed(id packet.NodeID, now time.Time) bool {
 // (i.e. the network is actually mobile), the module conservatively
 // stays silent — which is exactly why it is the wrong module for a
 // mobile network.
-type ReplicationStatic struct {
-	base
-	core *replicationCore
-}
+type ReplicationStatic struct{ replicationCore }
 
 var _ module.Module = (*ReplicationStatic)(nil)
 
 // NewReplicationStatic creates the module. Parameters: "threshold"
 // (dB), "window", "cooldown" (durations), "minEvents" (int).
 func NewReplicationStatic(params map[string]string) (module.Module, error) {
-	core, err := newReplicationCore(params)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplicationStatic{core: core}, nil
-}
-
-// Name implements module.Module.
-func (d *ReplicationStatic) Name() string { return ReplicationStaticName }
-
-// WatchLabels implements module.Module.
-func (d *ReplicationStatic) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMobility}
+	p := module.ReadParams(params)
+	return p.Done(&ReplicationStatic{newReplicationCore(ReplicationStaticName, p)})
 }
 
 // Required implements module.Module: suitable for static wireless
@@ -141,36 +99,24 @@ func (d *ReplicationStatic) Required(kb *knowledge.Base) bool {
 	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMobility, false)
 }
 
-// Activate implements module.Module.
-func (d *ReplicationStatic) Activate(ctx *module.Context) {
-	d.base.Activate(ctx)
-	d.core.acquire(ctx)
-}
-
-// Deactivate implements module.Module.
-func (d *ReplicationStatic) Deactivate() {
-	d.core.release()
-	d.base.Deactivate()
-}
-
 // HandlePacket implements module.Module.
 func (d *ReplicationStatic) HandlePacket(c *packet.Captured) {
 	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
 	}
-	s := d.core.motion.Snapshot(c.Transmitter)
+	s := d.motion.Snapshot(c.Transmitter)
 	// Alert only on fresh evidence: the current packet must itself be
 	// a jump, so stale window contents cannot re-trigger after the
 	// attack stops.
-	if s.Jumps < d.core.minEvents || !s.LastJump.Equal(c.Time) {
+	if s.Jumps < d.minEvents || !s.LastJump.Equal(c.Time) {
 		return
 	}
 	// Baseline health: under network-wide motion the RSSI baseline is
 	// meaningless; stay silent rather than flood false positives.
-	if d.core.motion.JumpyFraction() > 0.5 {
+	if d.motion.JumpyFraction() > 0.5 {
 		return
 	}
-	if d.core.suppressed(c.Transmitter, c.Time) {
+	if !d.gate.Pass(string(c.Transmitter), c.Time, d.cooldown) {
 		return
 	}
 	d.ctx.Emit(module.Alert{
@@ -189,29 +135,15 @@ func (d *ReplicationStatic) HandlePacket(c *packet.Captured) {
 // interleaved, conflicting end-to-end sequence counters is being
 // originated by two devices at once — a signature that remains valid
 // while nodes (and their RSSI) legitimately move.
-type ReplicationMobile struct {
-	base
-	core *replicationCore
-}
+type ReplicationMobile struct{ replicationCore }
 
 var _ module.Module = (*ReplicationMobile)(nil)
 
 // NewReplicationMobile creates the module. Parameters as
 // NewReplicationStatic.
 func NewReplicationMobile(params map[string]string) (module.Module, error) {
-	core, err := newReplicationCore(params)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplicationMobile{core: core}, nil
-}
-
-// Name implements module.Module.
-func (d *ReplicationMobile) Name() string { return ReplicationMobileName }
-
-// WatchLabels implements module.Module.
-func (d *ReplicationMobile) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMobility}
+	p := module.ReadParams(params)
+	return p.Done(&ReplicationMobile{newReplicationCore(ReplicationMobileName, p)})
 }
 
 // Required implements module.Module: suitable for mobile wireless
@@ -220,30 +152,18 @@ func (d *ReplicationMobile) Required(kb *knowledge.Base) bool {
 	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMobility, true)
 }
 
-// Activate implements module.Module.
-func (d *ReplicationMobile) Activate(ctx *module.Context) {
-	d.base.Activate(ctx)
-	d.core.acquire(ctx)
-}
-
-// Deactivate implements module.Module.
-func (d *ReplicationMobile) Deactivate() {
-	d.core.release()
-	d.base.Deactivate()
-}
-
 // HandlePacket implements module.Module.
 func (d *ReplicationMobile) HandlePacket(c *packet.Captured) {
 	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
 	}
-	s := d.core.motion.Snapshot(c.Transmitter)
+	s := d.motion.Snapshot(c.Transmitter)
 	// Fresh evidence only: the triggering packet must itself be a
 	// sequence conflict.
-	if s.Flips < d.core.minEvents || !s.LastFlip.Equal(c.Time) {
+	if s.Flips < d.minEvents || !s.LastFlip.Equal(c.Time) {
 		return
 	}
-	if d.core.suppressed(c.Transmitter, c.Time) {
+	if !d.gate.Pass(string(c.Transmitter), c.Time, d.cooldown) {
 		return
 	}
 	d.ctx.Emit(module.Alert{

@@ -2,7 +2,6 @@ package detection
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"kalis/internal/attack"
@@ -40,7 +39,6 @@ type Sinkhole struct {
 	baseline map[packet.NodeID]float64
 	count    map[packet.NodeID]int
 	roots    map[packet.NodeID]bool
-	suppress map[packet.NodeID]time.Time
 }
 
 var _ module.Module = (*Sinkhole)(nil)
@@ -48,41 +46,16 @@ var _ module.Module = (*Sinkhole)(nil)
 // NewSinkhole creates the module. Parameters: "dropFactor" (float,
 // default 0.4), "rootBand" (int, default 2), "cooldown" (duration).
 func NewSinkhole(params map[string]string) (module.Module, error) {
-	d := &Sinkhole{
-		dropFactor:      0.4,
-		rootBand:        2,
+	p := module.ReadParams(params)
+	return p.Done(&Sinkhole{
+		base:            base{name: SinkholeName},
+		dropFactor:      p.Float("dropFactor", 0.4),
+		rootBand:        uint16(p.Int("rootBand", 2)),
 		minObservations: 2,
-		learn:           45 * time.Second,
-		cooldown:        20 * time.Second,
-	}
-	var err error
-	if v, ok := params["learn"]; ok {
-		if d.learn, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("learn: %w", err)
-		}
-	}
-	if v, ok := params["dropFactor"]; ok {
-		if d.dropFactor, err = strconv.ParseFloat(v, 64); err != nil {
-			return nil, fmt.Errorf("dropFactor: %w", err)
-		}
-	}
-	if v, ok := params["rootBand"]; ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, fmt.Errorf("rootBand: %w", err)
-		}
-		d.rootBand = uint16(n)
-	}
-	if v, ok := params["cooldown"]; ok {
-		if d.cooldown, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("cooldown: %w", err)
-		}
-	}
-	return d, nil
+		learn:           p.Duration("learn", 45*time.Second),
+		cooldown:        p.Duration("cooldown", 20*time.Second),
+	})
 }
-
-// Name implements module.Module.
-func (d *Sinkhole) Name() string { return SinkholeName }
 
 // WatchLabels implements module.Module.
 func (d *Sinkhole) WatchLabels() []string {
@@ -102,7 +75,6 @@ func (d *Sinkhole) Activate(ctx *module.Context) {
 	d.baseline = make(map[packet.NodeID]float64)
 	d.count = make(map[packet.NodeID]int)
 	d.roots = make(map[packet.NodeID]bool)
-	d.suppress = make(map[packet.NodeID]time.Time)
 }
 
 // HandlePacket implements module.Module.
@@ -142,10 +114,9 @@ func (d *Sinkhole) HandlePacket(c *packet.Captured) {
 		}
 		return
 	}
-	if until, ok := d.suppress[id]; ok && c.Time.Before(until) {
+	if !d.gate.Pass(string(id), c.Time, d.cooldown) {
 		return
 	}
-	d.suppress[id] = c.Time.Add(d.cooldown)
 	// Reason formatting happens only past the cooldown gate: at most
 	// once per suspect per cooldown window, never per packet.
 	var reason string

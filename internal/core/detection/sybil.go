@@ -2,7 +2,6 @@ package detection
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"kalis/internal/attack"
@@ -17,6 +16,9 @@ const SybilName = "SybilModule"
 
 // sybilAlpha is the RSSI fingerprint EWMA smoothing factor.
 const sybilAlpha = 0.3
+
+// sybilSubject is the module's single cooldown subject.
+const sybilSubject = "cluster"
 
 // Sybil detects sybil attacks with the RSSI technique of [42]: one
 // physical device fabricating several identities cannot fabricate
@@ -40,8 +42,7 @@ type Sybil struct {
 	// cooldown suppresses repeated alerts for the same cluster.
 	cooldown time.Duration
 
-	ids      *flow.IdentityStats
-	suppress time.Time
+	ids *flow.IdentityStats
 }
 
 var _ module.Module = (*Sybil)(nil)
@@ -49,39 +50,16 @@ var _ module.Module = (*Sybil)(nil)
 // NewSybil creates the module. Parameters: "tolerance" (dB, default
 // 1.5), "minIdentities" (default 4), "warmup", "cooldown" (durations).
 func NewSybil(params map[string]string) (module.Module, error) {
-	d := &Sybil{
-		tolerance:     1.5,
-		minIdentities: 4,
+	p := module.ReadParams(params)
+	return p.Done(&Sybil{
+		base:          base{name: SybilName},
+		tolerance:     p.Float("tolerance", 1.5),
+		minIdentities: p.Int("minIdentities", 4),
 		minFrames:     2,
-		warmup:        20 * time.Second,
-		cooldown:      20 * time.Second,
-	}
-	var err error
-	if v, ok := params["tolerance"]; ok {
-		if d.tolerance, err = strconv.ParseFloat(v, 64); err != nil {
-			return nil, fmt.Errorf("tolerance: %w", err)
-		}
-	}
-	if v, ok := params["minIdentities"]; ok {
-		if d.minIdentities, err = strconv.Atoi(v); err != nil {
-			return nil, fmt.Errorf("minIdentities: %w", err)
-		}
-	}
-	if v, ok := params["warmup"]; ok {
-		if d.warmup, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("warmup: %w", err)
-		}
-	}
-	if v, ok := params["cooldown"]; ok {
-		if d.cooldown, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("cooldown: %w", err)
-		}
-	}
-	return d, nil
+		warmup:        p.Duration("warmup", 20*time.Second),
+		cooldown:      p.Duration("cooldown", 20*time.Second),
+	})
 }
-
-// Name implements module.Module.
-func (d *Sybil) Name() string { return SybilName }
 
 // WatchLabels implements module.Module.
 func (d *Sybil) WatchLabels() []string { return []string{knowledge.LabelMediums} }
@@ -95,15 +73,7 @@ func (d *Sybil) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (d *Sybil) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
-	d.suppress = time.Time{}
-	d.ids = ctx.Flows.IdentityStats(sybilAlpha, packet.MediumIEEE802154)
-}
-
-// Deactivate implements module.Module.
-func (d *Sybil) Deactivate() {
-	d.ids.Release()
-	d.ids = nil
-	d.base.Deactivate()
+	d.ids = hold(&d.base, ctx.Flows.IdentityStats(sybilAlpha, packet.MediumIEEE802154))
 }
 
 // HandlePacket implements module.Module.
@@ -111,14 +81,16 @@ func (d *Sybil) HandlePacket(c *packet.Captured) {
 	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
 		return
 	}
-	if !d.suppress.IsZero() && c.Time.Before(d.suppress) {
+	// One cooldown for the whole module (a cluster has no stable
+	// identity to key by); the read-only probe spares the cluster walk
+	// while it is armed.
+	if d.gate.Armed(sybilSubject, c.Time) {
 		return
 	}
 	cluster := d.ids.Cluster(c.Transmitter, d.tolerance, d.minFrames, d.warmup)
-	if len(cluster) < d.minIdentities {
+	if len(cluster) < d.minIdentities || !d.gate.Pass(sybilSubject, c.Time, d.cooldown) {
 		return
 	}
-	d.suppress = c.Time.Add(d.cooldown)
 	d.ctx.Emit(module.Alert{
 		Time:       c.Time,
 		Attack:     attack.Sybil,

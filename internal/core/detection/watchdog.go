@@ -31,39 +31,21 @@ type forwardingCore struct {
 
 	watch *flow.ForwardingWatch
 	// ratios is the reused read buffer for watch.Ratios.
-	ratios   []flow.RelayRatio
-	suppress map[packet.NodeID]time.Time
+	ratios []flow.RelayRatio
 }
 
 // newForwardingCore reads the parameters "timeout", "window",
 // "cooldown" (durations) and "minSamples" (int).
-func newForwardingCore(params map[string]string) (forwardingCore, error) {
-	c := forwardingCore{
-		cfg:      flow.ForwardingConfig{Timeout: 500 * time.Millisecond, Window: 30 * time.Second, MinSamples: 8},
-		cooldown: 20 * time.Second,
+func newForwardingCore(name string, p *module.ParamReader) forwardingCore {
+	return forwardingCore{
+		base: base{name: name},
+		cfg: flow.ForwardingConfig{
+			Timeout:    p.Duration("timeout", 500*time.Millisecond),
+			Window:     p.Duration("window", 30*time.Second),
+			MinSamples: p.Int("minSamples", 8),
+		},
+		cooldown: p.Duration("cooldown", 20*time.Second),
 	}
-	var err error
-	if v, ok := params["timeout"]; ok {
-		if c.cfg.Timeout, err = time.ParseDuration(v); err != nil {
-			return c, fmt.Errorf("timeout: %w", err)
-		}
-	}
-	if v, ok := params["window"]; ok {
-		if c.cfg.Window, err = time.ParseDuration(v); err != nil {
-			return c, fmt.Errorf("window: %w", err)
-		}
-	}
-	if v, ok := params["minSamples"]; ok {
-		if c.cfg.MinSamples, err = strconv.Atoi(v); err != nil {
-			return c, fmt.Errorf("minSamples: %w", err)
-		}
-	}
-	if v, ok := params["cooldown"]; ok {
-		if c.cooldown, err = time.ParseDuration(v); err != nil {
-			return c, fmt.Errorf("cooldown: %w", err)
-		}
-	}
-	return c, nil
 }
 
 // WatchLabels implements module.Module.
@@ -80,15 +62,7 @@ func (f *forwardingCore) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (f *forwardingCore) Activate(ctx *module.Context) {
 	f.base.Activate(ctx)
-	f.watch = ctx.Flows.Forwarding(f.cfg)
-	f.suppress = make(map[packet.NodeID]time.Time)
-}
-
-// Deactivate implements module.Module.
-func (f *forwardingCore) Deactivate() {
-	f.watch.Release()
-	f.watch = nil
-	f.base.Deactivate()
+	f.watch = hold(&f.base, ctx.Flows.Forwarding(f.cfg))
 }
 
 // relays returns the verdict input as of the capture time now.
@@ -106,15 +80,9 @@ var _ module.Module = (*SelectiveForwarding)(nil)
 // NewSelectiveForwarding creates the module. Parameters: "timeout",
 // "window", "cooldown" (durations), "minSamples" (int).
 func NewSelectiveForwarding(params map[string]string) (module.Module, error) {
-	core, err := newForwardingCore(params)
-	if err != nil {
-		return nil, err
-	}
-	return &SelectiveForwarding{core}, nil
+	p := module.ReadParams(params)
+	return p.Done(&SelectiveForwarding{newForwardingCore(SelectiveForwardingName, p)})
 }
-
-// Name implements module.Module.
-func (d *SelectiveForwarding) Name() string { return SelectiveForwardingName }
 
 // HandlePacket implements module.Module.
 func (d *SelectiveForwarding) HandlePacket(c *packet.Captured) {
@@ -122,18 +90,14 @@ func (d *SelectiveForwarding) HandlePacket(c *packet.Captured) {
 		if r.Ratio >= 0.9 {
 			// Blackhole-grade: handled by the Blackhole module. The
 			// windowed ratio will pass back through the selective band
-			// while it decays after the attack stops — suppress the
-			// relay for a full window so the decay is not misreported.
-			d.suppress[r.Relay] = c.Time.Add(d.cfg.Window)
+			// while it decays after the attack stops — hold the relay
+			// silent for a full window so the decay is not misreported.
+			d.gate.Hold(string(r.Relay), c.Time, d.cfg.Window)
 			continue
 		}
-		if r.Ratio < 0.25 {
-			continue // healthy
+		if r.Ratio < 0.25 || !d.gate.Pass(string(r.Relay), c.Time, d.cooldown) {
+			continue // healthy, or said already
 		}
-		if until, ok := d.suppress[r.Relay]; ok && c.Time.Before(until) {
-			continue
-		}
-		d.suppress[r.Relay] = c.Time.Add(d.cooldown)
 		d.ctx.Emit(module.Alert{
 			Time:       c.Time,
 			Attack:     attack.SelectiveForwarding,
@@ -161,15 +125,9 @@ var _ module.Module = (*Blackhole)(nil)
 // NewBlackhole creates the module. Parameters as
 // NewSelectiveForwarding.
 func NewBlackhole(params map[string]string) (module.Module, error) {
-	core, err := newForwardingCore(params)
-	if err != nil {
-		return nil, err
-	}
-	return &Blackhole{forwardingCore: core}, nil
+	p := module.ReadParams(params)
+	return p.Done(&Blackhole{forwardingCore: newForwardingCore(BlackholeName, p)})
 }
-
-// Name implements module.Module.
-func (d *Blackhole) Name() string { return BlackholeName }
 
 // Activate implements module.Module.
 func (d *Blackhole) Activate(ctx *module.Context) {
@@ -187,10 +145,9 @@ func (d *Blackhole) HandlePacket(c *packet.Captured) {
 			d.published[r.Relay] = r.Origins
 			d.ctx.KB.PutCollective(knowledge.LabelSuspectBlackhole, string(r.Relay), originList(d.watch.DroppedOrigins(r.Relay)))
 		}
-		if until, ok := d.suppress[r.Relay]; ok && c.Time.Before(until) {
+		if !d.gate.Pass(string(r.Relay), c.Time, d.cooldown) {
 			continue
 		}
-		d.suppress[r.Relay] = c.Time.Add(d.cooldown)
 		d.ctx.Emit(module.Alert{
 			Time:       c.Time,
 			Attack:     attack.Blackhole,

@@ -41,7 +41,6 @@ type Wormhole struct {
 	// correlation, which may be entirely knowledge-driven on the
 	// blackhole-side Kalis node).
 	lastEmergent map[packet.NodeID]time.Time
-	suppress     map[string]time.Time
 	alerted      map[string]bool
 
 	// sinks and sources mirror the SuspectBlackhole / EmergentSource
@@ -61,23 +60,13 @@ var (
 // NewWormhole creates the module. Parameters: "minEmergent" (int,
 // default 5), "cooldown" (duration).
 func NewWormhole(params map[string]string) (module.Module, error) {
-	d := &Wormhole{minEmergent: 5, cooldown: 30 * time.Second}
-	var err error
-	if v, ok := params["minEmergent"]; ok {
-		if d.minEmergent, err = strconv.Atoi(v); err != nil {
-			return nil, fmt.Errorf("minEmergent: %w", err)
-		}
-	}
-	if v, ok := params["cooldown"]; ok {
-		if d.cooldown, err = time.ParseDuration(v); err != nil {
-			return nil, fmt.Errorf("cooldown: %w", err)
-		}
-	}
-	return d, nil
+	p := module.ReadParams(params)
+	return p.Done(&Wormhole{
+		base:        base{name: WormholeName},
+		minEmergent: p.Int("minEmergent", 5),
+		cooldown:    p.Duration("cooldown", 30*time.Second),
+	})
 }
-
-// Name implements module.Module.
-func (d *Wormhole) Name() string { return WormholeName }
 
 // WatchLabels implements module.Module. The blackhole suspicions and
 // emergent sources the module correlates do not decide Required; those
@@ -102,7 +91,6 @@ func (d *Wormhole) Activate(ctx *module.Context) {
 	d.received = make(map[packet.NodeID]map[uint16]bool)
 	d.emitted = make(map[packet.NodeID]map[uint16]int)
 	d.lastEmergent = make(map[packet.NodeID]time.Time)
-	d.suppress = make(map[string]time.Time)
 	d.alerted = make(map[string]bool)
 	d.sinks = make(map[packet.NodeID]map[string]bool)
 	d.sources = make(map[packet.NodeID]map[string]bool)
@@ -224,10 +212,9 @@ func (d *Wormhole) correlate(now time.Time) {
 					continue
 				}
 			}
-			if until, ok := d.suppress[pair]; ok && now.Before(until) {
+			if !d.gate.Pass(pair, now, d.cooldown) {
 				continue
 			}
-			d.suppress[pair] = now.Add(d.cooldown)
 			d.alerted[pair] = true
 			d.ctx.Emit(module.Alert{
 				Time:       now,

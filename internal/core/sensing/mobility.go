@@ -72,29 +72,14 @@ var (
 // 4), "quiet" (duration, default 12s), "collective" (bool, default
 // false: share SignalStrength knowggets with peer Kalis nodes).
 func NewMobility(params map[string]string) (module.Module, error) {
-	m := &Mobility{threshold: 4, quiet: 12 * time.Second, alpha: 0.3, minSamples: 4}
-	if v, ok := params["threshold"]; ok {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return nil, err
-		}
-		m.threshold = f
-	}
-	if v, ok := params["quiet"]; ok {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, err
-		}
-		m.quiet = d
-	}
-	if v, ok := params["collective"]; ok {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return nil, err
-		}
-		m.collective = b
-	}
-	return m, nil
+	p := module.ReadParams(params)
+	return p.Done(&Mobility{
+		threshold:  p.Float("threshold", 4),
+		quiet:      p.Duration("quiet", 12*time.Second),
+		alpha:      0.3,
+		minSamples: 4,
+		collective: p.Bool("collective", false),
+	})
 }
 
 // Name implements module.Module.

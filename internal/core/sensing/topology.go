@@ -5,8 +5,6 @@
 package sensing
 
 import (
-	"strconv"
-
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/packet"
@@ -51,15 +49,8 @@ var _ module.Module = (*Topology)(nil)
 // NewTopology creates the module. Parameters: "singleHopAfter" (packet
 // count, default 30).
 func NewTopology(params map[string]string) (module.Module, error) {
-	t := &Topology{singleHopAfter: 30}
-	if v, ok := params["singleHopAfter"]; ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, err
-		}
-		t.singleHopAfter = n
-	}
-	return t, nil
+	p := module.ReadParams(params)
+	return p.Done(&Topology{singleHopAfter: p.Int("singleHopAfter", 30)})
 }
 
 // Name implements module.Module.

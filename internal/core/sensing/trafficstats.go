@@ -44,15 +44,8 @@ var _ module.Module = (*TrafficStats)(nil)
 // NewTrafficStats creates the module. Parameters: "interval" (Go
 // duration, default "5s").
 func NewTrafficStats(params map[string]string) (module.Module, error) {
-	t := &TrafficStats{interval: 5 * time.Second}
-	if v, ok := params["interval"]; ok {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, err
-		}
-		t.interval = d
-	}
-	return t, nil
+	p := module.ReadParams(params)
+	return p.Done(&TrafficStats{interval: p.Duration("interval", 5*time.Second)})
 }
 
 // Name implements module.Module.

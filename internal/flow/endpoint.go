@@ -62,29 +62,16 @@ type VictimWindow struct {
 	mask   KindMask
 	window time.Duration
 
-	mu       sync.Mutex
-	byDst    map[packet.NodeID][]Event
-	suppress map[gateID]time.Time
+	mu    sync.Mutex
+	byDst map[packet.NodeID][]Event
 
 	handle
-}
-
-// gateID keys an armed alert cooldown: the policy owner (module name)
-// and the victim it alerted for.
-type gateID struct {
-	owner  string
-	victim packet.NodeID
 }
 
 // NewVictimWindow creates a standalone victim window (not attached to a
 // table); the owner calls Observe itself.
 func NewVictimWindow(mask KindMask, window time.Duration) *VictimWindow {
-	return &VictimWindow{
-		mask:     mask,
-		window:   window,
-		byDst:    make(map[packet.NodeID][]Event),
-		suppress: make(map[gateID]time.Time),
-	}
+	return &VictimWindow{mask: mask, window: window, byDst: make(map[packet.NodeID][]Event)}
 }
 
 // VictimWindow acquires the table's shared victim window for the given
@@ -148,40 +135,6 @@ func (w *VictimWindow) Len(dst packet.NodeID, now time.Time) int {
 	defer w.mu.Unlock()
 	lo, hi := windowSpan(w.byDst[dst], w.window, now)
 	return hi - lo
-}
-
-// Gate reports whether owner (a module name) may alert for victim at
-// now: the window must hold at least min matching events and the
-// owner's per-victim cooldown must have lapsed. Passing arms the
-// cooldown — even if a downstream knowledge veto then withholds the
-// alert, preserving one-alert-per-burst semantics. Threshold check and
-// cooldown arming are one critical section on the shared window, so on
-// a sharded node concurrent shard workers agree on a single alert per
-// burst per module instead of one per shard.
-func (w *VictimWindow) Gate(owner string, victim packet.NodeID, min int, cooldown time.Duration, now time.Time) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	lo, hi := windowSpan(w.byDst[victim], w.window, now)
-	if hi-lo < min {
-		return false
-	}
-	k := gateID{owner: owner, victim: victim}
-	if until, ok := w.suppress[k]; ok && now.Before(until) {
-		return false
-	}
-	w.suppress[k] = now.Add(cooldown)
-	return true
-}
-
-// ResetGate clears the owner's armed cooldowns (module reactivation).
-func (w *VictimWindow) ResetGate(owner string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for k := range w.suppress {
-		if k.owner == owner {
-			delete(w.suppress, k)
-		}
-	}
 }
 
 // Events returns a copy of the destination's events inside the window

@@ -2,7 +2,8 @@
 // table keyed by 5-tuple + medium whose per-flow features are small
 // state machines updated once per packet (in the spirit of CN-TU's
 // go-flows), plus endpoint-level aggregate trackers that serve the
-// detection modules their traffic statistics in O(1) per packet.
+// detection modules their traffic statistics in O(1) per packet, and
+// beside them the per-module alert cooldown ledgers (Cooldown).
 //
 // The table lives on the virtual capture clock: every timeout (idle,
 // active) and every window prune takes its notion of "now" from packet

@@ -7,7 +7,8 @@ import (
 
 // Trackers is the endpoint-tracker registry: victim windows, TCP
 // handshake ledgers, identity fingerprints, motion tracks and
-// forwarding watches, deduplicated by configuration and
+// forwarding watches, deduplicated by configuration, plus the alert
+// cooldown ledgers, one per owner (see Cooldown) — all
 // reference-counted. Every Table points at one — private by default, or
 // shared across tables via Config.Trackers.
 //
@@ -22,9 +23,9 @@ import (
 // Observe calls from several shard workers are safe.
 type Trackers struct {
 	mu sync.Mutex
-	// byKey holds every live tracker under its configuration key; each
-	// tracker kind has its own key type, so kinds cannot collide.
-	byKey map[any]Tracker
+	// byKey holds every live entry under its configuration key; each
+	// kind has its own key type, so kinds cannot collide.
+	byKey map[any]registered
 
 	// observe is the copy-on-write Tracker list: Table.Update loads the
 	// snapshot with one atomic read per packet; acquire and release swap
@@ -34,11 +35,15 @@ type Trackers struct {
 
 // NewTrackers creates an empty registry, shareable across flow tables
 // via Config.Trackers.
-func NewTrackers() *Trackers { return &Trackers{byKey: make(map[any]Tracker)} }
+func NewTrackers() *Trackers { return &Trackers{byKey: make(map[any]registered)} }
 
-// handle is the registry bookkeeping every tracker embeds: the registry
-// holding it (nil for a standalone tracker), its key there, the tracker
-// itself as the observe list holds it, and the number of acquirers.
+// registered is what the registry holds: anything embedding a handle.
+type registered interface{ registration() *handle }
+
+// handle is the registry bookkeeping every entry embeds: the registry
+// holding it (nil for a standalone one), its key there, the entry as
+// the observe list holds it (nil when it observes nothing), and the
+// number of acquirers.
 type handle struct {
 	reg  *Trackers
 	key  any
@@ -48,9 +53,9 @@ type handle struct {
 
 func (h *handle) registration() *handle { return h }
 
-// Release returns the handle; the last release detaches the tracker
-// from its registry, and its evidence goes with it (standalone
-// trackers ignore Release).
+// Release returns the handle; the last release detaches the entry from
+// its registry, and its state goes with it (standalone ones ignore
+// Release).
 func (h *handle) Release() {
 	r := h.reg
 	if r == nil {
@@ -60,29 +65,32 @@ func (h *handle) Release() {
 	defer r.mu.Unlock()
 	if h.refs--; h.refs <= 0 {
 		delete(r.byKey, h.key)
-		r.dropLocked(h.tr)
+		if h.tr != nil {
+			r.dropLocked(h.tr)
+		}
 	}
 }
 
-// acquire returns the registry's tracker for the configuration key,
+// acquire returns the registry's entry for the configuration key,
 // creating it with mk on first use, and counts the caller as a holder:
 // alike-configured callers share one tracker, so its state updates once
-// per packet however many modules read it.
-func acquire[T interface {
-	Tracker
-	registration() *handle
-}](r *Trackers, key any, mk func() T) T {
+// per packet however many modules read it. Only an entry that is a
+// Tracker joins the per-packet observe list.
+func acquire[T registered](r *Trackers, key any, mk func() T) T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tr, ok := r.byKey[key].(T)
+	e, ok := r.byKey[key].(T)
 	if !ok {
-		tr = mk()
-		*tr.registration() = handle{reg: r, key: key, tr: tr}
-		r.byKey[key] = tr
-		r.addLocked(tr)
+		e = mk()
+		tr, _ := any(e).(Tracker)
+		*e.registration() = handle{reg: r, key: key, tr: tr}
+		r.byKey[key] = e
+		if tr != nil {
+			r.addLocked(tr)
+		}
 	}
-	tr.registration().refs++
-	return tr
+	e.registration().refs++
+	return e
 }
 
 // snapshot returns the current observe list (nil when empty).

@@ -48,18 +48,41 @@ func TestSharedTrackersAcrossTables(t *testing.T) {
 		t.Errorf("table flow counts = %d, %d, want 5, 5 (flows must stay local)", a, b)
 	}
 
-	// The gate is one critical section on the shared window: the first
-	// caller passes and arms the cooldown for every table's handle.
+	// The alert policy sits beside the evidence: an owner's cooldown
+	// ledger is one per registry, so the first table's module to say
+	// "threshold crossed" arms the cooldown for every table's.
+	gA, gB := tblA.Cooldown("mod"), tblB.Cooldown("mod")
+	if gA != gB {
+		t.Fatal("tables sharing a registry yielded distinct cooldown ledgers for one owner")
+	}
 	now := t0.Add(20 * time.Millisecond)
-	if !wA.Gate("mod", "v", 10, 10*time.Second, now) {
-		t.Error("first Gate call at threshold did not pass")
+	if wA.Len("v", now) < 10 || !gA.Pass("v", now, 10*time.Second) {
+		t.Error("first Pass at threshold did not pass")
 	}
-	if wB.Gate("mod", "v", 10, 10*time.Second, now.Add(time.Millisecond)) {
-		t.Error("second Gate call within cooldown passed — cross-table dedup broken")
+	if gB.Pass("v", now.Add(time.Millisecond), 10*time.Second) {
+		t.Error("second Pass within cooldown passed — cross-table dedup broken")
 	}
-	// Distinct owners gate independently over the same evidence.
-	if !wB.Gate("other", "v", 10, 10*time.Second, now.Add(time.Millisecond)) {
-		t.Error("distinct owner was suppressed by another owner's cooldown")
+	// Distinct owners gate independently over the same evidence (the
+	// ICMP-flood and Smurf modules read one window).
+	other := tblB.Cooldown("other")
+	if other == gB || !other.Pass("v", now.Add(time.Millisecond), 10*time.Second) {
+		t.Error("distinct owner was silenced by another owner's cooldown")
+	}
+	other.Release()
+	// The ledger observes nothing: no frame pays for it.
+	if n := len(reg.snapshot()); n != 1 {
+		t.Errorf("observe list holds %d entries, want 1 (the victim window; a ledger must not be observed)", n)
+	}
+	// An earlier release keeps the armed cooldowns, the last forgets them.
+	gA.Release()
+	if gB.Pass("v", now.Add(2*time.Millisecond), 10*time.Second) {
+		t.Error("one table's release reset a cooldown the other table still holds")
+	}
+	gB.Release()
+	if g := tblA.Cooldown("mod"); g == gB || !g.Pass("v", now.Add(3*time.Millisecond), 10*time.Second) {
+		t.Error("fully released ledger kept its armed cooldowns")
+	} else {
+		g.Release()
 	}
 
 	// Cross-table reference counting: one release keeps the shared
@@ -136,7 +159,7 @@ func TestVictimWindowShardSkew(t *testing.T) {
 	if got := w.Len("v", ahead); got != 1 {
 		t.Errorf("ahead window = %d, want 1 (stale episode leaked forward)", got)
 	}
-	if !w.Gate("mod", "v", 10, 10*time.Second, lagNow) {
+	if w.Len("v", lagNow) < 10 || !NewCooldown().Pass("v", lagNow, 10*time.Second) {
 		t.Error("laggard threshold probe failed after cross-shard skew")
 	}
 	evs := w.Events("v", lagNow)

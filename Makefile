@@ -45,7 +45,8 @@ vet:
 # Fault-scenario suite under the race detector: the scripted chaos
 # drill (partition + module panic + knowledge burst, see chaos_test.go),
 # the crash-recovery drill (dirty crash mid-journal-write, warm vs cold
-# time-to-redetection, see crash_drill_test.go), plus the
+# time-to-redetection, and the same cut mid-window-log-batch, see
+# crash_drill_test.go), plus the
 # fault-injection, supervision, collective-resilience and persistence
 # packages.
 chaos:
@@ -60,14 +61,15 @@ crash-demo:
 
 # Short native-fuzz passes: the collective receive path (truncated /
 # corrupted / replayed datagrams must never panic or taint the KB), the
-# durable-state loaders (arbitrary snapshot/journal bytes must never
-# panic or partially apply) and the frame decoder (arbitrary captured
+# durable-state loaders (arbitrary snapshot/journal/window-log bytes must
+# never panic or partially apply) and the frame decoder (arbitrary captured
 # bytes must never panic, must decode as the per-layer reference does,
 # and must stay allocation-bounded).
 fuzz-short:
 	$(GO) test -fuzz=FuzzNodeReceive -fuzztime=30s -run '^$$' ./internal/core/collective/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s -run '^$$' ./internal/persist/
+	$(GO) test -fuzz=FuzzWindowLogLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzStackDecode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &

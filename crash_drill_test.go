@@ -15,13 +15,21 @@ package kalis
 //   - cold: a fresh state dir — the paper's baseline, re-learning the
 //     network from nothing while the attack continues.
 //
-// The drill asserts the warm restart re-detects the ongoing attack
+// A third history has the same power cut land in the other file a
+// compaction appends to: a copy of the state dir whose window log,
+// not its journal, is torn mid-batch. It must come back truncated with
+// a shorter window and all of its knowledge, and re-detect as the
+// journal-torn reboot does.
+//
+// The drill asserts the warm restarts re-detect the ongoing attack
 // measurably sooner than the cold one, with every claim backed by a
 // live telemetry scrape (kalis_persist_recoveries_total,
 // kalis_persist_snapshot_total, kalis_fault_injected_total).
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -71,6 +79,27 @@ func persistedNode(t *testing.T, dir string) (*core.Kalis, *[]module.Alert) {
 	var alerts []module.Alert
 	k.OnAlert(func(a module.Alert) { alerts = append(alerts, a) })
 	return k, &alerts
+}
+
+// copyStateDir copies a state directory's files as they stand: a
+// second machine's disk at the instant of the same power cut.
+func copyStateDir(t *testing.T, from string) string {
+	t.Helper()
+	to := t.TempDir()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return to
 }
 
 // firstAlertAfter returns the earliest alert time strictly after cut.
@@ -124,9 +153,14 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	hostSim := netsim.New(seed)
 	hostSim.AddNode(&netsim.Node{Name: "ids-host"})
 	crashed := false
+	var dirL string // the rival history: same instant, window log torn
 	inj.CrashNodeDirty(hostSim, "ids-host", 10*time.Millisecond, 0, func() {
+		dirL = copyStateDir(t, dirA)
 		if err := persist.Tear(dirA, 3); err != nil {
 			t.Errorf("tear journal: %v", err)
+		}
+		if err := persist.TearWindowLog(dirL, 3); err != nil {
+			t.Errorf("tear window log: %v", err)
 		}
 		crashed = true
 	})
@@ -155,6 +189,18 @@ func TestCrashRecoveryDrill(t *testing.T) {
 		t.Fatal("warm reboot recovered an empty Knowledge Base")
 	}
 
+	nodeL, alertsL := persistedNode(t, dirL) // warm: the torn window log
+	defer nodeL.Close()
+	if got := nodeL.Persistence().Outcome(); got != persist.OutcomeTruncated {
+		t.Fatalf("torn-window-log reboot outcome = %s (want truncated)", got)
+	}
+	if got, want := nodeL.KB().Len(), nodeA.KB().Len(); got != want {
+		t.Errorf("torn-window-log reboot recovered %d knowggets of %d: the window log cost knowledge", got, want)
+	}
+	if got, whole := len(nodeL.Recent(0)), len(nodeW.Recent(0)); got == 0 || got >= whole {
+		t.Errorf("torn-window-log reboot restored %d frames, the whole log holds %d: want its verified prefix", got, whole)
+	}
+
 	nodeC, alertsC := persistedNode(t, t.TempDir()) // cold: from nothing
 	defer nodeC.Close()
 	if got := nodeC.Persistence().Outcome(); got != persist.OutcomeCold {
@@ -164,6 +210,7 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	// The attack continues: both reboots watch the identical tail.
 	for _, c := range frames[crashAt+1:] {
 		nodeW.HandleCapture(c.Clone())
+		nodeL.HandleCapture(c.Clone())
 		nodeC.HandleCapture(c.Clone())
 	}
 
@@ -182,6 +229,11 @@ func TestCrashRecoveryDrill(t *testing.T) {
 		ttrWarm, ttrCold, tCrash.Sub(frames[0].Time))
 	if ttrWarm >= ttrCold {
 		t.Errorf("warm restart not faster: warm %v vs cold %v", ttrWarm, ttrCold)
+	}
+	logAt, logOK := firstAlertAfter(*alertsL, tCrash)
+	t.Logf("time-to-redetection with the window log torn instead: %v", logAt.Sub(tCrash))
+	if !logOK || logAt.Sub(tCrash) >= ttrCold {
+		t.Errorf("torn-window-log restart not faster than cold (%v): re-detected %v at %v", ttrCold, logOK, logAt.Sub(tCrash))
 	}
 
 	// --- epilogue: recovery ladder visible in live scrapes ----------

@@ -147,6 +147,12 @@ func (s *Store) Recent(n int) []*packet.Captured {
 	if n <= 0 || n > s.size {
 		n = s.size
 	}
+	return s.recentLocked(n)
+}
+
+// recentLocked copies out the n <= s.size most recent packets, oldest
+// first.
+func (s *Store) recentLocked(n int) []*packet.Captured {
 	out := make([]*packet.Captured, 0, n)
 	start := s.head - n
 	if start < 0 {
@@ -179,29 +185,40 @@ func (s *Store) Capacity() int {
 	return len(s.window)
 }
 
-// SnapshotTo encodes the current sliding-window contents to w as a
-// Kalis trace stream, oldest first — the Data Store section of a
-// durable node snapshot reuses the trace-log encoding wholesale.
-// Synthetic captures whose outermost layer cannot re-encode are
-// skipped, exactly as the disk log skips them. It returns the number
-// of records written.
-func (s *Store) SnapshotTo(w io.Writer) (int, error) {
-	window := s.Recent(0) // copies under RLock; encode without the lock
+// SnapshotTo encodes to w, as one Kalis trace stream, oldest first, the
+// packets appended since the store's running total read since and
+// still in the window; since 0 is the whole window. It returns the
+// number of records written and the total to pass as since next time —
+// durable state logs the window incrementally this way, each frame
+// encoded when it arrives instead of with every snapshot. The encoding
+// is the trace log's, wholesale: synthetic captures whose outermost
+// layer cannot re-encode are skipped, exactly as the disk log skips
+// them.
+func (s *Store) SnapshotTo(w io.Writer, since uint64) (n int, total uint64, err error) {
+	s.mu.RLock()
+	total = s.total
+	fresh := s.size
+	if total-since < uint64(fresh) {
+		fresh = int(total - since)
+	}
+	window := s.recentLocked(fresh) // copy under RLock; encode without the lock
+	s.mu.RUnlock()
+
 	tw := trace.NewWriter(w)
 	for _, c := range window {
 		raw := rawOf(c)
 		if raw == nil {
 			continue
 		}
-		rec := &trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: raw, Truth: c.Truth}
-		if err := tw.Write(rec); err != nil {
-			return tw.Count(), fmt.Errorf("datastore: snapshot: %w", err)
+		rec := trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: raw, Truth: c.Truth}
+		if err := tw.Write(&rec); err != nil {
+			return tw.Count(), total, fmt.Errorf("datastore: snapshot: %w", err)
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		return tw.Count(), fmt.Errorf("datastore: snapshot: %w", err)
+		return tw.Count(), total, fmt.Errorf("datastore: snapshot: %w", err)
 	}
-	return tw.Count(), nil
+	return tw.Count(), total, nil
 }
 
 // Restore loads recovered trace records into the sliding window in

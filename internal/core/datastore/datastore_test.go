@@ -2,6 +2,7 @@ package datastore
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,5 +107,53 @@ func TestReplayCorruptStream(t *testing.T) {
 func TestFlushWithoutLog(t *testing.T) {
 	if err := New(4).FlushLog(); err != nil {
 		t.Errorf("FlushLog without log: %v", err)
+	}
+}
+
+// TestSnapshotToSince: SnapshotTo writes the packets appended since a
+// running total and still in the window — everything for since 0,
+// nothing (but a valid empty stream) when none arrived, and no more
+// than the window when more arrived than it holds — and returns the
+// total to resume from.
+func TestSnapshotToSince(t *testing.T) {
+	s := New(4)
+	snapshot := func(since uint64) (secs []int, total uint64) {
+		t.Helper()
+		var buf bytes.Buffer
+		n, total, err := s.SnapshotTo(&buf, since)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Replay(&buf, func(c *packet.Captured) { secs = append(secs, int(c.Time.Unix()-1500000000)) })
+		if err != nil || n != len(secs) {
+			t.Fatalf("SnapshotTo(since %d) reported %d records, stream replays %d (err %v)", since, n, len(secs), err)
+		}
+		return secs, total
+	}
+	equal := slices.Equal[[]int]
+	for i := 0; i < 3; i++ {
+		_ = s.Append(capAt(i))
+	}
+	got, total := snapshot(0)
+	if !equal(got, []int{0, 1, 2}) || total != 3 {
+		t.Errorf("since 0 of 3: %v, total %d", got, total)
+	}
+	if got, again := snapshot(total); len(got) != 0 || again != total {
+		t.Errorf("nothing new since %d: %v, total %d", total, got, again)
+	}
+	_ = s.Append(capAt(3))
+	_ = s.Append(capAt(4))
+	if got, next := snapshot(total); !equal(got, []int{3, 4}) || next != 5 {
+		t.Errorf("two new since %d: %v, total %d", total, got, next)
+	}
+	for i := 5; i < 12; i++ {
+		_ = s.Append(capAt(i))
+	}
+	// Seven arrived since 5; the window holds the last four of them.
+	if got, next := snapshot(5); !equal(got, []int{8, 9, 10, 11}) || next != 12 {
+		t.Errorf("seven new since 5 in a window of 4: %v, total %d", got, next)
+	}
+	if got, _ := snapshot(0); !equal(got, []int{8, 9, 10, 11}) {
+		t.Errorf("since 0: %v, want the whole window", got)
 	}
 }

@@ -103,7 +103,7 @@ type Config struct {
 //
 // The first shard is the primary. Two things exist on the primary only:
 // the traffic log (SetLog: the trace format is one serial stream) and
-// durable state (persist snapshots the primary's window, and the
+// durable state (persist logs the primary's window, and the
 // primary's packets drive the compaction clock). On a node with more
 // than one shard the other shards' windows are neither logged nor
 // persisted.

@@ -409,39 +409,111 @@ func TestInlineHandleCaptureAllocs(t *testing.T) {
 	}
 }
 
-// TestKnowledgeChangeAllocs pins the per-KB-change path, which
-// TestInlineHandleCaptureAllocs (no module installed) and
-// BenchmarkKalisPerPacket (each node repeats its RSSI, so its puts are
-// no-ops) never reach: the full library on a warmed node, and frames
-// whose RSSI differs from the last one's so that every frame is an
-// accepted SignalStrength put, handed to the Knowledge Base's
-// subscribers and the node's knowledge fan-out. Measured: 4 allocs per
-// frame (the put's formatted value and Knowgget.Key); 6 at the commit
-// before, when every change was also boxed for the event bus and the
-// handler list gathered into a fresh slice.
-func TestKnowledgeChangeAllocs(t *testing.T) {
+// signalFrames is one CTP data frame over and over with its RSSI
+// alternating between lo and hi: what a full-library node's Mobility
+// module sees of one stationary transmitter.
+func signalFrames(t *testing.T, n int, lo, hi float64) []*packet.Captured {
+	t.Helper()
+	frames := make([]*packet.Captured, n)
+	raw := stack.BuildCTPData(3, 2, 3, 1, 1, 20, []byte{0x01, 0x01})
+	for i := range frames {
+		rssi := lo
+		if i%2 == 1 {
+			rssi = hi
+		}
+		frames[i] = mkCap(t, packet.MediumIEEE802154, raw, t0, rssi)
+	}
+	return frames
+}
+
+// knowledgeAllocs warms a full-library node on the first warm frames
+// and returns the allocations per HandleCapture and the knowledge
+// changes published over the rest.
+func knowledgeAllocs(t *testing.T, frames []*packet.Captured, warm int) (allocs float64, changes uint64) {
+	t.Helper()
 	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, InstallAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	const warm, runs = 200, 1000
-	frames := make([]*packet.Captured, warm+runs+1)
-	raw := stack.BuildCTPData(3, 2, 3, 1, 1, 20, []byte{0x01, 0x01})
-	for i := range frames {
-		frames[i] = mkCap(t, packet.MediumIEEE802154, raw, t0, float64(-60-2*(i%2)))
-	}
 	next := 0
 	handle := func() { k.HandleCapture(frames[next]); next++ }
 	for next < warm {
 		handle()
 	}
-	changes := k.changes.published.Value()
-	avg := testing.AllocsPerRun(runs, handle)
-	if got := k.changes.published.Value() - changes; got < runs {
-		t.Fatalf("%d knowledge changes over %d frames: not every frame was an accepted put", got, runs)
+	before := k.changes.published.Value()
+	// AllocsPerRun calls handle once more than it is told to, to warm up.
+	allocs = testing.AllocsPerRun(len(frames)-warm-1, handle)
+	return allocs, k.changes.published.Value() - before
+}
+
+// TestKnowledgeChangeAllocs pins the per-KB-change path, which
+// TestInlineHandleCaptureAllocs (no module installed) and
+// BenchmarkKalisPerPacket (each node repeats its RSSI, so its EWMA
+// never moves) do not reach: the full library on a warmed node, and a
+// transmitter whose RSSI swings 6.5 dB from frame to frame — under the
+// 4 dB movement threshold once smoothed, but enough to move the EWMA
+// more than the 1 dB publication quantum every time — so that every
+// frame is an accepted SignalStrength put, handed to the Knowledge
+// Base's subscribers and the node's knowledge fan-out. Measured: 4
+// allocs per frame (the put's formatted value and Knowgget.Key); 6 at
+// the commit before PR 18, when every change was also boxed for the
+// event bus and the handler list gathered into a fresh slice.
+func TestKnowledgeChangeAllocs(t *testing.T) {
+	const warm, runs = 200, 1000
+	allocs, changes := knowledgeAllocs(t, signalFrames(t, warm+runs+1, -60, -66.5), warm)
+	if changes < runs {
+		t.Fatalf("%d knowledge changes over %d frames: not every frame was an accepted put", changes, runs)
 	}
-	if avg != 4 {
-		t.Errorf("a frame that changes the Knowledge Base allocates %v objects, want 4", avg)
+	if allocs != 4 {
+		t.Errorf("a frame that changes the Knowledge Base allocates %v objects, want 4", allocs)
+	}
+}
+
+// TestSteadySignalIsNotKnowledge is the twin: the same node and frames,
+// with the RSSI wobbling 2 dB — the smoothed value moves ≈ 0.35 dB, well
+// inside the quantum. That is not knowledge: no change is published and
+// the frame allocates nothing, the whole library installed, exactly as
+// TestInlineHandleCaptureAllocs pins for a node with no module at all.
+// (Until the publication rule every such frame was a put: 4 allocs and
+// one knowledge change per frame, journalled on a durable node.)
+func TestSteadySignalIsNotKnowledge(t *testing.T) {
+	const warm, runs = 200, 1000
+	allocs, changes := knowledgeAllocs(t, signalFrames(t, warm+runs+1, -60, -62), warm)
+	if changes != 0 {
+		t.Errorf("%d knowledge changes over %d frames of a steady signal, want 0", changes, runs)
+	}
+	if allocs != 0 {
+		t.Errorf("a frame that changes nothing allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestSteadySignalIsNotJournalled: on a durable node the write-ahead
+// journal takes one record — one write(2) — per accepted Knowledge Base
+// change, so what reaches the Knowledge Base per frame is what reaches
+// the disk per frame. A thousand frames of a settled signal leave
+// kalis_persist_journal_bytes where it was; until the publication rule
+// each of them appended a SignalStrength record.
+func TestSteadySignalIsNotJournalled(t *testing.T) {
+	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, InstallAll: true, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	journal := k.Telemetry().Gauge("kalis_persist_journal_bytes", "")
+	empty := journal.Value()
+	frames := signalFrames(t, 1200, -60, -62)
+	for _, c := range frames[:200] {
+		k.HandleCapture(c)
+	}
+	settled := journal.Value()
+	if settled <= empty {
+		t.Fatalf("journal is %d bytes after the first sight of a transmitter, %d when opened: nothing was journalled", settled, empty)
+	}
+	for _, c := range frames[200:] {
+		k.HandleCapture(c)
+	}
+	if got := journal.Value(); got != settled {
+		t.Errorf("journal grew %d -> %d bytes over 1000 frames of a steady signal", settled, got)
 	}
 }

@@ -37,12 +37,20 @@ func wormholeFrames(t *testing.T, from, n int) []*packet.Captured {
 
 // gossipSuspicions plays the collective receive loop: n blackhole
 // suspicions from peer K2 about relay 0x0005, each a changed value (so
-// each is handed to the subscribers), all naming origin 20.
+// each is handed to the subscribers), all naming every origin the
+// frames carry. All five, not one: on a sharded node each shard's
+// Wormhole publishes EmergentSource@<relay> with the origins its own
+// partition saw, the shared Knowledge Base keeps the last writer's, and
+// a suspicion naming only origin 20 met a mirrored source set that
+// still contained it about nine runs in ten. That cross-shard ordering
+// residual is real and belongs to ROADMAP direction 1 (b); these tests
+// pin something else — one caller at a time, and the knowledge reaches
+// the module — and must not depend on which shard's put landed last.
 func gossipSuspicions(kb *knowledge.Base, n int) {
 	for i := 0; i < n; i++ {
 		kb.AcceptGossip("K2", knowledge.Knowgget{
 			Label: knowledge.LabelSuspectBlackhole, Entity: "0x0005", Creator: "K2",
-			Value: "20," + strconv.Itoa(100+i%7), Version: uint64(i + 1),
+			Value: "20,21,22,23,24," + strconv.Itoa(100+i%7), Version: uint64(i + 1),
 		})
 	}
 }

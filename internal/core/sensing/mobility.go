@@ -16,10 +16,22 @@ const MobilityName = "MobilityAwarenessModule"
 // Mobility is the Mobility Awareness sensing module (§V): it "uses a
 // simple approach that detects mobility when any node's signal strength
 // changes more than a certain threshold". It maintains a smoothed
-// (EWMA) signal-strength knowgget per monitored entity and publishes
-// the network-wide Mobility knowgget: true while threshold-exceeding
-// RSSI changes are being observed, reverting to false after a quiet
-// period with stable signal strengths.
+// (EWMA) signal strength per monitored entity and publishes the
+// network-wide Mobility knowgget: true while threshold-exceeding RSSI
+// changes are being observed, reverting to false after a quiet period
+// with stable signal strengths.
+//
+// The exact per-frame EWMA is the module's own state. The Knowledge
+// Base holds knowledge, so a SignalStrength knowgget is written on
+// observable change only: when an entity is first seen, and whenever
+// its EWMA has moved threshold/4 (1 dB by default) or more from the
+// value last published. That quantum is half the finest tolerance any
+// reader applies — peer corroboration below reads threshold/2, the
+// detectors' fingerprint match 3 dB — so a slow drift is published in
+// steps no reader can take for a jump, and a published value is never
+// more than a quantum stale. A frame inside the quantum costs no
+// formatting, no key, no KB lock, no version for peers to pull, no
+// journal record and no fan-out.
 //
 // With the "collective" parameter enabled, SignalStrength knowggets are
 // shared with peer Kalis nodes, and the module implements the paper's
@@ -45,8 +57,7 @@ type Mobility struct {
 	// collective marks SignalStrength knowggets for peer sharing.
 	collective bool
 
-	ewma     map[packet.NodeID]float64
-	samples  map[packet.NodeID]int
+	signals  map[packet.NodeID]signal
 	lastMove time.Time
 	declared bool
 	mobile   bool
@@ -55,6 +66,13 @@ type Mobility struct {
 	// change flags the entity for cross-node corroboration.
 	remote  map[packet.NodeID]remoteSignal
 	localID string
+}
+
+// signal is what the module keeps per transmitter.
+type signal struct {
+	ewma      float64 // smoothed RSSI, updated on every frame
+	samples   int
+	published float64 // the EWMA as last written to the Knowledge Base
 }
 
 // remoteSignal is the last peer-reported signal strength for an entity.
@@ -101,8 +119,7 @@ func (m *Mobility) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (m *Mobility) Activate(ctx *module.Context) {
 	m.ctx = ctx
-	m.ewma = make(map[packet.NodeID]float64)
-	m.samples = make(map[packet.NodeID]int)
+	m.signals = make(map[packet.NodeID]signal)
 	m.lastMove = time.Time{}
 	m.declared = false
 	m.mobile = false
@@ -147,21 +164,19 @@ func (m *Mobility) HandlePacket(c *packet.Captured) {
 	id := c.Transmitter
 	kb := m.ctx.KB
 
-	prev, seen := m.ewma[id]
+	sig, seen := m.signals[id]
 	if !seen {
-		m.ewma[id] = c.RSSI
-		m.samples[id] = 1
+		m.signals[id] = signal{ewma: c.RSSI, samples: 1, published: c.RSSI}
 		m.putSignal(id, c.RSSI)
 		return
 	}
-	dev := c.RSSI - prev
-	if dev < 0 {
-		dev = -dev
+	dev := math.Abs(c.RSSI - sig.ewma)
+	sig.samples++
+	sig.ewma += m.alpha * (c.RSSI - sig.ewma)
+	if math.Abs(sig.ewma-sig.published) >= m.threshold/4 {
+		sig.published = sig.ewma
+		m.putSignal(id, sig.ewma)
 	}
-	m.samples[id]++
-	next := prev + m.alpha*(c.RSSI-prev)
-	m.ewma[id] = next
-	m.putSignal(id, next)
 
 	moved := dev > m.threshold
 	if !moved && m.collective && dev > m.threshold/2 {
@@ -173,22 +188,26 @@ func (m *Mobility) HandlePacket(c *packet.Captured) {
 			m.remote[id] = remoteSignal{value: r.value}
 		}
 	}
-	if m.samples[id] >= m.minSamples && moved {
+	if sig.samples >= m.minSamples && moved {
 		m.lastMove = c.Time
 		if !m.declared || !m.mobile {
 			m.declared = true
 			m.mobile = true
 			kb.PutBool(knowledge.LabelMobility, true)
 		}
-		// A node seen moving: its EWMA should track quickly.
-		m.ewma[id] = c.RSSI
+		// A node seen moving: its EWMA should track quickly. The jump
+		// reaches the Knowledge Base with the next frame, like any other
+		// change of a quantum or more.
+		sig.ewma = c.RSSI
+		m.signals[id] = sig
 		return
 	}
+	m.signals[id] = sig
 	// Declare static once signal strengths have been quiet long enough
 	// (or immediately if no movement was ever observed and we have
 	// sufficient history).
 	quietLongEnough := !m.lastMove.IsZero() && c.Time.Sub(m.lastMove) > m.quiet
-	neverMoved := m.lastMove.IsZero() && m.samples[id] >= m.minSamples*2
+	neverMoved := m.lastMove.IsZero() && sig.samples >= m.minSamples*2
 	if quietLongEnough && (!m.declared || m.mobile) {
 		m.declared = true
 		m.mobile = false

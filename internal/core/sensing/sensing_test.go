@@ -209,6 +209,102 @@ func TestMobilityPublishesSignalStrength(t *testing.T) {
 	}
 }
 
+// signalPuts activates a Mobility module with the default 4 dB
+// threshold (publication quantum 1 dB) and returns a feed function plus
+// the SignalStrength values the Knowledge Base accepted, in order.
+func signalPuts(t *testing.T, params map[string]string) (kb *knowledge.Base, feed func(sec int, rssi float64), puts *[]string) {
+	t.Helper()
+	kb = knowledge.NewBase("K1")
+	mod, err := NewMobility(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod.Activate(newCtx(kb))
+	puts = new([]string)
+	kb.Subscribe(knowledge.LabelSignalStrength, func(kg knowledge.Knowgget) { *puts = append(*puts, kg.Value) })
+	raw := stack.BuildCTPBeacon(5, 1, 10, 1)
+	feed = func(sec int, rssi float64) {
+		mod.HandlePacket(mkCap(t, packet.MediumIEEE802154, raw, t0.Add(time.Duration(sec)*time.Second), rssi))
+	}
+	return kb, feed, puts
+}
+
+// TestMobilitySteadySignalIsSilent: once the EWMA of a transmitter
+// whose RSSI wobbles inside the publication quantum has settled, no
+// frame is a put, however many it sends; with "collective" on, none
+// burns a gossip version for every peer to pull.
+func TestMobilitySteadySignalIsSilent(t *testing.T) {
+	kb, feed, puts := signalPuts(t, map[string]string{"collective": "true"})
+	wobble := func(i int) float64 { return -60 - 2*float64(i%2) } // EWMA settles at -61 ± 0.18
+	feed(0, wobble(0))
+	if len(*puts) != 1 || (*puts)[0] != "-60.0" {
+		t.Fatalf("first sight published %v, want [-60.0]", *puts)
+	}
+	for i := 1; i <= 20; i++ {
+		feed(i, wobble(i))
+	}
+	settled, version := len(*puts), kb.LocalVersion()
+	for i := 21; i <= 220; i++ {
+		feed(i, wobble(i))
+	}
+	if len(*puts) != settled {
+		t.Errorf("a steady signal was published %d times in 200 frames: %v", len(*puts)-settled, (*puts)[settled:])
+	}
+	if got := kb.LocalVersion(); got != version {
+		t.Errorf("a steady signal moved the node's gossip version %d -> %d", version, got)
+	}
+}
+
+// TestMobilityPublishesDrift: a slow drift is published when the EWMA
+// has moved one quantum (threshold/4 = 1 dB) from the value last
+// published, with the EWMA itself as the value, and not again until it
+// has moved another.
+func TestMobilityPublishesDrift(t *testing.T) {
+	kb, feed, puts := signalPuts(t, nil)
+	for i := 0; i < 5; i++ {
+		feed(i, -60)
+	}
+	// -62 samples: the EWMA goes -60.6, -61.02 (one quantum: published),
+	// -61.314, -61.52, … towards -62 (never a second quantum from -61.02).
+	for i := 5; i < 25; i++ {
+		feed(i, -62)
+	}
+	if want := []string{"-60.0", "-61.0"}; len(*puts) != 2 || (*puts)[1] != want[1] {
+		t.Fatalf("a 2 dB drift published %v, want %v", *puts, want)
+	}
+	if v, ok := kb.EntityFloat(knowledge.LabelSignalStrength, "0x0005"); !ok || v != -61 {
+		t.Errorf("SignalStrength = %v ok=%v, want the EWMA at publication, -61.0", v, ok)
+	}
+	if v, _ := kb.Bool(knowledge.LabelMobility); v {
+		t.Error("a 2 dB drift declared mobility")
+	}
+}
+
+// TestMobilityPublishesAfterReanchor: a threshold-exceeding jump
+// re-anchors the EWMA at the new RSSI without a put of its own; the
+// frame after it publishes where the node now is.
+func TestMobilityPublishesAfterReanchor(t *testing.T) {
+	kb, feed, puts := signalPuts(t, nil)
+	for i := 0; i < 5; i++ {
+		feed(i, -60)
+	}
+	feed(5, -70) // dev 10 dB: moved; the smoothed -63.0 is published, then the EWMA re-anchors at -70
+	if v, _ := kb.Bool(knowledge.LabelMobility); !v {
+		t.Fatal("a 10 dB jump did not declare mobility")
+	}
+	if want := []string{"-60.0", "-63.0"}; len(*puts) != 2 || (*puts)[1] != want[1] {
+		t.Fatalf("the jump frame published %v, want %v", *puts, want)
+	}
+	feed(6, -70)
+	if len(*puts) != 3 || (*puts)[2] != "-70.0" {
+		t.Fatalf("the frame after the re-anchor published %v, want one more put of -70.0", (*puts)[2:])
+	}
+	feed(7, -70)
+	if len(*puts) != 3 {
+		t.Errorf("a settled signal was published again: %v", (*puts)[3:])
+	}
+}
+
 func TestMobilityNotRequiredWhenStatic(t *testing.T) {
 	kb := knowledge.NewBase("K1")
 	kb.PutStatic(knowledge.LabelMobility, "", "false")

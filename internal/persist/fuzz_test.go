@@ -6,20 +6,21 @@ import (
 	"reflect"
 	"testing"
 
+	"kalis/internal/core/datastore"
 	"kalis/internal/core/knowledge"
 )
 
 // fuzzSnapshot is a well-formed snapshot the mutator can truncate,
-// bit-flip and splice.
+// bit-flip and splice — in the parent format, Data Store section
+// included, so the compatibility path is in the corpus too.
 func fuzzSnapshot() []byte {
-	return EncodeSnapshotBytes(&Snapshot{
+	return parentSnapshot(&Snapshot{
 		Knowggets: []knowledge.Knowgget{
 			{Creator: "K1", Label: "Multihop", Value: "true"},
 			{Creator: "K2", Label: "SignalStrength", Entity: "Sensor@A", Value: "-67", Collective: true},
 		},
 		StaticLabels: []string{"Mobility"},
-		WindowTrace:  []byte{'K', 'T', 'R', 'C', 1},
-	})
+	}, []byte{'K', 'T', 'R', 'C', 1})
 }
 
 // fuzzJournal encodes a well-formed journal with one put and one
@@ -146,5 +147,54 @@ func FuzzJournalReplay(f *testing.F) {
 			ks = append(ks, k)
 		}
 		kb.Restore(ks, nil)
+	})
+}
+
+// FuzzWindowLogLoad drives window-log replay with arbitrary bytes:
+// never a panic, never part of a batch, and every accepted prefix must
+// re-verify — replaying the first goodBytes again yields exactly the
+// same records with no truncation, which is what appending behind a
+// truncated tail relies on. (Length claims are bounded by maxSectionLen
+// and bodies read through readExact: see readFrame.)
+func FuzzWindowLogLoad(f *testing.F) {
+	header := windowLogHeader()
+	good := appendFrame(append([]byte{}, header...), windowTrace(f, windowFrames(f, 0, 3)))
+	good = appendFrame(good, windowTrace(f, windowFrames(f, 3, 2)))
+	f.Add([]byte{})
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add(good[:windowLogHeaderLen])
+	f.Add(append([]byte{}, good[:2]...))
+	f.Add(append(append([]byte{}, good...), 0xff, 0xff, 0xff, 0xff, 0x7f)) // a length claim far past the input
+	f.Add(appendFrame(append([]byte{}, header...), []byte("not a trace stream")))
+	flipped := append([]byte{}, good...)
+	flipped[len(flipped)-1] ^= 0x01
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, goodBytes, torn, err := replayWindowLog(bytes.NewReader(data))
+		if err != nil {
+			if len(recs) != 0 || goodBytes != 0 {
+				t.Fatalf("header error kept %d records, %d bytes", len(recs), goodBytes)
+			}
+			return
+		}
+		if goodBytes < windowLogHeaderLen || goodBytes > int64(len(data)) {
+			t.Fatalf("goodBytes %d outside [%d,%d]", goodBytes, windowLogHeaderLen, len(data))
+		}
+		if !torn && goodBytes != int64(len(data)) {
+			t.Fatalf("clean replay verified %d of %d bytes", goodBytes, len(data))
+		}
+		again, againBytes, againTorn, err := replayWindowLog(bytes.NewReader(data[:goodBytes]))
+		if err != nil || againTorn || againBytes != goodBytes {
+			t.Fatalf("verified prefix did not re-verify: %v torn=%v bytes=%d/%d",
+				err, againTorn, againBytes, goodBytes)
+		}
+		if !reflect.DeepEqual(recs, again) {
+			t.Fatalf("replay of verified prefix diverged")
+		}
+		// Restoring the records into a Data Store must never panic,
+		// whatever the decoded contents.
+		datastore.New(8).Restore(recs)
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"kalis/internal/core/knowledge"
 )
@@ -51,8 +52,9 @@ type JournalEntry struct {
 type journalWriter struct {
 	f       *os.File
 	w       *bufio.Writer
-	bytes   int64 // total bytes written including header
-	scratch []byte
+	bytes   int64  // total bytes written including header
+	scratch []byte // one payload, reused across appends
+	frame   []byte // its frame, likewise
 }
 
 // newJournalWriter creates (truncates) the journal file and writes its
@@ -96,23 +98,53 @@ func (jw *journalWriter) append(op byte, key string, k knowledge.Knowgget) error
 	default:
 		return fmt.Errorf("persist: journal: unknown op %d", op)
 	}
-	jw.scratch = payload // keep the grown buffer for the next append
-
-	var frame [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(frame[:], uint64(len(payload)))
-	if _, err := jw.w.Write(frame[:n]); err != nil {
+	jw.scratch = payload // keep the grown buffers for the next append
+	jw.frame = appendFrame(jw.frame[:0], payload)
+	if _, err := jw.w.Write(jw.frame); err != nil {
 		return err
 	}
-	if _, err := jw.w.Write(payload); err != nil {
-		return err
+	jw.bytes += int64(len(jw.frame))
+	return nil
+}
+
+// appendFrame appends payload to dst in the frame the journal and the
+// window log share:
+//
+//	uvarint payload length | payload | crc32(payload) LE
+func appendFrame(dst, payload []byte) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+len(payload)+4)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
+// readFrame reads one frame and returns its verified payload and its
+// size on the wire. io.EOF means a clean end exactly on a frame
+// boundary; any other error a torn or corrupt frame (an end of input
+// inside a frame is reported with %v, so it can never match io.EOF and
+// pass for a clean end). A length claim of zero or above maxLen is
+// corruption, not an allocation request, and the body is read through
+// readExact, which grows only with the bytes actually present.
+func readFrame(br *bufio.Reader, maxLen uint64) ([]byte, int64, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, 0, err // io.EOF only when no byte of the frame was read
+	}
+	if n == 0 || n > maxLen {
+		return nil, 0, fmt.Errorf("persist: frame length %d", n)
+	}
+	payload, err := readExact(br, n)
+	if err != nil {
+		return nil, 0, fmt.Errorf("persist: frame body: %v", err)
 	}
 	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	if _, err := jw.w.Write(sum[:]); err != nil {
-		return err
+	if _, err := io.ReadFull(br, sum[:]); err != nil {
+		return nil, 0, fmt.Errorf("persist: frame checksum: %v", err)
 	}
-	jw.bytes += int64(n + len(payload) + 4)
-	return nil
+	if binary.LittleEndian.Uint32(sum[:]) != crc32.ChecksumIEEE(payload) {
+		return nil, 0, errors.New("persist: frame checksum mismatch")
+	}
+	return payload, int64(uvarintLen(n)) + int64(n) + 4, nil
 }
 
 // flush pushes buffered records to the kernel.
@@ -165,32 +197,15 @@ func replayJournal(r io.Reader) (entries []JournalEntry, goodBytes int64, trunca
 	}
 }
 
-// readJournalRecord reads one frame; io.EOF means a clean end exactly
-// on a record boundary, any other error a torn/corrupt record.
+// readJournalRecord reads one frame and decodes its mutation; io.EOF
+// means a clean end exactly on a record boundary, any other error a
+// torn/corrupt record.
 func readJournalRecord(br *bufio.Reader) (JournalEntry, int64, error) {
 	var entry JournalEntry
-	n, err := binary.ReadUvarint(br)
+	payload, frameLen, err := readFrame(br, maxJournalRecord)
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return entry, 0, io.EOF
-		}
 		return entry, 0, err
 	}
-	if n == 0 || n > maxJournalRecord {
-		return entry, 0, fmt.Errorf("persist: journal record length %d", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return entry, 0, fmt.Errorf("persist: journal body: %w", err)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return entry, 0, fmt.Errorf("persist: journal checksum: %w", err)
-	}
-	if binary.LittleEndian.Uint32(sum[:]) != crc32.ChecksumIEEE(payload) {
-		return entry, 0, errors.New("persist: journal checksum mismatch")
-	}
-	frameLen := int64(uvarintLen(n)) + int64(n) + 4
 
 	entry.Op = payload[0]
 	body := payload[1:]

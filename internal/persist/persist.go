@@ -1,14 +1,17 @@
 // Package persist is Kalis' crash-safe durable-state layer: a
-// versioned binary snapshot of the Knowledge Base and the Data Store
-// window, plus an append-only write-ahead journal of every accepted KB
-// mutation. Together they give a production node what fault.CrashNode
+// versioned binary snapshot of the Knowledge Base, an append-only
+// write-ahead journal of every accepted KB mutation since, and an
+// append-only log of the Data Store window. Each writes what changed:
+// a compaction costs the knowledge that exists and the frames that
+// arrived, never the window that was already on disk. Together they
+// give a production node what fault.CrashNode
 // only pretended it had — a warm restart: a node rebooted from its
 // state directory comes back with the knowledge it had collectively
 // and locally learned, instead of re-learning the network from
 // nothing while an attack is in progress (HADES-IoT applies the same
 // persisted-whitelist requirement to host-based IoT detection).
 //
-// Crash-safety argument, in three invariants:
+// Crash-safety argument, in four invariants:
 //
 //  1. Snapshots are atomic: written to a temp file, fsynced, then
 //     renamed over the previous snapshot (and the directory fsynced).
@@ -19,22 +22,30 @@
 //     mid-append loses at most the record being written. Replay stops
 //     at the first torn or checksum-failing record and truncates the
 //     file there.
-//  3. Recovery validates everything before applying anything: the
-//     snapshot and the journal's verified prefix are fully decoded
-//     first, then installed into the KB/Data Store in one step — a
-//     corrupt input can never leave a partially-applied KB.
+//  3. The window log is append-only with per-batch checksums, fsynced
+//     at every compaction: a crash mid-append loses at most the batch
+//     being written, and its periodic rewrite is atomic by rule 1. A
+//     compaction goes log, then snapshot, then journal rotation, so
+//     the window on disk is never behind the knowledge on disk.
+//  4. Recovery validates everything before applying anything: the
+//     snapshot and the verified prefixes of the journal and the window
+//     log are fully decoded first, then installed into the KB/Data
+//     Store in one step — a corrupt input can never leave a
+//     partially-applied KB.
 //
-// The recovery decision ladder (see DESIGN.md §9): intact snapshot and
-// clean journal → warm; intact snapshot with a torn journal tail (or a
-// journal-only state with a torn tail) → truncated, the verified
-// prefix applies; missing or corrupt snapshot → cold, prior files are
-// archived aside and the node starts from nothing.
+// The recovery decision ladder (see DESIGN.md §9): intact snapshot,
+// clean journal and clean window log → warm; a torn journal or
+// window-log tail, or an unreadable journal or window-log header
+// beside an intact snapshot → truncated, the verified prefix applies;
+// missing or corrupt snapshot → cold, prior files are archived aside
+// and the node starts from nothing.
 package persist
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -114,6 +125,11 @@ type Manager struct {
 	closed      bool
 	err         error // sticky first I/O failure
 
+	// The window log: how many records the file holds, and the Data
+	// Store's running total up to which they were written.
+	winRecords int
+	winSeq     uint64
+
 	outcome   Outcome
 	recovered int // knowggets restored from the snapshot+journal
 	replayed  int // journal entries applied on top of the snapshot
@@ -151,14 +167,24 @@ func Open(cfg Config, kb *knowledge.Base, store *datastore.Store) (*Manager, err
 	return m, nil
 }
 
-// recover runs the decision ladder and leaves an append-ready journal.
+// recover runs the decision ladder and leaves an append-ready journal
+// and window log.
 func (m *Manager) recover() error {
 	snap, snapErr := loadSnapshotFile(SnapshotPath(m.dir))
 	entries, goodBytes, torn, jErr := loadJournalFile(JournalPath(m.dir))
+	logged, winBytes, winTorn, wErr := loadWindowLogFile(WindowLogPath(m.dir))
+	// A crash mid-rewrite leaves the rewrite's temp file beside the log
+	// it was to replace; the log is whole, the temp file is nothing.
+	_ = os.Remove(WindowLogPath(m.dir) + ".tmp")
+	if wErr != nil {
+		// Window-log header unreadable: the window is lost wholesale.
+		// The Knowledge Base does not depend on it and still applies.
+		archiveCorrupt(WindowLogPath(m.dir))
+	}
 
 	switch {
 	case snapErr == nil && snap == nil && jErr == nil && entries == nil && !torn && goodBytes == 0:
-		// Nothing on disk: a brand-new node.
+		// No snapshot and no journal: a brand-new node.
 		m.outcome = OutcomeCold
 	case snapErr != nil:
 		// A snapshot existed but failed verification. Journal deltas
@@ -174,7 +200,7 @@ func (m *Manager) recover() error {
 		archiveCorrupt(JournalPath(m.dir))
 		if snap != nil {
 			m.outcome = OutcomeTruncated
-			if err := m.apply(snap, nil); err != nil {
+			if err := m.apply(snap, nil, logged); err != nil {
 				m.outcome = OutcomeCold
 				archiveCorrupt(SnapshotPath(m.dir))
 			}
@@ -183,7 +209,7 @@ func (m *Manager) recover() error {
 		}
 	default:
 		// Base state (possibly absent) plus a verified journal prefix.
-		if err := m.apply(snap, entries); err != nil {
+		if err := m.apply(snap, entries, logged); err != nil {
 			m.outcome = OutcomeCold
 			archiveCorrupt(SnapshotPath(m.dir))
 			archiveCorrupt(JournalPath(m.dir))
@@ -197,6 +223,31 @@ func (m *Manager) recover() error {
 		} else {
 			m.outcome = OutcomeWarm
 		}
+	}
+	if m.outcome == OutcomeWarm && (winTorn || wErr != nil) {
+		m.outcome = OutcomeTruncated
+	}
+
+	// Leave the window log holding what the window now holds. A verified
+	// log that was the window's only source already does, once a torn
+	// tail is cut off; otherwise — no log yet or a lost one (no verified
+	// byte of it), a cold start, or a window that came out of an older
+	// snapshot's Data Store section — it is rewritten from the window.
+	// Like every compaction, this goes log, then snapshot, then journal
+	// rotation: the snapshot below drops that section, so its frames
+	// must be in the log first.
+	carried := snap != nil && len(snap.WindowTrace) > 0
+	if m.outcome == OutcomeCold || winBytes == 0 || carried {
+		if err := m.rewriteWindowLocked(); err != nil {
+			return err
+		}
+	} else {
+		if winTorn {
+			if err := os.Truncate(WindowLogPath(m.dir), winBytes); err != nil {
+				return fmt.Errorf("persist: truncate torn window log: %w", err)
+			}
+		}
+		m.winRecords, m.winSeq = len(logged), m.store.Total()
 	}
 
 	// Compact the recovered state into a fresh snapshot BEFORE the
@@ -217,14 +268,21 @@ func (m *Manager) recover() error {
 	return nil
 }
 
-// loadSnapshotFile reads and fully verifies the snapshot. (nil, nil)
-// means no snapshot exists; an error means one exists but is unusable.
-func loadSnapshotFile(path string) (*Snapshot, error) {
+// openState opens a state file for reading; (nil, nil) means it does
+// not exist.
+func openState(path string) (*os.File, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
-	if err != nil {
+	return f, err
+}
+
+// loadSnapshotFile reads and fully verifies the snapshot. (nil, nil)
+// means no snapshot exists; an error means one exists but is unusable.
+func loadSnapshotFile(path string) (*Snapshot, error) {
+	f, err := openState(path)
+	if f == nil {
 		return nil, err
 	}
 	defer f.Close()
@@ -234,11 +292,8 @@ func loadSnapshotFile(path string) (*Snapshot, error) {
 // loadJournalFile replays the journal. All-nil/zero returns mean no
 // journal exists; jErr non-nil means the header itself is bad.
 func loadJournalFile(path string) (entries []JournalEntry, goodBytes int64, torn bool, jErr error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, false, nil
-	}
-	if err != nil {
+	f, err := openState(path)
+	if f == nil {
 		return nil, 0, false, err
 	}
 	defer f.Close()
@@ -247,13 +302,15 @@ func loadJournalFile(path string) (entries []JournalEntry, goodBytes int64, torn
 
 // apply validates the full recovered state and installs it into the
 // KB and the Data Store in one step. Any decode failure aborts before
-// the KB is touched.
-func (m *Manager) apply(snap *Snapshot, entries []JournalEntry) error {
+// the KB is touched. logged is the window log's verified prefix.
+func (m *Manager) apply(snap *Snapshot, entries []JournalEntry, logged []*trace.Record) error {
 	var recs []*trace.Record
 	var statics []string
 	state := make(map[string]knowledge.Knowgget)
 	if snap != nil {
 		if len(snap.WindowTrace) > 0 {
+			// Compatibility: a snapshot written before the window log
+			// carries the window itself; whatever the log holds is newer.
 			var err error
 			recs, err = trace.ReadAll(bytes.NewReader(snap.WindowTrace))
 			if err != nil {
@@ -264,6 +321,13 @@ func (m *Manager) apply(snap *Snapshot, entries []JournalEntry) error {
 			state[k.Key()] = k
 		}
 		statics = snap.StaticLabels
+	}
+	// A crash in the restart that moves such a section into the log —
+	// after the log's rename, before the snapshot's — leaves the same
+	// frames in both: no record is restored twice.
+	recs = append(recs[:len(recs)-overlap(recs, logged)], logged...)
+	if over := len(recs) - m.store.Capacity(); over > 0 {
+		recs = recs[over:] // the log may hold two windows' worth
 	}
 	for _, e := range entries {
 		switch e.Op {
@@ -283,6 +347,24 @@ func (m *Manager) apply(snap *Snapshot, entries []JournalEntry) error {
 	m.replayed = len(entries)
 	m.window, _ = m.store.Restore(recs)
 	return nil
+}
+
+// overlap is the number of records at the end of older that newer
+// begins with.
+func overlap(older, newer []*trace.Record) int {
+	same := func(a, b *trace.Record) bool {
+		return a.Time.Equal(b.Time) && a.Medium == b.Medium && a.RSSI == b.RSSI && bytes.Equal(a.Raw, b.Raw)
+	}
+next:
+	for n := min(len(older), len(newer)); n > 0; n-- {
+		for i, rec := range older[len(older)-n:] {
+			if !same(rec, newer[i]) {
+				continue next
+			}
+		}
+		return n
+	}
+	return 0
 }
 
 // archiveCorrupt moves a failed state file aside (path → path.corrupt)
@@ -364,13 +446,21 @@ func (m *Manager) Compact() error {
 	return nil
 }
 
-// compactLocked snapshots the current KB + window atomically, then
-// rotates the journal. Ordering is the crash-safety argument: the
-// snapshot is durable (fsync + rename + dir fsync) before the journal
-// is reset, so a crash between the two replays journal records whose
-// effects the snapshot already holds — puts are idempotent and deletes
-// of absent keys are no-ops.
+// compactLocked logs the window's new frames, snapshots the current KB
+// atomically, then rotates the journal. Ordering is the crash-safety
+// argument: each step is durable before the next begins. The snapshot
+// is in place (fsync + rename + dir fsync) before the journal is reset,
+// so a crash between the two replays journal records whose effects the
+// snapshot already holds — puts are idempotent and deletes of absent
+// keys are no-ops. The window log is fsynced before the snapshot is
+// renamed, so a crash between those two finds a window newer than the
+// snapshot and a journal that still holds every delta since: nothing is
+// lost and, the log being the window's only home, nothing is restored
+// twice.
 func (m *Manager) compactLocked() error {
+	if err := m.logWindowLocked(); err != nil {
+		return err
+	}
 	if err := m.writeSnapshotLocked(); err != nil {
 		return err
 	}
@@ -387,39 +477,45 @@ func (m *Manager) compactLocked() error {
 	return nil
 }
 
-// writeSnapshotLocked writes the snapshot via temp + fsync + rename.
+// writeSnapshotLocked writes the Knowledge Base snapshot. The Data
+// Store window is not part of it: the window log holds that.
 func (m *Manager) writeSnapshotLocked() error {
-	var window bytes.Buffer
-	if _, err := m.store.SnapshotTo(&window); err != nil {
-		return err
-	}
 	snap := &Snapshot{
 		Knowggets:    m.kb.Snapshot(),
 		StaticLabels: m.kb.StaticLabels(),
-		WindowTrace:  window.Bytes(),
 	}
-	final := SnapshotPath(m.dir)
-	tmp := final + ".tmp"
+	err := replaceFile(SnapshotPath(m.dir), func(w io.Writer) error { return EncodeSnapshot(w, snap) })
+	if err != nil {
+		return fmt.Errorf("persist: snapshot: %w", err)
+	}
+	return nil
+}
+
+// replaceFile replaces path atomically with what write produces: temp
+// file, fsync, rename over path, directory fsync. A crash at any point
+// leaves the old file or the new one, never a mixture.
+func replaceFile(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("persist: snapshot temp: %w", err)
+		return fmt.Errorf("temp: %w", err)
 	}
-	if err := EncodeSnapshot(f, snap); err != nil {
+	if err := write(f); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("persist: snapshot write: %w", err)
+		return fmt.Errorf("write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("persist: snapshot fsync: %w", err)
+		return fmt.Errorf("fsync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: snapshot close: %w", err)
+		return fmt.Errorf("close: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("persist: snapshot rename: %w", err)
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("rename: %w", err)
 	}
-	if err := syncDir(m.dir); err != nil {
-		return fmt.Errorf("persist: state dir fsync: %w", err)
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("state dir fsync: %w", err)
 	}
 	return nil
 }
@@ -497,14 +593,13 @@ func (m *Manager) journalBytesLocked() int64 {
 // file's tail, leaving a torn final record exactly as a crash during
 // an append would. It is invoked by fault.CrashNodeDirty's dirty hook.
 func Tear(dir string, dropBytes int64) error {
-	path := JournalPath(dir)
+	return tearFile(JournalPath(dir), dropBytes)
+}
+
+func tearFile(path string, dropBytes int64) error {
 	info, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	size := info.Size() - dropBytes
-	if size < 0 {
-		size = 0
-	}
-	return os.Truncate(path, size)
+	return os.Truncate(path, max(info.Size()-dropBytes, 0))
 }

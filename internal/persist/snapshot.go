@@ -20,7 +20,7 @@ const SnapshotVersion = 1
 // Snapshot section identifiers.
 const (
 	sectionKB        = byte(1) // Knowledge Base entries + static labels
-	sectionDataStore = byte(2) // Data Store window as an embedded trace stream
+	sectionDataStore = byte(2) // Data Store window as an embedded trace stream; read for compatibility, no longer written
 )
 
 // maxSectionLen bounds a section payload; anything larger is treated
@@ -36,13 +36,15 @@ var (
 )
 
 // Snapshot is the decoded durable state of one Kalis node: the full
-// Knowledge Base contents and the Data Store window (kept as the raw
-// embedded trace stream; the datastore decodes it on restore).
+// Knowledge Base contents.
 type Snapshot struct {
 	Knowggets    []knowledge.Knowgget
 	StaticLabels []string
-	// WindowTrace is the Data Store section payload: a complete Kalis
-	// trace stream of the sliding-window records, oldest first.
+	// WindowTrace is read, never written: snapshots from before the
+	// window log (window.kwin) carried the Data Store window as a second
+	// section, a complete Kalis trace stream of the sliding-window
+	// records, oldest first. DecodeSnapshot still returns it so that
+	// such a state dir restarts warm with its window.
 	WindowTrace []byte
 }
 
@@ -60,10 +62,7 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 	if _, err := w.Write([]byte{SnapshotVersion}); err != nil {
 		return err
 	}
-	if err := writeSection(w, sectionKB, encodeKB(s)); err != nil {
-		return err
-	}
-	return writeSection(w, sectionDataStore, s.WindowTrace)
+	return writeSection(w, sectionKB, encodeKB(s))
 }
 
 func writeSection(w io.Writer, id byte, payload []byte) error {
@@ -162,6 +161,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 				return nil, err
 			}
 		case sectionDataStore:
+			// Compatibility path: see Snapshot.WindowTrace.
 			snap.WindowTrace = payload
 		default:
 			return nil, fmt.Errorf("%w: unknown section %d", ErrSnapshotCorrupt, id)

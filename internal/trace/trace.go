@@ -66,6 +66,11 @@ type Writer struct {
 	w       *bufio.Writer
 	started bool
 	count   int
+	// scratch holds one record body and prefix its length between
+	// Writes, so a warmed writer allocates nothing per record (a local
+	// prefix array would escape through bufio's pass-through write).
+	scratch []byte
+	prefix  [binary.MaxVarintLen64]byte
 }
 
 // NewWriter creates a trace writer over w.
@@ -91,8 +96,7 @@ func (w *Writer) Write(r *Record) error {
 			return err
 		}
 	}
-	var buf []byte
-	buf = binary.AppendVarint(buf, r.Time.UnixNano())
+	buf := binary.AppendVarint(w.scratch[:0], r.Time.UnixNano())
 	buf = append(buf, byte(r.Medium))
 	buf = binary.AppendUvarint(buf, uint64(math.Float64bits(r.RSSI)))
 	buf = binary.AppendUvarint(buf, uint64(len(r.Raw)))
@@ -106,9 +110,9 @@ func (w *Writer) Write(r *Record) error {
 	} else {
 		buf = append(buf, 0)
 	}
-	var lenBuf []byte
-	lenBuf = binary.AppendUvarint(lenBuf, uint64(len(buf)))
-	if _, err := w.w.Write(lenBuf); err != nil {
+	w.scratch = buf // keep the grown buffer for the next record
+	n := binary.PutUvarint(w.prefix[:], uint64(len(buf)))
+	if _, err := w.w.Write(w.prefix[:n]); err != nil {
 		return err
 	}
 	if _, err := w.w.Write(buf); err != nil {

@@ -157,9 +157,10 @@ func WithoutDefaultModules() Option {
 // WithStateDir enables durable state in the given directory: the node
 // recovers its Knowledge Base and Data Store window from a previous
 // run at startup (warm restart), journals every accepted knowledge
-// mutation, and compacts the journal into a crash-safe snapshot
-// periodically and at Close. A corrupt snapshot or torn journal
-// degrades gracefully — a truncated or cold start, never a failure.
+// mutation, and periodically and at Close logs the frames that arrived
+// and compacts the journal into a crash-safe snapshot. A corrupt
+// snapshot, torn journal or torn window log degrades gracefully — a
+// truncated or cold start, never a failure.
 func WithStateDir(dir string) Option {
 	return func(c *core.Config) { c.StateDir = dir }
 }

@@ -44,11 +44,11 @@ vet:
 
 # Fault-scenario suite under the race detector: the scripted chaos
 # drill (partition + module panic + knowledge burst, see chaos_test.go),
-# the crash-recovery drill (dirty crash mid-journal-write, warm vs cold
+# the crash-recovery drill (dirty crash mid-journal-write of a node that
+# has reached sync points but no checkpoint, warm vs cold
 # time-to-redetection, and the same cut mid-window-log-batch, see
-# crash_drill_test.go), plus the
-# fault-injection, supervision, collective-resilience and persistence
-# packages.
+# crash_drill_test.go), plus the fault-injection, supervision,
+# collective-resilience and persistence packages.
 chaos:
 	$(GO) test -race -timeout 5m -run 'TestChaosScenario|TestCrashRecoveryDrill' -v .
 	$(GO) test -race -timeout 5m ./internal/fault/ ./internal/core/module/ ./internal/core/collective/ ./internal/persist/

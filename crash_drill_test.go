@@ -16,7 +16,7 @@ package kalis
 //     network from nothing while the attack continues.
 //
 // A third history has the same power cut land in the other file a
-// compaction appends to: a copy of the state dir whose window log,
+// sync point appends to: a copy of the state dir whose window log,
 // not its journal, is torn mid-batch. It must come back truncated with
 // a shorter window and all of its knowledge, and re-detect as the
 // journal-torn reboot does.
@@ -24,7 +24,10 @@ package kalis
 // The drill asserts the warm restarts re-detect the ongoing attack
 // measurably sooner than the cold one, with every claim backed by a
 // live telemetry scrape (kalis_persist_recoveries_total,
-// kalis_persist_snapshot_total, kalis_fault_injected_total).
+// kalis_persist_sync_total, kalis_fault_injected_total). Node A never
+// checkpoints before the cut — its journal stays far under the
+// threshold — so the warm reboots come back from the journal and the
+// window log alone, as far as its sync points made them durable.
 
 import (
 	"fmt"
@@ -175,8 +178,8 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	if got := metricValue(t, bodyA, `kalis_fault_injected_total{kind="crashdirty"}`); got != 1 {
 		t.Errorf("crashdirty injections = %v (want 1)", got)
 	}
-	if got := metricValue(t, bodyA, `kalis_persist_snapshot_total`); got < 1 {
-		t.Errorf("no snapshot compaction before the crash (%v)", got)
+	if got := metricValue(t, bodyA, `kalis_persist_sync_total`); got < 1 {
+		t.Errorf("no sync point before the crash (%v)", got)
 	}
 
 	// --- act III: two rival reboots ---------------------------------

@@ -64,12 +64,12 @@ type Config struct {
 	// StateDir, when non-empty, enables durable state: the Knowledge
 	// Base and Data Store window are recovered from this directory at
 	// startup (warm restart) and persisted across the node's lifetime
-	// via a write-ahead journal and periodic snapshots. Empty disables
-	// persistence entirely.
+	// via a write-ahead journal, a window log and snapshots. Empty
+	// disables persistence entirely.
 	StateDir string
-	// PersistInterval is the snapshot-compaction interval on the
-	// capture clock; 0 selects persist.DefaultInterval. Ignored without
-	// StateDir.
+	// PersistInterval is the capture time between durable-state sync
+	// points — the most a power cut can lose; 0 selects
+	// persist.DefaultInterval. Ignored without StateDir.
 	PersistInterval time.Duration
 	// Shards selects the ingestion parallelism. 0 or 1 is one shard,
 	// dispatched in line unless Async is set (deterministic; the
@@ -104,7 +104,7 @@ type Config struct {
 // The first shard is the primary. Two things exist on the primary only:
 // the traffic log (SetLog: the trace format is one serial stream) and
 // durable state (persist logs the primary's window, and the
-// primary's packets drive the compaction clock). On a node with more
+// primary's packets drive the sync-point clock). On a node with more
 // than one shard the other shards' windows are neither logged nor
 // persisted.
 type shard struct {
@@ -115,9 +115,9 @@ type shard struct {
 }
 
 // HandleBatch implements ingest.Sink for a non-empty batch: module
-// dispatch, then the durable-state compaction tick on the batch's
-// latest capture time (compaction runs on the capture clock, like every
-// other time-driven behavior in the pipeline).
+// dispatch, then the durable-state tick on the batch's latest capture
+// time (sync points run on the capture clock, like every other
+// time-driven behavior in the pipeline).
 func (s *shard) HandleBatch(batch []*packet.Captured) {
 	s.manager.HandleBatch(batch)
 	if s.persist != nil {
@@ -216,7 +216,9 @@ func (k *Kalis) recover(cfg Config) error {
 		Interval: cfg.PersistInterval,
 		Metrics: persist.Metrics{
 			Snapshots: k.tel.Counter("kalis_persist_snapshot_total",
-				"Durable snapshots written (periodic compaction and shutdown flush)."),
+				"Checkpoints written (journal past threshold, new static knowledge, shutdown)."),
+			Syncs: k.tel.Counter("kalis_persist_sync_total",
+				"Sync points that made new frames or journal records durable."),
 			JournalBytes: k.tel.Gauge("kalis_persist_journal_bytes",
 				"Current size of the KB write-ahead journal in bytes."),
 			Recoveries: k.tel.CounterVec("kalis_persist_recoveries_total", "outcome",

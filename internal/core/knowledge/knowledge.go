@@ -603,6 +603,14 @@ func (b *Base) StaticLabels() []string {
 	return out
 }
 
+// StaticCount is len(StaticLabels()). Labels are only ever added, so a
+// grown count is a changed set.
+func (b *Base) StaticCount() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.static)
+}
+
 // Snapshot returns a copy of every knowgget, sorted by key.
 func (b *Base) Snapshot() []Knowgget {
 	b.mu.RLock()

@@ -41,9 +41,9 @@ type JournalEntry struct {
 	Knowgget knowledge.Knowgget
 }
 
-// journalWriter appends framed, checksummed records to an open file.
-// Records are buffered; Flush pushes them to the kernel and Sync makes
-// them durable. Frame layout, following the trace/snapshot framing:
+// journalWriter appends framed, checksummed records to an open file:
+// each append is one write(2), sync makes what was appended durable.
+// Frame layout, following the trace/snapshot framing:
 //
 //	uvarint payload length | payload | crc32(payload) LE
 //
@@ -51,42 +51,34 @@ type JournalEntry struct {
 // for OpDelete the storage key.
 type journalWriter struct {
 	f       *os.File
-	w       *bufio.Writer
 	bytes   int64  // total bytes written including header
+	synced  int64  // the prefix of them an fsync has covered
 	scratch []byte // one payload, reused across appends
 	frame   []byte // its frame, likewise
 }
 
 // newJournalWriter creates (truncates) the journal file and writes its
-// header. The header is flushed and synced immediately, so a crash
-// right after rotation still leaves a well-formed, empty journal.
+// header. The header is synced immediately, so a crash right after
+// rotation still leaves a well-formed, empty journal.
 func newJournalWriter(path string) (*journalWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	jw := &journalWriter{f: f, w: bufio.NewWriter(f)}
-	if _, err := jw.w.Write(JournalMagic[:]); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if err := jw.w.WriteByte(JournalVersion); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if err := jw.w.Flush(); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
+	jw := &journalWriter{f: f}
+	if _, err := f.Write(append(JournalMagic[:], JournalVersion)); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
 	jw.bytes = journalHeaderLen
+	if err := jw.sync(); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
 	return jw, nil
 }
 
-// append encodes and buffers one mutation record.
+// append encodes one mutation record and writes it to the file.
 func (jw *journalWriter) append(op byte, key string, k knowledge.Knowgget) error {
 	payload := jw.scratch[:0]
 	payload = append(payload, op)
@@ -100,7 +92,7 @@ func (jw *journalWriter) append(op byte, key string, k knowledge.Knowgget) error
 	}
 	jw.scratch = payload // keep the grown buffers for the next append
 	jw.frame = appendFrame(jw.frame[:0], payload)
-	if _, err := jw.w.Write(jw.frame); err != nil {
+	if _, err := jw.f.Write(jw.frame); err != nil {
 		return err
 	}
 	jw.bytes += int64(len(jw.frame))
@@ -147,18 +139,20 @@ func readFrame(br *bufio.Reader, maxLen uint64) ([]byte, int64, error) {
 	return payload, int64(uvarintLen(n)) + int64(n) + 4, nil
 }
 
-// flush pushes buffered records to the kernel.
-func (jw *journalWriter) flush() error { return jw.w.Flush() }
-
-// sync flushes and makes the journal durable.
+// sync makes every appended record durable; with none appended since
+// the last sync it issues no syscall.
 func (jw *journalWriter) sync() error {
-	if err := jw.w.Flush(); err != nil {
+	if jw.synced == jw.bytes {
+		return nil
+	}
+	if err := jw.f.Sync(); err != nil {
 		return err
 	}
-	return jw.f.Sync()
+	jw.synced = jw.bytes
+	return nil
 }
 
-// close flushes, syncs and closes the journal file.
+// close syncs and closes the journal file.
 func (jw *journalWriter) close() error {
 	err := jw.sync()
 	if cerr := jw.f.Close(); err == nil {

@@ -2,14 +2,16 @@
 // versioned binary snapshot of the Knowledge Base, an append-only
 // write-ahead journal of every accepted KB mutation since, and an
 // append-only log of the Data Store window. Each writes what changed:
-// a compaction costs the knowledge that exists and the frames that
-// arrived, never the window that was already on disk. Together they
-// give a production node what fault.CrashNode
-// only pretended it had — a warm restart: a node rebooted from its
-// state directory comes back with the knowledge it had collectively
-// and locally learned, instead of re-learning the network from
-// nothing while an attack is in progress (HADES-IoT applies the same
-// persisted-whitelist requirement to host-based IoT detection).
+// a sync point — once per interval of capture time — appends the frames
+// that arrived and fsyncs both logs where they lie; a checkpoint, which
+// rewrites the snapshot and empties the journal, waits until the
+// journal has outgrown what folding it costs. Together they give a
+// production node what fault.CrashNode only pretended it had — a warm
+// restart: a node rebooted from its state directory comes back with the
+// knowledge it had collectively and locally learned, instead of
+// re-learning the network from nothing while an attack is in progress
+// (HADES-IoT applies the same persisted-whitelist requirement to
+// host-based IoT detection).
 //
 // Crash-safety argument, in four invariants:
 //
@@ -22,11 +24,13 @@
 //     mid-append loses at most the record being written. Replay stops
 //     at the first torn or checksum-failing record and truncates the
 //     file there.
-//  3. The window log is append-only with per-batch checksums, fsynced
-//     at every compaction: a crash mid-append loses at most the batch
-//     being written, and its periodic rewrite is atomic by rule 1. A
-//     compaction goes log, then snapshot, then journal rotation, so
-//     the window on disk is never behind the knowledge on disk.
+//  3. The window log is append-only with per-batch checksums: a crash
+//     mid-append loses at most the batch being written, and its
+//     periodic rewrite is atomic by rule 1. Every sync point fsyncs
+//     the window log, then the journal, and a checkpoint goes log,
+//     then snapshot, then journal rotation, so the window on disk is
+//     never behind the knowledge on disk and a power cut loses at most
+//     the last interval of either file, never an earlier record.
 //  4. Recovery validates everything before applying anything: the
 //     snapshot and the verified prefixes of the journal and the window
 //     log are fully decoded first, then installed into the KB/Data
@@ -74,15 +78,29 @@ const (
 	OutcomeCold Outcome = "cold"
 )
 
-// DefaultInterval is the default snapshot-compaction interval on the
+// DefaultInterval is the default time between sync points on the
 // capture clock.
 const DefaultInterval = 30 * time.Second
+
+// checkpointBytes is the journal size past which a sync point also
+// checkpoints. A checkpoint costs about three sync points (snapshot
+// rename, directory fsync and journal rotation on top of the two
+// fsyncs), so it pays only once the journal is worth folding. What a
+// longer journal costs is replay at the next Open: at this size that is
+// ≈ 1 800 records and ≈ 0.5 ms (TestFullJournalReplays prints it), less
+// than Open spends on its own fsyncs.
+const checkpointBytes = 64 << 10
 
 // Metrics are the persistence layer's optional telemetry hooks; all
 // telemetry types are nil-safe, so the zero value disables them.
 type Metrics struct {
-	// Snapshots counts snapshots written (kalis_persist_snapshot_total).
+	// Snapshots counts checkpoints written: journal past its threshold,
+	// new static knowledge, Compact, shutdown
+	// (kalis_persist_snapshot_total).
 	Snapshots *telemetry.Counter
+	// Syncs counts sync points that had something to make durable
+	// (kalis_persist_sync_total).
+	Syncs *telemetry.Counter
 	// JournalBytes tracks the current journal size in bytes
 	// (kalis_persist_journal_bytes).
 	JournalBytes *telemetry.Gauge
@@ -95,8 +113,8 @@ type Metrics struct {
 type Config struct {
 	// Dir is the node's state directory; created if absent.
 	Dir string
-	// Interval is the snapshot-compaction interval on the capture
-	// clock; 0 selects DefaultInterval.
+	// Interval is the capture time between sync points, which is the
+	// most a power cut can lose; 0 selects DefaultInterval.
 	Interval time.Duration
 	// Metrics are the telemetry hooks.
 	Metrics Metrics
@@ -109,8 +127,10 @@ func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.ksnp"
 func JournalPath(dir string) string { return filepath.Join(dir, "journal.kjnl") }
 
 // Manager owns one node's durable state: it recovers it at Open,
-// journals every accepted KB mutation, compacts the journal into a
-// fresh snapshot on the capture clock, and flushes everything at Stop.
+// journals every accepted KB mutation, makes journal and window log
+// durable at a sync point on the capture clock, compacts the journal
+// into a fresh snapshot when it has grown, and flushes everything at
+// Stop.
 type Manager struct {
 	dir      string
 	interval time.Duration
@@ -118,12 +138,16 @@ type Manager struct {
 	store    *datastore.Store
 	met      Metrics
 
-	mu          sync.Mutex
-	journal     *journalWriter
-	lastCompact time.Time
-	clockSet    bool
-	closed      bool
-	err         error // sticky first I/O failure
+	mu       sync.Mutex
+	journal  *journalWriter
+	lastSync time.Time
+	clockSet bool
+	closed   bool
+	err      error // sticky first I/O failure
+
+	// snapStatics is how many static labels the snapshot on disk
+	// carries: the one part of the KB the journal does not.
+	snapStatics int
 
 	// The window log: how many records the file holds, and the Data
 	// Store's running total up to which they were written.
@@ -233,7 +257,7 @@ func (m *Manager) recover() error {
 	// tail is cut off; otherwise — no log yet or a lost one (no verified
 	// byte of it), a cold start, or a window that came out of an older
 	// snapshot's Data Store section — it is rewritten from the window.
-	// Like every compaction, this goes log, then snapshot, then journal
+	// Like every checkpoint, this goes log, then snapshot, then journal
 	// rotation: the snapshot below drops that section, so its frames
 	// must be in the log first.
 	carried := snap != nil && len(snap.WindowTrace) > 0
@@ -387,25 +411,21 @@ func (m *Manager) record(op byte, key string, k knowledge.Knowgget) {
 	if m.closed || m.err != nil || m.journal == nil {
 		return
 	}
+	// One write(2) per record: KB mutations are change-gated and orders
+	// of magnitude rarer than packets, so the write-ahead guarantee
+	// ("lose at most the record being written") is worth the syscall.
+	// Durability against power loss is interval-bounded by the fsync at
+	// each sync point.
 	if err := m.journal.append(op, key, k); err != nil {
 		m.err = fmt.Errorf("persist: journal append: %w", err)
-		return
-	}
-	// Flush each record to the kernel: KB mutations are change-gated
-	// and orders of magnitude rarer than packets, so the write-ahead
-	// guarantee ("lose at most the record being written") is worth the
-	// syscall. Durability against power loss is interval-bounded by
-	// the fsync at each compaction.
-	if err := m.journal.flush(); err != nil {
-		m.err = fmt.Errorf("persist: journal flush: %w", err)
 		return
 	}
 	m.met.JournalBytes.Set(m.journal.bytes)
 }
 
-// Tick drives compaction from the capture clock: when now has advanced
-// a full interval past the last compaction, the journal is flushed
-// into a fresh snapshot. A clock that jumps backwards (trace replay
+// Tick drives sync points from the capture clock: when now has
+// advanced a full interval past the last one, everything accepted so
+// far is made durable. A clock that jumps backwards (trace replay
 // restarting, bench loops) just re-bases the interval. The fast path
 // is one lock and one time comparison per packet.
 func (m *Manager) Tick(now time.Time) {
@@ -414,22 +434,52 @@ func (m *Manager) Tick(now time.Time) {
 	if m.closed || m.err != nil {
 		return
 	}
-	if !m.clockSet || now.Before(m.lastCompact) {
-		m.lastCompact = now
+	if !m.clockSet || now.Before(m.lastSync) {
+		m.lastSync = now
 		m.clockSet = true
 		return
 	}
-	if now.Sub(m.lastCompact) < m.interval {
+	if now.Sub(m.lastSync) < m.interval {
 		return
 	}
-	if err := m.compactLocked(); err != nil {
+	if err := m.syncLocked(); err != nil {
 		m.err = err
 		return
 	}
-	m.lastCompact = now
+	m.lastSync = now
 }
 
-// Compact forces one snapshot compaction immediately.
+// syncLocked is one sync point: it makes everything accepted so far
+// durable where it already lies — the window's new frames appended and
+// fsynced first, so the window on disk is never behind the knowledge on
+// disk, then the open journal fsynced — and an interval in which no
+// frame arrived and no knowledge changed issues no syscall. It becomes
+// a checkpoint when the journal has outgrown checkpointBytes, or when
+// the KB's static labels have grown (they are only ever added): the
+// static mark of a label lives in the snapshot alone, and must not wait
+// longer for the disk than the knowgget it marks.
+func (m *Manager) syncLocked() error {
+	statics := m.kb.StaticCount() > m.snapStatics
+	if !statics && m.store.Total() == m.winSeq && m.journal.synced == m.journal.bytes {
+		return nil
+	}
+	if statics || m.journal.bytes >= checkpointBytes {
+		if err := m.compactLocked(); err != nil {
+			return err
+		}
+	} else {
+		if err := m.logWindowLocked(); err != nil {
+			return err
+		}
+		if err := m.journal.sync(); err != nil {
+			return fmt.Errorf("persist: journal sync: %w", err)
+		}
+	}
+	m.met.Syncs.Inc()
+	return nil
+}
+
+// Compact forces one checkpoint immediately.
 func (m *Manager) Compact() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -446,17 +496,17 @@ func (m *Manager) Compact() error {
 	return nil
 }
 
-// compactLocked logs the window's new frames, snapshots the current KB
-// atomically, then rotates the journal. Ordering is the crash-safety
-// argument: each step is durable before the next begins. The snapshot
-// is in place (fsync + rename + dir fsync) before the journal is reset,
-// so a crash between the two replays journal records whose effects the
-// snapshot already holds — puts are idempotent and deletes of absent
-// keys are no-ops. The window log is fsynced before the snapshot is
-// renamed, so a crash between those two finds a window newer than the
-// snapshot and a journal that still holds every delta since: nothing is
-// lost and, the log being the window's only home, nothing is restored
-// twice.
+// compactLocked is one checkpoint: it logs the window's new frames,
+// snapshots the current KB atomically, then rotates the journal.
+// Ordering is the crash-safety argument: each step is durable before
+// the next begins. The snapshot is in place (fsync + rename + dir
+// fsync) before the journal is reset, so a crash between the two
+// replays journal records whose effects the snapshot already holds —
+// puts are idempotent and deletes of absent keys are no-ops. The window
+// log is fsynced before the snapshot is renamed, so a crash between
+// those two finds a window newer than the snapshot and a journal that
+// still holds every delta since: nothing is lost and, the log being the
+// window's only home, nothing is restored twice.
 func (m *Manager) compactLocked() error {
 	if err := m.logWindowLocked(); err != nil {
 		return err
@@ -488,6 +538,7 @@ func (m *Manager) writeSnapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("persist: snapshot: %w", err)
 	}
+	m.snapStatics = len(snap.StaticLabels)
 	return nil
 }
 
@@ -533,7 +584,7 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Stop flushes everything: one final compaction (so a clean shutdown
+// Stop flushes everything: one final checkpoint (so a clean shutdown
 // always restarts warm with an empty journal) and a synced, closed
 // journal. The manager journals nothing afterwards.
 func (m *Manager) Stop() error {

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -244,46 +245,287 @@ func TestBadJournalHeaderWithSnapshot(t *testing.T) {
 	}
 }
 
-// TestTickCompaction drives compaction from a virtual capture clock
-// and checks the snapshot/journal rotation plus telemetry.
-func TestTickCompaction(t *testing.T) {
-	dir := t.TempDir()
+// syncMetrics are live counters for telling sync points and checkpoints
+// apart.
+func syncMetrics() Metrics {
 	rec := telemetry.NewRegistry()
-	met := Metrics{
-		Snapshots:    rec.Counter("kalis_persist_snapshot_total", "snapshots written"),
+	return Metrics{
+		Snapshots:    rec.Counter("kalis_persist_snapshot_total", "checkpoints written"),
+		Syncs:        rec.Counter("kalis_persist_sync_total", "sync points that wrote"),
 		JournalBytes: rec.Gauge("kalis_persist_journal_bytes", "journal size"),
 	}
-	m, kb, _ := openManager(t, dir, met)
+}
+
+// wantCounters checks how many sync points and checkpoints met has
+// counted.
+func wantCounters(t *testing.T, met Metrics, when string, syncs, snapshots uint64) {
+	t.Helper()
+	if got := met.Syncs.Value(); got != syncs {
+		t.Errorf("%s: syncs = %d, want %d", when, got, syncs)
+	}
+	if got := met.Snapshots.Value(); got != snapshots {
+		t.Errorf("%s: snapshots = %d, want %d", when, got, snapshots)
+	}
+}
+
+// fillJournal puts distinct knowggets until the journal is one record
+// short of the checkpoint threshold, and returns how many it put.
+func fillJournal(t *testing.T, m *Manager, kb *knowledge.Base) int {
+	t.Helper()
+	n, record := 0, int64(0)
+	for m.JournalBytes()+record < checkpointBytes {
+		before := m.JournalBytes()
+		kb.PutEntity("SignalStrength", fmt.Sprintf("0x%04x", n), "-67")
+		n++
+		record = m.JournalBytes() - before
+	}
+	if got := m.JournalBytes(); got >= checkpointBytes || got+record < checkpointBytes {
+		t.Fatalf("journal is %d bytes after %d records of %d: want one record short of %d", got, n, record, checkpointBytes)
+	}
+	return n
+}
+
+// TestTickCompaction drives the manager from a virtual capture clock
+// and tells its two periodic actions apart: a sync point, every
+// interval, fsyncs the journal and the window's new frames where they
+// lie; a checkpoint — snapshot written, journal rotated — happens at a
+// sync point only once the journal has outgrown checkpointBytes, and at
+// Stop.
+func TestTickCompaction(t *testing.T) {
+	dir := t.TempDir()
+	met := syncMetrics()
+	m, kb, store := openManager(t, dir, met)
 	t0 := time.Unix(1500000000, 0).UTC()
 	m.Tick(t0) // seeds the clock
 	kb.Put("A", "1")
-	if m.JournalBytes() <= journalHeaderLen {
+	appendAll(t, store, windowFrames(t, 0, 5))
+	journal := m.JournalBytes()
+	if journal <= journalHeaderLen {
 		t.Error("journal did not grow on put")
 	}
+
 	m.Tick(t0.Add(5 * time.Second)) // under the 10s interval
-	if met.Snapshots.Value() != 0 {
-		t.Error("compacted before the interval elapsed")
+	wantCounters(t, met, "under the interval", 0, 0)
+	if got := fileSize(t, WindowLogPath(dir)); got != windowLogHeaderLen || m.journal.synced != journalHeaderLen {
+		t.Errorf("under the interval: window log %d bytes, journal synced to %d: nothing should have been written", got, m.journal.synced)
 	}
+
 	m.Tick(t0.Add(11 * time.Second))
-	if met.Snapshots.Value() != 1 {
-		t.Errorf("snapshots = %d, want 1", met.Snapshots.Value())
+	wantCounters(t, met, "past the interval", 1, 0)
+	if got := m.JournalBytes(); got != journal || m.journal.synced != journal {
+		t.Errorf("sync point: journal %d bytes, synced to %d; want both %d: fsynced in place, not rotated", got, m.journal.synced, journal)
 	}
-	if m.JournalBytes() != journalHeaderLen {
-		t.Errorf("journal not rotated: %d bytes", m.JournalBytes())
+	if _, err := os.Stat(SnapshotPath(dir)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("sync point wrote a snapshot (stat: %v)", err)
 	}
-	if _, err := os.Stat(SnapshotPath(dir)); err != nil {
-		t.Errorf("snapshot missing: %v", err)
+	if got := fileSize(t, WindowLogPath(dir)); got <= windowLogHeaderLen {
+		t.Errorf("sync point did not log the window's new frames: log is %d bytes", got)
 	}
-	// A clock rewind (trace replay restart) re-bases, never compacts.
+
+	fillJournal(t, m, kb)
+	kb.PutEntity("SignalStrength", "0xffff", "-67") // the record that crosses the threshold
+	m.Tick(t0.Add(22 * time.Second))
+	wantCounters(t, met, "past checkpointBytes", 2, 1)
+	if got := m.JournalBytes(); got != journalHeaderLen {
+		t.Errorf("checkpoint did not rotate the journal: %d bytes", got)
+	}
+	if snap, err := loadSnapshotFile(SnapshotPath(dir)); err != nil || snap == nil || len(snap.Knowggets) != kb.Len() {
+		t.Errorf("checkpoint's snapshot: %v (err %v), want %d knowggets", snap, err, kb.Len())
+	}
+
+	// A clock rewind (trace replay restart) re-bases: no sync point until
+	// a full interval past the new base.
+	kb.Put("C", "3")
 	m.Tick(t0)
-	if met.Snapshots.Value() != 1 {
-		t.Error("rewound clock triggered compaction")
-	}
+	m.Tick(t0.Add(5 * time.Second))
+	wantCounters(t, met, "rewound clock", 2, 1)
+	m.Tick(t0.Add(10 * time.Second))
+	wantCounters(t, met, "an interval past the rewind", 3, 1)
+
 	if err := m.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	if met.Snapshots.Value() != 2 {
-		t.Errorf("Stop did not compact: %d", met.Snapshots.Value())
+	wantCounters(t, met, "Stop", 3, 2)
+	if got := fileSize(t, JournalPath(dir)); got != journalHeaderLen {
+		t.Errorf("a clean shutdown left a %d-byte journal", got)
+	}
+}
+
+// TestQuietIntervalWritesNothing: a sync point with no new frame and no
+// knowledge change issues no write — the three state files keep their
+// size, mtime and inode over ten intervals, and neither counter moves.
+func TestQuietIntervalWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	m, kb, store := openManager(t, dir, Metrics{})
+	kb.Put("A", "1")
+	kb.PutStatic("Mobility", "", "false")
+	appendAll(t, store, windowFrames(t, 0, 5))
+	if err := m.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+
+	met := syncMetrics()
+	m2, _, _ := openManager(t, dir, met)
+	paths := []string{SnapshotPath(dir), JournalPath(dir), WindowLogPath(dir)}
+	stat := func() []os.FileInfo {
+		t.Helper()
+		out := make([]os.FileInfo, len(paths))
+		for i, p := range paths {
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = fi
+		}
+		return out
+	}
+	before := stat()
+	t0 := time.Unix(1500000000, 0).UTC()
+	for i := 0; i <= 10; i++ {
+		m2.Tick(t0.Add(time.Duration(i) * 11 * time.Second))
+	}
+	for i, fi := range stat() {
+		if b := before[i]; !os.SameFile(b, fi) || fi.Size() != b.Size() || !fi.ModTime().Equal(b.ModTime()) {
+			t.Errorf("%s changed over ten quiet intervals: %d bytes at %v -> %d bytes at %v (same inode: %v)",
+				filepath.Base(paths[i]), b.Size(), b.ModTime(), fi.Size(), fi.ModTime(), os.SameFile(b, fi))
+		}
+	}
+	wantCounters(t, met, "ten quiet intervals", 0, 0)
+	if err := m2.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+}
+
+// TestPowerCutAfterSyncPoint: a power cut loses what no fsync covered —
+// here, both files cut back to where the last sync point left them, the
+// journal on a record boundary or inside the next record. Everything
+// accepted before the sync point is there, nothing after it is, and the
+// window holds each frame once.
+func TestPowerCutAfterSyncPoint(t *testing.T) {
+	for name, cut := range map[string]struct {
+		extra int64
+		want  Outcome
+	}{
+		"on a record boundary":   {0, OutcomeWarm},
+		"inside the next record": {3, OutcomeTruncated},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			met := syncMetrics()
+			m, kb, store := openManager(t, dir, met)
+			frames := windowFrames(t, 0, 30)
+			t0 := time.Unix(1500000000, 0).UTC()
+			m.Tick(t0)
+			kb.Put("A", "1")
+			kb.Put("B", "2")
+			kb.Delete(knowledge.Knowgget{Creator: "K1", Label: "A"}.Key())
+			appendAll(t, store, frames[:20])
+			m.Tick(t0.Add(11 * time.Second))
+			wantCounters(t, met, "a sync point under the threshold", 1, 0)
+			journal, window := m.journal.synced, fileSize(t, WindowLogPath(dir))
+			kb.Put("C", "3")
+			kb.Put("B", "4")
+			appendAll(t, store, frames[20:])
+			m.Tick(t0.Add(15 * time.Second)) // under the interval: no sync point
+			// Power cut: the manager is abandoned, the unsynced tails are gone.
+			if err := os.Truncate(JournalPath(dir), journal+cut.extra); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(WindowLogPath(dir), window); err != nil {
+				t.Fatal(err)
+			}
+
+			m2, kb2, store2 := openManager(t, dir, Metrics{})
+			if m2.Outcome() != cut.want {
+				t.Fatalf("outcome = %s, want %s", m2.Outcome(), cut.want)
+			}
+			if got := kbMap(kb2); len(got) != 1 || got["K1$B"] != "2" {
+				t.Errorf("recovered %v, want exactly what the sync point covered: B = 2", got)
+			}
+			sameWindow(t, store2, frames[:20])
+			if err := m2.Stop(); err != nil {
+				t.Fatalf("Stop: %v", err)
+			}
+		})
+	}
+}
+
+// TestStaticMarkSurvivesSyncPoint: a label's static mark lives in the
+// snapshot alone, so the sync point after a PutStatic checkpoints — the
+// mark is on disk within an interval, like the knowgget it marks, also
+// when the value was already known and the journal saw nothing.
+func TestStaticMarkSurvivesSyncPoint(t *testing.T) {
+	dir := t.TempDir()
+	met := syncMetrics()
+	m, kb, _ := openManager(t, dir, met)
+	t0 := time.Unix(1500000000, 0).UTC()
+	m.Tick(t0)
+	kb.Put("Multihop", "true")
+	kb.PutStatic("Mobility", "", "false")
+	m.Tick(t0.Add(11 * time.Second))
+	kb.PutStatic("Multihop", "", "true") // no change of value: no journal record
+	m.Tick(t0.Add(22 * time.Second))
+	wantCounters(t, met, "two sync points that each found a new static label", 2, 2)
+	kb.Put("A", "1")
+	m.Tick(t0.Add(33 * time.Second))
+	wantCounters(t, met, "a sync point with no new static label", 3, 2)
+	// Crash: the manager is abandoned where it stands.
+
+	m2, kb2, _ := openManager(t, dir, Metrics{})
+	if m2.Outcome() != OutcomeWarm {
+		t.Fatalf("outcome = %s, want warm", m2.Outcome())
+	}
+	for _, label := range []string{"Mobility", "Multihop"} {
+		if !kb2.IsStatic(label) {
+			t.Errorf("static mark of %s lost: it was put a full interval before the crash", label)
+		}
+	}
+	if v, ok := kb2.Value("A"); !ok || v != "1" {
+		t.Errorf("A = (%q,%v)", v, ok)
+	}
+	if err := m2.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+}
+
+// TestFullJournalReplays: a journal one record short of the checkpoint
+// threshold — the longest a sync point leaves behind — recovers warm
+// with every entry applied. The replay time it prints is what deferring
+// the checkpoint costs the next Open (the benchmark's
+// persist.recover_ms).
+func TestFullJournalReplays(t *testing.T) {
+	dir := t.TempDir()
+	met := syncMetrics()
+	m, kb, _ := openManager(t, dir, met)
+	t0 := time.Unix(1500000000, 0).UTC()
+	m.Tick(t0)
+	n := fillJournal(t, m, kb)
+	m.Tick(t0.Add(11 * time.Second))
+	wantCounters(t, met, "a journal one record under the threshold", 1, 0)
+	size := m.JournalBytes()
+	// Crash: the manager is abandoned where it stands.
+
+	start := time.Now()
+	entries, good, torn, err := loadJournalFile(JournalPath(dir))
+	replay := time.Since(start)
+	if err != nil || torn || good != size || len(entries) != n {
+		t.Fatalf("replay: %d entries of %d, %d good bytes of %d, torn %v, err %v", len(entries), n, good, size, torn, err)
+	}
+	start = time.Now()
+	m2, kb2, _ := openManager(t, dir, Metrics{})
+	reopen := time.Since(start)
+	t.Logf("journal of %d records, %d bytes: replayed in %v; Open, with its checkpoint, took %v", n, size, replay, reopen)
+	if m2.Outcome() != OutcomeWarm {
+		t.Fatalf("outcome = %s, want warm", m2.Outcome())
+	}
+	if _, replayed, _ := m2.Recovered(); replayed != n || kb2.Len() != n {
+		t.Errorf("replayed %d entries into %d knowggets, want %d of each", replayed, kb2.Len(), n)
+	}
+	if v, ok := kb2.EntityValue("SignalStrength", fmt.Sprintf("0x%04x", n-1)); !ok || v != "-67" {
+		t.Errorf("the last record before the crash = (%q,%v)", v, ok)
+	}
+	if err := m2.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
 	}
 }
 

@@ -40,7 +40,7 @@ func WindowLogPath(dir string) string { return filepath.Join(dir, "window.kwin")
 // The window log is the Data Store's durable half. After the header it
 // is a sequence of the journal's frames (see appendFrame), each payload
 // one complete internal/trace stream: the frames the Data Store took in
-// between two compactions, oldest first. A compaction appends one batch
+// between two sync points, oldest first. A sync point appends one batch
 // and fsyncs it, so persisting the window costs O(new frames) where the
 // snapshot's Data Store section cost O(window); the file is rewritten
 // from the in-memory window, atomically, once it holds twice the
@@ -91,7 +91,7 @@ func loadWindowLogFile(path string) (recs []*trace.Record, goodBytes int64, torn
 }
 
 // logWindowLocked makes the frames the Data Store took in since the
-// last compaction durable: one appended, fsynced batch — or, when that
+// last sync point durable: one appended, fsynced batch — or, when that
 // batch would bring the log to twice the window's capacity, a rewrite.
 // With no new frames it writes nothing.
 func (m *Manager) logWindowLocked() error {
@@ -155,7 +155,7 @@ func (m *Manager) rewriteWindowLocked() error {
 
 // TearWindowLog is Tear for the window log: it chops the given number
 // of bytes off the file's tail, leaving a torn final batch exactly as a
-// power loss during a compaction's append would.
+// power loss during a sync point's append would.
 func TearWindowLog(dir string, dropBytes int64) error {
 	return tearFile(WindowLogPath(dir), dropBytes)
 }

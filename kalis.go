@@ -157,16 +157,18 @@ func WithoutDefaultModules() Option {
 // WithStateDir enables durable state in the given directory: the node
 // recovers its Knowledge Base and Data Store window from a previous
 // run at startup (warm restart), journals every accepted knowledge
-// mutation, and periodically and at Close logs the frames that arrived
-// and compacts the journal into a crash-safe snapshot. A corrupt
+// mutation, at every sync point (WithPersistInterval) logs the frames
+// that arrived and fsyncs both logs, and at Close — or sooner, once the
+// journal has grown — compacts it into a crash-safe snapshot. A corrupt
 // snapshot, torn journal or torn window log degrades gracefully — a
 // truncated or cold start, never a failure.
 func WithStateDir(dir string) Option {
 	return func(c *core.Config) { c.StateDir = dir }
 }
 
-// WithPersistInterval sets the snapshot-compaction interval on the
-// capture clock (default 30s of observed traffic time). Only
+// WithPersistInterval sets the time between durable-state sync points
+// on the capture clock (default 30s of observed traffic time): the most
+// a power cut can lose, per file, and never an earlier record. Only
 // meaningful together with WithStateDir.
 func WithPersistInterval(d time.Duration) Option {
 	return func(c *core.Config) { c.PersistInterval = d }

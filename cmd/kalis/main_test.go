@@ -110,6 +110,9 @@ func TestRunScenarioWithTelemetry(t *testing.T) {
 	if packets == "" || packets == "0" {
 		t.Errorf("kalis_packets_total = %q, want non-zero; scrape:\n%s", packets, scraped)
 	}
+	// Module timing is sampled one packet in 16, but the first packet is a
+	// sampled one: any module active from the first frame has a non-zero
+	// count however short the run.
 	if !regexp.MustCompile(`kalis_module_packet_seconds_count\{module="[^"]+"\} [1-9]`).
 		MatchString(scraped) {
 		t.Errorf("no non-zero module-latency metric in scrape:\n%s", scraped)

@@ -381,7 +381,7 @@ func (k *Kalis) wireTelemetry() {
 		Packets: tel.Counter("kalis_packets_total",
 			"Packets dispatched to the module pipeline."),
 		PacketLatency: tel.HistogramVec("kalis_module_packet_seconds", "module",
-			"Per-module packet-handling latency.", nil),
+			"Per-module packet-handling latency, estimated: one packet in 16 is timed and each observation counts 16.", nil),
 		Panics: tel.CounterVec("kalis_module_panics_total", "module",
 			"Module panics recovered by the supervisor, by module."),
 		BreakerTrips: tel.Counter("kalis_breaker_trips_total",

@@ -54,11 +54,12 @@ type Manager struct {
 	// after giving the token up, so no change is stranded.
 	dirty atomic.Bool
 	// snap is the immutable active-module snapshot HandleBatch iterates
-	// and timed whether per-module latency observation is wired (when
-	// false HandleBatch skips the clock reads too). Both are rebuilt
-	// under mu by the token holder, whenever activation, supervision or
-	// metrics change, so the holder reads them without mu and the
-	// per-packet path neither allocates nor resolves telemetry children.
+	// and timed whether per-module latency observation is wired: when
+	// true, the modules of one packet in sampleStride are timed (see
+	// HandleBatch); when false, none ever is. Both are rebuilt under mu
+	// by the token holder, whenever activation, supervision or metrics
+	// change, so the holder reads them without mu and the per-packet path
+	// neither allocates nor resolves telemetry children.
 	snap  []activeEntry
 	timed bool
 	// spare is the inbox's other buffer, the token holder's.
@@ -129,17 +130,49 @@ type activeEntry struct {
 type ManagerMetrics struct {
 	// Packets counts packets dispatched to the module pipeline.
 	Packets *telemetry.Counter
-	// PacketLatency observes per-module HandlePacket wall time, by
-	// module name. When nil, the manager skips the clock reads too.
+	// PacketLatency estimates per-module HandlePacket wall time, by
+	// module name: one packet in sampleStride is timed (see sampled) and
+	// each observation weighted sampleStride, so count and sum estimate
+	// the module's invocations and busy time. When nil, the manager reads
+	// no clock for it.
 	PacketLatency *telemetry.HistogramVec
 	// Panics counts recovered module panics, by module name.
 	Panics *telemetry.CounterVec
 	// BreakerTrips counts latency-circuit-breaker trips.
 	BreakerTrips *telemetry.Counter
-	// FlowUpdate observes the flow-table update latency, sampled. It is
-	// measured here rather than inside internal/flow so the flow package
-	// itself stays on the virtual capture clock.
+	// FlowUpdate observes the flow-table update latency on the same
+	// sampled packets (unweighted). It is measured here rather than
+	// inside internal/flow so the flow package itself stays on the
+	// virtual capture clock.
 	FlowUpdate *telemetry.Histogram
+}
+
+// sampleStride is the length of a timing block: of every sampleStride
+// consecutive packets (counted across batches, from 0) exactly one has
+// its flow update and every module invocation timed, and the others
+// read no clock. A Now/Since pair costs about as much as a detector's
+// own work on a packet, so timing every invocation doubled the dispatch
+// cost it was there to report.
+const (
+	sampleShift  = 4
+	sampleStride = 1 << sampleShift
+)
+
+// sampled is the one wall-clock sampling decision of the packet path: it
+// reports whether packet number n is the timed one of its block. Which
+// packet of a block that is moves from block to block (the top bits of a
+// multiply-xorshift hash of the block number; block 0's is packet 0),
+// because IoT traffic is periodic: round-robin senders repeat every
+// four or eight frames, and a fixed offset — packets 0, 16, 32, … —
+// times the same senders' frames for ever and reads a module whose cost
+// depends on the sender at a multiple or a fraction of it
+// (EXPERIMENTS.md, "The clock is not a module").
+func sampled(n uint64) bool {
+	const golden = 0x9E3779B97F4A7C15
+	h := (n >> sampleShift) * golden
+	h ^= h >> 29
+	h *= golden
+	return n&(sampleStride-1) == h>>(64-sampleShift)
 }
 
 // NewManager creates a manager bound to a Knowledge Base, Data Store
@@ -353,15 +386,20 @@ func (m *Manager) HandlePacket(c *packet.Captured) {
 // snapshot is immutable, so the per-batch work is the token, one lock
 // round-trip and one counter, and the per-packet work the store append,
 // the flow update and the module invocations themselves — no
-// allocation, no telemetry child lookups. The inline executor hands it
-// one packet, a ring worker up to a batch (internal/ingest). The
-// supervisor runs once per batch on the last packet's capture time:
-// revival and breaker decisions are windowed anyway, so batch-granular
-// evaluation only defers them by at most one batch. The inbox, however,
-// is checked before every packet (one atomic load) — a knowledge flip
-// activating a module, a quarantine to publish — so a batch dispatches
-// to the same modules, packet for packet, as the same packets handed
-// over one at a time.
+// allocation, no telemetry child lookups, and no clock read except on
+// one packet in sampleStride, where the flow update and each module
+// invocation are timed and a module's observation stands for
+// sampleStride invocations. kalis_module_packet_seconds is therefore an
+// estimate: its count is within one stride of the module's invocations
+// and its mean is the mean of the sampled ones. The inline executor
+// hands HandleBatch one packet, a ring worker up to a batch
+// (internal/ingest). The supervisor runs once per batch on the last
+// packet's capture time: revival and breaker decisions are windowed
+// anyway, so batch-granular evaluation only defers them by at most one
+// batch. The inbox, however, is checked before every packet (one atomic
+// load) — a knowledge flip activating a module, a quarantine to publish
+// — so a batch dispatches to the same modules, packet for packet, as the
+// same packets handed over one at a time.
 func (m *Manager) HandleBatch(batch []*packet.Captured) {
 	if len(batch) == 0 {
 		return
@@ -388,8 +426,9 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 		if m.dirty.Load() {
 			m.apply()
 		}
-		snap, timed := m.snap, m.timed
+		snap := m.snap
 		invoked += uint64(len(snap))
+		sample := sampled(base + uint64(bi))
 		// Data Store append errors surface only when disk logging is
 		// enabled; the window append itself cannot fail. A passive IDS
 		// keeps observing either way.
@@ -397,19 +436,18 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 		// The flow table updates exactly once per packet, before module
 		// fan-out, so every module reads post-packet flow state. The
 		// latency is measured here (wall clock) rather than inside
-		// internal/flow, which stays on the virtual capture clock, and
-		// sampled (1 packet in 16, counted across batches): two clock
-		// reads per packet would cost more than the update they measure.
-		if flowLat != nil && (base+uint64(bi))&0xf == 0 {
+		// internal/flow, which stays on the virtual capture clock.
+		if sample && flowLat != nil {
 			start := time.Now()
 			m.flows.Update(c)
 			flowLat.Observe(time.Since(start))
 		} else {
 			m.flows.Update(c)
 		}
+		timing := sample && m.timed
 		for _, e := range snap {
 			var start time.Time
-			if timed {
+			if timing {
 				start = time.Now()
 			}
 			ok, cause := m.invoke(e.mod, c)
@@ -417,8 +455,8 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 				m.quarantine(e.st, c.Time, cause)
 				continue
 			}
-			if timed {
-				e.lat.Observe(time.Since(start))
+			if timing {
+				e.lat.ObserveN(time.Since(start), sampleStride)
 			}
 			if e.probing {
 				m.probeOK(e.st)

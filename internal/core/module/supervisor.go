@@ -101,7 +101,7 @@ type moduleState struct {
 	// deltas over the module's existing telemetry histogram.
 	lastCount uint64
 	lastSum   time.Duration
-	over      int // consecutive over-budget windows
+	over      int // consecutive observed over-budget windows
 }
 
 // SupervisorConfig tunes the module supervisor. The zero value disables
@@ -306,7 +306,12 @@ func (m *Manager) probeOK(st *moduleState) {
 // telemetry histograms, it sheds modules whose windowed mean latency
 // stays over budget while the pipeline is under queue pressure — the
 // ROADMAP's knowledge-driven load shedding. Runs under m.mu every
-// BreakerWindow packets.
+// BreakerWindow packets. The histograms hold one timed invocation per
+// sampleStride packets, so a window's mean is over BreakerWindow /
+// sampleStride samples (16 at the default 256) and a window shorter
+// than two strides can be empty: an empty window neither adds a strike
+// nor clears one, only a window without pressure or with an in-budget
+// mean clears them.
 func (m *Manager) breakerLocked(now time.Time) {
 	under := m.pressure() >= m.sup.PressureThreshold
 	changed := false
@@ -319,8 +324,14 @@ func (m *Manager) breakerLocked(now time.Time) {
 		dc := count - st.lastCount
 		ds := sum - st.lastSum
 		st.lastCount, st.lastSum = count, sum
-		if !under || dc == 0 {
+		if !under {
 			st.over = 0
+			continue
+		}
+		if dc == 0 {
+			// No timed packet fell in this window (it is shorter than a
+			// timing block, or the module was just activated): no
+			// evidence either way, the strikes stand.
 			continue
 		}
 		if ds/time.Duration(dc) > m.sup.BreakerBudget {

@@ -205,30 +205,53 @@ type activateBomb struct{ fakeModule }
 
 func (a *activateBomb) Activate(*Context) { panic("bad wiring") }
 
-func TestBreakerShedsUnderPressureAndReadmits(t *testing.T) {
-	m, _ := newTestManager(true)
-	slow := &fakeModule{name: "slow", kind: KindDetection}
+// breakerFixture is a manager with one always-active module, a zero
+// latency budget (any observed invocation is over budget), a two-strike
+// breaker and a queue-pressure hook reading *pressure. feed hands it n
+// packets one at a time, all captured at the given second.
+func breakerFixture(window int) (m *Manager, slow *fakeModule, tel *telemetry.Registry, pressure *int, feed func(n int, sec int64)) {
+	m, _ = newTestManager(true)
+	slow = &fakeModule{name: "slow", kind: KindDetection}
 	m.Install(slow, nil)
-	tel := wireSupervisorMetrics(m)
-	pressure := 1000
-	m.SetPressure(func() int { return pressure })
+	tel = wireSupervisorMetrics(m)
+	pressure = new(int)
+	*pressure = 1000
+	m.SetPressure(func() int { return *pressure })
 	m.SetSupervisor(SupervisorConfig{
-		BreakerBudget:     0, // any observed latency is over budget
-		BreakerWindow:     1,
+		BreakerBudget:     0,
+		BreakerWindow:     window,
 		BreakerStrikes:    2,
 		PressureThreshold: 512,
 		ShedBackoff:       30 * time.Second,
 	})
+	feed = func(n int, sec int64) {
+		for i := 0; i < n; i++ {
+			m.HandlePacket(pktAt(sec))
+		}
+	}
+	return
+}
 
-	// Window 1 has no observations yet; windows 2 and 3 each see one
-	// over-budget mean → trip on the third packet.
-	m.HandlePacket(pktAt(0))
-	m.HandlePacket(pktAt(1))
-	m.HandlePacket(pktAt(2))
+// The breaker reads the sampled latency histogram: one packet of every
+// block of sampleStride is timed, at an offset that moves from block to
+// block. A window is evaluated on the packet that completes it, before
+// that packet is dispatched, so a window of two blocks always holds an
+// observation (the first block's) and the tests below size theirs so.
+func TestBreakerShedsUnderPressureAndReadmits(t *testing.T) {
+	const window = 2 * sampleStride
+	m, slow, tel, pressure, feed := breakerFixture(window)
+
+	// The first two windows are both over budget → trip when the second
+	// one closes.
+	feed(2*window-1, 0)
+	if h := m.Health(); h["slow"] != "healthy" {
+		t.Fatalf("Health before the second window closed = %v", h)
+	}
+	feed(1, 0)
 	if h := m.Health(); h["slow"] != "shed" {
 		t.Fatalf("Health = %v (want shed)", h)
 	}
-	if got := slow.packets; got != 2 {
+	if got := slow.packets; got != 2*window-1 {
 		t.Fatalf("packets before shed = %d", got)
 	}
 	snap := tel.Snapshot()
@@ -240,7 +263,7 @@ func TestBreakerShedsUnderPressureAndReadmits(t *testing.T) {
 	}
 
 	// Backoff elapsed but the queue is still saturated: stay shed.
-	m.HandlePacket(pktAt(40))
+	feed(1, 40)
 	if h := m.Health(); h["slow"] != "shed" {
 		t.Fatalf("re-admitted under pressure: %v", h)
 	}
@@ -248,14 +271,58 @@ func TestBreakerShedsUnderPressureAndReadmits(t *testing.T) {
 	// Pressure subsides and the extended backoff elapses: the same
 	// packet that triggers the revival scan is dispatched to the
 	// re-admitted module.
-	pressure = 0
-	m.HandlePacket(pktAt(80))
+	*pressure = 0
+	feed(1, 80)
 	if h := m.Health(); h["slow"] != "healthy" {
 		t.Fatalf("Health after heal = %v", h)
 	}
-	m.HandlePacket(pktAt(81))
-	if slow.packets != 4 {
+	feed(1, 81)
+	if slow.packets != 2*window+1 {
 		t.Errorf("packets after re-admission = %d", slow.packets)
+	}
+}
+
+// TestBreakerCountsObservedWindows: a window in which no packet was
+// timed says nothing about the module, so it neither adds a strike nor
+// clears one — a BreakerWindow shorter than a timing block still trips
+// after BreakerStrikes over-budget windows that held an observation,
+// with empty windows in between.
+func TestBreakerCountsObservedWindows(t *testing.T) {
+	const window = sampleStride / 4
+	m, _, _, _, feed := breakerFixture(window)
+
+	// Block 0 has one timed packet (packet 0), in the first of its four
+	// windows: strike one, then three empty windows.
+	feed(sampleStride, 0)
+	if h := m.Health(); h["slow"] != "healthy" {
+		t.Fatalf("Health after one observed over-budget window = %v", h)
+	}
+	// Block 1's timed packet, wherever it falls, has been seen by the
+	// time the window after the block closes: strike two.
+	feed(sampleStride+window, 0)
+	if h := m.Health(); h["slow"] != "shed" {
+		t.Fatalf("Health after two observed over-budget windows = %v (want shed)", h)
+	}
+}
+
+// TestBreakerStrikesClearWhenPressureSubsides: a window evaluated
+// without queue pressure resets the strikes, so the count starts over
+// when pressure returns.
+func TestBreakerStrikesClearWhenPressureSubsides(t *testing.T) {
+	const window = 2 * sampleStride
+	m, _, _, pressure, feed := breakerFixture(window)
+
+	feed(window, 0) // window 1: over budget under pressure, strike one
+	*pressure = 0
+	feed(window, 0) // window 2: no pressure, strikes cleared
+	*pressure = 1000
+	feed(window, 0) // window 3: strike one again, not two
+	if h := m.Health(); h["slow"] != "healthy" {
+		t.Fatalf("Health = %v: strikes survived a window without pressure", h)
+	}
+	feed(window, 0) // window 4: strike two
+	if h := m.Health(); h["slow"] != "shed" {
+		t.Fatalf("Health = %v (want shed)", h)
 	}
 }
 

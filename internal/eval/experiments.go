@@ -406,7 +406,10 @@ func KnowledgeSharing(opts Options) (*WormholeResult, error) {
 // ModuleOverheadRow is one module's cost within a scenario, scraped
 // from the node's kalis_module_packet_seconds histogram after the
 // replay: how often the module ran, its mean per-invocation latency,
-// and its share of the total time spent inside detection modules.
+// and its share of the total time spent inside detection modules. The
+// histogram times one packet in 16 and weights each observation 16, so
+// Invocations is an estimate — a multiple of 16 within 16 of the true
+// count — and MeanMicros the mean of the timed invocations.
 type ModuleOverheadRow struct {
 	Module      string
 	Invocations uint64

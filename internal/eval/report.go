@@ -92,6 +92,7 @@ func WriteKnowledgeSharing(w io.Writer, res *WormholeResult) {
 // WriteModuleOverhead renders the per-scenario module cost breakdown.
 func WriteModuleOverhead(w io.Writer, res *ModuleOverheadResult) {
 	fmt.Fprintln(w, "Module overhead — mean per-invocation latency from kalis_module_packet_seconds")
+	fmt.Fprintln(w, "(1 packet in 16 is timed and weighted 16: inv is an estimate, within 16 of the true count)")
 	fmt.Fprintln(w, strings.Repeat("-", 78))
 	for _, sc := range res.Scenarios {
 		fmt.Fprintf(w, "%s (%d packets, %.2f µs of module time per packet)\n",

@@ -20,8 +20,8 @@ var DefaultLatencyBuckets = []time.Duration{
 
 // Histogram is a fixed-bucket latency histogram. Bounds are upper
 // bucket edges (inclusive, Prometheus "le" semantics); an implicit
-// +Inf bucket catches the overflow. Observe is lock-free and
-// allocation-free: integer compares over a small bounds slice plus
+// +Inf bucket catches the overflow. Observe and ObserveN are lock-free
+// and allocation-free: integer compares over a small bounds slice plus
 // three atomic adds.
 type Histogram struct {
 	bounds  []int64 // nanoseconds, ascending
@@ -42,7 +42,13 @@ func newHistogram(bounds []time.Duration) *Histogram {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records one measured duration standing for n events of that
+// length: d's bucket and the count grow by n, the sum by n·d. A caller
+// that measures one event in n and weights it n keeps count and sum
+// unbiased estimates of what measuring every event would have recorded.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
 	if h == nil {
 		return
 	}
@@ -51,9 +57,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	for i < len(h.bounds) && ns > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
+	h.buckets[i].Add(n)
+	h.count.Add(n)
+	h.sum.Add(ns * int64(n))
 }
 
 // Count returns the number of observations.

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +60,7 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(time.Millisecond)
+	h.ObserveN(time.Millisecond, 16)
 	cv.With("x").Inc()
 	gv.With("x").Set(2)
 	hv.With("x").Observe(time.Millisecond)
@@ -90,6 +93,62 @@ func TestHistogramBucketing(t *testing.T) {
 	for i, want := range wantCum {
 		if snap.Buckets[i].Count != want {
 			t.Errorf("bucket[%d] = %d, want %d", i, snap.Buckets[i].Count, want)
+		}
+	}
+}
+
+// TestObserveNWeights: one measured duration standing for n events adds
+// n to its bucket and to the count and n·d to the sum, in the snapshot
+// and in both expositions; Observe is the n = 1 case of the same body.
+func TestObserveNWeights(t *testing.T) {
+	for _, n := range []uint64{1, 16} {
+		r := NewRegistry()
+		h := r.Histogram("kalis_handle_seconds", "Handling latency.",
+			[]time.Duration{time.Microsecond, time.Millisecond})
+		h.ObserveN(10*time.Microsecond, n) // ≤ 1ms
+		h.ObserveN(2*time.Millisecond, n)  // +Inf
+		if n == 1 {
+			same := newHistogram([]time.Duration{time.Microsecond, time.Millisecond})
+			same.Observe(10 * time.Microsecond)
+			same.Observe(2 * time.Millisecond)
+			if fmt.Sprint(same.Snapshot()) != fmt.Sprint(h.Snapshot()) {
+				t.Errorf("Observe(d) = %+v, ObserveN(d, 1) = %+v", same.Snapshot(), h.Snapshot())
+			}
+		}
+
+		if got := h.Count(); got != 2*n {
+			t.Errorf("n=%d: Count() = %d, want %d", n, got, 2*n)
+		}
+		if got, want := h.Sum(), time.Duration(n)*2010*time.Microsecond; got != want {
+			t.Errorf("n=%d: Sum() = %v, want %v", n, got, want)
+		}
+		snap := r.Snapshot()["kalis_handle_seconds"].Value.(HistogramSnapshot)
+		if snap.Count != 2*n || snap.Buckets[0].Count != 0 || snap.Buckets[1].Count != n {
+			t.Errorf("n=%d: snapshot = %+v", n, snap)
+		}
+		if want := float64(n) * 2010e-6; math.Abs(snap.SumSeconds-want) > 1e-12 {
+			t.Errorf("n=%d: snapshot sum = %v s, want %v", n, snap.SumSeconds, want)
+		}
+
+		var prom, js strings.Builder
+		if err := r.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			`kalis_handle_seconds_bucket{le="1e-06"} 0`,
+			fmt.Sprintf(`kalis_handle_seconds_bucket{le="0.001"} %d`, n),
+			fmt.Sprintf(`kalis_handle_seconds_bucket{le="+Inf"} %d`, 2*n),
+			fmt.Sprintf("kalis_handle_seconds_count %d", 2*n),
+		} {
+			if !strings.Contains(prom.String(), want) {
+				t.Errorf("n=%d: exposition missing %q in:\n%s", n, want, prom.String())
+			}
+		}
+		if err := r.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`"count": %d,`, 2*n); !strings.Contains(js.String(), want) {
+			t.Errorf("n=%d: JSON missing %q in:\n%s", n, want, js.String())
 		}
 	}
 }
@@ -260,11 +319,12 @@ func TestHotPathAllocs(t *testing.T) {
 	hv.With("mod")
 
 	for name, fn := range map[string]func(){
-		"Counter.Inc":       func() { c.Inc() },
-		"Gauge.Set":         func() { g.Set(9) },
-		"Histogram.Observe": func() { h.Observe(42 * time.Microsecond) },
-		"CounterVec.With":   func() { v.With("packet").Inc() },
-		"HistogramVec.With": func() { hv.With("mod").Observe(time.Microsecond) },
+		"Counter.Inc":        func() { c.Inc() },
+		"Gauge.Set":          func() { g.Set(9) },
+		"Histogram.Observe":  func() { h.Observe(42 * time.Microsecond) },
+		"Histogram.ObserveN": func() { h.ObserveN(42*time.Microsecond, 16) },
+		"CounterVec.With":    func() { v.With("packet").Inc() },
+		"HistogramVec.With":  func() { hv.With("mod").Observe(time.Microsecond) },
 	} {
 		if allocs := testing.AllocsPerRun(1000, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)

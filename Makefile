@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchdiff bench-smoke vet fmt lint lint-json callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo scale-demo fleet-demo clean
+.PHONY: all build test race bench benchdiff bench-smoke vet fmt lint callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo scale-demo fleet-demo clean
 
 all: build test lint
 
@@ -73,17 +73,11 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzStackDecode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &
-# invariants"): simulated-clock discipline, hot-path
-# allocation/formatting/blocking bans over the devirtualized call
-# graph, lock-order and packet-taint checks, panic policy, discarded
-# errors. The committed baseline (normally empty) supports gradual
-# adoption when a new rule lands with pre-existing findings.
+# invariants"): simulated-clock discipline, panic policy, and the
+# packet-path formatting/blocking, allocation and taint checks over the
+# devirtualized call graph.
 lint:
-	$(GO) run ./cmd/kalislint -baseline lint_baseline.json ./...
-
-# Findings as JSON (the baseline file format).
-lint-json:
-	$(GO) run ./cmd/kalislint -json ./...
+	$(GO) run ./cmd/kalislint ./...
 
 # The devirtualized packet-path call graph, as pinned by the golden
 # test (internal/lint/callgraph_test.go).

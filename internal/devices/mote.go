@@ -178,7 +178,9 @@ func (m *Mote) observeBeacon(from uint16, b *ctp.Beacon, rssi float64) {
 	m.lastHeard[from] = now
 
 	// Entries not refreshed for three beacon periods are stale (the
-	// advertiser left, failed, or was revoked) and age out.
+	// advertiser left, failed, or was revoked) and age out. A cost tie
+	// goes to the lower address, not to map order, so a run is a
+	// function of its seed.
 	staleAfter := 3 * 10 * m.Interval
 	bestParent, bestCost := m.Parent, ^uint16(0)
 	for nb, adv := range m.advCost {
@@ -186,7 +188,7 @@ func (m *Mote) observeBeacon(from uint16, b *ctp.Beacon, rssi float64) {
 			continue
 		}
 		cost := uint16(int(adv) + linkCost(m.linkRSSI[nb]))
-		if cost < bestCost {
+		if cost < bestCost || cost == bestCost && nb < bestParent {
 			bestParent, bestCost = nb, cost
 		}
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,27 @@ func TestDeliveryImpact(t *testing.T) {
 	for _, want := range []string{"attack begins", "isolated after", "█"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
+// TestDeliveryIsAFunctionOfItsSeed pins that the delivery experiment
+// is reproducible: the adaptive motes' parent choice must not depend on
+// map iteration order, so repeated runs of one seed agree exactly.
+func TestDeliveryIsAFunctionOfItsSeed(t *testing.T) {
+	for _, seed := range []int64{1, 3} {
+		first, err := DeliveryImpact(Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run < 10; run++ {
+			res, err := DeliveryImpact(Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, first) {
+				t.Fatalf("seed %d, run %d: %+v, first run %+v", seed, run+1, res, first)
+			}
 		}
 	}
 }

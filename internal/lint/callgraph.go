@@ -10,9 +10,9 @@ import (
 )
 
 // This file builds the whole-target devirtualized call graph shared by
-// the path-sensitive analyzers (hotpath, hotalloc, lockorder). The
-// graph is CHA-style (class hierarchy analysis) and deliberately
-// over-approximates:
+// the path-sensitive analyzers (hotpath, hotalloc) and the -callgraph
+// dump; taint iterates its nodes. The graph is CHA-style (class
+// hierarchy analysis) and deliberately over-approximates:
 //
 //   - a call through an in-module interface fans out to that method on
 //     every in-module concrete type implementing the interface;
@@ -25,8 +25,7 @@ import (
 //     unless it is only launched with go.
 //
 // go-statement edges are recorded but marked: the callee runs on its
-// own goroutine, so path walks (per-packet budget) and lock held-sets
-// do not follow them.
+// own goroutine, so path walks (per-packet budget) do not follow them.
 //
 // A function proven cold by construction (runs only on rare state
 // transitions, never per packet) can be cut out of path walks with a
@@ -59,18 +58,15 @@ const (
 	// EdgeCall is a synchronous call (plain or deferred).
 	EdgeCall CGEdgeKind = iota
 	// EdgeGo launches the callee on its own goroutine: off the caller's
-	// packet path and outside its lock scope.
+	// packet path.
 	EdgeGo
 )
 
-// CGEdge is one resolved call site.
+// CGEdge is one resolved callee of a body (call sites resolving to the
+// same callee and kind share one edge).
 type CGEdge struct {
 	To   *CGNode
 	Kind CGEdgeKind
-	// Pos is the call expression's position (the literal's position for
-	// nested-literal edges), letting flow-sensitive rules match edges
-	// back to the call sites they simulate.
-	Pos token.Pos
 }
 
 // CallGraph is the devirtualized call graph of a whole target.
@@ -101,18 +97,6 @@ func (g *CallGraph) LitNodeOf(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
 
 // Edges returns the node's outgoing edges, sorted by callee name.
 func (g *CallGraph) Edges(n *CGNode) []CGEdge { return g.edges[n] }
-
-// EdgesAt returns the node's outgoing edges resolved at one call
-// position, for rules that simulate bodies statement by statement.
-func (g *CallGraph) EdgesAt(n *CGNode, pos token.Pos) []CGEdge {
-	var out []CGEdge
-	for _, e := range g.edges[n] {
-		if e.Pos == pos {
-			out = append(out, e)
-		}
-	}
-	return out
-}
 
 // Roots returns the packet-path roots in scope: every method whose
 // name is in methods and every package-level function whose name is in
@@ -231,10 +215,7 @@ func buildCallGraph(t *Target) *CallGraph {
 			if edges[i].To.Name != edges[j].To.Name {
 				return edges[i].To.Name < edges[j].To.Name
 			}
-			if edges[i].Kind != edges[j].Kind {
-				return edges[i].Kind < edges[j].Kind
-			}
-			return edges[i].Pos < edges[j].Pos
+			return edges[i].Kind < edges[j].Kind
 		})
 	}
 	return b.g
@@ -656,19 +637,19 @@ func (b *cgBuilder) bindCallArgs(n *CGNode, call *ast.CallExpr) {
 			// Callback handed to the standard library: assume it runs
 			// on the caller's goroutine.
 			for _, v := range vals {
-				b.addEdge(n, v, EdgeCall, arg.Pos())
+				b.addEdge(n, v, EdgeCall)
 			}
 		}
 	}
 }
 
-func (b *cgBuilder) addEdge(from, to *CGNode, kind CGEdgeKind, pos token.Pos) {
+func (b *cgBuilder) addEdge(from, to *CGNode, kind CGEdgeKind) {
 	for _, e := range b.g.edges[from] {
-		if e.To == to && e.Kind == kind && e.Pos == pos {
+		if e.To == to && e.Kind == kind {
 			return
 		}
 	}
-	b.g.edges[from] = append(b.g.edges[from], CGEdge{To: to, Kind: kind, Pos: pos})
+	b.g.edges[from] = append(b.g.edges[from], CGEdge{To: to, Kind: kind})
 }
 
 // collectEdges resolves every call site in the node's own body.
@@ -697,7 +678,7 @@ func (b *cgBuilder) collectEdges(n *CGNode) {
 			// reaches it too, and duplicate edges are deduplicated.
 			if !invokedLits[s] {
 				if to := b.g.byLit[s]; to != nil {
-					b.addEdge(n, to, EdgeCall, s.Pos())
+					b.addEdge(n, to, EdgeCall)
 				}
 			}
 		case *ast.CallExpr:
@@ -719,11 +700,11 @@ func (b *cgBuilder) edgeForCall(n *CGNode, call *ast.CallExpr, isGo bool) {
 	}
 	if static := calleeOf(pkg.Info, call); static != nil {
 		if to := b.g.byFn[static]; to != nil {
-			b.addEdge(n, to, kind, call.Pos())
+			b.addEdge(n, to, kind)
 		} else if impls := b.cha[static]; impls != nil {
 			// Interface method: fan out to every implementation.
 			for _, to := range impls {
-				b.addEdge(n, to, kind, call.Pos())
+				b.addEdge(n, to, kind)
 			}
 		}
 		return
@@ -762,6 +743,6 @@ func (b *cgBuilder) edgeForCall(n *CGNode, call *ast.CallExpr, isGo bool) {
 		}
 	}
 	for _, to := range targets {
-		b.addEdge(n, to, kind, call.Pos())
+		b.addEdge(n, to, kind)
 	}
 }

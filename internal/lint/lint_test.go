@@ -185,50 +185,6 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestLoadTestsFixture exercises the _test.go loading pass end to end
-// on a self-contained fixture module: the relaxed errcheck flags error
-// discards in test helpers (in-package and external) but exempts go
-// test entry points, and the merged type-check resolves unexported
-// identifiers from the base package.
-func TestLoadTestsFixture(t *testing.T) {
-	target, err := LoadTests(filepath.Join("testdata", "testmod"))
-	if err != nil {
-		t.Fatalf("LoadTests: %v", err)
-	}
-	if target.PackageByPath("testmod") == nil {
-		t.Fatal("in-package test group not loaded")
-	}
-	if target.PackageByPath("testmod_test") == nil {
-		t.Fatal("external test package not loaded")
-	}
-	findings := Run(target, []Analyzer{&ErrCheck{Scope: AllPackages, SkipTestFuncs: true}})
-	var got []string
-	for _, f := range findings {
-		got = append(got, fmt.Sprintf("%s:%d:%s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Rule))
-	}
-	sort.Strings(got)
-	want := wantMarkers(t, filepath.Join("testdata", "testmod"))
-	if !matchFindings(got, want) {
-		t.Errorf("findings mismatch\n got: %v\nwant: %v", got, want)
-	}
-}
-
-// TestTestFilesClean is the merge gate for test code: the relaxed rule
-// set must report nothing on the repository's own _test.go files.
-func TestTestFilesClean(t *testing.T) {
-	target, err := LoadTests(moduleRoot)
-	if err != nil {
-		t.Fatalf("LoadTests: %v", err)
-	}
-	var dirty []string
-	for _, f := range Run(target, TestFileAnalyzers()) {
-		dirty = append(dirty, f.String())
-	}
-	if len(dirty) > 0 {
-		t.Errorf("kalislint findings on test files:\n%s", strings.Join(dirty, "\n"))
-	}
-}
-
 // TestSuppressionRequiresReason ensures a reasonless directive is
 // reported and does not suppress.
 func TestSuppressionRequiresReason(t *testing.T) {

@@ -45,11 +45,6 @@ type Target struct {
 	// facts memoizes whole-target analysis results shared between
 	// analyzers (see Fact).
 	facts facts
-	// std is the stdlib importer used during type-checking, retained so
-	// LoadTests can re-check packages with identical stdlib type
-	// identities (two importers would yield incompatible types.Package
-	// instances for the same stdlib path).
-	std *stdImporter
 }
 
 // PackageByPath returns the loaded package with the given import path.
@@ -82,17 +77,15 @@ func Load(root string, extraDirs ...string) (*Target, error) {
 	}
 
 	fset := token.NewFileSet()
-	type rawPkg struct {
-		path  string
-		dir   string
-		files []*ast.File
-		deps  []string // intra-module import paths
+	imp := &moduleImporter{
+		target: &Target{Module: module, Fset: fset, byPath: make(map[string]*Package)},
+		std:    newStdImporter(fset),
+		parsed: make(map[string]*parsedPkg),
 	}
-	raw := make(map[string]*rawPkg)
 	var order []string
 	for _, dir := range dirs {
 		path := importPathFor(module, absRoot, dir)
-		if _, ok := raw[path]; ok {
+		if _, ok := imp.parsed[path]; ok {
 			continue
 		}
 		files, err := parseDir(fset, dir)
@@ -102,87 +95,25 @@ func Load(root string, extraDirs ...string) (*Target, error) {
 		if len(files) == 0 {
 			continue
 		}
-		rp := &rawPkg{path: path, dir: dir, files: files}
+		pp := &parsedPkg{dir: dir, files: files}
 		for _, f := range files {
-			for _, imp := range f.Imports {
-				p, err := strconv.Unquote(imp.Path.Value)
-				if err != nil {
-					continue
-				}
-				if p == module || strings.HasPrefix(p, module+"/") {
-					rp.deps = append(rp.deps, p)
+			for _, spec := range f.Imports {
+				if p, err := strconv.Unquote(spec.Path.Value); err == nil && imp.inModule(p) {
+					pp.deps = append(pp.deps, p)
 				}
 			}
 		}
-		raw[path] = rp
+		sort.Strings(pp.deps)
+		imp.parsed[path] = pp
 		order = append(order, path)
 	}
 	sort.Strings(order)
-
-	// Topological sort over intra-module imports so each package is
-	// checked after its dependencies.
-	var sorted []string
-	state := make(map[string]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(p string) error
-	visit = func(p string) error {
-		switch state[p] {
-		case 1:
-			return fmt.Errorf("lint: import cycle through %s", p)
-		case 2:
-			return nil
-		}
-		state[p] = 1
-		rp := raw[p]
-		if rp != nil {
-			deps := append([]string(nil), rp.deps...)
-			sort.Strings(deps)
-			for _, d := range deps {
-				if _, ok := raw[d]; !ok {
-					return fmt.Errorf("lint: %s imports %s, which was not found in the module", p, d)
-				}
-				if err := visit(d); err != nil {
-					return err
-				}
-			}
-			sorted = append(sorted, p)
-		}
-		state[p] = 2
-		return nil
-	}
-	for _, p := range order {
-		if err := visit(p); err != nil {
+	for _, path := range order {
+		if _, err := imp.Import(path); err != nil {
 			return nil, err
 		}
 	}
-
-	t := &Target{Module: module, Fset: fset, byPath: make(map[string]*Package), std: newStdImporter(fset)}
-	imp := &moduleImporter{target: t, std: t.std}
-	for _, path := range sorted {
-		rp := raw[path]
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-		}
-		var typeErrs []error
-		conf := types.Config{
-			Importer: imp,
-			Error:    func(err error) { typeErrs = append(typeErrs, err) },
-		}
-		pkg, err := conf.Check(path, fset, rp.files, info)
-		if len(typeErrs) > 0 {
-			return nil, fmt.Errorf("lint: type-checking %s: %v", path, typeErrs[0])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lint: type-checking %s: %v", path, err)
-		}
-		lp := &Package{Path: path, Dir: rp.dir, Files: rp.files, Pkg: pkg, Info: info}
-		t.Packages = append(t.Packages, lp)
-		t.byPath[path] = lp
-	}
-	return t, nil
+	return imp.target, nil
 }
 
 // modulePath reads the module path from root/go.mod.
@@ -271,25 +202,75 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// moduleImporter resolves imports during type-checking: module-internal
-// paths come from the already-checked packages, everything else must be
-// standard library.
+// parsedPkg is one module package's parsed files, awaiting its
+// type-check.
+type parsedPkg struct {
+	dir      string
+	files    []*ast.File
+	deps     []string // module import paths, sorted
+	checking bool
+}
+
+// moduleImporter resolves imports during type-checking: a module path
+// is type-checked on first import (its own module imports first, in
+// sorted order, so Target.Packages comes out in one stable dependency
+// order), everything else must be standard library.
 type moduleImporter struct {
 	target *Target
 	std    *stdImporter
+	parsed map[string]*parsedPkg
+}
+
+func (im *moduleImporter) inModule(path string) bool {
+	return path == im.target.Module || strings.HasPrefix(path, im.target.Module+"/")
 }
 
 func (im *moduleImporter) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
+	if !im.inModule(path) {
+		return im.std.Import(path)
+	}
 	if p := im.target.byPath[path]; p != nil {
 		return p.Pkg, nil
 	}
-	if path == im.target.Module || strings.HasPrefix(path, im.target.Module+"/") {
-		return nil, fmt.Errorf("module package %s not loaded yet (import cycle?)", path)
+	pp := im.parsed[path]
+	if pp.checking {
+		return nil, fmt.Errorf("lint: import cycle through %s", path)
 	}
-	return im.std.Import(path)
+	pp.checking = true
+	for _, dep := range pp.deps {
+		if im.parsed[dep] == nil {
+			return nil, fmt.Errorf("lint: %s imports %s, which was not found in the module", path, dep)
+		}
+		if _, err := im.Import(dep); err != nil {
+			return nil, err
+		}
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+	}
+	var typeErrs []error
+	conf := types.Config{
+		Importer: im,
+		Error:    func(err error) { typeErrs = append(typeErrs, err) },
+	}
+	pkg, err := conf.Check(path, im.target.Fset, pp.files, info)
+	if len(typeErrs) > 0 {
+		err = typeErrs[0]
+	}
+	if err != nil {
+		return nil, fmt.Errorf("lint: type-checking %s: %v", path, err)
+	}
+	lp := &Package{Path: path, Dir: pp.dir, Files: pp.files, Pkg: pkg, Info: info}
+	im.target.Packages = append(im.target.Packages, lp)
+	im.target.byPath[path] = lp
+	return pkg, nil
 }
 
 // stdImporter type-checks standard-library packages from $GOROOT/src at

@@ -2,7 +2,10 @@
 // decoder: a package-level function named Decode is a packet-path root
 // by name (no method root reaches the decoder — frames are decoded
 // before any HandleCapture sees them), and the walk follows explicitly
-// instantiated generic calls.
+// instantiated generic calls. It landed with the frame decoder rewrite
+// (commit 1b11f17): alloc[T] is stack.newFrame's shape, which the walk
+// reached, and the rule caught, only once calleeOf resolved explicit
+// instantiations.
 package decoderoot
 
 import (

@@ -62,15 +62,18 @@ crash-demo:
 # Short native-fuzz passes: the collective receive path (truncated /
 # corrupted / replayed datagrams must never panic or taint the KB), the
 # durable-state loaders (arbitrary snapshot/journal/window-log bytes must
-# never panic or partially apply) and the frame decoder (arbitrary captured
+# never panic or partially apply), the frame decoder (arbitrary captured
 # bytes must never panic, must decode as the per-layer reference does,
-# and must stay allocation-bounded).
+# and must stay allocation-bounded) and the forwarding watch (arbitrary
+# CTP beacon/data sequences must report exactly what the map-walk
+# reference model does).
 fuzz-short:
 	$(GO) test -fuzz=FuzzNodeReceive -fuzztime=30s -run '^$$' ./internal/core/collective/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzWindowLogLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzStackDecode -fuzztime=30s -run '^$$' ./internal/proto/stack/
+	$(GO) test -fuzz=FuzzForwardingWatch -fuzztime=30s -run '^$$' ./internal/flow/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &
 # invariants"): simulated-clock discipline, panic policy, and the

@@ -334,27 +334,55 @@ func BenchmarkTraceRoundTrip(b *testing.B) {
 }
 
 // BenchmarkKalisPerPacket measures the steady-state per-packet cost of
-// a fully warmed knowledge-driven node on mixed WSN traffic.
+// a fully warmed knowledge-driven node on a WSN relay chain: a root
+// beacon, then origins 3, 4 and 5 hand seq-numbered frames to relay 2,
+// which forwards them to root 1 but drops one round in eight — so the
+// forwarding watch matches and expires hand-offs and both watchdog
+// modules read its report on every frame. The 64 frames replay as one
+// endless stream, each pass re-stamped 100 ms after the last, so that
+// every sliding window slides.
 func BenchmarkKalisPerPacket(b *testing.B) {
 	node, err := New(WithNodeID("K1"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer node.Close()
+	raws := [][]byte{stack.BuildCTPBeacon(1, 1, 0, 1)}
+	for r := 0; len(raws) < 64; r++ {
+		origin := uint16(3 + r%3)
+		raws = append(raws, stack.BuildCTPData(origin, 2, origin, uint8(r), 0, 20, []byte{0x01, uint8(r)}))
+		if r%8 != 7 && len(raws) < 64 {
+			raws = append(raws, stack.BuildCTPData(2, 1, origin, uint8(r), 1, 10, []byte{0x01, uint8(r)}))
+		}
+	}
 	var caps []*Captured
-	for i := 0; i < 64; i++ {
-		raw := stack.BuildCTPData(uint16(2+i%4), 1, uint16(2+i%4), uint8(i), 0, 10, []byte{0x01, uint8(i)})
+	for _, raw := range raws {
 		c, err := stack.Decode(packet.MediumIEEE802154, raw)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.Time = netsim.Epoch.Add(time.Duration(i) * 100 * time.Millisecond)
-		c.RSSI = -60 - float64(i%4)
+		c.RSSI = -60 // a steady signal: no signal-strength knowledge churn
 		caps = append(caps, c)
+	}
+	frame := 0
+	handle := func() {
+		c := caps[frame%len(caps)]
+		c.Time = netsim.Epoch.Add(time.Duration(frame) * 100 * time.Millisecond)
+		node.HandleCapture(c)
+		frame++
+	}
+	// Past one 30 s forwarding window, so the watchdogs are active and
+	// every window is full.
+	for frame < 64*6 {
+		handle()
+	}
+	active := strings.Join(node.ActiveModules(), ",")
+	if !strings.Contains(active, "SelectiveForwardingModule") || !strings.Contains(active, "BlackholeModule") {
+		b.Fatalf("watchdog modules inactive on the relay chain: %s", active)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		node.HandleCapture(caps[i%len(caps)])
+		handle()
 	}
 }
 

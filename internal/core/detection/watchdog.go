@@ -35,14 +35,14 @@ type forwardingCore struct {
 }
 
 // newForwardingCore reads the parameters "timeout", "window",
-// "cooldown" (durations) and "minSamples" (int).
+// "cooldown" (durations) and "minSamples" (int, at least 1).
 func newForwardingCore(name string, p *module.ParamReader) forwardingCore {
 	return forwardingCore{
 		base: base{name: name},
 		cfg: flow.ForwardingConfig{
 			Timeout:    p.Duration("timeout", 500*time.Millisecond),
 			Window:     p.Duration("window", 30*time.Second),
-			MinSamples: p.Int("minSamples", 8),
+			MinSamples: p.IntAtLeast("minSamples", 8, 1),
 		},
 		cooldown: p.Duration("cooldown", 20*time.Second),
 	}
@@ -78,7 +78,7 @@ type SelectiveForwarding struct{ forwardingCore }
 var _ module.Module = (*SelectiveForwarding)(nil)
 
 // NewSelectiveForwarding creates the module. Parameters: "timeout",
-// "window", "cooldown" (durations), "minSamples" (int).
+// "window", "cooldown" (durations), "minSamples" (int, at least 1).
 func NewSelectiveForwarding(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
 	return p.Done(&SelectiveForwarding{newForwardingCore(SelectiveForwardingName, p)})

@@ -1,6 +1,7 @@
 package detection
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -397,5 +398,21 @@ func TestBlackholePublishesOnChange(t *testing.T) {
 	}
 	if len(puts) != 2 || puts[1] != "3,4" {
 		t.Errorf("puts = %q, want a second one naming origins 3,4", puts)
+	}
+}
+
+// TestForwardingRefusesMinSamplesBelowOne: a relay with no outcome in
+// the window has no drop ratio, so both forwarding modules refuse a
+// minSamples that would ask for one.
+func TestForwardingRefusesMinSamplesBelowOne(t *testing.T) {
+	for name, mk := range map[string]module.Factory{SelectiveForwardingName: NewSelectiveForwarding, BlackholeName: NewBlackhole} {
+		for _, v := range []string{"0", "-3"} {
+			if mod, err := mk(map[string]string{"minSamples": v}); err == nil || mod != nil || !strings.HasPrefix(err.Error(), "minSamples: ") {
+				t.Errorf("%s: minSamples=%s gave (%v, %v), want no module and a minSamples error", name, v, mod, err)
+			}
+		}
+		if _, err := mk(map[string]string{"minSamples": "1"}); err != nil {
+			t.Errorf("%s: minSamples=1 refused: %v", name, err)
+		}
 	}
 }

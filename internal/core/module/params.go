@@ -45,6 +45,18 @@ func (p *ParamReader) Int(name string, def int) int {
 	return readParam(p, name, def, strconv.Atoi)
 }
 
+// IntAtLeast reads a decimal integer no smaller than least; a smaller
+// one is refused as a value that does not parse.
+func (p *ParamReader) IntAtLeast(name string, def, least int) int {
+	return readParam(p, name, def, func(s string) (int, error) {
+		v, err := strconv.Atoi(s)
+		if err == nil && v < least {
+			err = fmt.Errorf("%d is below %d", v, least)
+		}
+		return v, err
+	})
+}
+
 // Float reads a floating-point number.
 func (p *ParamReader) Float(name string, def float64) float64 {
 	return readParam(p, name, def, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })

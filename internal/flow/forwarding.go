@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -17,7 +19,7 @@ type ForwardingConfig struct {
 	// Window is the sliding window of per-relay outcomes.
 	Window time.Duration
 	// MinSamples is the in-window outcome count below which a relay is
-	// not reported.
+	// not reported; at least 1 (a relay with no outcome has no ratio).
 	MinSamples int
 }
 
@@ -42,36 +44,72 @@ type RelayRatio struct {
 // example of techniques "generalized to detect attacks with similar
 // symptoms but different severity or root causes" (§IV-B4), which is
 // why it is one tracker with two detectors reading it.
+//
+// A frame costs what it changes: hand-offs expire from a deadline
+// queue, each relay keeps a running drop count over its window, and
+// the report is rebuilt only once an outcome landed or a window can
+// have trimmed. Times inside the watch are nanoseconds since its first
+// data frame.
 type ForwardingWatch struct {
 	cfg ForwardingConfig
 
 	mu sync.Mutex
-	// pending maps relay → (origin, seq) → deadline.
-	pending map[packet.NodeID]map[pendKey]time.Time
-	// outcomes per relay within the sliding window; relays lists its
-	// keys in identity order, so reports do not follow map order.
-	outcomes map[packet.NodeID][]outcome
-	relays   []packet.NodeID
-	// roots are collection roots (advertise ETX 0); they legitimately
-	// never forward.
-	roots map[packet.NodeID]bool
-	// dropped records which origins a relay dropped (for wormhole
-	// correlation).
-	dropped map[packet.NodeID]map[uint16]bool
+	// epoch is the capture time of the first data frame (started set).
+	epoch   time.Time
+	started bool
+	// recs holds one record per node ever handed a frame or heard as a
+	// root, indexed through idx.
+	idx  map[packet.NodeID]int32
+	recs []relayState
+	// deadlines is a min-heap of armed hand-offs. An entry is stale once
+	// its relay's pending map no longer holds the key at that deadline
+	// (satisfied, or re-armed); stale entries are dropped when popped.
+	deadlines []deadline
+	// walk lists, in identity order, the records with an outcome in the
+	// window: the relays a report walks.
+	walk []int32
 
-	// ratios is the report as of capture time at; fresh until the next
-	// outcome lands. Every reader of one frame asks at that frame's
-	// capture time, so the per-relay recount runs once per frame.
-	ratios []RelayRatio
-	at     time.Time
-	fresh  bool
+	// ratios is the report; it holds until an outcome lands (dirty) or
+	// the capture time passes nextTrim, the earliest time a walked
+	// relay's oldest outcome leaves its window.
+	ratios   []RelayRatio
+	dirty    bool
+	nextTrim int64
 
 	handle
 }
 
+// relayState is one node's evidence.
+type relayState struct {
+	id packet.NodeID
+	// root marks a collection root (advertises ETX 0); roots
+	// legitimately never forward.
+	root bool
+	// walked is set while the record is on the walk.
+	walked bool
+	// pending maps (origin, seq) → deadline of the hand-offs awaiting a
+	// retransmission by this relay.
+	pending map[pendKey]int64
+	// window[head:] are the in-window outcomes, oldest first; drops
+	// counts the dropped ones among them.
+	window []outcome
+	head   int
+	drops  int
+	// dropped records which origins the relay dropped over its lifetime
+	// (for wormhole correlation).
+	dropped map[uint16]bool
+}
+
 type outcome struct {
-	at      time.Time
+	at      int64
 	dropped bool
+}
+
+// deadline is one armed hand-off in the deadline queue.
+type deadline struct {
+	at  int64
+	rec int32
+	key pendKey
 }
 
 // pendKey identifies a forwarded frame by its CTP origin and sequence
@@ -88,10 +126,8 @@ type pendKey struct {
 func NewForwardingWatch(cfg ForwardingConfig) *ForwardingWatch {
 	return &ForwardingWatch{
 		cfg:      cfg,
-		pending:  make(map[packet.NodeID]map[pendKey]time.Time),
-		outcomes: make(map[packet.NodeID][]outcome),
-		roots:    make(map[packet.NodeID]bool),
-		dropped:  make(map[packet.NodeID]map[uint16]bool),
+		idx:      make(map[packet.NodeID]int32),
+		nextTrim: math.MaxInt64,
 	}
 }
 
@@ -108,7 +144,7 @@ func (w *ForwardingWatch) Observe(c *packet.Captured) {
 	if b, ok := c.Layer("ctp-beacon").(*ctp.Beacon); ok {
 		if b.ETX == 0 {
 			w.mu.Lock()
-			w.roots[c.Transmitter] = true
+			w.recs[w.relay(c.Transmitter)].root = true
 			w.mu.Unlock()
 		}
 		return
@@ -119,15 +155,21 @@ func (w *ForwardingWatch) Observe(c *packet.Captured) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.expire(c.Time)
+	if !w.started {
+		w.epoch, w.started = c.Time, true
+	}
+	now := int64(c.Time.Sub(w.epoch))
+	w.expire(now)
 
 	key := pendKey{origin: d.Origin, seq: d.SeqNo}
 	// The transmitter just forwarded (or originated) this frame; any
 	// pending expectation on it is satisfied.
-	if m := w.pending[c.Transmitter]; m != nil {
-		if _, waiting := m[key]; waiting {
-			delete(m, key)
-			w.record(c.Transmitter, outcome{at: c.Time, dropped: false})
+	if i, known := w.idx[c.Transmitter]; known {
+		if m := w.recs[i].pending; m != nil {
+			if _, waiting := m[key]; waiting {
+				delete(m, key)
+				w.land(i, outcome{at: now, dropped: false})
+			}
 		}
 	}
 	// The frame is now in the hands of its link-layer destination; if
@@ -135,38 +177,71 @@ func (w *ForwardingWatch) Observe(c *packet.Captured) {
 	// must forward in turn — register the expectation even for frames
 	// that themselves satisfied one, so every hop of a chain is
 	// monitored.
-	if c.Dst != packet.Broadcast && c.Dst != "" && !w.roots[c.Dst] {
-		if w.pending[c.Dst] == nil {
-			w.pending[c.Dst] = make(map[pendKey]time.Time)
+	if c.Dst == packet.Broadcast || c.Dst == "" {
+		return
+	}
+	i := w.relay(c.Dst)
+	r := &w.recs[i]
+	if r.root {
+		return
+	}
+	if r.pending == nil {
+		r.pending = make(map[pendKey]int64)
+	}
+	at := w.after(now, int64(w.cfg.Timeout))
+	r.pending[key] = at
+	w.push(deadline{at: at, rec: i, key: key})
+}
+
+// relay returns the index of the node's record, creating it.
+func (w *ForwardingWatch) relay(id packet.NodeID) int32 {
+	i, known := w.idx[id]
+	if !known {
+		i = int32(len(w.recs))
+		w.idx[id] = i
+		w.recs = append(w.recs, relayState{id: id})
+	}
+	return i
+}
+
+// expire converts overdue expectations into drop outcomes, popping the
+// deadline queue up to now.
+func (w *ForwardingWatch) expire(now int64) {
+	for len(w.deadlines) > 0 && now > w.deadlines[0].at {
+		e := w.pop()
+		r := &w.recs[e.rec]
+		if at, armed := r.pending[e.key]; !armed || at != e.at {
+			continue // satisfied or re-armed since
 		}
-		w.pending[c.Dst][key] = c.Time.Add(w.cfg.Timeout)
+		delete(r.pending, e.key)
+		if r.dropped == nil {
+			r.dropped = make(map[uint16]bool)
+		}
+		r.dropped[e.key.origin] = true
+		w.land(e.rec, outcome{at: now, dropped: true})
 	}
 }
 
-// expire converts overdue expectations into drop outcomes.
-func (w *ForwardingWatch) expire(now time.Time) {
-	for relay, m := range w.pending {
-		for key, deadline := range m {
-			if now.After(deadline) {
-				delete(m, key)
-				w.record(relay, outcome{at: now, dropped: true})
-				if w.dropped[relay] == nil {
-					w.dropped[relay] = make(map[uint16]bool)
-				}
-				w.dropped[relay][key.origin] = true
-			}
-		}
+// land appends an outcome to a relay's window, putting the relay on
+// the walk.
+func (w *ForwardingWatch) land(i int32, o outcome) {
+	r := &w.recs[i]
+	if r.head > 0 && len(r.window) == cap(r.window) {
+		r.window = r.window[:copy(r.window, r.window[r.head:])]
+		r.head = 0
 	}
-}
-
-// record appends an outcome to a relay's window.
-func (w *ForwardingWatch) record(relay packet.NodeID, o outcome) {
-	if _, known := w.outcomes[relay]; !known {
-		i, _ := slices.BinarySearch(w.relays, relay)
-		w.relays = slices.Insert(w.relays, i, relay)
+	r.window = append(r.window, o)
+	if o.dropped {
+		r.drops++
 	}
-	w.outcomes[relay] = append(w.outcomes[relay], o)
-	w.fresh = false
+	if !r.walked {
+		r.walked = true
+		at, _ := slices.BinarySearchFunc(w.walk, r.id, func(j int32, id packet.NodeID) int {
+			return cmp.Compare(w.recs[j].id, id)
+		})
+		w.walk = slices.Insert(w.walk, at, i)
+	}
+	w.dirty = true
 }
 
 // Ratios appends to buf[:0] the windowed drop ratio of every relay with
@@ -177,34 +252,98 @@ func (w *ForwardingWatch) record(relay packet.NodeID, o outcome) {
 func (w *ForwardingWatch) Ratios(now time.Time, buf []RelayRatio) []RelayRatio {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.fresh || !now.Equal(w.at) {
-		w.ratios = w.ratios[:0]
-		for _, relay := range w.relays {
-			evs := w.outcomes[relay]
-			cut := 0
-			for cut < len(evs) && now.Sub(evs[cut].at) > w.cfg.Window {
-				cut++
-			}
-			evs = evs[cut:]
-			w.outcomes[relay] = evs
-			if len(evs) < w.cfg.MinSamples {
-				continue
-			}
-			drops := 0
-			for _, e := range evs {
-				if e.dropped {
-					drops++
-				}
-			}
-			r := RelayRatio{Relay: relay, Origins: len(w.dropped[relay])}
-			if len(evs) > 0 {
-				r.Ratio = float64(drops) / float64(len(evs))
-			}
-			w.ratios = append(w.ratios, r)
-		}
-		w.at, w.fresh = now, true
+	at := int64(now.Sub(w.epoch))
+	if w.dirty || at > w.nextTrim {
+		w.report(at)
 	}
 	return append(buf[:0], w.ratios...)
+}
+
+// report trims every walked window to the one ending at now and
+// rebuilds the report. A relay whose window empties leaves the walk,
+// and, with no hand-off pending, releases its evidence but the
+// dropped-origin set (which only grows).
+func (w *ForwardingWatch) report(now int64) {
+	window := int64(w.cfg.Window)
+	w.ratios = w.ratios[:0]
+	w.nextTrim = math.MaxInt64
+	kept := 0
+	for _, i := range w.walk {
+		r := &w.recs[i]
+		for r.head < len(r.window) && now > w.after(r.window[r.head].at, window) {
+			if r.window[r.head].dropped {
+				r.drops--
+			}
+			r.head++
+		}
+		n := len(r.window) - r.head
+		if n == 0 {
+			r.walked, r.window, r.head = false, r.window[:0], 0
+			if len(r.pending) == 0 {
+				r.pending, r.window = nil, nil
+			}
+			continue
+		}
+		w.walk[kept] = i
+		kept++
+		w.nextTrim = min(w.nextTrim, w.after(r.window[r.head].at, window))
+		if n >= w.cfg.MinSamples {
+			w.ratios = append(w.ratios, RelayRatio{Relay: r.id, Ratio: float64(r.drops) / float64(n), Origins: len(r.dropped)})
+		}
+	}
+	w.walk = w.walk[:kept]
+	w.dirty = false
+}
+
+// after returns at + d, saturating as time.Time.Sub does.
+func (w *ForwardingWatch) after(at, d int64) int64 {
+	s := at + d
+	if (s > at) != (d > 0) {
+		if d > 0 {
+			return math.MaxInt64
+		}
+		return math.MinInt64
+	}
+	return s
+}
+
+// push adds a hand-off to the deadline queue.
+func (w *ForwardingWatch) push(e deadline) {
+	h := append(w.deadlines, e)
+	for j := len(h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if h[p].at <= h[j].at {
+			break
+		}
+		h[p], h[j] = h[j], h[p]
+		j = p
+	}
+	w.deadlines = h
+}
+
+// pop removes and returns the earliest deadline.
+func (w *ForwardingWatch) pop() deadline {
+	h := w.deadlines
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for j := 0; ; {
+		c := 2*j + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].at < h[c].at {
+			c++
+		}
+		if h[j].at <= h[c].at {
+			break
+		}
+		h[j], h[c] = h[c], h[j]
+		j = c
+	}
+	w.deadlines = h
+	return top
 }
 
 // DroppedOrigins returns, sorted, the origins the relay has dropped
@@ -212,8 +351,12 @@ func (w *ForwardingWatch) Ratios(now time.Time, buf []RelayRatio) []RelayRatio {
 func (w *ForwardingWatch) DroppedOrigins(relay packet.NodeID) []uint16 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]uint16, 0, len(w.dropped[relay]))
-	for o := range w.dropped[relay] {
+	var dropped map[uint16]bool
+	if i, known := w.idx[relay]; known {
+		dropped = w.recs[i].dropped
+	}
+	out := make([]uint16, 0, len(dropped))
+	for o := range dropped {
 		out = append(out, o)
 	}
 	slices.Sort(out)

@@ -1,12 +1,14 @@
 package flow
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"kalis/internal/packet"
+	"kalis/internal/proto/ctp"
 	"kalis/internal/proto/stack"
 )
 
@@ -68,9 +70,49 @@ func TestForwardingWatchRatios(t *testing.T) {
 	}
 }
 
+// dataCap is a CTP data frame of (origin, seq) from tx to dst, built
+// without the decoder so a test can mint many cheaply.
+func dataCap(tx, dst packet.NodeID, origin uint16, seq uint8, at time.Time) *packet.Captured {
+	return &packet.Captured{Time: at, Medium: packet.MediumIEEE802154, Src: tx, Dst: dst, Transmitter: tx,
+		Layers: []packet.Layer{&ctp.Data{Origin: origin, SeqNo: seq}}}
+}
+
+// relayRounds is a chain origin 4 → 3 → 2 → root 1 (whose beacon the
+// caller feeds): round i is three hops of seq i, the middle one both
+// satisfying relay 3's hand-off and registering relay 2's; relay 2
+// drops every fifth round. play feeds round i at the given time.
+type relayRounds [256][3]*packet.Captured
+
+func newRelayRounds() *relayRounds {
+	var r relayRounds
+	for i := range r {
+		r[i] = [3]*packet.Captured{
+			dataCap("0x0004", "0x0003", 4, uint8(i), t0),
+			dataCap("0x0003", "0x0002", 4, uint8(i), t0),
+			dataCap("0x0002", "0x0001", 4, uint8(i), t0),
+		}
+	}
+	return &r
+}
+
+func (r *relayRounds) play(w *ForwardingWatch, i int, at time.Time) {
+	hops := r[i%len(r)]
+	if i%5 == 0 {
+		hops[2] = nil
+	}
+	for h, c := range hops {
+		if c != nil {
+			c.Time = at.Add(time.Duration(h) * 20 * time.Millisecond)
+			w.Observe(c)
+		}
+	}
+}
+
 // TestForwardingWatchAllocs: a frame without a CTP layer costs the
 // tracker nothing, and neither does polling the verdict input — at the
-// capture time already computed, or at a new one.
+// capture time already computed, or at a new one — nor, in steady
+// state, a CTP data frame that satisfies one hand-off and registers the
+// next, nor the two polls of the forwarding detectors after it.
 func TestForwardingWatchAllocs(t *testing.T) {
 	w := NewForwardingWatch(fwdCfg)
 	now := feedChain(t, w.Observe, t0, 12, func(i int) bool { return i%3 == 0 })
@@ -90,6 +132,131 @@ func TestForwardingWatchAllocs(t *testing.T) {
 		buf = w.Ratios(now, buf)
 	}); n != 0 {
 		t.Errorf("Ratios at a new capture time: %v allocs, want 0", n)
+	}
+
+	// A warmed relay chain: two windows of rounds, 100 ms apart.
+	w = NewForwardingWatch(fwdCfg)
+	w.Observe(ctpCap(t, stack.BuildCTPBeacon(1, 1, 0, 1), t0))
+	rounds := newRelayRounds()
+	round := 0
+	next := func() time.Time {
+		round++
+		return t0.Add(time.Duration(round) * 100 * time.Millisecond)
+	}
+	for round < 600 {
+		rounds.play(w, round, next())
+	}
+	var sel, bh []RelayRatio
+	polls := func(at time.Time) {
+		sel = w.Ratios(at, sel)
+		bh = w.Ratios(at, bh)
+	}
+	polls(next())
+	if len(sel) != 2 {
+		t.Fatalf("Ratios = %+v, want relays 0x0002 and 0x0003", sel)
+	}
+	// The outcome the polls follow: relay 3 is handed a frame and
+	// forwards it (frames built outside the measurement).
+	hops := make([][2]*packet.Captured, 101)
+	for i := range hops {
+		seq := uint8(round + i)
+		hops[i] = [2]*packet.Captured{dataCap("0x0004", "0x0003", 4, seq, t0), dataCap("0x0003", "0x0002", 4, seq, t0)}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"a relay round", func() { rounds.play(w, round, next()) }},
+		{"the two detector polls after an outcome", func() {
+			at := next()
+			for h, c := range hops[0] {
+				c.Time = at.Add(time.Duration(h) * time.Millisecond)
+				w.Observe(c)
+			}
+			hops = hops[1:]
+			polls(at.Add(time.Millisecond))
+		}},
+		{"a relay round and the two polls", func() {
+			at := next()
+			rounds.play(w, round, at)
+			polls(at.Add(50 * time.Millisecond))
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, tc.run); n != 0 {
+			t.Errorf("%s: %v allocs, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestForwardingWatchDeadlineBound: the deadline queue holds no more
+// entries than the hand-offs registered within the last Timeout —
+// satisfied and re-armed ones are dropped once their deadline passes —
+// over 100 000 frames of a chain with drops and retransmissions.
+func TestForwardingWatchDeadlineBound(t *testing.T) {
+	w := NewForwardingWatch(fwdCfg)
+	w.Observe(ctpCap(t, stack.BuildCTPBeacon(1, 1, 0, 1), t0))
+	var handed []time.Time // registration times of hand-offs, oldest first
+	at := t0
+	c := dataCap("", "", 3, 0, t0)
+	for i := 0; i < 100000; i++ {
+		at = at.Add(time.Duration(7+i%13) * time.Millisecond)
+		seq := uint8(i / 3)
+		c.Time, c.Layers[0].(*ctp.Data).SeqNo = at, seq
+		switch i % 3 {
+		case 0: // origin 3 hands seq to relay 2 (again, now and then)
+			c.Transmitter, c.Dst = "0x0003", "0x0002"
+		case 1: // relay 2 hands it on to relay 4, or drops it
+			c.Transmitter, c.Dst = "0x0002", "0x0004"
+			if i%7 == 1 {
+				c.Transmitter = "0x0003" // a retransmission re-arms relay 2
+				c.Dst = "0x0002"
+			}
+		case 2: // relay 4 delivers to the root
+			c.Transmitter, c.Dst = "0x0004", "0x0001"
+		}
+		c.Src = c.Transmitter
+		w.Observe(c)
+		if c.Dst != "0x0001" {
+			handed = append(handed, at)
+		}
+		for len(handed) > 0 && at.Sub(handed[0]) > fwdCfg.Timeout {
+			handed = handed[1:]
+		}
+		if n := len(w.deadlines); n > len(handed) {
+			t.Fatalf("frame %d: %d queued deadlines, %d hand-offs within the last %v", i, n, len(handed), fwdCfg.Timeout)
+		}
+	}
+}
+
+// TestForwardingWatchSpoofedRelays: link destinations are attacker
+// bytes. 100 000 spoofed relays, each handed one frame it drops, leave
+// the per-frame walk a window later, and polling the report then
+// allocates nothing; each keeps its dropped origin.
+func TestForwardingWatchSpoofedRelays(t *testing.T) {
+	w := NewForwardingWatch(fwdCfg)
+	at := t0
+	for i := 0; i < 100000; i++ {
+		at = at.Add(time.Millisecond)
+		w.Observe(dataCap("0x0003", packet.NodeID(fmt.Sprintf("spoof-%d", i)), 3, uint8(i), at))
+	}
+	at = at.Add(fwdCfg.Timeout + time.Millisecond)
+	w.Observe(dataCap("0x0003", packet.Broadcast, 3, 0, at)) // expires the last hand-offs
+	if n := len(w.walk); n != 100000 {
+		t.Fatalf("%d relays on the walk after the drops, want 100000", n)
+	}
+	at = at.Add(fwdCfg.Window + time.Millisecond)
+	buf := w.Ratios(at, nil)
+	if len(buf) != 0 || len(w.walk) != 0 {
+		t.Fatalf("a window later: report %+v, %d relays on the walk; want none", buf, len(w.walk))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		at = at.Add(time.Second)
+		buf = w.Ratios(at, buf)
+	}); n != 0 {
+		t.Errorf("Ratios poll after the flood: %v allocs, want 0", n)
+	}
+	if got := w.DroppedOrigins("spoof-99999"); !reflect.DeepEqual(got, []uint16{3}) {
+		t.Errorf("DroppedOrigins(spoof-99999) = %v, want [3]", got)
 	}
 }
 

@@ -41,12 +41,22 @@ type TrafficAnomaly struct {
 	minWindows int
 	cooldown   time.Duration
 
-	windowStart time.Time
-	counts      map[packet.Kind]int
-	baselines   map[packet.Kind]*welford
-	// lastDst remembers the dominant destination per kind in the
-	// current window, to give alerts a victim.
-	dsts map[packet.Kind]map[packet.NodeID]int
+	started     bool
+	windowStart int64 // capture nanoseconds
+	window      int64 // the current window's number, for dsts
+	counts      [packet.NumKinds]int
+	baselines   [packet.NumKinds]welford
+	// dsts counts each destination's traffic per kind in the current
+	// window, to give alerts a victim (the dominant destination).
+	dsts packet.ByHandle[anomalyDst]
+}
+
+// anomalyDst is one destination's per-kind counts in window number
+// window (counts of an older window read as zero).
+type anomalyDst struct {
+	id     packet.NodeID
+	window int64
+	n      [packet.NumKinds]int
 }
 
 // welford is an online mean/variance accumulator.
@@ -98,30 +108,40 @@ func (d *TrafficAnomaly) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (d *TrafficAnomaly) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
-	d.windowStart = time.Time{}
-	d.counts = make(map[packet.Kind]int)
-	d.baselines = make(map[packet.Kind]*welford)
-	d.dsts = make(map[packet.Kind]map[packet.NodeID]int)
+	d.started, d.window = false, 0
+	d.counts = [packet.NumKinds]int{}
+	d.baselines = [packet.NumKinds]welford{}
+	d.dsts.Reset()
 }
 
 // HandlePacket implements module.Module.
 func (d *TrafficAnomaly) HandlePacket(c *packet.Captured) {
-	if d.windowStart.IsZero() {
-		d.windowStart = c.Time
+	now := c.Nanos()
+	if !d.started {
+		d.started, d.windowStart = true, now
 	}
-	for c.Time.Sub(d.windowStart) >= d.interval {
-		d.closeWindow(d.windowStart.Add(d.interval))
-		d.windowStart = d.windowStart.Add(d.interval)
-		if c.Time.Sub(d.windowStart) >= 10*d.interval {
-			d.windowStart = c.Time.Truncate(d.interval)
+	interval := int64(d.interval)
+	for now-d.windowStart >= interval {
+		// The window's end, as a time in the capture's own location.
+		d.closeWindow(c.Time.Add(time.Duration(d.windowStart + interval - now)))
+		d.windowStart += interval
+		if now-d.windowStart >= 10*interval {
+			d.windowStart = packet.TruncateNanos(now, d.interval)
 		}
+	}
+	if int(c.Kind) >= packet.NumKinds {
+		return
 	}
 	d.counts[c.Kind]++
-	if c.Dst != "" && c.Dst != packet.Broadcast {
-		if d.dsts[c.Kind] == nil {
-			d.dsts[c.Kind] = make(map[packet.NodeID]int)
+	if c.DstH != 0 && c.Dst != packet.Broadcast {
+		t, fresh := d.dsts.Put(c.DstH)
+		if fresh {
+			t.id = c.Dst
 		}
-		d.dsts[c.Kind][c.Dst]++
+		if t.window != d.window {
+			t.window, t.n = d.window, [packet.NumKinds]int{}
+		}
+		t.n[c.Kind]++
 	}
 }
 
@@ -130,12 +150,13 @@ func (d *TrafficAnomaly) HandlePacket(c *packet.Captured) {
 //
 //lint:coldpath runs once per window roll, not per packet; baseline state allocates per (kind, window), bounded by the kind alphabet
 func (d *TrafficAnomaly) closeWindow(at time.Time) {
-	for kind, count := range d.counts {
-		w := d.baselines[kind]
-		if w == nil {
-			w = &welford{}
-			d.baselines[kind] = w
+	seen := [packet.NumKinds]bool{}
+	for k, count := range d.counts {
+		if count == 0 {
+			continue
 		}
+		seen[k] = true
+		kind, w := packet.Kind(k), &d.baselines[k]
 		x := float64(count)
 		if w.n >= d.minWindows {
 			sd := w.stddev()
@@ -160,22 +181,22 @@ func (d *TrafficAnomaly) closeWindow(at time.Time) {
 		w.add(x)
 	}
 	// Kinds absent this window regress towards zero.
-	for kind, w := range d.baselines {
-		if _, seen := d.counts[kind]; !seen && w.n >= 1 {
+	for k := range d.baselines {
+		if w := &d.baselines[k]; !seen[k] && w.n >= 1 {
 			w.add(0)
 		}
 	}
-	d.counts = make(map[packet.Kind]int)
-	d.dsts = make(map[packet.Kind]map[packet.NodeID]int)
+	d.counts = [packet.NumKinds]int{}
+	d.window++
 }
 
 func (d *TrafficAnomaly) topDst(kind packet.Kind) packet.NodeID {
 	var best packet.NodeID
 	bestN := 0
-	for dst, n := range d.dsts[kind] {
-		if n > bestN || (n == bestN && dst < best) {
-			best, bestN = dst, n
+	d.dsts.Range(func(_ packet.Handle, _ bool, t *anomalyDst) {
+		if n := t.n[kind]; t.window == d.window && n > 0 && (n > bestN || (n == bestN && t.id < best)) {
+			best, bestN = t.id, n
 		}
-	}
+	})
 	return best
 }

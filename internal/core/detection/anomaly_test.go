@@ -107,3 +107,23 @@ func TestAnomalyParamErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestAnomalySilenceJump: after a long silence the counting window
+// restarts on the grid Captured.Time.Truncate lays out — relative to
+// year 1, so a 7 s grid is not the Unix epoch's.
+func TestAnomalySilenceJump(t *testing.T) {
+	h := newHarness(true)
+	mod, err := NewTrafficAnomaly(map[string]string{"interval": "7s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := mod.(*TrafficAnomaly)
+	d.Activate(h.ctx)
+	raw := stack.BuildUDP(netip.MustParseAddr("192.168.1.20"), netip.MustParseAddr("192.168.1.10"), 1, 2, 1, []byte("x"))
+	d.HandlePacket(mkCap(t, packet.MediumWiFi, raw, t0, -60))
+	late := mkCap(t, packet.MediumWiFi, raw, t0.Add(1000*time.Second+123*time.Millisecond), -60)
+	d.HandlePacket(late)
+	if want := late.Time.Truncate(7 * time.Second).UnixNano(); d.windowStart != want {
+		t.Errorf("window after the silence starts at %d, want %d (Time.Truncate)", d.windowStart, want)
+	}
+}

@@ -91,8 +91,8 @@ func (r *rate) watch(ctx *module.Context, mask flow.KindMask) {
 // now and the module may say so: passing arms the per-victim cooldown
 // even if a knowledge veto then withholds the alert, one decision per
 // burst.
-func (r *rate) crossed(victim packet.NodeID, now time.Time) bool {
-	return r.win.Len(victim, now) >= r.minEvents && r.gate.Pass(string(victim), now, r.cooldown)
+func (r *rate) crossed(c *packet.Captured) bool {
+	return r.win.Len(c.DstH, c.Nanos()) >= r.minEvents && r.gate.Pass(string(c.Dst), c.Time, r.cooldown)
 }
 
 // ICMPFlood detects ICMP Flood attacks: a high rate of ICMP Echo Reply
@@ -130,10 +130,10 @@ func (d *ICMPFlood) Activate(ctx *module.Context) { d.watch(ctx, echoReplyMask) 
 
 // HandlePacket implements module.Module.
 func (d *ICMPFlood) HandlePacket(c *packet.Captured) {
-	if c.Kind != packet.KindICMPEchoReply || !d.crossed(c.Dst, c.Time) {
+	if c.Kind != packet.KindICMPEchoReply || !d.crossed(c) {
 		return
 	}
-	evs := d.win.Events(c.Dst, c.Time)
+	evs := d.win.Events(c.DstH, c.Nanos())
 	confidence := 0.7
 	if d.knowledgeDriven() {
 		if boolIs(d.ctx.KB, knowledge.LabelMultihop, true) {
@@ -190,9 +190,22 @@ type Smurf struct {
 	rate
 	// edges is the module-local communication graph used for the
 	// 2-hop suspect heuristic (maintained from observed traffic, so it
-	// works even without a Knowledge Base).
-	edges map[packet.NodeID]map[packet.NodeID]bool
+	// works even without a Knowledge Base), found by identity handle.
+	edges packet.ByHandle[smurfNode]
 }
+
+// smurfNode is one entity of the Smurf module's communication graph.
+type smurfNode struct {
+	id  packet.NodeID
+	nbr map[packet.Handle]struct{}
+	// sweepAt is the neighbour count at which neighbours whose identity
+	// was evicted are dropped.
+	sweepAt int
+}
+
+// minNeighbourSweep is the neighbour count below which a node's
+// neighbours are never swept.
+const minNeighbourSweep = 1024
 
 var _ module.Module = (*Smurf)(nil)
 
@@ -218,16 +231,16 @@ func (d *Smurf) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (d *Smurf) Activate(ctx *module.Context) {
 	d.watch(ctx, echoReplyMask)
-	d.edges = make(map[packet.NodeID]map[packet.NodeID]bool)
+	d.edges.Reset()
 }
 
 // HandlePacket implements module.Module.
 func (d *Smurf) HandlePacket(c *packet.Captured) {
-	d.observeEdge(c.Src, c.Dst)
-	if c.Kind != packet.KindICMPEchoReply || !d.crossed(c.Dst, c.Time) {
+	d.observeEdge(c)
+	if c.Kind != packet.KindICMPEchoReply || !d.crossed(c) {
 		return
 	}
-	evs := d.win.Events(c.Dst, c.Time)
+	evs := d.win.Events(c.DstH, c.Nanos())
 	confidence := 0.7
 	if d.knowledgeDriven() {
 		// Smurf replies come from several distinct amplifiers. The
@@ -244,24 +257,41 @@ func (d *Smurf) HandlePacket(c *packet.Captured) {
 		Attack:     attack.Smurf,
 		Module:     d.Name(),
 		Victim:     c.Dst,
-		Suspects:   d.suspects(c.Dst),
+		Suspects:   d.suspects(c.DstH, c.Dst),
 		Confidence: confidence,
 		Details:    fmt.Sprintf("%d amplified echo replies to %s within %s", len(evs), packet.CleanID(c.Dst), d.window),
 	})
 }
 
-func (d *Smurf) observeEdge(src, dst packet.NodeID) {
-	if src == "" || dst == "" || dst == packet.Broadcast {
+func (d *Smurf) observeEdge(c *packet.Captured) {
+	if c.SrcH == 0 || c.DstH == 0 || c.Dst == packet.Broadcast {
 		return
 	}
-	if d.edges[src] == nil {
-		d.edges[src] = make(map[packet.NodeID]bool)
+	d.link(c.SrcH, c.Src, c.DstH)
+	d.link(c.DstH, c.Dst, c.SrcH)
+}
+
+// link records nb as a neighbour of the entity (h, id). A victim's
+// neighbours are attacker-chosen sources, so the set is bounded like the
+// identity table: once it has doubled since its last sweep, neighbours
+// whose identity was evicted are dropped.
+func (d *Smurf) link(h packet.Handle, id packet.NodeID, nb packet.Handle) {
+	n, fresh := d.edges.Put(h)
+	if fresh {
+		*n = smurfNode{id: id, nbr: make(map[packet.Handle]struct{}), sweepAt: minNeighbourSweep}
 	}
-	d.edges[src][dst] = true
-	if d.edges[dst] == nil {
-		d.edges[dst] = make(map[packet.NodeID]bool)
+	if _, known := n.nbr[nb]; known {
+		return
 	}
-	d.edges[dst][src] = true
+	n.nbr[nb] = struct{}{}
+	if len(n.nbr) >= n.sweepAt {
+		for e := range n.nbr {
+			if !packet.Live(e) {
+				delete(n.nbr, e)
+			}
+		}
+		n.sweepAt = max(minNeighbourSweep, 2*len(n.nbr))
+	}
 }
 
 // suspects implements the paper's heuristic: "the Smurf attack
@@ -269,26 +299,27 @@ func (d *Smurf) observeEdge(src, dst packet.NodeID) {
 // from the victim" over the module's observed communication graph.
 //
 //lint:coldpath 2-hop suspect enumeration runs once per gate-passed Smurf alert, cooldown-bounded
-func (d *Smurf) suspects(victim packet.NodeID) []packet.NodeID {
-	dist := map[packet.NodeID]int{victim: 0}
-	queue := []packet.NodeID{victim}
+func (d *Smurf) suspects(victimH packet.Handle, victim packet.NodeID) []packet.NodeID {
+	dist := map[packet.Handle]int{victimH: 0}
+	queue := []packet.Handle{victimH}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if dist[cur] >= 2 {
+		n := d.edges.Get(cur)
+		if dist[cur] >= 2 || n == nil {
 			continue
 		}
-		for nb := range d.edges[cur] {
-			if _, seen := dist[nb]; !seen {
+		for nb := range n.nbr {
+			if _, seen := dist[nb]; !seen && d.edges.Get(nb) != nil {
 				dist[nb] = dist[cur] + 1
 				queue = append(queue, nb)
 			}
 		}
 	}
 	var out []packet.NodeID
-	for id, dd := range dist {
+	for h, dd := range dist {
 		if dd == 2 {
-			out = append(out, id)
+			out = append(out, d.edges.Get(h).id)
 		}
 	}
 	if len(out) == 0 {
@@ -336,13 +367,13 @@ func (d *SYNFlood) Activate(ctx *module.Context) {
 
 // HandlePacket implements module.Module.
 func (d *SYNFlood) HandlePacket(c *packet.Captured) {
-	if c.Kind != packet.KindTCPSYN || !d.crossed(c.Dst, c.Time) {
+	if c.Kind != packet.KindTCPSYN || !d.crossed(c) {
 		return
 	}
-	evs := d.win.Events(c.Dst, c.Time)
+	evs := d.win.Events(c.DstH, c.Nanos())
 	// A legitimate burst completes handshakes; a flood leaves them
 	// half-open.
-	if d.hs.Completions(c.Dst, c.Time) >= len(evs)/2 {
+	if d.hs.Completions(c.DstH, c.Nanos()) >= len(evs)/2 {
 		return
 	}
 	suspects := eventSrcs(evs)

@@ -79,14 +79,14 @@ func TestRateWindowInvariant(t *testing.T) {
 		var lastAlert time.Time
 		for i := 0; i < 300; i++ {
 			at = at.Add(time.Duration(rng.Intn(1200)) * time.Millisecond)
-			win.Observe(&packet.Captured{
+			win.Observe(obs(&packet.Captured{
 				Kind: packet.KindICMPEchoReply, Time: at, RSSI: -60, Src: "s", Dst: "victim",
-			})
-			if win.Len("victim", at) < 10 || !gate.Pass("victim", at, 10*time.Second) {
+			}))
+			if win.Len(hid("victim"), nanos(at)) < 10 || !gate.Pass("victim", at, 10*time.Second) {
 				continue
 			}
-			for _, e := range win.Events("victim", at) {
-				if at.Sub(e.At) > 5*time.Second {
+			for _, e := range win.Events(hid("victim"), nanos(at)) {
+				if nanos(at)-e.At > int64(5*time.Second) {
 					return false // stale event survived pruning
 				}
 			}
@@ -101,3 +101,13 @@ func TestRateWindowInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// obs is a capture as a flow table hands it to a tracker: with its
+// identity handles and its capture nanoseconds.
+func obs(c *packet.Captured) (*packet.Captured, int64) { return c.Identify(), c.Nanos() }
+
+// hid is the identity handle of a test NodeID.
+func hid(id packet.NodeID) packet.Handle { return packet.HandleOf(id) }
+
+// nanos is a test time as capture nanoseconds.
+func nanos(t time.Time) int64 { return t.UnixNano() }

@@ -101,14 +101,14 @@ func (d *ReplicationStatic) Required(kb *knowledge.Base) bool {
 
 // HandlePacket implements module.Module.
 func (d *ReplicationStatic) HandlePacket(c *packet.Captured) {
-	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
+	if c.Medium != packet.MediumIEEE802154 || c.TransmitterH == 0 {
 		return
 	}
-	s := d.motion.Snapshot(c.Transmitter)
+	s := d.motion.Snapshot(c.TransmitterH)
 	// Alert only on fresh evidence: the current packet must itself be
 	// a jump, so stale window contents cannot re-trigger after the
 	// attack stops.
-	if s.Jumps < d.minEvents || !s.LastJump.Equal(c.Time) {
+	if s.Jumps < d.minEvents || s.LastJump != c.Nanos() {
 		return
 	}
 	// Baseline health: under network-wide motion the RSSI baseline is
@@ -154,13 +154,13 @@ func (d *ReplicationMobile) Required(kb *knowledge.Base) bool {
 
 // HandlePacket implements module.Module.
 func (d *ReplicationMobile) HandlePacket(c *packet.Captured) {
-	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
+	if c.Medium != packet.MediumIEEE802154 || c.TransmitterH == 0 {
 		return
 	}
-	s := d.motion.Snapshot(c.Transmitter)
+	s := d.motion.Snapshot(c.TransmitterH)
 	// Fresh evidence only: the triggering packet must itself be a
 	// sequence conflict.
-	if s.Flips < d.minEvents || !s.LastFlip.Equal(c.Time) {
+	if s.Flips < d.minEvents || s.LastFlip != c.Nanos() {
 		return
 	}
 	if !d.gate.Pass(string(c.Transmitter), c.Time, d.cooldown) {

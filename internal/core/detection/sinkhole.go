@@ -35,10 +35,19 @@ type Sinkhole struct {
 	learn    time.Duration
 	cooldown time.Duration
 
-	firstAt  time.Time
-	baseline map[packet.NodeID]float64
-	count    map[packet.NodeID]int
-	roots    map[packet.NodeID]bool
+	started bool
+	firstAt int64 // capture nanoseconds of the first packet
+	// advertisers holds each advertiser's baseline, found by identity
+	// handle; a learned root stays one when a flood of spoofed
+	// identities evicts it from the identity table.
+	advertisers packet.Sticky[advertiser]
+}
+
+// advertiser is one route-cost advertiser's learned state.
+type advertiser struct {
+	baseline float64
+	count    int
+	root     bool
 }
 
 var _ module.Module = (*Sinkhole)(nil)
@@ -71,46 +80,46 @@ func (d *Sinkhole) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (d *Sinkhole) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
-	d.firstAt = time.Time{}
-	d.baseline = make(map[packet.NodeID]float64)
-	d.count = make(map[packet.NodeID]int)
-	d.roots = make(map[packet.NodeID]bool)
+	d.started = false
+	d.advertisers.Reset()
 }
 
 // HandlePacket implements module.Module.
 func (d *Sinkhole) HandlePacket(c *packet.Captured) {
-	if d.firstAt.IsZero() {
-		d.firstAt = c.Time
+	now := c.Nanos()
+	if !d.started {
+		d.started, d.firstAt = true, now
 	}
 	cost, ok := advertisedCost(c)
-	if !ok {
+	if !ok || c.TransmitterH == 0 {
 		return
 	}
 	id := c.Transmitter
-	n := d.count[id]
+	a, _, _ := d.advertisers.Put(c.TransmitterH, id)
+	n := a.count
 
 	// During the learning period, root-band advertisers are accepted
 	// as the legitimate collection roots.
-	learning := c.Time.Sub(d.firstAt) <= d.learn
+	learning := now-d.firstAt <= int64(d.learn)
 	if cost <= float64(d.rootBand) && learning {
-		d.roots[id] = true
+		a.root = true
 	}
-	if d.roots[id] {
+	if a.root {
 		return
 	}
 
 	inRootBand := cost <= float64(d.rootBand)
 	fellBelow := !inRootBand &&
-		n >= d.minObservations && d.baseline[id] > 0 && cost < d.baseline[id]*d.dropFactor
-	prev := d.baseline[id]
+		n >= d.minObservations && a.baseline > 0 && cost < a.baseline*d.dropFactor
+	prev := a.baseline
 
-	d.count[id] = n + 1
+	a.count = n + 1
 	if !inRootBand && !fellBelow {
 		// Update the baseline only with sane advertisements.
-		if d.baseline[id] == 0 {
-			d.baseline[id] = cost
+		if a.baseline == 0 {
+			a.baseline = cost
 		} else {
-			d.baseline[id] += 0.3 * (cost - d.baseline[id])
+			a.baseline += 0.3 * (cost - a.baseline)
 		}
 		return
 	}

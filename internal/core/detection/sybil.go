@@ -78,7 +78,7 @@ func (d *Sybil) Activate(ctx *module.Context) {
 
 // HandlePacket implements module.Module.
 func (d *Sybil) HandlePacket(c *packet.Captured) {
-	if c.Medium != packet.MediumIEEE802154 || c.Transmitter == "" {
+	if c.Medium != packet.MediumIEEE802154 || c.TransmitterH == 0 {
 		return
 	}
 	// One cooldown for the whole module (a cluster has no stable
@@ -87,7 +87,7 @@ func (d *Sybil) HandlePacket(c *packet.Captured) {
 	if d.gate.Armed(sybilSubject, c.Time) {
 		return
 	}
-	cluster := d.ids.Cluster(c.Transmitter, d.tolerance, d.minFrames, d.warmup)
+	cluster := d.ids.Cluster(c.TransmitterH, d.tolerance, d.minFrames, d.warmup)
 	if len(cluster) < d.minIdentities || !d.gate.Pass(sybilSubject, c.Time, d.cooldown) {
 		return
 	}

@@ -65,9 +65,9 @@ func (f *forwardingCore) Activate(ctx *module.Context) {
 	f.watch = hold(&f.base, ctx.Flows.Forwarding(f.cfg))
 }
 
-// relays returns the verdict input as of the capture time now.
-func (f *forwardingCore) relays(now time.Time) []flow.RelayRatio {
-	f.ratios = f.watch.Ratios(now, f.ratios)
+// relays returns the verdict input as of the capture's time.
+func (f *forwardingCore) relays(c *packet.Captured) []flow.RelayRatio {
+	f.ratios = f.watch.Ratios(c.Nanos(), f.ratios)
 	return f.ratios
 }
 
@@ -86,7 +86,7 @@ func NewSelectiveForwarding(params map[string]string) (module.Module, error) {
 
 // HandlePacket implements module.Module.
 func (d *SelectiveForwarding) HandlePacket(c *packet.Captured) {
-	for _, r := range d.relays(c.Time) {
+	for _, r := range d.relays(c) {
 		if r.Ratio >= 0.9 {
 			// Blackhole-grade: handled by the Blackhole module. The
 			// windowed ratio will pass back through the selective band
@@ -117,7 +117,7 @@ type Blackhole struct {
 	forwardingCore
 	// published is, per relay, the dropped-origin count as of the last
 	// SuspectBlackhole put: the set is rendered again only once it grew.
-	published map[packet.NodeID]int
+	published packet.Sticky[int]
 }
 
 var _ module.Module = (*Blackhole)(nil)
@@ -132,18 +132,20 @@ func NewBlackhole(params map[string]string) (module.Module, error) {
 // Activate implements module.Module.
 func (d *Blackhole) Activate(ctx *module.Context) {
 	d.forwardingCore.Activate(ctx)
-	d.published = make(map[packet.NodeID]int)
+	d.published.Reset()
 }
 
 // HandlePacket implements module.Module.
 func (d *Blackhole) HandlePacket(c *packet.Captured) {
-	for _, r := range d.relays(c.Time) {
+	for _, r := range d.relays(c) {
 		if r.Ratio < 0.9 {
 			continue
 		}
-		if d.knowledgeDriven() && d.published[r.Relay] != r.Origins {
-			d.published[r.Relay] = r.Origins
-			d.ctx.KB.PutCollective(knowledge.LabelSuspectBlackhole, string(r.Relay), originList(d.watch.DroppedOrigins(r.Relay)))
+		if d.knowledgeDriven() {
+			if published, _, _ := d.published.Put(r.H, r.Relay); *published != r.Origins {
+				*published = r.Origins
+				d.ctx.KB.PutCollective(knowledge.LabelSuspectBlackhole, string(r.Relay), originList(d.watch.DroppedOrigins(r.H)))
+			}
 		}
 		if !d.gate.Pass(string(r.Relay), c.Time, d.cooldown) {
 			continue

@@ -32,16 +32,12 @@ type Wormhole struct {
 	minEmergent int
 	cooldown    time.Duration
 
-	// received maps relay → origins overheard being handed *to* it.
-	received map[packet.NodeID]map[uint16]bool
-	// emitted maps transmitter → origins it forwarded, with counts.
-	emitted map[packet.NodeID]map[uint16]int
-	// lastEmergent is when each emergent source last showed fresh
-	// activity; pairs re-alert only on fresh evidence (or on the first
-	// correlation, which may be entirely knowledge-driven on the
-	// blackhole-side Kalis node).
-	lastEmergent map[packet.NodeID]time.Time
-	alerted      map[string]bool
+	// received holds, per relay, the origins overheard being handed
+	// *to* it; emitted, per transmitter, the origins it forwarded
+	// without having received them. Both are found by identity handle.
+	received packet.ByHandle[map[uint16]bool]
+	emitted  packet.ByHandle[emission]
+	alerted  map[string]bool
 
 	// sinks and sources mirror the SuspectBlackhole / EmergentSource
 	// knowggets (local and collective), maintained incrementally from
@@ -50,6 +46,19 @@ type Wormhole struct {
 	sinks   map[packet.NodeID]map[string]bool
 	sources map[packet.NodeID]map[string]bool
 	dirty   bool
+}
+
+// emission is a transmitter's unexplained forwarding.
+type emission struct {
+	id      packet.NodeID
+	origins map[uint16]int
+	total   int
+	// last is when the transmitter last showed fresh emergent activity
+	// (capture nanoseconds; emergent set once it has); pairs re-alert
+	// only on fresh evidence (or on the first correlation, which may be
+	// entirely knowledge-driven on the blackhole-side Kalis node).
+	last     int64
+	emergent bool
 }
 
 var (
@@ -88,9 +97,8 @@ func (d *Wormhole) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (d *Wormhole) Activate(ctx *module.Context) {
 	d.base.Activate(ctx)
-	d.received = make(map[packet.NodeID]map[uint16]bool)
-	d.emitted = make(map[packet.NodeID]map[uint16]int)
-	d.lastEmergent = make(map[packet.NodeID]time.Time)
+	d.received.Reset()
+	d.emitted.Reset()
 	d.alerted = make(map[string]bool)
 	d.sinks = make(map[packet.NodeID]map[string]bool)
 	d.sources = make(map[packet.NodeID]map[string]bool)
@@ -124,30 +132,33 @@ func (d *Wormhole) HandlePacket(c *packet.Captured) {
 	}
 	// Record hand-offs: the link destination has now "received" the
 	// origin's traffic.
-	if c.Dst != packet.Broadcast && c.Dst != "" {
-		if d.received[c.Dst] == nil {
-			d.received[c.Dst] = make(map[uint16]bool)
+	if c.DstH != 0 && c.Dst != packet.Broadcast {
+		got, _ := d.received.Put(c.DstH)
+		if *got == nil {
+			*got = make(map[uint16]bool)
 		}
-		d.received[c.Dst][data.Origin] = true
+		(*got)[data.Origin] = true
 	}
 	// A transmitter forwarding traffic (THL > 0) whose origin it was
 	// never handed locally is an emergent source. A node retransmitting
 	// its *own* origin is a different anomaly (replication/looping),
 	// not tunnelled third-party traffic — it is exempt here.
-	tx := c.Transmitter
-	if data.THL > 0 && tx != "" && tx != c.Src && !d.received[tx][data.Origin] {
-		if d.emitted[tx] == nil {
-			d.emitted[tx] = make(map[uint16]int)
+	tx := c.TransmitterH
+	if data.THL > 0 && tx != 0 && tx != c.SrcH && !d.handedTo(tx, data.Origin) {
+		e, fresh := d.emitted.Put(tx)
+		if fresh {
+			e.id, e.origins = c.Transmitter, make(map[uint16]int)
 		}
-		d.emitted[tx][data.Origin]++
-		if d.total(tx) >= d.minEmergent {
-			d.lastEmergent[tx] = c.Time
+		e.origins[data.Origin]++
+		e.total++
+		if e.total >= d.minEmergent {
+			e.last, e.emergent = c.Nanos(), true
 			d.dirty = true
-			if d.knowledgeDriven() && d.total(tx) == d.minEmergent {
+			if d.knowledgeDriven() && e.total == d.minEmergent {
 				// Mirrored here as well as published: the knowgget comes
 				// back through the manager at the next packet boundary,
 				// and this frame's pairing pass should already see it.
-				kg := knowledge.Knowgget{Label: knowledge.LabelEmergentSource, Entity: packet.CleanID(tx), Value: d.originsOf(tx)}
+				kg := knowledge.Knowgget{Label: knowledge.LabelEmergentSource, Entity: packet.CleanID(c.Transmitter), Value: originsOf(e)}
 				d.HandleKnowledge(kg)
 				d.ctx.KB.PutCollective(kg.Label, kg.Entity, kg.Value)
 			}
@@ -166,18 +177,28 @@ func (d *Wormhole) maybeCorrelate(now time.Time) {
 	d.correlate(now)
 }
 
-func (d *Wormhole) total(tx packet.NodeID) int {
-	sum := 0
-	for _, n := range d.emitted[tx] {
-		sum += n
-	}
-	return sum
+// handedTo reports whether the relay was overheard being handed a
+// frame of the origin.
+func (d *Wormhole) handedTo(relay packet.Handle, origin uint16) bool {
+	got := d.received.Get(relay)
+	return got != nil && (*got)[origin]
+}
+
+// lastEmergent is when the named emergent source last showed fresh
+// activity here.
+func (d *Wormhole) lastEmergent(id packet.NodeID) (last int64, ok bool) {
+	d.emitted.Range(func(_ packet.Handle, _ bool, e *emission) {
+		if e.emergent && e.id == id {
+			last, ok = e.last, true
+		}
+	})
+	return last, ok
 }
 
 //lint:coldpath runs once per emergent-source promotion (and on dirty-gated re-publication), not per packet
-func (d *Wormhole) originsOf(tx packet.NodeID) string {
+func originsOf(e *emission) string {
 	var ids []int
-	for o := range d.emitted[tx] {
+	for o := range e.origins {
 		ids = append(ids, int(o))
 	}
 	sort.Ints(ids)
@@ -207,8 +228,8 @@ func (d *Wormhole) correlate(now time.Time) {
 			if d.alerted[pair] {
 				// Re-alert only on fresh local emergent activity (the
 				// far-side Kalis node has none and reports once).
-				last, ok := d.lastEmergent[eID]
-				if !ok || now.Sub(last) > d.cooldown/2 {
+				last, ok := d.lastEmergent(eID)
+				if !ok || now.UnixNano()-last > int64(d.cooldown/2) {
 					continue
 				}
 			}

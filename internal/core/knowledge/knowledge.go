@@ -247,6 +247,32 @@ func (b *Base) PutCollective(label, entity, value string) bool {
 	return b.store(Knowgget{Label: label, Value: value, Creator: b.local, Entity: entity, Collective: true})
 }
 
+// Entry is one local knowgget's place in the Knowledge Base with its
+// storage key built once: a module that publishes the same label and
+// entity over and over (a rate per kind and device, a signal strength
+// per transmitter) holds the entry and puts values through PutEntry,
+// which stores, journals, versions and notifies exactly as Put,
+// PutEntity and PutCollective do.
+type Entry struct {
+	key string
+	k   Knowgget
+}
+
+// Entry returns the entry of the local knowgget (label, entity); with
+// collective set, puts through it are PutCollective puts.
+func (b *Base) Entry(label, entity string, collective bool) Entry {
+	k := Knowgget{Label: label, Creator: b.local, Entity: entity, Collective: collective}
+	return Entry{key: k.Key(), k: k}
+}
+
+// PutEntry stores value under the entry. It returns true if the stored
+// value changed.
+func (b *Base) PutEntry(e *Entry, value string) bool {
+	k := e.k
+	k.Value = value
+	return b.storeKeyed(e.key, k, putEvidence)
+}
+
 // PutBool and PutInt are typed conveniences over Put.
 func (b *Base) PutBool(label string, v bool) bool { return b.Put(label, strconv.FormatBool(v)) }
 
@@ -372,8 +398,10 @@ const (
 
 func (b *Base) store(k Knowgget) bool { return b.storeWith(k, putEvidence) }
 
-func (b *Base) storeWith(k Knowgget, mode putMode) bool {
-	key := k.Key()
+func (b *Base) storeWith(k Knowgget, mode putMode) bool { return b.storeKeyed(k.Key(), k, mode) }
+
+// storeKeyed stores k under key, which must be k.Key().
+func (b *Base) storeKeyed(key string, k Knowgget, mode putMode) bool {
 	b.mu.Lock()
 	old, existed := b.entries[key]
 	switch mode {

@@ -57,8 +57,10 @@ type Mobility struct {
 	// collective marks SignalStrength knowggets for peer sharing.
 	collective bool
 
-	signals  map[packet.NodeID]signal
-	lastMove time.Time
+	// signals are found by the transmitter's identity handle.
+	signals  packet.ByHandle[signal]
+	moved    bool  // a movement was ever observed
+	lastMove int64 // capture nanoseconds of the last one
 	declared bool
 	mobile   bool
 
@@ -73,6 +75,8 @@ type signal struct {
 	ewma      float64 // smoothed RSSI, updated on every frame
 	samples   int
 	published float64 // the EWMA as last written to the Knowledge Base
+	// entry is the transmitter's SignalStrength knowgget, keyed once.
+	entry knowledge.Entry
 }
 
 // remoteSignal is the last peer-reported signal strength for an entity.
@@ -119,8 +123,8 @@ func (m *Mobility) Required(kb *knowledge.Base) bool {
 // Activate implements module.Module.
 func (m *Mobility) Activate(ctx *module.Context) {
 	m.ctx = ctx
-	m.signals = make(map[packet.NodeID]signal)
-	m.lastMove = time.Time{}
+	m.signals.Reset()
+	m.moved, m.lastMove = false, 0
 	m.declared = false
 	m.mobile = false
 	m.remote = make(map[packet.NodeID]remoteSignal)
@@ -158,16 +162,16 @@ func (m *Mobility) Deactivate() { m.ctx = nil }
 
 // HandlePacket implements module.Module.
 func (m *Mobility) HandlePacket(c *packet.Captured) {
-	if c.Transmitter == "" || c.RSSI == 0 {
+	if c.TransmitterH == 0 || c.RSSI == 0 {
 		return
 	}
-	id := c.Transmitter
 	kb := m.ctx.KB
 
-	sig, seen := m.signals[id]
-	if !seen {
-		m.signals[id] = signal{ewma: c.RSSI, samples: 1, published: c.RSSI}
-		m.putSignal(id, c.RSSI)
+	sig, fresh := m.signals.Put(c.TransmitterH)
+	if fresh {
+		*sig = signal{ewma: c.RSSI, samples: 1, published: c.RSSI,
+			entry: kb.Entry(knowledge.LabelSignalStrength, string(c.Transmitter), m.collective)}
+		m.putSignal(sig, c.RSSI)
 		return
 	}
 	dev := math.Abs(c.RSSI - sig.ewma)
@@ -175,7 +179,7 @@ func (m *Mobility) HandlePacket(c *packet.Captured) {
 	sig.ewma += m.alpha * (c.RSSI - sig.ewma)
 	if math.Abs(sig.ewma-sig.published) >= m.threshold/4 {
 		sig.published = sig.ewma
-		m.putSignal(id, sig.ewma)
+		m.putSignal(sig, sig.ewma)
 	}
 
 	moved := dev > m.threshold
@@ -183,13 +187,14 @@ func (m *Mobility) HandlePacket(c *packet.Captured) {
 		// Cross-node corroboration (§IV-B3): a local sub-threshold
 		// deviation plus a peer-observed change for the same entity is
 		// strong evidence of genuine movement rather than shadowing.
-		if r, ok := m.remote[id]; ok && r.changed {
+		if r, ok := m.remote[c.Transmitter]; ok && r.changed {
 			moved = true
-			m.remote[id] = remoteSignal{value: r.value}
+			m.remote[c.Transmitter] = remoteSignal{value: r.value}
 		}
 	}
+	now := c.Nanos()
 	if sig.samples >= m.minSamples && moved {
-		m.lastMove = c.Time
+		m.moved, m.lastMove = true, now
 		if !m.declared || !m.mobile {
 			m.declared = true
 			m.mobile = true
@@ -199,15 +204,13 @@ func (m *Mobility) HandlePacket(c *packet.Captured) {
 		// reaches the Knowledge Base with the next frame, like any other
 		// change of a quantum or more.
 		sig.ewma = c.RSSI
-		m.signals[id] = sig
 		return
 	}
-	m.signals[id] = sig
 	// Declare static once signal strengths have been quiet long enough
 	// (or immediately if no movement was ever observed and we have
 	// sufficient history).
-	quietLongEnough := !m.lastMove.IsZero() && c.Time.Sub(m.lastMove) > m.quiet
-	neverMoved := m.lastMove.IsZero() && sig.samples >= m.minSamples*2
+	quietLongEnough := m.moved && now-m.lastMove > int64(m.quiet)
+	neverMoved := !m.moved && sig.samples >= m.minSamples*2
 	if quietLongEnough && (!m.declared || m.mobile) {
 		m.declared = true
 		m.mobile = false
@@ -222,11 +225,8 @@ func (m *Mobility) HandlePacket(c *packet.Captured) {
 	}
 }
 
-func (m *Mobility) putSignal(id packet.NodeID, v float64) {
-	val := strconv.FormatFloat(v, 'f', 1, 64)
-	if m.collective {
-		m.ctx.KB.PutCollective(knowledge.LabelSignalStrength, string(id), val)
-	} else {
-		m.ctx.KB.PutEntity(knowledge.LabelSignalStrength, string(id), val)
-	}
+// putSignal publishes the transmitter's signal strength (shared with
+// peers when collective).
+func (m *Mobility) putSignal(sig *signal, v float64) {
+	m.ctx.KB.PutEntry(&sig.entry, strconv.FormatFloat(v, 'f', 1, 64))
 }

@@ -373,3 +373,78 @@ func TestSensingParamErrors(t *testing.T) {
 		t.Error("bad collective accepted")
 	}
 }
+
+// trafficFrames is a window's worth of WiFi traffic from one source to
+// dsts destinations, echo requests and replies, starting at start.
+func trafficFrames(t *testing.T, start time.Time, dsts int) []*packet.Captured {
+	t.Helper()
+	src := netip.MustParseAddr("192.168.1.2")
+	var out []*packet.Captured
+	for d := 0; d < dsts; d++ {
+		dst := netip.AddrFrom4([4]byte{192, 168, 2, byte(d)})
+		for k := 0; k <= d%3; k++ {
+			typ := uint8(icmp.TypeEchoRequest)
+			if k == 1 {
+				typ = icmp.TypeEchoReply
+			}
+			at := start.Add(time.Duration(len(out)) * time.Millisecond)
+			out = append(out, mkCap(t, packet.MediumWiFi, stack.BuildICMPEcho(src, dst, typ, 1, uint16(k), 64), at, -60))
+		}
+	}
+	return out
+}
+
+// TestTrafficStatsRollAllocatesNothing: a window roll that re-publishes
+// counts already seen for destinations already seen keys nothing and
+// renders nothing — the storage keys are held per (label, entity) and a
+// rate is rendered once per distinct count.
+func TestTrafficStatsRollAllocatesNothing(t *testing.T) {
+	kb := knowledge.NewBase("K1")
+	mod, _ := NewTrafficStats(map[string]string{"interval": "5s"})
+	ts := mod.(*TrafficStats)
+	ts.Activate(newCtx(kb))
+	window := trafficFrames(t, t0, 40)
+	frames := make([][]*packet.Captured, 8)
+	for w := range frames {
+		frames[w] = make([]*packet.Captured, len(window))
+		for i, c := range window {
+			cp := *c
+			cp.Time = c.Time.Add(time.Duration(w) * 5 * time.Second)
+			frames[w][i] = &cp
+		}
+	}
+	for _, c := range frames[0] { // the first window keys and renders
+		ts.HandlePacket(c)
+	}
+	w := 1
+	allocs := testing.AllocsPerRun(len(frames)-2, func() {
+		for _, c := range frames[w] {
+			ts.HandlePacket(c)
+		}
+		w++
+	})
+	if allocs != 0 {
+		t.Errorf("a window of known counts for known destinations allocates %v, want 0", allocs)
+	}
+	if v, ok := kb.EntityValue(knowledge.LabelTrafficFrequency+".ICMPEchoReply", "192.168.2.1"); !ok || v != "0.200" {
+		t.Errorf("TrafficFrequency.ICMPEchoReply@192.168.2.1 = %q, %v; want 0.200", v, ok)
+	}
+}
+
+// TestTrafficStatsSilenceJump: after a long silence the window restarts
+// on the grid Captured.Time.Truncate lays out — relative to year 1, so a
+// 7 s grid is not the Unix epoch's.
+func TestTrafficStatsSilenceJump(t *testing.T) {
+	kb := knowledge.NewBase("K1")
+	mod, _ := NewTrafficStats(map[string]string{"interval": "7s"})
+	ts := mod.(*TrafficStats)
+	ts.Activate(newCtx(kb))
+	src, dst := netip.MustParseAddr("192.168.1.2"), netip.MustParseAddr("192.168.1.3")
+	raw := stack.BuildICMPEcho(src, dst, icmp.TypeEchoRequest, 1, 1, 64)
+	ts.HandlePacket(mkCap(t, packet.MediumWiFi, raw, t0, -60))
+	late := mkCap(t, packet.MediumWiFi, raw, t0.Add(1000*time.Second+123*time.Millisecond), -60)
+	ts.HandlePacket(late)
+	if want := late.Time.Truncate(7 * time.Second).UnixNano(); ts.windowStart != want {
+		t.Errorf("window after the silence starts at %d, want %d (Time.Truncate)", ts.windowStart, want)
+	}
+}

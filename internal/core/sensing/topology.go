@@ -39,9 +39,14 @@ type Topology struct {
 	multihop bool
 	declared bool
 	secured  bool
-	nodes    map[packet.NodeID]bool
-	edges    map[packet.NodeID]map[packet.NodeID]bool
-	mediums  map[packet.Medium]bool
+	// nodes holds the monitored entities, found by identity handle.
+	nodes packet.ByHandle[struct{}]
+	// edges holds the observed edges as from<<32 | to handle pairs;
+	// sweepAt is the size at which edges of evicted identities are
+	// dropped (see observeEdge).
+	edges   map[uint64]struct{}
+	sweepAt int
+	mediums [256]bool
 }
 
 var _ module.Module = (*Topology)(nil)
@@ -75,10 +80,15 @@ func (t *Topology) Activate(ctx *module.Context) {
 	t.multihop = false
 	t.declared = false
 	t.secured = false
-	t.nodes = make(map[packet.NodeID]bool)
-	t.edges = make(map[packet.NodeID]map[packet.NodeID]bool)
-	t.mediums = make(map[packet.Medium]bool)
+	t.nodes.Reset()
+	t.edges = make(map[uint64]struct{})
+	t.sweepAt = minEdgeSweep
+	t.mediums = [256]bool{}
 }
+
+// minEdgeSweep is the edge count below which evicted identities' edges
+// are never swept.
+const minEdgeSweep = 1024
 
 // Deactivate implements module.Module.
 func (t *Topology) Deactivate() { t.ctx = nil }
@@ -93,10 +103,10 @@ func (t *Topology) HandlePacket(c *packet.Captured) {
 		//lint:ignore hotalloc first-seen gated: runs once per newly observed medium, a handful over a deployment
 		kb.Put(knowledge.LabelMediums+"."+c.Medium.String(), "true")
 	}
-	t.observeNode(c.Transmitter)
-	t.observeNode(c.Src)
-	t.observeNode(c.Dst)
-	t.observeEdge(c.Transmitter, c.Dst)
+	t.observeNode(c.TransmitterH, c.Transmitter)
+	t.observeNode(c.SrcH, c.Src)
+	t.observeNode(c.DstH, c.Dst)
+	t.observeEdge(c)
 
 	if evidence, ok := t.multihopEvidence(c); ok && !t.multihop {
 		t.multihop = true
@@ -120,28 +130,42 @@ func (t *Topology) HandlePacket(c *packet.Captured) {
 	}
 }
 
-func (t *Topology) observeNode(id packet.NodeID) {
-	if id == "" || id == packet.Broadcast || t.nodes[id] {
+func (t *Topology) observeNode(h packet.Handle, id packet.NodeID) {
+	if h == 0 || id == packet.Broadcast {
 		return
 	}
-	t.nodes[id] = true
+	if _, fresh := t.nodes.Put(h); !fresh {
+		return
+	}
 	// High-water mark: per-shard instances each see a traffic
 	// partition, so last-writer-wins would undercount on whichever
-	// shard wrote last.
-	t.ctx.KB.PutIntMax(knowledge.LabelMonitoredNodes, len(t.nodes))
+	// shard wrote last. A fresh slot that held an evicted identity
+	// leaves the count as it was.
+	t.ctx.KB.PutIntMax(knowledge.LabelMonitoredNodes, t.nodes.Len())
 }
 
-func (t *Topology) observeEdge(from, to packet.NodeID) {
-	if from == "" || to == "" || to == packet.Broadcast || from == to {
+// observeEdge records the transmitter → destination edge. The edge set
+// is bounded like the identity table: once it has doubled since the
+// last sweep, edges with an evicted end are dropped.
+func (t *Topology) observeEdge(c *packet.Captured) {
+	from, to := c.TransmitterH, c.DstH
+	if from == 0 || to == 0 || from == to || c.Dst == packet.Broadcast {
 		return
 	}
-	if t.edges[from] == nil {
-		t.edges[from] = make(map[packet.NodeID]bool)
+	key := uint64(from)<<32 | uint64(to)
+	if _, seen := t.edges[key]; seen {
+		return
 	}
-	if !t.edges[from][to] {
-		t.edges[from][to] = true
-		//lint:ignore hotalloc first-seen gated: runs once per newly observed edge; the edge set is topology-bounded, not packet-bounded
-		t.ctx.KB.PutEntity("Edge", string(from)+">"+string(to), "true")
+	t.edges[key] = struct{}{}
+	//lint:ignore hotalloc first-seen gated: runs once per newly observed edge; the edge set is topology-bounded, not packet-bounded
+	t.ctx.KB.PutEntity("Edge", packet.CleanID(c.Transmitter)+">"+packet.CleanID(c.Dst), "true")
+	if len(t.edges) >= t.sweepAt {
+		for e := range t.edges {
+			if !packet.Live(packet.Handle(e>>32)) || !packet.Live(packet.Handle(e)) {
+				delete(t.edges, e)
+			}
+		}
+		t.sweepAt = max(minEdgeSweep, 2*len(t.edges))
 	}
 }
 
@@ -149,7 +173,7 @@ func (t *Topology) observeEdge(from, to packet.NodeID) {
 func (t *Topology) multihopEvidence(c *packet.Captured) (string, bool) {
 	// Direct evidence: the frame's end-to-end source differs from the
 	// per-hop transmitter — someone is forwarding.
-	if c.Src != "" && c.Transmitter != "" && c.Src != c.Transmitter {
+	if c.SrcH != 0 && c.TransmitterH != 0 && c.SrcH != c.TransmitterH {
 		return "forwarding (src != transmitter)", true
 	}
 	for _, l := range c.Layers {

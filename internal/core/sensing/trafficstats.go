@@ -1,6 +1,8 @@
 package sensing
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 	"time"
 
@@ -25,19 +27,63 @@ const TrafficStatsName = "TrafficStatsModule"
 // and "TrafficFrequency.TCPSYN@<entity>" for the rate of traffic
 // destined to each device. Time comes from packet timestamps, so the
 // module works identically on live capture and trace replay.
+//
+// The counters are dense: a per-kind array for the network and, per
+// destination, a per-kind array found by the destination's identity
+// handle. Each window roll publishes in a fixed order — every
+// network-wide rate in kind order, then, kind by kind, each
+// destination's in NodeID order — through pre-keyed knowledge.Entry
+// values, and a rate is rendered once per distinct count, so a roll
+// that re-publishes known counts for known destinations allocates
+// nothing.
 type TrafficStats struct {
 	ctx      *module.Context
 	interval time.Duration
 
-	windowStart time.Time
-	global      map[packet.Kind]int
-	perDst      map[packet.Kind]map[packet.NodeID]int
-	// prevGlobal/prevDst remember what was published last window so a
-	// kind that goes quiet is explicitly published as rate 0 — stale
-	// high rates must not linger in the Knowledge Base.
-	prevGlobal map[packet.Kind]bool
-	prevDst    map[packet.Kind]map[packet.NodeID]bool
+	started     bool
+	windowStart int64 // capture nanoseconds
+	kinds       [packet.NumKinds]kindCount
+	dsts        packet.ByHandle[dstCounts]
+	// listed holds, per kind and sorted by NodeID, the destinations with
+	// traffic of that kind this window or a rate published last window
+	// (which a quiet window publishes as 0).
+	listed [packet.NumKinds][]listedDst
+	// rates[n] is the rendered rate of a count of n, "" until needed.
+	rates []string
 }
+
+// kindCount is the network-wide counter of one kind.
+type kindCount struct {
+	n int
+	// published is set while the kind's last published rate is non-zero.
+	published bool
+	keyed     bool
+	entry     knowledge.Entry
+}
+
+// dstCounts are one destination's counters.
+type dstCounts struct {
+	id packet.NodeID
+	n  [packet.NumKinds]int
+	// listed has bit k set while the destination is on listed[k];
+	// published while its last rate for kind k is non-zero.
+	listed, published uint32
+	entries           []kindEntry
+}
+
+type kindEntry struct {
+	kind  packet.Kind
+	entry knowledge.Entry
+}
+
+type listedDst struct {
+	h  packet.Handle
+	id packet.NodeID
+}
+
+// maxCachedRate bounds the rendered-rate cache; larger counts are
+// rendered per put.
+const maxCachedRate = 1 << 16
 
 var _ module.Module = (*TrafficStats)(nil)
 
@@ -64,82 +110,130 @@ func (t *TrafficStats) Required(*knowledge.Base) bool { return true }
 // Activate implements module.Module.
 func (t *TrafficStats) Activate(ctx *module.Context) {
 	t.ctx = ctx
-	t.windowStart = time.Time{}
-	t.reset()
+	t.started = false
+	t.kinds = [packet.NumKinds]kindCount{}
+	t.dsts.Reset()
+	for k := range t.listed {
+		t.listed[k] = t.listed[k][:0]
+	}
 }
 
 // Deactivate implements module.Module.
 func (t *TrafficStats) Deactivate() { t.ctx = nil }
 
-func (t *TrafficStats) reset() {
-	t.global = make(map[packet.Kind]int)
-	t.perDst = make(map[packet.Kind]map[packet.NodeID]int)
-}
-
 // HandlePacket implements module.Module.
 func (t *TrafficStats) HandlePacket(c *packet.Captured) {
-	if t.windowStart.IsZero() {
-		t.windowStart = c.Time
+	now := c.Nanos()
+	if !t.started {
+		t.started, t.windowStart = true, now
 	}
 	// Close out full windows (handles idle gaps spanning several
 	// intervals by publishing only the window that had traffic; rates
 	// decay naturally as new windows publish lower counts).
-	for c.Time.Sub(t.windowStart) >= t.interval {
+	interval := int64(t.interval)
+	for now-t.windowStart >= interval {
 		t.publish()
-		t.reset()
-		t.windowStart = t.windowStart.Add(t.interval)
-		if c.Time.Sub(t.windowStart) >= 10*t.interval {
+		t.windowStart += interval
+		if now-t.windowStart >= 10*interval {
 			// Long silence: jump to the current window.
-			t.windowStart = c.Time.Truncate(t.interval)
+			t.windowStart = packet.TruncateNanos(now, t.interval)
 		}
 	}
-	t.global[c.Kind]++
-	m := t.perDst[c.Kind]
-	if m == nil {
-		m = make(map[packet.NodeID]int)
-		t.perDst[c.Kind] = m
+	if int(c.Kind) >= packet.NumKinds {
+		return
 	}
-	if c.Dst != "" {
-		m[c.Dst]++
+	t.kinds[c.Kind].n++
+	if c.DstH == 0 {
+		return
+	}
+	d, fresh := t.dsts.Put(c.DstH)
+	if fresh {
+		d.id = c.Dst
+	}
+	d.n[c.Kind]++
+	if bit := uint32(1) << c.Kind; d.listed&bit == 0 {
+		d.listed |= bit
+		t.list(c.Kind, listedDst{h: c.DstH, id: d.id})
 	}
 }
 
-//lint:coldpath publish runs once per stats interval tick; the per-kind key concatenations are off the per-packet budget
+// list inserts a destination into the kind's sorted list.
+func (t *TrafficStats) list(k packet.Kind, e listedDst) {
+	l := t.listed[k]
+	i, _ := slices.BinarySearchFunc(l, e.id, func(x listedDst, id packet.NodeID) int { return cmp.Compare(x.id, id) })
+	t.listed[k] = slices.Insert(l, i, e)
+}
+
+// publish puts the window's rates — first every network-wide rate in
+// kind order, then, kind by kind, each destination's in NodeID order; a
+// kind or destination that published a rate last window and had no
+// traffic in this one gets rate 0 — and zeroes the counters.
+//
+//lint:coldpath publish runs once per stats interval tick; entries are keyed and rates rendered once, so a steady roll allocates nothing
 func (t *TrafficStats) publish() {
 	kb := t.ctx.KB
-	secs := t.interval.Seconds()
-	for kind, n := range t.global {
-		kb.Put(knowledge.LabelTrafficFrequency+"."+kind.String(), formatRate(float64(n)/secs))
-	}
-	for kind := range t.prevGlobal {
-		if _, ok := t.global[kind]; !ok {
-			kb.Put(knowledge.LabelTrafficFrequency+"."+kind.String(), formatRate(0))
-		}
-	}
-	for kind, m := range t.perDst {
-		for dst, n := range m {
-			kb.PutEntity(knowledge.LabelTrafficFrequency+"."+kind.String(), string(dst), formatRate(float64(n)/secs))
-		}
-	}
-	for kind, prev := range t.prevDst {
-		for dst := range prev {
-			if t.perDst[kind] == nil || t.perDst[kind][dst] == 0 {
-				kb.PutEntity(knowledge.LabelTrafficFrequency+"."+kind.String(), string(dst), formatRate(0))
+	for k := range t.kinds {
+		kc := &t.kinds[k]
+		if kc.n > 0 || kc.published {
+			if !kc.keyed {
+				kc.entry, kc.keyed = kb.Entry(knowledge.LabelTrafficFrequency+"."+packet.Kind(k).String(), "", false), true
 			}
+			kb.PutEntry(&kc.entry, t.rate(kc.n))
+			kc.published, kc.n = kc.n > 0, 0
 		}
 	}
-	t.prevGlobal = make(map[packet.Kind]bool, len(t.global))
-	for kind := range t.global {
-		t.prevGlobal[kind] = true
-	}
-	t.prevDst = make(map[packet.Kind]map[packet.NodeID]bool, len(t.perDst))
-	for kind, m := range t.perDst {
-		set := make(map[packet.NodeID]bool, len(m))
-		for dst := range m {
-			set[dst] = true
+	for k := range t.listed {
+		kept := 0
+		for _, e := range t.listed[k] {
+			d := t.dsts.Get(e.h)
+			if d == nil {
+				continue // the identity was evicted
+			}
+			n, bit := d.n[k], uint32(1)<<k
+			if n > 0 || d.published&bit != 0 {
+				kb.PutEntry(t.entryOf(d, packet.Kind(k)), t.rate(n))
+			}
+			d.n[k] = 0
+			if n == 0 {
+				d.published &^= bit
+				d.listed &^= bit
+				continue
+			}
+			d.published |= bit
+			t.listed[k][kept] = e
+			kept++
 		}
-		t.prevDst[kind] = set
+		clear(t.listed[k][kept:])
+		t.listed[k] = t.listed[k][:kept]
 	}
+}
+
+// entryOf returns the destination's entry for the kind, keying it on
+// first use.
+func (t *TrafficStats) entryOf(d *dstCounts, k packet.Kind) *knowledge.Entry {
+	for i := range d.entries {
+		if d.entries[i].kind == k {
+			return &d.entries[i].entry
+		}
+	}
+	label := knowledge.LabelTrafficFrequency + "." + k.String()
+	d.entries = append(d.entries, kindEntry{kind: k, entry: t.ctx.KB.Entry(label, string(d.id), false)})
+	return &d.entries[len(d.entries)-1].entry
+}
+
+// rate renders the rate of n packets in one interval.
+func (t *TrafficStats) rate(n int) string {
+	if n < len(t.rates) && t.rates[n] != "" {
+		return t.rates[n]
+	}
+	r := formatRate(float64(n) / t.interval.Seconds())
+	if n < maxCachedRate {
+		if n >= len(t.rates) {
+			t.rates = slices.Grow(t.rates, n+1-len(t.rates))[:n+1]
+		}
+		t.rates[n] = r
+	}
+	return r
 }
 
 func formatRate(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }

@@ -22,14 +22,14 @@ func BenchmarkFlowTable(b *testing.B) {
 			})
 			caps := make([]*packet.Captured, size)
 			for i := range caps {
-				caps[i] = &packet.Captured{
+				caps[i] = (&packet.Captured{
 					Time:   t0,
 					Medium: packet.MediumIEEE802154,
 					Kind:   packet.KindCTPData,
 					Src:    packet.NodeID(fmt.Sprintf("n%d", i)),
 					Dst:    "sink",
 					RSSI:   -60,
-				}
+				}).Identify()
 			}
 			// Populate: every key exists before the timer starts.
 			for _, c := range caps {

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,6 +25,15 @@ import (
 // for direct-construction unit tests. All pruning runs on capture
 // timestamps (simclock discipline).
 
+// The endpoint trackers, and the forwarding watch beside them.
+var (
+	_ Tracker = (*VictimWindow)(nil)
+	_ Tracker = (*TCPHandshakes)(nil)
+	_ Tracker = (*IdentityStats)(nil)
+	_ Tracker = (*IdentityMotion)(nil)
+	_ Tracker = (*ForwardingWatch)(nil)
+)
+
 // KindMask is a bitmask over packet.Kind values (the kind space is
 // small and stable; see packet.Kind).
 type KindMask uint64
@@ -42,7 +52,8 @@ func (m KindMask) Has(k packet.Kind) bool { return m&(1<<uint(k)) != 0 }
 
 // Event is one observation in a victim window.
 type Event struct {
-	At   time.Time
+	// At is the capture time in nanoseconds (Captured.Nanos).
+	At   int64
 	RSSI float64
 	Src  packet.NodeID
 }
@@ -60,10 +71,10 @@ type victimKey struct {
 // amortized O(1) on insert and O(log n) per threshold probe.
 type VictimWindow struct {
 	mask   KindMask
-	window time.Duration
+	window int64
 
 	mu    sync.Mutex
-	byDst map[packet.NodeID][]Event
+	byDst packet.ByHandle[[]Event]
 
 	handle
 }
@@ -71,7 +82,7 @@ type VictimWindow struct {
 // NewVictimWindow creates a standalone victim window (not attached to a
 // table); the owner calls Observe itself.
 func NewVictimWindow(mask KindMask, window time.Duration) *VictimWindow {
-	return &VictimWindow{mask: mask, window: window, byDst: make(map[packet.NodeID][]Event)}
+	return &VictimWindow{mask: mask, window: int64(window)}
 }
 
 // VictimWindow acquires the table's shared victim window for the given
@@ -83,12 +94,12 @@ func (t *Table) VictimWindow(mask KindMask, window time.Duration) *VictimWindow 
 }
 
 // Observe implements Tracker.
-func (w *VictimWindow) Observe(c *packet.Captured) {
-	if !w.mask.Has(c.Kind) {
+func (w *VictimWindow) Observe(c *packet.Captured, now int64) {
+	if !w.mask.Has(c.Kind) || c.DstH == 0 {
 		return
 	}
 	w.mu.Lock()
-	evs := w.byDst[c.Dst]
+	evs, _ := w.byDst.Put(c.DstH)
 	// Concurrent shard workers deliver captures out of timestamp order,
 	// and a shard that races ahead in an accelerated replay can be a
 	// full episode past a laggard. Storage is therefore time-sorted and
@@ -97,18 +108,18 @@ func (w *VictimWindow) Observe(c *packet.Captured) {
 	// Readers count within their own [now-window, now] instead. The
 	// backward scan is O(1) for in-order arrival and bounded by shard
 	// lag otherwise.
-	i := len(evs)
-	for i > 0 && evs[i-1].At.After(c.Time) {
+	i := len(*evs)
+	for i > 0 && (*evs)[i-1].At > now {
 		i--
 	}
-	//lint:ignore hotalloc amortized growth of the map-stored per-victim slice, cap-bounded at maxVictimEvents
-	evs = append(evs, Event{})
-	copy(evs[i+1:], evs[i:])
-	evs[i] = Event{At: c.Time, RSSI: c.RSSI, Src: c.Src}
-	if len(evs) > maxVictimEvents {
-		evs = evs[len(evs)-maxVictimEvents:]
+	//lint:ignore hotalloc amortized growth of the per-victim slice, cap-bounded at maxVictimEvents
+	s := append(*evs, Event{})
+	copy(s[i+1:], s[i:])
+	s[i] = Event{At: now, RSSI: c.RSSI, Src: c.Src}
+	if len(s) > maxVictimEvents {
+		s = s[len(s)-maxVictimEvents:]
 	}
-	w.byDst[c.Dst] = evs
+	*evs = s
 	w.mu.Unlock()
 }
 
@@ -121,30 +132,39 @@ const maxVictimEvents = 1024
 // by At) falling inside [now-window, now] — events from shards that
 // have raced ahead of the reader are excluded just as events the
 // reader has outlived are.
-func windowSpan(evs []Event, window time.Duration, now time.Time) (int, int) {
-	oldest := now.Add(-window)
-	lo := sort.Search(len(evs), func(i int) bool { return !evs[i].At.Before(oldest) })
-	hi := sort.Search(len(evs), func(i int) bool { return evs[i].At.After(now) })
+func windowSpan(evs []Event, window, now int64) (int, int) {
+	oldest := now - window
+	lo := sort.Search(len(evs), func(i int) bool { return evs[i].At >= oldest })
+	hi := sort.Search(len(evs), func(i int) bool { return evs[i].At > now })
 	return lo, hi
 }
 
-// Len returns how many events fall inside the window ending at now for
-// a destination, without copying — the cheap threshold probe.
-func (w *VictimWindow) Len(dst packet.NodeID, now time.Time) int {
+// Len returns how many events fall inside the window ending at now
+// (capture nanoseconds) for a destination, without copying — the cheap
+// threshold probe.
+func (w *VictimWindow) Len(dst packet.Handle, now int64) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	lo, hi := windowSpan(w.byDst[dst], w.window, now)
+	evs := w.byDst.Get(dst)
+	if evs == nil {
+		return 0
+	}
+	lo, hi := windowSpan(*evs, w.window, now)
 	return hi - lo
 }
 
 // Events returns a copy of the destination's events inside the window
 // ending at now (called on the cold, threshold-crossed branch only).
-func (w *VictimWindow) Events(dst packet.NodeID, now time.Time) []Event {
+func (w *VictimWindow) Events(dst packet.Handle, now int64) []Event {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	lo, hi := windowSpan(w.byDst[dst], w.window, now)
+	evs := w.byDst.Get(dst)
+	if evs == nil {
+		return nil
+	}
+	lo, hi := windowSpan(*evs, w.window, now)
 	out := make([]Event, hi-lo)
-	copy(out, w.byDst[dst][lo:hi])
+	copy(out, (*evs)[lo:hi])
 	return out
 }
 
@@ -155,30 +175,33 @@ type handshakeKey time.Duration
 // and handshake-completing pure ACKs per responder — the evidence that
 // separates a legitimate connection burst from a spoofed SYN flood.
 type TCPHandshakes struct {
-	window time.Duration
+	window int64
 
 	mu      sync.Mutex
 	pending map[hsKey]bool
-	comps   map[packet.NodeID][]time.Time
+	// sweepAt is the pending-map size at which handshakes of evicted
+	// identities are dropped: a spoofed SYN flood opens one per source
+	// and never completes it.
+	sweepAt int
+	comps   packet.ByHandle[[]int64]
 
 	handle
 }
 
-// hsKey identifies a half-open handshake by its endpoint pair. A
-// struct key keeps the per-SYN map update allocation-free; the string
-// concatenation it replaces showed up directly in the per-packet
-// profile (hotalloc).
+// minPendingSweep is the pending-map size below which it is never
+// swept.
+const minPendingSweep = 1024
+
+// hsKey identifies a half-open handshake by its endpoints' identity
+// handles: a fixed-size key, so the per-SYN map update neither
+// allocates nor hashes a string.
 type hsKey struct {
-	src, dst packet.NodeID
+	src, dst packet.Handle
 }
 
 // NewTCPHandshakes creates a standalone handshake tracker.
 func NewTCPHandshakes(window time.Duration) *TCPHandshakes {
-	return &TCPHandshakes{
-		window:  window,
-		pending: make(map[hsKey]bool),
-		comps:   make(map[packet.NodeID][]time.Time),
-	}
+	return &TCPHandshakes{window: int64(window), pending: make(map[hsKey]bool), sweepAt: minPendingSweep}
 }
 
 // Handshakes acquires the table's shared handshake tracker for the
@@ -188,11 +211,19 @@ func (t *Table) Handshakes(window time.Duration) *TCPHandshakes {
 }
 
 // Observe implements Tracker.
-func (h *TCPHandshakes) Observe(c *packet.Captured) {
+func (h *TCPHandshakes) Observe(c *packet.Captured, now int64) {
 	switch c.Kind {
 	case packet.KindTCPSYN:
 		h.mu.Lock()
-		h.pending[hsKey{src: c.Src, dst: c.Dst}] = true
+		h.pending[hsKey{src: c.SrcH, dst: c.DstH}] = true
+		if len(h.pending) >= h.sweepAt {
+			for k := range h.pending {
+				if !packet.Live(k.src) || !packet.Live(k.dst) {
+					delete(h.pending, k)
+				}
+			}
+			h.sweepAt = max(minPendingSweep, 2*len(h.pending))
+		}
 		h.mu.Unlock()
 	case packet.KindTCPACK:
 		// A pure ACK from an initiator with an open handshake is the
@@ -202,42 +233,48 @@ func (h *TCPHandshakes) Observe(c *packet.Captured) {
 		if !ok || !seg.IsACK() || len(seg.Payload) != 0 {
 			return
 		}
-		key := hsKey{src: c.Src, dst: c.Dst}
+		key := hsKey{src: c.SrcH, dst: c.DstH}
 		h.mu.Lock()
 		if h.pending[key] {
 			delete(h.pending, key)
-			// Time-ordered insert, as in VictimWindow.Observe: ACKs
-			// from initiators on different shards can arrive out of
-			// timestamp order and Completions prunes from the front.
-			comps := h.comps[c.Dst]
-			i := len(comps)
-			for i > 0 && comps[i-1].After(c.Time) {
-				i--
+			if c.DstH != 0 {
+				// Time-ordered insert, as in VictimWindow.Observe: ACKs
+				// from initiators on different shards can arrive out of
+				// timestamp order and Completions counts a window.
+				comps, _ := h.comps.Put(c.DstH)
+				i := len(*comps)
+				for i > 0 && (*comps)[i-1] > now {
+					i--
+				}
+				//lint:ignore hotalloc amortized growth of the per-responder slice, cap-bounded at maxVictimEvents
+				s := append(*comps, 0)
+				copy(s[i+1:], s[i:])
+				s[i] = now
+				if len(s) > maxVictimEvents {
+					s = s[len(s)-maxVictimEvents:]
+				}
+				*comps = s
 			}
-			//lint:ignore hotalloc amortized growth of the map-stored per-responder slice, cap-bounded at maxVictimEvents
-			comps = append(comps, time.Time{})
-			copy(comps[i+1:], comps[i:])
-			comps[i] = c.Time
-			if len(comps) > maxVictimEvents {
-				comps = comps[len(comps)-maxVictimEvents:]
-			}
-			h.comps[c.Dst] = comps
 		}
 		h.mu.Unlock()
 	}
 }
 
 // Completions returns how many handshakes completed towards dst within
-// the window ending at now. As with VictimWindow, storage is sorted
-// and cap-bounded rather than pruned, so slower shards' reads stay
-// correct while others race ahead.
-func (h *TCPHandshakes) Completions(dst packet.NodeID, now time.Time) int {
+// the window ending at now (capture nanoseconds). As with
+// VictimWindow, storage is sorted and cap-bounded rather than pruned,
+// so slower shards' reads stay correct while others race ahead.
+func (h *TCPHandshakes) Completions(dst packet.Handle, now int64) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	comps := h.comps[dst]
-	oldest := now.Add(-h.window)
-	lo := sort.Search(len(comps), func(i int) bool { return !comps[i].Before(oldest) })
-	hi := sort.Search(len(comps), func(i int) bool { return comps[i].After(now) })
+	p := h.comps.Get(dst)
+	if p == nil {
+		return 0
+	}
+	comps := *p
+	oldest := now - h.window
+	lo := sort.Search(len(comps), func(i int) bool { return comps[i] >= oldest })
+	hi := sort.Search(len(comps), func(i int) bool { return comps[i] > now })
 	return hi - lo
 }
 
@@ -254,28 +291,25 @@ type IdentityStats struct {
 	alpha  float64
 	medium packet.Medium
 
-	mu    sync.Mutex
-	start time.Time
-	ids   map[packet.NodeID]*identStat
+	mu      sync.Mutex
+	started bool
+	start   int64
+	ids     packet.ByHandle[identStat]
 
 	handle
 }
 
-// identStat is one identity's fingerprint state, held in a single map
-// so the per-packet update costs one hash lookup.
+// identStat is one identity's fingerprint state.
 type identStat struct {
+	id        packet.NodeID
 	ewma      float64
 	frames    int
-	firstSeen time.Time
+	firstSeen int64
 }
 
 // NewIdentityStats creates a standalone identity tracker.
 func NewIdentityStats(alpha float64, medium packet.Medium) *IdentityStats {
-	return &IdentityStats{
-		alpha:  alpha,
-		medium: medium,
-		ids:    make(map[packet.NodeID]*identStat),
-	}
+	return &IdentityStats{alpha: alpha, medium: medium}
 }
 
 // IdentityStats acquires the table's shared identity tracker for the
@@ -285,18 +319,16 @@ func (t *Table) IdentityStats(alpha float64, medium packet.Medium) *IdentityStat
 }
 
 // Observe implements Tracker.
-func (s *IdentityStats) Observe(c *packet.Captured) {
-	if c.Medium != s.medium || c.Transmitter == "" {
+func (s *IdentityStats) Observe(c *packet.Captured, now int64) {
+	if c.Medium != s.medium || c.TransmitterH == 0 {
 		return
 	}
 	s.mu.Lock()
-	if s.start.IsZero() {
-		s.start = c.Time
+	if !s.started {
+		s.started, s.start = true, now
 	}
-	st := s.ids[c.Transmitter]
-	if st == nil {
-		//lint:ignore hotalloc one allocation per newly observed identity, amortized across its frames
-		s.ids[c.Transmitter] = &identStat{ewma: c.RSSI, frames: 1, firstSeen: c.Time}
+	if st, fresh := s.ids.Put(c.TransmitterH); fresh {
+		*st = identStat{id: c.Transmitter, ewma: c.RSSI, frames: 1, firstSeen: now}
 	} else {
 		st.ewma += s.alpha * (c.RSSI - st.ewma)
 		st.frames++
@@ -307,33 +339,31 @@ func (s *IdentityStats) Observe(c *packet.Captured) {
 // Cluster collects the recently-appeared identities (first seen more
 // than warmup after the tracker's first packet, with at least minFrames
 // frames) whose fingerprints lie within tol dB of the given identity's
-// fingerprint. It returns nil when the center identity itself does not
-// qualify.
-func (s *IdentityStats) Cluster(id packet.NodeID, tol float64, minFrames int, warmup time.Duration) []packet.NodeID {
+// fingerprint, sorted. It returns nil when the center identity itself
+// does not qualify. Identities evicted from the identity table are left
+// out.
+func (s *IdentityStats) Cluster(id packet.Handle, tol float64, minFrames int, warmup time.Duration) []packet.NodeID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	center := s.ids[id]
+	center := s.ids.Get(id)
 	if center == nil || !s.isNewLocked(center, warmup) || center.frames < minFrames {
 		return nil
 	}
 	var cluster []packet.NodeID
-	for other, st := range s.ids {
-		if !s.isNewLocked(st, warmup) || st.frames < minFrames {
-			continue
-		}
-		if math.Abs(st.ewma-center.ewma) <= tol {
+	s.ids.Range(func(_ packet.Handle, live bool, st *identStat) {
+		if live && s.isNewLocked(st, warmup) && st.frames >= minFrames && math.Abs(st.ewma-center.ewma) <= tol {
 			//lint:ignore hotalloc the cluster materializes only when tolerance-close new identities exist — the Sybil-suspicion case, not the steady state
-			cluster = append(cluster, other)
+			cluster = append(cluster, st.id)
 		}
-	}
-	sort.Slice(cluster, func(i, j int) bool { return cluster[i] < cluster[j] })
+	})
+	slices.Sort(cluster)
 	return cluster
 }
 
 // isNewLocked reports whether the identity appeared after the warmup
 // period (pre-existing identities are legitimate even if co-located).
 func (s *IdentityStats) isNewLocked(st *identStat, warmup time.Duration) bool {
-	return st.firstSeen.Sub(s.start) > warmup
+	return st.firstSeen-s.start > int64(warmup)
 }
 
 // MotionConfig tunes an IdentityMotion tracker (and is its dedup key).
@@ -351,15 +381,16 @@ type MotionConfig struct {
 	MinSamples int
 }
 
-// motionTrack is per-identity motion state.
+// motionTrack is per-identity motion state; evidence times are capture
+// nanoseconds.
 type motionTrack struct {
 	ewma    float64
 	samples int
 	lastSeq uint8
 	seqInit bool
-	jumps   []time.Time // RSSI jump timestamps (window-pruned)
-	flips   []time.Time // seq regression timestamps (window-pruned)
-	wobbles []time.Time // sub-jump RSSI deviations (baseline health)
+	jumps   []int64 // RSSI jump times (window-pruned)
+	flips   []int64 // seq regression times (window-pruned)
+	wobbles []int64 // sub-jump RSSI deviations (baseline health)
 }
 
 // IdentityMotion tracks per-transmitter RSSI jumps and sequence-counter
@@ -370,7 +401,7 @@ type IdentityMotion struct {
 	cfg MotionConfig
 
 	mu     sync.Mutex
-	tracks map[packet.NodeID]*motionTrack
+	tracks packet.ByHandle[motionTrack]
 
 	handle
 }
@@ -381,15 +412,15 @@ type MotionSnapshot struct {
 	// Jumps and Flips count the in-window RSSI jumps and sequence
 	// regressions.
 	Jumps, Flips int
-	// LastJump and LastFlip timestamp the most recent evidence (zero
-	// when none) — detectors alert only when the triggering packet
-	// itself is fresh evidence.
-	LastJump, LastFlip time.Time
+	// LastJump and LastFlip are the capture nanoseconds of the most
+	// recent evidence (0 when none) — detectors alert only when the
+	// triggering packet itself is fresh evidence.
+	LastJump, LastFlip int64
 }
 
 // NewIdentityMotion creates a standalone motion tracker.
 func NewIdentityMotion(cfg MotionConfig) *IdentityMotion {
-	return &IdentityMotion{cfg: cfg, tracks: make(map[packet.NodeID]*motionTrack)}
+	return &IdentityMotion{cfg: cfg}
 }
 
 // Motion acquires the table's shared motion tracker for the given
@@ -400,18 +431,15 @@ func (t *Table) Motion(cfg MotionConfig) *IdentityMotion {
 }
 
 // Observe implements Tracker.
-func (m *IdentityMotion) Observe(c *packet.Captured) {
-	if c.Medium != m.cfg.Medium || c.Transmitter == "" {
+func (m *IdentityMotion) Observe(c *packet.Captured, now int64) {
+	if c.Medium != m.cfg.Medium || c.TransmitterH == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id := c.Transmitter
-	t := m.tracks[id]
-	if t == nil {
-		//lint:ignore hotalloc one allocation per newly tracked identity, amortized across its frames
-		t = &motionTrack{ewma: c.RSSI, samples: 1}
-		m.tracks[id] = t
+	t, fresh := m.tracks.Put(c.TransmitterH)
+	if fresh {
+		t.ewma, t.samples = c.RSSI, 1
 		if seq, _, ok := seqInfo(c); ok {
 			t.lastSeq = seq
 			t.seqInit = true
@@ -421,14 +449,14 @@ func (m *IdentityMotion) Observe(c *packet.Captured) {
 	t.samples++
 	dev := math.Abs(c.RSSI - t.ewma)
 	if t.samples > m.cfg.MinSamples && dev > m.cfg.Threshold {
-		t.jumps = append(t.jumps, c.Time)
+		t.jumps = append(t.jumps, now)
 		// Re-anchor on the new position so alternation keeps counting.
 		t.ewma = c.RSSI
 	} else {
 		if t.samples > m.cfg.MinSamples && dev > m.cfg.Threshold/2 {
 			// Sub-jump deviation: not replica-grade, but evidence the
 			// RSSI baseline is in motion.
-			t.wobbles = append(t.wobbles, c.Time)
+			t.wobbles = append(t.wobbles, now)
 		}
 		t.ewma += m.cfg.Alpha * (c.RSSI - t.ewma)
 	}
@@ -438,29 +466,30 @@ func (m *IdentityMotion) Observe(c *packet.Captured) {
 			// counters are interleaved under one identity.
 			diff := int8(seq - t.lastSeq)
 			if diff <= 0 && seq != t.lastSeq {
-				t.flips = append(t.flips, c.Time)
+				t.flips = append(t.flips, now)
 			}
 		}
 		t.lastSeq = seq
 		t.seqInit = true
 	}
+	window := int64(m.cfg.Window)
 	if len(t.jumps) > 0 {
-		t.jumps = pruneTimes(t.jumps, c.Time, m.cfg.Window)
+		t.jumps = pruneTimes(t.jumps, now, window)
 	}
 	if len(t.flips) > 0 {
-		t.flips = pruneTimes(t.flips, c.Time, m.cfg.Window)
+		t.flips = pruneTimes(t.flips, now, window)
 	}
 	if len(t.wobbles) > 0 {
-		t.wobbles = pruneTimes(t.wobbles, c.Time, m.cfg.Window)
+		t.wobbles = pruneTimes(t.wobbles, now, window)
 	}
 }
 
 // Snapshot returns the identity's current evidence (zero value when the
 // identity is unknown).
-func (m *IdentityMotion) Snapshot(id packet.NodeID) MotionSnapshot {
+func (m *IdentityMotion) Snapshot(id packet.Handle) MotionSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := m.tracks[id]
+	t := m.tracks.Get(id)
 	if t == nil {
 		return MotionSnapshot{}
 	}
@@ -477,25 +506,30 @@ func (m *IdentityMotion) Snapshot(id packet.NodeID) MotionSnapshot {
 // JumpyFraction reports the fraction of identities whose RSSI baseline
 // is currently unstable (jumps or sub-jump wobbles) — the baseline-
 // health veto of the static replication technique: when the whole
-// network is in motion, RSSI stability means nothing.
+// network is in motion, RSSI stability means nothing. Identities
+// evicted from the identity table do not count.
 func (m *IdentityMotion) JumpyFraction() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.tracks) == 0 {
-		return 0
-	}
-	jumpy := 0
-	for _, t := range m.tracks {
+	tracked, jumpy := 0, 0
+	m.tracks.Range(func(_ packet.Handle, live bool, t *motionTrack) {
+		if !live {
+			return
+		}
+		tracked++
 		if len(t.jumps) > 0 || len(t.wobbles) > 0 {
 			jumpy++
 		}
+	})
+	if tracked == 0 {
+		return 0
 	}
-	return float64(jumpy) / float64(len(m.tracks))
+	return float64(jumpy) / float64(tracked)
 }
 
-func pruneTimes(ts []time.Time, now time.Time, window time.Duration) []time.Time {
+func pruneTimes(ts []int64, now, window int64) []int64 {
 	cut := 0
-	for cut < len(ts) && now.Sub(ts[cut]) > window {
+	for cut < len(ts) && now-ts[cut] > window {
 		cut++
 	}
 	return ts[cut:]

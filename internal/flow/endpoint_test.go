@@ -12,7 +12,7 @@ import (
 
 // idCap builds a synthetic 802.15.4 capture for identity trackers.
 func idCap(id packet.NodeID, rssi float64, at time.Time) *packet.Captured {
-	return &packet.Captured{
+	return (&packet.Captured{
 		Time:        at,
 		Medium:      packet.MediumIEEE802154,
 		Kind:        packet.KindCTPData,
@@ -20,39 +20,39 @@ func idCap(id packet.NodeID, rssi float64, at time.Time) *packet.Captured {
 		Dst:         "sink",
 		Transmitter: id,
 		RSSI:        rssi,
-	}
+	}).Identify()
 }
 
 func TestVictimWindowMaskAndPrune(t *testing.T) {
 	w := NewVictimWindow(MaskOf(packet.KindICMPEchoReply), 5*time.Second)
 
 	// Non-matching kinds never enter the window.
-	w.Observe(&packet.Captured{Kind: packet.KindICMPEchoRequest, Dst: "v", Time: t0})
-	if w.Len("v", t0) != 0 {
+	w.Observe(obs(&packet.Captured{Kind: packet.KindICMPEchoRequest, Dst: "v", Time: t0}))
+	if w.Len(hid("v"), nanos(t0)) != 0 {
 		t.Fatal("masked-out kind entered the window")
 	}
 
 	mk := func(src packet.NodeID, at time.Time, rssi float64) *packet.Captured {
 		return &packet.Captured{Kind: packet.KindICMPEchoReply, Src: src, Dst: "v", Time: at, RSSI: rssi}
 	}
-	w.Observe(mk("a", t0, -50))
-	w.Observe(mk("b", t0.Add(3*time.Second), -55))
+	w.Observe(obs(mk("a", t0, -50)))
+	w.Observe(obs(mk("b", t0.Add(3*time.Second), -55)))
 	// Read 7s after the first event: "a" has aged out of the 5s
 	// window, "b" at age 4s survives (windowing is read-side, against
 	// the reader's clock — storage is never time-pruned).
-	w.Observe(mk("c", t0.Add(7*time.Second), -60))
-	if got := w.Len("v", t0.Add(7*time.Second)); got != 2 {
+	w.Observe(obs(mk("c", t0.Add(7*time.Second), -60)))
+	if got := w.Len(hid("v"), nanos(t0.Add(7*time.Second))); got != 2 {
 		t.Errorf("Len = %d, want 2 (stale event counted in window)", got)
 	}
-	evs := w.Events("v", t0.Add(7*time.Second))
+	evs := w.Events(hid("v"), nanos(t0.Add(7*time.Second)))
 	if len(evs) != 2 || evs[0].Src != "b" || evs[1].Src != "c" {
 		t.Errorf("Events = %+v, want b then c", evs)
 	}
-	if evs[0].RSSI != -55 || !evs[1].At.Equal(t0.Add(7*time.Second)) {
+	if evs[0].RSSI != -55 || evs[1].At != nanos(t0.Add(7*time.Second)) {
 		t.Errorf("event metadata lost: %+v", evs)
 	}
 	// Windows are per destination.
-	if w.Len("other", t0.Add(7*time.Second)) != 0 {
+	if w.Len(hid("other"), nanos(t0.Add(7*time.Second))) != 0 {
 		t.Error("window leaked across destinations")
 	}
 	// Standalone trackers ignore Release.
@@ -73,29 +73,29 @@ func TestTCPHandshakeCompletions(t *testing.T) {
 	}
 
 	// A pure ACK with no open handshake counts nothing.
-	h.Observe(pkt(stack.BuildTCP(cli, srv, 10000, 443, tcp.FlagACK, 1, 1, 1, nil), t0))
-	if got := h.Completions(pkt(stack.BuildTCP(cli, srv, 10000, 443, tcp.FlagACK, 1, 1, 1, nil), t0).Dst, t0); got != 0 {
+	h.Observe(obs(pkt(stack.BuildTCP(cli, srv, 10000, 443, tcp.FlagACK, 1, 1, 1, nil), t0)))
+	if got := h.Completions(hid(pkt(stack.BuildTCP(cli, srv, 10000, 443, tcp.FlagACK, 1, 1, 1, nil), t0).Dst), nanos(t0)); got != 0 {
 		t.Errorf("completions without SYN = %d, want 0", got)
 	}
 
 	// SYN then handshake-completing pure ACK.
 	syn := pkt(stack.BuildTCP(cli, srv, 10000, 443, tcp.FlagSYN, 1, 0, 2, nil), t0)
-	h.Observe(syn)
+	h.Observe(obs(syn))
 	ack := pkt(stack.BuildTCP(cli, srv, 10000, 443, tcp.FlagACK, 2, 100, 3, nil), t0.Add(time.Second))
-	h.Observe(ack)
-	if got := h.Completions(ack.Dst, t0.Add(time.Second)); got != 1 {
+	h.Observe(obs(ack))
+	if got := h.Completions(hid(ack.Dst), nanos(t0.Add(time.Second))); got != 1 {
 		t.Errorf("completions = %d, want 1", got)
 	}
 
 	// An ACK carrying payload is data, not a handshake completion.
-	h.Observe(pkt(stack.BuildTCP(cli, srv, 10001, 443, tcp.FlagSYN, 1, 0, 4, nil), t0.Add(2*time.Second)))
-	h.Observe(pkt(stack.BuildTCP(cli, srv, 10001, 443, tcp.FlagACK, 2, 100, 5, []byte("data")), t0.Add(3*time.Second)))
-	if got := h.Completions(ack.Dst, t0.Add(3*time.Second)); got != 1 {
+	h.Observe(obs(pkt(stack.BuildTCP(cli, srv, 10001, 443, tcp.FlagSYN, 1, 0, 4, nil), t0.Add(2*time.Second))))
+	h.Observe(obs(pkt(stack.BuildTCP(cli, srv, 10001, 443, tcp.FlagACK, 2, 100, 5, []byte("data")), t0.Add(3*time.Second))))
+	if got := h.Completions(hid(ack.Dst), nanos(t0.Add(3*time.Second))); got != 1 {
 		t.Errorf("payload ACK counted as completion: %d, want 1", got)
 	}
 
 	// Completions age out of the window.
-	if got := h.Completions(ack.Dst, t0.Add(time.Minute)); got != 0 {
+	if got := h.Completions(hid(ack.Dst), nanos(t0.Add(time.Minute))); got != 0 {
 		t.Errorf("completions after window = %d, want 0", got)
 	}
 }
@@ -110,28 +110,28 @@ func TestIdentityStatsCluster(t *testing.T) {
 
 	// Pre-existing identity: present from the tracker's first packet.
 	for i := 0; i < minFrames; i++ {
-		s.Observe(idCap("old", -60, t0.Add(time.Duration(i)*time.Second)))
+		s.Observe(obs(idCap("old", -60, t0.Add(time.Duration(i)*time.Second))))
 	}
 	// Wrong-medium and anonymous frames never count.
 	wifi := idCap("wifi", -60, t0)
 	wifi.Medium = packet.MediumWiFi
-	s.Observe(wifi)
+	s.Observe(obs(wifi))
 	anon := idCap("", -60, t0)
-	s.Observe(anon)
+	s.Observe(obs(anon))
 
 	// Three new identities appear after warmup, co-located around -60 dB,
 	// plus one new identity far away and one without enough frames.
 	late := t0.Add(warmup + time.Second)
 	for i := 0; i < minFrames; i++ {
 		at := late.Add(time.Duration(i) * time.Second)
-		s.Observe(idCap("n1", -60, at))
-		s.Observe(idCap("n2", -61, at))
-		s.Observe(idCap("n3", -59, at))
-		s.Observe(idCap("far", -90, at))
+		s.Observe(obs(idCap("n1", -60, at)))
+		s.Observe(obs(idCap("n2", -61, at)))
+		s.Observe(obs(idCap("n3", -59, at)))
+		s.Observe(obs(idCap("far", -90, at)))
 	}
-	s.Observe(idCap("sparse", -60, late))
+	s.Observe(obs(idCap("sparse", -60, late)))
 
-	got := s.Cluster("n1", tol, minFrames, warmup)
+	got := s.Cluster(hid("n1"), tol, minFrames, warmup)
 	want := []packet.NodeID{"n1", "n2", "n3"}
 	if len(got) != len(want) {
 		t.Fatalf("cluster = %v, want %v", got, want)
@@ -143,13 +143,13 @@ func TestIdentityStatsCluster(t *testing.T) {
 	}
 
 	// A center that does not qualify yields no cluster at all.
-	if c := s.Cluster("old", tol, minFrames, warmup); c != nil {
+	if c := s.Cluster(hid("old"), tol, minFrames, warmup); c != nil {
 		t.Errorf("pre-warmup center clustered: %v", c)
 	}
-	if c := s.Cluster("sparse", tol, minFrames, warmup); c != nil {
+	if c := s.Cluster(hid("sparse"), tol, minFrames, warmup); c != nil {
 		t.Errorf("under-minFrames center clustered: %v", c)
 	}
-	if c := s.Cluster("ghost", tol, minFrames, warmup); c != nil {
+	if c := s.Cluster(hid("ghost"), tol, minFrames, warmup); c != nil {
 		t.Errorf("unknown center clustered: %v", c)
 	}
 }
@@ -163,29 +163,29 @@ func TestIdentityMotionJumps(t *testing.T) {
 		MinSamples: 2,
 	})
 	// Two samples of warmup, then the RSSI teleports: one jump.
-	m.Observe(idCap("r", -60, t0))
-	m.Observe(idCap("r", -60, t0.Add(time.Second)))
+	m.Observe(obs(idCap("r", -60, t0)))
+	m.Observe(obs(idCap("r", -60, t0.Add(time.Second))))
 	jumpAt := t0.Add(2 * time.Second)
-	m.Observe(idCap("r", -30, jumpAt))
-	s := m.Snapshot("r")
-	if s.Jumps != 1 || !s.LastJump.Equal(jumpAt) {
+	m.Observe(obs(idCap("r", -30, jumpAt)))
+	s := m.Snapshot(hid("r"))
+	if s.Jumps != 1 || s.LastJump != nanos(jumpAt) {
 		t.Errorf("snapshot = %+v, want 1 jump at %v", s, jumpAt)
 	}
 
 	// A second, stable identity halves the jumpy fraction.
 	for i := 0; i < 4; i++ {
-		m.Observe(idCap("calm", -70, t0.Add(time.Duration(i)*time.Second)))
+		m.Observe(obs(idCap("calm", -70, t0.Add(time.Duration(i)*time.Second))))
 	}
 	if got := m.JumpyFraction(); got != 0.5 {
 		t.Errorf("JumpyFraction = %v, want 0.5", got)
 	}
 
 	// Evidence ages out of the window.
-	m.Observe(idCap("r", -30, jumpAt.Add(time.Minute)))
-	if s := m.Snapshot("r"); s.Jumps != 0 {
+	m.Observe(obs(idCap("r", -30, jumpAt.Add(time.Minute))))
+	if s := m.Snapshot(hid("r")); s.Jumps != 0 {
 		t.Errorf("jump survived the window: %+v", s)
 	}
-	if s := m.Snapshot("nobody"); s.Jumps != 0 || s.Flips != 0 {
+	if s := m.Snapshot(hid("nobody")); s.Jumps != 0 || s.Flips != 0 {
 		t.Errorf("unknown identity has evidence: %+v", s)
 	}
 }
@@ -210,13 +210,13 @@ func TestIdentityMotionFlips(t *testing.T) {
 		c.RSSI = -60
 		return c
 	}
-	m.Observe(ctpCap(5, t0))
-	m.Observe(ctpCap(6, t0.Add(time.Second))) // monotonic: no flip
+	m.Observe(obs(ctpCap(5, t0)))
+	m.Observe(obs(ctpCap(6, t0.Add(time.Second)))) // monotonic: no flip
 	flipAt := t0.Add(2 * time.Second)
-	m.Observe(ctpCap(4, flipAt)) // regression: two counters interleaved
+	m.Observe(obs(ctpCap(4, flipAt))) // regression: two counters interleaved
 	id := ctpCap(4, flipAt).Transmitter
-	s := m.Snapshot(id)
-	if s.Flips != 1 || !s.LastFlip.Equal(flipAt) {
+	s := m.Snapshot(hid(id))
+	if s.Flips != 1 || s.LastFlip != nanos(flipAt) {
 		t.Errorf("snapshot = %+v, want 1 flip at %v", s, flipAt)
 	}
 	// A wraparound (255 -> 0) is not a regression (fresh identity so
@@ -231,9 +231,9 @@ func TestIdentityMotionFlips(t *testing.T) {
 		c.RSSI = -60
 		return c
 	}
-	m.Observe(wrapCap(255, t0))
-	m.Observe(wrapCap(0, t0.Add(time.Second)))
-	if s := m.Snapshot(wrapCap(0, t0).Transmitter); s.Flips != 0 {
+	m.Observe(obs(wrapCap(255, t0)))
+	m.Observe(obs(wrapCap(0, t0.Add(time.Second))))
+	if s := m.Snapshot(hid(wrapCap(0, t0).Transmitter)); s.Flips != 0 {
 		t.Errorf("wraparound counted as flip: %+v", s)
 	}
 }
@@ -257,7 +257,7 @@ func TestTrackerDedupAndRelease(t *testing.T) {
 	c := cap1("atk", "v", t0)
 	c.Kind = packet.KindICMPEchoReply
 	tbl.Update(c)
-	if got := w1.Len("v", t0); got != 1 {
+	if got := w1.Len(hid("v"), nanos(t0)); got != 1 {
 		t.Errorf("table did not drive tracker: Len = %d, want 1", got)
 	}
 
@@ -266,7 +266,7 @@ func TestTrackerDedupAndRelease(t *testing.T) {
 	c2 := cap1("atk", "v", t0.Add(time.Second))
 	c2.Kind = packet.KindICMPEchoReply
 	tbl.Update(c2)
-	if got := w1.Len("v", t0.Add(time.Second)); got != 2 {
+	if got := w1.Len(hid("v"), nanos(t0.Add(time.Second))); got != 2 {
 		t.Errorf("tracker detached while still held: Len = %d, want 2", got)
 	}
 
@@ -276,7 +276,7 @@ func TestTrackerDedupAndRelease(t *testing.T) {
 	c3 := cap1("atk", "v", t0.Add(2*time.Second))
 	c3.Kind = packet.KindICMPEchoReply
 	tbl.Update(c3)
-	if got := w1.Len("v", t0.Add(2*time.Second)); got != 2 {
+	if got := w1.Len(hid("v"), nanos(t0.Add(2*time.Second))); got != 2 {
 		t.Errorf("released tracker still observed packets: Len = %d", got)
 	}
 	if w4 := tbl.VictimWindow(mask, 5*time.Second); w4 == w1 {

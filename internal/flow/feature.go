@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"kalis/internal/packet"
 	"kalis/internal/proto/ctp"
@@ -177,7 +178,7 @@ func sampleIAT(f *Flow, c *packet.Captured) (float64, bool) {
 	if f.Packets == 0 {
 		return 0, false
 	}
-	return c.Time.Sub(f.Last).Seconds(), true
+	return time.Duration(c.Nanos() - f.lastNs).Seconds(), true
 }
 
 // sampleRSSI yields the observed signal strength (skipped on wired

@@ -62,7 +62,9 @@ func (p Proto) String() string {
 
 // Key identifies one unidirectional flow: medium + link endpoints +
 // protocol class + transport ports (zero when the protocol has none).
-// Key is comparable and is used directly as the table's map key.
+// It is the identity exported flow records carry; the table itself
+// finds a flow by the same tuple with identity handles in place of the
+// names (handleKey), so a packet hashes no string.
 type Key struct {
 	Medium           packet.Medium
 	Src, Dst         packet.NodeID
@@ -70,28 +72,43 @@ type Key struct {
 	SrcPort, DstPort uint16
 }
 
+// handleKey is the table's map key: Key with the endpoints' identity
+// handles, a fixed-size tuple.
+type handleKey struct {
+	src, dst         packet.Handle
+	srcPort, dstPort uint16
+	medium           packet.Medium
+	proto            Proto
+}
+
 // KeyOf classifies a capture into its flow key.
 func KeyOf(c *packet.Captured) Key {
-	k := Key{Medium: c.Medium, Src: c.Src, Dst: c.Dst}
+	k := keyOf(c)
+	return Key{Medium: c.Medium, Src: c.Src, Dst: c.Dst, Proto: k.proto, SrcPort: k.srcPort, DstPort: k.dstPort}
+}
+
+// keyOf classifies a capture into the table's key.
+func keyOf(c *packet.Captured) handleKey {
+	k := handleKey{src: c.SrcH, dst: c.DstH, medium: c.Medium}
 	switch c.Kind {
 	case packet.KindTCPSYN, packet.KindTCPACK, packet.KindTCPOther:
-		k.Proto = ProtoTCP
+		k.proto = ProtoTCP
 		if seg, ok := c.Layer("tcp").(*tcp.Segment); ok {
-			k.SrcPort, k.DstPort = seg.SrcPort, seg.DstPort
+			k.srcPort, k.dstPort = seg.SrcPort, seg.DstPort
 		}
 	case packet.KindUDP:
-		k.Proto = ProtoUDP
+		k.proto = ProtoUDP
 		if d, ok := c.Layer("udp").(*udp.Datagram); ok {
-			k.SrcPort, k.DstPort = d.SrcPort, d.DstPort
+			k.srcPort, k.dstPort = d.SrcPort, d.DstPort
 		}
 	case packet.KindICMPEchoRequest, packet.KindICMPEchoReply, packet.KindICMPOther:
-		k.Proto = ProtoICMP
+		k.proto = ProtoICMP
 	case packet.KindCTPData, packet.KindCTPBeacon:
-		k.Proto = ProtoCTP
+		k.proto = ProtoCTP
 	case packet.KindZigbeeData, packet.KindZigbeeRouting:
-		k.Proto = ProtoZigbee
+		k.proto = ProtoZigbee
 	case packet.KindBLEAdvertising, packet.KindBLEData:
-		k.Proto = ProtoBLE
+		k.proto = ProtoBLE
 	}
 	return k
 }
@@ -125,6 +142,11 @@ type Flow struct {
 	// pre-update values while features run (Packets == 0 on the flow's
 	// first packet).
 	Packets, Bytes uint64
+
+	// hk is the flow's map key; firstNs and lastNs are First and Last
+	// in capture nanoseconds, what expiry compares.
+	hk              handleKey
+	firstNs, lastNs int64
 
 	// feats holds one State per configured feature, index-aligned with
 	// the table's feature names.

@@ -27,11 +27,15 @@ type ForwardingConfig struct {
 // detectors read instead of the evidence itself.
 type RelayRatio struct {
 	Relay packet.NodeID
+	// H is the relay's identity handle.
+	H packet.Handle
 	// Ratio is the dropped share of the relay's in-window outcomes.
 	Ratio float64
 	// Origins counts the distinct origins the relay has dropped over the
-	// tracker's lifetime. It only grows, so a reader that remembers it
-	// knows when DroppedOrigins has something new to say.
+	// tracker's lifetime. It only grows (the relay's record outlives its
+	// identity handle, see packet.Sticky), so a reader that remembers it
+	// knows when DroppedOrigins has something new to say; it restarts
+	// only if the watch lost the record to another identity's evidence.
 	Origins int
 }
 
@@ -48,26 +52,25 @@ type RelayRatio struct {
 // A frame costs what it changes: hand-offs expire from a deadline
 // queue, each relay keeps a running drop count over its window, and
 // the report is rebuilt only once an outcome landed or a window can
-// have trimmed. Times inside the watch are nanoseconds since its first
-// data frame.
+// have trimmed. A node's evidence is found by its identity handle;
+// times are capture nanoseconds.
 type ForwardingWatch struct {
 	cfg ForwardingConfig
 
 	mu sync.Mutex
-	// epoch is the capture time of the first data frame (started set).
-	epoch   time.Time
-	started bool
-	// recs holds one record per node ever handed a frame or heard as a
-	// root, indexed through idx.
-	idx  map[packet.NodeID]int32
-	recs []relayState
+	// recs holds the evidence of every node heard on CTP data or as a
+	// root: what the watch learned about a node survives the node's
+	// eviction from the identity table.
+	recs packet.Sticky[relayState]
 	// deadlines is a min-heap of armed hand-offs. An entry is stale once
 	// its relay's pending map no longer holds the key at that deadline
-	// (satisfied, or re-armed); stale entries are dropped when popped.
+	// (satisfied, re-armed, or the record lost to another identity);
+	// stale entries are dropped when popped.
 	deadlines []deadline
-	// walk lists, in identity order, the records with an outcome in the
+	// walk lists, in identity order, the relays with an outcome in the
 	// window: the relays a report walks.
-	walk []int32
+	walk      []walkEntry
+	walkSweep int
 
 	// ratios is the report; it holds until an outcome lands (dirty) or
 	// the capture time passes nextTrim, the earliest time a walked
@@ -108,8 +111,14 @@ type outcome struct {
 // deadline is one armed hand-off in the deadline queue.
 type deadline struct {
 	at  int64
-	rec int32
+	h   packet.Handle
 	key pendKey
+}
+
+// walkEntry is one walked relay.
+type walkEntry struct {
+	h  packet.Handle
+	id packet.NodeID
 }
 
 // pendKey identifies a forwarded frame by its CTP origin and sequence
@@ -124,11 +133,7 @@ type pendKey struct {
 // NewForwardingWatch creates a standalone forwarding watch (not
 // attached to a table); the owner calls Observe itself.
 func NewForwardingWatch(cfg ForwardingConfig) *ForwardingWatch {
-	return &ForwardingWatch{
-		cfg:      cfg,
-		idx:      make(map[packet.NodeID]int32),
-		nextTrim: math.MaxInt64,
-	}
+	return &ForwardingWatch{cfg: cfg, nextTrim: math.MaxInt64, walkSweep: minWalkSweep}
 }
 
 // Forwarding acquires the table's shared forwarding watch for the given
@@ -140,11 +145,11 @@ func (t *Table) Forwarding(cfg ForwardingConfig) *ForwardingWatch {
 
 // Observe implements Tracker. Frames without a CTP layer return before
 // the lock.
-func (w *ForwardingWatch) Observe(c *packet.Captured) {
+func (w *ForwardingWatch) Observe(c *packet.Captured, now int64) {
 	if b, ok := c.Layer("ctp-beacon").(*ctp.Beacon); ok {
-		if b.ETX == 0 {
+		if b.ETX == 0 && c.TransmitterH != 0 {
 			w.mu.Lock()
-			w.recs[w.relay(c.Transmitter)].root = true
+			w.relay(c.TransmitterH, c.Transmitter).root = true
 			w.mu.Unlock()
 		}
 		return
@@ -155,20 +160,16 @@ func (w *ForwardingWatch) Observe(c *packet.Captured) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.started {
-		w.epoch, w.started = c.Time, true
-	}
-	now := int64(c.Time.Sub(w.epoch))
 	w.expire(now)
 
 	key := pendKey{origin: d.Origin, seq: d.SeqNo}
 	// The transmitter just forwarded (or originated) this frame; any
 	// pending expectation on it is satisfied.
-	if i, known := w.idx[c.Transmitter]; known {
-		if m := w.recs[i].pending; m != nil {
-			if _, waiting := m[key]; waiting {
-				delete(m, key)
-				w.land(i, outcome{at: now, dropped: false})
+	if c.TransmitterH != 0 {
+		if r := w.relay(c.TransmitterH, c.Transmitter); r.pending != nil {
+			if _, waiting := r.pending[key]; waiting {
+				delete(r.pending, key)
+				w.land(c.TransmitterH, r, outcome{at: now, dropped: false})
 			}
 		}
 	}
@@ -177,11 +178,10 @@ func (w *ForwardingWatch) Observe(c *packet.Captured) {
 	// must forward in turn — register the expectation even for frames
 	// that themselves satisfied one, so every hop of a chain is
 	// monitored.
-	if c.Dst == packet.Broadcast || c.Dst == "" {
+	if c.DstH == 0 || c.Dst == packet.Broadcast {
 		return
 	}
-	i := w.relay(c.Dst)
-	r := &w.recs[i]
+	r := w.relay(c.DstH, c.Dst)
 	if r.root {
 		return
 	}
@@ -190,18 +190,31 @@ func (w *ForwardingWatch) Observe(c *packet.Captured) {
 	}
 	at := w.after(now, int64(w.cfg.Timeout))
 	r.pending[key] = at
-	w.push(deadline{at: at, rec: i, key: key})
+	w.push(deadline{at: at, h: c.DstH, key: key})
 }
 
-// relay returns the index of the node's record, creating it.
-func (w *ForwardingWatch) relay(id packet.NodeID) int32 {
-	i, known := w.idx[id]
-	if !known {
-		i = int32(len(w.recs))
-		w.idx[id] = i
-		w.recs = append(w.recs, relayState{id: id})
+// relay returns the node's record, creating it. A record the node left
+// under an earlier handle comes back, and the queue and the walk follow
+// it to the new handle.
+func (w *ForwardingWatch) relay(h packet.Handle, id packet.NodeID) *relayState {
+	r, fresh, moved := w.recs.Put(h, id)
+	if fresh {
+		r.id = id
 	}
-	return i
+	if moved != 0 {
+		for i := range w.deadlines {
+			if w.deadlines[i].h == moved {
+				w.deadlines[i].h = h
+			}
+		}
+		for i := range w.walk {
+			if w.walk[i].h == moved {
+				w.walk[i].h = h
+			}
+		}
+		w.dirty = true // the report names the relay by handle
+	}
+	return r
 }
 
 // expire converts overdue expectations into drop outcomes, popping the
@@ -209,7 +222,10 @@ func (w *ForwardingWatch) relay(id packet.NodeID) int32 {
 func (w *ForwardingWatch) expire(now int64) {
 	for len(w.deadlines) > 0 && now > w.deadlines[0].at {
 		e := w.pop()
-		r := &w.recs[e.rec]
+		r := w.recs.Get(e.h)
+		if r == nil {
+			continue // the record was lost to another identity
+		}
 		if at, armed := r.pending[e.key]; !armed || at != e.at {
 			continue // satisfied or re-armed since
 		}
@@ -218,14 +234,13 @@ func (w *ForwardingWatch) expire(now int64) {
 			r.dropped = make(map[uint16]bool)
 		}
 		r.dropped[e.key.origin] = true
-		w.land(e.rec, outcome{at: now, dropped: true})
+		w.land(e.h, r, outcome{at: now, dropped: true})
 	}
 }
 
 // land appends an outcome to a relay's window, putting the relay on
 // the walk.
-func (w *ForwardingWatch) land(i int32, o outcome) {
-	r := &w.recs[i]
+func (w *ForwardingWatch) land(h packet.Handle, r *relayState, o outcome) {
 	if r.head > 0 && len(r.window) == cap(r.window) {
 		r.window = r.window[:copy(r.window, r.window[r.head:])]
 		r.head = 0
@@ -236,25 +251,36 @@ func (w *ForwardingWatch) land(i int32, o outcome) {
 	}
 	if !r.walked {
 		r.walked = true
-		at, _ := slices.BinarySearchFunc(w.walk, r.id, func(j int32, id packet.NodeID) int {
-			return cmp.Compare(w.recs[j].id, id)
+		at, _ := slices.BinarySearchFunc(w.walk, r.id, func(e walkEntry, id packet.NodeID) int {
+			return cmp.Compare(e.id, id)
 		})
-		w.walk = slices.Insert(w.walk, at, i)
+		w.walk = slices.Insert(w.walk, at, walkEntry{h: h, id: r.id})
+		if len(w.walk) >= w.walkSweep {
+			// Relays whose record was lost leave the walk at the next
+			// report; under a flood of spoofed relays the walk is swept
+			// here too whenever it has doubled.
+			w.walk = slices.DeleteFunc(w.walk, func(e walkEntry) bool { return w.recs.Get(e.h) == nil })
+			w.walkSweep = max(minWalkSweep, 2*len(w.walk))
+		}
 	}
 	w.dirty = true
 }
 
+// minWalkSweep is the walk length below which it is never swept
+// outside a report.
+const minWalkSweep = 1024
+
 // Ratios appends to buf[:0] the windowed drop ratio of every relay with
-// at least MinSamples outcomes in the window ending at now, in relay
-// identity order. It covers relays whose latest evidence is an expiry
-// (a dropper never transmits again), which is why detectors poll it on
-// every frame; in steady state a poll allocates nothing.
-func (w *ForwardingWatch) Ratios(now time.Time, buf []RelayRatio) []RelayRatio {
+// at least MinSamples outcomes in the window ending at now (capture
+// nanoseconds), in relay identity order. It covers relays whose latest
+// evidence is an expiry (a dropper never transmits again), which is why
+// detectors poll it on every frame; in steady state a poll allocates
+// nothing.
+func (w *ForwardingWatch) Ratios(now int64, buf []RelayRatio) []RelayRatio {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	at := int64(now.Sub(w.epoch))
-	if w.dirty || at > w.nextTrim {
-		w.report(at)
+	if w.dirty || now > w.nextTrim {
+		w.report(now)
 	}
 	return append(buf[:0], w.ratios...)
 }
@@ -262,14 +288,18 @@ func (w *ForwardingWatch) Ratios(now time.Time, buf []RelayRatio) []RelayRatio {
 // report trims every walked window to the one ending at now and
 // rebuilds the report. A relay whose window empties leaves the walk,
 // and, with no hand-off pending, releases its evidence but the
-// dropped-origin set (which only grows).
+// dropped-origin set (which only grows); a relay whose record was lost
+// to another identity leaves the walk too.
 func (w *ForwardingWatch) report(now int64) {
 	window := int64(w.cfg.Window)
 	w.ratios = w.ratios[:0]
 	w.nextTrim = math.MaxInt64
 	kept := 0
-	for _, i := range w.walk {
-		r := &w.recs[i]
+	for _, e := range w.walk {
+		r := w.recs.Get(e.h)
+		if r == nil {
+			continue
+		}
 		for r.head < len(r.window) && now > w.after(r.window[r.head].at, window) {
 			if r.window[r.head].dropped {
 				r.drops--
@@ -284,13 +314,14 @@ func (w *ForwardingWatch) report(now int64) {
 			}
 			continue
 		}
-		w.walk[kept] = i
+		w.walk[kept] = e
 		kept++
 		w.nextTrim = min(w.nextTrim, w.after(r.window[r.head].at, window))
 		if n >= w.cfg.MinSamples {
-			w.ratios = append(w.ratios, RelayRatio{Relay: r.id, Ratio: float64(r.drops) / float64(n), Origins: len(r.dropped)})
+			w.ratios = append(w.ratios, RelayRatio{Relay: r.id, H: e.h, Ratio: float64(r.drops) / float64(n), Origins: len(r.dropped)})
 		}
 	}
+	clear(w.walk[kept:])
 	w.walk = w.walk[:kept]
 	w.dirty = false
 }
@@ -348,12 +379,12 @@ func (w *ForwardingWatch) pop() deadline {
 
 // DroppedOrigins returns, sorted, the origins the relay has dropped
 // (the payload of SuspectBlackhole knowggets).
-func (w *ForwardingWatch) DroppedOrigins(relay packet.NodeID) []uint16 {
+func (w *ForwardingWatch) DroppedOrigins(relay packet.Handle) []uint16 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var dropped map[uint16]bool
-	if i, known := w.idx[relay]; known {
-		dropped = w.recs[i].dropped
+	if r := w.recs.Get(relay); r != nil {
+		dropped = r.dropped
 	}
 	out := make([]uint16, 0, len(dropped))
 	for o := range dropped {

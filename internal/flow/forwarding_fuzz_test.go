@@ -104,7 +104,7 @@ func FuzzForwardingWatch(f *testing.F) {
 		got, want := NewForwardingWatch(cfg), newRefWatch(cfg)
 		var buf []RelayRatio
 		poll := func(frame int, now time.Time) {
-			buf = got.Ratios(now, buf)
+			buf = got.Ratios(nanos(now), buf)
 			if w := want.Ratios(now, nil); !slices.Equal(buf, w) {
 				t.Fatalf("frame %d: Ratios(%v) = %+v, the model reports %+v", frame, now, buf, w)
 			}
@@ -132,14 +132,14 @@ func FuzzForwardingWatch(f *testing.F) {
 				c.Src, c.Dst = c.Transmitter, fwdDst(op[2]>>3&15)
 				c.Layers = []packet.Layer{&ctp.Data{Origin: uint16(op[1] & 3), SeqNo: op[1] >> 2 & 3}}
 			}
-			got.Observe(c)
+			got.Observe(obs(c))
 			want.Observe(c)
 			poll(i, at)
 			if op[0]&fwdPoll != 0 {
 				poll(i, at.Add(cfg.Window+1))
 			}
 			for _, n := range fwdNodes {
-				if g, w := got.DroppedOrigins(n), want.DroppedOrigins(n); !slices.Equal(g, w) {
+				if g, w := got.DroppedOrigins(hid(n)), want.DroppedOrigins(n); !slices.Equal(g, w) {
 					t.Fatalf("frame %d: DroppedOrigins(%s) = %v, the model says %v", i, n, g, w)
 				}
 			}

@@ -160,7 +160,7 @@ func (w *refWatch) Ratios(now time.Time, buf []RelayRatio) []RelayRatio {
 					drops++
 				}
 			}
-			r := RelayRatio{Relay: relay, Origins: len(w.dropped[relay])}
+			r := RelayRatio{Relay: relay, H: packet.HandleOf(relay), Origins: len(w.dropped[relay])}
 			if len(evs) > 0 {
 				r.Ratio = float64(drops) / float64(len(evs))
 			}

@@ -25,6 +25,11 @@ func ctpCap(t testing.TB, raw []byte, at time.Time) *packet.Captured {
 	return c
 }
 
+// observer hands captures to a tracker the way a table does.
+func observer(tr Tracker) func(*packet.Captured) {
+	return func(c *packet.Captured) { tr.Observe(obs(c)) }
+}
+
 // feedChain plays n rounds of origin 3 → relay 2 → root 1 into observe,
 // three seconds apart; relay 2 forwards round i unless drop(i).
 func feedChain(t testing.TB, observe func(*packet.Captured), start time.Time, n int, drop func(int) bool) time.Time {
@@ -45,27 +50,27 @@ func feedChain(t testing.TB, observe func(*packet.Captured), start time.Time, n 
 func TestForwardingWatchRatios(t *testing.T) {
 	w := NewForwardingWatch(fwdCfg)
 	// Three rounds: too few outcomes to report anything.
-	now := feedChain(t, w.Observe, t0, 3, func(int) bool { return false })
-	if got := w.Ratios(now, nil); len(got) != 0 {
+	now := feedChain(t, observer(w), t0, 3, func(int) bool { return false })
+	if got := w.Ratios(nanos(now), nil); len(got) != 0 {
 		t.Fatalf("reported below MinSamples: %+v", got)
 	}
 	// Nine rounds, every other one dropped. The drop of round 8 has not
 	// expired yet (no later data frame), so the window holds rounds 0–7.
 	w = NewForwardingWatch(fwdCfg)
-	now = feedChain(t, w.Observe, t0, 9, func(i int) bool { return i%2 == 0 })
-	want := []RelayRatio{{Relay: "0x0002", Ratio: 0.5, Origins: 1}}
-	if got := w.Ratios(now, nil); !reflect.DeepEqual(got, want) {
+	now = feedChain(t, observer(w), t0, 9, func(i int) bool { return i%2 == 0 })
+	want := []RelayRatio{{Relay: "0x0002", H: hid("0x0002"), Ratio: 0.5, Origins: 1}}
+	if got := w.Ratios(nanos(now), nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("Ratios = %+v, want %+v", got, want)
 	}
-	if got := w.DroppedOrigins("0x0002"); !reflect.DeepEqual(got, []uint16{3}) {
+	if got := w.DroppedOrigins(hid("0x0002")); !reflect.DeepEqual(got, []uint16{3}) {
 		t.Errorf("DroppedOrigins = %v, want [3]", got)
 	}
 	// The root is handed frames and never forwards: not a relay.
-	if got := w.DroppedOrigins("0x0001"); len(got) != 0 {
+	if got := w.DroppedOrigins(hid("0x0001")); len(got) != 0 {
 		t.Errorf("collection root accused of dropping %v", got)
 	}
 	// Read a window later: everything has aged out, without new frames.
-	if got := w.Ratios(now.Add(fwdCfg.Window+time.Minute), nil); len(got) != 0 {
+	if got := w.Ratios(nanos(now.Add(fwdCfg.Window+time.Minute)), nil); len(got) != 0 {
 		t.Errorf("aged-out outcomes still reported: %+v", got)
 	}
 }
@@ -73,8 +78,8 @@ func TestForwardingWatchRatios(t *testing.T) {
 // dataCap is a CTP data frame of (origin, seq) from tx to dst, built
 // without the decoder so a test can mint many cheaply.
 func dataCap(tx, dst packet.NodeID, origin uint16, seq uint8, at time.Time) *packet.Captured {
-	return &packet.Captured{Time: at, Medium: packet.MediumIEEE802154, Src: tx, Dst: dst, Transmitter: tx,
-		Layers: []packet.Layer{&ctp.Data{Origin: origin, SeqNo: seq}}}
+	return (&packet.Captured{Time: at, Medium: packet.MediumIEEE802154, Src: tx, Dst: dst, Transmitter: tx,
+		Layers: []packet.Layer{&ctp.Data{Origin: origin, SeqNo: seq}}}).Identify()
 }
 
 // relayRounds is a chain origin 4 → 3 → 2 → root 1 (whose beacon the
@@ -103,7 +108,7 @@ func (r *relayRounds) play(w *ForwardingWatch, i int, at time.Time) {
 	for h, c := range hops {
 		if c != nil {
 			c.Time = at.Add(time.Duration(h) * 20 * time.Millisecond)
-			w.Observe(c)
+			w.Observe(obs(c))
 		}
 	}
 }
@@ -115,28 +120,28 @@ func (r *relayRounds) play(w *ForwardingWatch, i int, at time.Time) {
 // next, nor the two polls of the forwarding detectors after it.
 func TestForwardingWatchAllocs(t *testing.T) {
 	w := NewForwardingWatch(fwdCfg)
-	now := feedChain(t, w.Observe, t0, 12, func(i int) bool { return i%3 == 0 })
+	now := feedChain(t, observer(w), t0, 12, func(i int) bool { return i%3 == 0 })
 	wifi := cap1("a", "b", now)
-	if n := testing.AllocsPerRun(100, func() { w.Observe(wifi) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { w.Observe(obs(wifi)) }); n != 0 {
 		t.Errorf("Observe of a non-CTP frame: %v allocs, want 0", n)
 	}
-	buf := w.Ratios(now, nil)
+	buf := w.Ratios(nanos(now), nil)
 	if len(buf) != 1 {
 		t.Fatalf("Ratios = %+v, want one relay", buf)
 	}
-	if n := testing.AllocsPerRun(100, func() { buf = w.Ratios(now, buf) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { buf = w.Ratios(nanos(now), buf) }); n != 0 {
 		t.Errorf("Ratios at the computed capture time: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		now = now.Add(time.Millisecond)
-		buf = w.Ratios(now, buf)
+		buf = w.Ratios(nanos(now), buf)
 	}); n != 0 {
 		t.Errorf("Ratios at a new capture time: %v allocs, want 0", n)
 	}
 
 	// A warmed relay chain: two windows of rounds, 100 ms apart.
 	w = NewForwardingWatch(fwdCfg)
-	w.Observe(ctpCap(t, stack.BuildCTPBeacon(1, 1, 0, 1), t0))
+	w.Observe(obs(ctpCap(t, stack.BuildCTPBeacon(1, 1, 0, 1), t0)))
 	rounds := newRelayRounds()
 	round := 0
 	next := func() time.Time {
@@ -148,8 +153,8 @@ func TestForwardingWatchAllocs(t *testing.T) {
 	}
 	var sel, bh []RelayRatio
 	polls := func(at time.Time) {
-		sel = w.Ratios(at, sel)
-		bh = w.Ratios(at, bh)
+		sel = w.Ratios(nanos(at), sel)
+		bh = w.Ratios(nanos(at), bh)
 	}
 	polls(next())
 	if len(sel) != 2 {
@@ -171,7 +176,7 @@ func TestForwardingWatchAllocs(t *testing.T) {
 			at := next()
 			for h, c := range hops[0] {
 				c.Time = at.Add(time.Duration(h) * time.Millisecond)
-				w.Observe(c)
+				w.Observe(obs(c))
 			}
 			hops = hops[1:]
 			polls(at.Add(time.Millisecond))
@@ -194,7 +199,7 @@ func TestForwardingWatchAllocs(t *testing.T) {
 // over 100 000 frames of a chain with drops and retransmissions.
 func TestForwardingWatchDeadlineBound(t *testing.T) {
 	w := NewForwardingWatch(fwdCfg)
-	w.Observe(ctpCap(t, stack.BuildCTPBeacon(1, 1, 0, 1), t0))
+	w.Observe(obs(ctpCap(t, stack.BuildCTPBeacon(1, 1, 0, 1), t0)))
 	var handed []time.Time // registration times of hand-offs, oldest first
 	at := t0
 	c := dataCap("", "", 3, 0, t0)
@@ -215,7 +220,7 @@ func TestForwardingWatchDeadlineBound(t *testing.T) {
 			c.Transmitter, c.Dst = "0x0004", "0x0001"
 		}
 		c.Src = c.Transmitter
-		w.Observe(c)
+		w.Observe(obs(c))
 		if c.Dst != "0x0001" {
 			handed = append(handed, at)
 		}
@@ -229,33 +234,38 @@ func TestForwardingWatchDeadlineBound(t *testing.T) {
 }
 
 // TestForwardingWatchSpoofedRelays: link destinations are attacker
-// bytes. 100 000 spoofed relays, each handed one frame it drops, leave
-// the per-frame walk a window later, and polling the report then
-// allocates nothing; each keeps its dropped origin.
+// bytes. 100 000 spoofed relays, each handed one frame it drops: the
+// watch holds evidence for no more of them than the identity table
+// holds identities, they leave the per-frame walk a window later, and
+// polling the report then allocates nothing; the last keeps its dropped
+// origin.
 func TestForwardingWatchSpoofedRelays(t *testing.T) {
 	w := NewForwardingWatch(fwdCfg)
 	at := t0
 	for i := 0; i < 100000; i++ {
 		at = at.Add(time.Millisecond)
-		w.Observe(dataCap("0x0003", packet.NodeID(fmt.Sprintf("spoof-%d", i)), 3, uint8(i), at))
+		w.Observe(obs(dataCap("0x0003", packet.NodeID(fmt.Sprintf("spoof-%d", i)), 3, uint8(i), at)))
+		if n := w.recs.Len(); n > packet.IdentityCapacity {
+			t.Fatalf("frame %d: evidence for %d relays, over the identity capacity %d", i, n, packet.IdentityCapacity)
+		}
 	}
 	at = at.Add(fwdCfg.Timeout + time.Millisecond)
-	w.Observe(dataCap("0x0003", packet.Broadcast, 3, 0, at)) // expires the last hand-offs
-	if n := len(w.walk); n != 100000 {
-		t.Fatalf("%d relays on the walk after the drops, want 100000", n)
+	w.Observe(obs(dataCap("0x0003", packet.Broadcast, 3, 0, at))) // expires the last hand-offs
+	if n := len(w.walk); n == 0 || n > 2*packet.IdentityCapacity {
+		t.Fatalf("%d relays on the walk after the drops, want 1..%d", n, 2*packet.IdentityCapacity)
 	}
 	at = at.Add(fwdCfg.Window + time.Millisecond)
-	buf := w.Ratios(at, nil)
+	buf := w.Ratios(nanos(at), nil)
 	if len(buf) != 0 || len(w.walk) != 0 {
 		t.Fatalf("a window later: report %+v, %d relays on the walk; want none", buf, len(w.walk))
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		at = at.Add(time.Second)
-		buf = w.Ratios(at, buf)
+		buf = w.Ratios(nanos(at), buf)
 	}); n != 0 {
 		t.Errorf("Ratios poll after the flood: %v allocs, want 0", n)
 	}
-	if got := w.DroppedOrigins("spoof-99999"); !reflect.DeepEqual(got, []uint16{3}) {
+	if got := w.DroppedOrigins(hid("spoof-99999")); !reflect.DeepEqual(got, []uint16{3}) {
 		t.Errorf("DroppedOrigins(spoof-99999) = %v, want [3]", got)
 	}
 }
@@ -296,7 +306,7 @@ func TestForwardingWatchShared(t *testing.T) {
 			tblB.Update(c)
 		}
 	}, t0, 9, func(i int) bool { return i%2 == 0 })
-	if got := sel.Ratios(now, nil); len(got) != 1 || got[0].Ratio != 0.5 {
+	if got := sel.Ratios(nanos(now), nil); len(got) != 1 || got[0].Ratio != 0.5 {
 		t.Errorf("Ratios = %+v, want relay 0x0002 at 0.5", got)
 	}
 }
@@ -323,15 +333,15 @@ func TestForwardingWatchConcurrent(t *testing.T) {
 			var buf []RelayRatio
 			for _, c := range frames {
 				tbl.Update(c)
-				buf = w.Ratios(c.Time, buf)
+				buf = w.Ratios(nanos(c.Time), buf)
 				for _, r := range buf {
-					w.DroppedOrigins(r.Relay)
+					w.DroppedOrigins(hid(r.Relay))
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := held.Ratios(t0.Add(2*time.Minute), nil); len(got) != 1 || got[0].Relay != "0x0002" {
+	if got := held.Ratios(nanos(t0.Add(2*time.Minute)), nil); len(got) != 1 || got[0].Relay != "0x0002" {
 		t.Errorf("Ratios after concurrent feeds = %+v, want relay 0x0002", got)
 	}
 }

@@ -70,7 +70,9 @@ type ExportFunc func(Record)
 // table (see endpoint.go). Observe runs after the flow-level update,
 // outside the table lock.
 type Tracker interface {
-	Observe(c *packet.Captured)
+	// Observe folds in one capture; now is its capture time in
+	// nanoseconds (Captured.Nanos).
+	Observe(c *packet.Captured, now int64)
 }
 
 // Table is the flow table: a bounded map of live flows with an
@@ -81,13 +83,12 @@ type Table struct {
 	featFns  []Factory
 	featured bool
 
-	mu       sync.Mutex
-	flows    map[Key]*Flow
-	lruHead  *Flow // most recently touched
-	lruTail  *Flow // least recently touched
-	toSweep  int
-	lastSeen time.Time
-	met      Metrics
+	mu      sync.Mutex
+	flows   map[handleKey]*Flow
+	lruHead *Flow // most recently touched
+	lruTail *Flow // least recently touched
+	toSweep int
+	met     Metrics
 
 	// exports is copy-on-write: Update snapshots the slice header under
 	// mu and iterates after unlock.
@@ -106,7 +107,7 @@ func NewTable(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		cfg:     cfg,
-		flows:   make(map[Key]*Flow),
+		flows:   make(map[handleKey]*Flow),
 		toSweep: cfg.SweepEvery,
 		trk:     cfg.Trackers,
 	}
@@ -161,22 +162,25 @@ func (t *Table) Stats() (expirations, evictions uint64) {
 // per configured feature, an amortized idle sweep, and finally one
 // Observe per registered endpoint tracker. The per-packet cost is O(1)
 // in the table size and independent of any window length.
+//
+// A capture whose identities carry no handles (one built by hand
+// without Captured.Identify) panics here, rather than share one flow
+// and every tracker's state with every other such capture.
 func (t *Table) Update(c *packet.Captured) {
+	c.CheckHandles()
+	now := c.Nanos()
 	t.mu.Lock()
-	if c.Time.After(t.lastSeen) {
-		t.lastSeen = c.Time
-	}
-	k := KeyOf(c)
+	k := keyOf(c)
 	var exported []Record
 	f := t.flows[k]
 	if f != nil {
 		// Expiry on touch: a stale entry is exported and the flow
 		// restarts fresh from this packet.
-		if c.Time.Sub(f.Last) > t.cfg.IdleTimeout {
+		if now-f.lastNs > int64(t.cfg.IdleTimeout) {
 			//lint:ignore hotalloc exports append only on idle expiry, amortized across the flow's packets
 			exported = append(exported, t.removeLocked(f, ReasonIdle))
 			f = nil
-		} else if c.Time.Sub(f.First) > t.cfg.ActiveTimeout {
+		} else if now-f.firstNs > int64(t.cfg.ActiveTimeout) {
 			//lint:ignore hotalloc exports append only on active-timeout expiry, amortized across the flow's packets
 			exported = append(exported, t.removeLocked(f, ReasonActive))
 			f = nil
@@ -188,7 +192,7 @@ func (t *Table) Update(c *packet.Captured) {
 			exported = append(exported, t.removeLocked(t.lruTail, ReasonEvicted))
 		}
 		//lint:ignore hotalloc one allocation per new flow, amortized across the flow's packets
-		f = &Flow{Key: k, First: c.Time, Last: c.Time}
+		f = &Flow{Key: KeyOf(c), First: c.Time, Last: c.Time, hk: k, firstNs: now, lastNs: now}
 		if t.featured {
 			f.feats = make([]State, len(t.featFns))
 			for i, fn := range t.featFns {
@@ -204,20 +208,20 @@ func (t *Table) Update(c *packet.Captured) {
 	for _, fs := range f.feats {
 		fs.Update(f, c)
 	}
-	f.Last = c.Time
+	f.Last, f.lastNs = c.Time, now
 	f.Packets++
 	f.Bytes += uint64(len(c.Payload))
 
 	t.toSweep--
 	if t.toSweep <= 0 {
 		t.toSweep = t.cfg.SweepEvery
-		exported = t.sweepLocked(c.Time, exported)
+		exported = t.sweepLocked(now, exported)
 	}
 	exports := t.exports
 	t.mu.Unlock()
 
 	for _, tr := range t.trk.snapshot() {
-		tr.Observe(c)
+		tr.Observe(c, now)
 	}
 	if len(exported) > 0 {
 		for _, fn := range exports {
@@ -231,15 +235,15 @@ func (t *Table) Update(c *packet.Captured) {
 // sweepLocked expires idle flows from the LRU tail. Because the list is
 // in touch order, the walk stops at the first non-idle flow; combined
 // with the SweepEvery amortization the cost stays O(1) per packet.
-func (t *Table) sweepLocked(now time.Time, exported []Record) []Record {
-	for t.lruTail != nil && now.Sub(t.lruTail.Last) > t.cfg.IdleTimeout {
+func (t *Table) sweepLocked(now int64, exported []Record) []Record {
+	for t.lruTail != nil && now-t.lruTail.lastNs > int64(t.cfg.IdleTimeout) {
 		exported = append(exported, t.removeLocked(t.lruTail, ReasonIdle))
 	}
 	return exported
 }
 
-// Flush exports every live flow with ReasonShutdown (at the last seen
-// capture time) and empties the table.
+// Flush exports every live flow with ReasonShutdown and empties the
+// table.
 func (t *Table) Flush() {
 	t.mu.Lock()
 	var exported []Record
@@ -258,7 +262,7 @@ func (t *Table) Flush() {
 // removeLocked unlinks a flow, updates the counters and builds its
 // export record. Callers must hold t.mu.
 func (t *Table) removeLocked(f *Flow, reason ExpiryReason) Record {
-	delete(t.flows, f.Key)
+	delete(t.flows, f.hk)
 	t.unlinkLocked(f)
 	switch reason {
 	case ReasonEvicted:

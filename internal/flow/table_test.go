@@ -15,14 +15,14 @@ var t0 = time.Unix(1500000000, 0).UTC()
 // cap1 builds a minimal capture for table tests: an ICMP echo request
 // keys purely on medium + endpoints.
 func cap1(src, dst packet.NodeID, at time.Time) *packet.Captured {
-	return &packet.Captured{
+	return (&packet.Captured{
 		Time:   at,
 		Medium: packet.MediumWiFi,
 		Kind:   packet.KindICMPEchoRequest,
 		Src:    src,
 		Dst:    dst,
 		RSSI:   -60,
-	}
+	}).Identify()
 }
 
 // collectRecords registers an export hook appending into the returned
@@ -252,7 +252,7 @@ func TestChurnRace(t *testing.T) {
 				src := packet.NodeID(fmt.Sprintf("n%d", (w*13+i)%48))
 				c := cap1(src, "sink", at)
 				c.Transmitter = src
-				tbl.Update(c)
+				tbl.Update(c.Identify())
 			}
 		}()
 	}
@@ -264,7 +264,7 @@ func TestChurnRace(t *testing.T) {
 			vw := tbl.VictimWindow(MaskOf(packet.KindICMPEchoRequest), 5*time.Second)
 			hs := tbl.Handshakes(5 * time.Second)
 			ids := tbl.IdentityStats(0.3, packet.MediumWiFi)
-			_ = vw.Len("sink", t0)
+			_ = vw.Len(hid("sink"), nanos(t0))
 			hs.Release()
 			ids.Release()
 			vw.Release()
@@ -285,3 +285,13 @@ func TestChurnRace(t *testing.T) {
 		t.Errorf("live flows after flush = %d, want 0", tbl.Len())
 	}
 }
+
+// obs is a capture as a table hands it to a tracker: with its identity
+// handles and its capture nanoseconds.
+func obs(c *packet.Captured) (*packet.Captured, int64) { return c.Identify(), c.Nanos() }
+
+// hid is the identity handle of a test NodeID.
+func hid(id packet.NodeID) packet.Handle { return packet.HandleOf(id) }
+
+// nanos is a test time as capture nanoseconds.
+func nanos(t time.Time) int64 { return t.UnixNano() }

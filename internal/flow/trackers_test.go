@@ -39,7 +39,7 @@ func TestSharedTrackersAcrossTables(t *testing.T) {
 			tblB.Update(c)
 		}
 	}
-	if got := wA.Len("v", t0.Add(time.Second)); got != 10 {
+	if got := wA.Len(hid("v"), nanos(t0.Add(time.Second))); got != 10 {
 		t.Errorf("shared window Len = %d, want 10 (evidence split across tables)", got)
 	}
 	// But 5-tuple flow state stays table-local: each table holds only
@@ -56,7 +56,7 @@ func TestSharedTrackersAcrossTables(t *testing.T) {
 		t.Fatal("tables sharing a registry yielded distinct cooldown ledgers for one owner")
 	}
 	now := t0.Add(20 * time.Millisecond)
-	if wA.Len("v", now) < 10 || !gA.Pass("v", now, 10*time.Second) {
+	if wA.Len(hid("v"), nanos(now)) < 10 || !gA.Pass("v", now, 10*time.Second) {
 		t.Error("first Pass at threshold did not pass")
 	}
 	if gB.Pass("v", now.Add(time.Millisecond), 10*time.Second) {
@@ -146,23 +146,23 @@ func TestVictimWindowShardSkew(t *testing.T) {
 	}
 	// The fast shard inserts an event from the next episode, 20s ahead.
 	ahead := t0.Add(20 * time.Second)
-	w.Observe(mk("fast", ahead))
+	w.Observe(obs(mk("fast", ahead)))
 	// The laggard then delivers this episode's burst — out of global
 	// timestamp order.
 	for i := 0; i < 10; i++ {
-		w.Observe(mk(packet.NodeID(rune('a'+i)), t0.Add(time.Duration(i)*100*time.Millisecond)))
+		w.Observe(obs(mk(packet.NodeID(rune('a'+i)), t0.Add(time.Duration(i)*100*time.Millisecond))))
 	}
 	lagNow := t0.Add(time.Second)
-	if got := w.Len("v", lagNow); got != 10 {
+	if got := w.Len(hid("v"), nanos(lagNow)); got != 10 {
 		t.Errorf("laggard window = %d, want 10 (ahead-shard insert destroyed or polluted it)", got)
 	}
-	if got := w.Len("v", ahead); got != 1 {
+	if got := w.Len(hid("v"), nanos(ahead)); got != 1 {
 		t.Errorf("ahead window = %d, want 1 (stale episode leaked forward)", got)
 	}
-	if w.Len("v", lagNow) < 10 || !NewCooldown().Pass("v", lagNow, 10*time.Second) {
+	if w.Len(hid("v"), nanos(lagNow)) < 10 || !NewCooldown().Pass("v", lagNow, 10*time.Second) {
 		t.Error("laggard threshold probe failed after cross-shard skew")
 	}
-	evs := w.Events("v", lagNow)
+	evs := w.Events(hid("v"), nanos(lagNow))
 	if len(evs) != 10 || evs[0].Src != "a" || evs[9].Src != "j" {
 		t.Errorf("laggard Events = %d entries (%v...), want the in-window 10 in time order", len(evs), evs[0].Src)
 	}
@@ -179,13 +179,13 @@ func TestHandshakeShardSkew(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 		syn.Time = at
-		hs.Observe(syn)
+		hs.Observe(obs(syn))
 		ack, err := stack.Decode(packet.MediumWired, stack.BuildTCP(cli, srv, 10000, 443, tcp.FlagACK, 2, 100, 2, nil))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		ack.Time = at.Add(50 * time.Millisecond)
-		hs.Observe(ack)
+		hs.Observe(obs(ack))
 	}
 	// A fast shard completes a handshake 20s ahead, then a laggard
 	// completes two in this episode — out of global timestamp order.
@@ -193,10 +193,10 @@ func TestHandshakeShardSkew(t *testing.T) {
 	hshake(netip.MustParseAddr("10.0.0.2"), t0)
 	hshake(netip.MustParseAddr("10.0.0.3"), t0)
 	dst := packet.NodeID(srv.String())
-	if got := hs.Completions(dst, t0.Add(time.Second)); got != 2 {
+	if got := hs.Completions(hid(dst), nanos(t0.Add(time.Second))); got != 2 {
 		t.Errorf("laggard completions = %d, want 2", got)
 	}
-	if got := hs.Completions(dst, t0.Add(21*time.Second)); got != 1 {
+	if got := hs.Completions(hid(dst), nanos(t0.Add(21*time.Second))); got != 1 {
 		t.Errorf("ahead completions = %d, want 1", got)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // Medium identifies the physical communication medium a frame was
 // captured on. Kalis adapts its parsing and its detection-module set to
 // the mediums it actually observes.
-type Medium int
+type Medium uint8
 
 // Supported capture mediums.
 const (
@@ -46,7 +46,7 @@ func (m Medium) String() string {
 // frame. The Traffic Statistics sensing module keeps per-Kind
 // frequencies ("TCP SYN", "ICMP request", "CTP data", ...), exactly as
 // the paper's implementation does.
-type Kind int
+type Kind uint8
 
 // Traffic kinds tracked by Kalis.
 const (
@@ -70,7 +70,11 @@ const (
 	KindARP
 )
 
-var kindNames = map[Kind]string{
+// NumKinds is the number of Kind constants: a Kind below it indexes
+// per-kind arrays.
+const NumKinds = int(KindARP) + 1
+
+var kindNames = [NumKinds]string{
 	KindUnknown:         "Unknown",
 	KindTCPSYN:          "TCPSYN",
 	KindTCPACK:          "TCPACK",
@@ -94,8 +98,8 @@ var kindNames = map[Kind]string{
 // String returns the stable name of the kind, used as the multilevel
 // suffix of TrafficFrequency knowggets (e.g. "TrafficFrequency.TCPSYN").
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < NumKinds {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -136,9 +140,17 @@ type Layer interface {
 type Captured struct {
 	// Time is the capture timestamp. Under simulation this is virtual
 	// time; modules must take time from here, never from time.Now.
+	// Trackers do their arithmetic on Time.UnixNano (see Nanos).
 	Time time.Time
 	// Medium is the physical medium the frame was overheard on.
 	Medium Medium
+	// Kind classifies the innermost decoded layer.
+	Kind Kind
+	// SrcH, DstH and TransmitterH are the identity handles of Src, Dst
+	// and Transmitter (see Handle): per-frame state is found by them,
+	// never by the strings. Decode assigns them; a capture built by hand
+	// gets them from Identify. An empty NodeID has handle 0.
+	SrcH, DstH, TransmitterH Handle
 	// RSSI is the received signal strength in dBm as observed by the
 	// capture interface (0 when not applicable, e.g. wired).
 	RSSI float64
@@ -148,8 +160,6 @@ type Captured struct {
 	// on this hop (differs from Src when the frame is being forwarded
 	// in a multi-hop network). Empty when unknown.
 	Transmitter NodeID
-	// Kind classifies the innermost decoded layer.
-	Kind Kind
 	// Layers is the decoded protocol stack, outermost first.
 	Layers []Layer
 	// Payload is the raw innermost payload (opaque to Kalis when the
@@ -159,6 +169,19 @@ type Captured struct {
 	// set only by the evaluation harness and is invisible to detection
 	// modules (they must not read it).
 	Truth *GroundTruth
+}
+
+// Nanos is the capture time as nanoseconds since the Unix epoch: the
+// clock tracker arithmetic runs on. Capture times must lie within
+// int64 nanoseconds of the epoch (the years 1678 to 2262).
+func (c *Captured) Nanos() int64 { return c.Time.UnixNano() }
+
+// TruncateNanos rounds capture nanoseconds down to a multiple of d the
+// way time.Time.Truncate does: relative to the zero Time (year 1), not
+// to the Unix epoch, so that a window grid laid out in nanoseconds
+// matches one laid out with Captured.Time.Truncate for any d.
+func TruncateNanos(ns int64, d time.Duration) int64 {
+	return time.Unix(0, ns).Truncate(d).UnixNano()
 }
 
 // Layer returns the first decoded layer with the given name, or nil.

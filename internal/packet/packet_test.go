@@ -2,9 +2,11 @@ package packet
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // TestColonHex: the hand-placed digits are what fmt rendered before.
@@ -44,6 +46,58 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() != "Kind(99)" {
 		t.Errorf("unknown kind = %q", Kind(99).String())
+	}
+}
+
+// TestKindNamesDistinct: every Kind constant below NumKinds has its own
+// name, none of them the fallback rendering — a constant added without a
+// name would publish TrafficFrequency under "Kind(n)".
+func TestKindNamesDistinct(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := Kind(0); int(k) < NumKinds; k++ {
+		name := k.String()
+		if name == "" || name == fmt.Sprintf("Kind(%d)", int(k)) {
+			t.Errorf("kind %d has no name", int(k))
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d are both %q", int(prev), int(k), name)
+		}
+		seen[name] = k
+	}
+	if KindARP.String() != "ARP" || int(KindARP) != NumKinds-1 {
+		t.Errorf("KindARP is not the last kind: NumKinds = %d", NumKinds)
+	}
+}
+
+// TestCapturedSize pins the capture envelope: the identity handles live
+// in what were the padding bytes of Medium and Kind, so a frame costs
+// what it cost before handles existed.
+func TestCapturedSize(t *testing.T) {
+	if got := unsafe.Sizeof(Captured{}); got != 152 {
+		t.Errorf("unsafe.Sizeof(Captured{}) = %d, want 152", got)
+	}
+}
+
+// TestTruncateNanos: the long-silence window jump in nanoseconds lands
+// where Captured.Time.Truncate does — relative to year 1, not to the
+// Unix epoch — for intervals that divide the epoch offset and ones that
+// do not, and for times in any location.
+func TestTruncateNanos(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	intervals := []time.Duration{time.Second, 5 * time.Second, 7 * time.Second, 1300 * time.Millisecond,
+		11 * time.Minute, 7 * time.Hour, 3*time.Hour + 17*time.Second + 5, time.Nanosecond, 0, -time.Second}
+	locs := []*time.Location{time.UTC, time.FixedZone("x", 5*3600+1800)}
+	for i := 0; i < 2000; i++ {
+		at := time.Unix(1500000000+rng.Int63n(400000000), rng.Int63n(1e9)).In(locs[i%2])
+		d := intervals[i%len(intervals)]
+		if got, want := TruncateNanos(at.UnixNano(), d), at.Truncate(d).UnixNano(); got != want {
+			t.Fatalf("TruncateNanos(%v, %v) = %d, time.Truncate gives %d", at, d, got, want)
+		}
+	}
+	// A 7 s grid is not the Unix epoch's: the two differ here.
+	at := time.Unix(1500000003, 0)
+	if TruncateNanos(at.UnixNano(), 7*time.Second) == at.UnixNano()/int64(7*time.Second)*int64(7*time.Second) {
+		t.Error("a 7 s window grid coincides with the Unix epoch's; the year-1 rule is not exercised")
 	}
 }
 

@@ -41,7 +41,17 @@ func refMACIdentity(m wifi.MAC) packet.NodeID {
 	return refHW(m)
 }
 
+// referenceDecode also gives the capture its identity handles, by name:
+// the handles Decode assigns are the identity table's for those names.
 func referenceDecode(medium packet.Medium, raw []byte) (*packet.Captured, error) {
+	c, err := referenceLayers(medium, raw)
+	if err != nil {
+		return nil, err
+	}
+	return c.Identify(), nil
+}
+
+func referenceLayers(medium packet.Medium, raw []byte) (*packet.Captured, error) {
 	switch medium {
 	case packet.MediumIEEE802154:
 		return refDecode802154(raw)

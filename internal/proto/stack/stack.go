@@ -3,7 +3,8 @@
 // System: simulated devices use the Build* helpers to emit raw bytes
 // onto the simulated medium, and the promiscuous sniffer uses Decode to
 // turn overheard raw bytes back into a packet.Captured with a fully
-// decoded layer stack and traffic-kind classification.
+// decoded layer stack, traffic-kind classification and identity
+// handles.
 //
 // Identity conventions: Captured.Src/Dst carry the highest-layer
 // (end-to-end) addresses present in the frame, while
@@ -27,8 +28,9 @@ import (
 )
 
 // Decode parses raw bytes captured on the given medium into the layer
-// stack, filling Src, Dst, Transmitter and Kind of the returned
-// Captured. Capture metadata (Time, RSSI) is left for the caller.
+// stack, filling Src, Dst, Transmitter, their handles and Kind of the
+// returned Captured. Capture metadata (Time, RSSI) is left for the
+// caller.
 //
 // Ownership: the Captured and all its layers are ONE heap allocation,
 // sized to the layers this frame carries, and every Payload in it
@@ -134,19 +136,23 @@ func capture3[A, B, C any, PA layerPtr[A], PB layerPtr[B], PC layerPtr[C]](c *pa
 	return &f.Captured
 }
 
+// setEnds sets the capture's end-to-end source and destination.
+func setEnds(c *packet.Captured, src, dst ident) {
+	c.Src, c.SrcH, c.Dst, c.DstH = src.id, src.h, dst.id, dst.h
+}
+
+// setSrc sets the capture's end-to-end source.
+func setSrc(c *packet.Captured, src ident) { c.Src, c.SrcH = src.id, src.h }
+
 func decode802154(raw []byte) (*packet.Captured, error) {
 	var mac ieee802154.Frame
 	if err := ieee802154.DecodeInto(&mac, raw); err != nil {
 		return nil, macError{err}
 	}
-	src := ShortID(mac.SrcShort)
-	c := packet.Captured{
-		Medium:      packet.MediumIEEE802154,
-		Src:         src,
-		Dst:         ShortID(mac.DstShort),
-		Transmitter: src,
-		Kind:        packet.KindUnknown,
-	}
+	src := shortIdent(mac.SrcShort)
+	c := packet.Captured{Medium: packet.MediumIEEE802154, Kind: packet.KindUnknown}
+	setEnds(&c, src, shortIdent(mac.DstShort))
+	c.Transmitter, c.TransmitterH = src.id, src.h
 	// Link-layer security means the payload is ciphertext: opaque to a
 	// passive monitor, but the frame itself (addresses, RSSI, the
 	// security bit that Topology Discovery turns into the Encrypted
@@ -170,7 +176,7 @@ func decode802154(raw []byte) (*packet.Captured, error) {
 			return nil, err
 		}
 		c.Kind = packet.KindCTPData
-		c.Src = ShortID(d.Origin) // end-to-end origin
+		setSrc(&c, shortIdent(d.Origin)) // end-to-end origin
 		c.Payload = d.Payload
 		return capture2(&c, &mac, &d), nil
 	// 6LoWPAN next (dispatch-based), then ZigBee NWK as the fallback.
@@ -181,7 +187,7 @@ func decode802154(raw []byte) (*packet.Captured, error) {
 	if err := zigbee.DecodeInto(&nwk, mac.Payload); err != nil {
 		return nil, err
 	}
-	c.Src, c.Dst = ShortID(nwk.Src), ShortID(nwk.Dst)
+	setEnds(&c, shortIdent(nwk.Src), shortIdent(nwk.Dst))
 	if nwk.IsRouting() {
 		c.Kind = packet.KindZigbeeRouting
 	} else {
@@ -200,9 +206,10 @@ func captureLoWPAN(c *packet.Captured, mac *ieee802154.Frame) (*packet.Captured,
 	lp := &f.lp.Packet
 	f.layers[0], f.layers[1] = &f.mac, lp
 	f.Layers = f.layers[:2:2]
-	f.Src, f.Dst = ShortID(lp.Src), ShortID(lp.Dst)
 	if lp.Mesh != nil {
-		f.Src, f.Dst = ShortID(lp.Mesh.Origin), ShortID(lp.Mesh.Dst)
+		setEnds(&f.Captured, shortIdent(lp.Mesh.Origin), shortIdent(lp.Mesh.Dst))
+	} else {
+		setEnds(&f.Captured, shortIdent(lp.Src), shortIdent(lp.Dst))
 	}
 	if lp.RPL != nil {
 		f.layers[2] = lp.RPL
@@ -220,14 +227,15 @@ func decodeWiFi(medium packet.Medium, raw []byte) (*packet.Captured, error) {
 	if err := wifi.DecodeInto(&fr, raw); err != nil {
 		return nil, err
 	}
-	c := packet.Captured{Medium: medium, Transmitter: macIdentity(fr.Addr2)}
+	tx := macIdentity(fr.Addr2)
+	c := packet.Captured{Medium: medium, Transmitter: tx.id, TransmitterH: tx.h}
 	if fr.Type != wifi.TypeData || len(fr.Payload) == 0 {
 		// No IP inside: the 802.11 addresses are the end-to-end
 		// identities too.
 		if fr.Type == wifi.TypeManagement {
 			c.Kind = packet.KindWiFiMgmt
 		}
-		c.Src, c.Dst = hwID(fr.Addr2), hwID(fr.Addr1)
+		setEnds(&c, hwIdent(fr.Addr2), hwIdent(fr.Addr1))
 		c.Payload = fr.Payload
 		return capture1(&c, &fr), nil
 	}
@@ -235,7 +243,7 @@ func decodeWiFi(medium packet.Medium, raw []byte) (*packet.Captured, error) {
 	if err := ipv4.DecodeInto(&ip, fr.Payload); err != nil {
 		return nil, err
 	}
-	c.Src, c.Dst = IPID(ip.Src), IPID(ip.Dst)
+	setEnds(&c, ipIdent(ip.Src), ipIdent(ip.Dst))
 	switch ip.Protocol {
 	case ipv4.ProtoICMP:
 		var m icmp.Message
@@ -286,15 +294,10 @@ func decodeBLE(raw []byte) (*packet.Captured, error) {
 	if err := ble.DecodeInto(&pdu, raw); err != nil {
 		return nil, err
 	}
-	adv := hwID(pdu.Adv)
-	c := packet.Captured{
-		Medium:      packet.MediumBluetooth,
-		Src:         adv,
-		Dst:         packet.Broadcast,
-		Transmitter: adv,
-		Kind:        packet.KindBLEData,
-		Payload:     pdu.Payload,
-	}
+	adv := hwIdent(pdu.Adv)
+	c := packet.Captured{Medium: packet.MediumBluetooth, Kind: packet.KindBLEData, Payload: pdu.Payload}
+	setEnds(&c, adv, broadcast())
+	c.Transmitter, c.TransmitterH = adv.id, adv.h
 	if pdu.IsAdvertising() {
 		c.Kind = packet.KindBLEAdvertising
 	}

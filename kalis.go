@@ -253,7 +253,9 @@ func New(opts ...Option) (*Node, error) {
 func (n *Node) ID() string { return n.inner.ID() }
 
 // HandleCapture feeds one overheard frame into the node. Wire it to a
-// live capture source or to trace replay.
+// live capture source or to trace replay. Decoded captures carry their
+// identity handles; one built by hand needs c.Identify() first, or the
+// node panics rather than mix its identities' state.
 func (n *Node) HandleCapture(c *Captured) { n.inner.HandleCapture(c) }
 
 // DrainIngest blocks until every packet the ingest rings accepted so

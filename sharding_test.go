@@ -60,13 +60,13 @@ func (m *recorderModule) HandlePacket(c *packet.Captured) {
 // seqCapture builds a synthetic capture whose payload encodes a
 // per-source sequence number.
 func seqCapture(src packet.NodeID, seq int) *Captured {
-	return &Captured{
+	return (&Captured{
 		Time:    netsim.Epoch.Add(time.Duration(seq) * time.Millisecond),
 		Medium:  packet.MediumIEEE802154,
 		Src:     src,
 		Dst:     "sink",
 		Payload: []byte{byte(seq >> 8), byte(seq)},
-	}
+	}).Identify()
 }
 
 func newRecorderNode(t testing.TB, rec *seqRecorder, delay time.Duration, opts ...Option) *Node {

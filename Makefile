@@ -64,7 +64,10 @@ crash-demo:
 # durable-state loaders (arbitrary snapshot/journal/window-log bytes must
 # never panic or partially apply), the frame decoder (arbitrary captured
 # bytes must never panic, must decode as the per-layer reference does,
-# and must stay allocation-bounded) and the forwarding watch (arbitrary
+# and must stay allocation-bounded), the outermost-layer encoders the
+# logs write with (whatever decodes must re-encode, append-encode onto
+# a prefix without touching it, and decode again to the same layers)
+# and the forwarding watch (arbitrary
 # CTP beacon/data sequences must report exactly what the map-walk
 # reference model does).
 fuzz-short:
@@ -73,6 +76,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzWindowLogLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzStackDecode -fuzztime=30s -run '^$$' ./internal/proto/stack/
+	$(GO) test -fuzz=FuzzOuterEncode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 	$(GO) test -fuzz=FuzzForwardingWatch -fuzztime=30s -run '^$$' ./internal/flow/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &

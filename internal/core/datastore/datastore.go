@@ -25,9 +25,43 @@ type Store struct {
 	head    int                // next write position
 	size    int                // number of valid entries
 	total   uint64             // packets ever appended
-	logger  *trace.Writer
-	logSink io.Writer // raw writer behind logger, for sync/close
+	log     logEncoder         // the disk log; its writer is nil when off
+	logSink io.Writer          // raw writer behind the log, for sync/close
 	met     StoreMetrics
+
+	// snapMu serializes SnapshotTo, which encodes through snap outside
+	// mu so that Append never waits for it.
+	snapMu sync.Mutex
+	snap   logEncoder
+}
+
+// logEncoder writes captures as trace records through one reused
+// buffer for the re-encoded frame: once warm, logging a capture
+// allocates nothing.
+type logEncoder struct {
+	w   *trace.Writer
+	raw []byte
+}
+
+// appendEncoder is the outermost layer of a frame Decode produced: the
+// 802.15.4 frame, the 802.11 frame or the BLE PDU.
+type appendEncoder interface{ AppendEncode(dst []byte) []byte }
+
+// write logs c, unless it has nothing loggable (a synthetic capture
+// whose outermost layer cannot re-encode). The capture path does not
+// retain a frame's raw bytes, so the record holds the outermost layer's
+// encoding of what was decoded.
+func (e *logEncoder) write(c *packet.Captured) error {
+	if len(c.Layers) == 0 {
+		return nil
+	}
+	l, ok := c.Layers[0].(appendEncoder)
+	if !ok {
+		return nil
+	}
+	e.raw = l.AppendEncode(e.raw[:0])
+	rec := trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: e.raw, Truth: c.Truth}
+	return e.w.Write(&rec)
 }
 
 // StoreMetrics are the store's optional telemetry hooks; zero-value
@@ -59,7 +93,7 @@ func New(capacity int) *Store {
 func (s *Store) SetLog(w io.Writer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logger = trace.NewWriter(w)
+	s.log.w = trace.NewWriter(w)
 	s.logSink = w
 }
 
@@ -75,31 +109,11 @@ func (s *Store) Append(c *packet.Captured) error {
 	}
 	s.total++
 	s.met.Appended.Inc()
-	if s.logger != nil {
-		raw := rawOf(c)
-		if raw == nil {
-			return nil // nothing loggable (synthetic capture)
-		}
-		//lint:ignore hotalloc the stored Record is the datastore's product — one per logged capture, ring-bounded by the logger
-		rec := &trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: raw, Truth: c.Truth}
-		if err := s.logger.Write(rec); err != nil {
+	if s.log.w != nil {
+		if err := s.log.write(c); err != nil {
 			//lint:ignore hotpath disk-log failure branch; logging is off in passive deployments and the wrap is the error report itself
 			return fmt.Errorf("datastore: log: %w", err)
 		}
-	}
-	return nil
-}
-
-// rawOf re-encodes the outermost layer when it supports encoding; the
-// capture path does not retain original raw bytes, so logging uses the
-// layer encoders.
-func rawOf(c *packet.Captured) []byte {
-	if len(c.Layers) == 0 {
-		return nil
-	}
-	type encoder interface{ Encode() []byte }
-	if e, ok := c.Layers[0].(encoder); ok {
-		return e.Encode()
 	}
 	return nil
 }
@@ -108,10 +122,10 @@ func rawOf(c *packet.Captured) []byte {
 func (s *Store) FlushLog() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.logger == nil {
+	if s.log.w == nil {
 		return nil
 	}
-	return s.logger.Flush()
+	return s.log.w.Flush()
 }
 
 // CloseLog flushes the disk log and, when the underlying writer is a
@@ -121,10 +135,10 @@ func (s *Store) FlushLog() error {
 func (s *Store) CloseLog() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.logger == nil {
+	if s.log.w == nil {
 		return nil
 	}
-	err := s.logger.Flush()
+	err := s.log.w.Flush()
 	if f, ok := s.logSink.(interface{ Sync() error }); ok {
 		if serr := f.Sync(); err == nil {
 			err = serr
@@ -135,7 +149,7 @@ func (s *Store) CloseLog() error {
 			err = cerr
 		}
 	}
-	s.logger, s.logSink = nil, nil
+	s.log.w, s.logSink = nil, nil
 	return err
 }
 
@@ -193,8 +207,11 @@ func (s *Store) Capacity() int {
 // encoded when it arrives instead of with every snapshot. The encoding
 // is the trace log's, wholesale: synthetic captures whose outermost
 // layer cannot re-encode are skipped, exactly as the disk log skips
-// them.
+// them. Its encoder is the store's and is reused, so a call allocates
+// the same few objects however many frames it writes.
 func (s *Store) SnapshotTo(w io.Writer, since uint64) (n int, total uint64, err error) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	s.mu.RLock()
 	total = s.total
 	fresh := s.size
@@ -204,21 +221,20 @@ func (s *Store) SnapshotTo(w io.Writer, since uint64) (n int, total uint64, err 
 	window := s.recentLocked(fresh) // copy under RLock; encode without the lock
 	s.mu.RUnlock()
 
-	tw := trace.NewWriter(w)
+	if s.snap.w == nil {
+		s.snap.w = trace.NewWriter(nil)
+	}
+	s.snap.w.Reset(w)
+	defer s.snap.w.Reset(nil) // keep no caller's buffer alive
 	for _, c := range window {
-		raw := rawOf(c)
-		if raw == nil {
-			continue
-		}
-		rec := trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: raw, Truth: c.Truth}
-		if err := tw.Write(&rec); err != nil {
-			return tw.Count(), total, fmt.Errorf("datastore: snapshot: %w", err)
+		if err := s.snap.write(c); err != nil {
+			return s.snap.w.Count(), total, fmt.Errorf("datastore: snapshot: %w", err)
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return tw.Count(), total, fmt.Errorf("datastore: snapshot: %w", err)
+	if err := s.snap.w.Flush(); err != nil {
+		return s.snap.w.Count(), total, fmt.Errorf("datastore: snapshot: %w", err)
 	}
-	return tw.Count(), total, nil
+	return s.snap.w.Count(), total, nil
 }
 
 // Restore loads recovered trace records into the sliding window in

@@ -2,12 +2,15 @@ package datastore
 
 import (
 	"bytes"
+	"io"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"kalis/internal/packet"
 	"kalis/internal/proto/stack"
+	"kalis/internal/trace"
 )
 
 func capAt(sec int) *packet.Captured {
@@ -156,4 +159,72 @@ func TestSnapshotToSince(t *testing.T) {
 	if got, _ := snapshot(0); !equal(got, []int{8, 9, 10, 11}) {
 		t.Errorf("since 0: %v, want the whole window", got)
 	}
+}
+
+// TestStoreLogAllocs: with a disk log on, appending a frame allocates
+// nothing once the log's buffers have grown — the outermost layer is
+// re-encoded into the store's buffer and written as a record it owns.
+// Encoding into a fresh slice per frame cost one each.
+func TestStoreLogAllocs(t *testing.T) {
+	s := New(16)
+	s.SetLog(io.Discard)
+	frames := []*packet.Captured{capAt(1), capAt(2), capAt(3)}
+	frames[1].Truth = &packet.GroundTruth{Attack: "sinkhole", Instance: 1, Attacker: "0x0002", Victim: "0x0001"}
+	for _, c := range frames { // warm: header written, buffers grown
+		if err := s.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		for _, c := range frames {
+			if err := s.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("a logged Append allocates %v objects per %d frames, want 0", avg, len(frames))
+	}
+}
+
+// TestSnapshotToConcurrent: SnapshotTo encodes through one encoder the
+// store keeps, so calls from two goroutines, beside a third appending to
+// a logged store, must each still write a whole, replayable stream.
+// Run it under -race.
+func TestSnapshotToConcurrent(t *testing.T) {
+	s := New(64)
+	s.SetLog(io.Discard)
+	for i := range 64 {
+		_ = s.Append(capAt(i))
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 64; i < 2000; i++ {
+			if err := s.Append(capAt(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for range 2 {
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				var buf bytes.Buffer
+				n, _, err := s.SnapshotTo(&buf, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				recs, err := trace.ReadAll(&buf)
+				if err != nil || len(recs) != n || n != 64 {
+					t.Errorf("SnapshotTo wrote %d records, the stream holds %d (err %v), want the 64-frame window", n, len(recs), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

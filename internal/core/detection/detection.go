@@ -17,6 +17,7 @@ package detection
 import (
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"kalis/internal/core/knowledge"
@@ -115,8 +116,8 @@ func fingerprintMatch(kb *knowledge.Base, rssi, tol float64, exclude map[packet.
 		if exclude[id] {
 			continue
 		}
-		v, ok := kb.EntityFloat(knowledge.LabelSignalStrength, k.Entity)
-		if !ok {
+		v, err := strconv.ParseFloat(k.Value, 64)
+		if err != nil {
 			continue
 		}
 		if d := math.Abs(v - rssi); d <= tol {

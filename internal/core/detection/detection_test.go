@@ -301,3 +301,35 @@ func TestHopDistance(t *testing.T) {
 		t.Errorf("dist[d] = %d", dist["d"])
 	}
 }
+
+// TestFingerprintMatchAllocs: forming a knowledge-driven ICMP-flood
+// alert reads each SignalStrength fingerprint from the knowgget its
+// local query returned. Beyond what that query allocates, naming the
+// suspect costs the same few allocations with 8 fingerprints as with
+// 64; looking every fingerprint up again by key cost one more each.
+func TestFingerprintMatchAllocs(t *testing.T) {
+	extra := func(fingerprints int) float64 {
+		h := newHarness(true)
+		h.kb.PutEntity(knowledge.LabelSignalStrength, "192.168.1.66", "-58.2")
+		for i := 1; i < fingerprints; i++ {
+			h.kb.PutEntity(knowledge.LabelSignalStrength, netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}).String(), "-80.0")
+		}
+		mod, _ := NewICMPFlood(map[string]string{"detectionThresh": "20"})
+		mod.Activate(h.ctx)
+		feedFlood(t, h, mod, 30, -58)
+		if len(h.alerts) != 1 || len(h.alerts[0].Suspects) != 1 || h.alerts[0].Suspects[0] != "192.168.1.66" {
+			t.Fatalf("%d fingerprints: alerts %+v, want one naming 192.168.1.66", fingerprints, h.alerts)
+		}
+		d := mod.(*ICMPFlood)
+		last := mkCap(t, packet.MediumWiFi, stack.BuildICMPEcho(spoofA, victimIP, icmp.TypeEchoReply, 1, 30, 64), t0.Add(3*time.Second), -58)
+		evs := d.win.Events(last.DstH, last.Nanos())
+		query := testing.AllocsPerRun(20, func() { h.kb.QueryLocal() })
+		suspects := testing.AllocsPerRun(20, func() { d.suspects(evs) })
+		return suspects - query
+	}
+	few, many := extra(8), extra(64)
+	if few != many {
+		t.Errorf("naming the suspect allocates %.0f beyond the query with 8 fingerprints, %.0f with 64: a fingerprint is looked up again", few, many)
+	}
+	t.Logf("naming the suspect: %.0f allocations beyond the local query", few)
+}

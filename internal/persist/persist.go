@@ -149,10 +149,15 @@ type Manager struct {
 	// carries: the one part of the KB the journal does not.
 	snapStatics int
 
-	// The window log: how many records the file holds, and the Data
-	// Store's running total up to which they were written.
+	// The window log: the file, held open for appends; how many
+	// records it holds, and the Data Store's running total up to which
+	// they were written; and the buffers a sync point encodes its batch
+	// and that batch's frame into.
+	win        *os.File
 	winRecords int
 	winSeq     uint64
+	winBatch   bytes.Buffer
+	winFrame   []byte
 
 	outcome   Outcome
 	recovered int // knowggets restored from the snapshot+journal
@@ -183,6 +188,7 @@ func Open(cfg Config, kb *knowledge.Base, store *datastore.Store) (*Manager, err
 		met:      cfg.Metrics,
 	}
 	if err := m.recover(); err != nil {
+		_ = m.closeWindowLog() // the error being returned is the one to report
 		return nil, err
 	}
 	m.met.Recoveries.With(string(m.outcome)).Inc()
@@ -272,6 +278,9 @@ func (m *Manager) recover() error {
 			}
 		}
 		m.winRecords, m.winSeq = len(logged), m.store.Total()
+		if err := m.openWindowLog(); err != nil {
+			return err
+		}
 	}
 
 	// Compact the recovered state into a fresh snapshot BEFORE the
@@ -411,11 +420,12 @@ func (m *Manager) record(op byte, key string, k knowledge.Knowgget) {
 	if m.closed || m.err != nil || m.journal == nil {
 		return
 	}
-	// One write(2) per record: KB mutations are change-gated and orders
-	// of magnitude rarer than packets, so the write-ahead guarantee
-	// ("lose at most the record being written") is worth the syscall.
-	// Durability against power loss is interval-bounded by the fsync at
-	// each sync point.
+	// One write(2) per record. KB mutations are change-gated but not
+	// rare — a routing trace changes the KB once every three to four
+	// frames — and a record buffered in the process would die with it:
+	// the write is what makes "lose at most the record being written"
+	// hold across a process crash. Durability against power loss is
+	// interval-bounded by the fsync at each sync point.
 	if err := m.journal.append(op, key, k); err != nil {
 		m.err = fmt.Errorf("persist: journal append: %w", err)
 		return
@@ -603,6 +613,9 @@ func (m *Manager) Stop() error {
 			err = cerr
 		}
 		m.journal = nil
+	}
+	if cerr := m.closeWindowLog(); err == nil && cerr != nil {
+		err = fmt.Errorf("persist: window log: %w", cerr)
 	}
 	return err
 }

@@ -93,7 +93,11 @@ func loadWindowLogFile(path string) (recs []*trace.Record, goodBytes int64, torn
 // logWindowLocked makes the frames the Data Store took in since the
 // last sync point durable: one appended, fsynced batch — or, when that
 // batch would bring the log to twice the window's capacity, a rewrite.
-// With no new frames it writes nothing.
+// With no new frames it writes nothing. The batch is encoded into the
+// manager's batch and frame buffers, which are kept from one sync point
+// to the next, and appended to the log the manager holds open: once
+// warm, a sync point allocates the same few objects however many frames
+// it logs.
 func (m *Manager) logWindowLocked() error {
 	fresh := m.store.Total() - m.winSeq
 	if fresh == 0 {
@@ -102,8 +106,8 @@ func (m *Manager) logWindowLocked() error {
 	if uint64(m.winRecords)+fresh >= 2*uint64(m.store.Capacity()) {
 		return m.rewriteWindowLocked()
 	}
-	var batch bytes.Buffer
-	n, total, err := m.store.SnapshotTo(&batch, m.winSeq)
+	m.winBatch.Reset()
+	n, total, err := m.store.SnapshotTo(&m.winBatch, m.winSeq)
 	if err != nil {
 		return err
 	}
@@ -111,16 +115,10 @@ func (m *Manager) logWindowLocked() error {
 	if n == 0 {
 		return nil // nothing loggable: synthetic captures only
 	}
-	f, err := os.OpenFile(WindowLogPath(m.dir), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: window log: %w", err)
-	}
-	_, err = f.Write(appendFrame(nil, batch.Bytes()))
+	m.winFrame = appendFrame(m.winFrame[:0], m.winBatch.Bytes())
+	_, err = m.win.Write(m.winFrame)
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+		err = m.win.Sync()
 	}
 	if err != nil {
 		return fmt.Errorf("persist: window log append: %w", err)
@@ -131,12 +129,17 @@ func (m *Manager) logWindowLocked() error {
 
 // rewriteWindowLocked replaces the window log with one batch holding
 // the in-memory window, by the snapshot's own atomic-replace rule: a
-// crash mid-rewrite leaves the old log or the new one.
+// crash mid-rewrite leaves the old log or the new one. The file held
+// open for appends is the old one, so it is closed first and the new
+// one opened after. The rewrite's batch, a whole window, is not kept.
 func (m *Manager) rewriteWindowLocked() error {
 	var batch bytes.Buffer
 	n, total, err := m.store.SnapshotTo(&batch, 0)
 	if err != nil {
 		return err
+	}
+	if err := m.closeWindowLog(); err != nil {
+		return fmt.Errorf("persist: window log: %w", err)
 	}
 	err = replaceFile(WindowLogPath(m.dir), func(w io.Writer) error {
 		log := windowLogHeader()
@@ -149,8 +152,32 @@ func (m *Manager) rewriteWindowLocked() error {
 	if err != nil {
 		return fmt.Errorf("persist: window log rewrite: %w", err)
 	}
+	if err := m.openWindowLog(); err != nil {
+		return err
+	}
 	m.winRecords, m.winSeq = n, total
 	return nil
+}
+
+// openWindowLog opens the window log for the appends of sync points.
+func (m *Manager) openWindowLog() error {
+	f, err := os.OpenFile(WindowLogPath(m.dir), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("persist: window log: %w", err)
+	}
+	m.win = f
+	return nil
+}
+
+// closeWindowLog closes the window log if it is open. Every batch
+// appended to it was fsynced when it was written.
+func (m *Manager) closeWindowLog() error {
+	if m.win == nil {
+		return nil
+	}
+	err := m.win.Close()
+	m.win = nil
+	return err
 }
 
 // TearWindowLog is Tear for the window log: it chops the given number

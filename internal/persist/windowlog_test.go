@@ -527,3 +527,46 @@ func TestWindowLogReplayProperties(t *testing.T) {
 		t.Errorf("unparseable batch: %v torn=%v %d records, %d good bytes", err, torn, len(recs), n)
 	}
 }
+
+// TestSyncPointAllocs: a sync point encodes its batch into buffers the
+// manager keeps and appends it to the log it holds open, so once those
+// buffers have grown it allocates the same small constant whether ten
+// frames arrived in the interval or a thousand. Re-encoding every frame
+// into a fresh slice, a fresh batch buffer and a fresh file per sync
+// point grew with the frames.
+func TestSyncPointAllocs(t *testing.T) {
+	frames := windowFrames(t, 0, 1000)
+	perSync := func(fresh int) float64 {
+		store := datastore.New(4096) // no rewrite within the runs below
+		m, err := Open(Config{Dir: t.TempDir(), Interval: time.Second}, knowledge.NewBase("K1"), store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := m.Stop(); err != nil {
+				t.Error(err)
+			}
+		}()
+		now := time.Unix(1500000000, 0)
+		m.Tick(now)
+		syncPoint := func() {
+			appendAll(t, store, frames[:fresh])
+			now = now.Add(time.Second)
+			m.Tick(now)
+		}
+		syncPoint() // warm: the buffers grow to a batch
+		allocs := testing.AllocsPerRun(3, syncPoint)
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(5 * fresh); store.Total() != want || m.winSeq != want {
+			t.Fatalf("five sync points of %d frames logged up to frame %d of %d", fresh, m.winSeq, store.Total())
+		}
+		return allocs
+	}
+	few, many := perSync(10), perSync(1000)
+	if few != many || many > 4 {
+		t.Errorf("a sync point allocates %v objects for 10 fresh frames and %v for 1 000, want the same small constant", few, many)
+	}
+	t.Logf("a sync point allocates %v objects", many)
+}

@@ -53,12 +53,14 @@ func (p *PDU) String() string {
 func (p *PDU) IsAdvertising() bool { return p.Type != PDUData }
 
 // Encode serialises the PDU.
-func (p *PDU) Encode() []byte {
-	buf := make([]byte, 8, 8+len(p.Payload))
-	buf[0] = uint8(p.Type)
-	buf[1] = uint8(len(p.Payload))
-	copy(buf[2:8], p.Adv[:])
-	return append(buf, p.Payload...)
+func (p *PDU) Encode() []byte { return p.AppendEncode(make([]byte, 0, 8+len(p.Payload))) }
+
+// AppendEncode appends the encoded PDU to dst and returns the extended
+// slice; the bytes of dst before it are left as they were.
+func (p *PDU) AppendEncode(dst []byte) []byte {
+	dst = append(dst, uint8(p.Type), uint8(len(p.Payload)))
+	dst = append(dst, p.Adv[:]...)
+	return append(dst, p.Payload...)
 }
 
 // Decode parses a simplified BLE PDU into a new PDU.

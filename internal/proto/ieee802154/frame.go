@@ -99,40 +99,35 @@ func (f *Frame) fcf() uint16 {
 }
 
 // Encode serialises the frame including the trailing 2-byte FCS.
-func (f *Frame) Encode() []byte {
-	buf := make([]byte, 0, 32+len(f.Payload))
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], f.fcf())
-	buf = append(buf, u16[:]...)
-	buf = append(buf, f.Seq)
+func (f *Frame) Encode() []byte { return f.AppendEncode(make([]byte, 0, 32+len(f.Payload))) }
+
+// AppendEncode appends the encoded frame, FCS included, to dst and
+// returns the extended slice; the bytes of dst before it are left as
+// they were.
+func (f *Frame) AppendEncode(dst []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint16(dst, f.fcf())
+	dst = append(dst, f.Seq)
 	if f.DstMode != AddrNone {
-		binary.LittleEndian.PutUint16(u16[:], f.DstPAN)
-		buf = append(buf, u16[:]...)
-		buf = appendAddr(buf, f.DstMode, f.DstShort, f.DstExt)
+		dst = binary.LittleEndian.AppendUint16(dst, f.DstPAN)
+		dst = appendAddr(dst, f.DstMode, f.DstShort, f.DstExt)
 	}
 	if f.SrcMode != AddrNone {
 		if !f.PANIDCompress {
-			binary.LittleEndian.PutUint16(u16[:], f.SrcPAN)
-			buf = append(buf, u16[:]...)
+			dst = binary.LittleEndian.AppendUint16(dst, f.SrcPAN)
 		}
-		buf = appendAddr(buf, f.SrcMode, f.SrcShort, f.SrcExt)
+		dst = appendAddr(dst, f.SrcMode, f.SrcShort, f.SrcExt)
 	}
-	buf = append(buf, f.Payload...)
-	binary.LittleEndian.PutUint16(u16[:], CRC16(buf))
-	buf = append(buf, u16[:]...)
-	return buf
+	dst = append(dst, f.Payload...)
+	return binary.LittleEndian.AppendUint16(dst, CRC16(dst[start:]))
 }
 
 func appendAddr(buf []byte, mode AddrMode, short uint16, ext uint64) []byte {
 	switch mode {
 	case AddrShort:
-		var u16 [2]byte
-		binary.LittleEndian.PutUint16(u16[:], short)
-		return append(buf, u16[:]...)
+		return binary.LittleEndian.AppendUint16(buf, short)
 	case AddrExtended:
-		var u64 [8]byte
-		binary.LittleEndian.PutUint64(u64[:], ext)
-		return append(buf, u64[:]...)
+		return binary.LittleEndian.AppendUint64(buf, ext)
 	default:
 		return buf
 	}

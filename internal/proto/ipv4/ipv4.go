@@ -115,14 +115,31 @@ func Checksum(b []byte) uint16 { return Fold(Sum(0, b)) }
 // checksum over several pieces — a pseudo-header and a segment — needs
 // no buffer joining them. Every piece but the last must have even
 // length.
+//
+// It adds eight bytes per step, as two big-endian 32-bit words into a
+// 64-bit accumulator: 2^16 ≡ 1 modulo 0xffff, so a 32-bit word adds
+// what its two 16-bit halves do, and so does each 2^32 of carry the
+// final fold brings back in. The result is not the plain total of the
+// 16-bit words, but it folds to the same checksum.
 func Sum(sum uint32, b []byte) uint32 {
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+	acc := uint64(sum)
+	for ; len(b) >= 8; b = b[8:] {
+		v := binary.BigEndian.Uint64(b)
+		acc += v>>32 + v&0xffffffff
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	if len(b) >= 4 {
+		acc += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
 	}
-	return sum
+	if len(b) >= 2 {
+		acc += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		acc += uint64(b[0]) << 8
+	}
+	acc = acc>>32 + acc&0xffffffff
+	return uint32(acc>>32 + acc&0xffffffff)
 }
 
 // Fold reduces a running sum to the 16-bit internet checksum.

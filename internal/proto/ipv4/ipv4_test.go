@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand/v2"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -114,5 +115,56 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sum16 is the plain RFC 1071 loop Sum replaced: one big-endian 16-bit
+// word per step into a 32-bit total. It is kept as the reference Sum
+// must fold the same as.
+func sum16(sum uint32, b []byte) uint32 {
+	for i := 0; i+1 < len(b); i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+	}
+	if len(b)%2 == 1 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	return sum
+}
+
+// TestSumMatchesReference: Sum folds to what the 16-bit loop does on
+// every length from 0 to 1 600 bytes — random, all-0x00 and all-0xFF
+// contents, from a zero and a random running sum — and over two pieces
+// split at an even offset.
+func TestSumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	buf := make([]byte, 1600)
+	zeros := make([]byte, 1600)
+	ones := bytes.Repeat([]byte{0xff}, 1600)
+	for n := 0; n <= len(buf); n++ {
+		for i := range buf[:n] {
+			buf[i] = byte(rng.Uint32())
+		}
+		for _, b := range [][]byte{buf[:n], zeros[:n], ones[:n]} {
+			for _, start := range []uint32{0, rng.Uint32() >> 1} {
+				if got, want := Fold(Sum(start, b)), Fold(sum16(start, b)); got != want {
+					t.Fatalf("len %d from %#x: Sum folds to %#04x, the 16-bit loop to %#04x", n, start, got, want)
+				}
+			}
+			split := rng.IntN(n/2+1) * 2
+			if got, want := Fold(Sum(Sum(0, b[:split]), b[split:])), Fold(sum16(0, b)); got != want {
+				t.Fatalf("len %d split at %d: Sum in pieces folds to %#04x, the 16-bit loop to %#04x", n, split, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkSum(b *testing.B) {
+	buf := make([]byte, 84)
+	for i := range buf {
+		buf[i] = byte(i * 7)
+	}
+	b.SetBytes(int64(len(buf)))
+	for b.Loop() {
+		Fold(Sum(0, buf))
 	}
 }

@@ -69,8 +69,12 @@ func (f *Frame) String() string {
 }
 
 // Encode serialises the frame.
-func (f *Frame) Encode() []byte {
-	buf := make([]byte, 24, 24+len(f.Payload))
+func (f *Frame) Encode() []byte { return f.AppendEncode(make([]byte, 0, 24+len(f.Payload))) }
+
+// AppendEncode appends the encoded frame to dst and returns the
+// extended slice; the bytes of dst before it are left as they were.
+// The duration field and the fragment number are written as zero.
+func (f *Frame) AppendEncode(dst []byte) []byte {
 	var fc uint16
 	fc |= uint16(f.Type&0x3) << 2
 	fc |= uint16(f.Subtype&0xf) << 4
@@ -80,12 +84,13 @@ func (f *Frame) Encode() []byte {
 	if f.FromDS {
 		fc |= 1 << 9
 	}
-	binary.LittleEndian.PutUint16(buf[0:2], fc)
-	copy(buf[4:10], f.Addr1[:])
-	copy(buf[10:16], f.Addr2[:])
-	copy(buf[16:22], f.Addr3[:])
-	binary.LittleEndian.PutUint16(buf[22:24], f.Seq<<4)
-	return append(buf, f.Payload...)
+	dst = binary.LittleEndian.AppendUint16(dst, fc)
+	dst = append(dst, 0, 0) // duration
+	dst = append(dst, f.Addr1[:]...)
+	dst = append(dst, f.Addr2[:]...)
+	dst = append(dst, f.Addr3[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, f.Seq<<4)
+	return append(dst, f.Payload...)
 }
 
 // Decode parses a simplified 802.11 frame into a new Frame.

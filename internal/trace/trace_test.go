@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -281,5 +282,48 @@ func TestWriteAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("a warmed Writer allocates %v objects per %d records, want 0", avg, len(recs))
+	}
+}
+
+// TestReaderAllocs pins the reader's per-record cost: one allocation
+// for the Record, plus one 1 KiB slab per KiB of raw frames (a slab is
+// abandoned when the next frame no longer fits, so it may hold up to a
+// frame less). What a stream costs once — the header it reads, the body
+// buffer it reuses, the first slab — is measured on a one-record stream
+// and taken off. A separate body per record cost a second allocation
+// each.
+func TestReaderAllocs(t *testing.T) {
+	const n = 1000
+	rec := sampleRecords()[0] // no ground truth: its strings would allocate too
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for range n {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	var src bytes.Reader
+	br := bufio.NewReader(&src)
+	read := func(records int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			src.Reset(stream)
+			br.Reset(&src)
+			r := Reader{r: br}
+			for range records {
+				if _, err := r.Read(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	perSlab := slabSize / len(rec.Raw)
+	slabs := (n + perSlab - 1) / perSlab
+	got := read(n) - read(1)
+	if want := float64(n - 1 + slabs - 1); got != want {
+		t.Errorf("reading %d records of %d-byte frames costs %v allocations more than reading one, want %v (one Record each, %d slabs)", n, len(rec.Raw), got, want, slabs)
 	}
 }

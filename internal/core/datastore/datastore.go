@@ -256,19 +256,3 @@ func (s *Store) Restore(recs []*trace.Record) (restored, skipped int) {
 	})
 	return restored, skipped
 }
-
-// Replay reads a trace stream and feeds every decodable record to fn in
-// order — "logs from disk can also be replayed for traffic analysis by
-// the network administrator in case security incidents are detected"
-// (§IV-B2). It returns the number of records replayed and skipped.
-func Replay(r io.Reader, fn func(*packet.Captured)) (replayed, skipped int, err error) {
-	recs, err := trace.ReadAll(r)
-	if err != nil {
-		return 0, 0, fmt.Errorf("datastore: replay: %w", err)
-	}
-	skipped = trace.Replay(recs, func(c *packet.Captured) {
-		replayed++
-		fn(c)
-	})
-	return replayed, skipped, nil
-}

@@ -82,13 +82,14 @@ func TestDiskLogAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var replayed []*packet.Captured
-	n, skipped, err := Replay(&buf, func(c *packet.Captured) { replayed = append(replayed, c) })
+	recs, err := trace.ReadAll(&buf)
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("ReadAll: %v", err)
 	}
-	if n != 5 || skipped != 0 {
-		t.Errorf("replayed=%d skipped=%d", n, skipped)
+	var replayed []*packet.Captured
+	skipped := trace.Replay(recs, func(c *packet.Captured) { replayed = append(replayed, c) })
+	if len(replayed) != 5 || skipped != 0 {
+		t.Errorf("replayed=%d skipped=%d", len(replayed), skipped)
 	}
 	// Replay must be transparent: same kinds, times and RSSI as live.
 	for i, c := range replayed {
@@ -102,7 +103,7 @@ func TestDiskLogAndReplay(t *testing.T) {
 }
 
 func TestReplayCorruptStream(t *testing.T) {
-	if _, _, err := Replay(bytes.NewReader([]byte("garbage....")), func(*packet.Captured) {}); err == nil {
+	if _, err := trace.ReadAll(bytes.NewReader([]byte("garbage...."))); err == nil {
 		t.Error("expected error for corrupt stream")
 	}
 }
@@ -127,7 +128,8 @@ func TestSnapshotToSince(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = Replay(&buf, func(c *packet.Captured) { secs = append(secs, int(c.Time.Unix()-1500000000)) })
+		recs, err := trace.ReadAll(&buf)
+		trace.Replay(recs, func(c *packet.Captured) { secs = append(secs, int(c.Time.Unix()-1500000000)) })
 		if err != nil || n != len(secs) {
 			t.Fatalf("SnapshotTo(since %d) reported %d records, stream replays %d (err %v)", since, n, len(secs), err)
 		}

@@ -18,7 +18,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
@@ -176,57 +175,4 @@ func clusterRSSI(samples []float64, gap float64) int {
 		}
 	}
 	return clusters
-}
-
-// commGraph reconstructs the undirected communication graph from the
-// Edge knowggets published by the Topology Discovery module.
-func commGraph(kb *knowledge.Base) map[packet.NodeID][]packet.NodeID {
-	adj := make(map[packet.NodeID][]packet.NodeID)
-	add := func(a, b packet.NodeID) {
-		adj[a] = append(adj[a], b)
-	}
-	for _, k := range kb.QueryLocal() {
-		if k.Label != "Edge" || k.Entity == "" {
-			continue
-		}
-		parts := strings.SplitN(k.Entity, ">", 2)
-		if len(parts) != 2 {
-			continue
-		}
-		from, to := packet.NodeID(parts[0]), packet.NodeID(parts[1])
-		add(from, to)
-		add(to, from)
-	}
-	return adj
-}
-
-// hopDistance returns BFS hop distances from the given node over the
-// reconstructed communication graph.
-func hopDistance(kb *knowledge.Base, from packet.NodeID) map[packet.NodeID]int {
-	adj := commGraph(kb)
-	dist := map[packet.NodeID]int{from: 0}
-	queue := []packet.NodeID{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range adj[cur] {
-			if _, seen := dist[nb]; !seen {
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return dist
-}
-
-// atDistance returns the sorted nodes at exactly d hops from from.
-func atDistance(kb *knowledge.Base, from packet.NodeID, d int) []packet.NodeID {
-	var out []packet.NodeID
-	for id, dd := range hopDistance(kb, from) {
-		if dd == d {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

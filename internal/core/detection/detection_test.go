@@ -287,21 +287,6 @@ func TestClusterRSSI(t *testing.T) {
 	}
 }
 
-func TestHopDistance(t *testing.T) {
-	kb := knowledge.NewBase("K1")
-	kb.PutEntity("Edge", "a>b", "true")
-	kb.PutEntity("Edge", "b>c", "true")
-	kb.PutEntity("Edge", "c>d", "true")
-	two := atDistance(kb, "a", 2)
-	if len(two) != 1 || two[0] != "c" {
-		t.Errorf("atDistance = %v", two)
-	}
-	dist := hopDistance(kb, "a")
-	if dist["d"] != 3 {
-		t.Errorf("dist[d] = %d", dist["d"])
-	}
-}
-
 // TestFingerprintMatchAllocs: forming a knowledge-driven ICMP-flood
 // alert reads each SignalStrength fingerprint from the knowgget its
 // local query returned. Beyond what that query allocates, naming the

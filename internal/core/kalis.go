@@ -56,11 +56,6 @@ type Config struct {
 	// Knowledge Base decides what runs). Modules listed in ConfigText
 	// are installed with their parameters either way.
 	InstallAll bool
-	// Flow tunes the flow table (zero fields select the defaults; see
-	// flow.Config). The flow pipeline is always on: the table is
-	// updated once per packet before module fan-out and expired flows
-	// are exported to the OnFlowRecord subscribers.
-	Flow flow.Config
 	// StateDir, when non-empty, enables durable state: the Knowledge
 	// Base and Data Store window are recovered from this directory at
 	// startup (warm restart) and persisted across the node's lifetime
@@ -183,10 +178,7 @@ func construct(cfg Config) *Kalis {
 	// spoofed-source flood scatters across every shard while its
 	// victim's window must accumulate globally (see flow.Trackers).
 	// 5-tuple flow state stays shard-local.
-	flowCfg := cfg.Flow
-	if flowCfg.Trackers == nil {
-		flowCfg.Trackers = flow.NewTrackers()
-	}
+	flowCfg := flow.Config{Trackers: flow.NewTrackers()}
 	for i := range k.shards {
 		store, table := datastore.New(cfg.WindowSize), flow.NewTable(flowCfg)
 		k.shards[i] = &shard{

@@ -15,7 +15,7 @@ import (
 	"kalis/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden alert lists under testdata/alerts")
+var update = flag.Bool("update", false, "rewrite the golden lists under testdata")
 
 // goldenEpisodes keeps the lists reviewable: a handful of episodes per
 // run already covers first detection, cooldown expiry and re-detection.

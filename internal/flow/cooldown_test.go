@@ -90,8 +90,8 @@ func TestCooldownLedger(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewTrackers()
-			a := NewTable(Config{Features: []string{}, Trackers: reg}).Cooldown("mod")
-			b := NewTable(Config{Features: []string{}, Trackers: reg}).Cooldown("mod")
+			a := NewTable(Config{Trackers: reg}).Cooldown("mod")
+			b := NewTable(Config{Trackers: reg}).Cooldown("mod")
 			if a != b {
 				t.Fatal("tables sharing a registry yielded distinct ledgers for one owner")
 			}

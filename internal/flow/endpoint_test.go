@@ -239,7 +239,7 @@ func TestIdentityMotionFlips(t *testing.T) {
 }
 
 func TestTrackerDedupAndRelease(t *testing.T) {
-	tbl := NewTable(Config{Features: []string{}})
+	tbl := NewTable(Config{})
 	mask := MaskOf(packet.KindICMPEchoReply)
 
 	w1 := tbl.VictimWindow(mask, 5*time.Second)

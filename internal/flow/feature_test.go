@@ -9,10 +9,9 @@ import (
 	"kalis/internal/proto/stack"
 )
 
-// featTable builds a table with the given feature set and a collector
-// for its exported records.
-func featTable(feats []string) (*Table, *[]Record) {
-	tbl := NewTable(Config{Features: feats})
+// featTable builds a table and a collector for its exported records.
+func featTable() (*Table, *[]Record) {
+	tbl := NewTable(Config{})
 	recs := collectRecords(tbl)
 	return tbl, recs
 }
@@ -53,7 +52,7 @@ func decodeCap(t *testing.T, medium packet.Medium, raw []byte, at time.Time, rss
 func approx(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
 
 func TestRateFeature(t *testing.T) {
-	tbl, recs := featTable([]string{"rate"})
+	tbl, recs := featTable()
 	for _, d := range []time.Duration{0, time.Second, 2 * time.Second} {
 		tbl.Update(cap1("A", "B", t0.Add(d)))
 	}
@@ -79,7 +78,7 @@ func TestRateFeature(t *testing.T) {
 }
 
 func TestIATFeature(t *testing.T) {
-	tbl, recs := featTable([]string{"iat"})
+	tbl, recs := featTable()
 	// Inter-arrivals: 1s, 2s.
 	for _, d := range []time.Duration{0, time.Second, 3 * time.Second} {
 		tbl.Update(cap1("A", "B", t0.Add(d)))
@@ -101,7 +100,7 @@ func TestIATFeature(t *testing.T) {
 }
 
 func TestIATSkipsSinglePacketFlow(t *testing.T) {
-	tbl, recs := featTable([]string{"iat"})
+	tbl, recs := featTable()
 	tbl.Update(cap1("A", "B", t0))
 	tbl.Flush()
 	if hasFeat((*recs)[0], "iat_mean") {
@@ -110,7 +109,7 @@ func TestIATSkipsSinglePacketFlow(t *testing.T) {
 }
 
 func TestRSSIFeature(t *testing.T) {
-	tbl, recs := featTable([]string{"rssi"})
+	tbl, recs := featTable()
 	c := cap1("A", "B", t0)
 	c.RSSI = -60
 	tbl.Update(c)
@@ -143,7 +142,7 @@ func TestRSSIFeature(t *testing.T) {
 }
 
 func TestCTPRangeFeatures(t *testing.T) {
-	tbl, recs := featTable([]string{"thl", "etx"})
+	tbl, recs := featTable()
 	// One CTP data flow 3>2 whose THL and ETX drift over three frames.
 	frames := []struct {
 		thl uint8
@@ -175,7 +174,7 @@ func TestCTPRangeFeatures(t *testing.T) {
 }
 
 func TestETXFromBeacons(t *testing.T) {
-	tbl, recs := featTable([]string{"thl", "etx"})
+	tbl, recs := featTable()
 	for i, etx := range []uint16{20, 35} {
 		raw := stack.BuildCTPBeacon(4, 1, etx, uint8(i))
 		tbl.Update(decodeCap(t, packet.MediumIEEE802154, raw, t0.Add(time.Duration(i)*time.Second), -60))
@@ -188,38 +187,5 @@ func TestETXFromBeacons(t *testing.T) {
 	// Beacons carry no THL: the thl feature must stay silent.
 	if hasFeat(r, "thl_last") {
 		t.Error("beacon-only flow emitted thl values")
-	}
-}
-
-func TestFeatureSetSelection(t *testing.T) {
-	// Explicit empty (non-nil) feature list disables all features.
-	tbl, recs := featTable([]string{})
-	tbl.Update(cap1("A", "B", t0))
-	tbl.Update(cap1("A", "B", t0.Add(time.Second)))
-	tbl.Flush()
-	if n := len((*recs)[0].Features); n != 0 {
-		t.Errorf("empty feature set emitted %d values", n)
-	}
-
-	// Nil selects the defaults, which include the rate feature.
-	tbl2 := NewTable(Config{})
-	recs2 := collectRecords(tbl2)
-	tbl2.Update(cap1("A", "B", t0))
-	tbl2.Update(cap1("A", "B", t0.Add(time.Second)))
-	tbl2.Flush()
-	if !hasFeat((*recs2)[0], "rate_pps") {
-		t.Error("default feature set missing rate_pps")
-	}
-
-	// Every default feature must actually be registered.
-	reg := Features()
-	have := make(map[string]bool, len(reg))
-	for _, name := range reg {
-		have[name] = true
-	}
-	for _, name := range DefaultFeatures() {
-		if !have[name] {
-			t.Errorf("default feature %q not registered", name)
-		}
 	}
 }

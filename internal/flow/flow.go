@@ -1,9 +1,9 @@
 // Package flow is Kalis' flow-centric feature pipeline: a bounded flow
-// table keyed by 5-tuple + medium whose per-flow features are small
-// state machines updated once per packet (in the spirit of CN-TU's
-// go-flows), plus endpoint-level aggregate trackers that serve the
-// detection modules their traffic statistics in O(1) per packet, and
-// beside them the per-module alert cooldown ledgers (Cooldown).
+// table keyed by 5-tuple + medium whose flows carry five fixed
+// accumulators updated once per packet (rate, inter-arrival, RSSI and
+// CTP header drift), plus endpoint-level aggregate trackers that serve
+// the detection modules their traffic statistics in O(1) per packet,
+// and beside them the per-module alert cooldown ledgers (Cooldown).
 //
 // The table lives on the virtual capture clock: every timeout (idle,
 // active) and every window prune takes its notion of "now" from packet
@@ -81,10 +81,10 @@ type handleKey struct {
 	proto            Proto
 }
 
-// KeyOf classifies a capture into its flow key.
-func KeyOf(c *packet.Captured) Key {
-	k := keyOf(c)
-	return Key{Medium: c.Medium, Src: c.Src, Dst: c.Dst, Proto: k.proto, SrcPort: k.srcPort, DstPort: k.dstPort}
+// named is the Key of a table key classified from c: the endpoints'
+// names in place of their handles.
+func (k handleKey) named(c *packet.Captured) Key {
+	return Key{Medium: k.medium, Src: c.Src, Dst: c.Dst, Proto: k.proto, SrcPort: k.srcPort, DstPort: k.dstPort}
 }
 
 // keyOf classifies a capture into the table's key.
@@ -113,9 +113,9 @@ func keyOf(c *packet.Captured) handleKey {
 	return k
 }
 
-// String renders the key in a stable, human-readable form — used as the
-// coalescing key of flow.records events and in flow-record dumps. It is
-// called on the export path only (cold), never per packet.
+// String renders the key in a stable, human-readable form, as
+// flow-record dumps print it. It is called on the export path only
+// (cold), never per packet.
 func (k Key) String() string {
 	s := k.Medium.String() + "/" + k.Proto.String() + "/" + string(k.Src)
 	if k.SrcPort != 0 {
@@ -128,32 +128,26 @@ func (k Key) String() string {
 	return s
 }
 
-// Flow is the live state of one flow in the table. Fields are owned by
-// the table; features read them through the update contract below.
-type Flow struct {
-	// Key is the flow's identity.
-	Key Key
-	// First and Last are the capture timestamps of the first and most
-	// recent packet. During a feature State.Update call, Last still
-	// holds the PREVIOUS packet's timestamp (so inter-arrival features
-	// can difference against it); the table advances it afterwards.
-	First, Last time.Time
-	// Packets and Bytes count the flow's traffic. Like Last, they are
-	// pre-update values while features run (Packets == 0 on the flow's
-	// first packet).
-	Packets, Bytes uint64
+// flow is the live state of one flow in the table, owned by the table.
+type flow struct {
+	key Key
+	// first and last are the capture timestamps of the first and most
+	// recent packet; packets and bytes count the flow's traffic. While
+	// feats.update runs they still hold the previous packet's values
+	// (packets == 0 on the flow's first packet); the table advances
+	// them afterwards.
+	first, last    time.Time
+	packets, bytes uint64
 
-	// hk is the flow's map key; firstNs and lastNs are First and Last
+	// hk is the flow's map key; firstNs and lastNs are first and last
 	// in capture nanoseconds, what expiry compares.
 	hk              handleKey
 	firstNs, lastNs int64
 
-	// feats holds one State per configured feature, index-aligned with
-	// the table's feature names.
-	feats []State
+	feats features
 
 	// Intrusive LRU list links (head = most recently touched).
-	prev, next *Flow
+	prev, next *flow
 }
 
 // ExpiryReason says why a flow left the table.
@@ -200,7 +194,7 @@ type Record struct {
 	Packets, Bytes uint64
 	// Reason says why the flow was exported.
 	Reason ExpiryReason
-	// Features are the final feature emissions, in the table's
-	// configured feature order.
+	// Features are the final feature emissions, in a fixed order:
+	// rate, iat, rssi, thl, etx (see features.emit).
 	Features []Value
 }

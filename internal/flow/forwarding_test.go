@@ -276,8 +276,8 @@ func TestForwardingWatchSpoofedRelays(t *testing.T) {
 // configured caller its own.
 func TestForwardingWatchShared(t *testing.T) {
 	reg := NewTrackers()
-	tblA := NewTable(Config{Features: []string{}, Trackers: reg})
-	tblB := NewTable(Config{Features: []string{}, Trackers: reg})
+	tblA := NewTable(Config{Trackers: reg})
+	tblB := NewTable(Config{Trackers: reg})
 
 	sel, bh := tblA.Forwarding(fwdCfg), tblA.Forwarding(fwdCfg)
 	if sel != bh {
@@ -316,7 +316,7 @@ func TestForwardingWatchShared(t *testing.T) {
 // after every frame (meaningful under -race).
 func TestForwardingWatchConcurrent(t *testing.T) {
 	reg := NewTrackers()
-	held := NewTable(Config{Features: []string{}, Trackers: reg}).Forwarding(fwdCfg)
+	held := NewTable(Config{Trackers: reg}).Forwarding(fwdCfg)
 	defer held.Release()
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -327,7 +327,7 @@ func TestForwardingWatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tbl := NewTable(Config{Features: []string{}, Trackers: reg})
+			tbl := NewTable(Config{Trackers: reg})
 			w := tbl.Forwarding(fwdCfg)
 			defer w.Release()
 			var buf []RelayRatio

@@ -8,50 +8,30 @@ import (
 	"kalis/internal/telemetry"
 )
 
-// Config tunes a flow table. Zero fields select the defaults.
-type Config struct {
-	// IdleTimeout expires a flow that saw no packet for this long
-	// (capture time). Default 60s.
-	IdleTimeout time.Duration
+// The table's bounds, on the capture clock.
+const (
+	// IdleTimeout expires a flow that saw no packet for this long.
+	IdleTimeout = 60 * time.Second
 	// ActiveTimeout slices long-lived flows: a flow older than this is
-	// exported and restarted on its next packet. Default 5m.
-	ActiveTimeout time.Duration
+	// exported and restarted on its next packet.
+	ActiveTimeout = 5 * time.Minute
 	// MaxFlows bounds the table; at capacity the least recently touched
-	// flow is evicted (and exported). Default 4096.
-	MaxFlows int
+	// flow is evicted (and exported).
+	MaxFlows = 4096
 	// SweepEvery is the packet interval between idle sweeps of the LRU
 	// tail (on-touch expiry catches re-keyed flows; the sweep catches
-	// flows that simply went quiet). Default 256.
-	SweepEvery int
-	// Features names the per-flow features to run (see Register). Nil
-	// selects DefaultFeatures; an explicit empty, non-nil slice runs
-	// none. Unknown names are ignored.
-	Features []string
+	// flows that simply went quiet).
+	SweepEvery = 256
+)
+
+// Config configures a flow table.
+type Config struct {
 	// Trackers is the endpoint-tracker registry the table serves and
 	// observes. Nil creates a private one; sharded nodes pass one shared
 	// registry to every per-shard table so endpoint-keyed evidence
 	// (victim windows, handshake ledgers, identity fingerprints) stays
 	// global under source-hash sharding (see Trackers).
 	Trackers *Trackers
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 60 * time.Second
-	}
-	if cfg.ActiveTimeout <= 0 {
-		cfg.ActiveTimeout = 5 * time.Minute
-	}
-	if cfg.MaxFlows <= 0 {
-		cfg.MaxFlows = 4096
-	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = 256
-	}
-	if cfg.Features == nil {
-		cfg.Features = DefaultFeatures()
-	}
-	return cfg
 }
 
 // Metrics are the table's optional telemetry hooks; zero-value fields
@@ -77,16 +57,12 @@ type Tracker interface {
 
 // Table is the flow table: a bounded map of live flows with an
 // intrusive LRU list for eviction order, idle/active expiry on the
-// capture clock, and per-flow feature state machines.
+// capture clock, and per-flow feature accumulators.
 type Table struct {
-	cfg      Config
-	featFns  []Factory
-	featured bool
-
 	mu      sync.Mutex
-	flows   map[handleKey]*Flow
-	lruHead *Flow // most recently touched
-	lruTail *Flow // least recently touched
+	flows   map[handleKey]*flow
+	lruHead *flow // most recently touched
+	lruTail *flow // least recently touched
 	toSweep int
 	met     Metrics
 
@@ -98,30 +74,18 @@ type Table struct {
 	// tables, see Config.Trackers). It locks independently of t.mu and
 	// the two are never nested.
 	trk *Trackers
-
-	expirations, evictions uint64
 }
 
 // NewTable creates a flow table.
 func NewTable(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	t := &Table{
-		cfg:     cfg,
-		flows:   make(map[handleKey]*Flow),
-		toSweep: cfg.SweepEvery,
+		flows:   make(map[handleKey]*flow),
+		toSweep: SweepEvery,
 		trk:     cfg.Trackers,
 	}
 	if t.trk == nil {
 		t.trk = NewTrackers()
 	}
-	regMu.RLock()
-	for _, name := range cfg.Features {
-		if f, ok := registry[name]; ok {
-			t.featFns = append(t.featFns, f)
-		}
-	}
-	regMu.RUnlock()
-	t.featured = len(t.featFns) > 0
 	return t
 }
 
@@ -150,16 +114,9 @@ func (t *Table) Len() int {
 	return len(t.flows)
 }
 
-// Stats returns lifetime expiration and eviction counts.
-func (t *Table) Stats() (expirations, evictions uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.expirations, t.evictions
-}
-
 // Update folds one capture into the table: expiry on touch, flow
-// creation (with LRU eviction at capacity), one feature-state update
-// per configured feature, an amortized idle sweep, and finally one
+// creation (with LRU eviction at capacity), the flow's feature
+// accumulators, an amortized idle sweep, and finally one
 // Observe per registered endpoint tracker. The per-packet cost is O(1)
 // in the table size and independent of any window length.
 //
@@ -176,45 +133,37 @@ func (t *Table) Update(c *packet.Captured) {
 	if f != nil {
 		// Expiry on touch: a stale entry is exported and the flow
 		// restarts fresh from this packet.
-		if now-f.lastNs > int64(t.cfg.IdleTimeout) {
+		if now-f.lastNs > int64(IdleTimeout) {
 			//lint:ignore hotalloc exports append only on idle expiry, amortized across the flow's packets
 			exported = append(exported, t.removeLocked(f, ReasonIdle))
 			f = nil
-		} else if now-f.firstNs > int64(t.cfg.ActiveTimeout) {
+		} else if now-f.firstNs > int64(ActiveTimeout) {
 			//lint:ignore hotalloc exports append only on active-timeout expiry, amortized across the flow's packets
 			exported = append(exported, t.removeLocked(f, ReasonActive))
 			f = nil
 		}
 	}
 	if f == nil {
-		if len(t.flows) >= t.cfg.MaxFlows && t.lruTail != nil {
+		if len(t.flows) >= MaxFlows && t.lruTail != nil {
 			//lint:ignore hotalloc exports append only on LRU eviction at the MaxFlows ceiling
 			exported = append(exported, t.removeLocked(t.lruTail, ReasonEvicted))
 		}
 		//lint:ignore hotalloc one allocation per new flow, amortized across the flow's packets
-		f = &Flow{Key: KeyOf(c), First: c.Time, Last: c.Time, hk: k, firstNs: now, lastNs: now}
-		if t.featured {
-			f.feats = make([]State, len(t.featFns))
-			for i, fn := range t.featFns {
-				f.feats[i] = fn()
-			}
-		}
+		f = &flow{key: k.named(c), first: c.Time, last: c.Time, hk: k, firstNs: now, lastNs: now}
 		t.flows[k] = f
 		t.pushFrontLocked(f)
 	} else if t.lruHead != f {
 		t.unlinkLocked(f)
 		t.pushFrontLocked(f)
 	}
-	for _, fs := range f.feats {
-		fs.Update(f, c)
-	}
-	f.Last, f.lastNs = c.Time, now
-	f.Packets++
-	f.Bytes += uint64(len(c.Payload))
+	f.feats.update(f, c, now)
+	f.last, f.lastNs = c.Time, now
+	f.packets++
+	f.bytes += uint64(len(c.Payload))
 
 	t.toSweep--
 	if t.toSweep <= 0 {
-		t.toSweep = t.cfg.SweepEvery
+		t.toSweep = SweepEvery
 		exported = t.sweepLocked(now, exported)
 	}
 	exports := t.exports
@@ -236,7 +185,7 @@ func (t *Table) Update(c *packet.Captured) {
 // in touch order, the walk stops at the first non-idle flow; combined
 // with the SweepEvery amortization the cost stays O(1) per packet.
 func (t *Table) sweepLocked(now int64, exported []Record) []Record {
-	for t.lruTail != nil && now-t.lruTail.lastNs > int64(t.cfg.IdleTimeout) {
+	for t.lruTail != nil && now-t.lruTail.lastNs > int64(IdleTimeout) {
 		exported = append(exported, t.removeLocked(t.lruTail, ReasonIdle))
 	}
 	return exported
@@ -261,36 +210,27 @@ func (t *Table) Flush() {
 
 // removeLocked unlinks a flow, updates the counters and builds its
 // export record. Callers must hold t.mu.
-func (t *Table) removeLocked(f *Flow, reason ExpiryReason) Record {
+func (t *Table) removeLocked(f *flow, reason ExpiryReason) Record {
 	delete(t.flows, f.hk)
 	t.unlinkLocked(f)
 	switch reason {
 	case ReasonEvicted:
-		t.evictions++
 		t.met.Evictions.Inc()
 	case ReasonIdle, ReasonActive:
-		t.expirations++
 		t.met.Expirations.Inc()
 	}
-	r := Record{
-		Key:     f.Key,
-		First:   f.First,
-		Last:    f.Last,
-		Packets: f.Packets,
-		Bytes:   f.Bytes,
-		Reason:  reason,
+	return Record{
+		Key:      f.key,
+		First:    f.first,
+		Last:     f.last,
+		Packets:  f.packets,
+		Bytes:    f.bytes,
+		Reason:   reason,
+		Features: f.feats.emit(f, make([]Value, 0, maxValues)),
 	}
-	if len(f.feats) > 0 {
-		out := make([]Value, 0, 4*len(f.feats))
-		for _, fs := range f.feats {
-			out = fs.Emit(f, out)
-		}
-		r.Features = out
-	}
-	return r
 }
 
-func (t *Table) pushFrontLocked(f *Flow) {
+func (t *Table) pushFrontLocked(f *flow) {
 	f.prev = nil
 	f.next = t.lruHead
 	if t.lruHead != nil {
@@ -302,7 +242,7 @@ func (t *Table) pushFrontLocked(f *Flow) {
 	}
 }
 
-func (t *Table) unlinkLocked(f *Flow) {
+func (t *Table) unlinkLocked(f *flow) {
 	if f.prev != nil {
 		f.prev.next = f.next
 	} else {

@@ -33,10 +33,30 @@ func collectRecords(t *Table) *[]Record {
 	return &recs
 }
 
+// countedTable builds a table whose expirations and evictions are
+// counted by telemetry counters.
+func countedTable() (tbl *Table, expirations, evictions *telemetry.Counter) {
+	reg := telemetry.NewRegistry()
+	expirations = reg.Counter("test_flow_exp", "t")
+	evictions = reg.Counter("test_flow_ev", "t")
+	tbl = NewTable(Config{})
+	tbl.SetMetrics(Metrics{Expirations: expirations, Evictions: evictions})
+	return tbl, expirations, evictions
+}
+
+// fill adds flows from distinct sources "f0", "f1", … until the table
+// holds n, one packet each, a microsecond apart from at on.
+func fill(tbl *Table, n int, at time.Time) time.Time {
+	for i := 0; tbl.Len() < n; i++ {
+		at = at.Add(time.Microsecond)
+		tbl.Update(cap1(packet.NodeID(fmt.Sprintf("f%d", i)), "sink", at))
+	}
+	return at
+}
+
 func TestExpiryIdleVsActive(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Config
 		// gaps are the inter-packet gaps of one flow after its first
 		// packet at t0.
 		gaps       []time.Duration
@@ -46,24 +66,23 @@ func TestExpiryIdleVsActive(t *testing.T) {
 	}{
 		{
 			name:        "idle timeout exports the stale flow on touch",
-			cfg:         Config{IdleTimeout: 10 * time.Second, ActiveTimeout: time.Hour},
-			gaps:        []time.Duration{time.Second, 11 * time.Second},
+			gaps:        []time.Duration{time.Second, IdleTimeout + time.Second},
 			wantReason:  ReasonIdle,
 			wantPackets: 2,
 		},
 		{
 			name: "active timeout slices a long-lived flow",
-			cfg:  Config{IdleTimeout: time.Hour, ActiveTimeout: 10 * time.Second},
-			gaps: []time.Duration{4 * time.Second, 4 * time.Second, 4 * time.Second},
-			// The 4th packet arrives 12s after First: the flow is
-			// exported with the 3 packets seen so far and restarts.
+			gaps: []time.Duration{55 * time.Second, 55 * time.Second, 55 * time.Second,
+				55 * time.Second, 55 * time.Second, 55 * time.Second},
+			// The 7th packet arrives 5m30s after First, every gap under
+			// the idle bound: the flow is exported with the 6 packets
+			// seen so far and restarts.
 			wantReason:  ReasonActive,
-			wantPackets: 3,
+			wantPackets: 6,
 		},
 		{
 			name: "idle wins over active when both elapsed",
-			cfg:  Config{IdleTimeout: 10 * time.Second, ActiveTimeout: 15 * time.Second},
-			gaps: []time.Duration{20 * time.Second},
+			gaps: []time.Duration{ActiveTimeout + time.Minute},
 			// One gap past both bounds: on-touch expiry checks idle
 			// first (the flow went quiet before it grew old).
 			wantReason:  ReasonIdle,
@@ -72,7 +91,7 @@ func TestExpiryIdleVsActive(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tbl := NewTable(tc.cfg)
+			tbl, exps, evs := countedTable()
 			recs := collectRecords(tbl)
 			at := t0
 			tbl.Update(cap1("A", "B", at))
@@ -94,26 +113,26 @@ func TestExpiryIdleVsActive(t *testing.T) {
 			if tbl.Len() != 1 {
 				t.Errorf("live flows = %d, want 1", tbl.Len())
 			}
-			exp, ev := tbl.Stats()
-			if exp != 1 || ev != 0 {
-				t.Errorf("stats = (%d expirations, %d evictions), want (1, 0)", exp, ev)
+			if exps.Value() != 1 || evs.Value() != 0 {
+				t.Errorf("counters = (%v expirations, %v evictions), want (1, 0)", exps.Value(), evs.Value())
 			}
 		})
 	}
 }
 
 func TestEvictionOrderIsLRU(t *testing.T) {
-	tbl := NewTable(Config{MaxFlows: 3, IdleTimeout: time.Hour, ActiveTimeout: time.Hour})
+	tbl, _, evs := countedTable()
 	recs := collectRecords(tbl)
 	at := t0
 	next := func(src packet.NodeID) {
-		at = at.Add(time.Second)
+		at = at.Add(time.Millisecond)
 		tbl.Update(cap1(src, "sink", at))
 	}
 	next("A")
 	next("B")
 	next("C")
 	next("A") // refresh A: B becomes least recently used
+	at = fill(tbl, MaxFlows, at)
 	next("D") // at capacity: evicts B
 	next("E") // evicts C
 	next("F") // evicts A
@@ -129,26 +148,30 @@ func TestEvictionOrderIsLRU(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("eviction order = %v, want %v", got, want)
 	}
-	if tbl.Len() != 3 {
-		t.Errorf("live flows = %d, want 3", tbl.Len())
+	if tbl.Len() != MaxFlows {
+		t.Errorf("live flows = %d, want %d", tbl.Len(), MaxFlows)
 	}
-	if _, ev := tbl.Stats(); ev != 3 {
-		t.Errorf("evictions = %d, want 3", ev)
+	if evs.Value() != 3 {
+		t.Errorf("evictions = %v, want 3", evs.Value())
 	}
 }
 
 func TestSweepExportsQuietFlows(t *testing.T) {
-	tbl := NewTable(Config{IdleTimeout: 10 * time.Second, ActiveTimeout: time.Hour, SweepEvery: 4})
+	tbl := NewTable(Config{})
 	recs := collectRecords(tbl)
 	// Two flows that go quiet forever.
 	tbl.Update(cap1("quiet1", "x", t0))
 	tbl.Update(cap1("quiet2", "x", t0.Add(time.Second)))
 	// Unrelated traffic advances capture time past the idle bound; the
 	// amortized sweep must export the quiet flows even though their
-	// keys are never touched again.
-	at := t0.Add(30 * time.Second)
-	for i := 0; i < 8; i++ {
-		at = at.Add(time.Second)
+	// keys are never touched again — on the SweepEvery-th packet, not
+	// before.
+	at := t0.Add(IdleTimeout + 10*time.Second)
+	for i := 2; i < SweepEvery; i++ {
+		if len(*recs) != 0 {
+			t.Fatalf("packet %d: %d records before the sweep was due", i, len(*recs))
+		}
+		at = at.Add(time.Millisecond)
 		tbl.Update(cap1("chatty", "y", at))
 	}
 	if len(*recs) != 2 {
@@ -181,17 +204,12 @@ func TestFlushExportsEverything(t *testing.T) {
 }
 
 func TestMetricsHooks(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	exps := reg.Counter("test_flow_exp", "t")
-	evs := reg.Counter("test_flow_ev", "t")
-	tbl := NewTable(Config{MaxFlows: 1, IdleTimeout: 10 * time.Second, ActiveTimeout: time.Hour})
-	tbl.SetMetrics(Metrics{Expirations: exps, Evictions: evs})
-
-	tbl.Update(cap1("A", "B", t0))
-	tbl.Update(cap1("C", "D", t0.Add(time.Second)))    // evicts A>B
-	tbl.Update(cap1("C", "D", t0.Add(20*time.Second))) // idle-expires C>D
-	if got := tbl.Len(); got != 1 {
-		t.Errorf("live flows = %v, want 1", got)
+	tbl, exps, evs := countedTable()
+	at := fill(tbl, MaxFlows, t0)
+	tbl.Update(cap1("C", "D", at.Add(time.Millisecond)))               // evicts f0>sink
+	tbl.Update(cap1("C", "D", at.Add(IdleTimeout+2*time.Millisecond))) // idle-expires C>D
+	if got := tbl.Len(); got != MaxFlows {
+		t.Errorf("live flows = %v, want %d", got, MaxFlows)
 	}
 	if got := evs.Value(); got != 1 {
 		t.Errorf("evictions counter = %v, want 1", got)
@@ -201,11 +219,36 @@ func TestMetricsHooks(t *testing.T) {
 	}
 }
 
+// TestNewFlowAllocs: a new flow costs one allocation — the flow, its
+// five feature accumulators inline — and a packet of a live flow none.
+func TestNewFlowAllocs(t *testing.T) {
+	const runs = 4000
+	caps := make([]*packet.Captured, runs+1) // AllocsPerRun warms up once
+	for i := range caps {
+		caps[i] = cap1(packet.NodeID(fmt.Sprintf("n%d", i)), "sink", t0.Add(time.Duration(i)*time.Microsecond))
+	}
+	tbl := NewTable(Config{})
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		tbl.Update(caps[i])
+		i++
+	}); got != 1 {
+		t.Errorf("new flow: %v allocations, want 1", got)
+	}
+	c := caps[0]
+	if got := testing.AllocsPerRun(1000, func() {
+		c.Time = c.Time.Add(time.Microsecond)
+		tbl.Update(c)
+	}); got != 0 {
+		t.Errorf("steady-state update: %v allocations, want 0", got)
+	}
+}
+
 func TestKeyOfAndString(t *testing.T) {
 	c := cap1("A", "B", t0)
-	k := KeyOf(c)
+	k := keyOf(c).named(c)
 	if k.Proto != ProtoICMP || k.Src != "A" || k.Dst != "B" || k.Medium != packet.MediumWiFi {
-		t.Errorf("KeyOf = %+v", k)
+		t.Errorf("key = %+v", k)
 	}
 	if k.SrcPort != 0 || k.DstPort != 0 {
 		t.Errorf("ICMP key has ports: %+v", k)
@@ -217,28 +260,29 @@ func TestKeyOfAndString(t *testing.T) {
 	// do not.
 	c2 := cap1("A", "B", t0)
 	c2.Kind = packet.KindICMPEchoReply
-	if KeyOf(c2) != k {
+	if keyOf(c2).named(c2) != k {
 		t.Error("echo request and reply should share a flow key")
 	}
 	c3 := cap1("A", "B", t0)
 	c3.Kind = packet.KindUDP
-	if KeyOf(c3) == k {
+	if keyOf(c3).named(c3) == k {
 		t.Error("UDP and ICMP must not share a flow key")
 	}
 }
 
 // TestChurnRace hammers one table from concurrent goroutines — packet
-// updates on overlapping keys, tracker acquire/release churn, export
-// consumers and metric reads — to let the race detector prove the
-// locking discipline. Run with -race.
+// updates on overlapping keys and on enough one-off keys to overflow
+// MaxFlows, tracker acquire/release churn, export consumers and metric
+// reads — to let the race detector prove the locking discipline. Run
+// with -race.
 func TestChurnRace(t *testing.T) {
-	tbl := NewTable(Config{MaxFlows: 32, IdleTimeout: 5 * time.Second, ActiveTimeout: 20 * time.Second, SweepEvery: 8})
+	tbl, exps, evs := countedTable()
 	var exported sync.Map
 	tbl.OnExport(func(r Record) { exported.Store(r.Key, r.Packets) })
 
 	const (
 		workers = 4
-		packets = 2000
+		packets = 8000
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -248,8 +292,14 @@ func TestChurnRace(t *testing.T) {
 			defer wg.Done()
 			at := t0
 			for i := 0; i < packets; i++ {
-				at = at.Add(time.Duration(1+i%7) * 100 * time.Millisecond)
+				if i == packets*4/5 {
+					at = at.Add(IdleTimeout) // every flow so far goes idle
+				}
+				at = at.Add(time.Duration(1+i%7) * time.Millisecond)
 				src := packet.NodeID(fmt.Sprintf("n%d", (w*13+i)%48))
+				if i%4 != 0 {
+					src = packet.NodeID(fmt.Sprintf("w%d-%d", w, i))
+				}
 				c := cap1(src, "sink", at)
 				c.Transmitter = src
 				tbl.Update(c.Identify())
@@ -276,10 +326,14 @@ func TestChurnRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
 			tbl.Len()
-			tbl.Stats()
+			exps.Value()
+			evs.Value()
 		}
 	}()
 	wg.Wait()
+	if evs.Value() == 0 || exps.Value() == 0 {
+		t.Errorf("counters = (%v expirations, %v evictions): churn never reached a bound", exps.Value(), evs.Value())
+	}
 	tbl.Flush()
 	if tbl.Len() != 0 {
 		t.Errorf("live flows after flush = %d, want 0", tbl.Len())

@@ -17,8 +17,8 @@ import (
 // shards by source.
 func TestSharedTrackersAcrossTables(t *testing.T) {
 	reg := NewTrackers()
-	tblA := NewTable(Config{Features: []string{}, Trackers: reg})
-	tblB := NewTable(Config{Features: []string{}, Trackers: reg})
+	tblA := NewTable(Config{Trackers: reg})
+	tblB := NewTable(Config{Trackers: reg})
 	mask := MaskOf(packet.KindICMPEchoReply)
 
 	wA := tblA.VictimWindow(mask, 5*time.Second)
@@ -123,8 +123,8 @@ func TestSharedTrackersAcrossTables(t *testing.T) {
 // TestPrivateTrackersByDefault: tables built without Config.Trackers
 // keep independent registries (the pre-sharding contract).
 func TestPrivateTrackersByDefault(t *testing.T) {
-	tblA := NewTable(Config{Features: []string{}})
-	tblB := NewTable(Config{Features: []string{}})
+	tblA := NewTable(Config{})
+	tblB := NewTable(Config{})
 	mask := MaskOf(packet.KindICMPEchoReply)
 	wA := tblA.VictimWindow(mask, 5*time.Second)
 	wB := tblB.VictimWindow(mask, 5*time.Second)

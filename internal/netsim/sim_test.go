@@ -257,26 +257,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestRandomWaypointMobility(t *testing.T) {
-	s := New(9)
-	n := s.AddNode(&Node{Name: "m", Pos: Position{X: 50, Y: 50}})
-	mv := NewRandomWaypoint(s, []*Node{n}, 5, 0, 0, 100, 100)
-	mv.Start(s.Now().Add(time.Second), time.Second)
-	// Inactive: no movement.
-	s.RunFor(5 * time.Second)
-	if n.Pos != (Position{X: 50, Y: 50}) {
-		t.Error("node moved while mover inactive")
-	}
-	mv.SetActive(true)
-	if !mv.Active() {
-		t.Error("Active() = false")
-	}
-	s.RunFor(10 * time.Second)
-	if n.Pos == (Position{X: 50, Y: 50}) {
-		t.Error("node did not move while mover active")
-	}
-	if n.Pos.X < 0 || n.Pos.X > 100 || n.Pos.Y < 0 || n.Pos.Y > 100 {
-		t.Errorf("node escaped bounding box: %+v", n.Pos)
-	}
-}

@@ -340,7 +340,8 @@ func Merge(streams ...[]*Record) []*Record {
 
 // Replay decodes each record and feeds it to fn in order, skipping
 // records whose raw bytes fail protocol decoding (and reporting how
-// many were skipped).
+// many were skipped). With ReadAll it replays the Data Store's disk
+// log for the administrator (§IV-B2).
 func Replay(records []*Record, fn func(*packet.Captured)) (skipped int) {
 	for _, rec := range records {
 		c, err := rec.Decode()

@@ -13,13 +13,14 @@ test:
 	$(GO) test ./...
 
 # The whole tree under the race detector, matching CI: first the tests
-# that exist to be run under it (ring ordering and drain accounting; the
-# one-caller tests — gossip and cross-shard knowledge flips while
-# capturing; same alerts in line, on a ring and on 2 and 4 shards),
-# verbose, then everything. The simulator suites push this
-# well past the default bench budget, hence -timeout.
+# that exist to be run under it (ring ordering and drain accounting; a
+# slow module on full rings is never withheld; the one-caller tests —
+# gossip and cross-shard knowledge flips while capturing; same alerts in
+# line, on a ring and on 2 and 4 shards), verbose, then everything. The
+# simulator suites push this well past the default bench budget, hence
+# -timeout.
 race:
-	$(GO) test -race -run 'TestShardedIngest|TestUnshardedStaysSynchronous|TestGossipWhileCapturing|TestShardedKnowledgeFlipsWhileCapturing|TestModuleHasOneCaller|TestActivationChurnUnderTraffic|TestExecutorsRaiseTheSameAlerts' -v . ./internal/ingest/ ./internal/core/ ./internal/core/module/ ./internal/eval/
+	$(GO) test -race -run 'TestShardedIngest|TestSlowModuleIsNeverWithheld|TestUnshardedStaysSynchronous|TestGossipWhileCapturing|TestShardedKnowledgeFlipsWhileCapturing|TestModuleHasOneCaller|TestActivationChurnUnderTraffic|TestExecutorsRaiseTheSameAlerts' -v . ./internal/ingest/ ./internal/core/ ./internal/core/module/ ./internal/eval/
 	$(GO) test -race -timeout 10m ./...
 
 bench:

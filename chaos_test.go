@@ -167,12 +167,6 @@ func TestChaosScenario(t *testing.T) {
 	if err := k1.Install("chaos-bomb", nil); err != nil {
 		t.Fatal(err)
 	}
-	k1.SetSupervisor(module.SupervisorConfig{
-		Backoff:      5 * time.Second,
-		MaxBackoff:   time.Minute,
-		ProbePackets: 3,
-	})
-
 	inj := fault.New(seed)
 	inj.SetMetrics(fault.Metrics{
 		Injected: k1.Telemetry().CounterVec("kalis_fault_injected_total", "kind",
@@ -268,10 +262,10 @@ func TestChaosScenario(t *testing.T) {
 	}
 
 	// --- act IV: backoff elapses; probation; full re-admission ------
-	for i := 0; i < 3; i++ {
-		k1.HandleCapture(pktAt(6*time.Second + time.Duration(i)*time.Second))
+	for i := 0; i < module.ProbePackets; i++ {
+		k1.HandleCapture(pktAt(module.QuarantineBackoff + time.Second + time.Duration(i)*time.Millisecond))
 	}
-	waitFor(t, "probation packets dispatched", packetsSeen(4))
+	waitFor(t, "probation packets dispatched", packetsSeen(1+module.ProbePackets))
 	waitFor(t, "module re-admission", func() bool {
 		return k1.ModuleHealth()["chaos-bomb"] == "healthy"
 	})
@@ -316,7 +310,6 @@ func TestChaosScenario(t *testing.T) {
 	for sample, want := range map[string]float64{
 		`kalis_module_panics_total{module="chaos-bomb"}`: 1,
 		`kalis_module_quarantined`:                       0,
-		`kalis_breaker_trips_total`:                      0,
 		`kalis_collective_peer_evictions_total`:          1,
 		`kalis_collective_peers`:                         1,
 	} {

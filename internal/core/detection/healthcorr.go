@@ -112,7 +112,7 @@ func (d *HealthCorr) record(kg knowledge.Knowgget, now time.Time) string {
 		d.quarantines[mod][kg.Creator] = now
 		return mod
 	}
-	// Recovery (probing/healthy/shed) retires this creator's report.
+	// Recovery (probing or healthy) retires this creator's report.
 	delete(d.quarantines[mod], kg.Creator)
 	return ""
 }

@@ -73,13 +73,6 @@ type Config struct {
 	// window, flow table and module instances — sharded by hash of the
 	// packet source, so per-source state and ordering stay shard-local.
 	Shards int
-	// IngestRing is the per-shard ring capacity in packets (rounded up
-	// to a power of two); 0 selects ingest.DefaultRingSize. Honoured
-	// whenever a ring exists (Shards > 1 or Async).
-	IngestRing int
-	// IngestBatch caps the packets per drained batch; 0 selects
-	// ingest.DefaultBatchSize. Honoured whenever a ring exists.
-	IngestBatch int
 	// IngestBlock selects lossless ingestion backpressure (spin until
 	// ring space frees) instead of the default drop-newest policy.
 	// Honoured whenever a ring exists.
@@ -232,9 +225,6 @@ func (k *Kalis) wire(cfg Config) {
 	for _, s := range k.shards {
 		s.table.OnExport(k.records.publish)
 		s.manager.OnAlert(k.alerts.publish)
-		// The supervisor's circuit breaker sheds persistently-over-budget
-		// modules while the node is backlogged.
-		s.manager.SetPressure(k.backlog)
 	}
 	k.kb.SubscribeAll(k.changes.publish)
 
@@ -248,22 +238,11 @@ func (k *Kalis) wire(cfg Config) {
 			sinks[i] = s
 		}
 		k.pipe = ingest.New(ingest.Config{
-			Shards:    len(k.shards),
-			RingSize:  cfg.IngestRing,
-			BatchSize: cfg.IngestBatch,
-			Block:     cfg.IngestBlock,
-			MaxSkew:   cfg.IngestMaxSkew,
+			Shards:  len(k.shards),
+			Block:   cfg.IngestBlock,
+			MaxSkew: cfg.IngestMaxSkew,
 		}, sinks, ingestMetrics(k.tel, len(k.shards)))
 	}
-}
-
-// backlog is the node's queue pressure: packets waiting in the ingest
-// rings (none on a node that dispatches in line).
-func (k *Kalis) backlog() int {
-	if k.pipe != nil {
-		return k.pipe.Depth()
-	}
-	return 0
 }
 
 // install loads the configuration file's knowggets and modules, then
@@ -358,7 +337,7 @@ func (k *Kalis) wireTelemetry() {
 		})
 	}
 	perShard("kalis_module_quarantined",
-		"Modules currently withheld from dispatch (quarantined or shed), summed over shards.",
+		"Modules currently quarantined after a panic, summed over shards.",
 		func(s *shard) int { return len(s.manager.Quarantined()) })
 	perShard("kalis_store_window_occupancy",
 		"Packets currently held in the Data Store sliding windows (all shards).",
@@ -376,8 +355,6 @@ func (k *Kalis) wireTelemetry() {
 			"Per-module packet-handling latency, estimated: one packet in 16 is timed and each observation counts 16.", nil),
 		Panics: tel.CounterVec("kalis_module_panics_total", "module",
 			"Module panics recovered by the supervisor, by module."),
-		BreakerTrips: tel.Counter("kalis_breaker_trips_total",
-			"Latency circuit-breaker trips (modules shed under queue pressure)."),
 		FlowUpdate: tel.Histogram("kalis_flow_update_seconds",
 			"Per-packet flow-table and feature update latency.", nil),
 	}
@@ -431,14 +408,6 @@ func (k *Kalis) Install(name string, params map[string]string) error {
 // Installed returns the names of all installed modules, in install
 // order (every shard installs the same set).
 func (k *Kalis) Installed() []string { return k.primary().manager.Installed() }
-
-// SetSupervisor replaces the module supervisor's tuning on every shard.
-// Call it before traffic flows.
-func (k *Kalis) SetSupervisor(cfg module.SupervisorConfig) {
-	for _, s := range k.shards {
-		s.manager.SetSupervisor(cfg)
-	}
-}
 
 // HandleCapture feeds one captured packet into the node — the entry
 // point wired to sniffers and trace replay. With an ingest ring the
@@ -553,8 +522,8 @@ func (k *Kalis) Recent(n int) []*packet.Captured {
 func (k *Kalis) ActiveModules() []string { return k.primary().manager.Active() }
 
 // QuarantinedModules returns, in install order, the modules the
-// supervisor currently withholds from dispatch (panicked or shed by the
-// circuit breaker) on any shard — supervision is per shard instance.
+// supervisor currently withholds from dispatch after a panic on any
+// shard — supervision is per shard instance.
 func (k *Kalis) QuarantinedModules() []string {
 	withheld := make(map[string]bool)
 	for _, s := range k.shards {
@@ -572,10 +541,10 @@ func (k *Kalis) QuarantinedModules() []string {
 }
 
 // ModuleHealth reports every installed module's activation and
-// supervision state ("inactive", "healthy", "quarantined", "probing",
-// "shed"): its most-degraded state across shards.
+// supervision state ("inactive", "healthy", "probing", "quarantined"):
+// its most-degraded state across shards.
 func (k *Kalis) ModuleHealth() map[string]string {
-	rank := map[string]int{"inactive": 0, "healthy": 1, "probing": 2, "shed": 3, "quarantined": 4}
+	rank := map[string]int{"inactive": 0, "healthy": 1, "probing": 2, "quarantined": 3}
 	out := make(map[string]string)
 	for _, s := range k.shards {
 		for name, state := range s.manager.Health() {

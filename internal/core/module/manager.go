@@ -31,9 +31,8 @@ type AlertFunc func(Alert)
 // The manager is its modules' only caller and enters them on one
 // goroutine at a time (see token). It is also the module supervisor
 // (see supervisor.go): a panicking module is quarantined and
-// re-admitted after clean probes instead of killing the node, and a
-// latency circuit breaker sheds persistently-over-budget modules while
-// the pipeline is under queue pressure.
+// re-admitted after clean probes instead of killing the node. Knowledge
+// and panics are the only things that withhold a module from a packet.
 type Manager struct {
 	kb    *knowledge.Base
 	store *datastore.Store
@@ -67,6 +66,10 @@ type Manager struct {
 	// invocations counts (packet, active module) pairs — the basis of
 	// the CPU-usage comparison — once per batch.
 	invocations atomic.Uint64
+	// now is the shard's capture clock: the capture time of the packet
+	// being dispatched, or of the last one between packets (zero before
+	// the first). Quarantines are timed on it. The token holder's.
+	now time.Time
 
 	mu      sync.Mutex
 	modules []*moduleState // install order
@@ -83,12 +86,9 @@ type Manager struct {
 	alertFns []AlertFunc
 	alerts   []Alert
 
-	// degraded counts modules currently quarantined or shed; the
-	// supervisor's revival scan runs only while it is non-zero.
+	// degraded counts modules currently quarantined; the supervisor's
+	// revival scan runs only while it is non-zero.
 	degraded int
-
-	sup      SupervisorConfig
-	pressure func() int
 
 	// Work accounting: packets dispatched and activation transitions.
 	packets     uint64
@@ -138,8 +138,6 @@ type ManagerMetrics struct {
 	PacketLatency *telemetry.HistogramVec
 	// Panics counts recovered module panics, by module name.
 	Panics *telemetry.CounterVec
-	// BreakerTrips counts latency-circuit-breaker trips.
-	BreakerTrips *telemetry.Counter
 	// FlowUpdate observes the flow-table update latency on the same
 	// sampled packets (unweighted). It is measured here rather than
 	// inside internal/flow so the flow package itself stays on the
@@ -186,7 +184,6 @@ func NewManager(kb *knowledge.Base, store *datastore.Store, flows *flow.Table, k
 		states:          make(map[string]*moduleState),
 		watches:         make(map[string]*watch),
 		knowledgeDriven: knowledgeDriven,
-		sup:             DefaultSupervisorConfig(),
 	}
 }
 
@@ -217,13 +214,13 @@ func (m *Manager) resolveStateLocked(st *moduleState) {
 // rebuildSnapLocked recomputes the dispatchable-module snapshot,
 // resolving each module's latency histogram child once — off the
 // packet path. A module is dispatched when its knowledge predicate
-// wants it active and the supervisor holds it neither quarantined nor
-// shed. Callers must hold the token and m.mu.
+// wants it active and the supervisor does not hold it quarantined.
+// Callers must hold the token and m.mu.
 func (m *Manager) rebuildSnapLocked() {
 	m.timed = m.met.PacketLatency != nil
 	snap := make([]activeEntry, 0, len(m.modules))
 	for _, st := range m.modules {
-		if !st.want || (st.health != stateHealthy && st.health != stateProbing) {
+		if !st.want || st.health == stateQuarantined {
 			continue
 		}
 		e := activeEntry{mod: st.mod, st: st, probing: st.health == stateProbing}
@@ -393,13 +390,12 @@ func (m *Manager) HandlePacket(c *packet.Captured) {
 // estimate: its count is within one stride of the module's invocations
 // and its mean is the mean of the sampled ones. The inline executor
 // hands HandleBatch one packet, a ring worker up to a batch
-// (internal/ingest). The supervisor runs once per batch on the last
-// packet's capture time: revival and breaker decisions are windowed
-// anyway, so batch-granular evaluation only defers them by at most one
-// batch. The inbox, however, is checked before every packet (one atomic
-// load) — a knowledge flip activating a module, a quarantine to publish
-// — so a batch dispatches to the same modules, packet for packet, as the
-// same packets handed over one at a time.
+// (internal/ingest). The supervisor's revival scan runs once per batch,
+// on the last packet's capture time. The inbox, however, is checked
+// before every packet (one atomic load) — a knowledge flip activating a
+// module, a quarantine to publish — so a batch dispatches to the same
+// modules, packet for packet, as the same packets handed over one at a
+// time.
 func (m *Manager) HandleBatch(batch []*packet.Captured) {
 	if len(batch) == 0 {
 		return
@@ -413,10 +409,6 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 	if m.degraded > 0 {
 		m.reviveLocked(last.Time)
 	}
-	if m.pressure != nil && m.sup.BreakerWindow > 0 &&
-		m.packets/uint64(m.sup.BreakerWindow) != base/uint64(m.sup.BreakerWindow) {
-		m.breakerLocked(last.Time)
-	}
 	flowLat := m.met.FlowUpdate
 	m.met.Packets.Add(uint64(len(batch)))
 	m.mu.Unlock()
@@ -426,6 +418,7 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 		if m.dirty.Load() {
 			m.apply()
 		}
+		m.now = c.Time
 		snap := m.snap
 		invoked += uint64(len(snap))
 		sample := sampled(base + uint64(bi))
@@ -452,7 +445,7 @@ func (m *Manager) HandleBatch(batch []*packet.Captured) {
 			}
 			ok, cause := m.invoke(e.mod, c)
 			if !ok {
-				m.quarantine(e.st, c.Time, cause)
+				m.quarantine(e.st, cause)
 				continue
 			}
 			if timing {

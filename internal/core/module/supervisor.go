@@ -21,11 +21,25 @@ import (
 //	healthy ──panic──▶ quarantined ──backoff elapses──▶ probing
 //	probing ──ProbePackets clean packets──▶ healthy (strikes reset)
 //	probing ──panic──▶ quarantined (backoff doubles)
-//	healthy ──breaker trip──▶ shed ──backoff + pressure subsides──▶ healthy
 //
-// All timing runs on the virtual capture clock (packet timestamps), so
-// simulated scenarios exercise the full state machine deterministically
-// and the simclock discipline holds.
+// Only panics withhold a module: how long it takes is not the
+// supervisor's business (overload is the ingest ring's, which drops
+// the newest capture or blocks the producer). All timing runs on the
+// virtual capture clock (packet timestamps), so simulated scenarios
+// exercise the full state machine deterministically and the simclock
+// discipline holds.
+
+// The supervisor's tuning, on the capture clock.
+const (
+	// QuarantineBackoff is the quarantine after a first panic. It
+	// doubles on every repeated quarantine up to MaxQuarantineBackoff.
+	QuarantineBackoff = 5 * time.Second
+	// MaxQuarantineBackoff caps the exponential quarantine backoff.
+	MaxQuarantineBackoff = 5 * time.Minute
+	// ProbePackets is how many clean packets a probing module must
+	// survive before it is fully re-admitted (strikes reset).
+	ProbePackets = 32
+)
 
 // moduleHealth is a module's supervision state.
 type moduleHealth int
@@ -39,9 +53,6 @@ const (
 	// stateProbing modules are back on the packet stream on probation:
 	// ProbePackets clean invocations re-admit them fully.
 	stateProbing
-	// stateShed modules were tripped by the latency circuit breaker and
-	// are withheld until the backoff elapses and queue pressure drops.
-	stateShed
 )
 
 // String returns the health-state name used by Health and diagnostics.
@@ -53,8 +64,6 @@ func (h moduleHealth) String() string {
 		return "quarantined"
 	case stateProbing:
 		return "probing"
-	case stateShed:
-		return "shed"
 	default:
 		return "unknown"
 	}
@@ -88,81 +97,16 @@ type moduleState struct {
 	want bool
 
 	// Supervision.
-	health    moduleHealth
-	strikes   int       // consecutive quarantines; backoff exponent
-	until     time.Time // virtual re-admission time (quarantine/shed)
-	probeLeft int       // clean packets remaining in probation
-	lastPanic string    // last recovered panic value, for diagnostics
+	health  moduleHealth
+	strikes int // consecutive quarantines; backoff exponent
+	// until is the virtual re-admission time; zero for a module
+	// quarantined before its shard saw a packet (see reviveLocked).
+	until     time.Time
+	probeLeft int    // clean packets remaining in probation
+	lastPanic string // last recovered panic value, for diagnostics
 
 	// Pre-resolved telemetry child (see resolveStateLocked).
 	panics *telemetry.Counter
-
-	// Breaker bookkeeping: the windowed latency mean is computed from
-	// deltas over the module's existing telemetry histogram.
-	lastCount uint64
-	lastSum   time.Duration
-	over      int // consecutive observed over-budget windows
-}
-
-// SupervisorConfig tunes the module supervisor. The zero value disables
-// nothing: use DefaultSupervisorConfig as the base and override fields.
-type SupervisorConfig struct {
-	// Backoff is the initial quarantine duration after a panic, in
-	// virtual (capture-timestamp) time. It doubles on every repeated
-	// quarantine up to MaxBackoff.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential quarantine backoff.
-	MaxBackoff time.Duration
-	// ProbePackets is how many clean packets a probing module must
-	// survive before it is fully re-admitted (strikes reset).
-	ProbePackets int
-	// BreakerBudget is the per-packet latency budget; a module whose
-	// mean over an evaluation window exceeds it while the pipeline is
-	// under pressure accumulates a strike.
-	BreakerBudget time.Duration
-	// BreakerWindow is the packet interval between breaker evaluations
-	// (0 disables the breaker).
-	BreakerWindow int
-	// BreakerStrikes is how many consecutive over-budget windows trip
-	// the breaker.
-	BreakerStrikes int
-	// PressureThreshold is the queue depth (from the pressure hook) at
-	// or above which the pipeline counts as under pressure.
-	PressureThreshold int
-	// ShedBackoff is how long (virtual time) a breaker-shed module
-	// stays out before re-admission is considered.
-	ShedBackoff time.Duration
-}
-
-// DefaultSupervisorConfig returns the production supervisor tuning.
-func DefaultSupervisorConfig() SupervisorConfig {
-	return SupervisorConfig{
-		Backoff:           5 * time.Second,
-		MaxBackoff:        5 * time.Minute,
-		ProbePackets:      32,
-		BreakerBudget:     2 * time.Millisecond,
-		BreakerWindow:     256,
-		BreakerStrikes:    3,
-		PressureThreshold: 512,
-		ShedBackoff:       30 * time.Second,
-	}
-}
-
-// SetSupervisor replaces the supervisor tuning. Call it before traffic
-// flows.
-func (m *Manager) SetSupervisor(cfg SupervisorConfig) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sup = cfg
-}
-
-// SetPressure installs the queue-pressure hook feeding the latency
-// circuit breaker (the node's ingest-ring depth). The breaker stays
-// disarmed until a hook is installed.
-func (m *Manager) SetPressure(fn func() int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pressure = fn
 }
 
 // invoke runs one module's HandlePacket under the supervisor's panic
@@ -179,11 +123,11 @@ func (m *Manager) invoke(mod Module, c *packet.Captured) (ok bool, cause interfa
 }
 
 // contain is the panic barrier of the entry points apply calls: a
-// module that panics there is quarantined on the spot (with a zero
-// virtual timestamp: the first packet's revival scan re-times it).
+// module that panics there is quarantined on the spot, on the shard's
+// capture clock like a panic in HandlePacket.
 func (m *Manager) contain(st *moduleState) {
 	if r := recover(); r != nil {
-		m.quarantine(st, time.Time{}, r)
+		m.quarantine(st, r)
 	}
 }
 
@@ -212,8 +156,9 @@ func (m *Manager) hand(st *moduleState, kg knowledge.Knowgget) {
 }
 
 // quarantine withholds a panicked module from dispatch and schedules
-// its probation with exponential backoff on the virtual clock.
-func (m *Manager) quarantine(st *moduleState, at time.Time, cause interface{}) {
+// its probation with exponential backoff from the shard's capture
+// clock (m.now). Callers hold the token.
+func (m *Manager) quarantine(st *moduleState, cause interface{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if st.health == stateQuarantined {
@@ -224,60 +169,47 @@ func (m *Manager) quarantine(st *moduleState, at time.Time, cause interface{}) {
 	}
 	st.health = stateQuarantined
 	st.strikes++
-	st.until = at.Add(m.backoffLocked(st.strikes))
+	st.until = time.Time{}
+	if !m.now.IsZero() {
+		st.until = m.now.Add(backoff(st.strikes))
+	}
 	st.lastPanic = fmt.Sprint(cause)
 	st.panics.Inc()
 	m.noteHealthLocked(st)
 	m.rebuildSnapLocked()
 }
 
-// backoffLocked computes the quarantine backoff for the given strike
-// count: Backoff · 2^(strikes-1), capped at MaxBackoff.
-func (m *Manager) backoffLocked(strikes int) time.Duration {
-	d := m.sup.Backoff
-	for i := 1; i < strikes; i++ {
+// backoff is the quarantine for the given strike count:
+// QuarantineBackoff · 2^(strikes-1), capped at MaxQuarantineBackoff.
+func backoff(strikes int) time.Duration {
+	d := QuarantineBackoff
+	for i := 1; i < strikes && d < MaxQuarantineBackoff; i++ {
 		d *= 2
-		if m.sup.MaxBackoff > 0 && d >= m.sup.MaxBackoff {
-			return m.sup.MaxBackoff
-		}
 	}
-	if m.sup.MaxBackoff > 0 && d > m.sup.MaxBackoff {
-		d = m.sup.MaxBackoff
-	}
-	return d
+	return min(d, MaxQuarantineBackoff)
 }
 
-// reviveLocked re-admits quarantined modules whose backoff elapsed
-// (into probation) and shed modules once their backoff elapsed and the
-// queue pressure subsided. Runs under m.mu, only while degraded > 0.
+// reviveLocked moves quarantined modules whose backoff elapsed into
+// probation. A module quarantined before its shard saw a packet has no
+// re-admission time yet: its backoff starts here, at the first packet.
+// Runs under m.mu, only while degraded > 0.
 func (m *Manager) reviveLocked(now time.Time) {
 	changed := false
 	for _, st := range m.modules {
-		switch st.health {
-		case stateQuarantined:
-			if !now.Before(st.until) {
-				st.health = stateProbing
-				st.probeLeft = m.sup.ProbePackets
-				m.degraded--
-				m.noteHealthLocked(st)
-				changed = true
-			}
-		case stateShed:
-			if now.Before(st.until) {
-				continue
-			}
-			if m.pressure != nil && m.pressure() >= m.sup.PressureThreshold {
-				// Still saturated: stay out for another backoff period
-				// rather than rescanning every packet.
-				st.until = now.Add(m.sup.ShedBackoff)
-				continue
-			}
-			st.health = stateHealthy
-			st.over = 0
-			m.degraded--
-			m.noteHealthLocked(st)
-			changed = true
+		if st.health != stateQuarantined {
+			continue
 		}
+		if st.until.IsZero() {
+			st.until = now.Add(backoff(st.strikes))
+		}
+		if now.Before(st.until) {
+			continue
+		}
+		st.health = stateProbing
+		st.probeLeft = ProbePackets
+		m.degraded--
+		m.noteHealthLocked(st)
+		changed = true
 	}
 	if changed {
 		m.rebuildSnapLocked()
@@ -302,66 +234,14 @@ func (m *Manager) probeOK(st *moduleState) {
 	}
 }
 
-// breakerLocked is the latency circuit breaker: fed by the per-module
-// telemetry histograms, it sheds modules whose windowed mean latency
-// stays over budget while the pipeline is under queue pressure — the
-// ROADMAP's knowledge-driven load shedding. Runs under m.mu every
-// BreakerWindow packets. The histograms hold one timed invocation per
-// sampleStride packets, so a window's mean is over BreakerWindow /
-// sampleStride samples (16 at the default 256) and a window shorter
-// than two strides can be empty: an empty window neither adds a strike
-// nor clears one, only a window without pressure or with an in-budget
-// mean clears them.
-func (m *Manager) breakerLocked(now time.Time) {
-	under := m.pressure() >= m.sup.PressureThreshold
-	changed := false
-	for _, e := range m.snap {
-		if e.lat == nil || e.st.health != stateHealthy {
-			continue
-		}
-		st := e.st
-		count, sum := e.lat.Count(), e.lat.Sum()
-		dc := count - st.lastCount
-		ds := sum - st.lastSum
-		st.lastCount, st.lastSum = count, sum
-		if !under {
-			st.over = 0
-			continue
-		}
-		if dc == 0 {
-			// No timed packet fell in this window (it is shorter than a
-			// timing block, or the module was just activated): no
-			// evidence either way, the strikes stand.
-			continue
-		}
-		if ds/time.Duration(dc) > m.sup.BreakerBudget {
-			st.over++
-		} else {
-			st.over = 0
-		}
-		if st.over >= m.sup.BreakerStrikes {
-			st.over = 0
-			st.health = stateShed
-			st.until = now.Add(m.sup.ShedBackoff)
-			m.degraded++
-			m.met.BreakerTrips.Inc()
-			m.noteHealthLocked(st)
-			changed = true
-		}
-	}
-	if changed {
-		m.rebuildSnapLocked()
-	}
-}
-
 // Quarantined returns the names of modules currently withheld from
-// dispatch by the supervisor (quarantined or shed), in install order.
+// dispatch by the supervisor (they panicked), in install order.
 func (m *Manager) Quarantined() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []string
 	for _, st := range m.modules {
-		if st.health == stateQuarantined || st.health == stateShed {
+		if st.health == stateQuarantined {
 			out = append(out, st.name)
 		}
 	}
@@ -370,7 +250,7 @@ func (m *Manager) Quarantined() []string {
 
 // Health reports every installed module's activation/supervision state:
 // "inactive" when the knowledge predicate does not want it, otherwise
-// the supervision state ("healthy", "quarantined", "probing", "shed").
+// the supervision state ("healthy", "quarantined", "probing").
 func (m *Manager) Health() map[string]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()

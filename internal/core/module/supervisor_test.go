@@ -32,13 +32,22 @@ func wireSupervisorMetrics(m *Manager) *telemetry.Registry {
 		Packets:       tel.Counter("kalis_packets_total", "t"),
 		PacketLatency: tel.HistogramVec("kalis_module_packet_seconds", "module", "t", nil),
 		Panics:        tel.CounterVec("kalis_module_panics_total", "module", "t"),
-		BreakerTrips:  tel.Counter("kalis_breaker_trips_total", "t"),
 	})
 	return tel
 }
 
 func pktAt(sec int64) *packet.Captured {
 	return &packet.Captured{Time: time.Unix(sec, 0), Kind: packet.KindUDP}
+}
+
+// backoffSec is QuarantineBackoff in whole seconds of capture time.
+const backoffSec = int64(QuarantineBackoff / time.Second)
+
+// feedClean hands the manager n packets captured at sec.
+func feedClean(m *Manager, n int, sec int64) {
+	for i := 0; i < n; i++ {
+		m.HandlePacket(pktAt(sec))
+	}
 }
 
 func TestPanicQuarantineProbationReadmission(t *testing.T) {
@@ -48,11 +57,6 @@ func TestPanicQuarantineProbationReadmission(t *testing.T) {
 	m.Install(bomb, nil)
 	m.Install(good, nil)
 	wireSupervisorMetrics(m)
-	m.SetSupervisor(SupervisorConfig{
-		Backoff:      10 * time.Second,
-		MaxBackoff:   40 * time.Second,
-		ProbePackets: 2,
-	})
 
 	// The panic is contained: the node keeps running, the offender is
 	// quarantined, the healthy module still sees traffic.
@@ -78,18 +82,22 @@ func TestPanicQuarantineProbationReadmission(t *testing.T) {
 
 	// Backoff elapses on the virtual capture clock: the module returns
 	// on probation and is fully re-admitted after clean probes.
-	m.HandlePacket(pktAt(110)) // revival scan flips to probing, probe 1/2
+	m.HandlePacket(pktAt(100 + backoffSec)) // revival scan flips to probing, probe 1
 	if h := m.Health(); h["bomb"] != "probing" {
 		t.Fatalf("Health after backoff = %v", h)
 	}
-	m.HandlePacket(pktAt(111)) // probe 2/2
+	feedClean(m, ProbePackets-2, 100+backoffSec)
+	if h := m.Health(); h["bomb"] != "probing" {
+		t.Fatalf("Health one probe short = %v", h)
+	}
+	m.HandlePacket(pktAt(101 + backoffSec)) // last probe
 	if h := m.Health(); h["bomb"] != "healthy" {
 		t.Fatalf("Health after probes = %v", h)
 	}
 	if got := m.Quarantined(); len(got) != 0 {
 		t.Fatalf("Quarantined after re-admission = %v", got)
 	}
-	if bomb.packets != 3 {
+	if bomb.packets != 1+ProbePackets {
 		t.Errorf("re-admitted module packets = %d", bomb.packets)
 	}
 }
@@ -110,11 +118,6 @@ func TestHealthPublishedAsCollectiveKnowggets(t *testing.T) {
 	bomb := &bombModule{fakeModule: fakeModule{name: "bomb", kind: KindDetection}}
 	m.Install(bomb, nil)
 	wireSupervisorMetrics(m)
-	m.SetSupervisor(SupervisorConfig{
-		Backoff:      10 * time.Second,
-		MaxBackoff:   40 * time.Second,
-		ProbePackets: 2,
-	})
 
 	health := func() string {
 		v, _ := kb.Value("ModuleHealth.bomb")
@@ -128,11 +131,11 @@ func TestHealthPublishedAsCollectiveKnowggets(t *testing.T) {
 	}
 
 	bomb.armed = false
-	m.HandlePacket(pktAt(110)) // backoff elapsed: probation
+	m.HandlePacket(pktAt(100 + backoffSec)) // backoff elapsed: probation
 	if got := health(); got != "probing" {
 		t.Fatalf("ModuleHealth.bomb after backoff = %q, want probing", got)
 	}
-	m.HandlePacket(pktAt(111)) // clean probe: re-admitted
+	feedClean(m, ProbePackets-1, 101+backoffSec) // clean probes: re-admitted
 	if got := health(); got != "healthy" {
 		t.Fatalf("ModuleHealth.bomb after probe = %q, want healthy", got)
 	}
@@ -162,27 +165,26 @@ func TestQuarantineBackoffDoublesAndCaps(t *testing.T) {
 	bomb := &bombModule{fakeModule: fakeModule{name: "bomb", kind: KindDetection}, armed: true}
 	m.Install(bomb, nil)
 	wireSupervisorMetrics(m)
-	m.SetSupervisor(SupervisorConfig{
-		Backoff:      10 * time.Second,
-		MaxBackoff:   15 * time.Second,
-		ProbePackets: 1,
-	})
 
-	m.HandlePacket(pktAt(0)) // strike 1: backoff 10s, until t=10
-	m.HandlePacket(pktAt(5)) // still quarantined
-	if bomb.packets != 1 {
-		t.Fatalf("dispatched during backoff: %d", bomb.packets)
+	// Backoff after strike n, in seconds: 5 · 2^(n-1), capped at 5 min.
+	backoffs := []int64{5, 10, 20, 40, 80, 160, 300, 300}
+	var at int64
+	m.HandlePacket(pktAt(at)) // strike 1
+	for i, d := range backoffs {
+		m.HandlePacket(pktAt(at + d - 1)) // one second short: still out
+		if bomb.packets != i+1 {
+			t.Fatalf("strike %d: dispatched %ds into a %ds backoff", i+1, d-1, d)
+		}
+		if i == len(backoffs)-1 {
+			bomb.armed = false
+		}
+		at += d
+		m.HandlePacket(pktAt(at)) // probing: panics again, or the first clean probe
 	}
-	m.HandlePacket(pktAt(10)) // probing; panics again → strike 2, capped 15s, until t=25
-	if h := m.Health(); h["bomb"] != "quarantined" {
-		t.Fatalf("Health = %v", h)
+	if h := m.Health(); h["bomb"] != "probing" {
+		t.Fatalf("Health after the capped backoff = %v", h)
 	}
-	m.HandlePacket(pktAt(20)) // 10s later: doubled backoff not yet elapsed
-	if bomb.packets != 2 {
-		t.Fatalf("re-dispatched before doubled backoff: %d", bomb.packets)
-	}
-	bomb.armed = false
-	m.HandlePacket(pktAt(25)) // capped backoff elapsed; clean probe re-admits
+	feedClean(m, ProbePackets-1, at)
 	if h := m.Health(); h["bomb"] != "healthy" {
 		t.Fatalf("Health = %v", h)
 	}
@@ -199,132 +201,58 @@ func TestActivationPanicQuarantines(t *testing.T) {
 	if m.LastPanic("bad") != "bad wiring" {
 		t.Errorf("LastPanic = %q", m.LastPanic("bad"))
 	}
+	// Quarantined before the shard saw a packet: the backoff starts at
+	// the first one.
+	m.HandlePacket(pktAt(100))
+	m.HandlePacket(pktAt(100 + backoffSec - 1))
+	if h := m.Health(); h["bad"] != "quarantined" || bad.packets != 0 {
+		t.Fatalf("Health = %v, %d packets dispatched inside the backoff", h, bad.packets)
+	}
+}
+
+// knowledgeBomb panics on every knowgget it is handed while armed.
+type knowledgeBomb struct {
+	bombModule
+}
+
+func (k *knowledgeBomb) KnowledgeLabels() []string { return []string{"Evidence"} }
+func (k *knowledgeBomb) HandleKnowledge(knowledge.Knowgget) {
+	if k.armed {
+		panic("crafted knowgget")
+	}
+}
+
+// TestKnowledgePanicWaitsOutItsBackoff: a panic in HandleKnowledge
+// quarantines on the shard's capture clock — the last packet's time —
+// so the module sits out the same backoff as after a panic in
+// HandlePacket.
+func TestKnowledgePanicWaitsOutItsBackoff(t *testing.T) {
+	m, kb := newTestManager(true)
+	bomb := &knowledgeBomb{bombModule{fakeModule: fakeModule{name: "bomb", kind: KindDetection}}}
+	m.Install(bomb, nil)
+	wireSupervisorMetrics(m)
+
+	m.HandlePacket(pktAt(100))
+	bomb.armed = true
+	kb.PutInt("Evidence", 1) // the shard is idle: handed over, and panics, here
+	bomb.armed = false
+	if h := m.Health(); h["bomb"] != "quarantined" || m.LastPanic("bomb") != "crafted knowgget" {
+		t.Fatalf("Health after the panic = %v (last panic %q)", h, m.LastPanic("bomb"))
+	}
+	m.HandlePacket(pktAt(101))
+	m.HandlePacket(pktAt(100 + backoffSec - 1))
+	if h := m.Health(); h["bomb"] != "quarantined" || bomb.packets != 1 {
+		t.Fatalf("Health = %v, %d packets: the backoff did not run from t=100s", h, bomb.packets)
+	}
+	m.HandlePacket(pktAt(100 + backoffSec))
+	if h := m.Health(); h["bomb"] != "probing" || bomb.packets != 2 {
+		t.Fatalf("Health after the backoff = %v, %d packets", h, bomb.packets)
+	}
 }
 
 type activateBomb struct{ fakeModule }
 
 func (a *activateBomb) Activate(*Context) { panic("bad wiring") }
-
-// breakerFixture is a manager with one always-active module, a zero
-// latency budget (any observed invocation is over budget), a two-strike
-// breaker and a queue-pressure hook reading *pressure. feed hands it n
-// packets one at a time, all captured at the given second.
-func breakerFixture(window int) (m *Manager, slow *fakeModule, tel *telemetry.Registry, pressure *int, feed func(n int, sec int64)) {
-	m, _ = newTestManager(true)
-	slow = &fakeModule{name: "slow", kind: KindDetection}
-	m.Install(slow, nil)
-	tel = wireSupervisorMetrics(m)
-	pressure = new(int)
-	*pressure = 1000
-	m.SetPressure(func() int { return *pressure })
-	m.SetSupervisor(SupervisorConfig{
-		BreakerBudget:     0,
-		BreakerWindow:     window,
-		BreakerStrikes:    2,
-		PressureThreshold: 512,
-		ShedBackoff:       30 * time.Second,
-	})
-	feed = func(n int, sec int64) {
-		for i := 0; i < n; i++ {
-			m.HandlePacket(pktAt(sec))
-		}
-	}
-	return
-}
-
-// The breaker reads the sampled latency histogram: one packet of every
-// block of sampleStride is timed, at an offset that moves from block to
-// block. A window is evaluated on the packet that completes it, before
-// that packet is dispatched, so a window of two blocks always holds an
-// observation (the first block's) and the tests below size theirs so.
-func TestBreakerShedsUnderPressureAndReadmits(t *testing.T) {
-	const window = 2 * sampleStride
-	m, slow, tel, pressure, feed := breakerFixture(window)
-
-	// The first two windows are both over budget → trip when the second
-	// one closes.
-	feed(2*window-1, 0)
-	if h := m.Health(); h["slow"] != "healthy" {
-		t.Fatalf("Health before the second window closed = %v", h)
-	}
-	feed(1, 0)
-	if h := m.Health(); h["slow"] != "shed" {
-		t.Fatalf("Health = %v (want shed)", h)
-	}
-	if got := slow.packets; got != 2*window-1 {
-		t.Fatalf("packets before shed = %d", got)
-	}
-	snap := tel.Snapshot()
-	if v := snap["kalis_breaker_trips_total"].Value; fmt.Sprint(v) != "1" {
-		t.Errorf("kalis_breaker_trips_total = %v", v)
-	}
-	if q := m.Quarantined(); len(q) != 1 || q[0] != "slow" {
-		t.Errorf("Quarantined = %v", q)
-	}
-
-	// Backoff elapsed but the queue is still saturated: stay shed.
-	feed(1, 40)
-	if h := m.Health(); h["slow"] != "shed" {
-		t.Fatalf("re-admitted under pressure: %v", h)
-	}
-
-	// Pressure subsides and the extended backoff elapses: the same
-	// packet that triggers the revival scan is dispatched to the
-	// re-admitted module.
-	*pressure = 0
-	feed(1, 80)
-	if h := m.Health(); h["slow"] != "healthy" {
-		t.Fatalf("Health after heal = %v", h)
-	}
-	feed(1, 81)
-	if slow.packets != 2*window+1 {
-		t.Errorf("packets after re-admission = %d", slow.packets)
-	}
-}
-
-// TestBreakerCountsObservedWindows: a window in which no packet was
-// timed says nothing about the module, so it neither adds a strike nor
-// clears one — a BreakerWindow shorter than a timing block still trips
-// after BreakerStrikes over-budget windows that held an observation,
-// with empty windows in between.
-func TestBreakerCountsObservedWindows(t *testing.T) {
-	const window = sampleStride / 4
-	m, _, _, _, feed := breakerFixture(window)
-
-	// Block 0 has one timed packet (packet 0), in the first of its four
-	// windows: strike one, then three empty windows.
-	feed(sampleStride, 0)
-	if h := m.Health(); h["slow"] != "healthy" {
-		t.Fatalf("Health after one observed over-budget window = %v", h)
-	}
-	// Block 1's timed packet, wherever it falls, has been seen by the
-	// time the window after the block closes: strike two.
-	feed(sampleStride+window, 0)
-	if h := m.Health(); h["slow"] != "shed" {
-		t.Fatalf("Health after two observed over-budget windows = %v (want shed)", h)
-	}
-}
-
-// TestBreakerStrikesClearWhenPressureSubsides: a window evaluated
-// without queue pressure resets the strikes, so the count starts over
-// when pressure returns.
-func TestBreakerStrikesClearWhenPressureSubsides(t *testing.T) {
-	const window = 2 * sampleStride
-	m, _, _, pressure, feed := breakerFixture(window)
-
-	feed(window, 0) // window 1: over budget under pressure, strike one
-	*pressure = 0
-	feed(window, 0) // window 2: no pressure, strikes cleared
-	*pressure = 1000
-	feed(window, 0) // window 3: strike one again, not two
-	if h := m.Health(); h["slow"] != "healthy" {
-		t.Fatalf("Health = %v: strikes survived a window without pressure", h)
-	}
-	feed(window, 0) // window 4: strike two
-	if h := m.Health(); h["slow"] != "shed" {
-		t.Fatalf("Health = %v (want shed)", h)
-	}
-}
 
 // churnModule keeps unguarded state: it is the manager's job that the
 // -race detector sees no Activate/Deactivate vs HandlePacket overlap.

@@ -40,12 +40,6 @@ type Sink interface {
 type Config struct {
 	// Shards is the number of shard rings/workers (minimum 1).
 	Shards int
-	// RingSize is the per-shard ring capacity in packets, rounded up
-	// to a power of two; 0 selects DefaultRingSize.
-	RingSize int
-	// BatchSize caps how many packets one Sink call receives; 0
-	// selects DefaultBatchSize.
-	BatchSize int
 	// Block selects lossless backpressure: Enqueue spins (yielding the
 	// processor) until ring space frees instead of dropping. Default
 	// is drop-newest with a per-shard drop counter.
@@ -63,13 +57,13 @@ type Config struct {
 	MaxSkew time.Duration
 }
 
-// Default ring and batch sizing: a 4096-packet ring absorbs multi-ms
-// bursts at µs-scale processing cost, and 256-packet batches amortize
-// dispatch overhead well past the point of diminishing returns while
-// keeping worst-case batch latency bounded.
+// Ring and batch sizing: a 4096-packet ring absorbs multi-ms bursts at
+// µs-scale processing cost, and 256-packet batches amortize dispatch
+// overhead well past the point of diminishing returns while keeping
+// worst-case batch latency bounded.
 const (
-	DefaultRingSize  = 4096
-	DefaultBatchSize = 256
+	ringSize  = 4096
+	batchSize = 256
 )
 
 // Metrics are the pipeline's optional telemetry hooks, pre-resolved
@@ -133,7 +127,6 @@ type Stats struct {
 type Pipeline struct {
 	shards  []*shardState
 	block   bool
-	batch   int
 	maxSkew int64 // capture-time pacing bound in nanos; 0 = off
 	met     Metrics
 
@@ -157,18 +150,9 @@ func New(cfg Config, sinks []Sink, met Metrics) *Pipeline {
 	if len(sinks) != n {
 		return nil
 	}
-	ringSize := cfg.RingSize
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
 	p := &Pipeline{
 		shards: make([]*shardState, n),
 		block:  cfg.Block,
-		batch:  batch,
 		met:    met,
 		stop:   make(chan struct{}),
 	}
@@ -275,7 +259,7 @@ func (p *Pipeline) Enqueue(c *packet.Captured) bool {
 // token, drain once more on shutdown so no accepted packet is lost.
 func (p *Pipeline) run(s *shardState) {
 	defer p.workers.Done()
-	batch := make([]*packet.Captured, p.batch)
+	batch := make([]*packet.Captured, batchSize)
 	for {
 		p.drainShard(s, batch)
 		select {
@@ -332,10 +316,9 @@ func (p *Pipeline) minBusyProgress() int64 {
 	return min
 }
 
-// Depth returns the total number of packets currently queued across
-// all shard rings — the pipeline's pressure signal (part of what the
-// supervisor's circuit breaker reads).
-func (p *Pipeline) Depth() int {
+// depth returns the total number of packets currently queued across
+// all shard rings.
+func (p *Pipeline) depth() int {
 	total := 0
 	for _, s := range p.shards {
 		total += s.ring.depth()
@@ -363,7 +346,7 @@ func (p *Pipeline) Stats() Stats {
 func (p *Pipeline) Drain() {
 	for {
 		st := p.Stats()
-		if st.Delivered >= st.Accepted && p.Depth() == 0 {
+		if st.Delivered >= st.Accepted && p.depth() == 0 {
 			return
 		}
 		time.Sleep(50 * time.Microsecond)

@@ -106,24 +106,38 @@ func TestPipelineShardAffinityAndOrder(t *testing.T) {
 	}
 }
 
+// gatedSink collects what it is handed once its gate is closed.
+type gatedSink struct {
+	collectSink
+	gate chan struct{}
+}
+
+func (s *gatedSink) HandleBatch(batch []*packet.Captured) {
+	<-s.gate
+	s.collectSink.HandleBatch(batch)
+}
+
 func TestPipelineDropNewestAccounting(t *testing.T) {
-	slow := &collectSink{delay: 200 * time.Microsecond}
+	slow := &gatedSink{gate: make(chan struct{})}
 	met := Metrics{
 		Depth: []*telemetry.Gauge{{}},
 		Drops: []*telemetry.Counter{{}},
 	}
-	p := New(Config{Shards: 1, RingSize: 64, BatchSize: 8}, []Sink{slow}, met)
-	const n = 3000
+	p := New(Config{Shards: 1}, []Sink{slow}, met)
+	// The worker holds at most one batch at the gate and the ring the
+	// next ringSize packets: the rest of the burst is dropped.
+	const n = ringSize + batchSize + 1000
 	for i := 0; i < n; i++ {
 		p.Enqueue(cap4("burst", i))
 	}
+	close(slow.gate)
 	p.Stop()
 	st := p.Stats()
 	if st.Enqueued != n {
 		t.Fatalf("enqueued = %d, want %d", st.Enqueued, n)
 	}
-	if st.Dropped == 0 {
-		t.Fatal("a 64-slot ring with a slow sink must drop under a 3000-packet burst")
+	if st.Accepted < ringSize || st.Accepted > ringSize+batchSize {
+		t.Fatalf("accepted %d behind a closed gate, want a full ring plus at most one batch", st.Accepted)
 	}
 	if st.Enqueued != st.Accepted+st.Dropped {
 		t.Fatalf("enqueued %d != accepted %d + dropped %d", st.Enqueued, st.Accepted, st.Dropped)
@@ -170,8 +184,8 @@ func TestBatchSizeHistogramEncoding(t *testing.T) {
 	cs := &collectSink{delay: 100 * time.Microsecond}
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("kalis_ingest_batch_size", "Batch sizes (1 packet == 1s).", BatchSizeBuckets)
-	p := New(Config{Shards: 1, BatchSize: 16, Block: true}, []Sink{cs}, Metrics{BatchSize: h})
-	const n = 400
+	p := New(Config{Shards: 1, Block: true}, []Sink{cs}, Metrics{BatchSize: h})
+	const n = 3 * batchSize
 	for i := 0; i < n; i++ {
 		p.Enqueue(cap4("s", i))
 	}
@@ -187,8 +201,8 @@ func TestBatchSizeHistogramEncoding(t *testing.T) {
 		t.Fatalf("histogram count %d != batches delivered %d", h.Count(), len(cs.batches))
 	}
 	for _, b := range cs.batches {
-		if b > 16 {
-			t.Fatalf("batch of %d exceeds BatchSize 16", b)
+		if b > batchSize {
+			t.Fatalf("batch of %d exceeds batchSize %d", b, batchSize)
 		}
 	}
 }

@@ -187,20 +187,6 @@ func WithShards(n int) Option {
 	return func(c *core.Config) { c.Shards = n }
 }
 
-// WithIngestRing sets the per-shard ring capacity in packets (rounded
-// up to a power of two; default 4096). Honoured whenever the node has
-// an ingest ring: WithShards(n > 1) or WithAsyncEvents.
-func WithIngestRing(n int) Option {
-	return func(c *core.Config) { c.IngestRing = n }
-}
-
-// WithIngestBatch caps how many packets a shard worker dispatches per
-// batch (default 256). Honoured whenever the node has an ingest ring:
-// WithShards(n > 1) or WithAsyncEvents.
-func WithIngestBatch(n int) Option {
-	return func(c *core.Config) { c.IngestBatch = n }
-}
-
 // WithIngestBlocking selects lossless ingestion backpressure: a full
 // shard ring makes HandleCapture spin until space frees instead of
 // dropping the packet. The default drop-newest policy matches a
@@ -290,15 +276,14 @@ func (n *Node) Alerts() []Alert { return n.inner.Alerts() }
 func (n *Node) ActiveModules() []string { return n.inner.ActiveModules() }
 
 // QuarantinedModules returns the modules the supervisor currently
-// withholds from dispatch: panicked modules waiting out their backoff
-// and modules shed by the latency circuit breaker. The node keeps
-// observing with the remaining modules — graceful degradation instead
-// of a crash.
+// withholds from dispatch: panicked modules waiting out their backoff.
+// The node keeps observing with the remaining modules — graceful
+// degradation instead of a crash. A slow module is never withheld.
 func (n *Node) QuarantinedModules() []string { return n.inner.QuarantinedModules() }
 
 // ModuleHealth reports every installed module's activation and
-// supervision state: "inactive", "healthy", "quarantined", "probing"
-// (post-quarantine probation) or "shed" (circuit breaker).
+// supervision state: "inactive", "healthy", "quarantined" or "probing"
+// (post-quarantine probation).
 func (n *Node) ModuleHealth() map[string]string { return n.inner.ModuleHealth() }
 
 // Knowledge returns a snapshot of the Knowledge Base, sorted by key.

@@ -27,9 +27,14 @@ import (
 type seqRecorder struct {
 	mu   sync.Mutex
 	seqs map[packet.NodeID][]int
+	// gate, when set, holds every packet until it is closed.
+	gate chan struct{}
 }
 
 func (r *seqRecorder) record(c *packet.Captured) {
+	if r.gate != nil {
+		<-r.gate
+	}
 	seq := int(c.Payload[0])<<8 | int(c.Payload[1])
 	r.mu.Lock()
 	r.seqs[c.Src] = append(r.seqs[c.Src], seq)
@@ -97,7 +102,7 @@ func TestShardedIngestOrdering(t *testing.T) {
 	)
 	rec := &seqRecorder{seqs: make(map[packet.NodeID][]int)}
 	node := newRecorderNode(t, rec, 0,
-		WithShards(8), WithIngestBlocking(), WithIngestRing(256))
+		WithShards(8), WithIngestBlocking())
 	if got := node.Shards(); got != 8 {
 		t.Fatalf("Shards() = %d, want 8", got)
 	}
@@ -149,20 +154,23 @@ func TestShardedIngestOrdering(t *testing.T) {
 	}
 }
 
-// TestShardedIngestDrainAccounting overloads small rings behind a slow
+// TestShardedIngestDrainAccounting overfills the rings behind a gated
 // detector so the drop-newest policy engages, then closes the node and
 // asserts the TestAsyncCloseAccounting invariant for the ingest layer:
 // delivered + dropped == enqueued, and every *accepted* packet was
 // delivered (drain-on-Stop loses nothing).
 func TestShardedIngestDrainAccounting(t *testing.T) {
-	const total = 2000
-	rec := &seqRecorder{seqs: make(map[packet.NodeID][]int)}
-	node := newRecorderNode(t, rec, 200*time.Microsecond,
-		WithShards(2), WithIngestRing(64), WithIngestBatch(8))
+	// A shard holds at most one 256-packet batch at the gate and 4096
+	// packets in its ring; eight sources over two shards put at least
+	// half the burst on one of them.
+	const total = 2*(4096+256) + 1000
+	rec := &seqRecorder{seqs: make(map[packet.NodeID][]int), gate: make(chan struct{})}
+	node := newRecorderNode(t, rec, 0, WithShards(2))
 	for i := 0; i < total; i++ {
 		src := packet.NodeID(fmt.Sprintf("burst-%d", i%8))
 		node.HandleCapture(seqCapture(src, i))
 	}
+	close(rec.gate)
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +179,7 @@ func TestShardedIngestDrainAccounting(t *testing.T) {
 		t.Fatalf("enqueued = %d, want %d", st.Enqueued, total)
 	}
 	if st.Dropped == 0 {
-		t.Fatal("64-slot rings behind a 200µs detector must drop under a 2000-packet burst")
+		t.Fatalf("4096-slot rings behind a closed gate must drop under a %d-packet burst", total)
 	}
 	if st.Accepted+st.Dropped != st.Enqueued {
 		t.Fatalf("accounting broken: %+v", st)
@@ -187,6 +195,33 @@ func TestShardedIngestDrainAccounting(t *testing.T) {
 	rec.mu.Unlock()
 	if uint64(delivered) != st.Delivered {
 		t.Fatalf("detector saw %d packets, stats claim %d", delivered, st.Delivered)
+	}
+}
+
+// TestSlowModuleIsNeverWithheld: how long a module takes is no reason
+// to withhold frames from it. Two blocking shards fed as fast as their
+// rings take frames (no skew pacing: the rings stay full) keep a module
+// that spends 2.5 ms per frame healthy, and hand it every frame.
+func TestSlowModuleIsNeverWithheld(t *testing.T) {
+	const total = 2800
+	rec := &seqRecorder{seqs: make(map[packet.NodeID][]int)}
+	node := newRecorderNode(t, rec, 2500*time.Microsecond, WithShards(2), WithIngestBlocking())
+	defer node.Close()
+	for i := 0; i < total; i++ {
+		node.HandleCapture(seqCapture(packet.NodeID(fmt.Sprintf("slow-%d", i%8)), i))
+	}
+	node.DrainIngest()
+	if h := node.ModuleHealth()["seq-recorder"]; h != "healthy" {
+		t.Errorf("slow module is %q, want healthy", h)
+	}
+	seen := 0
+	rec.mu.Lock()
+	for _, seqs := range rec.seqs {
+		seen += len(seqs)
+	}
+	rec.mu.Unlock()
+	if seen != total {
+		t.Fatalf("slow module saw %d of %d frames (ingest %+v)", seen, total, node.IngestStats())
 	}
 }
 

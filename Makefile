@@ -68,9 +68,10 @@ crash-demo:
 # and must stay allocation-bounded), the outermost-layer encoders the
 # logs write with (whatever decodes must re-encode, append-encode onto
 # a prefix without touching it, and decode again to the same layers)
-# and the forwarding watch (arbitrary
+# the forwarding watch (arbitrary
 # CTP beacon/data sequences must report exactly what the map-walk
-# reference model does).
+# reference model does) and the trace reader (arbitrary bytes must never
+# panic or hand out shared raw frames; written records must read back).
 fuzz-short:
 	$(GO) test -fuzz=FuzzNodeReceive -fuzztime=30s -run '^$$' ./internal/core/collective/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=30s -run '^$$' ./internal/persist/
@@ -79,6 +80,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzStackDecode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 	$(GO) test -fuzz=FuzzOuterEncode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 	$(GO) test -fuzz=FuzzForwardingWatch -fuzztime=30s -run '^$$' ./internal/flow/
+	$(GO) test -fuzz=FuzzTraceRead -fuzztime=30s -run '^$$' ./internal/trace/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &
 # invariants"): simulated-clock discipline, panic policy, and the

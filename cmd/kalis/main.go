@@ -153,12 +153,14 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer f.Close()
+		// A corrupt record ends the replay; what came before it was
+		// handled, so its counts are printed either way.
 		replayed, skipped, err := node.ReplayTrace(f)
+		node.DrainIngest()
+		fmt.Fprintf(stdout, "replayed %d frames (%d skipped), %d alerts\n", replayed, skipped, alerts.Load())
 		if err != nil {
 			return err
 		}
-		node.DrainIngest()
-		fmt.Fprintf(stdout, "replayed %d frames (%d skipped), %d alerts\n", replayed, skipped, alerts.Load())
 
 	case *scenario != "":
 		sc, ok := eval.ScenarioByName(*scenario)

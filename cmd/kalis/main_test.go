@@ -1,13 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"kalis/internal/packet"
+	"kalis/internal/proto/stack"
+	"kalis/internal/trace"
 )
 
 func TestRunList(t *testing.T) {
@@ -42,6 +51,36 @@ func TestRunBadFlag(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-no-such-flag"}, &sb); err == nil {
 		t.Error("bad flag must return an error")
+	}
+}
+
+// TestRunTraceTornTail: -trace on a trace whose last record is torn
+// prints the counts of the frames replayed before the tear, then fails.
+func TestRunTraceTornTail(t *testing.T) {
+	const frames = 20
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	t0 := time.Unix(1500000000, 0).UTC()
+	for i := range frames {
+		raw := stack.BuildCTPData(3, 2, 3, uint8(i), 1, 20, []byte{0x01, uint8(i)})
+		if err := w.Write(&trace.Record{Time: t0.Add(time.Duration(i) * time.Second), Medium: packet.MediumIEEE802154, RSSI: -65, Raw: raw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "torn.ktrc")
+	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	err := run([]string{"-trace", path}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("err = %v, want a corrupt-record error", err)
+	}
+	if want := fmt.Sprintf("replayed %d frames (0 skipped)", frames-1); !strings.Contains(sb.String(), want) {
+		t.Errorf("output %q does not report %q", sb.String(), want)
 	}
 }
 

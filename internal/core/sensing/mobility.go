@@ -3,6 +3,7 @@ package sensing
 import (
 	"math"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"kalis/internal/core/knowledge"
@@ -228,5 +229,65 @@ func (m *Mobility) HandlePacket(c *packet.Captured) {
 // putSignal publishes the transmitter's signal strength (shared with
 // peers when collective).
 func (m *Mobility) putSignal(sig *signal, v float64) {
-	m.ctx.KB.PutEntry(&sig.entry, strconv.FormatFloat(v, 'f', 1, 64))
+	m.ctx.KB.PutEntry(&sig.entry, signalText(v))
+}
+
+// signalSpan bounds, in dB either side of 0, the SignalStrength values
+// whose text signalTexts keeps.
+const signalSpan = 200
+
+// signalTexts holds the text of every SignalStrength value published so
+// far within ±signalSpan dB, one slot per tenth of a dB. It is a fixed
+// array shared by every node of the process, so neither traffic nor
+// spoofed RSSI can grow it; a value outside the span is rendered afresh
+// each time.
+var signalTexts [2*signalSpan*10 + 1]atomic.Pointer[string]
+
+// signalText returns strconv.FormatFloat(v, 'f', 1, 64), allocating
+// only the first time a value within ±signalSpan dB is published: the
+// value is rendered into a stack buffer and its text looked up by its
+// tenths, and the lookup compares the whole text, so "-0.0" never
+// passes for "0.0".
+func signalText(v float64) string {
+	var buf [32]byte
+	b := strconv.AppendFloat(buf[:0], v, 'f', 1, 64)
+	i, ok := signalSlot(b)
+	if !ok {
+		return string(b)
+	}
+	if s := signalTexts[i].Load(); s != nil && *s == string(b) {
+		return *s
+	}
+	s := string(b)
+	signalTexts[i].Store(&s)
+	return s
+}
+
+// signalSlot maps a rendered value, [-]d{1,3}.d, to its slot in
+// signalTexts; ok is false outside ±signalSpan dB and for NaN and ±Inf.
+func signalSlot(b []byte) (slot int, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) < 3 || len(b) > 5 || b[len(b)-2] != '.' {
+		return 0, false
+	}
+	tenths := 0
+	for i, ch := range b {
+		if i == len(b)-2 {
+			continue // the decimal point
+		}
+		if ch < '0' || ch > '9' {
+			return 0, false
+		}
+		tenths = tenths*10 + int(ch-'0')
+	}
+	if tenths > signalSpan*10 {
+		return 0, false
+	}
+	if neg {
+		tenths = -tenths
+	}
+	return signalSpan*10 + tenths, true
 }

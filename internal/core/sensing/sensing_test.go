@@ -1,8 +1,11 @@
 package sensing
 
 import (
+	"math"
+	"math/rand/v2"
 	"net/netip"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -447,4 +450,71 @@ func TestTrafficStatsSilenceJump(t *testing.T) {
 	if want := late.Time.Truncate(7 * time.Second).UnixNano(); ts.windowStart != want {
 		t.Errorf("window after the silence starts at %d, want %d (Time.Truncate)", ts.windowStart, want)
 	}
+}
+
+// TestSignalTextMatchesFormatFloat: the cached rendering of a
+// SignalStrength value is byte for byte strconv.FormatFloat(v, 'f', 1,
+// 64) — on every tenth of the cached span and the halves between them
+// (where rounding decides the slot), on both sides of it, on "-0.0",
+// and on what no radio reports but a spoofed record may carry — both
+// the first time a value is seen and from the table afterwards.
+func TestSignalTextMatchesFormatFloat(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), -0.04, 0.04, -0.05, 0.05, 0.25, -0.25, 0.35,
+		signalSpan, -signalSpan, signalSpan + 0.04, signalSpan + 0.05, -signalSpan - 0.06,
+		1e300, -1e-300, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, 1234.5}
+	for tenth := -signalSpan*10 - 20; tenth <= signalSpan*10+20; tenth++ {
+		values = append(values, float64(tenth)/10, float64(tenth)/10+0.05, float64(tenth)/10-0.049999)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 20000 {
+		values = append(values, (rng.Float64()-0.5)*2.2*signalSpan)
+	}
+	for pass := range 2 {
+		for _, v := range values {
+			if got, want := signalText(v), strconv.FormatFloat(v, 'f', 1, 64); got != want {
+				t.Fatalf("pass %d: signalText(%v) = %q, want %q", pass, v, got, want)
+			}
+		}
+	}
+}
+
+// TestSignalTextAllocs: a value inside the span is rendered without
+// allocating once it has been seen; one outside allocates its text
+// every time, and keeps nothing.
+func TestSignalTextAllocs(t *testing.T) {
+	seen := []float64{-60, -66.5, -61.95, -63.0, 0, 12.3}
+	for _, v := range seen {
+		signalText(v)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, v := range seen {
+			signalText(v)
+		}
+	}); allocs != 0 {
+		t.Errorf("rendering %d values seen before allocates %v objects, want 0", len(seen), allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { signalText(-1e6) }); allocs != 1 {
+		t.Errorf("a value outside the span allocates %v objects, want its text alone", allocs)
+	}
+}
+
+// TestSignalTextConcurrent: the text table is shared by every shard of
+// a node, so goroutines rendering the same values at once must each get
+// FormatFloat's text (run under -race).
+func TestSignalTextConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2000 {
+				v := -100 + float64((i*7+g)%1000)/10
+				if got, want := signalText(v), strconv.FormatFloat(v, 'f', 1, 64); got != want {
+					t.Errorf("signalText(%v) = %q, want %q", v, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -527,12 +527,19 @@ func (m *IdentityMotion) JumpyFraction() float64 {
 	return float64(jumpy) / float64(tracked)
 }
 
+// pruneTimes drops the times more than window before now and moves the
+// rest to the front of ts, so the evidence queue keeps its capacity: a
+// queue sliced from the front instead loses capacity with every cut,
+// and its next append reallocates.
 func pruneTimes(ts []int64, now, window int64) []int64 {
 	cut := 0
 	for cut < len(ts) && now-ts[cut] > window {
 		cut++
 	}
-	return ts[cut:]
+	if cut == 0 {
+		return ts
+	}
+	return ts[:copy(ts, ts[cut:])]
 }
 
 // seqInfo extracts the most end-to-end sequence counter the capture

@@ -295,3 +295,65 @@ func TestTrackerDedupAndRelease(t *testing.T) {
 	m1.Release()
 	m2.Release()
 }
+
+// TestIdentityMotionSteadyAllocs: once every evidence queue has grown to
+// its window, observing allocates nothing — one identity jumps on every
+// frame, one wobbles on every frame and one regresses its sequence
+// counter on every other frame, each queue pruned to a 5 s window. A
+// queue sliced from the front lost capacity with each prune, and every
+// few frames its append reallocated.
+func TestIdentityMotionSteadyAllocs(t *testing.T) {
+	m := NewIdentityMotion(MotionConfig{
+		Medium:     packet.MediumIEEE802154,
+		Threshold:  6,
+		Window:     5 * time.Second,
+		Alpha:      0.3,
+		MinSamples: 2,
+	})
+	const warm, steps = 100, 500
+	var frames []*packet.Captured
+	for i := range warm + 2*steps {
+		at := t0.Add(time.Duration(i) * time.Second)
+		jumpy, wobbly := -60.0, -60.0
+		if i%2 == 1 {
+			jumpy, wobbly = -30, -67
+		}
+		raw := stack.BuildCTPData(7, 2, 7, uint8(5-i%2), 1, 10, []byte{0x01})
+		seq, err := stack.Decode(packet.MediumIEEE802154, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq.Time, seq.RSSI = at, -60
+		frames = append(frames, idCap("jumpy", jumpy, at), idCap("wobbly", wobbly, at), seq.Identify())
+	}
+	next := 0
+	step := func() {
+		for range 3 {
+			m.Observe(obs(frames[next]))
+			next++
+		}
+	}
+	for range warm {
+		step()
+	}
+	// One run of all the steps, after a warm-up run of as many:
+	// AllocsPerRun truncates its average, which would hide an
+	// allocation every few steps.
+	allocs := testing.AllocsPerRun(1, func() {
+		for range steps {
+			step()
+		}
+	})
+	if s := m.Snapshot(hid("jumpy")); s.Jumps < 5 {
+		t.Fatalf("jumpy identity holds %d jumps, want a full window", s.Jumps)
+	}
+	if s := m.Snapshot(frames[2].TransmitterH); s.Flips < 2 {
+		t.Fatalf("regressing identity holds %d flips, want a full window", s.Flips)
+	}
+	if got := m.JumpyFraction(); got != 2.0/3 {
+		t.Fatalf("JumpyFraction = %v, want the jumpy and the wobbly identity in motion", got)
+	}
+	if allocs != 0 {
+		t.Errorf("a warmed motion tracker allocates %v objects over %d steps of three frames, want 0", allocs, steps)
+	}
+}

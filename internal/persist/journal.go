@@ -110,6 +110,20 @@ func appendFrame(dst, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
+// writeFrame writes the frame appendFrame appends, the payload straight
+// from where it lies.
+func writeFrame(w io.Writer, payload []byte) error {
+	var head [binary.MaxVarintLen64]byte
+	if _, err := w.Write(binary.AppendUvarint(head[:0], uint64(len(payload)))); err != nil {
+		return err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(head[:0], crc32.ChecksumIEEE(payload)))
+	return err
+}
+
 // readFrame reads one frame and returns its verified payload and its
 // size on the wire. io.EOF means a clean end exactly on a frame
 // boundary; any other error a torn or corrupt frame (an end of input

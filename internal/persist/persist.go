@@ -151,13 +151,15 @@ type Manager struct {
 
 	// The window log: the file, held open for appends; how many
 	// records it holds, and the Data Store's running total up to which
-	// they were written; and the buffers a sync point encodes its batch
-	// and that batch's frame into.
-	win        *os.File
-	winRecords int
-	winSeq     uint64
-	winBatch   bytes.Buffer
-	winFrame   []byte
+	// they were written; the buffers a sync point encodes its batch
+	// and that batch's frame into; and the length of the last rewrite's
+	// batch.
+	win           *os.File
+	winRecords    int
+	winSeq        uint64
+	winBatch      bytes.Buffer
+	winFrame      []byte
+	winRewriteLen int
 
 	outcome   Outcome
 	recovered int // knowggets restored from the snapshot+journal

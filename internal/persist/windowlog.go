@@ -131,23 +131,29 @@ func (m *Manager) logWindowLocked() error {
 // the in-memory window, by the snapshot's own atomic-replace rule: a
 // crash mid-rewrite leaves the old log or the new one. The file held
 // open for appends is the old one, so it is closed first and the new
-// one opened after. The rewrite's batch, a whole window, is not kept.
+// one opened after. The rewrite's batch, a whole window, is not kept;
+// its length is, and the next rewrite's buffer is sized from it, so a
+// full window is encoded without growing the buffer by doubling. The
+// header, the frame around the batch and the batch itself go to the
+// file as they are, without being gathered into one more copy.
 func (m *Manager) rewriteWindowLocked() error {
-	var batch bytes.Buffer
-	n, total, err := m.store.SnapshotTo(&batch, 0)
+	batch := bytes.NewBuffer(make([]byte, 0, m.winRewriteLen+m.winRewriteLen/8)) // a window of larger frames still fits
+	n, total, err := m.store.SnapshotTo(batch, 0)
 	if err != nil {
 		return err
 	}
+	m.winRewriteLen = batch.Len()
 	if err := m.closeWindowLog(); err != nil {
 		return fmt.Errorf("persist: window log: %w", err)
 	}
 	err = replaceFile(WindowLogPath(m.dir), func(w io.Writer) error {
-		log := windowLogHeader()
-		if n > 0 {
-			log = appendFrame(log, batch.Bytes())
+		if _, err := w.Write(windowLogHeader()); err != nil {
+			return err
 		}
-		_, err := w.Write(log)
-		return err
+		if n == 0 {
+			return nil
+		}
+		return writeFrame(w, batch.Bytes())
 	})
 	if err != nil {
 		return fmt.Errorf("persist: window log rewrite: %w", err)

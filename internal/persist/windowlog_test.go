@@ -5,6 +5,7 @@ import (
 	"errors"
 	"maps"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -569,4 +570,56 @@ func TestSyncPointAllocs(t *testing.T) {
 		t.Errorf("a sync point allocates %v objects for 10 fresh frames and %v for 1 000, want the same small constant", few, many)
 	}
 	t.Logf("a sync point allocates %v objects", many)
+}
+
+// TestRewriteBytes: a window-log rewrite encodes the window into a
+// buffer sized from the previous rewrite's batch and writes header,
+// frame and batch to the temp file as they are, so once a rewrite has
+// been made it allocates little more than the batch it writes — and the
+// file it leaves is, byte for byte, the header and one frame around the
+// window's trace stream. Growing the buffer by doubling and then
+// gathering the whole file into one more copy cost about three times
+// the batch.
+func TestRewriteBytes(t *testing.T) {
+	const window = 2000
+	dir := t.TempDir()
+	store := datastore.New(window)
+	m, err := Open(Config{Dir: dir, Interval: time.Second}, knowledge.NewBase("K1"), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := m.Stop(); err != nil {
+			t.Error(err)
+		}
+	}()
+	rewrite := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.mu.Lock()
+		err := m.rewriteWindowLocked()
+		m.mu.Unlock()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	appendAll(t, store, windowFrames(t, 0, window))
+	rewrite() // warm: the first rewrite of a window
+	appendAll(t, store, windowFrames(t, window, window))
+	allocated := rewrite()
+
+	batch := windowTrace(t, store.Recent(0))
+	if limit := 1.5 * float64(len(batch)); float64(allocated) > limit {
+		t.Errorf("rewriting a %d-byte window allocates %d bytes, want at most 1.5 x the batch (%.0f)", len(batch), allocated, limit)
+	}
+	got, err := os.ReadFile(WindowLogPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := appendFrame(windowLogHeader(), batch); !bytes.Equal(got, want) {
+		t.Errorf("the rewritten log is %d bytes, not the header and one frame of the window (%d bytes)", len(got), len(want))
+	}
+	t.Logf("a rewrite of a %d-byte window allocates %d bytes", len(batch), allocated)
 }

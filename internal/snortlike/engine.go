@@ -170,7 +170,10 @@ func (e *Engine) thresholdPass(r *Rule, c *packet.Captured) bool {
 	for cut < len(evs) && c.Time.Sub(evs[cut]) > window {
 		cut++
 	}
-	evs = evs[cut:]
+	// Move the in-window events to the front rather than slicing the
+	// expired ones off it, so the queue keeps its capacity and the next
+	// append does not reallocate.
+	evs = evs[:copy(evs, evs[cut:])]
 	byKey[key] = evs
 
 	switch r.Threshold.Type {

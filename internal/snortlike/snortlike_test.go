@@ -104,6 +104,44 @@ func TestEngineThresholdBoth(t *testing.T) {
 	}
 }
 
+// TestThresholdSteadyAllocs: once a tracked key's event queue has grown
+// to its window, counting another event allocates nothing — an event
+// every 100 ms against a 5 s window, pruned on every event. A queue
+// sliced from the front lost capacity with each prune, and every few
+// events its append reallocated.
+func TestThresholdSteadyAllocs(t *testing.T) {
+	rules, err := ParseRules(`alert icmp any any -> any any (msg:"flood"; itype:0; threshold:type both, track by_dst, count 1000, seconds 5; sid:42;)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(rules)
+	c := mustCapture(t, stack.BuildICMPEcho(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), icmp.TypeEchoReply, 1, 1, 64))
+	at := t0
+	event := func() {
+		c.Time = at
+		at = at.Add(100 * time.Millisecond)
+		e.thresholdPass(rules[0], c)
+	}
+	for range 200 {
+		event()
+	}
+	// One run of many events, after a warm-up run of as many:
+	// AllocsPerRun truncates its average, which would hide an
+	// allocation every few events.
+	const events = 1000
+	allocs := testing.AllocsPerRun(1, func() {
+		for range events {
+			event()
+		}
+	})
+	if n := len(e.thresholds[42][c.Dst]); n != 51 {
+		t.Fatalf("the window holds %d events, want 51", n)
+	}
+	if allocs != 0 {
+		t.Errorf("%d events on a warmed threshold queue allocate %v objects, want 0", events, allocs)
+	}
+}
+
 func TestEngineFlagsMatch(t *testing.T) {
 	rules, err := ParseRules(`alert tcp any any -> any 443 (msg:"syn"; flags:S; sid:43;)`)
 	if err != nil {

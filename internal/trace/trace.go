@@ -157,7 +157,12 @@ func appendString(buf []byte, s string) []byte {
 // 1 KiB ones by 0.5 %.
 const slabSize = 1 << 10
 
-// Reader reads a trace stream.
+// Reader reads a trace stream. Read returns each record by value: the
+// record itself costs nothing, and its Raw, carved from the reader's
+// slabs, belongs to the caller — it stays valid and unchanged after
+// later reads, shares no bytes with any other record's Raw, and may be
+// kept (a decoded frame aliases it). A record's Truth is a fresh
+// allocation when the record carries one.
 type Reader struct {
 	r       *bufio.Reader
 	started bool
@@ -195,25 +200,25 @@ func (r *Reader) readHeader() error {
 }
 
 // Read returns the next record, or io.EOF at end of stream.
-func (r *Reader) Read() (*Record, error) {
+func (r *Reader) Read() (Record, error) {
 	if !r.started {
 		if err := r.readHeader(); err != nil {
-			return nil, err
+			return Record{}, err
 		}
 	}
 	n, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
+			return Record{}, io.EOF
 		}
-		return nil, fmt.Errorf("trace: record length: %w", err)
+		return Record{}, fmt.Errorf("trace: record length: %w", err)
 	}
 	if n > 1<<24 {
-		return nil, ErrCorrupt
+		return Record{}, ErrCorrupt
 	}
 	r.body = slices.Grow(r.body[:0], int(n))[:n]
 	if _, err := io.ReadFull(r.r, r.body); err != nil {
-		return nil, fmt.Errorf("%w: body: %v", ErrCorrupt, err)
+		return Record{}, fmt.Errorf("%w: body: %v", ErrCorrupt, err)
 	}
 	return r.parseRecord(r.body)
 }
@@ -233,30 +238,30 @@ func (r *Reader) carve(n int) []byte {
 
 // parseRecord decodes one record body. The record's Raw is a copy of
 // the frame in it, carved from the reader's slab.
-func (r *Reader) parseRecord(body []byte) (*Record, error) {
+func (r *Reader) parseRecord(body []byte) (Record, error) {
 	nanos, off := binary.Varint(body)
 	if off <= 0 || off >= len(body) {
-		return nil, ErrCorrupt
+		return Record{}, ErrCorrupt
 	}
-	rec := &Record{Time: time.Unix(0, nanos).UTC()}
+	rec := Record{Time: time.Unix(0, nanos).UTC()}
 	rec.Medium = packet.Medium(body[off])
 	body = body[off+1:]
 	bits, off := binary.Uvarint(body)
 	if off <= 0 {
-		return nil, ErrCorrupt
+		return Record{}, ErrCorrupt
 	}
 	rec.RSSI = math.Float64frombits(bits)
 	body = body[off:]
 	rawLen, off := binary.Uvarint(body)
 	if off <= 0 || int(rawLen) > len(body)-off {
-		return nil, ErrCorrupt
+		return Record{}, ErrCorrupt
 	}
 	body = body[off:]
 	rec.Raw = r.carve(int(rawLen))
 	copy(rec.Raw, body)
 	body = body[rawLen:]
 	if len(body) < 1 {
-		return nil, ErrCorrupt
+		return Record{}, ErrCorrupt
 	}
 	hasTruth := body[0] == 1
 	body = body[1:]
@@ -265,21 +270,21 @@ func (r *Reader) parseRecord(body []byte) (*Record, error) {
 		var s string
 		var err error
 		if s, body, err = readString(body); err != nil {
-			return nil, err
+			return Record{}, err
 		}
 		t.Attack = s
 		inst, off := binary.Uvarint(body)
 		if off <= 0 {
-			return nil, ErrCorrupt
+			return Record{}, ErrCorrupt
 		}
 		t.Instance = int(inst)
 		body = body[off:]
 		if s, body, err = readString(body); err != nil {
-			return nil, err
+			return Record{}, err
 		}
 		t.Attacker = packet.NodeID(s)
 		if s, _, err = readString(body); err != nil {
-			return nil, err
+			return Record{}, err
 		}
 		t.Victim = packet.NodeID(s)
 		rec.Truth = t
@@ -307,7 +312,7 @@ func ReadAll(r io.Reader) ([]*Record, error) {
 		if err != nil {
 			return out, err
 		}
-		out = append(out, rec)
+		out = append(out, &rec)
 	}
 }
 

@@ -26,6 +26,7 @@
 package kalis
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -328,17 +329,29 @@ func (n *Node) Recent(count int) []*Captured { return n.inner.Recent(count) }
 
 // ReplayTrace feeds a recorded trace through the node, transparently
 // to the modules. It returns the number of frames replayed and skipped
-// (undecodable).
+// (undecodable). The trace is streamed a record at a time, so memory
+// scales with the Data Store window, not with the file. A record that
+// does not parse — a torn tail, a corrupt length — ends the replay:
+// every frame before it has been handled, and their counts come back
+// with the error.
 func (n *Node) ReplayTrace(r io.Reader) (replayed, skipped int, err error) {
-	recs, err := trace.ReadAll(r)
-	if err != nil {
-		return 0, 0, fmt.Errorf("kalis: replay: %w", err)
-	}
-	skipped = trace.Replay(recs, func(c *packet.Captured) {
+	tr := trace.NewReader(r)
+	for {
+		rec, err := tr.Read()
+		if errors.Is(err, io.EOF) {
+			return replayed, skipped, nil
+		}
+		if err != nil {
+			return replayed, skipped, fmt.Errorf("kalis: replay: %w", err)
+		}
+		c, err := rec.Decode()
+		if err != nil {
+			skipped++
+			continue
+		}
 		replayed++
 		n.HandleCapture(c)
-	})
-	return replayed, skipped, nil
+	}
 }
 
 // EnableCollectiveUDP turns on collective knowledge management over

@@ -70,8 +70,10 @@ crash-demo:
 # a prefix without touching it, and decode again to the same layers)
 # the forwarding watch (arbitrary
 # CTP beacon/data sequences must report exactly what the map-walk
-# reference model does) and the trace reader (arbitrary bytes must never
-# panic or hand out shared raw frames; written records must read back).
+# reference model does), the trace reader (arbitrary bytes must never
+# panic or hand out shared raw frames; written records must read back)
+# and the Data Store window ring (interleaved appends, snapshots, reads
+# and restores must match a []trace.Record model byte for byte).
 fuzz-short:
 	$(GO) test -fuzz=FuzzNodeReceive -fuzztime=30s -run '^$$' ./internal/core/collective/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=30s -run '^$$' ./internal/persist/
@@ -81,6 +83,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzOuterEncode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 	$(GO) test -fuzz=FuzzForwardingWatch -fuzztime=30s -run '^$$' ./internal/flow/
 	$(GO) test -fuzz=FuzzTraceRead -fuzztime=30s -run '^$$' ./internal/trace/
+	$(GO) test -fuzz=FuzzWindowRing -fuzztime=30s -run '^$$' ./internal/core/datastore/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &
 # invariants"): simulated-clock discipline, panic policy, and the

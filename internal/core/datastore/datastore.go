@@ -1,11 +1,19 @@
 // Package datastore implements Kalis' Data Store (§IV-B2): it listens
 // for newly captured packets, keeps a sliding window of the most recent
-// traffic in memory for modules to access, optionally logs all traffic
-// to disk via the trace format, and can replay logged traffic
-// transparently to the detection modules.
+// traffic in memory, optionally logs all traffic to disk via the trace
+// format, and can replay logged traffic transparently to the detection
+// modules.
+//
+// The window is kept the way the log is: each frame as the trace record
+// trace.Writer would write for it, in one byte ring that holds no
+// pointer. A frame is encoded once, when it is appended; the disk log
+// and the durable window log (internal/persist) copy those bytes as
+// they are, and only Recent decodes them again. No decoded frame is
+// kept, so a frame dies when its dispatch returns.
 package datastore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -18,50 +26,34 @@ import (
 // DefaultWindow is the default sliding-window capacity in packets.
 const DefaultWindow = 4096
 
-// Store is the Data Store of one Kalis node.
+// minRing is the smallest ring the window allocates, in bytes.
+const minRing = 256
+
+// Store is the Data Store of one Kalis node. Its window holds the last
+// Capacity frames as trace records (trace.AppendBody) in a byte ring,
+// each record whole, beside a ring of the positions they start at. A
+// capture whose outermost layer cannot encode itself (trace.Frame) is
+// counted in Total but neither kept in the window nor logged: only a
+// capture built by hand can be one, as every frame stack.Decode returns
+// encodes.
 type Store struct {
-	mu      sync.RWMutex
-	window  []*packet.Captured // ring buffer
-	head    int                // next write position
-	size    int                // number of valid entries
-	total   uint64             // packets ever appended
-	log     logEncoder         // the disk log; its writer is nil when off
-	logSink io.Writer          // raw writer behind the log, for sync/close
-	met     StoreMetrics
-
-	// snapMu serializes SnapshotTo, which encodes through snap outside
-	// mu so that Append never waits for it.
-	snapMu sync.Mutex
-	snap   logEncoder
-}
-
-// logEncoder writes captures as trace records through one reused
-// buffer for the re-encoded frame: once warm, logging a capture
-// allocates nothing.
-type logEncoder struct {
-	w   *trace.Writer
-	raw []byte
-}
-
-// appendEncoder is the outermost layer of a frame Decode produced: the
-// 802.15.4 frame, the 802.11 frame or the BLE PDU.
-type appendEncoder interface{ AppendEncode(dst []byte) []byte }
-
-// write logs c, unless it has nothing loggable (a synthetic capture
-// whose outermost layer cannot re-encode). The capture path does not
-// retain a frame's raw bytes, so the record holds the outermost layer's
-// encoding of what was decoded.
-func (e *logEncoder) write(c *packet.Captured) error {
-	if len(c.Layers) == 0 {
-		return nil
-	}
-	l, ok := c.Layers[0].(appendEncoder)
-	if !ok {
-		return nil
-	}
-	e.raw = l.AppendEncode(e.raw[:0])
-	rec := trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: e.raw, Truth: c.Truth}
-	return e.w.Write(&rec)
+	mu sync.Mutex
+	// ring holds the window's records, oldest first from the oldest's
+	// position. They lie in one run up to head when head == top; when
+	// head < top they wrap: the older ones end at top and the newer ones
+	// run from 0 to head. No record straddles the end of the ring.
+	ring      []byte
+	head, top int
+	// pos is a ring of where each record starts in ring: the oldest's at
+	// pos[first], the size-1 newer ones after it.
+	pos         []int
+	first, size int
+	body        []byte // the newest record's body, encoded before it is placed
+	kept        uint64 // records ever kept: the window holds [kept-size, kept)
+	total       uint64 // packets ever appended
+	log         *trace.Writer
+	logSink     io.Writer // raw writer behind the log, for sync/close
+	met         StoreMetrics
 }
 
 // StoreMetrics are the store's optional telemetry hooks; zero-value
@@ -84,7 +76,7 @@ func New(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultWindow
 	}
-	return &Store{window: make([]*packet.Captured, capacity)}
+	return &Store{pos: make([]int, capacity)}
 }
 
 // SetLog enables logging of all appended traffic to w in the Kalis
@@ -93,24 +85,33 @@ func New(capacity int) *Store {
 func (s *Store) SetLog(w io.Writer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.log.w = trace.NewWriter(w)
+	s.log = trace.NewWriter(w)
 	s.logSink = w
 }
 
 // Append records a captured packet into the sliding window (and the
-// disk log if enabled).
+// disk log if enabled). The frame is encoded once and its record
+// copied into the ring; the log writes the same bytes. Once the ring
+// has grown to the window it allocates nothing.
 func (s *Store) Append(c *packet.Captured) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.window[s.head] = c
-	s.head = (s.head + 1) % len(s.window)
-	if s.size < len(s.window) {
-		s.size++
-	}
 	s.total++
 	s.met.Appended.Inc()
-	if s.log.w != nil {
-		if err := s.log.write(c); err != nil {
+	if len(c.Layers) == 0 {
+		return nil
+	}
+	frame, ok := c.Layers[0].(trace.Frame)
+	if !ok {
+		return nil
+	}
+	rec := trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Truth: c.Truth}
+	b, err := s.push(&rec, frame)
+	if err != nil {
+		return err
+	}
+	if s.log != nil {
+		if err := s.log.WriteRecord(b); err != nil {
 			//lint:ignore hotpath disk-log failure branch; logging is off in passive deployments and the wrap is the error report itself
 			return fmt.Errorf("datastore: log: %w", err)
 		}
@@ -118,14 +119,124 @@ func (s *Store) Append(c *packet.Captured) error {
 	return nil
 }
 
+// push encodes rec, its raw frame from frame when that is non-nil, as
+// the newest record of the window, evicting the oldest from a full one,
+// and returns the record's bytes in the ring. The body is encoded into
+// the store's body buffer, where its length comes out, and copied into
+// the ring after that length.
+func (s *Store) push(rec *trace.Record, frame trace.Frame) ([]byte, error) {
+	body, err := trace.AppendBody(s.body[:0], rec, frame)
+	if err != nil {
+		return nil, err
+	}
+	s.body = body
+	var prefix [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(prefix[:], uint64(len(body)))
+	need := n + len(body)
+	if s.size == len(s.pos) {
+		s.evict()
+	}
+	at := s.place(need)
+	b := append(append(s.ring[at:at], prefix[:n]...), body...)
+	s.pos[s.slot(s.size)] = at
+	s.size++
+	s.kept++
+	if s.head == s.top && at == s.head {
+		s.top = at + need
+	}
+	s.head = at + need
+	return b, nil
+}
+
+// slot is the index in pos of the k-th oldest record, 0 <= k <= size.
+func (s *Store) slot(k int) int {
+	i := s.first + k
+	if i >= len(s.pos) {
+		i -= len(s.pos)
+	}
+	return i
+}
+
+// evict drops the oldest record.
+func (s *Store) evict() {
+	was := s.pos[s.first]
+	s.first = s.slot(1)
+	s.size--
+	if s.size == 0 {
+		s.head, s.top = 0, 0
+	} else if s.pos[s.first] < was {
+		s.top = s.head // the older run is gone: the records lie in one run again
+	}
+}
+
+// place returns where a record of need bytes goes: at head, at the
+// start of the ring once the records before the oldest have left room
+// there, or at head of a ring laid out anew, larger — or smaller, when
+// at a wrap the ring is over half as large again as what it holds.
+func (s *Store) place(need int) int {
+	if s.size == 0 {
+		s.head, s.top = 0, 0
+		if need <= len(s.ring) {
+			return 0
+		}
+	} else if tail := s.pos[s.first]; s.head != s.top {
+		if need <= tail-s.head {
+			return s.head
+		}
+	} else if need <= len(s.ring)-s.head {
+		return s.head
+	} else if held := s.head - tail + need; need <= tail && len(s.ring) <= max(held+held/2, minRing) {
+		return 0
+	}
+	s.relayout(need)
+	return s.head
+}
+
+// ringSize is the ring the window lays n bytes of records out in: a
+// quarter more, so that a full window of steady traffic wraps without
+// growing.
+func ringSize(n int) int { return max(n+n/4, minRing) }
+
+// relayout moves the window's records, oldest first, to the start of a
+// new ring sized for them and need bytes more.
+func (s *Store) relayout(need int) {
+	tail := s.pos[s.first] // read only if the window holds records
+	older, newer := s.runs(0)
+	ring := make([]byte, ringSize(len(older)+len(newer)+need))
+	copy(ring[copy(ring, older):], newer)
+	for k := range s.size {
+		if p := &s.pos[s.slot(k)]; *p >= tail {
+			*p -= tail
+		} else {
+			*p += len(older) // a newer record, from the start of the ring
+		}
+	}
+	s.ring = ring
+	s.head = len(older) + len(newer)
+	s.top = s.head
+}
+
+// runs returns the bytes of the records from the k-th oldest through
+// the newest: one run, or two when they wrap.
+func (s *Store) runs(k int) (older, newer []byte) {
+	if k >= s.size {
+		return nil, nil
+	}
+	at := s.pos[s.slot(k)]
+	if s.head == s.top || at < s.head {
+		return s.ring[at:s.head], nil
+	}
+	return s.ring[at:s.top], s.ring[:s.head]
+}
+
 // FlushLog flushes the disk log, if enabled.
 func (s *Store) FlushLog() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log.w == nil {
+	if s.log == nil {
 		return nil
 	}
-	return s.log.w.Flush()
+	return s.log.Flush()
 }
 
 // CloseLog flushes the disk log and, when the underlying writer is a
@@ -135,10 +246,10 @@ func (s *Store) FlushLog() error {
 func (s *Store) CloseLog() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log.w == nil {
+	if s.log == nil {
 		return nil
 	}
-	err := s.log.w.Flush()
+	err := s.log.Flush()
 	if f, ok := s.logSink.(interface{ Sync() error }); ok {
 		if serr := f.Sync(); err == nil {
 			err = serr
@@ -149,110 +260,111 @@ func (s *Store) CloseLog() error {
 			err = cerr
 		}
 	}
-	s.log.w, s.logSink = nil, nil
+	s.log, s.logSink = nil, nil
 	return err
 }
 
-// Recent returns up to n of the most recent packets, oldest first.
-// n <= 0 returns the whole window.
+// Recent returns up to n of the most recent packets, oldest first,
+// decoded afresh from the window's records; n <= 0 returns the whole
+// window. It copies the records under the store's lock and decodes them
+// without it.
 func (s *Store) Recent(n int) []*packet.Captured {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
 	if n <= 0 || n > s.size {
 		n = s.size
 	}
-	return s.recentLocked(n)
-}
+	older, newer := s.runs(s.size - n)
+	recs := append(append(make([]byte, 0, len(older)+len(newer)), older...), newer...)
+	s.mu.Unlock()
 
-// recentLocked copies out the n <= s.size most recent packets, oldest
-// first.
-func (s *Store) recentLocked(n int) []*packet.Captured {
 	out := make([]*packet.Captured, 0, n)
-	start := s.head - n
-	if start < 0 {
-		start += len(s.window)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, s.window[(start+i)%len(s.window)])
+	for len(recs) > 0 {
+		rec, l, err := trace.ParseRecord(recs)
+		if err != nil {
+			break // unreachable: the store wrote every record
+		}
+		recs = recs[l:]
+		if c, err := rec.Decode(); err == nil {
+			out = append(out, c)
+		}
 	}
 	return out
 }
 
 // Len returns the number of packets currently in the window.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.size
 }
 
 // Total returns the number of packets ever appended.
 func (s *Store) Total() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.total
+}
+
+// Kept returns the number of records ever kept in the window: Total
+// less the captures that cannot encode. SnapshotTo's cursor counts
+// these.
+func (s *Store) Kept() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.kept
 }
 
 // Capacity returns the sliding-window capacity.
 func (s *Store) Capacity() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.window)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pos)
 }
 
-// SnapshotTo encodes to w, as one Kalis trace stream, oldest first, the
-// packets appended since the store's running total read since and
-// still in the window; since 0 is the whole window. It returns the
-// number of records written and the total to pass as since next time —
-// durable state logs the window incrementally this way, each frame
-// encoded when it arrives instead of with every snapshot. The encoding
-// is the trace log's, wholesale: synthetic captures whose outermost
-// layer cannot re-encode are skipped, exactly as the disk log skips
-// them. Its encoder is the store's and is reused, so a call allocates
-// the same few objects however many frames it writes.
-func (s *Store) SnapshotTo(w io.Writer, since uint64) (n int, total uint64, err error) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	s.mu.RLock()
-	total = s.total
-	fresh := s.size
-	if total-since < uint64(fresh) {
-		fresh = int(total - since)
-	}
-	window := s.recentLocked(fresh) // copy under RLock; encode without the lock
-	s.mu.RUnlock()
+// header is the trace stream header SnapshotTo writes.
+var header = trace.AppendHeader(nil)
 
-	if s.snap.w == nil {
-		s.snap.w = trace.NewWriter(nil)
-	}
-	s.snap.w.Reset(w)
-	defer s.snap.w.Reset(nil) // keep no caller's buffer alive
-	for _, c := range window {
-		if err := s.snap.write(c); err != nil {
-			return s.snap.w.Count(), total, fmt.Errorf("datastore: snapshot: %w", err)
+// SnapshotTo writes to w, as one Kalis trace stream, oldest first, the
+// records kept since the store's Kept count read since and still in
+// the window; since 0 is the whole window. It returns the number of
+// records written and the count to pass as since next time — durable
+// state logs the window incrementally this way. The records are the
+// window's bytes, copied to w under the store's lock: w should be
+// a memory buffer, as Append waits for the copy.
+func (s *Store) SnapshotTo(w io.Writer, since uint64) (n int, kept uint64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	oldest := s.kept - uint64(s.size)
+	from := min(max(since, oldest), s.kept)
+	older, newer := s.runs(int(from - oldest))
+	if _, err = w.Write(header); err == nil {
+		if _, err = w.Write(older); err == nil {
+			_, err = w.Write(newer)
 		}
 	}
-	if err := s.snap.w.Flush(); err != nil {
-		return s.snap.w.Count(), total, fmt.Errorf("datastore: snapshot: %w", err)
+	if err != nil {
+		return 0, s.kept, fmt.Errorf("datastore: snapshot: %w", err)
 	}
-	return s.snap.w.Count(), total, nil
+	return int(s.kept - from), s.kept, nil
 }
 
 // Restore loads recovered trace records into the sliding window in
 // order, bypassing the disk log and telemetry (recovery runs before
-// either is wired). Records that fail protocol decoding are skipped
-// and counted. Restore is meant for an empty, pre-traffic store; the
-// window retains the most recent records if they exceed capacity.
+// either is wired). A record that fails protocol decoding is skipped
+// and counted; the others are kept byte for byte as they were read.
+// Restore is meant for an empty, pre-traffic store; the window retains
+// the most recent records if they exceed capacity.
 func (s *Store) Restore(recs []*trace.Record) (restored, skipped int) {
-	skipped = trace.Replay(recs, func(c *packet.Captured) {
-		restored++
-		s.mu.Lock()
-		s.window[s.head] = c
-		s.head = (s.head + 1) % len(s.window)
-		if s.size < len(s.window) {
-			s.size++
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range recs {
+		if _, err := rec.Decode(); err != nil {
+			skipped++
+			continue
 		}
+		_, _ = s.push(rec, nil) // a record without a frame always encodes
 		s.total++
-		s.mu.Unlock()
-	})
+		restored++
+	}
 	return restored, skipped
 }

@@ -114,11 +114,11 @@ func TestFlushWithoutLog(t *testing.T) {
 	}
 }
 
-// TestSnapshotToSince: SnapshotTo writes the packets appended since a
-// running total and still in the window — everything for since 0,
-// nothing (but a valid empty stream) when none arrived, and no more
-// than the window when more arrived than it holds — and returns the
-// total to resume from.
+// TestSnapshotToSince: SnapshotTo writes the packets kept since a Kept
+// count and still in the window — everything for since 0, nothing (but
+// a valid empty stream) when none arrived, and no more than the window
+// when more arrived than it holds — and returns the count to resume
+// from.
 func TestSnapshotToSince(t *testing.T) {
 	s := New(4)
 	snapshot := func(since uint64) (secs []int, total uint64) {
@@ -164,8 +164,9 @@ func TestSnapshotToSince(t *testing.T) {
 }
 
 // TestStoreLogAllocs: with a disk log on, appending a frame allocates
-// nothing once the log's buffers have grown — the outermost layer is
-// re-encoded into the store's buffer and written as a record it owns.
+// nothing once the store's buffers and the log's have grown — the
+// outermost layer is encoded once, for the ring, and the log writes the
+// ring's bytes.
 // Encoding into a fresh slice per frame cost one each.
 func TestStoreLogAllocs(t *testing.T) {
 	s := New(16)
@@ -189,10 +190,9 @@ func TestStoreLogAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotToConcurrent: SnapshotTo encodes through one encoder the
-// store keeps, so calls from two goroutines, beside a third appending to
-// a logged store, must each still write a whole, replayable stream.
-// Run it under -race.
+// TestSnapshotToConcurrent: calls to SnapshotTo from two goroutines,
+// beside a third appending to a logged store, must each still write a
+// whole, replayable stream. Run it under -race.
 func TestSnapshotToConcurrent(t *testing.T) {
 	s := New(64)
 	s.SetLog(io.Discard)
@@ -229,4 +229,108 @@ func TestSnapshotToConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAppendAllocs: once the ring has grown to a full window, Append
+// allocates nothing — it encodes the frame into the store's body buffer,
+// copies the record into the ring and keeps no pointer to the frame.
+func TestAppendAllocs(t *testing.T) {
+	s := New(64)
+	frames := make([]*packet.Captured, 64)
+	for i := range frames {
+		frames[i] = capAt(i)
+	}
+	frames[1].Truth = &packet.GroundTruth{Attack: "sinkhole", Instance: 1, Attacker: "0x0002", Victim: "0x0001"}
+	for range 3 { // warm: the ring grows to the window and wraps
+		for _, c := range frames {
+			if err := s.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		for _, c := range frames {
+			if err := s.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Append allocates %v objects per %d frames of a full window, want 0", avg, len(frames))
+	}
+}
+
+// TestRingSteadyState: a full window of steady traffic wraps around its
+// ring lap after lap without laying it out anew, in a ring no more than
+// half as large again as the records it holds.
+func TestRingSteadyState(t *testing.T) {
+	s := New(DefaultWindow)
+	for i := range 3 * DefaultWindow {
+		if err := s.Append(capAt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring := &s.ring[0]
+	for i := range 5 * DefaultWindow {
+		if err := s.Append(capAt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	older, newer := s.runs(0)
+	live := len(older) + len(newer)
+	if &s.ring[0] != ring {
+		t.Error("five laps of steady traffic laid the ring out anew")
+	}
+	if len(s.ring) > live+live/2 {
+		t.Errorf("the ring is %d bytes for %d bytes of records, over 1.5x", len(s.ring), live)
+	}
+}
+
+// TestLogIsTheWindow: with a disk log on, the log's bytes are the bytes
+// SnapshotTo(0) writes for a window that has not wrapped — the frame is
+// encoded once, and both copy it.
+func TestLogIsTheWindow(t *testing.T) {
+	var log, snap bytes.Buffer
+	s := New(16)
+	s.SetLog(&log)
+	for i := range 10 {
+		c := capAt(i)
+		if i%3 == 0 {
+			c.Truth = &packet.GroundTruth{Attack: "sinkhole", Instance: i, Attacker: "0x0002", Victim: "0x0001"}
+		}
+		if err := s.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.FlushLog(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.SnapshotTo(&snap, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(log.Bytes(), snap.Bytes()) {
+		t.Errorf("the disk log is %d bytes, SnapshotTo(0) %d: not the same encoding", log.Len(), snap.Len())
+	}
+}
+
+// TestUnencodableCapture: a capture whose outermost layer cannot encode
+// is counted in Total but kept neither in the window nor in the log.
+func TestUnencodableCapture(t *testing.T) {
+	var log bytes.Buffer
+	s := New(4)
+	s.SetLog(&log)
+	bare := &packet.Captured{Time: time.Unix(1500000000, 0), Medium: packet.MediumIEEE802154}
+	for _, c := range []*packet.Captured{capAt(0), bare, capAt(1)} {
+		if err := s.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.FlushLog(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.ReadAll(&log)
+	if s.Total() != 3 || s.Kept() != 2 || s.Len() != 2 || len(s.Recent(0)) != 2 || err != nil || len(recs) != 2 {
+		t.Errorf("total %d, kept %d, window %d, Recent %d, logged %d (%v): want 3, 2, 2, 2, 2",
+			s.Total(), s.Kept(), s.Len(), len(s.Recent(0)), len(recs), err)
+	}
 }

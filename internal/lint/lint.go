@@ -83,11 +83,12 @@ func PathScope(paths ...string) ScopeFunc {
 // The production packet path, shared by hotpath, hotalloc and the
 // -callgraph dump: roots in the core, the ingestion workers and the
 // frame decoder; the walk spills into the flow layer, the protocol
-// substrates and the capture envelope.
+// substrates, the capture envelope and the trace record encoder the
+// Data Store window is written with.
 var (
 	PacketPathRoots = PathScope("kalis/internal/core", "kalis/internal/ingest", "kalis/internal/proto/stack")
 	PacketPathWalk  = PathScope("kalis/internal/core", "kalis/internal/flow", "kalis/internal/ingest",
-		"kalis/internal/proto", "kalis/internal/packet")
+		"kalis/internal/proto", "kalis/internal/packet", "kalis/internal/trace")
 )
 
 // DefaultAnalyzers returns the production rule set with the scopes the

@@ -150,8 +150,8 @@ type Manager struct {
 	snapStatics int
 
 	// The window log: the file, held open for appends; how many
-	// records it holds, and the Data Store's running total up to which
-	// they were written; the buffers a sync point encodes its batch
+	// records it holds, and the Data Store's Kept count up to which
+	// they were written; the buffers a sync point copies its batch
 	// and that batch's frame into; and the length of the last rewrite's
 	// batch.
 	win           *os.File
@@ -279,7 +279,7 @@ func (m *Manager) recover() error {
 				return fmt.Errorf("persist: truncate torn window log: %w", err)
 			}
 		}
-		m.winRecords, m.winSeq = len(logged), m.store.Total()
+		m.winRecords, m.winSeq = len(logged), m.store.Kept()
 		if err := m.openWindowLog(); err != nil {
 			return err
 		}
@@ -472,7 +472,7 @@ func (m *Manager) Tick(now time.Time) {
 // longer for the disk than the knowgget it marks.
 func (m *Manager) syncLocked() error {
 	statics := m.kb.StaticCount() > m.snapStatics
-	if !statics && m.store.Total() == m.winSeq && m.journal.synced == m.journal.bytes {
+	if !statics && m.store.Kept() == m.winSeq && m.journal.synced == m.journal.bytes {
 		return nil
 	}
 	if statics || m.journal.bytes >= checkpointBytes {

@@ -93,13 +93,13 @@ func loadWindowLogFile(path string) (recs []*trace.Record, goodBytes int64, torn
 // logWindowLocked makes the frames the Data Store took in since the
 // last sync point durable: one appended, fsynced batch — or, when that
 // batch would bring the log to twice the window's capacity, a rewrite.
-// With no new frames it writes nothing. The batch is encoded into the
-// manager's batch and frame buffers, which are kept from one sync point
-// to the next, and appended to the log the manager holds open: once
-// warm, a sync point allocates the same few objects however many frames
-// it logs.
+// With no new frames it writes nothing. The batch is the Data Store's
+// own record bytes, copied into the manager's batch and frame buffers,
+// which are kept from one sync point to the next, and appended to the
+// log the manager holds open: no frame is encoded, and once warm a sync
+// point allocates the same few objects however many frames it logs.
 func (m *Manager) logWindowLocked() error {
-	fresh := m.store.Total() - m.winSeq
+	fresh := m.store.Kept() - m.winSeq
 	if fresh == 0 {
 		return nil
 	}
@@ -112,9 +112,6 @@ func (m *Manager) logWindowLocked() error {
 		return err
 	}
 	m.winSeq = total
-	if n == 0 {
-		return nil // nothing loggable: synthetic captures only
-	}
 	m.winFrame = appendFrame(m.winFrame[:0], m.winBatch.Bytes())
 	_, err = m.win.Write(m.winFrame)
 	if err == nil {
@@ -133,7 +130,7 @@ func (m *Manager) logWindowLocked() error {
 // open for appends is the old one, so it is closed first and the new
 // one opened after. The rewrite's batch, a whole window, is not kept;
 // its length is, and the next rewrite's buffer is sized from it, so a
-// full window is encoded without growing the buffer by doubling. The
+// full window is copied without growing the buffer by doubling. The
 // header, the frame around the batch and the batch itself go to the
 // file as they are, without being gathered into one more copy.
 func (m *Manager) rewriteWindowLocked() error {

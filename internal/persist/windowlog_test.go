@@ -529,15 +529,16 @@ func TestWindowLogReplayProperties(t *testing.T) {
 	}
 }
 
-// TestSyncPointAllocs: a sync point encodes its batch into buffers the
-// manager keeps and appends it to the log it holds open, so once those
-// buffers have grown it allocates the same small constant whether ten
-// frames arrived in the interval or a thousand. Re-encoding every frame
-// into a fresh slice, a fresh batch buffer and a fresh file per sync
-// point grew with the frames.
+// TestSyncPointAllocs: a sync point copies the Data Store's record bytes
+// into buffers the manager keeps and appends them to the log it holds
+// open, so once those buffers have grown it allocates nothing, whether
+// ten frames arrived in the interval or a thousand. Re-encoding every
+// frame into a fresh slice, a fresh batch buffer and a fresh file per
+// sync point grew with the frames; copying the window's frame pointers
+// out before encoding them cost one allocation.
 func TestSyncPointAllocs(t *testing.T) {
 	frames := windowFrames(t, 0, 1000)
-	perSync := func(fresh int) float64 {
+	perSync := func(fresh int) uint64 {
 		store := datastore.New(4096) // no rewrite within the runs below
 		m, err := Open(Config{Dir: t.TempDir(), Interval: time.Second}, knowledge.NewBase("K1"), store)
 		if err != nil {
@@ -550,26 +551,35 @@ func TestSyncPointAllocs(t *testing.T) {
 		}()
 		now := time.Unix(1500000000, 0)
 		m.Tick(now)
-		syncPoint := func() {
+		// syncPoint appends fresh frames, which may grow the store's
+		// ring, and counts what the sync point after them allocates.
+		syncPoint := func() uint64 {
 			appendAll(t, store, frames[:fresh])
 			now = now.Add(time.Second)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			m.Tick(now)
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
 		}
 		syncPoint() // warm: the buffers grow to a batch
-		allocs := testing.AllocsPerRun(3, syncPoint)
+		const runs = 4
+		var allocs uint64
+		for range runs {
+			allocs += syncPoint()
+		}
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if want := uint64(5 * fresh); store.Total() != want || m.winSeq != want {
-			t.Fatalf("five sync points of %d frames logged up to frame %d of %d", fresh, m.winSeq, store.Total())
+		if want := uint64((runs + 1) * fresh); store.Kept() != want || m.winSeq != want {
+			t.Fatalf("%d sync points of %d frames logged up to frame %d of %d", runs+1, fresh, m.winSeq, store.Kept())
 		}
-		return allocs
+		return allocs / runs // as testing.AllocsPerRun averages, so a stray runtime allocation does not count
 	}
 	few, many := perSync(10), perSync(1000)
-	if few != many || many > 4 {
-		t.Errorf("a sync point allocates %v objects for 10 fresh frames and %v for 1 000, want the same small constant", few, many)
+	if few != 0 || many != 0 {
+		t.Errorf("a sync point allocates %d objects for 10 fresh frames and %d for 1 000, want none", few, many)
 	}
-	t.Logf("a sync point allocates %v objects", many)
 }
 
 // TestRewriteBytes: a window-log rewrite encodes the window into a

@@ -55,6 +55,9 @@ func (p *PDU) IsAdvertising() bool { return p.Type != PDUData }
 // Encode serialises the PDU.
 func (p *PDU) Encode() []byte { return p.AppendEncode(make([]byte, 0, 8+len(p.Payload))) }
 
+// EncodedLen is the number of bytes AppendEncode appends.
+func (p *PDU) EncodedLen() int { return 8 + len(p.Payload) }
+
 // AppendEncode appends the encoded PDU to dst and returns the extended
 // slice; the bytes of dst before it are left as they were.
 func (p *PDU) AppendEncode(dst []byte) []byte {

@@ -101,6 +101,33 @@ func (f *Frame) fcf() uint16 {
 // Encode serialises the frame including the trailing 2-byte FCS.
 func (f *Frame) Encode() []byte { return f.AppendEncode(make([]byte, 0, 32+len(f.Payload))) }
 
+// EncodedLen is the number of bytes AppendEncode appends.
+func (f *Frame) EncodedLen() int {
+	n := 3 + len(f.Payload) + 2 // frame control, sequence number, payload, FCS
+	if f.DstMode != AddrNone {
+		n += 2 + addrLen(f.DstMode)
+	}
+	if f.SrcMode != AddrNone {
+		if !f.PANIDCompress {
+			n += 2
+		}
+		n += addrLen(f.SrcMode)
+	}
+	return n
+}
+
+// addrLen is the number of bytes appendAddr appends for mode.
+func addrLen(mode AddrMode) int {
+	switch mode {
+	case AddrShort:
+		return 2
+	case AddrExtended:
+		return 8
+	default:
+		return 0
+	}
+}
+
 // AppendEncode appends the encoded frame, FCS included, to dst and
 // returns the extended slice; the bytes of dst before it are left as
 // they were.
@@ -218,20 +245,33 @@ func readAddr(b []byte, mode AddrMode) (rest []byte, short uint16, ext uint64, e
 }
 
 // CRC16 computes the ITU-T CRC-16 (polynomial 0x1021, LSB-first) used
-// as the 802.15.4 frame check sequence, a byte at a time through
-// crcTable.
+// as the 802.15.4 frame check sequence: eight bytes at a time through
+// crcTables (slicing-by-8), then four, then the last few a byte at a
+// time.
 func CRC16(data []byte) uint16 {
 	var crc uint16
+	t := &crcTables
+	for ; len(data) >= 8; data = data[8:] {
+		x := binary.LittleEndian.Uint64(data) ^ uint64(crc)
+		crc = t[7][byte(x)] ^ t[6][byte(x>>8)] ^ t[5][byte(x>>16)] ^ t[4][byte(x>>24)] ^
+			t[3][byte(x>>32)] ^ t[2][byte(x>>40)] ^ t[1][byte(x>>48)] ^ t[0][byte(x>>56)]
+	}
+	if len(data) >= 4 {
+		x := binary.LittleEndian.Uint32(data) ^ uint32(crc)
+		crc = t[3][byte(x)] ^ t[2][byte(x>>8)] ^ t[1][byte(x>>16)] ^ t[0][byte(x>>24)]
+		data = data[4:]
+	}
 	for _, b := range data {
-		crc = crc>>8 ^ crcTable[byte(crc)^b]
+		crc = crc>>8 ^ t[0][byte(crc)^b]
 	}
 	return crc
 }
 
-// crcTable[v] is the CRC register after shifting the byte v through
-// the reflected polynomial 0x8408.
-var crcTable = func() (t [256]uint16) {
-	for v := range t {
+// crcTables[0][v] is the CRC register after shifting the byte v through
+// the reflected polynomial 0x8408, and crcTables[k][v] after shifting v
+// followed by k zero bytes.
+var crcTables = func() (t [8][256]uint16) {
+	for v := range t[0] {
 		crc := uint16(v)
 		for i := 0; i < 8; i++ {
 			if crc&1 != 0 {
@@ -240,7 +280,13 @@ var crcTable = func() (t [256]uint16) {
 				crc >>= 1
 			}
 		}
-		t[v] = crc
+		t[0][v] = crc
+	}
+	for k := 1; k < 8; k++ {
+		for v := range t[k] {
+			prev := t[k-1][v]
+			t[k][v] = prev>>8 ^ t[0][byte(prev)]
+		}
 	}
 	return t
 }()

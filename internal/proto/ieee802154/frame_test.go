@@ -3,6 +3,7 @@ package ieee802154
 import (
 	"bytes"
 	"errors"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -122,9 +123,10 @@ func TestCRC16KnownVector(t *testing.T) {
 	}
 }
 
-// TestCRC16MatchesBitwise: the table-driven CRC16 is the same function
-// as the bit-at-a-time definition it replaced — the FCS test accepts
-// and rejects exactly the frames it did.
+// TestCRC16MatchesBitwise: the slicing-by-8 CRC16 is the same function
+// as the bit-at-a-time definition — the FCS test accepts and rejects
+// exactly the frames it did. Random inputs of every length from 0 to
+// 300 cover every tail length after every number of 8-byte blocks.
 func TestCRC16MatchesBitwise(t *testing.T) {
 	bitwise := func(data []byte) uint16 {
 		var crc uint16
@@ -143,6 +145,18 @@ func TestCRC16MatchesBitwise(t *testing.T) {
 	prop := func(data []byte) bool { return CRC16(data) == bitwise(data) }
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for n := 0; n <= 300; n++ {
+		for range 20 {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(rng.Uint32())
+			}
+			if got, want := CRC16(data), bitwise(data); got != want {
+				t.Fatalf("CRC16(% x) = %#04x, the bitwise definition %#04x", data, got, want)
+			}
+		}
 	}
 }
 

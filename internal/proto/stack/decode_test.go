@@ -155,10 +155,10 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodedFramesIndependent: frames are retained by the datastore
-// window while decoding goes on, so a later decode must never write
-// into an earlier frame — no shared frame value, no shared Layers
-// array, no reused layer struct.
+// TestDecodedFramesIndependent: a frame belongs to its caller, who may
+// retain it while decoding goes on (a sharded node's ingest ring does),
+// so a later decode must never write into an earlier frame — no shared
+// frame value, no shared Layers array, no reused layer struct.
 func TestDecodedFramesIndependent(t *testing.T) {
 	const n = 10000
 	built := builtFrames()

@@ -9,9 +9,11 @@ import (
 )
 
 // outerEncoder is what the Data Store's disk log and the durable window
-// log need of a frame's outermost layer: the bytes it re-encodes to.
+// log need of a frame's outermost layer: the bytes it re-encodes to,
+// and their length before they are written.
 type outerEncoder interface {
 	Encode() []byte
+	EncodedLen() int
 	AppendEncode(dst []byte) []byte
 }
 
@@ -22,7 +24,7 @@ type outerEncoder interface {
 //
 //   - the outermost layer (802.15.4 frame, 802.11 frame or BLE PDU)
 //     encodes, and AppendEncode(prefix) leaves prefix as it was and
-//     appends exactly what Encode returns;
+//     appends exactly what Encode returns, EncodedLen bytes;
 //   - decoding that encoding succeeds with the same layers, kind and
 //     identities.
 //
@@ -43,6 +45,9 @@ func FuzzOuterEncode(f *testing.F) {
 			t.Fatalf("%v frame % x: outermost layer %T cannot re-encode", m, raw, c.Layers[0])
 		}
 		enc := outer.Encode()
+		if n := outer.EncodedLen(); n != len(enc) {
+			t.Fatalf("%v frame % x: EncodedLen %d, Encode returns %d bytes", m, raw, n, len(enc))
+		}
 		dst := append(make([]byte, 0, len(prefix)+len(enc)/2), prefix...) // room for some, not all
 		got := outer.AppendEncode(dst)
 		if !bytes.Equal(got[:len(prefix)], prefix) {

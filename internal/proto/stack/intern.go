@@ -17,8 +17,8 @@ import (
 // table for its handle and overwrites the slot. Nothing is ever added
 // beyond the table's internSlots entries, so a flood of spoofed sources
 // evicts entries (and pays the render again) but cannot grow memory;
-// frames retained by the datastore window keep their own strings alive,
-// exactly as when each frame rendered its own.
+// frames their callers retain keep their own strings alive, exactly as
+// when each frame rendered its own.
 
 // internSlots is the table size: a power of two well above the entity
 // count of any monitored network (tens to hundreds), small enough

@@ -36,7 +36,9 @@ import (
 // sized to the layers this frame carries, and every Payload in it
 // aliases raw — the caller gives raw away and must not write to it
 // again. Layers are immutable after decode. Nothing is pooled or
-// reused: the datastore window retains frames. Safe from any goroutine.
+// reused: the frame belongs to the caller, who may retain it (a sharded
+// node's ingest ring holds it until a shard dispatches it). Safe from
+// any goroutine.
 func Decode(medium packet.Medium, raw []byte) (*packet.Captured, error) {
 	switch medium {
 	case packet.MediumIEEE802154:
@@ -66,8 +68,8 @@ func (e macError) Unwrap() error { return e.err }
 
 // The frame values: a Captured, the backing array of its Layers and the
 // layer structs themselves, one type per stack shape so that a frame
-// pays for the layers it carries and no others (the window holds
-// thousands of them). Decode parses the headers into locals — which
+// pays for the layers it carries and no others (a sharded node's
+// ingest rings hold thousands of them). Decode parses the headers into locals — which
 // keeps error returns free — and captureN moves them into one new
 // frame value.
 type (
@@ -102,7 +104,7 @@ type (
 
 // newFrame is where a decoded frame's memory comes from.
 func newFrame[F any]() *F {
-	//lint:ignore hotalloc the frame value is the one allocation of a decoded frame; the datastore window retains frames, so it can be neither pooled nor reused
+	//lint:ignore hotalloc the frame value is the one allocation of a decoded frame; it belongs to the caller, and the ingest ring retains it, so it can be neither pooled nor reused
 	return new(F)
 }
 

@@ -71,6 +71,9 @@ func (f *Frame) String() string {
 // Encode serialises the frame.
 func (f *Frame) Encode() []byte { return f.AppendEncode(make([]byte, 0, 24+len(f.Payload))) }
 
+// EncodedLen is the number of bytes AppendEncode appends.
+func (f *Frame) EncodedLen() int { return 24 + len(f.Payload) }
+
 // AppendEncode appends the encoded frame to dst and returns the
 // extended slice; the bytes of dst before it are left as they were.
 // The duration field and the fragment number are written as zero.

@@ -90,46 +90,42 @@ func (w *Writer) writeHeader() error {
 	return nil
 }
 
+// AppendHeader appends the stream header — magic and version — to dst.
+func AppendHeader(dst []byte) []byte {
+	return append(append(dst, Magic[:]...), Version)
+}
+
 // Write appends one record.
 func (w *Writer) Write(r *Record) error {
+	body, err := AppendBody(w.scratch[:0], r, nil)
+	if err != nil {
+		return err
+	}
+	w.scratch = body // keep the grown buffer for the next record
+	n := binary.PutUvarint(w.prefix[:], uint64(len(body)))
+	return w.write(w.prefix[:n], body)
+}
+
+// WriteRecord appends one whole record, its body after its length, as
+// it is.
+func (w *Writer) WriteRecord(rec []byte) error { return w.write(rec, nil) }
+
+// write appends a record given in two parts, after the stream header
+// if none has been written yet.
+func (w *Writer) write(a, b []byte) error {
 	if !w.started {
 		if err := w.writeHeader(); err != nil {
 			return err
 		}
 	}
-	buf := binary.AppendVarint(w.scratch[:0], r.Time.UnixNano())
-	buf = append(buf, byte(r.Medium))
-	buf = binary.AppendUvarint(buf, uint64(math.Float64bits(r.RSSI)))
-	buf = binary.AppendUvarint(buf, uint64(len(r.Raw)))
-	buf = append(buf, r.Raw...)
-	if r.Truth != nil {
-		buf = append(buf, 1)
-		buf = appendString(buf, r.Truth.Attack)
-		buf = binary.AppendUvarint(buf, uint64(r.Truth.Instance))
-		buf = appendString(buf, string(r.Truth.Attacker))
-		buf = appendString(buf, string(r.Truth.Victim))
-	} else {
-		buf = append(buf, 0)
-	}
-	w.scratch = buf // keep the grown buffer for the next record
-	n := binary.PutUvarint(w.prefix[:], uint64(len(buf)))
-	if _, err := w.w.Write(w.prefix[:n]); err != nil {
+	if _, err := w.w.Write(a); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(buf); err != nil {
+	if _, err := w.w.Write(b); err != nil {
 		return err
 	}
 	w.count++
 	return nil
-}
-
-// Reset discards the writer's state and points it at dst: the next Write
-// starts a new stream with its header. The writer keeps its buffers, so
-// one writer serves many streams without allocating.
-func (w *Writer) Reset(dst io.Writer) {
-	w.w.Reset(dst)
-	w.started = false
-	w.count = 0
 }
 
 // Count returns the number of records written so far.
@@ -145,17 +141,70 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
+// Frame is a raw frame in the form AppendBody encodes it from: the
+// outermost layer of a decoded frame, which appends its own wire bytes.
+type Frame interface {
+	// EncodedLen is the number of bytes AppendEncode appends.
+	EncodedLen() int
+	// AppendEncode appends the frame's wire bytes to dst and returns
+	// the extended slice.
+	AppendEncode(dst []byte) []byte
+}
+
+// ErrFrameLen reports a Frame whose encoding is not EncodedLen bytes.
+var ErrFrameLen = errors.New("trace: frame encoding does not match its length")
+
+// AppendBody appends r's record body to dst: varint capture
+// nanoseconds, medium, RSSI bits, the raw frame after its length, and
+// the ground-truth flag and fields. A stream carries each body after
+// its uvarint length. A non-nil frame is the raw frame, encoded
+// straight into dst, and r.Raw is not read. It is the format's one
+// record encoder: Write and the Data Store's window both encode with
+// it. A frame whose encoding is not EncodedLen bytes fails with
+// ErrFrameLen and leaves dst as it was.
+func AppendBody(dst []byte, r *Record, frame Frame) ([]byte, error) {
+	n := len(r.Raw)
+	if frame != nil {
+		n = frame.EncodedLen()
+	}
+	start := len(dst)
+	dst = binary.AppendVarint(dst, r.Time.UnixNano())
+	dst = append(dst, byte(r.Medium))
+	dst = binary.AppendUvarint(dst, math.Float64bits(r.RSSI))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	if frame == nil {
+		dst = append(dst, r.Raw...)
+	} else {
+		raw := len(dst)
+		if dst = frame.AppendEncode(dst); len(dst)-raw != n {
+			return dst[:start], ErrFrameLen
+		}
+	}
+	if t := r.Truth; t != nil {
+		dst = append(dst, 1)
+		dst = appendString(dst, t.Attack)
+		dst = binary.AppendUvarint(dst, uint64(t.Instance))
+		dst = appendString(dst, string(t.Attacker))
+		dst = appendString(dst, string(t.Victim))
+	} else {
+		dst = append(dst, 0)
+	}
+	return dst, nil
+}
+
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
 // slabSize is the size of the blocks a Reader carves raw frames from.
-// A kept frame keeps its whole slab, and a sharded node's windows keep
-// a sparse subset of the frames read: on the benchmark's
-// wifi-flood-sharded workload 4 KiB slabs grew the live heap by 3.5 %,
-// 1 KiB ones by 0.5 %.
-const slabSize = 1 << 10
+// A decoded frame aliases its raw bytes, so a frame kept alive keeps its
+// whole slab; but the Data Store window keeps records, not frames, and
+// a frame lives only until its dispatch — on a sharded node until its
+// shard's ingest ring hands it over. Against 1 KiB, 4 KiB slabs cut the
+// benchmark's allocations per frame by up to 12 % (wifi-flood 1.45 →
+// 1.27) at under 1 % more bytes per frame on every workload.
+const slabSize = 4 << 10
 
 // Reader reads a trace stream. Read returns each record by value: the
 // record itself costs nothing, and its Raw, carved from the reader's
@@ -239,6 +288,31 @@ func (r *Reader) carve(n int) []byte {
 // parseRecord decodes one record body. The record's Raw is a copy of
 // the frame in it, carved from the reader's slab.
 func (r *Reader) parseRecord(body []byte) (Record, error) {
+	rec, err := parseBody(body)
+	if err != nil {
+		return Record{}, err
+	}
+	raw := r.carve(len(rec.Raw))
+	copy(raw, rec.Raw)
+	rec.Raw = raw
+	return rec, nil
+}
+
+// ParseRecord decodes the whole record, its body after its length, at
+// the start of b and returns it with its encoded length. Its Raw
+// aliases b.
+func ParseRecord(b []byte) (rec Record, n int, err error) {
+	bodyLen, off := binary.Uvarint(b)
+	if off <= 0 || bodyLen > uint64(len(b)-off) {
+		return Record{}, 0, ErrCorrupt
+	}
+	n = off + int(bodyLen)
+	rec, err = parseBody(b[off:n])
+	return rec, n, err
+}
+
+// parseBody decodes one record body; the record's Raw aliases it.
+func parseBody(body []byte) (Record, error) {
 	nanos, off := binary.Varint(body)
 	if off <= 0 || off >= len(body) {
 		return Record{}, ErrCorrupt
@@ -253,12 +327,11 @@ func (r *Reader) parseRecord(body []byte) (Record, error) {
 	rec.RSSI = math.Float64frombits(bits)
 	body = body[off:]
 	rawLen, off := binary.Uvarint(body)
-	if off <= 0 || int(rawLen) > len(body)-off {
+	if off <= 0 || rawLen > uint64(len(body)-off) {
 		return Record{}, ErrCorrupt
 	}
 	body = body[off:]
-	rec.Raw = r.carve(int(rawLen))
-	copy(rec.Raw, body)
+	rec.Raw = body[:rawLen:rawLen]
 	body = body[rawLen:]
 	if len(body) < 1 {
 		return Record{}, ErrCorrupt
@@ -294,7 +367,7 @@ func (r *Reader) parseRecord(body []byte) (Record, error) {
 
 func readString(body []byte) (string, []byte, error) {
 	n, off := binary.Uvarint(body)
-	if off <= 0 || int(n) > len(body)-off {
+	if off <= 0 || n > uint64(len(body)-off) {
 		return "", nil, ErrCorrupt
 	}
 	return string(body[off : off+int(n)]), body[off+int(n):], nil

@@ -286,9 +286,9 @@ func TestWriteAllocs(t *testing.T) {
 }
 
 // TestReaderAllocs pins the reader's per-record cost: a record comes
-// back by value, so only its raw frame costs anything — one 1 KiB slab
-// per KiB of raw frames (a slab is abandoned when the next frame no
-// longer fits, so it may hold up to a frame less). What a stream costs
+// back by value, so only its raw frame costs anything — one slab per
+// slabSize bytes of raw frames (a slab is abandoned when the next frame
+// no longer fits, so it may hold up to a frame less). What a stream costs
 // once — the header it reads, the body buffer it reuses, the first slab
 // — is measured on a one-record stream and taken off. A heap Record per
 // read cost one allocation more each, a separate body per record a

@@ -324,7 +324,8 @@ func (n *Node) SetLog(w io.Writer) { n.inner.SetLog(w) }
 // oldest first — the Data Store's sliding window (§IV-B2; every
 // shard's, merged by capture time), typically pulled by an operator to
 // analyze the traffic around an incident. count <= 0 returns the whole
-// window.
+// window. The window keeps frames as trace records, so each call
+// decodes them afresh: the frames returned are the caller's own.
 func (n *Node) Recent(count int) []*Captured { return n.inner.Recent(count) }
 
 // ReplayTrace feeds a recorded trace through the node, transparently

@@ -230,7 +230,7 @@ func TestFacadeReplayTornTail(t *testing.T) {
 // record to dispatched capture — Reader.Read, stack.Decode,
 // HandleCapture — on a warmed in-line node with the whole module
 // library, over a recorded selective-forwarding/wsn trace: the decoded
-// frame, which the Data Store window keeps, and a share of the 1 KiB
+// frame, which its caller owns, and a share of the 4 KiB
 // slab its raw bytes were carved from; flows, alerts and knowledge
 // changes amortize to little over a pass. The second pass runs
 // 10 minutes after the first on the capture clock, past every window,
@@ -297,6 +297,86 @@ func TestReplayFrameAllocs(t *testing.T) {
 		t.Errorf("a replayed frame allocates %.3f objects, want at most 1.2 (the frame and a share of its slab)", perFrame)
 	}
 	t.Logf("%d frames, %.3f allocations per frame", frames, perFrame)
+}
+
+// TestWindowRetention pins what a node's Data Store window keeps alive.
+// A full 4 096-frame window of selective-forwarding/wsn is replayed
+// into two nodes alike but for their window capacity, 4 096 and 1; after
+// a GC the difference between their live heaps, per windowed frame, is
+// what the window costs, and it must stay within 1.5x the bytes of the
+// frame's trace record — the ring, its slack and the record positions
+// beside it. A window of decoded frames kept each frame value, ≈ 300 B
+// of layer structs, several times its record.
+func TestWindowRetention(t *testing.T) {
+	const window = 4096
+	sc, ok := eval.ScenarioByName("selective-forwarding/wsn")
+	if !ok {
+		t.Fatal("no selective-forwarding/wsn scenario")
+	}
+	run := sc.Build(1, 25)
+	var recs []trace.Record
+	run.Sniffer.Subscribe(func(c *packet.Captured) {
+		if e, ok := c.Layers[0].(trace.Frame); ok {
+			recs = append(recs, trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: e.AppendEncode(nil), Truth: c.Truth})
+		}
+	})
+	run.Sim.Run(run.End)
+	if len(recs) < 2*window {
+		t.Fatalf("the scenario records %d frames, fewer than two windows", len(recs))
+	}
+	var log bytes.Buffer
+	w := trace.NewWriter(&log)
+	for i := range recs[len(recs)-window:] {
+		if err := w.Write(&recs[len(recs)-window+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recordBytes := log.Len() - len(trace.Magic) - 1 // less the stream header
+
+	replay := func(capacity int) *Node {
+		node, err := New(WithNodeID("K1"), WithWindowSize(capacity))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			c, err := recs[i].Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			node.HandleCapture(c)
+		}
+		return node
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	replay(window).Close() // warm the process-wide identity table
+	base := liveHeap()
+	small := replay(1)
+	withSmall := liveHeap()
+	full := replay(window)
+	withBoth := liveHeap()
+	if n := len(full.Recent(0)); n != window {
+		t.Fatalf("the window holds %d frames, want %d", n, window)
+	}
+	runtime.KeepAlive(recs)
+	runtime.KeepAlive(small)
+	small.Close()
+	full.Close()
+
+	perFrame := (float64(withBoth) - 2*float64(withSmall) + float64(base)) / window
+	perRecord := float64(recordBytes) / window
+	if perFrame > 1.5*perRecord {
+		t.Errorf("the window keeps %.0f B alive per frame, over 1.5x its %.1f-byte trace record", perFrame, perRecord)
+	}
+	t.Logf("the window keeps %.1f B alive per frame of %.1f record bytes (%.2fx)", perFrame, perRecord, perFrame/perRecord)
 }
 
 func boolKnowledge(n *Node, label string) (bool, bool) {

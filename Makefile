@@ -72,8 +72,10 @@ crash-demo:
 # CTP beacon/data sequences must report exactly what the map-walk
 # reference model does), the trace reader (arbitrary bytes must never
 # panic or hand out shared raw frames; written records must read back)
-# and the Data Store window ring (interleaved appends, snapshots, reads
-# and restores must match a []trace.Record model byte for byte).
+# the Data Store window ring (interleaved appends, snapshots, reads
+# and restores must match a []trace.Record model byte for byte) and the
+# alert-time fingerprint match (any Knowledge Base must name the
+# suspects the QueryLocal reference model does, in its order).
 fuzz-short:
 	$(GO) test -fuzz=FuzzNodeReceive -fuzztime=30s -run '^$$' ./internal/core/collective/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=30s -run '^$$' ./internal/persist/
@@ -84,6 +86,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzForwardingWatch -fuzztime=30s -run '^$$' ./internal/flow/
 	$(GO) test -fuzz=FuzzTraceRead -fuzztime=30s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzWindowRing -fuzztime=30s -run '^$$' ./internal/core/datastore/
+	$(GO) test -fuzz=FuzzFingerprintMatch -fuzztime=30s -run '^$$' ./internal/core/detection/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &
 # invariants"): simulated-clock discipline, panic policy, and the

@@ -15,8 +15,9 @@
 package detection
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"kalis/internal/core/knowledge"
@@ -93,22 +94,33 @@ func boolIsOrUnknown(kb *knowledge.Base, label string, want bool) bool {
 	return !ok || v == want
 }
 
+// fingerprints is fingerprintMatch's scratch, kept by its caller and
+// reused from one alert to the next: the SignalStrength read and the
+// candidates within tolerance.
+type fingerprints struct {
+	kgs   []knowledge.Knowgget
+	cands []fingerprint
+}
+
+// fingerprint is one candidate of a fingerprint match.
+type fingerprint struct {
+	id   packet.NodeID
+	dist float64
+}
+
 // fingerprintMatch returns the monitored entities whose smoothed
 // signal strength (SignalStrength knowggets from the Mobility Awareness
 // module) lies within tol dB of rssi — the paper's "approximate
 // disambiguation through a comparison of the signal strength with
 // previous overheard communications" (§VI-B1). Excluded entities are
-// skipped. Results are sorted by fingerprint distance.
-//
-//lint:coldpath fingerprint disambiguation runs only during gate-passed alert formation, cooldown-bounded
-func fingerprintMatch(kb *knowledge.Base, rssi, tol float64, exclude map[packet.NodeID]bool) []packet.NodeID {
-	type cand struct {
-		id   packet.NodeID
-		dist float64
-	}
-	var cands []cand
-	for _, k := range kb.QueryLocal() {
-		if k.Label != knowledge.LabelSignalStrength || k.Entity == "" {
+// skipped. Results are sorted by fingerprint distance, then identity.
+// It reads only the local SignalStrength knowggets and allocates only
+// the slice it returns (nil when nothing matches).
+func fingerprintMatch(kb *knowledge.Base, rssi, tol float64, exclude map[packet.NodeID]bool, s *fingerprints) []packet.NodeID {
+	s.kgs = kb.AppendLocal(s.kgs[:0], knowledge.LabelSignalStrength)
+	s.cands = s.cands[:0]
+	for _, k := range s.kgs {
+		if k.Entity == "" {
 			continue
 		}
 		id := packet.NodeID(k.Entity)
@@ -120,17 +132,20 @@ func fingerprintMatch(kb *knowledge.Base, rssi, tol float64, exclude map[packet.
 			continue
 		}
 		if d := math.Abs(v - rssi); d <= tol {
-			cands = append(cands, cand{id: id, dist: d})
+			s.cands = append(s.cands, fingerprint{id: id, dist: d})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
+	if len(s.cands) == 0 {
+		return nil
+	}
+	slices.SortFunc(s.cands, func(a, b fingerprint) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
 		}
-		return cands[i].id < cands[j].id
+		return cmp.Compare(a.id, b.id)
 	})
-	out := make([]packet.NodeID, len(cands))
-	for i, c := range cands {
+	out := make([]packet.NodeID, len(s.cands))
+	for i, c := range s.cands {
 		out[i] = c.id
 	}
 	return out
@@ -158,19 +173,17 @@ func rssiStdDev(samples []float64) float64 {
 	return math.Sqrt(ss / float64(len(samples)-1))
 }
 
-// clusterRSSI clusters sorted 1-D RSSI samples with the given gap
-// tolerance and returns the number of clusters — the number of distinct
-// physical transmitters behind a set of observations.
+// clusterRSSI clusters 1-D RSSI samples with the given gap tolerance
+// and returns the number of clusters — the number of distinct physical
+// transmitters behind a set of observations. It sorts samples in place.
 func clusterRSSI(samples []float64, gap float64) int {
 	if len(samples) == 0 {
 		return 0
 	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
+	slices.Sort(samples)
 	clusters := 1
-	for i := 1; i < len(s); i++ {
-		if s[i]-s[i-1] > gap {
+	for i := 1; i < len(samples); i++ {
+		if samples[i]-samples[i-1] > gap {
 			clusters++
 		}
 	}

@@ -2,6 +2,8 @@ package detection
 
 import (
 	"net/netip"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,12 +290,11 @@ func TestClusterRSSI(t *testing.T) {
 }
 
 // TestFingerprintMatchAllocs: forming a knowledge-driven ICMP-flood
-// alert reads each SignalStrength fingerprint from the knowgget its
-// local query returned. Beyond what that query allocates, naming the
-// suspect costs the same few allocations with 8 fingerprints as with
-// 64; looking every fingerprint up again by key cost one more each.
+// alert reads the SignalStrength fingerprints into scratch the module
+// keeps, so naming the suspect allocates the same with 8 fingerprints
+// as with 64, and nothing but the slice it returns.
 func TestFingerprintMatchAllocs(t *testing.T) {
-	extra := func(fingerprints int) float64 {
+	allocs := func(fingerprints int) float64 {
 		h := newHarness(true)
 		h.kb.PutEntity(knowledge.LabelSignalStrength, "192.168.1.66", "-58.2")
 		for i := 1; i < fingerprints; i++ {
@@ -307,14 +308,77 @@ func TestFingerprintMatchAllocs(t *testing.T) {
 		}
 		d := mod.(*ICMPFlood)
 		last := mkCap(t, packet.MediumWiFi, stack.BuildICMPEcho(spoofA, victimIP, icmp.TypeEchoReply, 1, 30, 64), t0.Add(3*time.Second), -58)
-		evs := d.win.Events(last.DstH, last.Nanos())
-		query := testing.AllocsPerRun(20, func() { h.kb.QueryLocal() })
-		suspects := testing.AllocsPerRun(20, func() { d.suspects(evs) })
-		return suspects - query
+		d.ev.load(d.win, last)
+		return testing.AllocsPerRun(20, func() {
+			if s := d.suspects(); len(s) != 1 || s[0] != "192.168.1.66" {
+				t.Fatalf("suspects = %v, want 192.168.1.66", s)
+			}
+		})
 	}
-	few, many := extra(8), extra(64)
-	if few != many {
-		t.Errorf("naming the suspect allocates %.0f beyond the query with 8 fingerprints, %.0f with 64: a fingerprint is looked up again", few, many)
+	few, many := allocs(8), allocs(64)
+	if few != many || few > 1 {
+		t.Errorf("naming the suspect allocates %.0f with 8 fingerprints, %.0f with 64; want the same, and at most the returned slice", few, many)
 	}
-	t.Logf("naming the suspect: %.0f allocations beyond the local query", few)
+}
+
+// TestFloodAlertAllocs: each rate detector forms an alert from scratch
+// it reuses, so a raised alert allocates the same with 25 events in the
+// victim window as with 200 — its Suspects slice and Details string.
+// Each run steps the capture clock past the cooldown and hands the
+// module a frame of the window's victim, which raises the next alert.
+func TestFloodAlertAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		new   func(map[string]string) (module.Module, error)
+		frame func(i int) []byte
+		rssi  func(i int) float64
+	}{
+		{ICMPFloodName, NewICMPFlood, icmpFrame, func(int) float64 { return -58 }},
+		{SYNFloodName, NewSYNFlood, synFrame, func(int) float64 { return -58 }},
+		{SmurfName, NewSmurf, icmpFrame, func(i int) float64 { return []float64{-50, -60, -70}[i%3] }},
+	} {
+		allocs := func(events int) float64 {
+			h := newHarness(true)
+			h.kb.PutBool(knowledge.LabelMultihop, true)
+			h.kb.PutEntity(knowledge.LabelSignalStrength, "192.168.1.66", "-58.2")
+			mod, _ := tc.new(map[string]string{"detectionThresh": "20", "window": "1000h", "cooldown": "1s"})
+			mod.Activate(h.ctx)
+			var c *packet.Captured
+			for i := 0; i < events; i++ {
+				c = mkCap(t, packet.MediumWiFi, tc.frame(i), t0.Add(time.Duration(i)*time.Millisecond), tc.rssi(i))
+				h.deliver(c, mod)
+			}
+			raised := 0
+			var last module.Alert
+			h.ctx.Emit = func(a module.Alert) { raised++; last = a }
+			n := testing.AllocsPerRun(50, func() {
+				c.Time = c.Time.Add(2 * time.Second)
+				mod.HandlePacket(c)
+			})
+			if raised != 51 {
+				t.Fatalf("%s, %d events: %d alerts in 51 runs, want one a run", tc.name, events, raised)
+			}
+			if want := strconv.Itoa(events) + " "; !strings.HasPrefix(last.Details, want) {
+				t.Fatalf("%s: Details %q, want %d events", tc.name, last.Details, events)
+			}
+			return n
+		}
+		few, many := allocs(25), allocs(200)
+		if few != many || few > 2 {
+			t.Errorf("%s: an alert allocates %.0f with 25 events in the window, %.0f with 200; want the same, and at most its Suspects and Details", tc.name, few, many)
+		}
+		t.Logf("%s: %.0f allocations an alert", tc.name, few)
+	}
+}
+
+// icmpFrame is the i-th echo reply to the victim, each from its own
+// spoofed source.
+func icmpFrame(i int) []byte {
+	return stack.BuildICMPEcho(netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), victimIP, icmp.TypeEchoReply, 1, uint16(i), 64)
+}
+
+// synFrame is the i-th SYN to the victim, each from its own spoofed
+// source.
+func synFrame(i int) []byte {
+	return stack.BuildTCP(netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), victimIP, uint16(10000+i), 443, tcp.FlagSYN, uint32(i), 0, uint16(i), nil)
 }

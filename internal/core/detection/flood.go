@@ -1,8 +1,8 @@
 package detection
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"kalis/internal/attack"
@@ -25,15 +25,6 @@ var (
 	tcpSYNMask    = flow.MaskOf(packet.KindTCPSYN)
 )
 
-// eventRSSIs extracts the RSSI samples of a victim window.
-func eventRSSIs(evs []flow.Event) []float64 {
-	out := make([]float64, len(evs))
-	for i, e := range evs {
-		out[i] = e.RSSI
-	}
-	return out
-}
-
 // meanEventRSSI returns the mean RSSI of a victim window.
 func meanEventRSSI(evs []flow.Event) float64 {
 	var sum float64
@@ -43,42 +34,82 @@ func meanEventRSSI(evs []flow.Event) float64 {
 	return sum / float64(len(evs))
 }
 
-// eventSrcs returns the distinct claimed sender identities of a victim
-// window, in first-seen order.
-//
-//lint:coldpath runs only during gate-passed alert formation, cooldown-bounded
-func eventSrcs(evs []flow.Event) []packet.NodeID {
-	seen := make(map[packet.NodeID]bool)
-	var out []packet.NodeID
-	for _, e := range evs {
-		if !seen[e.Src] {
-			seen[e.Src] = true
-			out = append(out, e.Src)
-		}
-	}
-	return out
+// evidence is a rate detector's alert-time scratch, reused from one
+// alert to the next so that forming an alert allocates only its
+// Suspects slice and Details string: the victim window's events, their
+// RSSIs, the distinct claimed senders (in first-seen order, and as a
+// set that doubles as the fingerprint exclusion set), the fingerprint
+// read and the rendered event count.
+type evidence struct {
+	evs  []flow.Event
+	rssi []float64
+	srcs []packet.NodeID
+	seen map[packet.NodeID]bool
+	fp   fingerprints
+	num  [20]byte
 }
 
+// load reads the victim's window ending at c's capture time.
+func (e *evidence) load(win *flow.VictimWindow, c *packet.Captured) []flow.Event {
+	e.evs = win.Events(e.evs[:0], c.DstH, c.Nanos())
+	return e.evs
+}
+
+// samples returns the loaded events' RSSIs.
+func (e *evidence) samples() []float64 {
+	e.rssi = e.rssi[:0]
+	for _, ev := range e.evs {
+		e.rssi = append(e.rssi, ev.RSSI)
+	}
+	return e.rssi
+}
+
+// sources returns the distinct claimed senders of the loaded events,
+// in first-seen order, and leaves them in the seen set.
+func (e *evidence) sources() []packet.NodeID {
+	if e.seen == nil {
+		e.seen = make(map[packet.NodeID]bool)
+	}
+	clear(e.seen)
+	e.srcs = e.srcs[:0]
+	for _, ev := range e.evs {
+		if !e.seen[ev.Src] {
+			e.seen[ev.Src] = true
+			e.srcs = append(e.srcs, ev.Src)
+		}
+	}
+	return e.srcs
+}
+
+// count renders n into the scratch. Converted to a string inside a
+// concatenation the bytes are borrowed, not copied, so a Details string
+// costs one allocation however large n is.
+func (e *evidence) count(n int) []byte { return strconv.AppendInt(e.num[:0], int64(n), 10) }
+
 // rate is what the three rate-based detectors share: the victim-window
-// length, the event threshold and the cooldown, and the handle on the
-// flow layer's shared window.
+// length, the event threshold and the cooldown, the handle on the flow
+// layer's shared window and the scratch an alert is formed in.
 type rate struct {
 	base
-	window    time.Duration
-	minEvents int
-	cooldown  time.Duration
-	win       *flow.VictimWindow
+	window     time.Duration
+	windowText string // window as an alert's Details renders it
+	minEvents  int
+	cooldown   time.Duration
+	win        *flow.VictimWindow
+	ev         evidence
 }
 
 // newRate reads the parameters "window", "cooldown" (durations) and
 // "detectionThresh" (events per window, default 25).
 func newRate(name string, p *module.ParamReader) rate {
-	return rate{
+	r := rate{
 		base:      base{name: name},
 		window:    p.Duration("window", 5*time.Second),
 		minEvents: p.Int("detectionThresh", 25),
 		cooldown:  p.Duration("cooldown", 10*time.Second),
 	}
+	r.windowText = r.window.String()
+	return r
 }
 
 // watch activates the module on the shared victim window for mask.
@@ -93,6 +124,22 @@ func (r *rate) watch(ctx *module.Context, mask flow.KindMask) {
 // burst.
 func (r *rate) crossed(c *packet.Captured) bool {
 	return r.win.Len(c.DstH, c.Nanos()) >= r.minEvents && r.gate.Pass(string(c.Dst), c.Time, r.cooldown)
+}
+
+// suspects identifies the physical attacker by matching the loaded
+// window's signal strength against the historical fingerprints of
+// monitored entities. The identities the flood claims as senders are
+// excluded: their fingerprints are contaminated by the attack itself
+// (the spoofed frames update them at the attacker's RSSI). The spoofed
+// sender identities are the naive fallback.
+func (r *rate) suspects() []packet.NodeID {
+	srcs := r.ev.sources()
+	if r.knowledgeDriven() {
+		if m := fingerprintMatch(r.ctx.KB, meanEventRSSI(r.ev.evs), 3, r.ev.seen, &r.ev.fp); len(m) > 0 {
+			return m[:1]
+		}
+	}
+	return append([]packet.NodeID(nil), srcs...)
 }
 
 // ICMPFlood detects ICMP Flood attacks: a high rate of ICMP Echo Reply
@@ -133,49 +180,27 @@ func (d *ICMPFlood) HandlePacket(c *packet.Captured) {
 	if c.Kind != packet.KindICMPEchoReply || !d.crossed(c) {
 		return
 	}
-	evs := d.win.Events(c.DstH, c.Nanos())
+	evs := d.ev.load(d.win, c)
 	confidence := 0.7
 	if d.knowledgeDriven() {
 		if boolIs(d.ctx.KB, knowledge.LabelMultihop, true) {
 			// Multi-hop variant: a flood has one physical source, so
 			// the replies' RSSI spread stays near the shadowing level.
-			if rssiStdDev(eventRSSIs(evs)) > 2.0 {
+			if rssiStdDev(d.ev.samples()) > 2.0 {
 				return
 			}
 		}
 		confidence = 0.95
 	}
-	suspects := d.suspects(evs)
 	d.ctx.Emit(module.Alert{
 		Time:       c.Time,
 		Attack:     attack.ICMPFlood,
 		Module:     d.Name(),
 		Victim:     c.Dst,
-		Suspects:   suspects,
+		Suspects:   d.suspects(),
 		Confidence: confidence,
-		Details:    fmt.Sprintf("%d echo replies to %s within %s", len(evs), packet.CleanID(c.Dst), d.window),
+		Details:    string(d.ev.count(len(evs))) + " echo replies to " + packet.CleanID(c.Dst) + " within " + d.windowText,
 	})
-}
-
-// suspects identifies the physical attacker by matching the flood
-// frames' signal strength against the historical fingerprints of
-// monitored entities. The identities the flood claims as senders are
-// excluded: their fingerprints are contaminated by the attack itself
-// (the spoofed frames update them at the attacker's RSSI). The spoofed
-// sender identities are the naive fallback.
-func (d *ICMPFlood) suspects(evs []flow.Event) []packet.NodeID {
-	srcs := eventSrcs(evs)
-	if d.knowledgeDriven() {
-		exclude := make(map[packet.NodeID]bool, len(srcs))
-		for _, s := range srcs {
-			exclude[s] = true
-		}
-		mean := meanEventRSSI(evs)
-		if m := fingerprintMatch(d.ctx.KB, mean, 3, exclude); len(m) > 0 {
-			return m[:1]
-		}
-	}
-	return srcs
 }
 
 // Smurf detects Smurf attacks: a high rate of ICMP Echo Reply messages
@@ -192,6 +217,10 @@ type Smurf struct {
 	// 2-hop suspect heuristic (maintained from observed traffic, so it
 	// works even without a Knowledge Base), found by identity handle.
 	edges packet.ByHandle[smurfNode]
+	// hops and queue are the 2-hop search's scratch, reused from one
+	// alert to the next.
+	hops  map[packet.Handle]int
+	queue []packet.Handle
 }
 
 // smurfNode is one entity of the Smurf module's communication graph.
@@ -240,14 +269,14 @@ func (d *Smurf) HandlePacket(c *packet.Captured) {
 	if c.Kind != packet.KindICMPEchoReply || !d.crossed(c) {
 		return
 	}
-	evs := d.win.Events(c.DstH, c.Nanos())
+	evs := d.ev.load(d.win, c)
 	confidence := 0.7
 	if d.knowledgeDriven() {
 		// Smurf replies come from several distinct amplifiers. The
 		// small gap tolerance is deliberate: accidental splits only
 		// raise the count (harmless for a ≥3 test) while merges, the
 		// failure mode, need a chain of extreme shadowing outliers.
-		if clusterRSSI(eventRSSIs(evs), 2.0) < 3 {
+		if clusterRSSI(d.ev.samples(), 2.0) < 3 {
 			return
 		}
 		confidence = 0.9
@@ -257,9 +286,9 @@ func (d *Smurf) HandlePacket(c *packet.Captured) {
 		Attack:     attack.Smurf,
 		Module:     d.Name(),
 		Victim:     c.Dst,
-		Suspects:   d.suspects(c.DstH, c.Dst),
+		Suspects:   d.twoHop(c.DstH, c.Dst),
 		Confidence: confidence,
-		Details:    fmt.Sprintf("%d amplified echo replies to %s within %s", len(evs), packet.CleanID(c.Dst), d.window),
+		Details:    string(d.ev.count(len(evs))) + " amplified echo replies to " + packet.CleanID(c.Dst) + " within " + d.windowText,
 	})
 }
 
@@ -294,30 +323,35 @@ func (d *Smurf) link(h packet.Handle, id packet.NodeID, nb packet.Handle) {
 	}
 }
 
-// suspects implements the paper's heuristic: "the Smurf attack
-// detection module considers as suspect all nodes at a 2-hop distance
-// from the victim" over the module's observed communication graph.
-//
-//lint:coldpath 2-hop suspect enumeration runs once per gate-passed Smurf alert, cooldown-bounded
-func (d *Smurf) suspects(victimH packet.Handle, victim packet.NodeID) []packet.NodeID {
-	dist := map[packet.Handle]int{victimH: 0}
-	queue := []packet.Handle{victimH}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+// twoHop implements the paper's heuristic: "the Smurf attack detection
+// module considers as suspect all nodes at a 2-hop distance from the
+// victim" over the module's observed communication graph.
+func (d *Smurf) twoHop(victimH packet.Handle, victim packet.NodeID) []packet.NodeID {
+	if d.hops == nil {
+		d.hops = make(map[packet.Handle]int)
+	}
+	clear(d.hops)
+	d.hops[victimH] = 0
+	d.queue = append(d.queue[:0], victimH)
+	found := 0
+	for i := 0; i < len(d.queue); i++ {
+		cur := d.queue[i]
 		n := d.edges.Get(cur)
-		if dist[cur] >= 2 || n == nil {
+		if d.hops[cur] >= 2 || n == nil {
 			continue
 		}
 		for nb := range n.nbr {
-			if _, seen := dist[nb]; !seen && d.edges.Get(nb) != nil {
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
+			if _, seen := d.hops[nb]; !seen && d.edges.Get(nb) != nil {
+				d.hops[nb] = d.hops[cur] + 1
+				d.queue = append(d.queue, nb)
+				if d.hops[nb] == 2 {
+					found++
+				}
 			}
 		}
 	}
-	var out []packet.NodeID
-	for h, dd := range dist {
+	out := make([]packet.NodeID, 0, max(found, 1))
+	for h, dd := range d.hops {
 		if dd == 2 {
 			out = append(out, d.edges.Get(h).id)
 		}
@@ -326,9 +360,9 @@ func (d *Smurf) suspects(victimH packet.Handle, victim packet.NodeID) []packet.N
 		// Simplistic graph exploration collapses to the victim itself
 		// (the paper's §VI-B1 anecdote: revoking it disconnects the
 		// network).
-		out = []packet.NodeID{victim}
+		out = append(out, victim)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -370,23 +404,14 @@ func (d *SYNFlood) HandlePacket(c *packet.Captured) {
 	if c.Kind != packet.KindTCPSYN || !d.crossed(c) {
 		return
 	}
-	evs := d.win.Events(c.DstH, c.Nanos())
+	evs := d.ev.load(d.win, c)
 	// A legitimate burst completes handshakes; a flood leaves them
 	// half-open.
 	if d.hs.Completions(c.DstH, c.Nanos()) >= len(evs)/2 {
 		return
 	}
-	suspects := eventSrcs(evs)
 	confidence := 0.7
 	if d.knowledgeDriven() {
-		exclude := make(map[packet.NodeID]bool, len(suspects))
-		for _, s := range suspects {
-			exclude[s] = true
-		}
-		mean := meanEventRSSI(evs)
-		if m := fingerprintMatch(d.ctx.KB, mean, 3, exclude); len(m) > 0 {
-			suspects = m[:1]
-		}
 		confidence = 0.9
 	}
 	d.ctx.Emit(module.Alert{
@@ -394,8 +419,8 @@ func (d *SYNFlood) HandlePacket(c *packet.Captured) {
 		Attack:     attack.SYNFlood,
 		Module:     d.Name(),
 		Victim:     c.Dst,
-		Suspects:   suspects,
+		Suspects:   d.suspects(),
 		Confidence: confidence,
-		Details:    fmt.Sprintf("%d half-open SYNs to %s within %s", len(evs), packet.CleanID(c.Dst), d.window),
+		Details:    string(d.ev.count(len(evs))) + " half-open SYNs to " + packet.CleanID(c.Dst) + " within " + d.windowText,
 	})
 }

@@ -85,7 +85,7 @@ func TestRateWindowInvariant(t *testing.T) {
 			if win.Len(hid("victim"), nanos(at)) < 10 || !gate.Pass("victim", at, 10*time.Second) {
 				continue
 			}
-			for _, e := range win.Events(hid("victim"), nanos(at)) {
+			for _, e := range win.Events(nil, hid("victim"), nanos(at)) {
 				if nanos(at)-e.At > int64(5*time.Second) {
 					return false // stale event survived pruning
 				}

@@ -22,7 +22,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				b.Put(fmt.Sprintf("TrafficFrequency.Kind%d", w), fmt.Sprintf("%d", i))
-				b.PutEntity("SignalStrength", fmt.Sprintf("node-%d", w), "-60")
+				b.PutEntity("SignalStrength", fmt.Sprintf("node-%d-%d", w, i%8), "-60")
 				b.PutCollective("Shared", fmt.Sprintf("e%d", w), "v")
 			}
 		}()
@@ -31,10 +31,12 @@ func TestConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []Knowgget
 			for i := 0; i < 200; i++ {
 				_ = b.QueryLocal()
+				buf = b.AppendLocal(buf[:0], "SignalStrength")
 				_, _ = b.Int("TrafficFrequency.Kind0")
-				_, _ = b.EntityFloat("SignalStrength", "node-1")
+				_, _ = b.EntityFloat("SignalStrength", "node-1-0")
 				_ = b.Snapshot()
 				_ = b.Len()
 			}
@@ -52,5 +54,8 @@ func TestConcurrentAccess(t *testing.T) {
 
 	if b.Len() == 0 {
 		t.Error("base empty after concurrent writes")
+	}
+	if got := len(b.AppendLocal(nil, "SignalStrength")); got != 32 {
+		t.Errorf("AppendLocal after concurrent writes = %d fingerprints, want 32", got)
 	}
 }

@@ -572,6 +572,21 @@ func (b *Base) QueryPrefix(prefix string) []Knowgget {
 // QueryLocal returns all knowggets created by the local node.
 func (b *Base) QueryLocal() []Knowgget { return b.QueryPrefix(EscapeComponent(b.local) + "$") }
 
+// AppendLocal appends the local knowggets with exactly the given label
+// (a multilevel parent does not match its children) to dst, in no
+// particular order. It walks the Base under the read lock but neither
+// copies nor sorts it.
+func (b *Base) AppendLocal(dst []Knowgget, label string) []Knowgget {
+	b.mu.RLock()
+	for _, k := range b.entries {
+		if k.Creator == b.local && k.Label == label {
+			dst = append(dst, k)
+		}
+	}
+	b.mu.RUnlock()
+	return dst
+}
+
 // Subscribe registers fn to be notified of changes to knowggets with
 // the given label (any creator or entity). Subscribing to a multilevel
 // parent label also fires for its children. The Module Manager and the

@@ -2,6 +2,7 @@ package knowledge
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -86,6 +87,44 @@ func TestQueries(t *testing.T) {
 	}
 	if kids[0].Label != "TrafficFrequency.TCPACK" {
 		t.Errorf("children not sorted: %+v", kids)
+	}
+}
+
+// TestAppendLocal: the label-scoped read returns exactly the local
+// knowggets of its label — not a peer's, not a multilevel child's —
+// appended to the caller's buffer, and it follows puts, deletes and
+// restores.
+func TestAppendLocal(t *testing.T) {
+	b := NewBase("K1")
+	b.PutEntity("SignalStrength", "SensorA", "-67")
+	b.PutCollective("SignalStrength", "SensorB", "-70")
+	b.PutEntity("SignalStrength.Peak", "SensorA", "-60")
+	b.Put("Multihop", "true")
+	b.AcceptGossip("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorC", Version: 1})
+	read := func(buf []Knowgget) []string {
+		var out []string
+		for _, k := range b.AppendLocal(buf, "SignalStrength")[len(buf):] {
+			out = append(out, k.Entity+"="+k.Value)
+		}
+		sort.Strings(out)
+		return out
+	}
+	held := []Knowgget{{Label: "held"}}
+	if got := read(held); !slices.Equal(got, []string{"SensorA=-67", "SensorB=-70"}) {
+		t.Errorf("AppendLocal = %v, want SensorA and SensorB", got)
+	}
+	b.PutEntity("SignalStrength", "SensorA", "-66")
+	b.PutEntity("SignalStrength", "SensorE", "-50")
+	b.Delete(Knowgget{Creator: "K1", Label: "SignalStrength", Entity: "SensorB"}.Key())
+	b.Restore([]Knowgget{{Label: "SignalStrength", Value: "-90", Creator: "K1", Entity: "SensorD"}}, nil)
+	if got := read(nil); !slices.Equal(got, []string{"SensorA=-66", "SensorD=-90", "SensorE=-50"}) {
+		t.Errorf("after puts, a delete and a restore: AppendLocal = %v, want SensorA=-66, SensorD=-90 and SensorE=-50", got)
+	}
+	for _, e := range []string{"SensorA", "SensorD", "SensorE"} {
+		b.Delete(Knowgget{Creator: "K1", Label: "SignalStrength", Entity: e}.Key())
+	}
+	if got := b.AppendLocal(nil, "SignalStrength"); got != nil {
+		t.Errorf("every local fingerprint deleted: AppendLocal = %+v", got)
 	}
 }
 

@@ -153,19 +153,19 @@ func (w *VictimWindow) Len(dst packet.Handle, now int64) int {
 	return hi - lo
 }
 
-// Events returns a copy of the destination's events inside the window
-// ending at now (called on the cold, threshold-crossed branch only).
-func (w *VictimWindow) Events(dst packet.Handle, now int64) []Event {
+// Events appends the destination's events inside the window ending at
+// now to buf, oldest first, and returns the extended slice (called on
+// the cold, threshold-crossed branch only; a caller that keeps buf
+// copies nothing but the events).
+func (w *VictimWindow) Events(buf []Event, dst packet.Handle, now int64) []Event {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	evs := w.byDst.Get(dst)
 	if evs == nil {
-		return nil
+		return buf
 	}
 	lo, hi := windowSpan(*evs, w.window, now)
-	out := make([]Event, hi-lo)
-	copy(out, (*evs)[lo:hi])
-	return out
+	return append(buf, (*evs)[lo:hi]...)
 }
 
 // handshakeKey deduplicates handshake trackers by completion window.

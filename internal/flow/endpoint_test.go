@@ -44,8 +44,13 @@ func TestVictimWindowMaskAndPrune(t *testing.T) {
 	if got := w.Len(hid("v"), nanos(t0.Add(7*time.Second))); got != 2 {
 		t.Errorf("Len = %d, want 2 (stale event counted in window)", got)
 	}
-	evs := w.Events(hid("v"), nanos(t0.Add(7*time.Second)))
-	if len(evs) != 2 || evs[0].Src != "b" || evs[1].Src != "c" {
+	// Events appends to the caller's buffer and keeps what it held.
+	evs := w.Events([]Event{{Src: "held"}}, hid("v"), nanos(t0.Add(7*time.Second)))
+	if len(evs) != 3 || evs[0].Src != "held" {
+		t.Fatalf("Events = %+v, want the held event then the window", evs)
+	}
+	evs = evs[1:]
+	if evs[0].Src != "b" || evs[1].Src != "c" {
 		t.Errorf("Events = %+v, want b then c", evs)
 	}
 	if evs[0].RSSI != -55 || evs[1].At != nanos(t0.Add(7*time.Second)) {

@@ -162,7 +162,7 @@ func TestVictimWindowShardSkew(t *testing.T) {
 	if w.Len(hid("v"), nanos(lagNow)) < 10 || !NewCooldown().Pass("v", lagNow, 10*time.Second) {
 		t.Error("laggard threshold probe failed after cross-shard skew")
 	}
-	evs := w.Events(hid("v"), nanos(lagNow))
+	evs := w.Events(nil, hid("v"), nanos(lagNow))
 	if len(evs) != 10 || evs[0].Src != "a" || evs[9].Src != "j" {
 		t.Errorf("laggard Events = %d entries (%v...), want the in-window 10 in time order", len(evs), evs[0].Src)
 	}

@@ -49,10 +49,14 @@ vet:
 # has reached sync points but no checkpoint, warm vs cold
 # time-to-redetection, and the same cut mid-window-log-batch, see
 # crash_drill_test.go), plus the fault-injection, supervision,
-# collective-resilience and persistence packages.
+# collective-resilience and persistence packages, then twenty rounds of
+# the tests that race Tick against the persistence writer goroutine: a
+# sync point held in its fsync, a power cut while one is in flight, a
+# failing writer fsync.
 chaos:
 	$(GO) test -race -timeout 5m -run 'TestChaosScenario|TestCrashRecoveryDrill' -v .
 	$(GO) test -race -timeout 5m ./internal/fault/ ./internal/core/module/ ./internal/core/collective/ ./internal/persist/
+	$(GO) test -race -count=20 -run 'TestSyncPoint|TestPowerCut|TestStickyJournal' ./internal/persist/
 
 # The crash-recovery drill alone, verbose: tears the KB journal
 # mid-record, reboots warm (torn state dir) vs cold (fresh dir) against

@@ -133,6 +133,12 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	crashAt := -1
 	for i, c := range frames {
 		nodeA.HandleCapture(c.Clone())
+		// Replayed far faster than captured, a frame's sync point would
+		// still be in flight at the next one's: let each land first, as
+		// it does at capture speed.
+		if err := nodeA.Persistence().Err(); err != nil {
+			t.Fatal(err)
+		}
 		if len(*alertsA) > 0 && i > len(frames)/3 {
 			crashAt = i // mid-attack, past the first detection
 			break

@@ -201,7 +201,7 @@ func ringSize(n int) int { return max(n+n/4, minRing) }
 // new ring sized for them and need bytes more.
 func (s *Store) relayout(need int) {
 	tail := s.pos[s.first] // read only if the window holds records
-	older, newer := s.runs(0)
+	older, newer := s.runs(0, s.size)
 	ring := make([]byte, ringSize(len(older)+len(newer)+need))
 	copy(ring[copy(ring, older):], newer)
 	for k := range s.size {
@@ -216,17 +216,20 @@ func (s *Store) relayout(need int) {
 	s.top = s.head
 }
 
-// runs returns the bytes of the records from the k-th oldest through
-// the newest: one run, or two when they wrap.
-func (s *Store) runs(k int) (older, newer []byte) {
-	if k >= s.size {
+// runs returns the bytes of the n records from the k-th oldest on,
+// k+n <= size: one run, or two when they wrap.
+func (s *Store) runs(k, n int) (older, newer []byte) {
+	if n <= 0 {
 		return nil, nil
 	}
-	at := s.pos[s.slot(k)]
-	if s.head == s.top || at < s.head {
-		return s.ring[at:s.head], nil
+	at, end := s.pos[s.slot(k)], s.head
+	if k+n < s.size {
+		end = s.pos[s.slot(k+n)]
 	}
-	return s.ring[at:s.top], s.ring[:s.head]
+	if end > at {
+		return s.ring[at:end], nil
+	}
+	return s.ring[at:s.top], s.ring[:end]
 }
 
 // FlushLog flushes the disk log, if enabled.
@@ -273,7 +276,7 @@ func (s *Store) Recent(n int) []*packet.Captured {
 	if n <= 0 || n > s.size {
 		n = s.size
 	}
-	older, newer := s.runs(s.size - n)
+	older, newer := s.runs(s.size-n, n)
 	recs := append(append(make([]byte, 0, len(older)+len(newer)), older...), newer...)
 	s.mu.Unlock()
 
@@ -326,26 +329,31 @@ var header = trace.AppendHeader(nil)
 
 // SnapshotTo writes to w, as one Kalis trace stream, oldest first, the
 // records kept since the store's Kept count read since and still in
-// the window; since 0 is the whole window. It returns the number of
-// records written and the count to pass as since next time — durable
-// state logs the window incrementally this way. The records are the
-// window's bytes, copied to w under the store's lock: w should be
-// a memory buffer, as Append waits for the copy.
-func (s *Store) SnapshotTo(w io.Writer, since uint64) (n int, kept uint64, err error) {
+// the window, at most limit of them (limit <= 0: all); since 0 is the
+// whole window. It returns the number of records written and the count
+// to pass as since next time — durable state logs the window
+// incrementally this way, a bounded chunk at a time. The records are
+// the window's bytes, copied to w under the store's lock: w should be a
+// memory buffer, as Append waits for the copy.
+func (s *Store) SnapshotTo(w io.Writer, since uint64, limit int) (n int, next uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	oldest := s.kept - uint64(s.size)
 	from := min(max(since, oldest), s.kept)
-	older, newer := s.runs(int(from - oldest))
+	n = int(s.kept - from)
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	older, newer := s.runs(int(from-oldest), n)
 	if _, err = w.Write(header); err == nil {
 		if _, err = w.Write(older); err == nil {
 			_, err = w.Write(newer)
 		}
 	}
 	if err != nil {
-		return 0, s.kept, fmt.Errorf("datastore: snapshot: %w", err)
+		return 0, from, fmt.Errorf("datastore: snapshot: %w", err)
 	}
-	return int(s.kept - from), s.kept, nil
+	return n, from + uint64(n), nil
 }
 
 // Restore loads recovered trace records into the sliding window in

@@ -124,7 +124,7 @@ func TestSnapshotToSince(t *testing.T) {
 	snapshot := func(since uint64) (secs []int, total uint64) {
 		t.Helper()
 		var buf bytes.Buffer
-		n, total, err := s.SnapshotTo(&buf, since)
+		n, total, err := s.SnapshotTo(&buf, since, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestSnapshotToConcurrent(t *testing.T) {
 			defer wg.Done()
 			for range 50 {
 				var buf bytes.Buffer
-				n, _, err := s.SnapshotTo(&buf, 0)
+				n, _, err := s.SnapshotTo(&buf, 0, 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -276,7 +276,7 @@ func TestRingSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	older, newer := s.runs(0)
+	older, newer := s.runs(0, s.size)
 	live := len(older) + len(newer)
 	if &s.ring[0] != ring {
 		t.Error("five laps of steady traffic laid the ring out anew")
@@ -305,7 +305,7 @@ func TestLogIsTheWindow(t *testing.T) {
 	if err := s.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.SnapshotTo(&snap, 0); err != nil {
+	if _, _, err := s.SnapshotTo(&snap, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(log.Bytes(), snap.Bytes()) {

@@ -71,20 +71,25 @@ func (p *ringProgram) check() {
 	}
 }
 
-// snapshot checks SnapshotTo(since) against a Writer stream of the
-// model's records since since.
-func (p *ringProgram) snapshot(since uint64) {
+// snapshot checks SnapshotTo(since, limit) against a Writer stream of
+// the model's records since since, the first limit of them.
+func (p *ringProgram) snapshot(since uint64, limit int) {
 	t := p.t
 	var got, want bytes.Buffer
-	n, kept, err := p.s.SnapshotTo(&got, since)
+	n, next, err := p.s.SnapshotTo(&got, since, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := p.window()
+	from := uint64(len(p.model))
 	if k := uint64(len(p.model)); since < k {
 		fresh = fresh[len(fresh)-min(len(fresh), int(k-since)):]
+		from -= uint64(len(fresh))
 	} else {
 		fresh = nil
+	}
+	if limit > 0 && len(fresh) > limit {
+		fresh = fresh[:limit]
 	}
 	w := trace.NewWriter(&want)
 	for i := range fresh {
@@ -95,9 +100,9 @@ func (p *ringProgram) snapshot(since uint64) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n != len(fresh) || kept != uint64(len(p.model)) || !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("SnapshotTo(since %d) = %d records, kept %d, %d bytes; the model's stream holds %d records, kept %d, %d bytes",
-			since, n, kept, got.Len(), len(fresh), len(p.model), want.Len())
+	if n != len(fresh) || next != from+uint64(n) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("SnapshotTo(since %d, limit %d) = %d records, next %d, %d bytes; the model's stream holds %d records, next %d, %d bytes",
+			since, limit, n, next, got.Len(), len(fresh), from+uint64(len(fresh)), want.Len())
 	}
 }
 
@@ -124,7 +129,7 @@ func (p *ringProgram) recent(n int) {
 	}
 }
 
-// FuzzWindowRing runs interleaved Append, SnapshotTo(since), Recent(n)
+// FuzzWindowRing runs interleaved Append, SnapshotTo(since, limit), Recent(n)
 // and Restore against a window of capacity 1 to 64, on frames of every
 // medium and of lengths up to over a kilobyte — many larger than half
 // the ring — and holds the store to a []trace.Record model: SnapshotTo
@@ -155,7 +160,7 @@ func FuzzWindowRing(f *testing.F) {
 				p.model = append(p.model, rec)
 				p.total++
 			case 1:
-				p.snapshot(uint64(arg()) % (uint64(len(p.model)) + 2))
+				p.snapshot(uint64(arg())%(uint64(len(p.model))+2), int(arg()%8)) // limit 0: no limit
 			case 2:
 				p.recent(int(arg()) % (p.s.Capacity() + 2))
 			case 3:
@@ -179,7 +184,7 @@ func FuzzWindowRing(f *testing.F) {
 			}
 			p.check()
 		}
-		p.snapshot(0)
+		p.snapshot(0, 0)
 		p.recent(0)
 	})
 }

@@ -42,10 +42,12 @@ func wormholeFrames(t *testing.T, from, n int) []*packet.Captured {
 // Wormhole publishes EmergentSource@<relay> with the origins its own
 // partition saw, the shared Knowledge Base keeps the last writer's, and
 // a suspicion naming only origin 20 met a mirrored source set that
-// still contained it about nine runs in ten. That cross-shard ordering
-// residual is real and belongs to ROADMAP direction 1 (b); these tests
-// pin something else — one caller at a time, and the knowledge reaches
-// the module — and must not depend on which shard's put landed last.
+// still contained it about nine runs in ten. That residual is real: it
+// is the cross-shard ordering problem — shards share one Knowledge Base
+// but not one order, so which shard's put lands last is a race no lock
+// settles. These tests pin something else — one caller at a time, and
+// the knowledge reaches the module — and must not depend on which
+// shard's put landed last.
 func gossipSuspicions(kb *knowledge.Base, n int) {
 	for i := 0; i < n; i++ {
 		kb.AcceptGossip("K2", knowledge.Knowgget{

@@ -58,19 +58,31 @@ type journalWriter struct {
 }
 
 // newJournalWriter creates (truncates) the journal file and writes its
-// header. The header is synced immediately, so a crash right after
-// rotation still leaves a well-formed, empty journal.
-func newJournalWriter(path string) (*journalWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// header.
+func newJournalWriter(path string) (*journalWriter, error) { return openJournalWriter(path, 0) }
+
+// openJournalWriter opens the journal for appends after its first n
+// bytes, a verified prefix recovery has read; with n = 0 it creates
+// (truncates) the file and writes its header. Either way the file is
+// synced immediately, so a crash right after rotation still leaves a
+// well-formed, empty journal, and a kept one is on disk as recovered.
+func openJournalWriter(path string, n int64) (*journalWriter, error) {
+	flag := os.O_WRONLY | os.O_APPEND
+	if n == 0 {
+		flag |= os.O_CREATE | os.O_TRUNC
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	jw := &journalWriter{f: f}
-	if _, err := f.Write(append(JournalMagic[:], JournalVersion)); err != nil {
-		_ = f.Close()
-		return nil, err
+	jw := &journalWriter{f: f, bytes: n}
+	if n == 0 {
+		if _, err := f.Write(append(JournalMagic[:], JournalVersion)); err != nil {
+			_ = f.Close()
+			return nil, err
+		}
+		jw.bytes = journalHeaderLen
 	}
-	jw.bytes = journalHeaderLen
 	if err := jw.sync(); err != nil {
 		_ = f.Close()
 		return nil, err
@@ -110,20 +122,6 @@ func appendFrame(dst, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
-// writeFrame writes the frame appendFrame appends, the payload straight
-// from where it lies.
-func writeFrame(w io.Writer, payload []byte) error {
-	var head [binary.MaxVarintLen64]byte
-	if _, err := w.Write(binary.AppendUvarint(head[:0], uint64(len(payload)))); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	_, err := w.Write(binary.LittleEndian.AppendUint32(head[:0], crc32.ChecksumIEEE(payload)))
-	return err
-}
-
 // readFrame reads one frame and returns its verified payload and its
 // size on the wire. io.EOF means a clean end exactly on a frame
 // boundary; any other error a torn or corrupt frame (an end of input
@@ -159,7 +157,7 @@ func (jw *journalWriter) sync() error {
 	if jw.synced == jw.bytes {
 		return nil
 	}
-	if err := jw.f.Sync(); err != nil {
+	if err := fsync(jw.f); err != nil {
 		return err
 	}
 	jw.synced = jw.bytes

@@ -5,7 +5,9 @@
 // a sync point — once per interval of capture time — appends the frames
 // that arrived and fsyncs both logs where they lie; a checkpoint, which
 // rewrites the snapshot and empties the journal, waits until the
-// journal has outgrown what folding it costs. Together they give a
+// journal has outgrown what folding it costs. A sync point runs on the
+// manager's one writer goroutine: Tick only hands it off, so the
+// goroutine that captures never waits for the disk. Together they give a
 // production node what fault.CrashNode only pretended it had — a warm
 // restart: a node rebooted from its state directory comes back with the
 // knowledge it had collectively and locally learned, instead of
@@ -23,14 +25,20 @@
 //  2. The journal is append-only with per-record checksums: a crash
 //     mid-append loses at most the record being written. Replay stops
 //     at the first torn or checksum-failing record and truncates the
-//     file there.
-//  3. The window log is append-only with per-batch checksums: a crash
-//     mid-append loses at most the batch being written, and its
-//     periodic rewrite is atomic by rule 1. Every sync point fsyncs
-//     the window log, then the journal, and a checkpoint goes log,
-//     then snapshot, then journal rotation, so the window on disk is
-//     never behind the knowledge on disk and a power cut loses at most
-//     the last interval of either file, never an earlier record.
+//     file there. Each record is written by the caller that made the
+//     mutation, so a process crash loses nothing; a power cut keeps
+//     every record accepted before the hand-off of the last completed
+//     sync point.
+//  3. The window log is append-only with per-frame checksums: a crash
+//     mid-append loses at most what the sync point in flight is
+//     writing, and its periodic rewrite is atomic by rule 1. The
+//     writer fsyncs a sync point's window frames, then the journal,
+//     and a checkpoint goes log, then snapshot, then journal rotation:
+//     once a sync point completes, the disk holds every frame and
+//     every mutation accepted before its hand-off, the frames made
+//     durable first. A power cut loses at most what was accepted since
+//     the hand-off of the last completed sync point, never an earlier
+//     record.
 //  4. Recovery validates everything before applying anything: the
 //     snapshot and the verified prefixes of the journal and the window
 //     log are fully decoded first, then installed into the KB/Data
@@ -83,9 +91,10 @@ const (
 const DefaultInterval = 30 * time.Second
 
 // checkpointBytes is the journal size past which a sync point also
-// checkpoints. A checkpoint costs about three sync points (snapshot
-// rename, directory fsync and journal rotation on top of the two
-// fsyncs), so it pays only once the journal is worth folding. What a
+// checkpoints, and below which Open appends to the journal it has
+// recovered instead. A checkpoint costs about three sync points
+// (snapshot rename, directory fsync and journal rotation on top of the
+// two fsyncs), so it pays only once the journal is worth folding. What a
 // longer journal costs is replay at the next Open: at this size that is
 // ≈ 1 800 records and ≈ 0.5 ms (TestFullJournalReplays prints it), less
 // than Open spends on its own fsyncs.
@@ -126,6 +135,10 @@ func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.ksnp"
 // JournalPath returns the journal file path inside a state dir.
 func JournalPath(dir string) string { return filepath.Join(dir, "journal.kjnl") }
 
+// fsync makes what was written to a file durable. Tests swap it for one
+// that blocks or fails.
+var fsync = (*os.File).Sync
+
 // Manager owns one node's durable state: it recovers it at Open,
 // journals every accepted KB mutation, makes journal and window log
 // durable at a sync point on the capture clock, compacts the journal
@@ -139,11 +152,18 @@ type Manager struct {
 	met      Metrics
 
 	mu       sync.Mutex
+	idle     sync.Cond // on mu: broadcast when a sync point completes
 	journal  *journalWriter
 	lastSync time.Time
 	clockSet bool
 	closed   bool
+	busy     bool  // a sync point is in flight on the writer
 	err      error // sticky first I/O failure
+
+	// handoff carries a sync point from Tick to the writer goroutine;
+	// busy keeps at most one in it or in flight, so a send never waits.
+	// Stop closes it, and the writer sets it to nil as it exits.
+	handoff chan syncPoint
 
 	// snapStatics is how many static labels the snapshot on disk
 	// carries: the one part of the KB the journal does not.
@@ -151,15 +171,13 @@ type Manager struct {
 
 	// The window log: the file, held open for appends; how many
 	// records it holds, and the Data Store's Kept count up to which
-	// they were written; the buffers a sync point copies its batch
-	// and that batch's frame into; and the length of the last rewrite's
-	// batch.
-	win           *os.File
-	winRecords    int
-	winSeq        uint64
-	winBatch      bytes.Buffer
-	winFrame      []byte
-	winRewriteLen int
+	// they were written; and the one buffer every copy of the window
+	// goes through, a chunk at a time. The writer owns them while a
+	// sync point is in flight, the holder of mu otherwise.
+	win        *os.File
+	winRecords int
+	winSeq     uint64
+	winBuf     bytes.Buffer
 
 	outcome   Outcome
 	recovered int // knowggets restored from the snapshot+journal
@@ -196,6 +214,9 @@ func Open(cfg Config, kb *knowledge.Base, store *datastore.Store) (*Manager, err
 	m.met.Recoveries.With(string(m.outcome)).Inc()
 	m.met.JournalBytes.Set(m.journalBytesLocked())
 	kb.SetJournal(m.record)
+	m.idle.L = &m.mu
+	m.handoff = make(chan syncPoint, 1)
+	go m.writer()
 	return m, nil
 }
 
@@ -270,7 +291,7 @@ func (m *Manager) recover() error {
 	// must be in the log first.
 	carried := snap != nil && len(snap.WindowTrace) > 0
 	if m.outcome == OutcomeCold || winBytes == 0 || carried {
-		if err := m.rewriteWindowLocked(); err != nil {
+		if err := m.rewriteWindow(m.store.Kept()); err != nil {
 			return err
 		}
 	} else {
@@ -285,17 +306,27 @@ func (m *Manager) recover() error {
 		}
 	}
 
-	// Compact the recovered state into a fresh snapshot BEFORE the
-	// journal is rotated: rotation truncates the journal, so the
-	// snapshot must already hold the replayed deltas — a crash between
-	// the two steps then loses nothing (same ordering argument as
-	// compactLocked, in reverse direction).
+	// A verified journal under checkpointBytes is kept, and appended to:
+	// it still holds every delta since the snapshot on disk. A longer
+	// one, or a snapshot carrying the window section the log has just
+	// taken over, is compacted into a fresh snapshot BEFORE the journal
+	// is rotated: rotation truncates the journal, so the snapshot must
+	// already hold the replayed deltas — a crash between the two steps
+	// then loses nothing (same ordering argument as compactLocked).
+	var keep int64
 	if m.outcome != OutcomeCold {
-		if err := m.writeSnapshotLocked(); err != nil {
-			return fmt.Errorf("persist: post-recovery snapshot: %w", err)
+		if snap != nil {
+			m.snapStatics = len(snap.StaticLabels)
+		}
+		if carried || goodBytes >= checkpointBytes {
+			if err := m.writeSnapshotLocked(); err != nil {
+				return fmt.Errorf("persist: post-recovery snapshot: %w", err)
+			}
+		} else if jErr == nil {
+			keep = goodBytes
 		}
 	}
-	jw, err := newJournalWriter(JournalPath(m.dir))
+	jw, err := openJournalWriter(JournalPath(m.dir), keep)
 	if err != nil {
 		return fmt.Errorf("persist: journal: %w", err)
 	}
@@ -427,7 +458,7 @@ func (m *Manager) record(op byte, key string, k knowledge.Knowgget) {
 	// frames — and a record buffered in the process would die with it:
 	// the write is what makes "lose at most the record being written"
 	// hold across a process crash. Durability against power loss is
-	// interval-bounded by the fsync at each sync point.
+	// interval-bounded by the writer's fsync at each sync point.
 	if err := m.journal.append(op, key, k); err != nil {
 		m.err = fmt.Errorf("persist: journal append: %w", err)
 		return
@@ -437,9 +468,12 @@ func (m *Manager) record(op byte, key string, k knowledge.Knowgget) {
 
 // Tick drives sync points from the capture clock: when now has
 // advanced a full interval past the last one, everything accepted so
-// far is made durable. A clock that jumps backwards (trace replay
-// restarting, bench loops) just re-bases the interval. The fast path
-// is one lock and one time comparison per packet.
+// far is handed to the writer to be made durable. Tick never waits for
+// it: a sync point that falls due while the previous one is still in
+// flight is postponed to the first Tick after that one completes. A
+// clock that jumps backwards (trace replay restarting, bench loops)
+// just re-bases the interval. The fast path is one lock and one time
+// comparison per packet.
 func (m *Manager) Tick(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -451,7 +485,7 @@ func (m *Manager) Tick(now time.Time) {
 		m.clockSet = true
 		return
 	}
-	if now.Sub(m.lastSync) < m.interval {
+	if m.busy || now.Sub(m.lastSync) < m.interval {
 		return
 	}
 	if err := m.syncLocked(); err != nil {
@@ -461,40 +495,92 @@ func (m *Manager) Tick(now time.Time) {
 	m.lastSync = now
 }
 
-// syncLocked is one sync point: it makes everything accepted so far
-// durable where it already lies — the window's new frames appended and
-// fsynced first, so the window on disk is never behind the knowledge on
-// disk, then the open journal fsynced — and an interval in which no
-// frame arrived and no knowledge changed issues no syscall. It becomes
-// a checkpoint when the journal has outgrown checkpointBytes, or when
-// the KB's static labels have grown (they are only ever added): the
-// static mark of a label lives in the snapshot alone, and must not wait
-// longer for the disk than the knowgget it marks.
+// syncPoint is what Tick hands the writer: the Data Store's Kept count
+// and the journal's length at the hand-off, which the sync point makes
+// durable, and the journal to fsync — nil when an fsync covers it.
+type syncPoint struct {
+	kept    uint64
+	journal *journalWriter
+	bytes   int64
+}
+
+// syncLocked is one sync point: it hands everything accepted so far to
+// the writer, which makes it durable where it already lies, and an
+// interval in which no frame arrived and no knowledge changed hands off
+// nothing. It is a checkpoint instead, run here, when the journal has
+// outgrown checkpointBytes, or when the KB's static labels have grown
+// (they are only ever added): the static mark of a label lives in the
+// snapshot alone, and must not wait longer for the disk than the
+// knowgget it marks.
 func (m *Manager) syncLocked() error {
 	statics := m.kb.StaticCount() > m.snapStatics
-	if !statics && m.store.Kept() == m.winSeq && m.journal.synced == m.journal.bytes {
+	kept, jw := m.store.Kept(), m.journal
+	if !statics && kept == m.winSeq && jw.synced == jw.bytes {
 		return nil
 	}
-	if statics || m.journal.bytes >= checkpointBytes {
+	if statics || jw.bytes >= checkpointBytes {
 		if err := m.compactLocked(); err != nil {
 			return err
 		}
-	} else {
-		if err := m.logWindowLocked(); err != nil {
-			return err
-		}
-		if err := m.journal.sync(); err != nil {
-			return fmt.Errorf("persist: journal sync: %w", err)
-		}
+		m.met.Syncs.Inc()
+		return nil
 	}
-	m.met.Syncs.Inc()
+	sp := syncPoint{kept: kept, bytes: jw.bytes}
+	if jw.synced != jw.bytes {
+		sp.journal = jw
+	}
+	m.busy = true
+	m.handoff <- sp
 	return nil
 }
 
-// Compact forces one checkpoint immediately.
+// writer is the manager's one writer goroutine, from Open until Stop
+// closes handoff. It
+// runs the sync points Tick hands off, one at a time: the window's
+// frames up to the hand-off are appended and fsynced first, then the
+// journal, which covers at least its length at the hand-off. The first
+// failure is sticky, and no sync point is handed off after it.
+func (m *Manager) writer() {
+	for sp := range m.handoff {
+		err := m.logWindow(sp.kept)
+		if err == nil && sp.journal != nil {
+			if err = fsync(sp.journal.f); err != nil {
+				err = fmt.Errorf("persist: journal sync: %w", err)
+			}
+		}
+		m.mu.Lock()
+		switch {
+		case err == nil:
+			if sp.journal != nil {
+				sp.journal.synced = sp.bytes
+			}
+			m.met.Syncs.Inc()
+		case m.err == nil:
+			m.err = err
+		}
+		m.busy = false
+		m.idle.Broadcast()
+		m.mu.Unlock()
+	}
+	m.mu.Lock()
+	m.handoff = nil
+	m.idle.Broadcast()
+	m.mu.Unlock()
+}
+
+// waitLocked waits, on mu, until no sync point is in flight.
+func (m *Manager) waitLocked() {
+	for m.busy {
+		m.idle.Wait()
+	}
+}
+
+// Compact forces one checkpoint immediately, after any sync point in
+// flight.
 func (m *Manager) Compact() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.waitLocked()
 	if m.closed {
 		return errors.New("persist: closed")
 	}
@@ -520,7 +606,7 @@ func (m *Manager) Compact() error {
 // still holds every delta since: nothing is lost and, the log being the
 // window's only home, nothing is restored twice.
 func (m *Manager) compactLocked() error {
-	if err := m.logWindowLocked(); err != nil {
+	if err := m.logWindow(m.store.Kept()); err != nil {
 		return err
 	}
 	if err := m.writeSnapshotLocked(); err != nil {
@@ -567,7 +653,7 @@ func replaceFile(path string, write func(io.Writer) error) error {
 		_ = f.Close()
 		return fmt.Errorf("write: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := fsync(f); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("fsync: %w", err)
 	}
@@ -589,23 +675,29 @@ func syncDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
+	err = fsync(d)
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// Stop flushes everything: one final checkpoint (so a clean shutdown
-// always restarts warm with an empty journal) and a synced, closed
-// journal. The manager journals nothing afterwards.
+// Stop waits for any sync point in flight and ends the writer, then
+// flushes everything: one final checkpoint (so a clean shutdown always
+// restarts warm with an empty journal) and a synced, closed journal.
+// The manager journals nothing afterwards.
 func (m *Manager) Stop() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.waitLocked()
 	if m.closed {
 		return m.err
 	}
 	m.closed = true
+	close(m.handoff)
+	for m.handoff != nil {
+		m.idle.Wait() // until the writer has exited
+	}
 	err := m.err
 	if err == nil {
 		err = m.compactLocked()
@@ -633,10 +725,12 @@ func (m *Manager) Recovered() (knowggets, journalEntries, windowRecords int) {
 	return m.recovered, m.replayed, m.window
 }
 
-// Err returns the sticky first I/O failure, if any.
+// Err waits for any sync point in flight, then returns the sticky first
+// I/O failure, if any.
 func (m *Manager) Err() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.waitLocked()
 	return m.err
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -311,6 +313,9 @@ func TestTickCompaction(t *testing.T) {
 	}
 
 	m.Tick(t0.Add(11 * time.Second))
+	if err := m.Err(); err != nil { // waits for the sync point
+		t.Fatal(err)
+	}
 	wantCounters(t, met, "past the interval", 1, 0)
 	if got := m.JournalBytes(); got != journal || m.journal.synced != journal {
 		t.Errorf("sync point: journal %d bytes, synced to %d; want both %d: fsynced in place, not rotated", got, m.journal.synced, journal)
@@ -340,6 +345,9 @@ func TestTickCompaction(t *testing.T) {
 	m.Tick(t0.Add(5 * time.Second))
 	wantCounters(t, met, "rewound clock", 2, 1)
 	m.Tick(t0.Add(10 * time.Second))
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
 	wantCounters(t, met, "an interval past the rewind", 3, 1)
 
 	if err := m.Stop(); err != nil {
@@ -421,6 +429,9 @@ func TestPowerCutAfterSyncPoint(t *testing.T) {
 			kb.Delete(knowledge.Knowgget{Creator: "K1", Label: "A"}.Key())
 			appendAll(t, store, frames[:20])
 			m.Tick(t0.Add(11 * time.Second))
+			if err := m.Err(); err != nil { // waits for the sync point
+				t.Fatal(err)
+			}
 			wantCounters(t, met, "a sync point under the threshold", 1, 0)
 			journal, window := m.journal.synced, fileSize(t, WindowLogPath(dir))
 			kb.Put("C", "3")
@@ -468,6 +479,9 @@ func TestStaticMarkSurvivesSyncPoint(t *testing.T) {
 	wantCounters(t, met, "two sync points that each found a new static label", 2, 2)
 	kb.Put("A", "1")
 	m.Tick(t0.Add(33 * time.Second))
+	if err := m.Err(); err != nil { // waits for the sync point
+		t.Fatal(err)
+	}
 	wantCounters(t, met, "a sync point with no new static label", 3, 2)
 	// Crash: the manager is abandoned where it stands.
 
@@ -501,6 +515,9 @@ func TestFullJournalReplays(t *testing.T) {
 	m.Tick(t0)
 	n := fillJournal(t, m, kb)
 	m.Tick(t0.Add(11 * time.Second))
+	if err := m.Err(); err != nil { // waits for the sync point
+		t.Fatal(err)
+	}
 	wantCounters(t, met, "a journal one record under the threshold", 1, 0)
 	size := m.JournalBytes()
 	// Crash: the manager is abandoned where it stands.
@@ -514,7 +531,7 @@ func TestFullJournalReplays(t *testing.T) {
 	start = time.Now()
 	m2, kb2, _ := openManager(t, dir, Metrics{})
 	reopen := time.Since(start)
-	t.Logf("journal of %d records, %d bytes: replayed in %v; Open, with its checkpoint, took %v", n, size, replay, reopen)
+	t.Logf("journal of %d records, %d bytes: replayed in %v; Open, which keeps it, took %v", n, size, replay, reopen)
 	if m2.Outcome() != OutcomeWarm {
 		t.Fatalf("outcome = %s, want warm", m2.Outcome())
 	}
@@ -554,21 +571,344 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestStickyJournalError: once the journal fails, the manager reports
-// the error and stops journaling instead of panicking.
+// TestStickyJournalError: once the journal or the writer's disk fails,
+// the manager reports the first failure — from Err and from Stop — and
+// stops journaling and handing off sync points instead of panicking.
 func TestStickyJournalError(t *testing.T) {
+	t.Run("journal write", func(t *testing.T) {
+		dir := t.TempDir()
+		m, kb, _ := openManager(t, dir, Metrics{})
+		m.mu.Lock()
+		m.journal.f.Close() // sabotage the fd: subsequent flushes fail
+		m.mu.Unlock()
+		kb.Put("A", "1")
+		kb.Put("B", "2") // second put hits the sticky-error fast path
+		if m.Err() == nil {
+			t.Fatal("journal failure not reported")
+		}
+		if err := m.Stop(); err == nil {
+			t.Error("Stop swallowed the sticky error")
+		}
+	})
+
+	t.Run("writer fsync", func(t *testing.T) {
+		disk := errors.New("disk gone")
+		var failing atomic.Bool
+		var failed atomic.Int32
+		swapFsync(t, func(sync func(*os.File) error) func(*os.File) error {
+			return func(f *os.File) error {
+				if failing.Load() {
+					failed.Add(1)
+					return disk
+				}
+				return sync(f)
+			}
+		})
+		met := syncMetrics()
+		m, kb, store := openManager(t, t.TempDir(), met)
+		frames := windowFrames(t, 0, 30)
+		t0 := time.Unix(1500000000, 0).UTC()
+		m.Tick(t0)
+		kb.Put("A", "1")
+		appendAll(t, store, frames[:20])
+		failing.Store(true)
+		m.Tick(t0.Add(11 * time.Second))
+		first := m.Err()
+		if !errors.Is(first, disk) {
+			t.Fatalf("Err = %v, want the writer's fsync failure", first)
+		}
+		wantCounters(t, met, "a failed sync point", 0, 0)
+		journal, calls := m.JournalBytes(), failed.Load()
+		kb.Put("B", "2")
+		appendAll(t, store, frames[20:])
+		m.Tick(t0.Add(22 * time.Second))
+		m.Tick(t0.Add(33 * time.Second))
+		if err := m.Err(); err != first {
+			t.Errorf("Err = %v after more traffic, want the first failure %v", err, first)
+		}
+		if got := m.JournalBytes(); got != journal {
+			t.Errorf("journal grew %d -> %d bytes after the failure", journal, got)
+		}
+		if got := failed.Load(); got != calls {
+			t.Errorf("%d more fsyncs after the failure: a sync point was handed off", got-calls)
+		}
+		if err := m.Stop(); err != first {
+			t.Errorf("Stop = %v, want the first failure %v", err, first)
+		}
+	})
+}
+
+// swapFsync replaces fsync for the rest of the test with what wrap makes
+// of it. Call it before Open: the writer reads fsync from then on.
+func swapFsync(t *testing.T, wrap func(func(*os.File) error) func(*os.File) error) {
+	t.Helper()
+	orig := fsync
+	fsync = wrap(orig)
+	t.Cleanup(func() { fsync = orig })
+}
+
+// fsyncGate holds every fsync, once shut, until it is opened.
+type fsyncGate struct {
+	shut    atomic.Bool
+	held    atomic.Int32 // fsyncs the gate has held
+	entered chan struct{}
+	opened  chan struct{}
+}
+
+// gateFsync installs a gate, open until shut; the test's end opens it.
+func gateFsync(t *testing.T) *fsyncGate {
+	g := &fsyncGate{entered: make(chan struct{}, 16), opened: make(chan struct{})}
+	swapFsync(t, func(sync func(*os.File) error) func(*os.File) error {
+		return func(f *os.File) error {
+			if g.shut.Load() {
+				g.held.Add(1)
+				g.entered <- struct{}{}
+				<-g.opened
+			}
+			return sync(f)
+		}
+	})
+	t.Cleanup(g.open) // runs before the swap is undone
+	return g
+}
+
+func (g *fsyncGate) open() {
+	if g.shut.CompareAndSwap(true, false) {
+		close(g.opened)
+	}
+}
+
+// waitHeld waits until the gate holds an fsync.
+func (g *fsyncGate) waitHeld(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no fsync reached the gate")
+	}
+}
+
+// returnsSoon runs f and fails the test if it has not returned within
+// seconds: f is waiting for the disk.
+func returnsSoon(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s waited for the disk", what)
+	}
+}
+
+// TestSyncPointDoesNotWaitForTheDisk holds the writer's fsync: Tick
+// hands the sync point off and returns, frames and mutations keep being
+// accepted, and a sync point that falls due meanwhile neither blocks
+// nor starts a second batch. Opening the gate completes the sync point,
+// which made durable what was accepted before its hand-off, and the
+// first Tick after it runs the postponed one.
+func TestSyncPointDoesNotWaitForTheDisk(t *testing.T) {
+	gate := gateFsync(t)
+	met := syncMetrics()
+	m, kb, store := openManager(t, t.TempDir(), met)
+	frames := windowFrames(t, 0, 40)
+	t0 := time.Unix(1500000000, 0).UTC()
+	m.Tick(t0)
+	kb.Put("A", "1")
+	appendAll(t, store, frames[:20])
+	journal := m.JournalBytes()
+
+	gate.shut.Store(true)
+	returnsSoon(t, "Tick at a sync point", func() { m.Tick(t0.Add(11 * time.Second)) })
+	gate.waitHeld(t)
+	kb.Put("B", "2")
+	appendAll(t, store, frames[20:])
+	if got := m.JournalBytes(); got <= journal || store.Kept() != 40 {
+		t.Errorf("during the sync point: journal %d bytes (was %d), %d frames kept: mutations and frames must keep flowing", got, journal, store.Kept())
+	}
+	returnsSoon(t, "Tick with a sync point due in flight", func() {
+		m.Tick(t0.Add(22 * time.Second))
+		m.Tick(t0.Add(33 * time.Second))
+	})
+	wantCounters(t, met, "in flight", 0, 0)
+
+	gate.open()
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	wantCounters(t, met, "the gate opened", 1, 0)
+	if got := gate.held.Load(); got != 1 {
+		t.Errorf("the gate held %d fsyncs, want the one of the sync point in flight", got)
+	}
+	if m.winSeq != 20 || m.journal.synced != journal {
+		t.Errorf("the sync point covered %d frames and %d journal bytes, want what its hand-off saw: 20 and %d", m.winSeq, m.journal.synced, journal)
+	}
+
+	m.Tick(t0.Add(34 * time.Second)) // the first Tick after it: the postponed sync point
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	wantCounters(t, met, "the postponed sync point", 2, 0)
+	if m.winSeq != 40 || m.journal.synced != m.JournalBytes() {
+		t.Errorf("the postponed sync point covered %d frames and %d of %d journal bytes", m.winSeq, m.journal.synced, m.JournalBytes())
+	}
+	if err := m.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+}
+
+// copyDir copies a state directory's files as they stand: the disk at
+// the instant of a power cut.
+func copyDir(t *testing.T, from string) string {
+	t.Helper()
+	to := t.TempDir()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return to
+}
+
+// TestPowerCutDuringSync cuts the power while a sync point is in flight,
+// its writer held in an fsync: whatever no completed sync point fsynced
+// may be lost. With both files cut back to where the previous sync point
+// left them, recovery restores exactly what that sync point covered.
+// When the kernel had flushed the window log's unsynced frames on its
+// own, the window comes back ahead of the knowledge, as rule 5 allows.
+func TestPowerCutDuringSync(t *testing.T) {
+	for name, cut := range map[string]struct {
+		window bool              // the window log loses its unsynced tail too
+		frames int               // the window after the restart
+		kb     map[string]string // the Knowledge Base after the restart
+	}{
+		"both files cut":     {true, 20, map[string]string{"K1$A": "1", "K1$B": "2"}},
+		"window log flushed": {false, 30, map[string]string{"K1$A": "1", "K1$B": "2"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			gate := gateFsync(t)
+			dir := t.TempDir()
+			m, kb, store := openManager(t, dir, Metrics{})
+			frames := windowFrames(t, 0, 30)
+			t0 := time.Unix(1500000000, 0).UTC()
+			m.Tick(t0)
+			kb.Put("A", "1")
+			kb.Put("B", "2")
+			appendAll(t, store, frames[:20])
+			m.Tick(t0.Add(11 * time.Second))
+			if err := m.Err(); err != nil { // the sync point completes
+				t.Fatal(err)
+			}
+			journal, window := m.journal.synced, fileSize(t, WindowLogPath(dir))
+			kb.Put("C", "3")
+			kb.Delete(knowledge.Knowgget{Creator: "K1", Label: "A"}.Key())
+			appendAll(t, store, frames[20:])
+			gate.shut.Store(true)
+			m.Tick(t0.Add(22 * time.Second))
+			gate.waitHeld(t) // the frames are written, their fsync is held
+
+			cutDir := copyDir(t, dir)
+			if err := os.Truncate(JournalPath(cutDir), journal); err != nil {
+				t.Fatal(err)
+			}
+			if got := fileSize(t, WindowLogPath(cutDir)); got <= window {
+				t.Fatalf("the sync point in flight wrote no frame before its fsync: log %d bytes", got)
+			}
+			if cut.window {
+				if err := os.Truncate(WindowLogPath(cutDir), window); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gate.open()
+			m2, kb2, store2 := openManager(t, cutDir, Metrics{})
+			if m2.Outcome() != OutcomeWarm {
+				t.Fatalf("outcome = %s, want warm", m2.Outcome())
+			}
+			if got := kbMap(kb2); !maps.Equal(got, cut.kb) {
+				t.Errorf("recovered %v, want what the completed sync point covered: %v", got, cut.kb)
+			}
+			sameWindow(t, store2, frames[:cut.frames])
+			if err := m2.Stop(); err != nil {
+				t.Fatalf("Stop: %v", err)
+			}
+			if err := m.Stop(); err != nil {
+				t.Fatalf("Stop: %v", err)
+			}
+		})
+	}
+}
+
+// TestWarmOpenKeepsTheJournal: a warm Open of a journal under
+// checkpointBytes appends to it where recovery verified it, instead of
+// writing a snapshot and rotating — the snapshot file is untouched and
+// no checkpoint is counted — and a second crash and Open recover the
+// same Knowledge Base, what the first restart added included.
+func TestWarmOpenKeepsTheJournal(t *testing.T) {
 	dir := t.TempDir()
 	m, kb, _ := openManager(t, dir, Metrics{})
-	m.mu.Lock()
-	m.journal.f.Close() // sabotage the fd: subsequent flushes fail
-	m.mu.Unlock()
 	kb.Put("A", "1")
-	kb.Put("B", "2") // second put hits the sticky-error fast path
-	if m.Err() == nil {
-		t.Fatal("journal failure not reported")
+	kb.PutStatic("Mobility", "", "false")
+	if err := m.Compact(); err != nil {
+		t.Fatal(err)
 	}
-	if err := m.Stop(); err == nil {
-		t.Error("Stop swallowed the sticky error")
+	kb.Put("B", "2")
+	kb.Delete(knowledge.Knowgget{Creator: "K1", Label: "A"}.Key())
+	// Crash: the manager is abandoned where it stands.
+	snap, err := os.Stat(SnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := fileSize(t, JournalPath(dir))
+
+	met := syncMetrics()
+	m2, kb2, _ := openManager(t, dir, met)
+	if m2.Outcome() != OutcomeWarm {
+		t.Fatalf("outcome = %s, want warm", m2.Outcome())
+	}
+	want := map[string]string{"K1$B": "2", "K1$Mobility": "false"}
+	if got := kbMap(kb2); !maps.Equal(got, want) {
+		t.Errorf("recovered %v, want %v", got, want)
+	}
+	if fi, err := os.Stat(SnapshotPath(dir)); err != nil || !os.SameFile(fi, snap) || !fi.ModTime().Equal(snap.ModTime()) || fi.Size() != snap.Size() {
+		t.Errorf("a warm Open rewrote the snapshot (stat err %v)", err)
+	}
+	if got := m2.JournalBytes(); got != journal || fileSize(t, JournalPath(dir)) != journal {
+		t.Errorf("a warm Open left a %d-byte journal, want the %d bytes it recovered", got, journal)
+	}
+	kb2.Put("C", "3")
+	t0 := time.Unix(1500000000, 0).UTC()
+	m2.Tick(t0)
+	m2.Tick(t0.Add(11 * time.Second)) // no new static label: a sync point, not a checkpoint
+	if err := m2.Err(); err != nil {
+		t.Fatal(err)
+	}
+	wantCounters(t, met, "a warm Open and a sync point", 1, 0)
+	// Crash again.
+
+	m3, kb3, _ := openManager(t, dir, Metrics{})
+	if m3.Outcome() != OutcomeWarm {
+		t.Fatalf("second outcome = %s, want warm", m3.Outcome())
+	}
+	want["K1$C"] = "3"
+	if got := kbMap(kb3); !maps.Equal(got, want) {
+		t.Errorf("second restart recovered %v, want %v", got, want)
+	}
+	if !kb3.IsStatic("Mobility") {
+		t.Error("static mark lost")
+	}
+	if err := m3.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
 	}
 }
 

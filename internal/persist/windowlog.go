@@ -3,8 +3,10 @@ package persist
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -39,18 +41,30 @@ func WindowLogPath(dir string) string { return filepath.Join(dir, "window.kwin")
 
 // The window log is the Data Store's durable half. After the header it
 // is a sequence of the journal's frames (see appendFrame), each payload
-// one complete internal/trace stream: the frames the Data Store took in
-// between two sync points, oldest first. A sync point appends one batch
-// and fsyncs it, so persisting the window costs O(new frames) where the
-// snapshot's Data Store section cost O(window); the file is rewritten
-// from the in-memory window, atomically, once it holds twice the
-// window's capacity.
+// one complete internal/trace stream of at most winChunk records, oldest
+// first. A sync point appends the frames the Data Store took in since
+// the previous one, a chunk to a log frame, and fsyncs them, so
+// persisting the window costs O(new frames) where the snapshot's Data
+// Store section cost O(window); the file is rewritten from the
+// in-memory window, atomically, once it holds twice the window's
+// capacity.
+
+// winChunk is the most records one window-log frame carries. Every copy
+// of the window — a sync point's, a checkpoint's, a rewrite's — goes
+// through the manager's one buffer a chunk at a time, so the buffer
+// stays a chunk long however many frames pile up behind a slow fsync,
+// and no copy of a whole window is ever held.
+const winChunk = 256
+
+// frameRoom is what the chunk buffer keeps free before the payload for
+// its frame's uvarint length.
+var frameRoom [binary.MaxVarintLen64]byte
 
 // replayWindowLog reads a window-log byte stream and returns every
 // record of its verified prefix, oldest first, plus that prefix's
-// length. A torn, checksum-failing or unparseable batch ends the replay
+// length. A torn, checksum-failing or unparseable frame ends the replay
 // at the last good offset with torn=true — a crash mid-append loses at
-// most the batch being written, never an earlier one, and no batch is
+// most what was being written, never an earlier frame, and no frame is
 // ever applied in part. A bad header returns ErrWindowLogHeader.
 func replayWindowLog(r io.Reader) (recs []*trace.Record, goodBytes int64, torn bool, err error) {
 	br := bufio.NewReader(r)
@@ -90,67 +104,88 @@ func loadWindowLogFile(path string) (recs []*trace.Record, goodBytes int64, torn
 	return replayWindowLog(f)
 }
 
-// logWindowLocked makes the frames the Data Store took in since the
-// last sync point durable: one appended, fsynced batch — or, when that
-// batch would bring the log to twice the window's capacity, a rewrite.
-// With no new frames it writes nothing. The batch is the Data Store's
-// own record bytes, copied into the manager's batch and frame buffers,
-// which are kept from one sync point to the next, and appended to the
-// log the manager holds open: no frame is encoded, and once warm a sync
-// point allocates the same few objects however many frames it logs.
-func (m *Manager) logWindowLocked() error {
-	fresh := m.store.Kept() - m.winSeq
-	if fresh == 0 {
+// logWindow makes the frames the Data Store took in up to its Kept
+// count upTo durable: appended to the log and fsynced — or, when they
+// would bring the log to twice the window's capacity, a rewrite. With no
+// new frames it writes nothing. It runs on the writer for a sync point
+// and on mu for a checkpoint, never both at once.
+func (m *Manager) logWindow(upTo uint64) error {
+	if upTo <= m.winSeq {
 		return nil
 	}
-	if uint64(m.winRecords)+fresh >= 2*uint64(m.store.Capacity()) {
-		return m.rewriteWindowLocked()
+	if uint64(m.winRecords)+upTo-m.winSeq >= 2*uint64(m.store.Capacity()) {
+		return m.rewriteWindow(upTo)
 	}
-	m.winBatch.Reset()
-	n, total, err := m.store.SnapshotTo(&m.winBatch, m.winSeq)
-	if err != nil {
-		return err
-	}
-	m.winSeq = total
-	m.winFrame = appendFrame(m.winFrame[:0], m.winBatch.Bytes())
-	_, err = m.win.Write(m.winFrame)
+	n, next, err := m.copyWindow(m.win, m.winSeq, upTo)
 	if err == nil {
-		err = m.win.Sync()
+		err = fsync(m.win)
 	}
 	if err != nil {
 		return fmt.Errorf("persist: window log append: %w", err)
 	}
 	m.winRecords += n
+	m.winSeq = next
 	return nil
 }
 
-// rewriteWindowLocked replaces the window log with one batch holding
-// the in-memory window, by the snapshot's own atomic-replace rule: a
-// crash mid-rewrite leaves the old log or the new one. The file held
-// open for appends is the old one, so it is closed first and the new
-// one opened after. The rewrite's batch, a whole window, is not kept;
-// its length is, and the next rewrite's buffer is sized from it, so a
-// full window is copied without growing the buffer by doubling. The
-// header, the frame around the batch and the batch itself go to the
-// file as they are, without being gathered into one more copy.
-func (m *Manager) rewriteWindowLocked() error {
-	batch := bytes.NewBuffer(make([]byte, 0, m.winRewriteLen+m.winRewriteLen/8)) // a window of larger frames still fits
-	n, total, err := m.store.SnapshotTo(batch, 0)
-	if err != nil {
-		return err
+// copyWindow writes to w the window's records from the Data Store's
+// Kept count since up to upTo — those the window still holds — a chunk
+// at a time, each chunk its own frame. A chunk is the Data Store's own
+// record bytes, copied under its lock into the manager's buffer and
+// framed where it lies: no frame is encoded, and once the buffer has
+// grown to a chunk nothing is allocated. It returns the number of
+// records written and the Kept count they reach.
+func (m *Manager) copyWindow(w io.Writer, since, upTo uint64) (n int, next uint64, err error) {
+	for next = since; next < upTo; {
+		m.winBuf.Reset()
+		m.winBuf.Write(frameRoom[:])
+		k, to, err := m.store.SnapshotTo(&m.winBuf, next, int(min(upTo-next, winChunk)))
+		if err != nil || k == 0 {
+			return n, next, err
+		}
+		if _, err := w.Write(frameChunk(&m.winBuf)); err != nil {
+			return n, next, err
+		}
+		n, next = n+k, to
 	}
-	m.winRewriteLen = batch.Len()
+	return n, next, nil
+}
+
+// frameChunk completes, where it lies, the frame around the payload buf
+// holds after frameRoom: the checksum goes after it, the uvarint length
+// right before it. It returns the frame, the bytes appendFrame would
+// produce.
+func frameChunk(buf *bytes.Buffer) []byte {
+	payload := buf.Bytes()[len(frameRoom):]
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	buf.Write(sum[:])
+	var head [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(head[:], uint64(len(payload)))
+	frame := buf.Bytes()[len(frameRoom)-h:]
+	copy(frame, head[:h])
+	return frame
+}
+
+// rewriteWindow replaces the window log with the in-memory window up to
+// the Data Store's Kept count upTo, by the snapshot's own
+// atomic-replace rule: a crash mid-rewrite leaves the old log or the
+// new one. The file held open for appends is the old one, so it is
+// closed first and the new one opened after. The window goes to the
+// temp file through the chunk buffer, as an append's frames do.
+func (m *Manager) rewriteWindow(upTo uint64) error {
 	if err := m.closeWindowLog(); err != nil {
 		return fmt.Errorf("persist: window log: %w", err)
 	}
-	err = replaceFile(WindowLogPath(m.dir), func(w io.Writer) error {
+	var n int
+	var next uint64
+	err := replaceFile(WindowLogPath(m.dir), func(w io.Writer) error {
 		if _, err := w.Write(windowLogHeader()); err != nil {
 			return err
 		}
-		if n == 0 {
-			return nil
-		}
-		return writeFrame(w, batch.Bytes())
+		var err error
+		n, next, err = m.copyWindow(w, 0, upTo)
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("persist: window log rewrite: %w", err)
@@ -158,7 +193,7 @@ func (m *Manager) rewriteWindowLocked() error {
 	if err := m.openWindowLog(); err != nil {
 		return err
 	}
-	m.winRecords, m.winSeq = n, total
+	m.winRecords, m.winSeq = n, next
 	return nil
 }
 
@@ -172,7 +207,7 @@ func (m *Manager) openWindowLog() error {
 	return nil
 }
 
-// closeWindowLog closes the window log if it is open. Every batch
+// closeWindowLog closes the window log if it is open. Every frame
 // appended to it was fsynced when it was written.
 func (m *Manager) closeWindowLog() error {
 	if m.win == nil {
@@ -184,7 +219,7 @@ func (m *Manager) closeWindowLog() error {
 }
 
 // TearWindowLog is Tear for the window log: it chops the given number
-// of bytes off the file's tail, leaving a torn final batch exactly as a
+// of bytes off the file's tail, leaving a torn final frame exactly as a
 // power loss during a sync point's append would.
 func TearWindowLog(dir string, dropBytes int64) error {
 	return tearFile(WindowLogPath(dir), dropBytes)

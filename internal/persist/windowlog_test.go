@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"maps"
 	"os"
 	"runtime"
@@ -105,7 +107,7 @@ func windowTrace(t testing.TB, frames []*packet.Captured) []byte {
 	store := datastore.New(len(frames))
 	appendAll(t, store, frames)
 	var buf bytes.Buffer
-	if _, _, err := store.SnapshotTo(&buf, 0); err != nil {
+	if _, _, err := store.SnapshotTo(&buf, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -272,12 +274,12 @@ func TestCrashInsideCompaction(t *testing.T) {
 		want    map[string]string // the Knowledge Base after the restart
 	}{
 		"log ahead of snapshot": {
-			func(m *Manager) error { return m.logWindowLocked() },
+			func(m *Manager) error { return m.logWindow(m.store.Kept()) },
 			map[string]string{"K1$B": "2"},
 		},
 		"snapshot ahead of rotation": {
 			func(m *Manager) error {
-				if err := m.logWindowLocked(); err != nil {
+				if err := m.logWindow(m.store.Kept()); err != nil {
 					return err
 				}
 				return m.writeSnapshotLocked()
@@ -286,7 +288,7 @@ func TestCrashInsideCompaction(t *testing.T) {
 		},
 		"log fsynced, journal not yet": {
 			func(m *Manager) error {
-				if err := m.logWindowLocked(); err != nil {
+				if err := m.logWindow(m.store.Kept()); err != nil {
 					return err
 				}
 				return os.Truncate(JournalPath(m.dir), m.journal.synced)
@@ -529,13 +531,16 @@ func TestWindowLogReplayProperties(t *testing.T) {
 	}
 }
 
-// TestSyncPointAllocs: a sync point copies the Data Store's record bytes
-// into buffers the manager keeps and appends them to the log it holds
-// open, so once those buffers have grown it allocates nothing, whether
-// ten frames arrived in the interval or a thousand. Re-encoding every
-// frame into a fresh slice, a fresh batch buffer and a fresh file per
-// sync point grew with the frames; copying the window's frame pointers
-// out before encoding them cost one allocation.
+// TestSyncPointAllocs: a sync point hands off to a writer that lives
+// from Open to Stop, which copies the Data Store's record bytes into the
+// one chunk buffer the manager keeps and appends them to the log it
+// holds open, so once that buffer has grown it allocates nothing —
+// neither on the capture goroutine nor on the writer, whether ten
+// frames arrived in the interval or a thousand. Re-encoding every frame
+// into a fresh slice, a fresh batch buffer and a fresh file per sync
+// point grew with the frames; copying the window's frame pointers out
+// before encoding them cost one allocation; a goroutine or a closure
+// per sync point would cost one.
 func TestSyncPointAllocs(t *testing.T) {
 	frames := windowFrames(t, 0, 1000)
 	perSync := func(fresh int) uint64 {
@@ -552,14 +557,19 @@ func TestSyncPointAllocs(t *testing.T) {
 		now := time.Unix(1500000000, 0)
 		m.Tick(now)
 		// syncPoint appends fresh frames, which may grow the store's
-		// ring, and counts what the sync point after them allocates.
+		// ring, and counts what the sync point after them allocates,
+		// waiting for the writer to finish it.
 		syncPoint := func() uint64 {
 			appendAll(t, store, frames[:fresh])
 			now = now.Add(time.Second)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			m.Tick(now)
+			err := m.Err()
 			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return after.Mallocs - before.Mallocs
 		}
 		syncPoint() // warm: the buffers grow to a batch
@@ -582,54 +592,79 @@ func TestSyncPointAllocs(t *testing.T) {
 	}
 }
 
-// TestRewriteBytes: a window-log rewrite encodes the window into a
-// buffer sized from the previous rewrite's batch and writes header,
-// frame and batch to the temp file as they are, so once a rewrite has
-// been made it allocates little more than the batch it writes — and the
-// file it leaves is, byte for byte, the header and one frame around the
-// window's trace stream. Growing the buffer by doubling and then
-// gathering the whole file into one more copy cost about three times
-// the batch.
+// TestRewriteBytes: a window-log rewrite copies the window to the temp
+// file through the manager's one chunk buffer, a chunk of at most
+// winChunk records to a frame, so once a rewrite has been made it
+// allocates less than one chunk, whatever the window size — and the
+// file it leaves is the header and frames whose payloads, in order, are
+// the window's records. Gathering the whole window into one buffer
+// first cost about the window's size again on every rewrite (1.3 x it,
+// sized from the previous rewrite; 3.5 x, grown by doubling).
 func TestRewriteBytes(t *testing.T) {
-	const window = 2000
-	dir := t.TempDir()
-	store := datastore.New(window)
-	m, err := Open(Config{Dir: dir, Interval: time.Second}, knowledge.NewBase("K1"), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := m.Stop(); err != nil {
-			t.Error(err)
-		}
-	}()
-	rewrite := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m.mu.Lock()
-		err := m.rewriteWindowLocked()
-		m.mu.Unlock()
-		runtime.ReadMemStats(&after)
+	for _, window := range []int{2000, 8000} {
+		dir := t.TempDir()
+		store := datastore.New(window)
+		m, err := Open(Config{Dir: dir, Interval: time.Second}, knowledge.NewBase("K1"), store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	appendAll(t, store, windowFrames(t, 0, window))
-	rewrite() // warm: the first rewrite of a window
-	appendAll(t, store, windowFrames(t, window, window))
-	allocated := rewrite()
+		rewrite := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m.mu.Lock()
+			err := m.rewriteWindow(m.store.Kept())
+			m.mu.Unlock()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		appendAll(t, store, windowFrames(t, 0, window))
+		rewrite() // warm: the first rewrite of a window
+		appendAll(t, store, windowFrames(t, window, window))
+		allocated := rewrite()
 
-	batch := windowTrace(t, store.Recent(0))
-	if limit := 1.5 * float64(len(batch)); float64(allocated) > limit {
-		t.Errorf("rewriting a %d-byte window allocates %d bytes, want at most 1.5 x the batch (%.0f)", len(batch), allocated, limit)
+		got, err := os.ReadFile(WindowLogPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := store.Recent(0)
+		var chunk, frames int // the largest frame's payload, and how many
+		br := bufio.NewReader(bytes.NewReader(got[windowLogHeaderLen:]))
+		for {
+			payload, _, err := readFrame(br, maxSectionLen)
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("window %d: frame %d: %v", window, frames, err)
+			}
+			recs, err := trace.ReadAll(bytes.NewReader(payload))
+			if err != nil || len(recs) == 0 || len(recs) > winChunk {
+				t.Fatalf("window %d: frame %d holds %d records (err %v), want 1 to %d", window, frames, len(recs), err, winChunk)
+			}
+			chunk, frames = max(chunk, len(payload)), frames+1
+		}
+		if !bytes.Equal(got[:windowLogHeaderLen], windowLogHeader()) || frames != (window+winChunk-1)/winChunk {
+			t.Errorf("window %d: the rewritten log is %d frames behind its header, want %d chunks", window, frames, (window+winChunk-1)/winChunk)
+		}
+		logged, _, torn, err := replayWindowLog(bytes.NewReader(got))
+		if err != nil || torn || len(logged) != len(want) {
+			t.Fatalf("window %d: the rewritten log replays %d records (torn %v, err %v), want the window's %d", window, len(logged), torn, err, len(want))
+		}
+		for i, rec := range logged {
+			c, err := rec.Decode()
+			if err != nil || !c.Time.Equal(want[i].Time) || c.RSSI != want[i].RSSI {
+				t.Fatalf("window %d: logged record %d is not the window's (err %v)", window, i, err)
+			}
+		}
+		if allocated > uint64(chunk) {
+			t.Errorf("rewriting a %d-frame window allocates %d bytes, want at most one chunk (%d bytes)", window, allocated, chunk)
+		}
+		t.Logf("a rewrite of a %d-frame window (%d bytes) allocates %d bytes; a chunk is %d bytes", window, len(got), allocated, chunk)
+		if err := m.Stop(); err != nil {
+			t.Error(err)
+		}
 	}
-	got, err := os.ReadFile(WindowLogPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := appendFrame(windowLogHeader(), batch); !bytes.Equal(got, want) {
-		t.Errorf("the rewritten log is %d bytes, not the header and one frame of the window (%d bytes)", len(got), len(want))
-	}
-	t.Logf("a rewrite of a %d-byte window allocates %d bytes", len(batch), allocated)
 }

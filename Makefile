@@ -45,18 +45,18 @@ vet:
 
 # Fault-scenario suite under the race detector: the scripted chaos
 # drill (partition + module panic + knowledge burst, see chaos_test.go),
-# the crash-recovery drill (dirty crash mid-journal-write of a node that
-# has reached sync points but no checkpoint, warm vs cold
-# time-to-redetection, and the same cut mid-window-log-batch, see
-# crash_drill_test.go), plus the fault-injection, supervision,
-# collective-resilience and persistence packages, then twenty rounds of
-# the tests that race Tick against the persistence writer goroutine: a
-# sync point held in its fsync, a power cut while one is in flight, a
-# failing writer fsync.
+# the crash-recovery drill (dirty crash mid-log-write of a node that has
+# reached sync points but no checkpoint, warm vs cold
+# time-to-redetection, see crash_drill_test.go), plus the
+# fault-injection, supervision, collective-resilience and persistence
+# packages, then twenty rounds of the tests that race Tick and the KB's
+# records against the persistence writer goroutine: a sync point held
+# in its fsync, a power cut while one is in flight, a failing writer
+# fsync, records appended while a sync point appends the window.
 chaos:
 	$(GO) test -race -timeout 5m -run 'TestChaosScenario|TestCrashRecoveryDrill' -v .
 	$(GO) test -race -timeout 5m ./internal/fault/ ./internal/core/module/ ./internal/core/collective/ ./internal/persist/
-	$(GO) test -race -count=20 -run 'TestSyncPoint|TestPowerCut|TestStickyJournal' ./internal/persist/
+	$(GO) test -race -count=20 -run 'TestSyncPoint|TestPowerCut|TestStickyJournal|TestRecordDuringSyncPoint' ./internal/persist/
 
 # The crash-recovery drill alone, verbose: tears the KB journal
 # mid-record, reboots warm (torn state dir) vs cold (fresh dir) against
@@ -66,8 +66,9 @@ crash-demo:
 
 # Short native-fuzz passes: the collective receive path (truncated /
 # corrupted / replayed datagrams must never panic or taint the KB), the
-# durable-state loaders (arbitrary snapshot/journal/window-log bytes must
-# never panic or partially apply), the frame decoder (arbitrary captured
+# durable-state loaders (arbitrary snapshot bytes, log bytes — KB
+# records and window chunks — and bytes of the parent window.kwin that
+# migration reads must never panic or partially apply), the frame decoder (arbitrary captured
 # bytes must never panic, must decode as the per-layer reference does,
 # and must stay allocation-bounded), the outermost-layer encoders the
 # logs write with (whatever decodes must re-encode, append-encode onto

@@ -5,34 +5,26 @@ package kalis
 // selective-forwarding attack — detection knowledge-gated on the
 // learned Multihop topology; mid-attack the harness kills its host
 // dirty —
-// fault.CrashNodeDirty revokes the host and tears the KB journal
-// mid-record, exactly as a power cut during an append would. The node
+// fault.CrashNodeDirty revokes the host and tears the state log
+// mid-frame, exactly as a power cut during an append would. The node
 // is then rebooted twice, as two rival histories:
 //
 //   - warm: reopened on the torn state dir — recovery must classify
-//     truncated, keep the verified prefix, and come back knowing the
-//     network;
+//     truncated, keep the verified prefix of the log — knowledge and
+//     window alike — and come back knowing the network;
 //   - cold: a fresh state dir — the paper's baseline, re-learning the
 //     network from nothing while the attack continues.
 //
-// A third history has the same power cut land in the other file a
-// sync point appends to: a copy of the state dir whose window log,
-// not its journal, is torn mid-batch. It must come back truncated with
-// a shorter window and all of its knowledge, and re-detect as the
-// journal-torn reboot does.
-//
-// The drill asserts the warm restarts re-detect the ongoing attack
+// The drill asserts the warm restart re-detects the ongoing attack
 // measurably sooner than the cold one, with every claim backed by a
 // live telemetry scrape (kalis_persist_recoveries_total,
 // kalis_persist_sync_total, kalis_fault_injected_total). Node A never
-// checkpoints before the cut — its journal stays far under the
-// threshold — so the warm reboots come back from the journal and the
-// window log alone, as far as its sync points made them durable.
+// checkpoints before the cut — its log stays far under the threshold —
+// so the warm reboot comes back from the log alone, as far as its sync
+// points made it durable.
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -48,7 +40,7 @@ import (
 // recordScenario runs the attack simulation once with a plain
 // collector attached and returns every overheard frame in capture
 // order — the drill replays slices of this record to each node
-// under test, so all three histories see identical traffic.
+// under test, so both histories see identical traffic.
 func recordScenario(t *testing.T, name string, seed int64, episodes int) []*packet.Captured {
 	t.Helper()
 	sc, ok := eval.ScenarioByName(name)
@@ -82,27 +74,6 @@ func persistedNode(t *testing.T, dir string) (*core.Kalis, *[]module.Alert) {
 	var alerts []module.Alert
 	k.OnAlert(func(a module.Alert) { alerts = append(alerts, a) })
 	return k, &alerts
-}
-
-// copyStateDir copies a state directory's files as they stand: a
-// second machine's disk at the instant of the same power cut.
-func copyStateDir(t *testing.T, from string) string {
-	t.Helper()
-	to := t.TempDir()
-	entries, err := os.ReadDir(from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(from, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return to
 }
 
 // firstAlertAfter returns the earliest alert time strictly after cut.
@@ -162,14 +133,9 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	hostSim := netsim.New(seed)
 	hostSim.AddNode(&netsim.Node{Name: "ids-host"})
 	crashed := false
-	var dirL string // the rival history: same instant, window log torn
 	inj.CrashNodeDirty(hostSim, "ids-host", 10*time.Millisecond, 0, func() {
-		dirL = copyStateDir(t, dirA)
 		if err := persist.Tear(dirA, 3); err != nil {
-			t.Errorf("tear journal: %v", err)
-		}
-		if err := persist.TearWindowLog(dirL, 3); err != nil {
-			t.Errorf("tear window log: %v", err)
+			t.Errorf("tear log: %v", err)
 		}
 		crashed = true
 	})
@@ -197,17 +163,14 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	if nodeW.KB().Len() == 0 {
 		t.Fatal("warm reboot recovered an empty Knowledge Base")
 	}
-
-	nodeL, alertsL := persistedNode(t, dirL) // warm: the torn window log
-	defer nodeL.Close()
-	if got := nodeL.Persistence().Outcome(); got != persist.OutcomeTruncated {
-		t.Fatalf("torn-window-log reboot outcome = %s (want truncated)", got)
+	t.Logf("%d frames, crash at %d, window %d, restored %d", len(frames), crashAt, len(nodeA.Recent(0)), len(nodeW.Recent(0)))
+	if got, was := len(nodeW.Recent(0)), len(nodeA.Recent(0)); got == 0 || got > was {
+		t.Fatalf("warm reboot restored %d window frames of %d: want a non-empty verified prefix", got, was)
 	}
-	if got, want := nodeL.KB().Len(), nodeA.KB().Len(); got != want {
-		t.Errorf("torn-window-log reboot recovered %d knowggets of %d: the window log cost knowledge", got, want)
-	}
-	if got, whole := len(nodeL.Recent(0)), len(nodeW.Recent(0)); got == 0 || got >= whole {
-		t.Errorf("torn-window-log reboot restored %d frames, the whole log holds %d: want its verified prefix", got, whole)
+	for i, c := range nodeW.Recent(0) {
+		if !c.Time.Equal(nodeA.Recent(0)[i].Time) {
+			t.Fatalf("warm reboot's window frame %d is from %v, the crashed node's from %v: not a prefix", i, c.Time, nodeA.Recent(0)[i].Time)
+		}
 	}
 
 	nodeC, alertsC := persistedNode(t, t.TempDir()) // cold: from nothing
@@ -219,7 +182,6 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	// The attack continues: both reboots watch the identical tail.
 	for _, c := range frames[crashAt+1:] {
 		nodeW.HandleCapture(c.Clone())
-		nodeL.HandleCapture(c.Clone())
 		nodeC.HandleCapture(c.Clone())
 	}
 
@@ -239,12 +201,6 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	if ttrWarm >= ttrCold {
 		t.Errorf("warm restart not faster: warm %v vs cold %v", ttrWarm, ttrCold)
 	}
-	logAt, logOK := firstAlertAfter(*alertsL, tCrash)
-	t.Logf("time-to-redetection with the window log torn instead: %v", logAt.Sub(tCrash))
-	if !logOK || logAt.Sub(tCrash) >= ttrCold {
-		t.Errorf("torn-window-log restart not faster than cold (%v): re-detected %v at %v", ttrCold, logOK, logAt.Sub(tCrash))
-	}
-
 	// --- epilogue: recovery ladder visible in live scrapes ----------
 	bodyW := scrape(t, nodeW.Telemetry().Handler())
 	if got := metricValue(t, bodyW, `kalis_persist_recoveries_total{outcome="truncated"}`); got != 1 {

@@ -7,7 +7,7 @@
 // The window is kept the way the log is: each frame as the trace record
 // trace.Writer would write for it, in one byte ring that holds no
 // pointer. A frame is encoded once, when it is appended; the disk log
-// and the durable window log (internal/persist) copy those bytes as
+// and the durable state log (internal/persist) copy those bytes as
 // they are, and only Recent decodes them again. No decoded frame is
 // kept, so a frame dies when its dispatch returns.
 package datastore

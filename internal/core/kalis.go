@@ -59,8 +59,8 @@ type Config struct {
 	// StateDir, when non-empty, enables durable state: the Knowledge
 	// Base and Data Store window are recovered from this directory at
 	// startup (warm restart) and persisted across the node's lifetime
-	// via a write-ahead journal, a window log and snapshots. Empty
-	// disables persistence entirely.
+	// via one write-ahead log and snapshots. Empty disables persistence
+	// entirely.
 	StateDir string
 	// PersistInterval is the capture time between durable-state sync
 	// points — the most a power cut can lose; 0 selects
@@ -201,11 +201,11 @@ func (k *Kalis) recover(cfg Config) error {
 		Interval: cfg.PersistInterval,
 		Metrics: persist.Metrics{
 			Snapshots: k.tel.Counter("kalis_persist_snapshot_total",
-				"Checkpoints written (journal past threshold, new static knowledge, shutdown)."),
+				"Checkpoints written (log past threshold, new static knowledge, shutdown)."),
 			Syncs: k.tel.Counter("kalis_persist_sync_total",
-				"Sync points that made new frames or journal records durable."),
+				"Sync points that made new frames or KB records durable."),
 			JournalBytes: k.tel.Gauge("kalis_persist_journal_bytes",
-				"Current size of the KB write-ahead journal in bytes."),
+				"Current size of the state log in bytes: KB write-ahead records and Data Store window chunks."),
 			Recoveries: k.tel.CounterVec("kalis_persist_recoveries_total", "outcome",
 				"State recoveries at startup, by outcome (warm, truncated, cold)."),
 		},

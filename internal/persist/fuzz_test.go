@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"os"
 	"reflect"
 	"testing"
 
@@ -23,30 +22,12 @@ func fuzzSnapshot() []byte {
 	}, []byte{'K', 'T', 'R', 'C', 1})
 }
 
-// fuzzJournal encodes a well-formed journal with one put and one
-// delete record.
-func fuzzJournal(f *testing.F) []byte {
-	f.Helper()
-	dir := f.TempDir()
-	jw, err := newJournalWriter(JournalPath(dir))
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := jw.append(knowledge.OpPut, "",
-		knowledge.Knowgget{Creator: "K1", Label: "A", Value: "1"}); err != nil {
-		f.Fatal(err)
-	}
-	if err := jw.append(knowledge.OpDelete, "K1$A", knowledge.Knowgget{}); err != nil {
-		f.Fatal(err)
-	}
-	if err := jw.close(); err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(JournalPath(dir))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return raw
+// fuzzJournal encodes a well-formed log with one put and one delete
+// record.
+func fuzzJournal() []byte {
+	log := append([]byte{}, logHeader...)
+	log = appendFrame(log, append([]byte{knowledge.OpPut}, appendKnowgget(nil, knowledge.Knowgget{Creator: "K1", Label: "A", Value: "1"})...))
+	return appendFrame(log, append([]byte{knowledge.OpDelete}, appendString(nil, "K1$A")...))
 }
 
 // FuzzSnapshotLoad drives the snapshot decoder with arbitrary bytes:
@@ -90,12 +71,15 @@ func FuzzSnapshotLoad(f *testing.F) {
 	})
 }
 
-// FuzzJournalReplay drives journal replay with arbitrary bytes: never
-// a panic, and every accepted prefix must re-verify — replaying the
-// first goodBytes again yields exactly the same entries with no
-// truncation, which is what the post-crash restart relies on.
+// FuzzJournalReplay drives log replay with arbitrary bytes: never a
+// panic, never part of a window chunk, and every accepted prefix must
+// re-verify — replaying the first goodBytes again yields exactly the
+// same entries and window records with no truncation, which is what the
+// post-crash restart, appending behind a truncated tail, relies on.
+// (Length claims are bounded by maxFrame and bodies read through
+// readExact: see readFrame.)
 func FuzzJournalReplay(f *testing.F) {
-	good := fuzzJournal(f)
+	good := fuzzJournal()
 	f.Add([]byte{})
 	f.Add(good)
 	f.Add(good[:len(good)-3])
@@ -105,34 +89,47 @@ func FuzzJournalReplay(f *testing.F) {
 	flipped := append([]byte{}, good...)
 	flipped[len(flipped)-1] ^= 0x01
 	f.Add(flipped)
+	// Window chunks between the KB records, torn, bit-flipped, claiming
+	// a length far past the input, or checksummed but no trace stream.
+	chunks := append(append(append([]byte{}, good...), windowChunk(f, windowFrames(f, 0, 3))...), windowChunk(f, windowFrames(f, 3, 2))...)
+	chunks = appendFrame(chunks, append([]byte{knowledge.OpPut}, appendKnowgget(nil, knowledge.Knowgget{Creator: "K1", Label: "B", Value: "2"})...))
+	f.Add(chunks)
+	f.Add(chunks[:len(chunks)-20])
+	flipped = append([]byte{}, chunks...)
+	flipped[len(good)+40] ^= 0x10
+	f.Add(flipped)
+	f.Add(append(append([]byte{}, chunks...), 0xff, 0xff, 0xff, 0xff, 0x7f))
+	f.Add(appendFrame(append([]byte{}, good...), []byte{opWindow, 'n', 'o', 't', ' ', 'a', ' ', 't', 'r', 'a', 'c', 'e'}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, goodBytes, torn, err := replayJournal(bytes.NewReader(data))
+		log, err := replayJournal(bytes.NewReader(data))
 		if err != nil {
-			if len(entries) != 0 || goodBytes != 0 {
-				t.Fatalf("header error kept entries: %d, %d bytes", len(entries), goodBytes)
+			if len(log.entries) != 0 || len(log.window) != 0 || log.good != 0 {
+				t.Fatalf("header error kept %d entries, %d records, %d bytes", len(log.entries), len(log.window), log.good)
 			}
 			return
 		}
-		if goodBytes < journalHeaderLen || goodBytes > int64(len(data)) {
-			t.Fatalf("goodBytes %d outside [%d,%d]", goodBytes, journalHeaderLen, len(data))
+		if log.good < journalHeaderLen || log.good > int64(len(data)) {
+			t.Fatalf("goodBytes %d outside [%d,%d]", log.good, journalHeaderLen, len(data))
+		}
+		if !log.torn && log.good != int64(len(data)) {
+			t.Fatalf("clean replay verified %d of %d bytes", log.good, len(data))
 		}
 		// The verified prefix is stable: truncating there and
-		// replaying again must reproduce the same entries cleanly.
-		again, againBytes, againTorn, err := replayJournal(bytes.NewReader(data[:goodBytes]))
-		if err != nil || againTorn || againBytes != goodBytes {
+		// replaying again must reproduce the same contents cleanly.
+		again, err := replayJournal(bytes.NewReader(data[:log.good]))
+		if err != nil || again.torn || again.good != log.good {
 			t.Fatalf("verified prefix did not re-verify: %v torn=%v bytes=%d/%d",
-				err, againTorn, againBytes, goodBytes)
+				err, again.torn, again.good, log.good)
 		}
-		if !reflect.DeepEqual(entries, again) {
+		if !reflect.DeepEqual(log.entries, again.entries) || !reflect.DeepEqual(log.window, again.window) || log.windowBytes != again.windowBytes {
 			t.Fatalf("replay of verified prefix diverged")
 		}
-		_ = torn
-		// Applying the entries to a KB must never panic, whatever the
-		// decoded contents.
+		// Applying the entries to a KB, and the records to a Data Store,
+		// must never panic, whatever the decoded contents.
 		kb := knowledge.NewBase("K1")
 		state := make(map[string]knowledge.Knowgget)
-		for _, e := range entries {
+		for _, e := range log.entries {
 			switch e.Op {
 			case knowledge.OpPut:
 				state[e.Knowgget.Key()] = e.Knowgget
@@ -147,23 +144,22 @@ func FuzzJournalReplay(f *testing.F) {
 			ks = append(ks, k)
 		}
 		kb.Restore(ks, nil)
+		datastore.New(8).Restore(log.window)
 	})
 }
 
-// FuzzWindowLogLoad drives window-log replay with arbitrary bytes:
-// never a panic, never part of a batch, and every accepted prefix must
-// re-verify — replaying the first goodBytes again yields exactly the
-// same records with no truncation, which is what appending behind a
-// truncated tail relies on. (Length claims are bounded by maxSectionLen
-// and bodies read through readExact: see readFrame.)
+// FuzzWindowLogLoad drives the replay of the window.kwin a parent state
+// dir keeps its window in, which Open reads once to move that window
+// into the log: never a panic, never part of a batch, and every
+// accepted prefix must re-verify — replaying the first goodBytes again
+// yields exactly the same records with no truncation.
 func FuzzWindowLogLoad(f *testing.F) {
-	header := windowLogHeader()
-	good := appendFrame(append([]byte{}, header...), windowTrace(f, windowFrames(f, 0, 3)))
-	good = appendFrame(good, windowTrace(f, windowFrames(f, 3, 2)))
+	header := windowLogHeader
+	good := parentWindowLog(f, windowFrames(f, 0, 3), windowFrames(f, 3, 2))
 	f.Add([]byte{})
 	f.Add(good)
 	f.Add(good[:len(good)-3])
-	f.Add(good[:windowLogHeaderLen])
+	f.Add(good[:len(header)])
 	f.Add(append([]byte{}, good[:2]...))
 	f.Add(append(append([]byte{}, good...), 0xff, 0xff, 0xff, 0xff, 0x7f)) // a length claim far past the input
 	f.Add(appendFrame(append([]byte{}, header...), []byte("not a trace stream")))
@@ -179,8 +175,8 @@ func FuzzWindowLogLoad(f *testing.F) {
 			}
 			return
 		}
-		if goodBytes < windowLogHeaderLen || goodBytes > int64(len(data)) {
-			t.Fatalf("goodBytes %d outside [%d,%d]", goodBytes, windowLogHeaderLen, len(data))
+		if goodBytes < int64(len(windowLogHeader)) || goodBytes > int64(len(data)) {
+			t.Fatalf("goodBytes %d outside [%d,%d]", goodBytes, len(windowLogHeader), len(data))
 		}
 		if !torn && goodBytes != int64(len(data)) {
 			t.Fatalf("clean replay verified %d of %d bytes", goodBytes, len(data))

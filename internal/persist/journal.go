@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,24 +12,39 @@ import (
 	"slices"
 
 	"kalis/internal/core/knowledge"
+	"kalis/internal/trace"
 )
 
-// JournalMagic identifies a Kalis KB write-ahead journal.
+// JournalMagic identifies a Kalis state log (journal.kjnl).
 var JournalMagic = [4]byte{'K', 'J', 'N', 'L'}
 
-// JournalVersion is the current journal format version.
+// JournalVersion is the current log format version. Window chunks
+// joined the log's frames without a new version: a log that holds none
+// is exactly the journal older commits wrote.
 const JournalVersion = 1
 
 // journalHeaderLen is magic + version.
 const journalHeaderLen = 5
 
-// maxJournalRecord bounds one journal record's payload; larger claims
-// are treated as a torn tail, not an allocation request.
-const maxJournalRecord = 1 << 20
+// logHeader is the log's header, magic and version.
+var logHeader = append(JournalMagic[:], JournalVersion)
 
-// ErrJournalHeader means the journal file exists but its magic or
-// version does not verify — unlike a torn tail, this is not
-// recoverable by truncation and degrades the node to a cold start.
+// opWindow marks a log frame that carries a window chunk, beside the
+// Knowledge Base's knowledge.OpPut and knowledge.OpDelete.
+const opWindow = byte(3)
+
+// maxFrame bounds the payload of a log frame. It is a window chunk of
+// one record of the largest size internal/trace reads back — a body of
+// 1<<24 bytes behind its 4-byte length, after the op byte and the
+// 5-byte stream header; copyWindow cuts a chunk of more records before
+// it passes this, and no KB record comes near it. So a longer claim is
+// always a torn or corrupt frame, and no valid frame is ever read as
+// one.
+const maxFrame = 1<<24 + 10
+
+// ErrJournalHeader means the log file exists but its magic or version
+// does not verify — unlike a torn tail, this is not recoverable by
+// truncation and loses the log wholesale.
 var ErrJournalHeader = errors.New("persist: bad journal header")
 
 // JournalEntry is one replayed KB mutation.
@@ -41,14 +57,16 @@ type JournalEntry struct {
 	Knowgget knowledge.Knowgget
 }
 
-// journalWriter appends framed, checksummed records to an open file:
-// each append is one write(2), sync makes what was appended durable.
-// Frame layout, following the trace/snapshot framing:
+// journalWriter appends framed, checksummed frames to the open log:
+// each append is one write(2), and the file is opened O_APPEND, so the
+// KB records the callers of record append and the window chunks the
+// writer goroutine appends land whole, one after another. Frame layout,
+// following the trace/snapshot framing:
 //
 //	uvarint payload length | payload | crc32(payload) LE
 //
 // payload = op byte, then for OpPut flags+creator/label/entity/value,
-// for OpDelete the storage key.
+// for OpDelete the storage key, for opWindow a trace stream.
 type journalWriter struct {
 	f       *os.File
 	bytes   int64  // total bytes written including header
@@ -57,32 +75,15 @@ type journalWriter struct {
 	frame   []byte // its frame, likewise
 }
 
-// newJournalWriter creates (truncates) the journal file and writes its
-// header.
-func newJournalWriter(path string) (*journalWriter, error) { return openJournalWriter(path, 0) }
-
-// openJournalWriter opens the journal for appends after its first n
-// bytes, a verified prefix recovery has read; with n = 0 it creates
-// (truncates) the file and writes its header. Either way the file is
-// synced immediately, so a crash right after rotation still leaves a
-// well-formed, empty journal, and a kept one is on disk as recovered.
-func openJournalWriter(path string, n int64) (*journalWriter, error) {
-	flag := os.O_WRONLY | os.O_APPEND
-	if n == 0 {
-		flag |= os.O_CREATE | os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flag, 0o644)
+// openJournalWriter opens the log for appends after its first n bytes,
+// of which the first synced are already durable; it fsyncs the rest, so
+// a log recovery has kept is on disk as it was recovered.
+func openJournalWriter(path string, n, synced int64) (*journalWriter, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	jw := &journalWriter{f: f, bytes: n}
-	if n == 0 {
-		if _, err := f.Write(append(JournalMagic[:], JournalVersion)); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		jw.bytes = journalHeaderLen
-	}
+	jw := &journalWriter{f: f, bytes: n, synced: synced}
 	if err := jw.sync(); err != nil {
 		_ = f.Close()
 		return nil, err
@@ -111,8 +112,8 @@ func (jw *journalWriter) append(op byte, key string, k knowledge.Knowgget) error
 	return nil
 }
 
-// appendFrame appends payload to dst in the frame the journal and the
-// window log share:
+// appendFrame appends payload to dst in the frame every state file
+// shares:
 //
 //	uvarint payload length | payload | crc32(payload) LE
 func appendFrame(dst, payload []byte) []byte {
@@ -151,7 +152,98 @@ func readFrame(br *bufio.Reader, maxLen uint64) ([]byte, int64, error) {
 	return payload, int64(uvarintLen(n)) + int64(n) + 4, nil
 }
 
-// sync makes every appended record durable; with none appended since
+// replayFrames reads a stream of frames behind header and hands each
+// payload to each, in order, until a clean end, or the first frame that
+// is torn, fails its checksum or that each rejects. It returns the
+// length of the verified prefix and whether bytes followed it; a header
+// that does not verify is an error.
+func replayFrames(r io.Reader, header []byte, each func(payload []byte) error) (good int64, torn bool, err error) {
+	br := bufio.NewReader(r)
+	got := make([]byte, len(header))
+	if _, err := io.ReadFull(br, got); err != nil {
+		return 0, false, fmt.Errorf("header: %v", err)
+	}
+	if !bytes.Equal(got, header) {
+		return 0, false, errors.New("header mismatch")
+	}
+	good = int64(len(header))
+	for {
+		payload, n, err := readFrame(br, maxFrame)
+		if errors.Is(err, io.EOF) {
+			return good, false, nil
+		}
+		if err != nil || each(payload) != nil {
+			return good, true, nil
+		}
+		good += n
+	}
+}
+
+// logContents is the decoded verified prefix of a log.
+type logContents struct {
+	entries     []JournalEntry  // KB mutations, in order
+	window      []*trace.Record // window records, oldest first
+	windowBytes int64           // the size of the frames that carry them
+	good        int64           // the verified prefix's length
+	torn        bool            // bytes that did not verify followed it
+}
+
+// replayJournal reads a log byte stream and returns its verified
+// prefix, decoded. A torn, checksum-failing or undecodable frame ends
+// the replay at the last good offset with torn set — the write-ahead
+// contract: a crash mid-append loses at most the frame being written,
+// never an earlier one, and no frame is ever applied in part. A bad
+// header returns ErrJournalHeader instead.
+func replayJournal(r io.Reader) (logContents, error) {
+	var log logContents
+	good, torn, err := replayFrames(r, logHeader, func(payload []byte) error {
+		if payload[0] == opWindow {
+			recs, err := trace.ReadAll(bytes.NewReader(payload[1:]))
+			if err != nil {
+				return err
+			}
+			log.window = append(log.window, recs...)
+			log.windowBytes += int64(uvarintLen(uint64(len(payload))) + len(payload) + 4)
+			return nil
+		}
+		entry, err := decodeEntry(payload)
+		if err != nil {
+			return err
+		}
+		log.entries = append(log.entries, entry)
+		return nil
+	})
+	if err != nil {
+		return logContents{}, fmt.Errorf("%w: %v", ErrJournalHeader, err)
+	}
+	log.good, log.torn = good, torn
+	return log, nil
+}
+
+// decodeEntry decodes the payload of a KB record.
+func decodeEntry(payload []byte) (JournalEntry, error) {
+	entry := JournalEntry{Op: payload[0]}
+	body := payload[1:]
+	switch entry.Op {
+	case knowledge.OpPut:
+		k, rest, err := readKnowgget(body)
+		if err != nil || len(rest) != 0 {
+			return entry, errors.New("persist: malformed put record")
+		}
+		entry.Knowgget = k
+	case knowledge.OpDelete:
+		key, rest, err := readString(body)
+		if err != nil || len(rest) != 0 {
+			return entry, errors.New("persist: malformed delete record")
+		}
+		entry.Key = key
+	default:
+		return entry, fmt.Errorf("persist: unknown journal op %d", entry.Op)
+	}
+	return entry, nil
+}
+
+// sync makes every appended frame durable; with none appended since
 // the last sync it issues no syscall.
 func (jw *journalWriter) sync() error {
 	if jw.synced == jw.bytes {
@@ -164,74 +256,13 @@ func (jw *journalWriter) sync() error {
 	return nil
 }
 
-// close syncs and closes the journal file.
+// close syncs and closes the log file.
 func (jw *journalWriter) close() error {
 	err := jw.sync()
 	if cerr := jw.f.Close(); err == nil {
 		err = cerr
 	}
 	return err
-}
-
-// replayJournal reads the journal byte stream and returns every intact
-// entry plus the byte offset of the verified prefix. A torn or
-// corrupt record ends the replay at the last good offset with
-// truncated=true — the write-ahead contract: a crash mid-append loses
-// at most the record being written, never an earlier one. A bad
-// header returns ErrJournalHeader instead (cold start).
-func replayJournal(r io.Reader) (entries []JournalEntry, goodBytes int64, truncated bool, err error) {
-	br := bufio.NewReader(r)
-	var header [journalHeaderLen]byte
-	if _, herr := io.ReadFull(br, header[:]); herr != nil {
-		return nil, 0, false, fmt.Errorf("%w: %v", ErrJournalHeader, herr)
-	}
-	if [4]byte(header[:4]) != JournalMagic || header[4] != JournalVersion {
-		return nil, 0, false, ErrJournalHeader
-	}
-	goodBytes = journalHeaderLen
-	for {
-		entry, n, rerr := readJournalRecord(br)
-		if errors.Is(rerr, io.EOF) {
-			return entries, goodBytes, false, nil
-		}
-		if rerr != nil {
-			// Torn tail or bit rot: keep the verified prefix.
-			return entries, goodBytes, true, nil
-		}
-		entries = append(entries, entry)
-		goodBytes += n
-	}
-}
-
-// readJournalRecord reads one frame and decodes its mutation; io.EOF
-// means a clean end exactly on a record boundary, any other error a
-// torn/corrupt record.
-func readJournalRecord(br *bufio.Reader) (JournalEntry, int64, error) {
-	var entry JournalEntry
-	payload, frameLen, err := readFrame(br, maxJournalRecord)
-	if err != nil {
-		return entry, 0, err
-	}
-
-	entry.Op = payload[0]
-	body := payload[1:]
-	switch entry.Op {
-	case knowledge.OpPut:
-		k, rest, err := readKnowgget(body)
-		if err != nil || len(rest) != 0 {
-			return entry, 0, errors.New("persist: malformed put record")
-		}
-		entry.Knowgget = k
-	case knowledge.OpDelete:
-		key, rest, err := readString(body)
-		if err != nil || len(rest) != 0 {
-			return entry, 0, errors.New("persist: malformed delete record")
-		}
-		entry.Key = key
-	default:
-		return entry, 0, fmt.Errorf("persist: unknown journal op %d", entry.Op)
-	}
-	return entry, frameLen, nil
 }
 
 // uvarintLen is the encoded size of v as a uvarint.

@@ -1,19 +1,20 @@
-// Package persist is Kalis' crash-safe durable-state layer: a
-// versioned binary snapshot of the Knowledge Base, an append-only
-// write-ahead journal of every accepted KB mutation since, and an
-// append-only log of the Data Store window. Each writes what changed:
-// a sync point — once per interval of capture time — appends the frames
-// that arrived and fsyncs both logs where they lie; a checkpoint, which
-// rewrites the snapshot and empties the journal, waits until the
-// journal has outgrown what folding it costs. A sync point runs on the
-// manager's one writer goroutine: Tick only hands it off, so the
-// goroutine that captures never waits for the disk. Together they give a
-// production node what fault.CrashNode only pretended it had — a warm
-// restart: a node rebooted from its state directory comes back with the
-// knowledge it had collectively and locally learned, instead of
-// re-learning the network from nothing while an attack is in progress
-// (HADES-IoT applies the same persisted-whitelist requirement to
-// host-based IoT detection).
+// Package persist is Kalis' crash-safe durable-state layer. A state
+// dir holds two files: a versioned binary snapshot of the Knowledge
+// Base, and one append-only log of checksummed frames — every accepted
+// KB mutation since the snapshot, and the Data Store window in chunks of
+// trace records. Each writes what changed: a sync point — once per
+// interval of capture time — appends the frames that arrived and makes
+// the log durable with one fsync; a checkpoint, which rewrites the
+// snapshot and then the log as just the window, waits until the log has
+// grown enough to be worth folding. A sync point runs on the manager's
+// one writer goroutine: Tick only hands it off, so the goroutine that
+// captures never waits for the disk. Together they give a production
+// node what fault.CrashNode only pretended it had — a warm restart: a
+// node rebooted from its state directory comes back with the knowledge
+// it had collectively and locally learned, instead of re-learning the
+// network from nothing while an attack is in progress (HADES-IoT
+// applies the same persisted-whitelist requirement to host-based IoT
+// detection).
 //
 // Crash-safety argument, in four invariants:
 //
@@ -22,35 +23,34 @@
 //     A crash mid-write leaves either the old snapshot or the new one,
 //     never a loadable-but-corrupt hybrid; every section additionally
 //     carries a CRC32 so bit rot is caught on load.
-//  2. The journal is append-only with per-record checksums: a crash
-//     mid-append loses at most the record being written. Replay stops
-//     at the first torn or checksum-failing record and truncates the
-//     file there. Each record is written by the caller that made the
-//     mutation, so a process crash loses nothing; a power cut keeps
-//     every record accepted before the hand-off of the last completed
-//     sync point.
-//  3. The window log is append-only with per-frame checksums: a crash
-//     mid-append loses at most what the sync point in flight is
-//     writing, and its periodic rewrite is atomic by rule 1. The
-//     writer fsyncs a sync point's window frames, then the journal,
-//     and a checkpoint goes log, then snapshot, then journal rotation:
-//     once a sync point completes, the disk holds every frame and
-//     every mutation accepted before its hand-off, the frames made
-//     durable first. A power cut loses at most what was accepted since
-//     the hand-off of the last completed sync point, never an earlier
-//     record.
+//  2. The log is append-only with per-frame checksums: a crash
+//     mid-append loses at most the frame being written. Replay stops
+//     at the first torn or checksum-failing frame and truncates the
+//     file there. Each KB record is written by the caller that made the
+//     mutation, so a process crash loses none; the window's chunks are
+//     written by the sync point. The two share one file, so the sync
+//     point's one fsync covers both: a power cut keeps every record and
+//     every frame accepted before the hand-off of the last completed
+//     sync point, and loses at most what was accepted since.
+//  3. A checkpoint goes snapshot, then log, each by rule 1's atomic
+//     replace: the log is rewritten as its header and the window once
+//     the snapshot holds every KB record the log held. A crash between
+//     the two replays the old log on the new snapshot — puts are
+//     idempotent and deletes of absent keys no-ops — and restores the
+//     window the old log held.
 //  4. Recovery validates everything before applying anything: the
-//     snapshot and the verified prefixes of the journal and the window
-//     log are fully decoded first, then installed into the KB/Data
-//     Store in one step — a corrupt input can never leave a
-//     partially-applied KB.
+//     snapshot and the verified prefix of the log are fully decoded
+//     first, then installed into the KB/Data Store in one step — a
+//     corrupt input can never leave a partially-applied KB.
 //
-// The recovery decision ladder (see DESIGN.md §9): intact snapshot,
-// clean journal and clean window log → warm; a torn journal or
-// window-log tail, or an unreadable journal or window-log header
-// beside an intact snapshot → truncated, the verified prefix applies;
-// missing or corrupt snapshot → cold, prior files are archived aside
-// and the node starts from nothing.
+// The recovery decision ladder (see DESIGN.md §9): intact snapshot and
+// clean log → warm; a torn log tail, or an unreadable log header beside
+// an intact snapshot → truncated, the verified prefix applies; missing
+// or corrupt snapshot → cold, prior files are archived aside and the
+// node starts from nothing. A state dir written before the window
+// joined the log — the window in window.kwin, or inside the snapshot —
+// is migrated at Open: its window goes into the log, whole or not at
+// all, before its old copies are dropped.
 package persist
 
 import (
@@ -75,10 +75,10 @@ type Outcome string
 
 // Recovery outcomes, from best to worst.
 const (
-	// OutcomeWarm means the snapshot and journal verified completely.
+	// OutcomeWarm means the snapshot and log verified completely.
 	OutcomeWarm Outcome = "warm"
 	// OutcomeTruncated means recovery succeeded from the verified
-	// prefix: a torn or corrupt journal tail was truncated.
+	// prefix: a torn or corrupt log tail was truncated.
 	OutcomeTruncated Outcome = "truncated"
 	// OutcomeCold means no usable prior state: nothing on disk, or a
 	// snapshot that failed verification (archived aside, never
@@ -90,28 +90,30 @@ const (
 // capture clock.
 const DefaultInterval = 30 * time.Second
 
-// checkpointBytes is the journal size past which a sync point also
-// checkpoints, and below which Open appends to the journal it has
-// recovered instead. A checkpoint costs about three sync points
-// (snapshot rename, directory fsync and journal rotation on top of the
-// two fsyncs), so it pays only once the journal is worth folding. What a
-// longer journal costs is replay at the next Open: at this size that is
-// ≈ 1 800 records and ≈ 0.5 ms (TestFullJournalReplays prints it), less
-// than Open spends on its own fsyncs.
-const checkpointBytes = 64 << 10
+// rotateBytes is how far the log grows past its last whole write before
+// a checkpoint writes it whole again, and how much it may hold beyond
+// its window for Open to keep appending to it: KB records, whose replay
+// the next Open pays, and chunks the window has since dropped. A
+// checkpoint writes the window again, so it pays only once the log has
+// grown by a few windows' worth: on a routing trace, ≈ 55 bytes a frame
+// (a 45-byte window record, a KB record every fourth frame) against a
+// ≈ 180 kB window of 4 096 frames, that is a checkpoint every ≈ 9 500
+// frames. A log grown by KB records alone holds ≈ 14 500 of them, which
+// the next Open replays in ≈ 8 ms (TestFullJournalReplays prints it).
+const rotateBytes = 512 << 10
 
 // Metrics are the persistence layer's optional telemetry hooks; all
 // telemetry types are nil-safe, so the zero value disables them.
 type Metrics struct {
-	// Snapshots counts checkpoints written: journal past its threshold,
+	// Snapshots counts checkpoints written: log past its threshold,
 	// new static knowledge, Compact, shutdown
 	// (kalis_persist_snapshot_total).
 	Snapshots *telemetry.Counter
 	// Syncs counts sync points that had something to make durable
 	// (kalis_persist_sync_total).
 	Syncs *telemetry.Counter
-	// JournalBytes tracks the current journal size in bytes
-	// (kalis_persist_journal_bytes).
+	// JournalBytes tracks the current log size in bytes, KB records and
+	// window chunks (kalis_persist_journal_bytes).
 	JournalBytes *telemetry.Gauge
 	// Recoveries counts recoveries by outcome
 	// (kalis_persist_recoveries_total{outcome=warm|cold|truncated}).
@@ -132,18 +134,17 @@ type Config struct {
 // SnapshotPath returns the snapshot file path inside a state dir.
 func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.ksnp") }
 
-// JournalPath returns the journal file path inside a state dir.
+// JournalPath returns the log file path inside a state dir.
 func JournalPath(dir string) string { return filepath.Join(dir, "journal.kjnl") }
 
 // fsync makes what was written to a file durable. Tests swap it for one
 // that blocks or fails.
 var fsync = (*os.File).Sync
 
-// Manager owns one node's durable state: it recovers it at Open,
-// journals every accepted KB mutation, makes journal and window log
-// durable at a sync point on the capture clock, compacts the journal
-// into a fresh snapshot when it has grown, and flushes everything at
-// Stop.
+// Manager owns one node's durable state: it recovers it at Open, logs
+// every accepted KB mutation, makes the log durable with the window's
+// new frames at a sync point on the capture clock, checkpoints when the
+// log has grown, and flushes everything at Stop.
 type Manager struct {
 	dir      string
 	interval time.Duration
@@ -166,22 +167,23 @@ type Manager struct {
 	handoff chan syncPoint
 
 	// snapStatics is how many static labels the snapshot on disk
-	// carries: the one part of the KB the journal does not.
+	// carries: the one part of the KB the log does not.
 	snapStatics int
 
-	// The window log: the file, held open for appends; how many
-	// records it holds, and the Data Store's Kept count up to which
-	// they were written; and the one buffer every copy of the window
-	// goes through, a chunk at a time. The writer owns them while a
-	// sync point is in flight, the holder of mu otherwise.
-	win        *os.File
-	winRecords int
-	winSeq     uint64
-	winBuf     bytes.Buffer
+	// base is the log's size as last written whole: a checkpoint is due
+	// once it has grown rotateBytes past it.
+	base int64
+
+	// winSeq is the Data Store's Kept count up to which the window is in
+	// the log, and winBuf the one buffer every copy of the window goes
+	// through, a chunk at a time. The writer owns them while a sync
+	// point is in flight, the holder of mu otherwise.
+	winSeq uint64
+	winBuf bytes.Buffer
 
 	outcome   Outcome
-	recovered int // knowggets restored from the snapshot+journal
-	replayed  int // journal entries applied on top of the snapshot
+	recovered int // knowggets restored from the snapshot+log
+	replayed  int // log entries applied on top of the snapshot
 	window    int // window records restored
 }
 
@@ -208,7 +210,9 @@ func Open(cfg Config, kb *knowledge.Base, store *datastore.Store) (*Manager, err
 		met:      cfg.Metrics,
 	}
 	if err := m.recover(); err != nil {
-		_ = m.closeWindowLog() // the error being returned is the one to report
+		if m.journal != nil {
+			_ = m.journal.f.Close() // the error being returned is the one to report
+		}
 		return nil, err
 	}
 	m.met.Recoveries.With(string(m.outcome)).Inc()
@@ -220,117 +224,105 @@ func Open(cfg Config, kb *knowledge.Base, store *datastore.Store) (*Manager, err
 	return m, nil
 }
 
-// recover runs the decision ladder and leaves an append-ready journal
-// and window log.
+// recover runs the decision ladder and leaves an append-ready log that
+// holds the window.
 func (m *Manager) recover() error {
 	snap, snapErr := loadSnapshotFile(SnapshotPath(m.dir))
-	entries, goodBytes, torn, jErr := loadJournalFile(JournalPath(m.dir))
-	logged, winBytes, winTorn, wErr := loadWindowLogFile(WindowLogPath(m.dir))
-	// A crash mid-rewrite leaves the rewrite's temp file beside the log
-	// it was to replace; the log is whole, the temp file is nothing.
-	_ = os.Remove(WindowLogPath(m.dir) + ".tmp")
-	if wErr != nil {
-		// Window-log header unreadable: the window is lost wholesale.
-		// The Knowledge Base does not depend on it and still applies.
-		archiveCorrupt(WindowLogPath(m.dir))
-	}
+	raw, log, jErr := loadJournalFile(JournalPath(m.dir))
+	parent, parentLost := loadWindowLogFile(windowLogPath(m.dir))
+	// A crash mid-replace leaves the temp file beside the file it was to
+	// replace; that file is whole, the temp file is nothing.
+	_ = os.Remove(JournalPath(m.dir) + ".tmp")
+	_ = os.Remove(windowLogPath(m.dir) + ".tmp")
 
+	var fromParent bool // the window came from a parent's copies, not the log
 	switch {
-	case snapErr == nil && snap == nil && jErr == nil && entries == nil && !torn && goodBytes == 0:
-		// No snapshot and no journal: a brand-new node.
-		m.outcome = OutcomeCold
 	case snapErr != nil:
-		// A snapshot existed but failed verification. Journal deltas
+		// A snapshot existed but failed verification. Log deltas
 		// without their base state must not be applied either: archive
-		// both and start cold — never a partial load.
+		// everything and start cold — never a partial load.
 		m.outcome = OutcomeCold
 		archiveCorrupt(SnapshotPath(m.dir))
 		archiveCorrupt(JournalPath(m.dir))
+		archiveCorrupt(windowLogPath(m.dir))
 	case jErr != nil:
-		// Journal header unreadable: its deltas are lost wholesale.
-		// With a verified snapshot the base state still applies
-		// (truncated-warm); without one this is a cold start.
+		// Log header unreadable: its deltas and window are lost
+		// wholesale. With a verified snapshot the base state still
+		// applies (truncated-warm); without one this is a cold start.
 		archiveCorrupt(JournalPath(m.dir))
+		m.outcome = OutcomeCold
 		if snap != nil {
 			m.outcome = OutcomeTruncated
-			if err := m.apply(snap, nil, logged); err != nil {
+			var err error
+			if fromParent, err = m.apply(snap, logContents{}, parent); err != nil {
 				m.outcome = OutcomeCold
 				archiveCorrupt(SnapshotPath(m.dir))
 			}
-		} else {
-			m.outcome = OutcomeCold
 		}
 	default:
-		// Base state (possibly absent) plus a verified journal prefix.
-		if err := m.apply(snap, entries, logged); err != nil {
+		// Base state (possibly absent) plus a verified log prefix.
+		var err error
+		if fromParent, err = m.apply(snap, log, parent); err != nil {
 			m.outcome = OutcomeCold
 			archiveCorrupt(SnapshotPath(m.dir))
 			archiveCorrupt(JournalPath(m.dir))
-		} else if torn {
+		} else if log.torn {
 			m.outcome = OutcomeTruncated
-			if err := os.Truncate(JournalPath(m.dir), goodBytes); err != nil {
-				return fmt.Errorf("persist: truncate torn journal: %w", err)
+			if err := os.Truncate(JournalPath(m.dir), log.good); err != nil {
+				return fmt.Errorf("persist: truncate torn log: %w", err)
 			}
-		} else if snap == nil && entries == nil && goodBytes <= journalHeaderLen {
+		} else if snap == nil && log.good <= journalHeaderLen && m.window == 0 {
 			m.outcome = OutcomeCold
 		} else {
 			m.outcome = OutcomeWarm
 		}
 	}
-	if m.outcome == OutcomeWarm && (winTorn || wErr != nil) {
-		m.outcome = OutcomeTruncated
+	if m.outcome == OutcomeWarm && len(log.window) == 0 && parentLost {
+		m.outcome = OutcomeTruncated // the window's parent copy was damaged
+	}
+	if m.outcome != OutcomeCold && snap != nil {
+		m.snapStatics = len(snap.StaticLabels)
 	}
 
-	// Leave the window log holding what the window now holds. A verified
-	// log that was the window's only source already does, once a torn
-	// tail is cut off; otherwise — no log yet or a lost one (no verified
-	// byte of it), a cold start, or a window that came out of an older
-	// snapshot's Data Store section — it is rewritten from the window.
-	// Like every checkpoint, this goes log, then snapshot, then journal
-	// rotation: the snapshot below drops that section, so its frames
-	// must be in the log first.
-	carried := snap != nil && len(snap.WindowTrace) > 0
-	if m.outcome == OutcomeCold || winBytes == 0 || carried {
-		if err := m.rewriteWindow(m.store.Kept()); err != nil {
-			return err
+	// Leave the log append-ready, holding the window. A missing or lost
+	// log is written afresh. A parent state dir's window is written into
+	// the log it has, behind the log's verified prefix, by one atomic
+	// replace: the window is in the log whole or not at all, and once it
+	// is, the log's window is the one recovery uses. A verified log is
+	// kept and appended to, unless it holds more than rotateBytes beyond
+	// its window — then it is checkpointed, as it is when the snapshot
+	// still carries a window section, which may go once the log holds it.
+	var err error
+	switch {
+	case m.outcome == OutcomeCold || jErr != nil || log.good == 0:
+		err = m.writeLog(logHeader)
+	case fromParent:
+		err = m.writeLog(raw[:log.good])
+	default:
+		live := log.windowBytes // what a rewrite would write of the log's window
+		if n, capacity := len(log.window), m.store.Capacity(); n > capacity {
+			live = live * int64(capacity) / int64(n)
 		}
-	} else {
-		if winTorn {
-			if err := os.Truncate(WindowLogPath(m.dir), winBytes); err != nil {
-				return fmt.Errorf("persist: truncate torn window log: %w", err)
-			}
-		}
-		m.winRecords, m.winSeq = len(logged), m.store.Kept()
-		if err := m.openWindowLog(); err != nil {
-			return err
-		}
-	}
-
-	// A verified journal under checkpointBytes is kept, and appended to:
-	// it still holds every delta since the snapshot on disk. A longer
-	// one, or a snapshot carrying the window section the log has just
-	// taken over, is compacted into a fresh snapshot BEFORE the journal
-	// is rotated: rotation truncates the journal, so the snapshot must
-	// already hold the replayed deltas — a crash between the two steps
-	// then loses nothing (same ordering argument as compactLocked).
-	var keep int64
-	if m.outcome != OutcomeCold {
-		if snap != nil {
-			m.snapStatics = len(snap.StaticLabels)
-		}
-		if carried || goodBytes >= checkpointBytes {
-			if err := m.writeSnapshotLocked(); err != nil {
-				return fmt.Errorf("persist: post-recovery snapshot: %w", err)
-			}
-		} else if jErr == nil {
-			keep = goodBytes
+		if log.good-journalHeaderLen-live < rotateBytes {
+			m.journal, err = openJournalWriter(JournalPath(m.dir), log.good, 0)
+			m.base, m.winSeq = journalHeaderLen+live, m.store.Kept()
 		}
 	}
-	jw, err := openJournalWriter(JournalPath(m.dir), keep)
+	if err == nil && m.outcome != OutcomeCold && (m.journal == nil || snap != nil && len(snap.WindowTrace) > 0) {
+		err = m.compactLocked()
+	}
 	if err != nil {
-		return fmt.Errorf("persist: journal: %w", err)
+		return fmt.Errorf("persist: recovery: %w", err)
 	}
-	m.journal = jw
+	// The window is in the log: a parent's window log has nothing left
+	// to give.
+	if err := os.Remove(windowLogPath(m.dir)); err == nil {
+		if err := syncDir(m.dir); err != nil {
+			return fmt.Errorf("persist: state dir fsync: %w", err)
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("persist: parent window log: %w", err)
+	}
 	return nil
 }
 
@@ -355,47 +347,77 @@ func loadSnapshotFile(path string) (*Snapshot, error) {
 	return DecodeSnapshot(f)
 }
 
-// loadJournalFile replays the journal. All-nil/zero returns mean no
-// journal exists; jErr non-nil means the header itself is bad.
-func loadJournalFile(path string) (entries []JournalEntry, goodBytes int64, torn bool, jErr error) {
-	f, err := openState(path)
-	if f == nil {
-		return nil, 0, false, err
+// loadJournalFile reads the log and replays it, returning its bytes and
+// their verified prefix decoded. A missing log is an empty one with no
+// verified byte; an error means the header itself is bad.
+func loadJournalFile(path string) ([]byte, logContents, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, logContents{}, nil
 	}
-	defer f.Close()
-	return replayJournal(f)
+	if err != nil {
+		return nil, logContents{}, err
+	}
+	log, err := replayJournal(bytes.NewReader(raw))
+	return raw, log, err
+}
+
+// loadWindowLogFile reads the window.kwin a parent state dir keeps the
+// window in, archiving it when its header does not verify. It returns
+// the records of its verified prefix, and whether anything of the file
+// was lost.
+func loadWindowLogFile(path string) (recs []*trace.Record, lost bool) {
+	f, err := openState(path)
+	if f == nil && err == nil {
+		return nil, false
+	}
+	if err == nil {
+		recs, _, lost, err = replayWindowLog(f)
+		f.Close()
+	}
+	if err != nil {
+		archiveCorrupt(path)
+		return nil, true
+	}
+	return recs, lost
 }
 
 // apply validates the full recovered state and installs it into the
 // KB and the Data Store in one step. Any decode failure aborts before
-// the KB is touched. logged is the window log's verified prefix.
-func (m *Manager) apply(snap *Snapshot, entries []JournalEntry, logged []*trace.Record) error {
-	var recs []*trace.Record
+// the KB is touched. The window is the log's once the log holds any of
+// it; before that — a state dir written before the window joined the
+// log — it is the snapshot's window section, then the records of the
+// parent's window log, which are newer; fromParent reports that.
+func (m *Manager) apply(snap *Snapshot, log logContents, parent []*trace.Record) (fromParent bool, err error) {
+	recs := log.window
 	var statics []string
 	state := make(map[string]knowledge.Knowgget)
 	if snap != nil {
-		if len(snap.WindowTrace) > 0 {
-			// Compatibility: a snapshot written before the window log
-			// carries the window itself; whatever the log holds is newer.
-			var err error
-			recs, err = trace.ReadAll(bytes.NewReader(snap.WindowTrace))
-			if err != nil {
-				return fmt.Errorf("persist: window trace: %w", err)
+		if len(recs) == 0 {
+			var carried []*trace.Record
+			if len(snap.WindowTrace) > 0 {
+				if carried, err = trace.ReadAll(bytes.NewReader(snap.WindowTrace)); err != nil {
+					return false, fmt.Errorf("persist: window trace: %w", err)
+				}
 			}
+			// A crash in the parent's restart that moved such a section
+			// into its window log — after the log's rename, before the
+			// snapshot's — left the same frames in both: no record is
+			// restored twice.
+			recs = append(carried[:len(carried)-overlap(carried, parent)], parent...)
+			fromParent = len(recs) > 0
 		}
 		for _, k := range snap.Knowggets {
 			state[k.Key()] = k
 		}
 		statics = snap.StaticLabels
+	} else if len(recs) == 0 {
+		recs, fromParent = parent, len(parent) > 0
 	}
-	// A crash in the restart that moves such a section into the log —
-	// after the log's rename, before the snapshot's — leaves the same
-	// frames in both: no record is restored twice.
-	recs = append(recs[:len(recs)-overlap(recs, logged)], logged...)
 	if over := len(recs) - m.store.Capacity(); over > 0 {
-		recs = recs[over:] // the log may hold two windows' worth
+		recs = recs[over:] // the log may hold more than a window's worth
 	}
-	for _, e := range entries {
+	for _, e := range log.entries {
 		switch e.Op {
 		case knowledge.OpPut:
 			state[e.Knowgget.Key()] = e.Knowgget
@@ -410,9 +432,9 @@ func (m *Manager) apply(snap *Snapshot, entries []JournalEntry, logged []*trace.
 	}
 	m.kb.Restore(ks, statics)
 	m.recovered = len(ks)
-	m.replayed = len(entries)
+	m.replayed = len(log.entries)
 	m.window, _ = m.store.Restore(recs)
-	return nil
+	return fromParent, nil
 }
 
 // overlap is the number of records at the end of older that newer
@@ -445,8 +467,8 @@ func archiveCorrupt(path string) {
 }
 
 // record is the KB write-ahead hook: it appends one accepted mutation
-// to the journal. Failures are sticky — the first I/O error disables
-// journaling and is reported by Err and Stop.
+// to the log. Failures are sticky — the first I/O error disables
+// logging and is reported by Err and Stop.
 func (m *Manager) record(op byte, key string, k knowledge.Knowgget) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -496,8 +518,8 @@ func (m *Manager) Tick(now time.Time) {
 }
 
 // syncPoint is what Tick hands the writer: the Data Store's Kept count
-// and the journal's length at the hand-off, which the sync point makes
-// durable, and the journal to fsync — nil when an fsync covers it.
+// at the hand-off, up to which the sync point logs the window, and the
+// log with its length then, all of which its fsync covers.
 type syncPoint struct {
 	kept    uint64
 	journal *journalWriter
@@ -505,11 +527,11 @@ type syncPoint struct {
 }
 
 // syncLocked is one sync point: it hands everything accepted so far to
-// the writer, which makes it durable where it already lies, and an
-// interval in which no frame arrived and no knowledge changed hands off
-// nothing. It is a checkpoint instead, run here, when the journal has
-// outgrown checkpointBytes, or when the KB's static labels have grown
-// (they are only ever added): the static mark of a label lives in the
+// the writer, which makes it durable, and an interval in which no frame
+// arrived and no knowledge changed hands off nothing. It is a checkpoint
+// instead, run here, when the log has grown rotateBytes since it was
+// last written whole, or when the KB's static labels have grown (they
+// are only ever added): the static mark of a label lives in the
 // snapshot alone, and must not wait longer for the disk than the
 // knowgget it marks.
 func (m *Manager) syncLocked() error {
@@ -518,42 +540,39 @@ func (m *Manager) syncLocked() error {
 	if !statics && kept == m.winSeq && jw.synced == jw.bytes {
 		return nil
 	}
-	if statics || jw.bytes >= checkpointBytes {
+	if statics || jw.bytes-m.base >= rotateBytes {
 		if err := m.compactLocked(); err != nil {
 			return err
 		}
 		m.met.Syncs.Inc()
 		return nil
 	}
-	sp := syncPoint{kept: kept, bytes: jw.bytes}
-	if jw.synced != jw.bytes {
-		sp.journal = jw
-	}
 	m.busy = true
-	m.handoff <- sp
+	m.handoff <- syncPoint{kept: kept, journal: jw, bytes: jw.bytes}
 	return nil
 }
 
 // writer is the manager's one writer goroutine, from Open until Stop
-// closes handoff. It
-// runs the sync points Tick hands off, one at a time: the window's
-// frames up to the hand-off are appended and fsynced first, then the
-// journal, which covers at least its length at the hand-off. The first
-// failure is sticky, and no sync point is handed off after it.
+// closes handoff. It runs the sync points Tick hands off, one at a
+// time: the window's frames up to the hand-off are appended to the log,
+// then one fsync makes them durable, and with them every KB record
+// written before it. The first failure is sticky, and no sync point is
+// handed off after it.
 func (m *Manager) writer() {
 	for sp := range m.handoff {
-		err := m.logWindow(sp.kept)
-		if err == nil && sp.journal != nil {
-			if err = fsync(sp.journal.f); err != nil {
-				err = fmt.Errorf("persist: journal sync: %w", err)
-			}
+		n, next, err := m.copyWindow(sp.journal.f, m.winSeq, sp.kept)
+		if err != nil {
+			err = fmt.Errorf("persist: window append: %w", err)
+		} else if err = fsync(sp.journal.f); err != nil {
+			err = fmt.Errorf("persist: log sync: %w", err)
 		}
 		m.mu.Lock()
+		m.winSeq = next
+		sp.journal.bytes += n
+		m.met.JournalBytes.Set(sp.journal.bytes)
 		switch {
 		case err == nil:
-			if sp.journal != nil {
-				sp.journal.synced = sp.bytes
-			}
+			sp.journal.synced = sp.bytes + n
 			m.met.Syncs.Inc()
 		case m.err == nil:
 			m.err = err
@@ -594,39 +613,26 @@ func (m *Manager) Compact() error {
 	return nil
 }
 
-// compactLocked is one checkpoint: it logs the window's new frames,
-// snapshots the current KB atomically, then rotates the journal.
-// Ordering is the crash-safety argument: each step is durable before
-// the next begins. The snapshot is in place (fsync + rename + dir
-// fsync) before the journal is reset, so a crash between the two
-// replays journal records whose effects the snapshot already holds —
-// puts are idempotent and deletes of absent keys are no-ops. The window
-// log is fsynced before the snapshot is renamed, so a crash between
-// those two finds a window newer than the snapshot and a journal that
-// still holds every delta since: nothing is lost and, the log being the
-// window's only home, nothing is restored twice.
+// compactLocked is one checkpoint: it snapshots the current KB
+// atomically, then replaces the log, atomically, with its header and
+// the window. Ordering is the crash-safety argument: the snapshot is in
+// place (fsync + rename + dir fsync) before the log's KB records go, so
+// a crash between the two replays records whose effects the snapshot
+// already holds — puts are idempotent and deletes of absent keys are
+// no-ops — beside the window the old log held.
 func (m *Manager) compactLocked() error {
-	if err := m.logWindow(m.store.Kept()); err != nil {
-		return err
-	}
 	if err := m.writeSnapshotLocked(); err != nil {
 		return err
 	}
-	if err := m.journal.close(); err != nil {
-		return fmt.Errorf("persist: journal rotate: %w", err)
+	if err := m.writeLog(logHeader); err != nil {
+		return err
 	}
-	jw, err := newJournalWriter(JournalPath(m.dir))
-	if err != nil {
-		return fmt.Errorf("persist: journal rotate: %w", err)
-	}
-	m.journal = jw
 	m.met.Snapshots.Inc()
-	m.met.JournalBytes.Set(jw.bytes)
 	return nil
 }
 
 // writeSnapshotLocked writes the Knowledge Base snapshot. The Data
-// Store window is not part of it: the window log holds that.
+// Store window is not part of it: the log holds that.
 func (m *Manager) writeSnapshotLocked() error {
 	snap := &Snapshot{
 		Knowggets:    m.kb.Snapshot(),
@@ -637,6 +643,38 @@ func (m *Manager) writeSnapshotLocked() error {
 		return fmt.Errorf("persist: snapshot: %w", err)
 	}
 	m.snapStatics = len(snap.StaticLabels)
+	return nil
+}
+
+// writeLog replaces the log, by the snapshot's atomic-replace rule,
+// with prefix — the header, or a verified log — followed by the window
+// up to the Data Store's Kept count, a chunk to a frame, and opens it
+// for appends. The file held open for appends is the old one: it is
+// closed once replaced.
+func (m *Manager) writeLog(prefix []byte) error {
+	var n int64
+	var next uint64
+	err := replaceFile(JournalPath(m.dir), func(w io.Writer) error {
+		if _, err := w.Write(prefix); err != nil {
+			return err
+		}
+		var err error
+		n, next, err = m.copyWindow(w, 0, m.store.Kept())
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("persist: log rewrite: %w", err)
+	}
+	if m.journal != nil {
+		_ = m.journal.f.Close() // replaced: what it held is in the snapshot and the new log
+		m.journal = nil
+	}
+	size := int64(len(prefix)) + n
+	if m.journal, err = openJournalWriter(JournalPath(m.dir), size, size); err != nil {
+		return fmt.Errorf("persist: log: %w", err)
+	}
+	m.base, m.winSeq = journalHeaderLen+n, next
+	m.met.JournalBytes.Set(size)
 	return nil
 }
 
@@ -669,7 +707,7 @@ func replaceFile(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// syncDir fsyncs the directory so the rename itself is durable.
+// syncDir fsyncs the directory so a rename or removal is durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -684,8 +722,8 @@ func syncDir(dir string) error {
 
 // Stop waits for any sync point in flight and ends the writer, then
 // flushes everything: one final checkpoint (so a clean shutdown always
-// restarts warm with an empty journal) and a synced, closed journal.
-// The manager journals nothing afterwards.
+// restarts warm from a snapshot and a log holding only the window) and
+// a synced, closed log. The manager logs nothing afterwards.
 func (m *Manager) Stop() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -708,9 +746,6 @@ func (m *Manager) Stop() error {
 		}
 		m.journal = nil
 	}
-	if cerr := m.closeWindowLog(); err == nil && cerr != nil {
-		err = fmt.Errorf("persist: window log: %w", cerr)
-	}
 	return err
 }
 
@@ -719,8 +754,8 @@ func (m *Manager) Stop() error {
 func (m *Manager) Outcome() Outcome { return m.outcome }
 
 // Recovered reports the recovery volume: knowggets restored into the
-// KB, journal entries applied on top of the snapshot, and window
-// records restored into the Data Store.
+// KB, log entries applied on top of the snapshot, and window records
+// restored into the Data Store.
 func (m *Manager) Recovered() (knowggets, journalEntries, windowRecords int) {
 	return m.recovered, m.replayed, m.window
 }
@@ -734,7 +769,7 @@ func (m *Manager) Err() error {
 	return m.err
 }
 
-// JournalBytes returns the current journal size in bytes.
+// JournalBytes returns the current log size in bytes.
 func (m *Manager) JournalBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -748,18 +783,14 @@ func (m *Manager) journalBytesLocked() int64 {
 	return m.journal.bytes
 }
 
-// Tear simulates a power loss mid-journal-write for chaos drills: it
-// flushes nothing and chops the given number of bytes off the journal
-// file's tail, leaving a torn final record exactly as a crash during
-// an append would. It is invoked by fault.CrashNodeDirty's dirty hook.
+// Tear simulates a power loss mid-append for chaos drills: it flushes
+// nothing and chops the given number of bytes off the log file's tail,
+// leaving a torn final frame exactly as a crash during an append would.
+// It is invoked by fault.CrashNodeDirty's dirty hook.
 func Tear(dir string, dropBytes int64) error {
-	return tearFile(JournalPath(dir), dropBytes)
-}
-
-func tearFile(path string, dropBytes int64) error {
-	info, err := os.Stat(path)
+	info, err := os.Stat(JournalPath(dir))
 	if err != nil {
 		return err
 	}
-	return os.Truncate(path, max(info.Size()-dropBytes, 0))
+	return os.Truncate(JournalPath(dir), max(info.Size()-dropBytes, 0))
 }

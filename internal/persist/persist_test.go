@@ -60,9 +60,10 @@ func kbMap(kb *knowledge.Base) map[string]string {
 	return out
 }
 
-// TestWarmRestart is the core contract: a cleanly stopped node comes
-// back warm with its full KB (separator-bearing keys included), static
-// labels, and Data Store window.
+// TestWarmRestart is the core contract: a cleanly stopped node leaves a
+// state dir of two files, the snapshot and the log, and comes back warm
+// with its full KB (separator-bearing keys included), static labels,
+// and Data Store window.
 func TestWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	m, kb, store := openManager(t, dir, Metrics{})
@@ -81,6 +82,7 @@ func TestWarmRestart(t *testing.T) {
 	if err := m.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
+	wantTwoFiles(t, dir)
 
 	m2, kb2, store2 := openManager(t, dir, Metrics{})
 	if m2.Outcome() != OutcomeWarm {
@@ -270,29 +272,31 @@ func wantCounters(t *testing.T, met Metrics, when string, syncs, snapshots uint6
 	}
 }
 
-// fillJournal puts distinct knowggets until the journal is one record
-// short of the checkpoint threshold, and returns how many it put.
+// fillJournal puts distinct knowggets until the log is one record short
+// of growing rotateBytes past its last whole write, and returns how many
+// it put.
 func fillJournal(t *testing.T, m *Manager, kb *knowledge.Base) int {
 	t.Helper()
+	threshold := m.base + rotateBytes
 	n, record := 0, int64(0)
-	for m.JournalBytes()+record < checkpointBytes {
+	for m.JournalBytes()+record < threshold {
 		before := m.JournalBytes()
 		kb.PutEntity("SignalStrength", fmt.Sprintf("0x%04x", n), "-67")
 		n++
 		record = m.JournalBytes() - before
 	}
-	if got := m.JournalBytes(); got >= checkpointBytes || got+record < checkpointBytes {
-		t.Fatalf("journal is %d bytes after %d records of %d: want one record short of %d", got, n, record, checkpointBytes)
+	if got := m.JournalBytes(); got >= threshold || got+record < threshold {
+		t.Fatalf("log is %d bytes after %d records of %d: want one record short of %d", got, n, record, threshold)
 	}
 	return n
 }
 
 // TestTickCompaction drives the manager from a virtual capture clock
 // and tells its two periodic actions apart: a sync point, every
-// interval, fsyncs the journal and the window's new frames where they
-// lie; a checkpoint — snapshot written, journal rotated — happens at a
-// sync point only once the journal has outgrown checkpointBytes, and at
-// Stop.
+// interval, appends the window's new frames to the log and fsyncs it
+// where it lies; a checkpoint — snapshot written, log rewritten as the
+// window — happens at a sync point only once the log has grown
+// rotateBytes, and at Stop.
 func TestTickCompaction(t *testing.T) {
 	dir := t.TempDir()
 	met := syncMetrics()
@@ -308,8 +312,8 @@ func TestTickCompaction(t *testing.T) {
 
 	m.Tick(t0.Add(5 * time.Second)) // under the 10s interval
 	wantCounters(t, met, "under the interval", 0, 0)
-	if got := fileSize(t, WindowLogPath(dir)); got != windowLogHeaderLen || m.journal.synced != journalHeaderLen {
-		t.Errorf("under the interval: window log %d bytes, journal synced to %d: nothing should have been written", got, m.journal.synced)
+	if got := fileSize(t, JournalPath(dir)); got != journal || m.journal.synced != journalHeaderLen {
+		t.Errorf("under the interval: log %d bytes, synced to %d: only the KB record should have been written", got, m.journal.synced)
 	}
 
 	m.Tick(t0.Add(11 * time.Second))
@@ -317,22 +321,22 @@ func TestTickCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCounters(t, met, "past the interval", 1, 0)
-	if got := m.JournalBytes(); got != journal || m.journal.synced != journal {
-		t.Errorf("sync point: journal %d bytes, synced to %d; want both %d: fsynced in place, not rotated", got, m.journal.synced, journal)
+	if got := m.JournalBytes(); got <= journal || m.journal.synced != got || fileSize(t, JournalPath(dir)) != got {
+		t.Errorf("sync point: log %d bytes (%d before), synced to %d: want the window's new frames appended and fsynced in place", got, journal, m.journal.synced)
 	}
 	if _, err := os.Stat(SnapshotPath(dir)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("sync point wrote a snapshot (stat: %v)", err)
-	}
-	if got := fileSize(t, WindowLogPath(dir)); got <= windowLogHeaderLen {
-		t.Errorf("sync point did not log the window's new frames: log is %d bytes", got)
 	}
 
 	fillJournal(t, m, kb)
 	kb.PutEntity("SignalStrength", "0xffff", "-67") // the record that crosses the threshold
 	m.Tick(t0.Add(22 * time.Second))
-	wantCounters(t, met, "past checkpointBytes", 2, 1)
-	if got := m.JournalBytes(); got != journalHeaderLen {
-		t.Errorf("checkpoint did not rotate the journal: %d bytes", got)
+	wantCounters(t, met, "past rotateBytes", 2, 1)
+	if got, want := m.JournalBytes(), fileSize(t, JournalPath(dir)); got != want || got >= rotateBytes/2 {
+		t.Errorf("checkpoint did not rewrite the log as the window: %d bytes (%d on disk)", got, want)
+	}
+	if log, err := replayJournalFile(t, JournalPath(dir)); err != nil || len(log.entries) != 0 || len(log.window) != 5 {
+		t.Errorf("checkpoint's log: %d KB records, %d window records (err %v), want the 5-frame window alone", len(log.entries), len(log.window), err)
 	}
 	if snap, err := loadSnapshotFile(SnapshotPath(dir)); err != nil || snap == nil || len(snap.Knowggets) != kb.Len() {
 		t.Errorf("checkpoint's snapshot: %v (err %v), want %d knowggets", snap, err, kb.Len())
@@ -354,13 +358,20 @@ func TestTickCompaction(t *testing.T) {
 		t.Fatalf("Stop: %v", err)
 	}
 	wantCounters(t, met, "Stop", 3, 2)
-	if got := fileSize(t, JournalPath(dir)); got != journalHeaderLen {
-		t.Errorf("a clean shutdown left a %d-byte journal", got)
+	if log, err := replayJournalFile(t, JournalPath(dir)); err != nil || len(log.entries) != 0 || len(log.window) != 5 {
+		t.Errorf("a clean shutdown left a log of %d KB records and %d window records (err %v), want the window alone", len(log.entries), len(log.window), err)
 	}
 }
 
+// replayJournalFile replays the log at path.
+func replayJournalFile(t *testing.T, path string) (logContents, error) {
+	t.Helper()
+	_, log, err := loadJournalFile(path)
+	return log, err
+}
+
 // TestQuietIntervalWritesNothing: a sync point with no new frame and no
-// knowledge change issues no write — the three state files keep their
+// knowledge change issues no write — the two state files keep their
 // size, mtime and inode over ten intervals, and neither counter moves.
 func TestQuietIntervalWritesNothing(t *testing.T) {
 	dir := t.TempDir()
@@ -374,7 +385,7 @@ func TestQuietIntervalWritesNothing(t *testing.T) {
 
 	met := syncMetrics()
 	m2, _, _ := openManager(t, dir, met)
-	paths := []string{SnapshotPath(dir), JournalPath(dir), WindowLogPath(dir)}
+	paths := []string{SnapshotPath(dir), JournalPath(dir)}
 	stat := func() []os.FileInfo {
 		t.Helper()
 		out := make([]os.FileInfo, len(paths))
@@ -405,10 +416,10 @@ func TestQuietIntervalWritesNothing(t *testing.T) {
 }
 
 // TestPowerCutAfterSyncPoint: a power cut loses what no fsync covered —
-// here, both files cut back to where the last sync point left them, the
-// journal on a record boundary or inside the next record. Everything
-// accepted before the sync point is there, nothing after it is, and the
-// window holds each frame once.
+// here, the log cut back to where the last sync point left it, on a
+// record boundary or inside the next record. Everything accepted before
+// the sync point is there, nothing after it is, and the window holds
+// each frame once.
 func TestPowerCutAfterSyncPoint(t *testing.T) {
 	for name, cut := range map[string]struct {
 		extra int64
@@ -433,16 +444,13 @@ func TestPowerCutAfterSyncPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantCounters(t, met, "a sync point under the threshold", 1, 0)
-			journal, window := m.journal.synced, fileSize(t, WindowLogPath(dir))
+			journal := m.journal.synced
 			kb.Put("C", "3")
 			kb.Put("B", "4")
 			appendAll(t, store, frames[20:])
 			m.Tick(t0.Add(15 * time.Second)) // under the interval: no sync point
 			// Power cut: the manager is abandoned, the unsynced tails are gone.
 			if err := os.Truncate(JournalPath(dir), journal+cut.extra); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(WindowLogPath(dir), window); err != nil {
 				t.Fatal(err)
 			}
 
@@ -502,7 +510,7 @@ func TestStaticMarkSurvivesSyncPoint(t *testing.T) {
 	}
 }
 
-// TestFullJournalReplays: a journal one record short of the checkpoint
+// TestFullJournalReplays: a log one record short of the checkpoint
 // threshold — the longest a sync point leaves behind — recovers warm
 // with every entry applied. The replay time it prints is what deferring
 // the checkpoint costs the next Open (the benchmark's
@@ -518,15 +526,15 @@ func TestFullJournalReplays(t *testing.T) {
 	if err := m.Err(); err != nil { // waits for the sync point
 		t.Fatal(err)
 	}
-	wantCounters(t, met, "a journal one record under the threshold", 1, 0)
+	wantCounters(t, met, "a log one record under the threshold", 1, 0)
 	size := m.JournalBytes()
 	// Crash: the manager is abandoned where it stands.
 
 	start := time.Now()
-	entries, good, torn, err := loadJournalFile(JournalPath(dir))
+	log, err := replayJournalFile(t, JournalPath(dir))
 	replay := time.Since(start)
-	if err != nil || torn || good != size || len(entries) != n {
-		t.Fatalf("replay: %d entries of %d, %d good bytes of %d, torn %v, err %v", len(entries), n, good, size, torn, err)
+	if err != nil || log.torn || log.good != size || len(log.entries) != n {
+		t.Fatalf("replay: %d entries of %d, %d good bytes of %d, torn %v, err %v", len(log.entries), n, log.good, size, log.torn, err)
 	}
 	start = time.Now()
 	m2, kb2, _ := openManager(t, dir, Metrics{})
@@ -743,8 +751,8 @@ func TestSyncPointDoesNotWaitForTheDisk(t *testing.T) {
 	if got := gate.held.Load(); got != 1 {
 		t.Errorf("the gate held %d fsyncs, want the one of the sync point in flight", got)
 	}
-	if m.winSeq != 20 || m.journal.synced != journal {
-		t.Errorf("the sync point covered %d frames and %d journal bytes, want what its hand-off saw: 20 and %d", m.winSeq, m.journal.synced, journal)
+	if want := journal + int64(len(windowChunk(t, frames[:20]))); m.winSeq != 20 || m.journal.synced != want {
+		t.Errorf("the sync point covered %d frames and %d log bytes, want what its hand-off saw and the chunk it appended: 20 and %d", m.winSeq, m.journal.synced, want)
 	}
 
 	m.Tick(t0.Add(34 * time.Second)) // the first Tick after it: the postponed sync point
@@ -782,14 +790,15 @@ func copyDir(t *testing.T, from string) string {
 }
 
 // TestPowerCutDuringSync cuts the power while a sync point is in flight,
-// its writer held in an fsync: whatever no completed sync point fsynced
-// may be lost. With both files cut back to where the previous sync point
-// left them, recovery restores exactly what that sync point covered.
-// When the kernel had flushed the window log's unsynced frames on its
-// own, the window comes back ahead of the knowledge, as rule 5 allows.
+// its writer held in its fsync after appending the window's chunk, and
+// knowledge still changing: whatever no completed sync point fsynced may
+// be lost. With the log cut back to where the previous sync point left
+// it, recovery restores exactly what that sync point covered. When the
+// kernel had flushed the chunk on its own, but not the KB records
+// written behind it, the window comes back ahead of the knowledge.
 func TestPowerCutDuringSync(t *testing.T) {
 	for name, cut := range map[string]struct {
-		window bool              // the window log loses its unsynced tail too
+		window bool              // the log loses the chunk in flight too
 		frames int               // the window after the restart
 		kb     map[string]string // the Knowledge Base after the restart
 	}{
@@ -810,25 +819,25 @@ func TestPowerCutDuringSync(t *testing.T) {
 			if err := m.Err(); err != nil { // the sync point completes
 				t.Fatal(err)
 			}
-			journal, window := m.journal.synced, fileSize(t, WindowLogPath(dir))
-			kb.Put("C", "3")
-			kb.Delete(knowledge.Knowgget{Creator: "K1", Label: "A"}.Key())
+			journal := m.journal.synced
 			appendAll(t, store, frames[20:])
 			gate.shut.Store(true)
 			m.Tick(t0.Add(22 * time.Second))
-			gate.waitHeld(t) // the frames are written, their fsync is held
+			gate.waitHeld(t) // the chunk is written, its fsync is held
+			chunk := fileSize(t, JournalPath(dir))
+			kb.Put("C", "3")
+			kb.Delete(knowledge.Knowgget{Creator: "K1", Label: "A"}.Key())
 
 			cutDir := copyDir(t, dir)
-			if err := os.Truncate(JournalPath(cutDir), journal); err != nil {
-				t.Fatal(err)
+			if chunk <= journal {
+				t.Fatalf("the sync point in flight wrote no frame before its fsync: log %d bytes", chunk)
 			}
-			if got := fileSize(t, WindowLogPath(cutDir)); got <= window {
-				t.Fatalf("the sync point in flight wrote no frame before its fsync: log %d bytes", got)
-			}
+			to := chunk
 			if cut.window {
-				if err := os.Truncate(WindowLogPath(cutDir), window); err != nil {
-					t.Fatal(err)
-				}
+				to = journal
+			}
+			if err := os.Truncate(JournalPath(cutDir), to); err != nil {
+				t.Fatal(err)
 			}
 			gate.open()
 			m2, kb2, store2 := openManager(t, cutDir, Metrics{})
@@ -850,7 +859,7 @@ func TestPowerCutDuringSync(t *testing.T) {
 }
 
 // TestWarmOpenKeepsTheJournal: a warm Open of a journal under
-// checkpointBytes appends to it where recovery verified it, instead of
+// rotateBytes appends to it where recovery verified it, instead of
 // writing a snapshot and rotating — the snapshot file is untouched and
 // no checkpoint is counted — and a second crash and Open recover the
 // same Knowledge Base, what the first restart added included.
@@ -929,18 +938,118 @@ func TestManagerDirError(t *testing.T) {
 func TestJournalReplayProperties(t *testing.T) {
 	// Header only: clean empty journal.
 	raw := append(append([]byte{}, JournalMagic[:]...), JournalVersion)
-	entries, n, torn, err := replayJournal(bytes.NewReader(raw))
-	if err != nil || torn || len(entries) != 0 || n != journalHeaderLen {
-		t.Errorf("empty journal: %v %v %d %d", err, torn, len(entries), n)
+	log, err := replayJournal(bytes.NewReader(raw))
+	if err != nil || log.torn || len(log.entries) != 0 || log.good != journalHeaderLen {
+		t.Errorf("empty journal: %v %v %d %d", err, log.torn, len(log.entries), log.good)
 	}
 	// Short header: ErrJournalHeader.
-	if _, _, _, err := replayJournal(bytes.NewReader(raw[:3])); !errors.Is(err, ErrJournalHeader) {
+	if _, err := replayJournal(bytes.NewReader(raw[:3])); !errors.Is(err, ErrJournalHeader) {
 		t.Errorf("short header err = %v", err)
 	}
 	// Garbage after the header: torn at offset journalHeaderLen.
 	bad := append(append([]byte{}, raw...), 0xff, 0xff, 0xff)
-	entries, n, torn, err = replayJournal(bytes.NewReader(bad))
-	if err != nil || !torn || len(entries) != 0 || n != journalHeaderLen {
-		t.Errorf("garbage tail: %v %v %d %d", err, torn, len(entries), n)
+	log, err = replayJournal(bytes.NewReader(bad))
+	if err != nil || !log.torn || len(log.entries) != 0 || log.good != journalHeaderLen {
+		t.Errorf("garbage tail: %v %v %d %d", err, log.torn, len(log.entries), log.good)
+	}
+}
+
+// TestSyncPointIsOneFsync counts the fsyncs of a sync point: the window's
+// fresh frames and the KB records written since the last one share the
+// log, so one fsync makes both durable — with frames and records, with
+// records alone and with frames alone.
+func TestSyncPointIsOneFsync(t *testing.T) {
+	var calls atomic.Int32
+	swapFsync(t, func(sync func(*os.File) error) func(*os.File) error {
+		return func(f *os.File) error {
+			calls.Add(1)
+			return sync(f)
+		}
+	})
+	met := syncMetrics()
+	m, kb, store := openManager(t, t.TempDir(), met)
+	frames := windowFrames(t, 0, 40)
+	t0 := time.Unix(1500000000, 0).UTC()
+	m.Tick(t0)
+	for i, step := range []struct {
+		name    string
+		records bool
+		frames  []*packet.Captured
+	}{
+		{"frames and KB records", true, frames[:20]},
+		{"KB records alone", true, nil},
+		{"frames alone", false, frames[20:]},
+	} {
+		if step.records {
+			kb.Put("A", fmt.Sprint(i))
+			kb.Put("B", fmt.Sprint(i))
+		}
+		appendAll(t, store, step.frames)
+		calls.Store(0)
+		m.Tick(t0.Add(time.Duration(i+1) * 11 * time.Second))
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); got != 1 {
+			t.Errorf("a sync point with %s made %d fsyncs, want 1", step.name, got)
+		}
+	}
+	wantCounters(t, met, "three sync points", 3, 0)
+	if err := m.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+}
+
+// TestRecordDuringSyncPoint runs KB mutations on one goroutine while
+// sync points append the window's chunks to the same log on the writer
+// (run it with -race): every record and every chunk lands whole, so the
+// log replays clean, with every mutation once and every frame in order.
+func TestRecordDuringSyncPoint(t *testing.T) {
+	dir := t.TempDir()
+	kb, store := knowledge.NewBase("K1"), datastore.New(4096)
+	m, err := Open(Config{Dir: dir, Interval: time.Second}, kb, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const puts = 2000
+	frames := windowFrames(t, 0, 2000)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range puts {
+			kb.PutEntity("SignalStrength", fmt.Sprintf("0x%04x", i), "-67")
+		}
+	}()
+	t0 := time.Unix(1500000000, 0).UTC()
+	m.Tick(t0)
+	for i := 0; i < len(frames); i += 50 {
+		appendAll(t, store, frames[i:i+50])
+		m.Tick(t0.Add(time.Duration(i+50) * time.Second))
+	}
+	<-done
+	if err := m.Err(); err != nil { // waits for the sync point in flight
+		t.Fatal(err)
+	}
+	syncAt(t, m, t0.Add(time.Hour))
+	// Crash: the manager is abandoned where it stands.
+
+	log, err := replayJournalFile(t, JournalPath(dir))
+	if err != nil || log.torn || log.good != fileSize(t, JournalPath(dir)) {
+		t.Fatalf("replay: torn %v, %d good bytes of %d, err %v", log.torn, log.good, fileSize(t, JournalPath(dir)), err)
+	}
+	seen := make(map[string]int)
+	for _, e := range log.entries {
+		seen[e.Knowgget.Entity]++
+	}
+	if len(log.entries) != puts || len(seen) != puts {
+		t.Errorf("the log holds %d KB records of %d distinct entities, want each of the %d once", len(log.entries), len(seen), puts)
+	}
+	m2, kb2, store2 := openManager(t, dir, Metrics{})
+	if m2.Outcome() != OutcomeWarm || kb2.Len() != puts {
+		t.Fatalf("restart: %s with %d knowggets, want warm with %d", m2.Outcome(), kb2.Len(), puts)
+	}
+	sameWindow(t, store2, frames[len(frames)-windowCapacity:])
+	if err := m2.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
 	}
 }

@@ -1,11 +1,11 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"kalis/internal/core/knowledge"
@@ -41,7 +41,7 @@ type Snapshot struct {
 	Knowggets    []knowledge.Knowgget
 	StaticLabels []string
 	// WindowTrace is read, never written: snapshots from before the
-	// window log (window.kwin) carried the Data Store window as a second
+	// window was logged carried the Data Store window as a second
 	// section, a complete Kalis trace stream of the sliding-window
 	// records, oldest first. DecodeSnapshot still returns it so that
 	// such a state dir restarts warm with its window.
@@ -49,12 +49,12 @@ type Snapshot struct {
 }
 
 // EncodeSnapshot serializes the snapshot: magic, version, then one
-// self-checking section per state domain. Each section is framed as
+// self-checking section per state domain. Each section is an id byte
+// followed by the log's frame,
 //
 //	id byte | uvarint payload length | payload | crc32(payload) LE
 //
-// so a torn tail or a flipped bit is always caught on load; the
-// per-section CRC32 follows internal/trace's framing conventions.
+// so a torn tail or a flipped bit is always caught on load.
 func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 	if _, err := w.Write(SnapshotMagic[:]); err != nil {
 		return err
@@ -65,19 +65,10 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 	return writeSection(w, sectionKB, encodeKB(s))
 }
 
+// writeSection writes one section: its id, then its payload in the
+// log's frame (see appendFrame).
 func writeSection(w io.Writer, id byte, payload []byte) error {
-	var hdr []byte
-	hdr = append(hdr, id)
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(sum[:])
+	_, err := w.Write(appendFrame([]byte{id}, payload))
 	return err
 }
 
@@ -126,7 +117,7 @@ func appendString(buf []byte, s string) []byte {
 // never a partial result: the caller's recovery ladder treats any
 // error as a cold start.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	br := newByteReader(r)
+	br := bufio.NewReader(r)
 	var header [5]byte
 	if _, err := io.ReadFull(br, header[:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrSnapshotCorrupt, err)
@@ -147,9 +138,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: section id: %v", ErrSnapshotCorrupt, err)
 		}
-		payload, err := readSection(br)
+		payload, _, err := readFrame(br, maxSectionLen)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: section %d: %v", ErrSnapshotCorrupt, id, err)
 		}
 		if seen[id] {
 			return nil, fmt.Errorf("%w: duplicate section %d", ErrSnapshotCorrupt, id)
@@ -167,28 +158,6 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: unknown section %d", ErrSnapshotCorrupt, id)
 		}
 	}
-}
-
-func readSection(br *byteReaderT) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: section length: %v", ErrSnapshotCorrupt, err)
-	}
-	if n > maxSectionLen {
-		return nil, fmt.Errorf("%w: section length %d", ErrSnapshotCorrupt, n)
-	}
-	payload, err := readExact(br, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: section body: %v", ErrSnapshotCorrupt, err)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: section checksum: %v", ErrSnapshotCorrupt, err)
-	}
-	if binary.LittleEndian.Uint32(sum[:]) != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("%w: section checksum mismatch", ErrSnapshotCorrupt)
-	}
-	return payload, nil
 }
 
 func decodeKB(payload []byte, snap *Snapshot) error {
@@ -297,29 +266,6 @@ func readString(buf []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("%w: truncated string", ErrSnapshotCorrupt)
 	}
 	return string(buf[:n]), buf[n:], nil
-}
-
-// byteReader adapts any reader to the io.ByteReader + io.Reader pair
-// the decoder needs, buffering nothing beyond one byte of lookahead.
-type byteReaderT struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func newByteReader(r io.Reader) *byteReaderT {
-	if br, ok := r.(*byteReaderT); ok {
-		return br
-	}
-	return &byteReaderT{r: r}
-}
-
-func (b *byteReaderT) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteReaderT) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
 }
 
 // EncodeSnapshotBytes is EncodeSnapshot into memory, for tests and

@@ -263,7 +263,7 @@ func TestQuickMetadataRoundTrip(t *testing.T) {
 // buffer has grown to the largest record, Write allocates nothing —
 // with or without a ground-truth label. (Before the scratch buffer:
 // ≈ 5 allocations per record, the body growing from nil through every
-// append.) It serves the Data Store's disk log, the durable window log
+// append.) It serves the Data Store's disk log, the durable state log
 // and every recorded scenario alike.
 func TestWriteAllocs(t *testing.T) {
 	w := NewWriter(io.Discard)

@@ -157,12 +157,12 @@ func WithoutDefaultModules() Option {
 
 // WithStateDir enables durable state in the given directory: the node
 // recovers its Knowledge Base and Data Store window from a previous
-// run at startup (warm restart), journals every accepted knowledge
+// run at startup (warm restart), logs every accepted knowledge
 // mutation, at every sync point (WithPersistInterval) logs the frames
-// that arrived and fsyncs both logs, and at Close — or sooner, once the
-// journal has grown — compacts it into a crash-safe snapshot. A corrupt
-// snapshot, torn journal or torn window log degrades gracefully — a
-// truncated or cold start, never a failure.
+// that arrived and fsyncs the log, and at Close — or sooner, once the
+// log has grown — compacts it into a crash-safe snapshot. A corrupt
+// snapshot or a torn log degrades gracefully — a truncated or cold
+// start, never a failure.
 func WithStateDir(dir string) Option {
 	return func(c *core.Config) { c.StateDir = dir }
 }

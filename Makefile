@@ -2,12 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchdiff bench-smoke vet fmt lint callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo scale-demo fleet-demo clean
+.PHONY: all build cross test race bench benchdiff bench-smoke vet fmt lint callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo scale-demo fleet-demo clean
 
 all: build test lint
 
 build:
 	$(GO) build ./...
+
+# The durable-state log is written through a shared file mapping, with
+# per-GOOS glue in internal/persist (mapping_*.go) that a host build
+# compiles only one of: build the tree for macOS and Windows as well.
+cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 test:
 	$(GO) test ./...

@@ -205,7 +205,7 @@ func (k *Kalis) recover(cfg Config) error {
 			Syncs: k.tel.Counter("kalis_persist_sync_total",
 				"Sync points that made new frames or KB records durable."),
 			JournalBytes: k.tel.Gauge("kalis_persist_journal_bytes",
-				"Current size of the state log in bytes: KB write-ahead records and Data Store window chunks."),
+				"Logical size of the state log in bytes: KB write-ahead records and Data Store window chunks, not the file's preallocated length."),
 			Recoveries: k.tel.CounterVec("kalis_persist_recoveries_total", "outcome",
 				"State recoveries at startup, by outcome (warm, truncated, cold)."),
 		},

@@ -182,7 +182,9 @@ func isLintedGoFile(name string) bool {
 		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
 }
 
-// parseDir parses the non-test Go files of one directory.
+// parseDir parses the non-test Go files of one directory that the
+// host's build compiles: a package's per-GOOS files declare the same
+// names, one set per platform.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -191,6 +193,11 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range ents {
 		if e.IsDir() || !isLintedGoFile(e.Name()) {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

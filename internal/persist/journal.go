@@ -57,11 +57,17 @@ type JournalEntry struct {
 	Knowgget knowledge.Knowgget
 }
 
-// journalWriter appends framed, checksummed frames to the open log:
-// each append is one write(2), and the file is opened O_APPEND, so the
-// KB records the callers of record append and the window chunks the
-// writer goroutine appends land whole, one after another. Frame layout,
-// following the trace/snapshot framing:
+// journalWriter appends framed, checksummed frames to the open log
+// through a shared mapping of the file. An append copies the frame into
+// the mapping at the log's logical end, bytes: once the copy ends the
+// frame is in the kernel's page cache, where it outlives the process,
+// and the next fsync of the file writes it back. Every append happens
+// under the manager's lock — the KB records the callers of record
+// append, and the window chunks the writer goroutine appends — so
+// frames land whole, one after another, with no gap between them. The
+// file runs ahead of the logical end by a preallocated tail of zeros,
+// which replay reads as a clean end; closing the log cuts it off. Frame
+// layout, following the trace/snapshot framing:
 //
 //	uvarint payload length | payload | crc32(payload) LE
 //
@@ -69,17 +75,26 @@ type JournalEntry struct {
 // for OpDelete the storage key, for opWindow a trace stream.
 type journalWriter struct {
 	f       *os.File
-	bytes   int64  // total bytes written including header
-	synced  int64  // the prefix of them an fsync has covered
+	data    []byte // the file, mapped shared; nil until the first append
+	bytes   int64  // the logical length, header included
+	synced  int64  // the prefix of it an fsync has covered
 	scratch []byte // one payload, reused across appends
 	frame   []byte // its frame, likewise
 }
 
+// mapAhead is how far a remap preallocates the file past the frame
+// that needs it: rotateBytes, the growth at which a checkpoint writes
+// the log whole again, so a log is remapped about once between two
+// checkpoints.
+const mapAhead = rotateBytes
+
 // openJournalWriter opens the log for appends after its first n bytes,
 // of which the first synced are already durable; it fsyncs the rest, so
-// a log recovery has kept is on disk as it was recovered.
+// a log recovery has kept is on disk as it was recovered. Whatever
+// follows the n bytes is zeros: the preallocated tail of a node that
+// did not stop cleanly. The file is mapped at the first append.
 func openJournalWriter(path string, n, synced int64) (*journalWriter, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +106,7 @@ func openJournalWriter(path string, n, synced int64) (*journalWriter, error) {
 	return jw, nil
 }
 
-// append encodes one mutation record and writes it to the file.
+// append encodes one mutation record and appends it to the log.
 func (jw *journalWriter) append(op byte, key string, k knowledge.Knowgget) error {
 	payload := jw.scratch[:0]
 	payload = append(payload, op)
@@ -105,11 +120,63 @@ func (jw *journalWriter) append(op byte, key string, k knowledge.Knowgget) error
 	}
 	jw.scratch = payload // keep the grown buffers for the next append
 	jw.frame = appendFrame(jw.frame[:0], payload)
-	if _, err := jw.f.Write(jw.frame); err != nil {
+	_, err := jw.Write(jw.frame)
+	return err
+}
+
+// Write appends p, whole frames, at the log's logical end: a copy into
+// the mapping, remapped first when p does not fit in it.
+func (jw *journalWriter) Write(p []byte) (int, error) {
+	end := jw.bytes + int64(len(p))
+	if end > int64(len(jw.data)) {
+		if err := jw.remap(end); err != nil {
+			return 0, err
+		}
+	}
+	copy(jw.data[jw.bytes:], p)
+	jw.bytes = end
+	return len(p), nil
+}
+
+// remap preallocates the file mapAhead past end and maps all of it.
+// Where the preallocation allocates blocks (fallocate on Linux), a full
+// disk fails it, and not a store into the mapping.
+func (jw *journalWriter) remap(end int64) error {
+	if err := jw.unmap(); err != nil {
 		return err
 	}
-	jw.bytes += int64(len(jw.frame))
-	return nil
+	if err := preallocate(jw.f, end+mapAhead); err != nil {
+		return err
+	}
+	fi, err := jw.f.Stat()
+	if err != nil {
+		return err
+	}
+	jw.data, err = mapFile(jw.f, fi.Size())
+	return err
+}
+
+// unmap hands the mapping's stores to the file and drops the mapping.
+func (jw *journalWriter) unmap() error {
+	if jw.data == nil {
+		return nil
+	}
+	err := flushMapping(jw.data)
+	if uerr := unmapFile(jw.data); err == nil {
+		err = uerr
+	}
+	jw.data = nil
+	return err
+}
+
+// extend makes f at least size bytes long, the new bytes zeros. It
+// never shrinks f.
+func extend(f *os.File, size int64) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() >= size {
+		return err
+	}
+	return f.Truncate(size)
 }
 
 // appendFrame appends payload to dst in the frame every state file
@@ -188,15 +255,18 @@ type logContents struct {
 	torn        bool            // bytes that did not verify followed it
 }
 
-// replayJournal reads a log byte stream and returns its verified
+// replayJournal reads the bytes of a log and returns its verified
 // prefix, decoded. A torn, checksum-failing or undecodable frame ends
 // the replay at the last good offset with torn set — the write-ahead
 // contract: a crash mid-append loses at most the frame being written,
-// never an earlier one, and no frame is ever applied in part. A bad
-// header returns ErrJournalHeader instead.
-func replayJournal(r io.Reader) (logContents, error) {
+// never an earlier one, and no frame is ever applied in part. A frame
+// boundary followed by nothing but zeros is a clean end: the
+// preallocated tail of a log whose node did not stop cleanly. Zeros
+// with anything else behind them are torn. A bad header returns
+// ErrJournalHeader instead.
+func replayJournal(raw []byte) (logContents, error) {
 	var log logContents
-	good, torn, err := replayFrames(r, logHeader, func(payload []byte) error {
+	good, torn, err := replayFrames(bytes.NewReader(raw), logHeader, func(payload []byte) error {
 		if payload[0] == opWindow {
 			recs, err := trace.ReadAll(bytes.NewReader(payload[1:]))
 			if err != nil {
@@ -216,7 +286,7 @@ func replayJournal(r io.Reader) (logContents, error) {
 	if err != nil {
 		return logContents{}, fmt.Errorf("%w: %v", ErrJournalHeader, err)
 	}
-	log.good, log.torn = good, torn
+	log.good, log.torn = good, torn && slices.ContainsFunc(raw[good:], func(b byte) bool { return b != 0 })
 	return log, nil
 }
 
@@ -256,13 +326,30 @@ func (jw *journalWriter) sync() error {
 	return nil
 }
 
-// close syncs and closes the log file.
+// close leaves the log as a stopped node's: unmapped, cut to its
+// logical length, durable, closed. A log that is all logical is not
+// cut: an idle node stops without touching its state files.
 func (jw *journalWriter) close() error {
-	err := jw.sync()
+	err := jw.unmap()
+	if err == nil {
+		var fi os.FileInfo
+		if fi, err = jw.f.Stat(); err == nil && fi.Size() != jw.bytes {
+			err = jw.f.Truncate(jw.bytes)
+		}
+	}
+	if err == nil {
+		err = fsync(jw.f)
+	}
 	if cerr := jw.f.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// release unmaps and closes the log file, which is being replaced.
+func (jw *journalWriter) release() {
+	_ = jw.unmap()   // the stores are in the page cache either way
+	_ = jw.f.Close() // what the file held is in the snapshot and its replacement
 }
 
 // uvarintLen is the encoded size of v as a uvarint.

@@ -8,13 +8,16 @@
 // snapshot and then the log as just the window, waits until the log has
 // grown enough to be worth folding. A sync point runs on the manager's
 // one writer goroutine: Tick only hands it off, so the goroutine that
-// captures never waits for the disk. Together they give a production
-// node what fault.CrashNode only pretended it had — a warm restart: a
-// node rebooted from its state directory comes back with the knowledge
-// it had collectively and locally learned, instead of re-learning the
-// network from nothing while an attack is in progress (HADES-IoT
-// applies the same persisted-whitelist requirement to host-based IoT
-// detection).
+// captures never waits for the disk. The log is written through a
+// shared mapping of its file, preallocated ahead of its logical end: a
+// frame is appended by copying it into the mapping, and a sync point's
+// fsync writes back the pages the copies dirtied. Together they give a
+// production node what fault.CrashNode only pretended it had — a warm
+// restart: a node rebooted from its state directory comes back with the
+// knowledge it had collectively and locally learned, instead of
+// re-learning the network from nothing while an attack is in progress
+// (HADES-IoT applies the same persisted-whitelist requirement to
+// host-based IoT detection).
 //
 // Crash-safety argument, in four invariants:
 //
@@ -26,12 +29,15 @@
 //  2. The log is append-only with per-frame checksums: a crash
 //     mid-append loses at most the frame being written. Replay stops
 //     at the first torn or checksum-failing frame and truncates the
-//     file there. Each KB record is written by the caller that made the
-//     mutation, so a process crash loses none; the window's chunks are
-//     written by the sync point. The two share one file, so the sync
-//     point's one fsync covers both: a power cut keeps every record and
-//     every frame accepted before the hand-off of the last completed
-//     sync point, and loses at most what was accepted since.
+//     file there; a frame boundary followed by nothing but zeros — the
+//     preallocated tail — is a clean end. Each KB record is written by
+//     the caller that made the mutation, into the shared mapping, where
+//     it is in the kernel's page cache as the copy ends, so a process
+//     crash loses none; the window's chunks are written by the sync
+//     point. The two share one file, so the sync point's one fsync
+//     covers both: a power cut keeps every record and every frame
+//     accepted before the hand-off of the last completed sync point,
+//     and loses at most what was accepted since.
 //  3. A checkpoint goes snapshot, then log, each by rule 1's atomic
 //     replace: the log is rewritten as its header and the window once
 //     the snapshot holds every KB record the log held. A crash between
@@ -58,9 +64,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kalis/internal/core/datastore"
@@ -112,8 +120,9 @@ type Metrics struct {
 	// Syncs counts sync points that had something to make durable
 	// (kalis_persist_sync_total).
 	Syncs *telemetry.Counter
-	// JournalBytes tracks the current log size in bytes, KB records and
-	// window chunks (kalis_persist_journal_bytes).
+	// JournalBytes tracks the log's logical size in bytes, KB records
+	// and window chunks — not the file's preallocated length
+	// (kalis_persist_journal_bytes).
 	JournalBytes *telemetry.Gauge
 	// Recoveries counts recoveries by outcome
 	// (kalis_persist_recoveries_total{outcome=warm|cold|truncated}).
@@ -152,14 +161,18 @@ type Manager struct {
 	store    *datastore.Store
 	met      Metrics
 
-	mu       sync.Mutex
-	idle     sync.Cond // on mu: broadcast when a sync point completes
-	journal  *journalWriter
-	lastSync time.Time
-	clockSet bool
-	closed   bool
-	busy     bool  // a sync point is in flight on the writer
-	err      error // sticky first I/O failure
+	// lastSync is the capture time of the last sync point, in Unix
+	// nanoseconds, or noSync before the first Tick: Tick reads it
+	// without mu, and takes mu only once an interval has passed since,
+	// or the clock has gone back. Only the holder of mu stores it.
+	lastSync atomic.Int64
+
+	mu      sync.Mutex
+	idle    sync.Cond // on mu: broadcast when a sync point completes
+	journal *journalWriter
+	closed  bool
+	busy    bool  // a sync point is in flight on the writer
+	err     error // sticky first I/O failure
 
 	// handoff carries a sync point from Tick to the writer goroutine;
 	// busy keeps at most one in it or in flight, so a send never waits.
@@ -169,6 +182,14 @@ type Manager struct {
 	// snapStatics is how many static labels the snapshot on disk
 	// carries: the one part of the KB the log does not.
 	snapStatics int
+
+	// snapCurrent is set when the snapshot on disk holds the KB as it
+	// was when the log was last written whole, at base: by a checkpoint,
+	// and by a recovery that found the log holding the window alone.
+	// With nothing appended to the log since, no frame taken in that it
+	// lacks and no new static label, a checkpoint would write what is on
+	// disk already (see onDisk).
+	snapCurrent bool
 
 	// base is the log's size as last written whole: a checkpoint is due
 	// once it has grown rotateBytes past it.
@@ -211,13 +232,14 @@ func Open(cfg Config, kb *knowledge.Base, store *datastore.Store) (*Manager, err
 	}
 	if err := m.recover(); err != nil {
 		if m.journal != nil {
-			_ = m.journal.f.Close() // the error being returned is the one to report
+			m.journal.release() // the error being returned is the one to report
 		}
 		return nil, err
 	}
 	m.met.Recoveries.With(string(m.outcome)).Inc()
 	m.met.JournalBytes.Set(m.journalBytesLocked())
 	kb.SetJournal(m.record)
+	m.lastSync.Store(noSync)
 	m.idle.L = &m.mu
 	m.handoff = make(chan syncPoint, 1)
 	go m.writer()
@@ -306,6 +328,7 @@ func (m *Manager) recover() error {
 		if log.good-journalHeaderLen-live < rotateBytes {
 			m.journal, err = openJournalWriter(JournalPath(m.dir), log.good, 0)
 			m.base, m.winSeq = journalHeaderLen+live, m.store.Kept()
+			m.snapCurrent = snap != nil && log.good == m.base
 		}
 	}
 	if err == nil && m.outcome != OutcomeCold && (m.journal == nil || snap != nil && len(snap.WindowTrace) > 0) {
@@ -358,7 +381,7 @@ func loadJournalFile(path string) ([]byte, logContents, error) {
 	if err != nil {
 		return nil, logContents{}, err
 	}
-	log, err := replayJournal(bytes.NewReader(raw))
+	log, err := replayJournal(raw)
 	return raw, log, err
 }
 
@@ -475,11 +498,14 @@ func (m *Manager) record(op byte, key string, k knowledge.Knowgget) {
 	if m.closed || m.err != nil || m.journal == nil {
 		return
 	}
-	// One write(2) per record. KB mutations are change-gated but not
-	// rare — a routing trace changes the KB once every three to four
-	// frames — and a record buffered in the process would die with it:
-	// the write is what makes "lose at most the record being written"
-	// hold across a process crash. Durability against power loss is
+	// One copy into the log's shared mapping per record. KB mutations
+	// are change-gated but not rare — a routing trace changes the KB
+	// once every three to four frames — and a record buffered in the
+	// process would die with it: a store into the mapping is in the
+	// kernel's page cache once the copy ends, which is what makes "lose
+	// at most the record being written" hold across a process crash, at
+	// ≈ 130 ns a record, encoding included, where a write(2) of it costs
+	// ≈ 800 (BenchmarkJournalRecord). Durability against power loss is
 	// interval-bounded by the writer's fsync at each sync point.
 	if err := m.journal.append(op, key, k); err != nil {
 		m.err = fmt.Errorf("persist: journal append: %w", err)
@@ -488,42 +514,54 @@ func (m *Manager) record(op byte, key string, k knowledge.Knowgget) {
 	m.met.JournalBytes.Set(m.journal.bytes)
 }
 
+// noSync is lastSync before the first Tick: no capture time is at or
+// after it, so the first Tick takes the lock and sets the clock.
+const noSync = math.MaxInt64
+
 // Tick drives sync points from the capture clock: when now has
 // advanced a full interval past the last one, everything accepted so
 // far is handed to the writer to be made durable. Tick never waits for
 // it: a sync point that falls due while the previous one is still in
 // flight is postponed to the first Tick after that one completes. A
 // clock that jumps backwards (trace replay restarting, bench loops)
-// just re-bases the interval. The fast path is one lock and one time
-// comparison per packet.
+// just re-bases the interval. The fast path, inside the interval, is
+// one atomic load and two comparisons per packet, with no lock.
 func (m *Manager) Tick(now time.Time) {
+	t := now.UnixNano()
+	if last := m.lastSync.Load(); t >= last && t-last < int64(m.interval) {
+		return
+	}
+	m.tick(t)
+}
+
+// tick is Tick past its fast path, under mu.
+func (m *Manager) tick(t int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed || m.err != nil {
 		return
 	}
-	if !m.clockSet || now.Before(m.lastSync) {
-		m.lastSync = now
-		m.clockSet = true
+	last := m.lastSync.Load()
+	if last == noSync || t < last {
+		m.lastSync.Store(t)
 		return
 	}
-	if m.busy || now.Sub(m.lastSync) < m.interval {
+	if m.busy || t-last < int64(m.interval) {
 		return
 	}
 	if err := m.syncLocked(); err != nil {
 		m.err = err
 		return
 	}
-	m.lastSync = now
+	m.lastSync.Store(t)
 }
 
 // syncPoint is what Tick hands the writer: the Data Store's Kept count
 // at the hand-off, up to which the sync point logs the window, and the
-// log with its length then, all of which its fsync covers.
+// log, all of which its fsync covers.
 type syncPoint struct {
 	kept    uint64
 	journal *journalWriter
-	bytes   int64
 }
 
 // syncLocked is one sync point: it hands everything accepted so far to
@@ -548,7 +586,7 @@ func (m *Manager) syncLocked() error {
 		return nil
 	}
 	m.busy = true
-	m.handoff <- syncPoint{kept: kept, journal: jw, bytes: jw.bytes}
+	m.handoff <- syncPoint{kept: kept, journal: jw}
 	return nil
 }
 
@@ -556,23 +594,22 @@ func (m *Manager) syncLocked() error {
 // closes handoff. It runs the sync points Tick hands off, one at a
 // time: the window's frames up to the hand-off are appended to the log,
 // then one fsync makes them durable, and with them every KB record
-// written before it. The first failure is sticky, and no sync point is
+// appended before it. The first failure is sticky, and no sync point is
 // handed off after it.
 func (m *Manager) writer() {
 	for sp := range m.handoff {
-		n, next, err := m.copyWindow(sp.journal.f, m.winSeq, sp.kept)
+		_, next, err := m.copyWindow((*windowSink)(m), m.winSeq, sp.kept)
+		var end int64
 		if err != nil {
 			err = fmt.Errorf("persist: window append: %w", err)
-		} else if err = fsync(sp.journal.f); err != nil {
+		} else if end, err = m.flushLog(sp.journal); err != nil {
 			err = fmt.Errorf("persist: log sync: %w", err)
 		}
 		m.mu.Lock()
 		m.winSeq = next
-		sp.journal.bytes += n
-		m.met.JournalBytes.Set(sp.journal.bytes)
 		switch {
 		case err == nil:
-			sp.journal.synced = sp.bytes + n
+			sp.journal.synced = end
 			m.met.Syncs.Inc()
 		case m.err == nil:
 			m.err = err
@@ -585,6 +622,35 @@ func (m *Manager) writer() {
 	m.handoff = nil
 	m.idle.Broadcast()
 	m.mu.Unlock()
+}
+
+// windowSink is the Manager as the writer goroutine's destination for
+// window chunks: each goes into the log under mu, like a KB record, so
+// it lands whole at the logical end and leaves no gap that a crash
+// could turn into a torn frame in front of later records. The chunk is
+// encoded before, outside the lock.
+type windowSink Manager
+
+func (s *windowSink) Write(p []byte) (int, error) {
+	m := (*Manager)(s)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n, err := m.journal.Write(p)
+	m.met.JournalBytes.Set(m.journal.bytes)
+	return n, err
+}
+
+// flushLog makes the log durable up to its logical end, which it
+// returns: the mapping's stores are handed to the file under mu, so no
+// remap races it, and one fsync, outside mu, writes them back.
+func (m *Manager) flushLog(jw *journalWriter) (end int64, err error) {
+	m.mu.Lock()
+	end, err = jw.bytes, flushMapping(jw.data)
+	m.mu.Unlock()
+	if err == nil {
+		err = fsync(jw.f)
+	}
+	return end, err
 }
 
 // waitLocked waits, on mu, until no sync point is in flight.
@@ -627,8 +693,17 @@ func (m *Manager) compactLocked() error {
 	if err := m.writeLog(logHeader); err != nil {
 		return err
 	}
+	m.snapCurrent = true
 	m.met.Snapshots.Inc()
 	return nil
+}
+
+// onDisk reports whether a checkpoint would write what the state dir
+// holds already: the snapshot is current, nothing was appended to the
+// log since it was written whole, the log has every frame the Data
+// Store took in, and no label has turned static since.
+func (m *Manager) onDisk() bool {
+	return m.snapCurrent && m.journal.bytes == m.base && m.winSeq == m.store.Kept() && m.kb.StaticCount() == m.snapStatics
 }
 
 // writeSnapshotLocked writes the Knowledge Base snapshot. The Data
@@ -649,9 +724,14 @@ func (m *Manager) writeSnapshotLocked() error {
 // writeLog replaces the log, by the snapshot's atomic-replace rule,
 // with prefix — the header, or a verified log — followed by the window
 // up to the Data Store's Kept count, a chunk to a frame, and opens it
-// for appends. The file held open for appends is the old one: it is
-// closed once replaced.
+// for appends; it is mapped at the first. The log held open until then
+// is unmapped and closed first: Windows renames over neither a mapped
+// nor an open file.
 func (m *Manager) writeLog(prefix []byte) error {
+	if m.journal != nil {
+		m.journal.release()
+		m.journal = nil
+	}
 	var n int64
 	var next uint64
 	err := replaceFile(JournalPath(m.dir), func(w io.Writer) error {
@@ -664,10 +744,6 @@ func (m *Manager) writeLog(prefix []byte) error {
 	})
 	if err != nil {
 		return fmt.Errorf("persist: log rewrite: %w", err)
-	}
-	if m.journal != nil {
-		_ = m.journal.f.Close() // replaced: what it held is in the snapshot and the new log
-		m.journal = nil
 	}
 	size := int64(len(prefix)) + n
 	if m.journal, err = openJournalWriter(JournalPath(m.dir), size, size); err != nil {
@@ -722,8 +798,10 @@ func syncDir(dir string) error {
 
 // Stop waits for any sync point in flight and ends the writer, then
 // flushes everything: one final checkpoint (so a clean shutdown always
-// restarts warm from a snapshot and a log holding only the window) and
-// a synced, closed log. The manager logs nothing afterwards.
+// restarts warm from a snapshot and a log holding only the window),
+// unless the state dir holds that already, and a log unmapped, cut to
+// its logical length, synced and closed. The manager logs nothing
+// afterwards.
 func (m *Manager) Stop() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -737,7 +815,7 @@ func (m *Manager) Stop() error {
 		m.idle.Wait() // until the writer has exited
 	}
 	err := m.err
-	if err == nil {
+	if err == nil && !m.onDisk() {
 		err = m.compactLocked()
 	}
 	if m.journal != nil {
@@ -769,7 +847,8 @@ func (m *Manager) Err() error {
 	return m.err
 }
 
-// JournalBytes returns the current log size in bytes.
+// JournalBytes returns the log's logical length in bytes: its header
+// and frames, not the preallocated tail of the file.
 func (m *Manager) JournalBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -784,13 +863,23 @@ func (m *Manager) journalBytesLocked() int64 {
 }
 
 // Tear simulates a power loss mid-append for chaos drills: it flushes
-// nothing and chops the given number of bytes off the log file's tail,
-// leaving a torn final frame exactly as a crash during an append would.
+// nothing and zeroes the given number of bytes at the end of the log's
+// frames, leaving a torn final frame as a crash during an append would.
+// It never shrinks the file, which the torn node may still have mapped.
 // It is invoked by fault.CrashNodeDirty's dirty hook.
 func Tear(dir string, dropBytes int64) error {
-	info, err := os.Stat(JournalPath(dir))
+	_, log, err := loadJournalFile(JournalPath(dir))
 	if err != nil {
 		return err
 	}
-	return os.Truncate(JournalPath(dir), max(info.Size()-dropBytes, 0))
+	f, err := os.OpenFile(JournalPath(dir), os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	from := max(log.good-dropBytes, 0)
+	_, err = f.WriteAt(make([]byte, log.good-from), from)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

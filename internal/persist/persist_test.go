@@ -312,7 +312,7 @@ func TestTickCompaction(t *testing.T) {
 
 	m.Tick(t0.Add(5 * time.Second)) // under the 10s interval
 	wantCounters(t, met, "under the interval", 0, 0)
-	if got := fileSize(t, JournalPath(dir)); got != journal || m.journal.synced != journalHeaderLen {
+	if got := logBytes(t, dir); got != journal || m.journal.synced != journalHeaderLen {
 		t.Errorf("under the interval: log %d bytes, synced to %d: only the KB record should have been written", got, m.journal.synced)
 	}
 
@@ -321,7 +321,7 @@ func TestTickCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCounters(t, met, "past the interval", 1, 0)
-	if got := m.JournalBytes(); got <= journal || m.journal.synced != got || fileSize(t, JournalPath(dir)) != got {
+	if got := m.JournalBytes(); got <= journal || m.journal.synced != got || logBytes(t, dir) != got {
 		t.Errorf("sync point: log %d bytes (%d before), synced to %d: want the window's new frames appended and fsynced in place", got, journal, m.journal.synced)
 	}
 	if _, err := os.Stat(SnapshotPath(dir)); !errors.Is(err, os.ErrNotExist) {
@@ -332,7 +332,7 @@ func TestTickCompaction(t *testing.T) {
 	kb.PutEntity("SignalStrength", "0xffff", "-67") // the record that crosses the threshold
 	m.Tick(t0.Add(22 * time.Second))
 	wantCounters(t, met, "past rotateBytes", 2, 1)
-	if got, want := m.JournalBytes(), fileSize(t, JournalPath(dir)); got != want || got >= rotateBytes/2 {
+	if got, want := m.JournalBytes(), logBytes(t, dir); got != want || got >= rotateBytes/2 {
 		t.Errorf("checkpoint did not rewrite the log as the window: %d bytes (%d on disk)", got, want)
 	}
 	if log, err := replayJournalFile(t, JournalPath(dir)); err != nil || len(log.entries) != 0 || len(log.window) != 5 {
@@ -582,12 +582,17 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 // TestStickyJournalError: once the journal or the writer's disk fails,
 // the manager reports the first failure — from Err and from Stop — and
 // stops journaling and handing off sync points instead of panicking.
+// The journal fails where a full disk would fail it: a new Open maps
+// its log at the first record, and that record's preallocation fails.
 func TestStickyJournalError(t *testing.T) {
 	t.Run("journal write", func(t *testing.T) {
 		dir := t.TempDir()
 		m, kb, _ := openManager(t, dir, Metrics{})
 		m.mu.Lock()
-		m.journal.f.Close() // sabotage the fd: subsequent flushes fail
+		if m.journal.data != nil {
+			t.Fatal("the log is mapped before its first record")
+		}
+		m.journal.f.Close() // sabotage the fd: the preallocation fails
 		m.mu.Unlock()
 		kb.Put("A", "1")
 		kb.Put("B", "2") // second put hits the sticky-error fast path
@@ -824,7 +829,7 @@ func TestPowerCutDuringSync(t *testing.T) {
 			gate.shut.Store(true)
 			m.Tick(t0.Add(22 * time.Second))
 			gate.waitHeld(t) // the chunk is written, its fsync is held
-			chunk := fileSize(t, JournalPath(dir))
+			chunk := m.JournalBytes()
 			kb.Put("C", "3")
 			kb.Delete(knowledge.Knowgget{Creator: "K1", Label: "A"}.Key())
 
@@ -878,7 +883,7 @@ func TestWarmOpenKeepsTheJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal := fileSize(t, JournalPath(dir))
+	journal := logBytes(t, dir)
 
 	met := syncMetrics()
 	m2, kb2, _ := openManager(t, dir, met)
@@ -892,7 +897,7 @@ func TestWarmOpenKeepsTheJournal(t *testing.T) {
 	if fi, err := os.Stat(SnapshotPath(dir)); err != nil || !os.SameFile(fi, snap) || !fi.ModTime().Equal(snap.ModTime()) || fi.Size() != snap.Size() {
 		t.Errorf("a warm Open rewrote the snapshot (stat err %v)", err)
 	}
-	if got := m2.JournalBytes(); got != journal || fileSize(t, JournalPath(dir)) != journal {
+	if got := m2.JournalBytes(); got != journal || logBytes(t, dir) != journal {
 		t.Errorf("a warm Open left a %d-byte journal, want the %d bytes it recovered", got, journal)
 	}
 	kb2.Put("C", "3")
@@ -938,17 +943,17 @@ func TestManagerDirError(t *testing.T) {
 func TestJournalReplayProperties(t *testing.T) {
 	// Header only: clean empty journal.
 	raw := append(append([]byte{}, JournalMagic[:]...), JournalVersion)
-	log, err := replayJournal(bytes.NewReader(raw))
+	log, err := replayJournal(raw)
 	if err != nil || log.torn || len(log.entries) != 0 || log.good != journalHeaderLen {
 		t.Errorf("empty journal: %v %v %d %d", err, log.torn, len(log.entries), log.good)
 	}
 	// Short header: ErrJournalHeader.
-	if _, err := replayJournal(bytes.NewReader(raw[:3])); !errors.Is(err, ErrJournalHeader) {
+	if _, err := replayJournal(raw[:3]); !errors.Is(err, ErrJournalHeader) {
 		t.Errorf("short header err = %v", err)
 	}
 	// Garbage after the header: torn at offset journalHeaderLen.
 	bad := append(append([]byte{}, raw...), 0xff, 0xff, 0xff)
-	log, err = replayJournal(bytes.NewReader(bad))
+	log, err = replayJournal(bad)
 	if err != nil || !log.torn || len(log.entries) != 0 || log.good != journalHeaderLen {
 		t.Errorf("garbage tail: %v %v %d %d", err, log.torn, len(log.entries), log.good)
 	}
@@ -1034,8 +1039,8 @@ func TestRecordDuringSyncPoint(t *testing.T) {
 	// Crash: the manager is abandoned where it stands.
 
 	log, err := replayJournalFile(t, JournalPath(dir))
-	if err != nil || log.torn || log.good != fileSize(t, JournalPath(dir)) {
-		t.Fatalf("replay: torn %v, %d good bytes of %d, err %v", log.torn, log.good, fileSize(t, JournalPath(dir)), err)
+	if err != nil || log.torn || log.good != m.JournalBytes() {
+		t.Fatalf("replay: torn %v, %d good bytes of %d, err %v", log.torn, log.good, m.JournalBytes(), err)
 	}
 	seen := make(map[string]int)
 	for _, e := range log.entries {

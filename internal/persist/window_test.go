@@ -90,6 +90,18 @@ func fileSize(t *testing.T, path string) int64 {
 	return info.Size()
 }
 
+// logBytes is the logical length of the log in dir as a replay finds
+// it: the header and the frames, without the preallocated zero tail the
+// file carries while it is mapped, or after a node that did not stop.
+func logBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	log, err := replayJournalFile(t, JournalPath(dir))
+	if err != nil || log.torn {
+		t.Fatalf("log of %d good bytes: torn %v, err %v", log.good, log.torn, err)
+	}
+	return log.good
+}
+
 // parentSnapshot encodes s as the commit before the window was logged
 // wrote it: the Knowledge Base section, then a Data Store section
 // carrying the window as a trace stream.
@@ -167,7 +179,7 @@ func TestWindowLogWritesWhatChanged(t *testing.T) {
 	dir := t.TempDir()
 	m, kb, store := openManager(t, dir, Metrics{})
 	kb.Put("Multihop", "true")
-	if got := fileSize(t, JournalPath(dir)); got <= journalHeaderLen {
+	if got := logBytes(t, dir); got <= journalHeaderLen {
 		t.Fatalf("a new node's log is %d bytes, want its header and the KB record", got)
 	}
 	frames := windowFrames(t, 0, 30)
@@ -177,7 +189,7 @@ func TestWindowLogWritesWhatChanged(t *testing.T) {
 	for i, n := range []int{0, 20, 25, 25, 30} {
 		appendAll(t, store, frames[int(store.Total()):n])
 		syncAt(t, m, t0.Add(time.Duration(i+1)*11*time.Second))
-		sizes = append(sizes, fileSize(t, JournalPath(dir)))
+		sizes = append(sizes, logBytes(t, dir))
 	}
 	twenty, five := sizes[1]-sizes[0], sizes[2]-sizes[1]
 	if twenty != int64(len(windowChunk(t, frames[:20]))) || five != int64(len(windowChunk(t, frames[20:25]))) || five*2 >= twenty {
@@ -276,7 +288,7 @@ func TestTornWindowLogTruncates(t *testing.T) {
 	appendAll(t, store, frames[:20])
 	syncAt(t, m, t0.Add(11*time.Second))
 	kb.Put("B", "2")
-	prefix := fileSize(t, JournalPath(dir))
+	prefix := logBytes(t, dir)
 	appendAll(t, store, frames[20:])
 	syncAt(t, m, t0.Add(22*time.Second))
 	if err := Tear(dir, 3); err != nil { // chop the second chunk mid-checksum
@@ -328,7 +340,7 @@ func TestCrashInsideCompaction(t *testing.T) {
 	}{
 		"log ahead of snapshot": {
 			func(m *Manager) error {
-				_, _, err := m.copyWindow(m.journal.f, m.winSeq, m.store.Kept())
+				_, _, err := m.copyWindow(m.journal, m.winSeq, m.store.Kept())
 				return err
 			},
 			30,
@@ -612,7 +624,7 @@ func TestWindowLogReplayProperties(t *testing.T) {
 	chunk := windowChunk(t, windowFrames(t, 0, 3))
 	good := append(append([]byte{}, put...), chunk...)
 
-	log, err := replayJournal(bytes.NewReader(good))
+	log, err := replayJournal(good)
 	if err != nil || log.torn || len(log.entries) != 1 || len(log.window) != 3 || log.good != int64(len(good)) || log.windowBytes != int64(len(chunk)) {
 		t.Errorf("a KB record and a chunk: %v torn=%v %d entries, %d records in %d bytes, %d/%d good", err, log.torn, len(log.entries), len(log.window), log.windowBytes, log.good, len(good))
 	}
@@ -621,7 +633,7 @@ func TestWindowLogReplayProperties(t *testing.T) {
 	// nothing of the second.
 	two := append(append([]byte{}, good...), chunk...)
 	for cut := len(good) + 1; cut < len(two); cut++ {
-		log, err = replayJournal(bytes.NewReader(two[:cut]))
+		log, err = replayJournal(two[:cut])
 		if err != nil || !log.torn || len(log.entries) != 1 || len(log.window) != 3 || log.good != int64(len(good)) {
 			t.Fatalf("cut at %d of %d: %v torn=%v %d entries, %d records, %d good bytes", cut, len(two), err, log.torn, len(log.entries), len(log.window), log.good)
 		}
@@ -630,7 +642,7 @@ func TestWindowLogReplayProperties(t *testing.T) {
 	// parse is no chunk: never half of its records.
 	batch := windowTrace(t, windowFrames(t, 0, 3))
 	bad := appendFrame(append([]byte{}, good...), append([]byte{opWindow}, batch[:len(batch)-2]...))
-	log, err = replayJournal(bytes.NewReader(bad))
+	log, err = replayJournal(bad)
 	if err != nil || !log.torn || len(log.window) != 3 || log.good != int64(len(good)) {
 		t.Errorf("unparseable chunk: %v torn=%v %d records, %d good bytes", err, log.torn, len(log.window), log.good)
 	}
@@ -768,7 +780,7 @@ func TestRewriteBytes(t *testing.T) {
 		if !bytes.Equal(got[:journalHeaderLen], logHeader) || frames != (window+winChunk-1)/winChunk {
 			t.Errorf("window %d: the rewritten log is %d frames behind its header, want %d chunks", window, frames, (window+winChunk-1)/winChunk)
 		}
-		log, err := replayJournal(bytes.NewReader(got))
+		log, err := replayJournal(got)
 		if err != nil || log.torn || len(log.entries) != 0 || len(log.window) != len(want) {
 			t.Fatalf("window %d: the rewritten log replays %d records (torn %v, err %v), want the window's %d", window, len(log.window), log.torn, err, len(want))
 		}
@@ -838,6 +850,7 @@ func TestLargestChunkReplaysWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw = raw[:m.JournalBytes()] // the frames, without the file's zero tail
 	var chunks, largest int
 	br := bufio.NewReader(bytes.NewReader(raw[journalHeaderLen:]))
 	for {
@@ -855,7 +868,7 @@ func TestLargestChunkReplaysWhole(t *testing.T) {
 	if chunks != 2 || largest != maxFrame {
 		t.Errorf("the sync point wrote %d chunks, the largest %d bytes: want the two records cut apart, one chunk of maxFrame (%d)", chunks, largest, maxFrame)
 	}
-	log, err := replayJournal(bytes.NewReader(raw))
+	log, err := replayJournal(raw)
 	if err != nil || log.torn || len(log.entries) != 1 || len(log.window) != 2 {
 		t.Fatalf("replay: %d KB records and %d window records (torn %v, err %v), want 1 and 2, whole", len(log.entries), len(log.window), log.torn, err)
 	}

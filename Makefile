@@ -72,7 +72,9 @@ crash-demo:
 	$(GO) test -run TestCrashRecoveryDrill -v .
 
 # Short native-fuzz passes: the collective receive path (truncated /
-# corrupted / replayed datagrams must never panic or taint the KB), the
+# corrupted / replayed datagrams must never panic or taint the KB) and
+# its wire codec under the seal (whatever decodes must re-encode to the
+# same bytes: one encoding per message), the
 # durable-state loaders (arbitrary snapshot bytes, log bytes — KB
 # records and window chunks — and bytes of the parent window.kwin that
 # migration reads must never panic or partially apply), the frame decoder (arbitrary captured
@@ -90,6 +92,7 @@ crash-demo:
 # suspects the QueryLocal reference model does, in its order).
 fuzz-short:
 	$(GO) test -fuzz=FuzzNodeReceive -fuzztime=30s -run '^$$' ./internal/core/collective/
+	$(GO) test -fuzz=FuzzDecodeWire -fuzztime=30s -run '^$$' ./internal/core/collective/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzWindowLogLoad -fuzztime=30s -run '^$$' ./internal/persist/

@@ -10,10 +10,9 @@ import (
 
 var benchSink []byte
 
-// BenchmarkDigestEncode measures encoding a fleet-sized gossip
-// message: a 256-creator version vector plus a 32-entry piggyback
-// section — the per-round, per-target serialization cost.
-func BenchmarkDigestEncode(b *testing.B) {
+// benchGossipMsg is a fleet-sized gossip message: a 256-creator
+// version vector plus a 32-entry piggyback section.
+func benchGossipMsg() *wireMsg {
 	msg := &wireMsg{kind: kindGossip, sender: "K0"}
 	msg.digest = make([]digestEntry, 0, 256)
 	for i := 0; i < 256; i++ {
@@ -29,10 +28,54 @@ func BenchmarkDigestEncode(b *testing.B) {
 		})
 	}
 	msg.sections = []deltaSection{sec}
+	return msg
+}
+
+// BenchmarkDigestEncode measures encoding benchGossipMsg — the
+// per-round, per-target serialization cost.
+func BenchmarkDigestEncode(b *testing.B) {
+	msg := benchGossipMsg()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = encodeWire(msg)
+	}
+}
+
+// benchDeltaMsg is a fleet-shaped delta message: one section per
+// wanted creator, each a few entries of labels every creator shares.
+func benchDeltaMsg() *wireMsg {
+	msg := &wireMsg{kind: kindDelta, sender: "N00000"}
+	for c := 1; c <= 64; c++ {
+		sec := deltaSection{creator: fmt.Sprintf("N%05d", c), from: 10, upTo: 18}
+		for i := 0; i < 8; i++ {
+			sec.entries = append(sec.entries, knowledge.Knowgget{
+				Label:   fmt.Sprintf("FleetKey%d", i%4),
+				Value:   strconv.Itoa(c),
+				Version: uint64(11 + i),
+			})
+		}
+		msg.sections = append(msg.sections, sec)
+	}
+	return msg
+}
+
+// BenchmarkWireDecode measures decoding benchGossipMsg and
+// benchDeltaMsg, as a receiver does once per message it opens.
+func BenchmarkWireDecode(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		msg  *wireMsg
+	}{{"gossip", benchGossipMsg()}, {"delta", benchDeltaMsg()}} {
+		data := encodeWire(bc.msg)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeWire(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -382,7 +382,7 @@ func (n *Node) gossipRound() {
 }
 
 // receive handles one datagram from the transport. Malformed or
-// corrupt envelopes (failed decrypt, bad codec, bad checksum) are
+// corrupt envelopes (failed decrypt or authentication, bad codec) are
 // counted and discarded — a hostile or lossy network must never crash
 // the collective layer, and a malformed message is never partially
 // applied (decodeWire validates everything up front).
@@ -541,8 +541,10 @@ func (n *Node) reconcile(senderID, fromAddr string, theirs []digestEntry) {
 	}
 }
 
-// softDatagramLimit keeps delta messages under the UDP transport's
-// 64KB read buffer (sections are chunked and chained by watermark).
+// softDatagramLimit caps a delta message's encoded size: a sealed
+// datagram fits the UDP transport's maxDatagram read buffer with room
+// to spare. Only a single entry larger than the limit makes a message
+// that passes it.
 const softDatagramLimit = 48 << 10
 
 // deltaChunkEntries bounds entries per section, well under the decode
@@ -551,13 +553,14 @@ const deltaChunkEntries = 512
 
 // sendDeltas builds and sends delta messages answering wants: for each
 // (creator, since) pair, every collective knowgget of that creator
-// newer than since, chunked into watermark-chained sections and split
-// across datagrams under the soft size limit.
+// newer than since, chunked into watermark-chained sections and cut
+// into datagrams before they pass the soft size limit, measured by the
+// wire format's upper bounds.
 func (n *Node) sendDeltas(addr string, wants []digestEntry) {
 	local := n.kb.LocalID()
 	msg := wireMsg{kind: kindDelta, sender: local}
 	msg.sections = make([]deltaSection, 0, len(wants))
-	size := 0
+	size := wireHeaderBound(local)
 	entries := 0
 	flush := func() {
 		if len(msg.sections) == 0 {
@@ -574,31 +577,34 @@ func (n *Node) sendDeltas(addr string, wants []digestEntry) {
 			n.sendReliable(addr, data)
 		}
 		msg.sections = msg.sections[:0]
-		size, entries = 0, 0
+		size, entries = wireHeaderBound(local), 0
 	}
 	for _, w := range wants {
 		delta := n.kb.CollectiveSince(w.creator, w.version)
-		if len(delta) == 0 {
-			continue
-		}
 		from := w.version
-		for start := 0; start < len(delta); start += deltaChunkEntries {
-			end := min(start+deltaChunkEntries, len(delta))
-			sec := deltaSection{
-				creator: w.creator,
-				from:    from,
-				upTo:    delta[end-1].Version,
-				entries: delta[start:end],
+		for len(delta) > 0 {
+			// Take the entries that fit the message, up to a chunk; a
+			// message's first entry goes in whatever its size.
+			size += wireSectionBound(w.creator)
+			end := 0
+			for end < min(len(delta), deltaChunkEntries) {
+				k := &delta[end]
+				b := wireEntryBound(k)
+				if size+b > softDatagramLimit && entries+end > 0 {
+					break
+				}
+				size += b
+				end++
 			}
-			from = sec.upTo
-			msg.sections = append(msg.sections, sec)
-			entries += len(sec.entries)
-			size += len(w.creator) + 24
-			for _, k := range sec.entries {
-				size += len(k.Label) + len(k.Entity) + len(k.Value) + 16
+			if end > 0 {
+				sec := deltaSection{creator: w.creator, from: from, upTo: delta[end-1].Version, entries: delta[:end]}
+				msg.sections = append(msg.sections, sec)
+				entries += end
+				from = sec.upTo
+				delta = delta[end:]
 			}
-			if size >= softDatagramLimit || len(msg.sections) >= maxDeltaSections {
-				flush()
+			if (len(delta) > 0 && end < deltaChunkEntries) || len(msg.sections) == maxDeltaSections {
+				flush() // the message is full
 			}
 		}
 	}

@@ -29,8 +29,8 @@ func fuzzSeal(f *testing.F, payload []byte) []byte {
 // must never panic, never partially apply (decodeWire validates the
 // whole message before anything touches the KB), and never mutate the
 // Knowledge Base on malformed input. The seeds cover every message
-// kind plus structurally-broken variants (bad CRC, truncated section,
-// oversized counts).
+// kind plus broken envelopes (a flipped ciphertext bit, a truncated
+// datagram, a garbage prefix).
 func FuzzNodeReceive(f *testing.F) {
 	beacon := encodeWire(&wireMsg{kind: kindBeacon, sender: "K9"})
 	gossip := encodeWire(&wireMsg{
@@ -66,15 +66,18 @@ func FuzzNodeReceive(f *testing.F) {
 			entries: []knowledge.Knowgget{{Label: "Multihop", Value: "false", Version: 9}},
 		}},
 	})
-	badCRC := append([]byte(nil), gossip...)
-	badCRC[len(badCRC)-1] ^= 0xFF
 
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
-	for _, payload := range [][]byte{beacon, gossip, deltaReq, delta, forged, badCRC} {
+	for _, payload := range [][]byte{beacon, gossip, deltaReq, delta, forged} {
 		f.Add(fuzzSeal(f, payload))
 	}
+	// One flipped ciphertext bit: the GCM tag, the only integrity
+	// check on the wire, must refuse it.
 	sealed := fuzzSeal(f, gossip)
+	flipped := append([]byte(nil), sealed...)
+	flipped[len(flipped)/2] ^= 0x01
+	f.Add(flipped)
 	f.Add(sealed[:len(sealed)/2])
 	f.Add(append([]byte("garbage prefix"), sealed...))
 
@@ -113,8 +116,9 @@ func FuzzNodeReceive(f *testing.F) {
 
 // FuzzDecodeWire fuzzes the raw binary codec under the envelope:
 // arbitrary bytes either decode to a message that re-encodes
-// byte-identically (for canonical inputs) or fail cleanly — no panics,
-// no unbounded allocations (the decode caps).
+// byte-identically (the codec is canonical) or fail cleanly — no
+// panics, no unbounded allocations (the decode caps). No checksum
+// stands in front of the parser, so every mutation reaches it.
 func FuzzDecodeWire(f *testing.F) {
 	f.Add(encodeWire(&wireMsg{kind: kindBeacon, sender: "K9"}))
 	f.Add(encodeWire(&wireMsg{
@@ -132,6 +136,28 @@ func FuzzDecodeWire(f *testing.F) {
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{wireVersion, kindGossip})
+	// Table references, front-coded creators and the overlong
+	// uvarint the codec must refuse.
+	f.Add(wireFixture)
+	f.Add(encodeWire(&wireMsg{
+		kind:   kindDeltaReq,
+		sender: "N00001",
+		want:   []digestEntry{{creator: "N00007", version: 0}, {creator: "N00012", version: 4}, {creator: "N00120", version: 1}},
+	}))
+	f.Add(encodeWire(&wireMsg{
+		kind:   kindDelta,
+		sender: "N00001",
+		sections: []deltaSection{
+			{creator: "N00007", from: 0, upTo: 2, entries: []knowledge.Knowgget{
+				{Label: "FleetKey0", Value: "3", Version: 1},
+				{Label: "FleetKey1", Value: "3", Version: 2},
+			}},
+			{creator: "N00001", from: 4, upTo: 5, entries: []knowledge.Knowgget{
+				{Label: "FleetKey0", Entity: "N00007", Value: "9", Version: 5},
+			}},
+		},
+	}))
+	f.Add([]byte{wireVersion, kindBeacon, 0x82, 0x00, 'K', '9'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeWire(data)

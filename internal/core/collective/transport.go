@@ -168,6 +168,10 @@ func (t *MemTransport) Close() error {
 
 // --- UDP transport ---
 
+// maxDatagram is the UDP transport's read buffer: a longer datagram
+// arrives truncated and fails to open.
+const maxDatagram = 64 << 10
+
 // UDPTransport is a Transport over UDP sockets. Discovery broadcasts
 // are sent to a configured list of broadcast addresses (e.g. the LAN
 // broadcast address, or explicit peer addresses on networks that block
@@ -276,7 +280,7 @@ func (t *UDPTransport) Broadcast(data []byte) error {
 
 func (t *UDPTransport) readLoop() {
 	defer close(t.done)
-	buf := make([]byte, 64*1024)
+	buf := make([]byte, maxDatagram)
 	for {
 		n, from, err := t.conn.ReadFromUDP(buf)
 		if err != nil {

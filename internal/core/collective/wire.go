@@ -1,29 +1,42 @@
 package collective
 
-// Binary wire format for the anti-entropy gossip protocol, following
-// the repo's compact-codec conventions (internal/trace,
-// internal/persist): uvarint length-prefixed strings and a CRC32-IEEE
-// trailer over the whole payload. The envelope around it is still the
-// pre-shared-passphrase AES-GCM seal, so the checksum guards against
-// protocol bugs and in-sim corruption, not attackers.
+// Binary wire format, version 2, for the anti-entropy gossip protocol,
+// following the repo's compact-codec conventions (internal/trace,
+// internal/persist): uvarint counts and length-prefixed strings. Each
+// message names a repeated string once, through a per-message string
+// table, and front-codes its sorted digest creators.
 //
 //	[0]     format version (wireVersion)
 //	[1]     message kind
-//	string  sender node ID
+//	string  sender node ID, also entry 0 of the string table
 //	kind-specific body:
 //	  beacon:   (empty)
 //	  gossip:   digest, delta sections (piggybacked dirty flush)
 //	  deltaReq: digest (creator → since watermark, i.e. "send me
 //	            everything newer than this")
 //	  delta:    delta sections
-//	[..4]   crc32(IEEE) over all preceding bytes, little-endian
 //
-//	digest:  uvarint n, then n × (string creator, uvarint version)
+//	string:  uvarint len, then len bytes
+//	tstring: uvarint i into the message's string table: i below the
+//	         table's length names table[i]; i equal to it adds a new
+//	         entry, whose string follows; a larger i is malformed
+//	digest:  uvarint n, then n × (uvarint shared, string suffix,
+//	         uvarint version): the creator is the first shared bytes
+//	         of the previous creator, then suffix (front coding)
 //	delta sections: uvarint n, then n ×
-//	  (string creator, uvarint from, uvarint upTo, uvarint m,
+//	  (tstring creator, uvarint from, uvarint upTo, uvarint m,
 //	   m × knowgget)
-//	knowgget: string label, string entity, string value,
+//	knowgget: tstring label, tstring entity, string value,
 //	          uvarint version  (creator implied by the section)
+//
+// Values stay literal: the fleet harness's producers write one value
+// in a burst, and a table would win only on that shape of the
+// simulation.
+//
+// There is no checksum: the payload travels sealed by AES-GCM (see
+// seal), whose tag authenticates every byte, so a corrupted datagram
+// fails open before it reaches this decoder. A version 1 message is
+// malformed, so a fleet upgrades as a whole.
 //
 // A delta section is a *watermark-contiguous* state delta: it asserts
 // "these entries are everything of creator C you are missing between
@@ -36,21 +49,23 @@ package collective
 // reordering: a node never claims contiguous knowledge it does not
 // hold.
 //
-// Decoding is strict and fully validating: caps bound every count so a
-// corrupt length claim cannot force a giant allocation, trailing bytes
-// are an error, and nothing is applied until the whole message has
-// decoded — malformed datagrams are counted and dropped, never
-// partially applied.
+// Decoding is strict, fully validating and canonical — one message has
+// exactly one encoding, the one encodeWire writes. It rejects a
+// non-minimal uvarint, a new table entry that repeats one already in
+// the table, an index past the table, a shared prefix shorter than the
+// longest one, and trailing bytes. Counts are checked against the
+// bytes left before anything is allocated for them, and nothing is
+// applied until the whole message has decoded — malformed datagrams
+// are counted and dropped, never partially applied.
 
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 
 	"kalis/internal/core/knowledge"
 )
 
-const wireVersion = byte(1)
+const wireVersion = byte(2)
 
 const (
 	kindBeacon   = byte(1)
@@ -59,13 +74,28 @@ const (
 	kindDelta    = byte(4)
 )
 
-// Decode caps. A digest entry is ≥3 bytes and a knowgget ≥5, so these
-// also bound the decoded size of any datagram that passes the CRC.
+// Decode caps. A digest entry encodes in at least minDigestEntry bytes
+// (shared length, suffix length, version), a section header in at
+// least minSectionHeader (creator index, from, upTo, entry count) and
+// a knowgget in at least minKnowgget (label index, entity index, value
+// length, version), so a count the remaining bytes cannot hold is
+// malformed before anything is allocated for it. Front coding and the
+// table let a few bytes name a long string many times over, so the
+// datagram's size no longer bounds what it decodes to: a digest's
+// creators, and the strings of a message's knowggets (each with its
+// section's creator), may add up to at most maxDecodedBytes. A node's
+// own messages stay far below it: sendDeltas cuts them by the strings'
+// whole length.
 const (
 	maxWireString     = 64 << 10
 	maxDigestEntries  = 4096
 	maxDeltaSections  = 256
 	maxSectionEntries = 4096
+	maxDecodedBytes   = 1 << 20
+
+	minDigestEntry   = 3
+	minSectionHeader = 4
+	minKnowgget      = 4
 )
 
 // errWire is the single decode error: the receive path counts
@@ -94,30 +124,87 @@ type wireMsg struct {
 	sections []deltaSection // kindGossip piggyback and kindDelta
 }
 
+// strTable maps each string in a message's string table to its
+// position: the sender is 0, every other string the next position when
+// first used. Encoder and decoder build the same table in the same
+// order.
+type strTable map[string]int32
+
+// newStrTable starts a table holding sender, with room for n strings.
+func newStrTable(sender string, n int) strTable {
+	t := make(strTable, n)
+	t[sender] = 0
+	return t
+}
+
+// intern returns s's position in the table, adding s first when it is
+// not there yet; added reports that it was.
+func (t strTable) intern(s string) (pos int, added bool) {
+	if p, ok := t[s]; ok {
+		return int(p), false
+	}
+	t[s] = int32(len(t))
+	return len(t) - 1, true
+}
+
 func appendWireString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-func appendDigest(buf []byte, d []digestEntry) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(d)))
-	for _, e := range d {
-		buf = appendWireString(buf, e.creator)
-		buf = binary.AppendUvarint(buf, e.version)
+func appendTableString(buf []byte, t strTable, s string) []byte {
+	pos, added := t.intern(s)
+	buf = binary.AppendUvarint(buf, uint64(pos))
+	if added {
+		buf = appendWireString(buf, s)
 	}
 	return buf
 }
 
-func appendSections(buf []byte, secs []deltaSection) []byte {
+// sharedPrefix returns the length of the longest common prefix of a
+// and b.
+func sharedPrefix(a, b string) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+func appendDigest(buf []byte, d []digestEntry) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(d)))
+	prev := ""
+	for _, e := range d {
+		k := sharedPrefix(prev, e.creator)
+		buf = binary.AppendUvarint(buf, uint64(k))
+		buf = appendWireString(buf, e.creator[k:])
+		buf = binary.AppendUvarint(buf, e.version)
+		prev = e.creator
+	}
+	return buf
+}
+
+func appendSections(buf []byte, sender string, secs []deltaSection) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(secs)))
+	if len(secs) == 0 {
+		return buf
+	}
+	// Every section adds at most its creator and two strings per
+	// entry: size the table once.
+	n := 1
 	for _, s := range secs {
-		buf = appendWireString(buf, s.creator)
+		n += 1 + 2*len(s.entries)
+	}
+	tab := newStrTable(sender, n)
+	for _, s := range secs {
+		buf = appendTableString(buf, tab, s.creator)
 		buf = binary.AppendUvarint(buf, s.from)
 		buf = binary.AppendUvarint(buf, s.upTo)
 		buf = binary.AppendUvarint(buf, uint64(len(s.entries)))
-		for _, k := range s.entries {
-			buf = appendWireString(buf, k.Label)
-			buf = appendWireString(buf, k.Entity)
+		for i := range s.entries {
+			k := &s.entries[i]
+			buf = appendTableString(buf, tab, k.Label)
+			buf = appendTableString(buf, tab, k.Entity)
 			buf = appendWireString(buf, k.Value)
 			buf = binary.AppendUvarint(buf, k.Version)
 		}
@@ -125,74 +212,175 @@ func appendSections(buf []byte, secs []deltaSection) []byte {
 	return buf
 }
 
-// encodeWire serializes a message and appends the CRC trailer. It is
-// on the gossip-round hot path, so it avoids fmt and grows one
-// pre-sized buffer.
+// encodeWire serializes a message. It is on the gossip-round hot path,
+// so it avoids fmt and writes into one buffer sized up front.
 func encodeWire(m *wireMsg) []byte {
-	buf := make([]byte, 0, 512)
+	buf := make([]byte, 0, sizeHint(m))
 	buf = append(buf, wireVersion, m.kind)
 	buf = appendWireString(buf, m.sender)
 	switch m.kind {
 	case kindGossip:
 		buf = appendDigest(buf, m.digest)
-		buf = appendSections(buf, m.sections)
+		buf = appendSections(buf, m.sender, m.sections)
 	case kindDeltaReq:
 		buf = appendDigest(buf, m.want)
 	case kindDelta:
-		buf = appendSections(buf, m.sections)
+		buf = appendSections(buf, m.sender, m.sections)
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(buf))
-	return append(buf, sum[:]...)
+	return buf
 }
 
+// Upper bounds on the encoded size of a message's parts, their strings
+// included: a string length or a table index below 2^21 takes at most
+// 3 bytes, a number at most 10. sendDeltas cuts messages by them and
+// encodeWire sizes its buffer by them.
+
+// wireHeaderBound bounds version, kind, sender and the body's (at
+// most two) counts.
+func wireHeaderBound(sender string) int { return 2 + 3 + len(sender) + 2*3 }
+
+// wireDigestEntryBound bounds a digest entry: shared length, suffix,
+// version.
+func wireDigestEntryBound(creator string) int { return 3 + 3 + len(creator) + 10 }
+
+// wireSectionBound bounds a section header: creator, from, upTo,
+// entry count.
+func wireSectionBound(creator string) int { return 3 + 3 + len(creator) + 10 + 10 + 3 }
+
+// wireEntryBound bounds a knowgget: label, entity, value, version.
+func wireEntryBound(k *knowledge.Knowgget) int {
+	return 6 + len(k.Label) + 6 + len(k.Entity) + 3 + len(k.Value) + 10
+}
+
+// sizeHint bounds m's encoded size, up to a datagram.
+func sizeHint(m *wireMsg) int {
+	n := wireHeaderBound(m.sender)
+	for _, e := range m.digest {
+		n += wireDigestEntryBound(e.creator)
+	}
+	for _, e := range m.want {
+		n += wireDigestEntryBound(e.creator)
+	}
+	for i := range m.sections {
+		s := &m.sections[i]
+		n += wireSectionBound(s.creator)
+		for j := range s.entries {
+			n += wireEntryBound(&s.entries[j])
+		}
+	}
+	return min(n, maxDatagram)
+}
+
+// readWireUvarint reads one minimally encoded uvarint: a multi-byte
+// encoding whose last byte is zero writes a value a shorter one could,
+// and one message has one encoding.
 func readWireUvarint(buf []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(buf)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && buf[n-1] == 0) {
 		return 0, nil, errWire
 	}
 	return v, buf[n:], nil
 }
 
-func readWireString(buf []byte) (string, []byte, error) {
+// readWireBytes reads a length-prefixed string without copying it.
+func readWireBytes(buf []byte) ([]byte, []byte, error) {
 	n, buf, err := readWireUvarint(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > maxWireString || n > uint64(len(buf)) {
+		return nil, nil, errWire
+	}
+	return buf[:n], buf[n:], nil
+}
+
+func readWireString(buf []byte) (string, []byte, error) {
+	b, buf, err := readWireBytes(buf)
+	return string(b), buf, err
+}
+
+// readTableString reads a tstring: a table index, or a new entry that
+// must not repeat one the table already holds. strs holds the table's
+// strings by position; a new one is appended.
+func readTableString(buf []byte, t strTable, strs *[]string) (string, []byte, error) {
+	i, buf, err := readWireUvarint(buf)
+	switch {
+	case err != nil:
+		return "", nil, err
+	case i < uint64(len(*strs)):
+		return (*strs)[i], buf, nil
+	case i > uint64(len(*strs)):
+		return "", nil, errWire
+	}
+	s, buf, err := readWireString(buf)
 	if err != nil {
 		return "", nil, err
 	}
-	if n > maxWireString || n > uint64(len(buf)) {
+	if _, added := t.intern(s); !added {
 		return "", nil, errWire
 	}
-	return string(buf[:n]), buf[n:], nil
+	*strs = append(*strs, s)
+	return s, buf, nil
 }
 
-func readDigest(buf []byte) ([]digestEntry, []byte, error) {
+// readCount reads an element count, rejecting one above limit or one
+// whose elements, at least minSize bytes each, cannot fit in buf.
+func readCount(buf []byte, limit uint64, minSize int) (int, []byte, error) {
 	n, buf, err := readWireUvarint(buf)
-	if err != nil || n > maxDigestEntries {
-		return nil, nil, errWire
+	if err != nil || n > limit || n > uint64(len(buf)/minSize) {
+		return 0, nil, errWire
 	}
-	out := make([]digestEntry, 0, min(int(n), 64))
-	for i := uint64(0); i < n; i++ {
-		var e digestEntry
-		if e.creator, buf, err = readWireString(buf); err != nil {
+	return int(n), buf, nil
+}
+
+// readDigest decodes a front-coded digest.
+func readDigest(buf []byte) ([]digestEntry, []byte, error) {
+	n, buf, err := readCount(buf, maxDigestEntries, minDigestEntry)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]digestEntry, n)
+	var name []byte // the creator last decoded
+	decoded := 0    // creator bytes decoded so far
+	for i := range out {
+		var k uint64
+		var suffix []byte
+		if k, buf, err = readWireUvarint(buf); err != nil {
 			return nil, nil, err
 		}
-		if e.version, buf, err = readWireUvarint(buf); err != nil {
+		if suffix, buf, err = readWireBytes(buf); err != nil {
 			return nil, nil, err
 		}
-		out = append(out, e)
+		// k must be the longest prefix shared with the previous
+		// creator: no longer than it, and not followed by a byte the
+		// suffix could have shared too.
+		if k > uint64(len(name)) || (k < uint64(len(name)) && len(suffix) > 0 && suffix[0] == name[k]) ||
+			k+uint64(len(suffix)) > maxWireString {
+			return nil, nil, errWire
+		}
+		if decoded += int(k) + len(suffix); decoded > maxDecodedBytes {
+			return nil, nil, errWire
+		}
+		name = append(name[:k], suffix...)
+		out[i].creator = string(name)
+		if out[i].version, buf, err = readWireUvarint(buf); err != nil {
+			return nil, nil, err
+		}
 	}
 	return out, buf, nil
 }
 
-func readSections(buf []byte) ([]deltaSection, []byte, error) {
-	n, buf, err := readWireUvarint(buf)
-	if err != nil || n > maxDeltaSections {
-		return nil, nil, errWire
+func readSections(buf []byte, sender string) ([]deltaSection, []byte, error) {
+	n, buf, err := readCount(buf, maxDeltaSections, minSectionHeader)
+	if err != nil || n == 0 {
+		return nil, buf, err
 	}
-	out := make([]deltaSection, 0, min(int(n), 16))
-	for i := uint64(0); i < n; i++ {
-		var s deltaSection
-		if s.creator, buf, err = readWireString(buf); err != nil {
+	tab, strs := newStrTable(sender, 0), []string{sender}
+	out := make([]deltaSection, n)
+	decoded := 0 // string bytes of the knowggets decoded so far
+	for i := range out {
+		s := &out[i]
+		if s.creator, buf, err = readTableString(buf, tab, &strs); err != nil {
 			return nil, nil, err
 		}
 		if s.from, buf, err = readWireUvarint(buf); err != nil {
@@ -201,17 +389,17 @@ func readSections(buf []byte) ([]deltaSection, []byte, error) {
 		if s.upTo, buf, err = readWireUvarint(buf); err != nil {
 			return nil, nil, err
 		}
-		var m uint64
-		if m, buf, err = readWireUvarint(buf); err != nil || m > maxSectionEntries {
-			return nil, nil, errWire
+		var m int
+		if m, buf, err = readCount(buf, maxSectionEntries, minKnowgget); err != nil {
+			return nil, nil, err
 		}
-		s.entries = make([]knowledge.Knowgget, 0, min(int(m), 64))
-		for j := uint64(0); j < m; j++ {
-			var k knowledge.Knowgget
-			if k.Label, buf, err = readWireString(buf); err != nil {
+		s.entries = make([]knowledge.Knowgget, m)
+		for j := range s.entries {
+			k := &s.entries[j]
+			if k.Label, buf, err = readTableString(buf, tab, &strs); err != nil {
 				return nil, nil, err
 			}
-			if k.Entity, buf, err = readWireString(buf); err != nil {
+			if k.Entity, buf, err = readTableString(buf, tab, &strs); err != nil {
 				return nil, nil, err
 			}
 			if k.Value, buf, err = readWireString(buf); err != nil {
@@ -220,28 +408,25 @@ func readSections(buf []byte) ([]deltaSection, []byte, error) {
 			if k.Version, buf, err = readWireUvarint(buf); err != nil {
 				return nil, nil, err
 			}
-			s.entries = append(s.entries, k)
+			if decoded += len(s.creator) + len(k.Label) + len(k.Entity) + len(k.Value); decoded > maxDecodedBytes {
+				return nil, nil, errWire
+			}
 		}
-		out = append(out, s)
 	}
 	return out, buf, nil
 }
 
-// decodeWire parses and fully validates one sealed payload. It either
+// decodeWire parses and fully validates one opened payload. It either
 // returns a complete message or errWire — never a partial result.
 func decodeWire(data []byte) (*wireMsg, error) {
-	if len(data) < 7 { // version + kind + empty sender + crc
+	if len(data) < 3 { // version + kind + empty sender
 		return nil, errWire
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if binary.LittleEndian.Uint32(tail) != crc32.ChecksumIEEE(body) {
+	if data[0] != wireVersion {
 		return nil, errWire
 	}
-	if body[0] != wireVersion {
-		return nil, errWire
-	}
-	m := &wireMsg{kind: body[1]}
-	buf := body[2:]
+	m := &wireMsg{kind: data[1]}
+	buf := data[2:]
 	var err error
 	if m.sender, buf, err = readWireString(buf); err != nil {
 		return nil, err
@@ -252,7 +437,7 @@ func decodeWire(data []byte) (*wireMsg, error) {
 		if m.digest, buf, err = readDigest(buf); err != nil {
 			return nil, err
 		}
-		if m.sections, buf, err = readSections(buf); err != nil {
+		if m.sections, buf, err = readSections(buf, m.sender); err != nil {
 			return nil, err
 		}
 	case kindDeltaReq:
@@ -260,7 +445,7 @@ func decodeWire(data []byte) (*wireMsg, error) {
 			return nil, err
 		}
 	case kindDelta:
-		if m.sections, buf, err = readSections(buf); err != nil {
+		if m.sections, buf, err = readSections(buf, m.sender); err != nil {
 			return nil, err
 		}
 	default:

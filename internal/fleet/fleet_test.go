@@ -36,11 +36,31 @@ func TestGossipBytesPerNodeCeiling(t *testing.T) {
 	}
 	// 40 runs of this config at the commit before the fan-out sample
 	// became a function of the seed read 1835–2251 B/node (4–5 rounds);
-	// it is 1955 now. The deleted per-update push protocol this test used
-	// to compare against cost more than twice that on a full mesh.
+	// it read 1955 until the per-message string table and front-coded
+	// digests, and 1644 since. The deleted per-update push protocol this
+	// test used to compare against cost more than twice that on a full
+	// mesh.
 	const ceiling = 2500
 	if perNode := res.BytesSent / uint64(res.Nodes); perNode > ceiling {
 		t.Fatalf("gossip cost %d B/node over %d rounds, ceiling %d", perNode, res.Rounds, ceiling)
+	}
+}
+
+// TestFleetWireBudget: the collective's wire bytes stay where its
+// encoding put them. A 1 000-node fleet converges in at most 5 rounds
+// on seeds 1–3 at under 5 000 B per node; the format before the
+// per-message string table and front-coded digests sent 6 696–6 866.
+func TestFleetWireBudget(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := Run(Config{Nodes: 1000, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perNode := res.BytesSent / uint64(res.Nodes)
+		if !res.Converged || res.ConvergedNodes != res.Nodes || res.Rounds > 5 || perNode > 5000 {
+			t.Errorf("seed %d: %d/%d nodes converged in %d rounds at %d B/node; want all, ≤ 5 rounds, ≤ 5 000 B/node",
+				seed, res.ConvergedNodes, res.Nodes, res.Rounds, perNode)
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func run(args []string, stdout io.Writer) error {
 	})
 	if *verbose {
 		node.OnKnowledge(func(kg kalis.Knowgget) {
-			if strings.HasPrefix(kg.Label, "TrafficFrequency") || strings.HasPrefix(kg.Label, "SignalStrength") {
+			if strings.HasPrefix(kg.Label, "SignalStrength") {
 				return // too chatty for a console
 			}
 			entity := ""

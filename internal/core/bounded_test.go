@@ -21,8 +21,9 @@ import (
 // by less than a per-identity record per frame: every flow tracker's
 // and every module's per-identity state, Topology's and Mobility's
 // included, is filed by handle and so bounded by the table. (What still
-// grows is what the node reports: knowggets and alerts about spoofed
-// identities, DESIGN §8.5.) MonitoredNodes stays a high-water mark.
+// grows is what the node reports: SignalStrength knowggets and alerts
+// about spoofed identities, DESIGN §8.5; the rest of the Base stays a
+// few dozen knowggets.) MonitoredNodes stays a high-water mark.
 func TestBoundedUnderSpoofing(t *testing.T) {
 	// The node keeps every alert it raises, each naming its suspects; the
 	// flood detectors alert once here, so the alert log does not grow
@@ -111,6 +112,13 @@ func TestBoundedUnderSpoofing(t *testing.T) {
 				}
 			}
 			check(n)
+			// Of the per-identity knowledge only SignalStrength is left
+			// (DESIGN §8.5); what else the Base holds is per node or per
+			// kind.
+			signals := len(k.KB().QueryPrefix("K1$" + knowledge.LabelSignalStrength + "@"))
+			if other := k.KB().Len() - signals; other > 32 {
+				t.Errorf("the Base holds %d knowggets besides %d SignalStrength, over 32", other, signals)
+			}
 			if high < packet.IdentityCapacity/2 {
 				t.Errorf("MonitoredNodes reached %d: the flood never filled the identity table", high)
 			}

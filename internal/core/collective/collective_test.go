@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -283,5 +284,34 @@ func TestUDPTransport(t *testing.T) {
 	}
 	if _, ok := kb2.Get("K1$Multihop"); !ok {
 		t.Fatal("knowgget did not propagate over UDP")
+	}
+}
+
+// TestOversizedCollectiveIsRefused: a collective knowgget too long to
+// seal into one datagram is refused where it enters the Knowledge Base,
+// local or gossiped, so no node ships one that a peer cannot open and
+// asks for again in every digest exchange.
+func TestOversizedCollectiveIsRefused(t *testing.T) {
+	kb1, n1, kb2, n2 := pair(t)
+	n1.Beacon()
+	n2.Beacon()
+	big := strings.Repeat("v", 64<<10)
+	if kb1.PutCollective("Big", "", big) {
+		t.Error("a 64 KiB collective value was accepted")
+	}
+	if kb2.AcceptGossip("K3", knowledge.Knowgget{Label: "Big", Value: big, Creator: "K3", Version: 1}) {
+		t.Error("a gossiped 64 KiB collective value was accepted")
+	}
+	if !kb1.Put("Big", big) {
+		t.Error("a 64 KiB local (not collective) value was refused")
+	}
+	kb1.PutCollective("Small", "", "1")
+	n1.Gossip()
+	n2.Gossip()
+	if _, ok := kb2.Get("K1$Small"); !ok {
+		t.Error("the small collective knowgget did not propagate")
+	}
+	if v := kb1.LocalVersion(); v != 1 {
+		t.Errorf("K1 assigned %d collective versions, want 1: the refused put burnt one", v)
 	}
 }

@@ -204,8 +204,8 @@ func sameMsg(a, b *wireMsg) bool {
 // TestDeltaDatagramsFitTheUDPBuffer: sendDeltas cuts its messages by
 // size as well as by entry count, so every sealed datagram fits the
 // UDP transport's read buffer — with 4 096 entries of one creator,
-// entries of 4 KiB strings, and one value as long as still fits a
-// datagram alone (a 64 KiB string cannot: the read buffer is 64 KiB).
+// entries of 4 KiB strings, and one knowgget as long as the Knowledge
+// Base accepts (knowledge.MaxCollectiveBytes).
 // The receiver ends up holding every entry, with its watermarks at the
 // creators' last versions: the cut sections still chain.
 func TestDeltaDatagramsFitTheUDPBuffer(t *testing.T) {
@@ -227,7 +227,7 @@ func TestDeltaDatagramsFitTheUDPBuffer(t *testing.T) {
 	})
 
 	big := strings.Repeat("x", 4<<10)
-	huge := strings.Repeat("y", maxWireString-1<<10)
+	huge := strings.Repeat("y", knowledge.MaxCollectiveBytes-len("Huge"))
 	last := map[string]uint64{"K3": 4096, "K4": 64, "K5": 1}
 	for v := uint64(1); v <= last["K3"]; v++ {
 		sender.kb.AcceptGossip("K3", knowledge.Knowgget{Label: fmt.Sprintf("L%d", v), Entity: fmt.Sprint(v), Value: "1", Creator: "K3", Version: v})
@@ -250,6 +250,58 @@ func TestDeltaDatagramsFitTheUDPBuffer(t *testing.T) {
 	for c, v := range last {
 		if vv[c] != v || len(kb2.CollectiveSince(c, 0)) != int(v) {
 			t.Errorf("creator %s: watermark %d, %d entries held; want %d of each", c, vv[c], len(kb2.CollectiveSince(c, 0)), v)
+		}
+	}
+}
+
+// TestLargestCollectiveFitsOneDatagram: a knowgget whose label, entity
+// and value together are knowledge.MaxCollectiveBytes, from a creator
+// and relayed by a sender whose names are 1 KiB each, seals into one
+// datagram the UDP read buffer holds, and the receiver stores it.
+func TestLargestCollectiveFitsOneDatagram(t *testing.T) {
+	hub := NewHub()
+	senderID, creatorID := strings.Repeat("S", 1<<10), strings.Repeat("C", 1<<10)
+	sender, err := NewNode(knowledge.NewBase(senderID), hub.Endpoint("a1"), "secret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb2 := knowledge.NewBase("K2")
+	ep := hub.Endpoint("a2")
+	receiver, err := NewNode(kb2, ep, "secret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	ep.SetHandler(func(from string, data []byte) {
+		sizes = append(sizes, len(data))
+		receiver.receive(from, data)
+	})
+	third := strings.Repeat("e", 1<<10)
+	largest := func(label string) string {
+		return strings.Repeat("v", knowledge.MaxCollectiveBytes-len(label)-len(third))
+	}
+	if !sender.kb.PutCollective("Own", third, largest("Own")) {
+		t.Fatal("the largest allowed local knowgget was refused")
+	}
+	if !sender.kb.AcceptGossip("K3", knowledge.Knowgget{Label: "Relayed", Entity: third, Value: largest("Relayed"), Creator: creatorID, Version: 1}) {
+		t.Fatal("the largest allowed relayed knowgget was refused")
+	}
+
+	sender.sendDeltas("a2", []digestEntry{{creator: senderID}, {creator: creatorID}})
+	if len(sizes) != 2 {
+		t.Fatalf("%d datagrams for two knowggets, want one each", len(sizes))
+	}
+	for i, n := range sizes {
+		if n > maxDatagram {
+			t.Errorf("datagram %d is %d B, over the %d B read buffer", i, n, maxDatagram)
+		}
+	}
+	if _, _, malformed := receiver.Resilience(); malformed != 0 {
+		t.Fatalf("%d malformed datagrams", malformed)
+	}
+	for _, key := range []string{knowledge.Knowgget{Creator: senderID, Label: "Own", Entity: third}.Key(), knowledge.Knowgget{Creator: creatorID, Label: "Relayed", Entity: third}.Key()} {
+		if _, ok := kb2.Get(key); !ok {
+			t.Errorf("the receiver does not hold %.20s…", key)
 		}
 	}
 }

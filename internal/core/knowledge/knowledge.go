@@ -241,18 +241,33 @@ func (b *Base) PutEntity(label, entity, value string) bool {
 	return b.store(Knowgget{Label: label, Value: value, Creator: b.local, Entity: entity})
 }
 
+// MaxCollectiveBytes bounds a collective knowgget's label, entity and
+// value together. The gossip layer ships every knowgget inside one UDP
+// datagram, whose read buffer is 64 KiB; the bound leaves 4 KiB for the
+// message header, the creator's and sender's names (up to 1 KiB each)
+// and the seal. A longer one would be sent, fail to open and be asked
+// for again in every digest exchange.
+const MaxCollectiveBytes = 60 << 10
+
+// fitsDatagram reports whether a collective knowgget is within
+// MaxCollectiveBytes.
+func fitsDatagram(k *Knowgget) bool {
+	return len(k.Label)+len(k.Entity)+len(k.Value) <= MaxCollectiveBytes
+}
+
 // PutCollective stores a local knowgget marked for synchronization to
-// peer Kalis nodes.
+// peer Kalis nodes. One whose label, entity and value together pass
+// MaxCollectiveBytes is refused (false).
 func (b *Base) PutCollective(label, entity, value string) bool {
 	return b.store(Knowgget{Label: label, Value: value, Creator: b.local, Entity: entity, Collective: true})
 }
 
 // Entry is one local knowgget's place in the Knowledge Base with its
 // storage key built once: a module that publishes the same label and
-// entity over and over (a rate per kind and device, a signal strength
-// per transmitter) holds the entry and puts values through PutEntry,
-// which stores, journals, versions and notifies exactly as Put,
-// PutEntity and PutCollective do.
+// entity over and over (a rate per traffic kind, a signal strength per
+// transmitter) holds the entry and puts values through PutEntry, which
+// stores, journals, versions and notifies exactly as Put, PutEntity and
+// PutCollective do.
 type Entry struct {
 	key string
 	k   Knowgget
@@ -312,9 +327,10 @@ func (b *Base) PutIntMax(label string, v int) bool {
 // unless its Version is strictly newer than the stored entry's.
 // Gossiped state never collides with the local default-vs-evidence
 // provenance because remote creators key their own namespace. It
-// returns true if the knowgget was accepted (stored or refreshed).
+// returns true if the knowgget was accepted (stored or refreshed); one
+// past MaxCollectiveBytes never is.
 func (b *Base) AcceptGossip(from string, k Knowgget) bool {
-	if from == b.local || k.Creator == b.local || k.Creator == "" || k.Version == 0 {
+	if from == b.local || k.Creator == b.local || k.Creator == "" || k.Version == 0 || !fitsDatagram(&k) {
 		return false
 	}
 	k.Collective = true
@@ -402,6 +418,9 @@ func (b *Base) storeWith(k Knowgget, mode putMode) bool { return b.storeKeyed(k.
 
 // storeKeyed stores k under key, which must be k.Key().
 func (b *Base) storeKeyed(key string, k Knowgget, mode putMode) bool {
+	if k.Collective && !fitsDatagram(&k) {
+		return false
+	}
 	b.mu.Lock()
 	old, existed := b.entries[key]
 	switch mode {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -493,5 +494,36 @@ func TestPutIntMax(t *testing.T) {
 	}
 	if n, _ := b.Int("MonitoredNodes"); n != 8 {
 		t.Fatalf("MonitoredNodes = %d, want 8", n)
+	}
+}
+
+// TestCollectiveSizeBound: a collective knowgget whose label, entity and
+// value together are MaxCollectiveBytes is stored, one byte more is
+// refused however it arrives (PutCollective, a collective Entry,
+// AcceptGossip), and local knowledge is not bounded.
+func TestCollectiveSizeBound(t *testing.T) {
+	b := NewBase("K1")
+	value := func(extra int) string { return strings.Repeat("v", MaxCollectiveBytes-len("L")-len("e")+extra) }
+	if !b.PutCollective("L", "e", value(0)) {
+		t.Error("PutCollective refused a knowgget of exactly MaxCollectiveBytes")
+	}
+	if b.PutCollective("L", "e", value(1)) {
+		t.Error("PutCollective accepted one byte over MaxCollectiveBytes")
+	}
+	e := b.Entry("L", "e", true)
+	if b.PutEntry(&e, value(1)) {
+		t.Error("a collective Entry accepted one byte over MaxCollectiveBytes")
+	}
+	if kg, _ := b.Get("K1$L@e"); kg.Value != value(0) {
+		t.Error("a refused put replaced the stored value")
+	}
+	if b.AcceptGossip("K2", Knowgget{Label: "L", Entity: "e", Value: value(1), Creator: "K2", Version: 1}) {
+		t.Error("AcceptGossip accepted one byte over MaxCollectiveBytes")
+	}
+	if !b.AcceptGossip("K2", Knowgget{Label: "L", Entity: "e", Value: value(0), Creator: "K2", Version: 1}) {
+		t.Error("AcceptGossip refused a knowgget of exactly MaxCollectiveBytes")
+	}
+	if !b.PutEntity("L", "local", value(1)) {
+		t.Error("a local knowgget over MaxCollectiveBytes was refused")
 	}
 }

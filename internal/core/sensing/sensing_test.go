@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -98,8 +99,10 @@ func TestTopologyCountsNodesAndEdges(t *testing.T) {
 	if n, ok := kb.Int(knowledge.LabelMonitoredNodes); !ok || n != 4 { // 3 senders + dst 1
 		t.Errorf("MonitoredNodes = %d", n)
 	}
-	if len(kb.QueryPrefix("K1$Edge@")) != 3 {
-		t.Errorf("edges = %d, want 3", len(kb.QueryPrefix("K1$Edge@")))
+	// The links stay out of the Base: nothing reads them, and a spoofed
+	// flood would make one knowgget per spoofed transmitter.
+	if n := kb.Len(); n != 2 { // Mediums.ieee802154, MonitoredNodes
+		t.Errorf("the Base holds %d knowggets, want 2: %v", n, kb.QueryPrefix("K1$"))
 	}
 }
 
@@ -135,12 +138,8 @@ func TestTrafficStatsPublishesRates(t *testing.T) {
 	if f, _ := strconv.ParseFloat(v, 64); f != 2.0 {
 		t.Errorf("rate = %s, want 2.000", v)
 	}
-	ev, ok := kb.EntityValue(knowledge.LabelTrafficFrequency+".ICMPEchoReply", "192.168.1.10")
-	if !ok {
-		t.Fatal("per-victim rate missing")
-	}
-	if f, _ := strconv.ParseFloat(ev, 64); f != 2.0 {
-		t.Errorf("per-victim rate = %s", ev)
+	if got := kb.QueryPrefix("K1$" + knowledge.LabelTrafficFrequency + ".ICMPEchoReply@"); len(got) != 0 {
+		t.Errorf("per-destination rates published: %v", got)
 	}
 }
 
@@ -164,6 +163,30 @@ func TestTrafficStatsZeroesQuietKinds(t *testing.T) {
 	}
 	if f, _ := strconv.ParseFloat(v, 64); f != 0 {
 		t.Errorf("stale rate = %s, want 0", v)
+	}
+}
+
+// TestTrafficStatsPublishesTenfoldMoves: a kind's rate is put when a
+// window's count is at least ten times or at most a tenth of the count
+// last published, or goes to or from zero, and at no other window.
+func TestTrafficStatsPublishesTenfoldMoves(t *testing.T) {
+	kb := knowledge.NewBase("K1")
+	mod, _ := NewTrafficStats(map[string]string{"interval": "1s"})
+	mod.Activate(newCtx(kb))
+	var puts []string
+	kb.Subscribe(knowledge.LabelTrafficFrequency, func(kg knowledge.Knowgget) { puts = append(puts, kg.Value) })
+	src, dst := netip.MustParseAddr("192.168.1.2"), netip.MustParseAddr("192.168.1.3")
+	raw := stack.BuildICMPEcho(src, dst, icmp.TypeEchoRequest, 1, 1, 64)
+	counts := []int{10, 20, 99, 100, 50, 11, 10, 0, 0, 3, 29, 30}
+	for w, n := range append(counts, 1) { // the last window closes the one before
+		for i := range n {
+			at := t0.Add(time.Duration(w)*time.Second + time.Duration(i)*time.Millisecond)
+			mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, at, -60))
+		}
+	}
+	want := []string{"10.000", "100.000", "10.000", "0.000", "3.000", "30.000"}
+	if !slices.Equal(puts, want) {
+		t.Errorf("windows of %v packets put %v, want %v", counts, puts, want)
 	}
 }
 
@@ -397,40 +420,63 @@ func trafficFrames(t *testing.T, start time.Time, dsts int) []*packet.Captured {
 	return out
 }
 
-// TestTrafficStatsRollAllocatesNothing: a window roll that re-publishes
-// counts already seen for destinations already seen keys nothing and
-// renders nothing — the storage keys are held per (label, entity) and a
-// rate is rendered once per distinct count.
+// TestTrafficStatsRollAllocatesNothing: a window roll whose counts moved
+// less than tenfold puts nothing, and one that moves them to and from
+// zero again puts through the kinds' keyed entries with the rates
+// rendered before: neither allocates.
 func TestTrafficStatsRollAllocatesNothing(t *testing.T) {
 	kb := knowledge.NewBase("K1")
 	mod, _ := NewTrafficStats(map[string]string{"interval": "5s"})
 	ts := mod.(*TrafficStats)
 	ts.Activate(newCtx(kb))
 	window := trafficFrames(t, t0, 40)
-	frames := make([][]*packet.Captured, 8)
+	// Windows 0–7 carry traffic; from then on every other one is quiet.
+	frames := make([][]*packet.Captured, 16)
 	for w := range frames {
 		frames[w] = make([]*packet.Captured, len(window))
+		at := w
+		if w >= 8 {
+			at = 8 + 2*(w-8)
+		}
 		for i, c := range window {
 			cp := *c
-			cp.Time = c.Time.Add(time.Duration(w) * 5 * time.Second)
+			cp.Time = c.Time.Add(time.Duration(at) * 5 * time.Second)
 			frames[w][i] = &cp
 		}
 	}
-	for _, c := range frames[0] { // the first window keys and renders
-		ts.HandlePacket(c)
-	}
-	w := 1
-	allocs := testing.AllocsPerRun(len(frames)-2, func() {
+	feed := func(w int) {
 		for _, c := range frames[w] {
 			ts.HandlePacket(c)
 		}
-		w++
-	})
-	if allocs != 0 {
-		t.Errorf("a window of known counts for known destinations allocates %v, want 0", allocs)
 	}
-	if v, ok := kb.EntityValue(knowledge.LabelTrafficFrequency+".ICMPEchoReply", "192.168.2.1"); !ok || v != "0.200" {
-		t.Errorf("TrafficFrequency.ICMPEchoReply@192.168.2.1 = %q, %v; want 0.200", v, ok)
+	var puts int
+	kb.Subscribe(knowledge.LabelTrafficFrequency, func(knowledge.Knowgget) { puts++ })
+	feed(0)
+	w := 1
+	steady := testing.AllocsPerRun(6, func() { feed(w); w++ })
+	if steady != 0 {
+		t.Errorf("a window of steady counts allocates %v, want 0", steady)
+	}
+	if puts != 2 {
+		t.Errorf("%d rates put, want 2: the first window's two kinds, then nothing", puts)
+	}
+	// 40 destinations: 53 requests and 26 replies a window.
+	for kind, want := range map[string]string{"ICMPEchoRequest": "10.600", "ICMPEchoReply": "5.200"} {
+		if v, ok := kb.Value(knowledge.LabelTrafficFrequency + "." + kind); !ok || v != want {
+			t.Errorf("TrafficFrequency.%s = %q, %v; want %s", kind, v, ok, want)
+		}
+	}
+	feed(w) // window 8, after window 7's traffic: no put
+	w++
+	feed(w) // a quiet window, then traffic: both kinds to 0 and back
+	w++
+	puts = 0
+	toggling := testing.AllocsPerRun(5, func() { feed(w); w++ })
+	if toggling != 0 {
+		t.Errorf("a window moving known rates to and from zero allocates %v, want 0", toggling)
+	}
+	if puts != 24 { // 6 quiet windows and 6 busy ones, two kinds each
+		t.Errorf("%d rates put, want 24", puts)
 	}
 }
 

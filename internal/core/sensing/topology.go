@@ -24,10 +24,9 @@ const TopologyName = "TopologyDiscoveryModule"
 // the inclusion of forwarding/next-hop headers in packets, and direct
 // evidence of per-hop forwarding (§V "Sensing Modules").
 //
-// It also publishes the observed mediums (Mediums.*), the number of
-// distinct monitored entities (MonitoredNodes), and the communication
-// graph edges it reconstructs, which detection modules use for
-// hop-distance reasoning.
+// It also publishes the observed mediums (Mediums.*), which gate the
+// detection modules, and the number of distinct monitored entities
+// (MonitoredNodes).
 type Topology struct {
 	ctx *module.Context
 
@@ -40,12 +39,7 @@ type Topology struct {
 	declared bool
 	secured  bool
 	// nodes holds the monitored entities, found by identity handle.
-	nodes packet.ByHandle[struct{}]
-	// edges holds the observed edges as from<<32 | to handle pairs;
-	// sweepAt is the size at which edges of evicted identities are
-	// dropped (see observeEdge).
-	edges   map[uint64]struct{}
-	sweepAt int
+	nodes   packet.ByHandle[struct{}]
 	mediums [256]bool
 }
 
@@ -81,14 +75,8 @@ func (t *Topology) Activate(ctx *module.Context) {
 	t.declared = false
 	t.secured = false
 	t.nodes.Reset()
-	t.edges = make(map[uint64]struct{})
-	t.sweepAt = minEdgeSweep
 	t.mediums = [256]bool{}
 }
-
-// minEdgeSweep is the edge count below which evicted identities' edges
-// are never swept.
-const minEdgeSweep = 1024
 
 // Deactivate implements module.Module.
 func (t *Topology) Deactivate() { t.ctx = nil }
@@ -106,7 +94,6 @@ func (t *Topology) HandlePacket(c *packet.Captured) {
 	t.observeNode(c.TransmitterH, c.Transmitter)
 	t.observeNode(c.SrcH, c.Src)
 	t.observeNode(c.DstH, c.Dst)
-	t.observeEdge(c)
 
 	if evidence, ok := t.multihopEvidence(c); ok && !t.multihop {
 		t.multihop = true
@@ -142,31 +129,6 @@ func (t *Topology) observeNode(h packet.Handle, id packet.NodeID) {
 	// shard wrote last. A fresh slot that held an evicted identity
 	// leaves the count as it was.
 	t.ctx.KB.PutIntMax(knowledge.LabelMonitoredNodes, t.nodes.Len())
-}
-
-// observeEdge records the transmitter → destination edge. The edge set
-// is bounded like the identity table: once it has doubled since the
-// last sweep, edges with an evicted end are dropped.
-func (t *Topology) observeEdge(c *packet.Captured) {
-	from, to := c.TransmitterH, c.DstH
-	if from == 0 || to == 0 || from == to || c.Dst == packet.Broadcast {
-		return
-	}
-	key := uint64(from)<<32 | uint64(to)
-	if _, seen := t.edges[key]; seen {
-		return
-	}
-	t.edges[key] = struct{}{}
-	//lint:ignore hotalloc first-seen gated: runs once per newly observed edge; the edge set is topology-bounded, not packet-bounded
-	t.ctx.KB.PutEntity("Edge", packet.CleanID(c.Transmitter)+">"+packet.CleanID(c.Dst), "true")
-	if len(t.edges) >= t.sweepAt {
-		for e := range t.edges {
-			if !packet.Live(packet.Handle(e>>32)) || !packet.Live(packet.Handle(e)) {
-				delete(t.edges, e)
-			}
-		}
-		t.sweepAt = max(minEdgeSweep, 2*len(t.edges))
-	}
 }
 
 // multihopEvidence inspects one capture for multi-hop signals.

@@ -75,9 +75,9 @@ crash-demo:
 # corrupted / replayed datagrams must never panic or taint the KB) and
 # its wire codec under the seal (whatever decodes must re-encode to the
 # same bytes: one encoding per message), the
-# durable-state loaders (arbitrary snapshot bytes, log bytes — KB
-# records and window chunks — and bytes of the parent window.kwin that
-# migration reads must never panic or partially apply), the frame decoder (arbitrary captured
+# durable-state loaders (arbitrary snapshot bytes and log bytes — KB
+# records, and the window frames of older logs — must never panic or
+# partially apply), the frame decoder (arbitrary captured
 # bytes must never panic, must decode as the per-layer reference does,
 # and must stay allocation-bounded), the outermost-layer encoders the
 # logs write with (whatever decodes must re-encode, append-encode onto
@@ -86,8 +86,8 @@ crash-demo:
 # CTP beacon/data sequences must report exactly what the map-walk
 # reference model does), the trace reader (arbitrary bytes must never
 # panic or hand out shared raw frames; written records must read back)
-# the Data Store window ring (interleaved appends, snapshots, reads
-# and restores must match a []trace.Record model byte for byte) and the
+# the Data Store window ring (interleaved appends, byte checks and
+# reads must match a []trace.Record model byte for byte) and the
 # alert-time fingerprint match (any Knowledge Base must name the
 # suspects the QueryLocal reference model does, in its order).
 fuzz-short:
@@ -95,7 +95,6 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzDecodeWire -fuzztime=30s -run '^$$' ./internal/core/collective/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s -run '^$$' ./internal/persist/
-	$(GO) test -fuzz=FuzzWindowLogLoad -fuzztime=30s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz=FuzzStackDecode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 	$(GO) test -fuzz=FuzzOuterEncode -fuzztime=30s -run '^$$' ./internal/proto/stack/
 	$(GO) test -fuzz=FuzzForwardingWatch -fuzztime=30s -run '^$$' ./internal/flow/

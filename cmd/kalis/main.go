@@ -68,7 +68,7 @@ func run(args []string, stdout io.Writer) error {
 		trad          = fs.Bool("traditional", false, "run as the traditional-IDS baseline (no knowledge)")
 		list          = fs.Bool("list", false, "list built-in scenarios and exit")
 		telemetryAddr = fs.String("telemetry", "", "serve the runtime-telemetry admin endpoint on this address (e.g. 127.0.0.1:9090)")
-		stateDir      = fs.String("state-dir", "", "persist node state in this directory and warm-restart from it (empty: no persistence)")
+		stateDir      = fs.String("state-dir", "", "persist the node's Knowledge Base in this directory and warm-restart from it (empty: no persistence)")
 		shards        = fs.Int("shards", 1, "ingestion shards (default 1: synchronous in-line dispatch; n > 1 shards by packet source — race-free and one alert per incident on every scenario; on the WSN ones frame order across shards can still move a verdict over a cooldown's edge, a few alerts more or less than in line)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -10,8 +10,9 @@ package kalis
 // is then rebooted twice, as two rival histories:
 //
 //   - warm: reopened on the torn state dir — recovery must classify
-//     truncated, keep the verified prefix of the log — knowledge and
-//     window alike — and come back knowing the network;
+//     truncated, keep the knowledge in the verified prefix of the log,
+//     and come back knowing the network, with an empty window: the
+//     state dir holds knowledge, not traffic;
 //   - cold: a fresh state dir — the paper's baseline, re-learning the
 //     network from nothing while the attack continues.
 //
@@ -163,14 +164,9 @@ func TestCrashRecoveryDrill(t *testing.T) {
 	if nodeW.KB().Len() == 0 {
 		t.Fatal("warm reboot recovered an empty Knowledge Base")
 	}
-	t.Logf("%d frames, crash at %d, window %d, restored %d", len(frames), crashAt, len(nodeA.Recent(0)), len(nodeW.Recent(0)))
-	if got, was := len(nodeW.Recent(0)), len(nodeA.Recent(0)); got == 0 || got > was {
-		t.Fatalf("warm reboot restored %d window frames of %d: want a non-empty verified prefix", got, was)
-	}
-	for i, c := range nodeW.Recent(0) {
-		if !c.Time.Equal(nodeA.Recent(0)[i].Time) {
-			t.Fatalf("warm reboot's window frame %d is from %v, the crashed node's from %v: not a prefix", i, c.Time, nodeA.Recent(0)[i].Time)
-		}
+	t.Logf("%d frames, crash at %d, window %d, %d knowggets restored", len(frames), crashAt, len(nodeA.Recent(0)), nodeW.KB().Len())
+	if got := len(nodeW.Recent(0)); got != 0 {
+		t.Fatalf("warm reboot's window holds %d frames: a state dir holds knowledge only", got)
 	}
 
 	nodeC, alertsC := persistedNode(t, t.TempDir()) // cold: from nothing

@@ -7,9 +7,11 @@
 // The window is kept the way the log is: each frame as the trace record
 // trace.Writer would write for it, in one byte ring that holds no
 // pointer. A frame is encoded once, when it is appended; the disk log
-// and the durable state log (internal/persist) copy those bytes as
-// they are, and only Recent decodes them again. No decoded frame is
-// kept, so a frame dies when its dispatch returns.
+// copies those bytes as they are, and only Recent decodes them again.
+// No decoded frame is kept, so a frame dies when its dispatch returns.
+// The window lives in memory only: a node's durable state
+// (internal/persist) is its knowledge, and a restarted node's window
+// starts empty.
 package datastore
 
 import (
@@ -49,7 +51,6 @@ type Store struct {
 	pos         []int
 	first, size int
 	body        []byte // the newest record's body, encoded before it is placed
-	kept        uint64 // records ever kept: the window holds [kept-size, kept)
 	total       uint64 // packets ever appended
 	log         *trace.Writer
 	logSink     io.Writer // raw writer behind the log, for sync/close
@@ -119,11 +120,11 @@ func (s *Store) Append(c *packet.Captured) error {
 	return nil
 }
 
-// push encodes rec, its raw frame from frame when that is non-nil, as
-// the newest record of the window, evicting the oldest from a full one,
-// and returns the record's bytes in the ring. The body is encoded into
-// the store's body buffer, where its length comes out, and copied into
-// the ring after that length.
+// push encodes rec, its raw frame from frame, as the newest record of
+// the window, evicting the oldest from a full one, and returns the
+// record's bytes in the ring. The body is encoded into the store's body
+// buffer, where its length comes out, and copied into the ring after
+// that length.
 func (s *Store) push(rec *trace.Record, frame trace.Frame) ([]byte, error) {
 	body, err := trace.AppendBody(s.body[:0], rec, frame)
 	if err != nil {
@@ -140,7 +141,6 @@ func (s *Store) push(rec *trace.Record, frame trace.Frame) ([]byte, error) {
 	b := append(append(s.ring[at:at], prefix[:n]...), body...)
 	s.pos[s.slot(s.size)] = at
 	s.size++
-	s.kept++
 	if s.head == s.top && at == s.head {
 		s.top = at + need
 	}
@@ -308,71 +308,9 @@ func (s *Store) Total() uint64 {
 	return s.total
 }
 
-// Kept returns the number of records ever kept in the window: Total
-// less the captures that cannot encode. SnapshotTo's cursor counts
-// these.
-func (s *Store) Kept() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kept
-}
-
 // Capacity returns the sliding-window capacity.
 func (s *Store) Capacity() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.pos)
-}
-
-// header is the trace stream header SnapshotTo writes.
-var header = trace.AppendHeader(nil)
-
-// SnapshotTo writes to w, as one Kalis trace stream, oldest first, the
-// records kept since the store's Kept count read since and still in
-// the window, at most limit of them (limit <= 0: all); since 0 is the
-// whole window. It returns the number of records written and the count
-// to pass as since next time — durable state logs the window
-// incrementally this way, a bounded chunk at a time. The records are
-// the window's bytes, copied to w under the store's lock: w should be a
-// memory buffer, as Append waits for the copy.
-func (s *Store) SnapshotTo(w io.Writer, since uint64, limit int) (n int, next uint64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	oldest := s.kept - uint64(s.size)
-	from := min(max(since, oldest), s.kept)
-	n = int(s.kept - from)
-	if limit > 0 {
-		n = min(n, limit)
-	}
-	older, newer := s.runs(int(from-oldest), n)
-	if _, err = w.Write(header); err == nil {
-		if _, err = w.Write(older); err == nil {
-			_, err = w.Write(newer)
-		}
-	}
-	if err != nil {
-		return 0, from, fmt.Errorf("datastore: snapshot: %w", err)
-	}
-	return n, from + uint64(n), nil
-}
-
-// Restore loads recovered trace records into the sliding window in
-// order, bypassing the disk log and telemetry (recovery runs before
-// either is wired). A record that fails protocol decoding is skipped
-// and counted; the others are kept byte for byte as they were read.
-// Restore is meant for an empty, pre-traffic store; the window retains
-// the most recent records if they exceed capacity.
-func (s *Store) Restore(recs []*trace.Record) (restored, skipped int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rec := range recs {
-		if _, err := rec.Decode(); err != nil {
-			skipped++
-			continue
-		}
-		_, _ = s.push(rec, nil) // a record without a frame always encodes
-		s.total++
-		restored++
-	}
-	return restored, skipped
 }

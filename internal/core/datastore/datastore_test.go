@@ -3,8 +3,6 @@ package datastore
 import (
 	"bytes"
 	"io"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -114,55 +112,6 @@ func TestFlushWithoutLog(t *testing.T) {
 	}
 }
 
-// TestSnapshotToSince: SnapshotTo writes the packets kept since a Kept
-// count and still in the window — everything for since 0, nothing (but
-// a valid empty stream) when none arrived, and no more than the window
-// when more arrived than it holds — and returns the count to resume
-// from.
-func TestSnapshotToSince(t *testing.T) {
-	s := New(4)
-	snapshot := func(since uint64) (secs []int, total uint64) {
-		t.Helper()
-		var buf bytes.Buffer
-		n, total, err := s.SnapshotTo(&buf, since, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := trace.ReadAll(&buf)
-		trace.Replay(recs, func(c *packet.Captured) { secs = append(secs, int(c.Time.Unix()-1500000000)) })
-		if err != nil || n != len(secs) {
-			t.Fatalf("SnapshotTo(since %d) reported %d records, stream replays %d (err %v)", since, n, len(secs), err)
-		}
-		return secs, total
-	}
-	equal := slices.Equal[[]int]
-	for i := 0; i < 3; i++ {
-		_ = s.Append(capAt(i))
-	}
-	got, total := snapshot(0)
-	if !equal(got, []int{0, 1, 2}) || total != 3 {
-		t.Errorf("since 0 of 3: %v, total %d", got, total)
-	}
-	if got, again := snapshot(total); len(got) != 0 || again != total {
-		t.Errorf("nothing new since %d: %v, total %d", total, got, again)
-	}
-	_ = s.Append(capAt(3))
-	_ = s.Append(capAt(4))
-	if got, next := snapshot(total); !equal(got, []int{3, 4}) || next != 5 {
-		t.Errorf("two new since %d: %v, total %d", total, got, next)
-	}
-	for i := 5; i < 12; i++ {
-		_ = s.Append(capAt(i))
-	}
-	// Seven arrived since 5; the window holds the last four of them.
-	if got, next := snapshot(5); !equal(got, []int{8, 9, 10, 11}) || next != 12 {
-		t.Errorf("seven new since 5 in a window of 4: %v, total %d", got, next)
-	}
-	if got, _ := snapshot(0); !equal(got, []int{8, 9, 10, 11}) {
-		t.Errorf("since 0: %v, want the whole window", got)
-	}
-}
-
 // TestStoreLogAllocs: with a disk log on, appending a frame allocates
 // nothing once the store's buffers and the log's have grown — the
 // outermost layer is encoded once, for the ring, and the log writes the
@@ -188,47 +137,6 @@ func TestStoreLogAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("a logged Append allocates %v objects per %d frames, want 0", avg, len(frames))
 	}
-}
-
-// TestSnapshotToConcurrent: calls to SnapshotTo from two goroutines,
-// beside a third appending to a logged store, must each still write a
-// whole, replayable stream. Run it under -race.
-func TestSnapshotToConcurrent(t *testing.T) {
-	s := New(64)
-	s.SetLog(io.Discard)
-	for i := range 64 {
-		_ = s.Append(capAt(i))
-	}
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for i := 64; i < 2000; i++ {
-			if err := s.Append(capAt(i)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for range 2 {
-		go func() {
-			defer wg.Done()
-			for range 50 {
-				var buf bytes.Buffer
-				n, _, err := s.SnapshotTo(&buf, 0, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				recs, err := trace.ReadAll(&buf)
-				if err != nil || len(recs) != n || n != 64 {
-					t.Errorf("SnapshotTo wrote %d records, the stream holds %d (err %v), want the 64-frame window", n, len(recs), err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestAppendAllocs: once the ring has grown to a full window, Append
@@ -286,11 +194,11 @@ func TestRingSteadyState(t *testing.T) {
 	}
 }
 
-// TestLogIsTheWindow: with a disk log on, the log's bytes are the bytes
-// SnapshotTo(0) writes for a window that has not wrapped — the frame is
-// encoded once, and both copy it.
+// TestLogIsTheWindow: with a disk log on, the log's bytes are a trace
+// header and the window's record bytes, for a window that has not
+// wrapped — the frame is encoded once, and both copy it.
 func TestLogIsTheWindow(t *testing.T) {
-	var log, snap bytes.Buffer
+	var log bytes.Buffer
 	s := New(16)
 	s.SetLog(&log)
 	for i := range 10 {
@@ -305,11 +213,10 @@ func TestLogIsTheWindow(t *testing.T) {
 	if err := s.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.SnapshotTo(&snap, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(log.Bytes(), snap.Bytes()) {
-		t.Errorf("the disk log is %d bytes, SnapshotTo(0) %d: not the same encoding", log.Len(), snap.Len())
+	older, newer := s.runs(0, s.size)
+	window := append(append(trace.AppendHeader(nil), older...), newer...)
+	if !bytes.Equal(log.Bytes(), window) {
+		t.Errorf("the disk log is %d bytes, a header and the window %d: not the same encoding", log.Len(), len(window))
 	}
 }
 
@@ -329,8 +236,8 @@ func TestUnencodableCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, err := trace.ReadAll(&log)
-	if s.Total() != 3 || s.Kept() != 2 || s.Len() != 2 || len(s.Recent(0)) != 2 || err != nil || len(recs) != 2 {
-		t.Errorf("total %d, kept %d, window %d, Recent %d, logged %d (%v): want 3, 2, 2, 2, 2",
-			s.Total(), s.Kept(), s.Len(), len(s.Recent(0)), len(recs), err)
+	if s.Total() != 3 || s.Len() != 2 || len(s.Recent(0)) != 2 || err != nil || len(recs) != 2 {
+		t.Errorf("total %d, window %d, Recent %d, logged %d (%v): want 3, 2, 2, 2",
+			s.Total(), s.Len(), len(s.Recent(0)), len(recs), err)
 	}
 }

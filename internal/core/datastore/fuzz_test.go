@@ -18,6 +18,7 @@ import (
 type ringProgram struct {
 	t      *testing.T
 	s      *Store
+	log    bytes.Buffer   // the store's disk log
 	model  []trace.Record // every record kept, oldest first
 	total  uint64
 	frames int
@@ -63,46 +64,44 @@ func (p *ringProgram) window() []trace.Record {
 
 func (p *ringProgram) check() {
 	t, s := p.t, p.s
-	if s.Len() != len(p.window()) || s.Kept() != uint64(len(p.model)) || s.Total() != p.total {
-		t.Fatalf("len %d kept %d total %d, the model %d, %d, %d", s.Len(), s.Kept(), s.Total(), len(p.window()), len(p.model), p.total)
+	if s.Len() != len(p.window()) || s.Total() != p.total {
+		t.Fatalf("len %d total %d, the model %d, %d", s.Len(), s.Total(), len(p.window()), p.total)
 	}
 	if s.head != s.top && s.head > s.pos[s.first] || s.top > len(s.ring) {
 		t.Fatalf("ring of %d bytes: head %d, top %d, oldest at %d", len(s.ring), s.head, s.top, s.pos[s.first])
 	}
 }
 
-// snapshot checks SnapshotTo(since, limit) against a Writer stream of
-// the model's records since since, the first limit of them.
-func (p *ringProgram) snapshot(since uint64, limit int) {
-	t := p.t
-	var got, want bytes.Buffer
-	n, next, err := p.s.SnapshotTo(&got, since, limit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := p.window()
-	from := uint64(len(p.model))
-	if k := uint64(len(p.model)); since < k {
-		fresh = fresh[len(fresh)-min(len(fresh), int(k-since)):]
-		from -= uint64(len(fresh))
-	} else {
-		fresh = nil
-	}
-	if limit > 0 && len(fresh) > limit {
-		fresh = fresh[:limit]
-	}
-	w := trace.NewWriter(&want)
-	for i := range fresh {
-		if err := w.Write(&fresh[i]); err != nil {
-			t.Fatal(err)
+// stream returns recs as the trace.Writer stream of them.
+func (p *ringProgram) stream(recs []trace.Record) []byte {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
+			p.t.Fatal(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
+		p.t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// bytes checks the window's record bytes, oldest first, against a
+// Writer stream of the model's window, and the disk log against a
+// Writer stream of every record the model kept.
+func (p *ringProgram) bytes() {
+	t := p.t
+	older, newer := p.s.runs(0, p.s.size)
+	got := append(append(trace.AppendHeader(nil), older...), newer...)
+	if want := p.stream(p.window()); !bytes.Equal(got, want) {
+		t.Fatalf("the window holds %d bytes of records; the model's stream of its %d records is %d bytes", len(got), len(p.window()), len(want))
+	}
+	if err := p.s.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	if n != len(fresh) || next != from+uint64(n) || !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("SnapshotTo(since %d, limit %d) = %d records, next %d, %d bytes; the model's stream holds %d records, next %d, %d bytes",
-			since, limit, n, next, got.Len(), len(fresh), from+uint64(len(fresh)), want.Len())
+	if want := p.stream(p.model); !bytes.Equal(p.log.Bytes(), want) {
+		t.Fatalf("the disk log is %d bytes; the model's stream of its %d records is %d bytes", p.log.Len(), len(p.model), len(want))
 	}
 }
 
@@ -129,12 +128,14 @@ func (p *ringProgram) recent(n int) {
 	}
 }
 
-// FuzzWindowRing runs interleaved Append, SnapshotTo(since, limit), Recent(n)
-// and Restore against a window of capacity 1 to 64, on frames of every
-// medium and of lengths up to over a kilobyte — many larger than half
-// the ring — and holds the store to a []trace.Record model: SnapshotTo
-// writes exactly the trace.Writer stream of the model's fresh records,
-// and Recent decodes to the model's last records.
+// FuzzWindowRing runs interleaved Appends of encodable and unencodable
+// captures, checks of the window's bytes and the disk log, and Recent(n)
+// against a logged window of capacity 1 to 64, on frames of every medium
+// and of lengths up to over a kilobyte — many larger than half the ring
+// — and holds the store to a []trace.Record model: the window's bytes
+// are exactly the trace.Writer stream of the model's last records, the
+// log that of all of them, and Recent decodes to the model's last
+// records.
 func FuzzWindowRing(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 0, 10, 1, 0, 1, 200, 0, 0, 2, 3, 0, 1, 0, 0, 0, 0, 2, 5, 1, 2, 3, 0})
 	f.Add(uint8(1), []byte{0, 1, 255, 1, 0, 0, 1, 0, 1, 0, 0, 0, 2, 0, 3, 2, 1})
@@ -142,6 +143,7 @@ func FuzzWindowRing(f *testing.F) {
 	f.Add(uint8(7), bytes.Repeat([]byte{0, 1, 250, 0, 0, 0, 2, 1, 3, 3, 2, 1, 3}, 20))
 	f.Fuzz(func(t *testing.T, capacity uint8, prog []byte) {
 		p := &ringProgram{t: t, s: New(int(capacity%64) + 1)}
+		p.s.SetLog(&p.log)
 		arg := func() byte {
 			if len(prog) == 0 {
 				return 0
@@ -160,31 +162,20 @@ func FuzzWindowRing(f *testing.F) {
 				p.model = append(p.model, rec)
 				p.total++
 			case 1:
-				p.snapshot(uint64(arg())%(uint64(len(p.model))+2), int(arg()%8)) // limit 0: no limit
+				p.bytes()
 			case 2:
 				p.recent(int(arg()) % (p.s.Capacity() + 2))
 			case 3:
-				var recs []*trace.Record
-				for range arg() % 4 {
-					_, rec := p.frame(arg(), arg(), arg())
-					recs = append(recs, &rec)
+				// A capture built by hand, with no layer to encode: counted,
+				// neither kept nor logged.
+				if err := p.s.Append(&packet.Captured{Medium: packet.MediumIEEE802154}); err != nil {
+					t.Fatal(err)
 				}
-				broken := int(arg() % 2) // a record that does not decode, last
-				if broken == 1 {
-					recs = append(recs, &trace.Record{Medium: packet.MediumIEEE802154, Raw: []byte{1, 2, 3}})
-				}
-				restored, skipped := p.s.Restore(recs)
-				if restored != len(recs)-broken || skipped != broken {
-					t.Fatalf("Restore of %d records, %d broken, restored %d and skipped %d", len(recs), broken, restored, skipped)
-				}
-				for _, rec := range recs[:restored] {
-					p.model = append(p.model, *rec)
-				}
-				p.total += uint64(restored)
+				p.total++
 			}
 			p.check()
 		}
-		p.snapshot(0, 0)
+		p.bytes()
 		p.recent(0)
 	})
 }

@@ -57,10 +57,10 @@ type Config struct {
 	// are installed with their parameters either way.
 	InstallAll bool
 	// StateDir, when non-empty, enables durable state: the Knowledge
-	// Base and Data Store window are recovered from this directory at
-	// startup (warm restart) and persisted across the node's lifetime
-	// via one write-ahead log and snapshots. Empty disables persistence
-	// entirely.
+	// Base is recovered from this directory at startup (warm restart)
+	// and persisted across the node's lifetime via one write-ahead log
+	// and snapshots. The Data Store window is not: it starts empty at
+	// every startup. Empty disables persistence entirely.
 	StateDir string
 	// PersistInterval is the capture time between durable-state sync
 	// points — the most a power cut can lose; 0 selects
@@ -91,15 +91,14 @@ type Config struct {
 //
 // The first shard is the primary. Two things exist on the primary only:
 // the traffic log (SetLog: the trace format is one serial stream) and
-// durable state (persist logs the primary's window, and the
-// primary's packets drive the sync-point clock). On a node with more
-// than one shard the other shards' windows are neither logged nor
-// persisted.
+// the durable-state manager, whose sync points the primary's packets
+// drive on their capture clock. On a node with more than one shard the
+// other shards' windows are not logged.
 type shard struct {
 	store   *datastore.Store
 	table   *flow.Table
 	manager *module.Manager
-	persist *persist.Manager // primary only, nil without a state dir
+	persist *persist.Manager // primary only, nil without a state dir: ticked per batch
 }
 
 // HandleBatch implements ingest.Sink for a non-empty batch: module
@@ -189,8 +188,8 @@ func construct(cfg Config) *Kalis {
 // installed, which are active).
 func (k *Kalis) primary() *shard { return k.shards[0] }
 
-// recover opens the state directory, if any, and loads the persisted
-// Knowledge Base and window into the primary shard.
+// recover opens the state directory, if any, loads the persisted
+// Knowledge Base, and hands the manager to the primary shard.
 func (k *Kalis) recover(cfg Config) error {
 	if cfg.StateDir == "" {
 		return nil
@@ -203,13 +202,13 @@ func (k *Kalis) recover(cfg Config) error {
 			Snapshots: k.tel.Counter("kalis_persist_snapshot_total",
 				"Checkpoints written (log past threshold, new static knowledge, shutdown)."),
 			Syncs: k.tel.Counter("kalis_persist_sync_total",
-				"Sync points that made new frames or KB records durable."),
+				"Sync points that made new KB records durable."),
 			JournalBytes: k.tel.Gauge("kalis_persist_journal_bytes",
-				"Logical size of the state log in bytes: KB write-ahead records and Data Store window chunks, not the file's preallocated length."),
+				"Logical size of the state log in bytes: its header and the KB write-ahead records since the last checkpoint, not the file's preallocated length."),
 			Recoveries: k.tel.CounterVec("kalis_persist_recoveries_total", "outcome",
 				"State recoveries at startup, by outcome (warm, truncated, cold)."),
 		},
-	}, k.kb, p.store)
+	}, k.kb)
 	if err != nil {
 		return fmt.Errorf("kalis: persist: %w", err)
 	}

@@ -6,13 +6,12 @@ import (
 	"slices"
 	"testing"
 
-	"kalis/internal/core/datastore"
 	"kalis/internal/core/knowledge"
 )
 
 // fuzzSnapshot is a well-formed snapshot the mutator can truncate,
-// bit-flip and splice — in the parent format, Data Store section
-// included, so the compatibility path is in the corpus too.
+// bit-flip and splice — with the Data Store section older commits
+// wrote, so the path that skips it is in the corpus too.
 func fuzzSnapshot() []byte {
 	return parentSnapshot(&Snapshot{
 		Knowggets: []knowledge.Knowgget{
@@ -73,13 +72,14 @@ func FuzzSnapshotLoad(f *testing.F) {
 }
 
 // FuzzJournalReplay drives log replay with arbitrary bytes: never a
-// panic, never part of a window chunk, a clean end only where nothing
-// but zeros — a preallocated tail — follows the verified prefix, and
-// every accepted prefix must re-verify — replaying the first goodBytes
-// again yields exactly the same entries and window records with no
-// truncation, which is what the post-crash restart, appending behind a
-// truncated tail, relies on. (Length claims are bounded by maxFrame and
-// bodies read through readExact: see readFrame.)
+// panic, a clean end only where nothing but zeros — a preallocated tail
+// — follows the verified prefix, and every accepted prefix must
+// re-verify — replaying the first goodBytes again yields exactly the
+// same entries with no truncation, which is what the post-crash
+// restart, appending behind a truncated tail, relies on. The window
+// frames of older commits' logs, which replay skips, are in the corpus
+// (testdata holds such a log too). (Length claims are bounded by
+// maxFrame and bodies read through readExact: see readFrame.)
 func FuzzJournalReplay(f *testing.F) {
 	good := fuzzJournal()
 	f.Add([]byte{})
@@ -93,7 +93,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flipped)
 	// Window chunks between the KB records, torn, bit-flipped, claiming
 	// a length far past the input, or checksummed but no trace stream.
-	chunks := append(append(append([]byte{}, good...), windowChunk(f, windowFrames(f, 0, 3))...), windowChunk(f, windowFrames(f, 3, 2))...)
+	chunks := append(append(append([]byte{}, good...), windowChunk(f, 0, 3)...), windowChunk(f, 3, 2)...)
 	chunks = appendFrame(chunks, append([]byte{knowledge.OpPut}, appendKnowgget(nil, knowledge.Knowgget{Creator: "K1", Label: "B", Value: "2"})...))
 	f.Add(chunks)
 	f.Add(chunks[:len(chunks)-20])
@@ -108,13 +108,13 @@ func FuzzJournalReplay(f *testing.F) {
 	// earlier one did not, torn.
 	zeros := make([]byte, 64)
 	f.Add(append(append([]byte{}, chunks...), zeros...))
-	f.Add(append(append(append([]byte{}, good...), zeros...), windowChunk(f, windowFrames(f, 0, 1))...))
+	f.Add(append(append(append([]byte{}, good...), zeros...), windowChunk(f, 0, 1)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, err := replayJournal(data)
 		if err != nil {
-			if len(log.entries) != 0 || len(log.window) != 0 || log.good != 0 {
-				t.Fatalf("header error kept %d entries, %d records, %d bytes", len(log.entries), len(log.window), log.good)
+			if len(log.entries) != 0 || log.good != 0 {
+				t.Fatalf("header error kept %d entries, %d bytes", len(log.entries), log.good)
 			}
 			return
 		}
@@ -131,11 +131,11 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("verified prefix did not re-verify: %v torn=%v bytes=%d/%d",
 				err, again.torn, again.good, log.good)
 		}
-		if !reflect.DeepEqual(log.entries, again.entries) || !reflect.DeepEqual(log.window, again.window) || log.windowBytes != again.windowBytes {
+		if !reflect.DeepEqual(log.entries, again.entries) {
 			t.Fatalf("replay of verified prefix diverged")
 		}
-		// Applying the entries to a KB, and the records to a Data Store,
-		// must never panic, whatever the decoded contents.
+		// Applying the entries to a KB must never panic, whatever the
+		// decoded contents.
 		kb := knowledge.NewBase("K1")
 		state := make(map[string]knowledge.Knowgget)
 		for _, e := range log.entries {
@@ -153,53 +153,5 @@ func FuzzJournalReplay(f *testing.F) {
 			ks = append(ks, k)
 		}
 		kb.Restore(ks, nil)
-		datastore.New(8).Restore(log.window)
-	})
-}
-
-// FuzzWindowLogLoad drives the replay of the window.kwin a parent state
-// dir keeps its window in, which Open reads once to move that window
-// into the log: never a panic, never part of a batch, and every
-// accepted prefix must re-verify — replaying the first goodBytes again
-// yields exactly the same records with no truncation.
-func FuzzWindowLogLoad(f *testing.F) {
-	header := windowLogHeader
-	good := parentWindowLog(f, windowFrames(f, 0, 3), windowFrames(f, 3, 2))
-	f.Add([]byte{})
-	f.Add(good)
-	f.Add(good[:len(good)-3])
-	f.Add(good[:len(header)])
-	f.Add(append([]byte{}, good[:2]...))
-	f.Add(append(append([]byte{}, good...), 0xff, 0xff, 0xff, 0xff, 0x7f)) // a length claim far past the input
-	f.Add(appendFrame(append([]byte{}, header...), []byte("not a trace stream")))
-	flipped := append([]byte{}, good...)
-	flipped[len(flipped)-1] ^= 0x01
-	f.Add(flipped)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, goodBytes, torn, err := replayWindowLog(bytes.NewReader(data))
-		if err != nil {
-			if len(recs) != 0 || goodBytes != 0 {
-				t.Fatalf("header error kept %d records, %d bytes", len(recs), goodBytes)
-			}
-			return
-		}
-		if goodBytes < int64(len(windowLogHeader)) || goodBytes > int64(len(data)) {
-			t.Fatalf("goodBytes %d outside [%d,%d]", goodBytes, len(windowLogHeader), len(data))
-		}
-		if !torn && goodBytes != int64(len(data)) {
-			t.Fatalf("clean replay verified %d of %d bytes", goodBytes, len(data))
-		}
-		again, againBytes, againTorn, err := replayWindowLog(bytes.NewReader(data[:goodBytes]))
-		if err != nil || againTorn || againBytes != goodBytes {
-			t.Fatalf("verified prefix did not re-verify: %v torn=%v bytes=%d/%d",
-				err, againTorn, againBytes, goodBytes)
-		}
-		if !reflect.DeepEqual(recs, again) {
-			t.Fatalf("replay of verified prefix diverged")
-		}
-		// Restoring the records into a Data Store must never panic,
-		// whatever the decoded contents.
-		datastore.New(8).Restore(recs)
 	})
 }

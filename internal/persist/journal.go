@@ -12,15 +12,14 @@ import (
 	"slices"
 
 	"kalis/internal/core/knowledge"
-	"kalis/internal/trace"
 )
 
 // JournalMagic identifies a Kalis state log (journal.kjnl).
 var JournalMagic = [4]byte{'K', 'J', 'N', 'L'}
 
-// JournalVersion is the current log format version. Window chunks
-// joined the log's frames without a new version: a log that holds none
-// is exactly the journal older commits wrote.
+// JournalVersion is the current log format version. Logs of this
+// version written while the log also carried the Data Store window hold
+// window frames beside the KB records; replay skips them.
 const JournalVersion = 1
 
 // journalHeaderLen is magic + version.
@@ -29,18 +28,20 @@ const journalHeaderLen = 5
 // logHeader is the log's header, magic and version.
 var logHeader = append(JournalMagic[:], JournalVersion)
 
-// opWindow marks a log frame that carries a window chunk, beside the
-// Knowledge Base's knowledge.OpPut and knowledge.OpDelete.
+// opWindow marks a log frame holding a chunk of the Data Store window,
+// which logs of older commits carry beside the Knowledge Base's
+// knowledge.OpPut and knowledge.OpDelete records; replay skips it.
 const opWindow = byte(3)
 
-// maxFrame bounds the payload of a log frame. It is a window chunk of
-// one record of the largest size internal/trace reads back — a body of
-// 1<<24 bytes behind its 4-byte length, after the op byte and the
-// 5-byte stream header; copyWindow cuts a chunk of more records before
-// it passes this, and no KB record comes near it. So a longer claim is
-// always a torn or corrupt frame, and no valid frame is ever read as
-// one.
-const maxFrame = 1<<24 + 10
+// maxFrame bounds the payload of a log frame, the largest KB record: an
+// op byte and one knowgget as the snapshot encodes it, or its storage
+// key. A knowgget that large would not fit the snapshot's KB section,
+// whose payload maxSectionLen bounds, and a state dir holding it would
+// be unreadable at its next checkpoint anyway; so a longer claim is a
+// torn or corrupt frame, and no record a node can recover is ever read
+// as one. The bound only rejects: a body is read through readExact,
+// which allocates no more than the bytes present.
+const maxFrame = 1 + maxSectionLen
 
 // ErrJournalHeader means the log file exists but its magic or version
 // does not verify — unlike a torn tail, this is not recoverable by
@@ -57,22 +58,21 @@ type JournalEntry struct {
 	Knowgget knowledge.Knowgget
 }
 
-// journalWriter appends framed, checksummed frames to the open log
+// journalWriter appends framed, checksummed KB records to the open log
 // through a shared mapping of the file. An append copies the frame into
 // the mapping at the log's logical end, bytes: once the copy ends the
 // frame is in the kernel's page cache, where it outlives the process,
 // and the next fsync of the file writes it back. Every append happens
-// under the manager's lock — the KB records the callers of record
-// append, and the window chunks the writer goroutine appends — so
-// frames land whole, one after another, with no gap between them. The
-// file runs ahead of the logical end by a preallocated tail of zeros,
-// which replay reads as a clean end; closing the log cuts it off. Frame
-// layout, following the trace/snapshot framing:
+// under the manager's lock, so frames land whole, one after another,
+// with no gap between them. The file runs ahead of the logical end by a
+// preallocated tail of zeros, which replay reads as a clean end;
+// closing the log cuts it off. Frame layout, following the
+// trace/snapshot framing:
 //
 //	uvarint payload length | payload | crc32(payload) LE
 //
 // payload = op byte, then for OpPut flags+creator/label/entity/value,
-// for OpDelete the storage key, for opWindow a trace stream.
+// for OpDelete the storage key.
 type journalWriter struct {
 	f       *os.File
 	data    []byte // the file, mapped shared; nil until the first append
@@ -84,8 +84,8 @@ type journalWriter struct {
 
 // mapAhead is how far a remap preallocates the file past the frame
 // that needs it: rotateBytes, the growth at which a checkpoint writes
-// the log whole again, so a log is remapped about once between two
-// checkpoints.
+// the log as its header again, so a log is remapped about once between
+// two checkpoints.
 const mapAhead = rotateBytes
 
 // openJournalWriter opens the log for appends after its first n bytes,
@@ -120,22 +120,17 @@ func (jw *journalWriter) append(op byte, key string, k knowledge.Knowgget) error
 	}
 	jw.scratch = payload // keep the grown buffers for the next append
 	jw.frame = appendFrame(jw.frame[:0], payload)
-	_, err := jw.Write(jw.frame)
-	return err
-}
-
-// Write appends p, whole frames, at the log's logical end: a copy into
-// the mapping, remapped first when p does not fit in it.
-func (jw *journalWriter) Write(p []byte) (int, error) {
-	end := jw.bytes + int64(len(p))
+	// The frame goes at the log's logical end: a copy into the mapping,
+	// remapped first when it does not fit in it.
+	end := jw.bytes + int64(len(jw.frame))
 	if end > int64(len(jw.data)) {
 		if err := jw.remap(end); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	copy(jw.data[jw.bytes:], p)
+	copy(jw.data[jw.bytes:], jw.frame)
 	jw.bytes = end
-	return len(p), nil
+	return nil
 }
 
 // remap preallocates the file mapAhead past end and maps all of it.
@@ -219,40 +214,11 @@ func readFrame(br *bufio.Reader, maxLen uint64) ([]byte, int64, error) {
 	return payload, int64(uvarintLen(n)) + int64(n) + 4, nil
 }
 
-// replayFrames reads a stream of frames behind header and hands each
-// payload to each, in order, until a clean end, or the first frame that
-// is torn, fails its checksum or that each rejects. It returns the
-// length of the verified prefix and whether bytes followed it; a header
-// that does not verify is an error.
-func replayFrames(r io.Reader, header []byte, each func(payload []byte) error) (good int64, torn bool, err error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(header))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return 0, false, fmt.Errorf("header: %v", err)
-	}
-	if !bytes.Equal(got, header) {
-		return 0, false, errors.New("header mismatch")
-	}
-	good = int64(len(header))
-	for {
-		payload, n, err := readFrame(br, maxFrame)
-		if errors.Is(err, io.EOF) {
-			return good, false, nil
-		}
-		if err != nil || each(payload) != nil {
-			return good, true, nil
-		}
-		good += n
-	}
-}
-
 // logContents is the decoded verified prefix of a log.
 type logContents struct {
-	entries     []JournalEntry  // KB mutations, in order
-	window      []*trace.Record // window records, oldest first
-	windowBytes int64           // the size of the frames that carry them
-	good        int64           // the verified prefix's length
-	torn        bool            // bytes that did not verify followed it
+	entries []JournalEntry // KB mutations, in order
+	good    int64          // the verified prefix's length
+	torn    bool           // bytes that did not verify followed it
 }
 
 // replayJournal reads the bytes of a log and returns its verified
@@ -263,31 +229,32 @@ type logContents struct {
 // boundary followed by nothing but zeros is a clean end: the
 // preallocated tail of a log whose node did not stop cleanly. Zeros
 // with anything else behind them are torn. A bad header returns
-// ErrJournalHeader instead.
+// ErrJournalHeader instead. A verified window frame, which logs of
+// older commits carry, is skipped unread.
 func replayJournal(raw []byte) (logContents, error) {
 	var log logContents
-	good, torn, err := replayFrames(bytes.NewReader(raw), logHeader, func(payload []byte) error {
-		if payload[0] == opWindow {
-			recs, err := trace.ReadAll(bytes.NewReader(payload[1:]))
-			if err != nil {
-				return err
-			}
-			log.window = append(log.window, recs...)
-			log.windowBytes += int64(uvarintLen(uint64(len(payload))) + len(payload) + 4)
-			return nil
-		}
-		entry, err := decodeEntry(payload)
-		if err != nil {
-			return err
-		}
-		log.entries = append(log.entries, entry)
-		return nil
-	})
-	if err != nil {
-		return logContents{}, fmt.Errorf("%w: %v", ErrJournalHeader, err)
+	if !bytes.HasPrefix(raw, logHeader) {
+		return log, ErrJournalHeader
 	}
-	log.good, log.torn = good, torn && slices.ContainsFunc(raw[good:], func(b byte) bool { return b != 0 })
-	return log, nil
+	log.good = journalHeaderLen
+	br := bufio.NewReader(bytes.NewReader(raw[journalHeaderLen:]))
+	for {
+		payload, n, err := readFrame(br, maxFrame)
+		if errors.Is(err, io.EOF) {
+			return log, nil
+		}
+		if err == nil && payload[0] != opWindow {
+			var entry JournalEntry
+			if entry, err = decodeEntry(payload); err == nil {
+				log.entries = append(log.entries, entry)
+			}
+		}
+		if err != nil {
+			log.torn = slices.ContainsFunc(raw[log.good:], func(b byte) bool { return b != 0 })
+			return log, nil
+		}
+		log.good += n
+	}
 }
 
 // decodeEntry decodes the payload of a KB record.

@@ -10,22 +10,20 @@ import (
 	"testing"
 	"time"
 
-	"kalis/internal/core/datastore"
 	"kalis/internal/core/knowledge"
 )
 
 // TestIdleStopWritesNothing: a warm Open followed at once by Stop
 // leaves both state files as they were — same inode, bytes and mtime —
 // and counts no checkpoint, because a checkpoint would write what is on
-// disk already. Frames taken in with no sync point since, or a KB
-// change, make Stop checkpoint again, and the next Open has them.
+// disk already. A static mark, which writes no record, or a KB change
+// makes Stop checkpoint again, and the next Open has it.
 func TestIdleStopWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	m, kb, store := openManager(t, dir, Metrics{})
+	m, kb := openManager(t, dir, Metrics{})
 	kb.Put("A", "1")
 	kb.PutStatic("Mobility", "", "false")
-	frames := windowFrames(t, 0, 10)
-	appendAll(t, store, frames[:5])
+	kb.Put("Multihop", "true")
 	if err := m.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
@@ -60,7 +58,7 @@ func TestIdleStopWritesNothing(t *testing.T) {
 	before := read()
 
 	met := syncMetrics()
-	m2, _, store2 := openManager(t, dir, met)
+	m2, _ := openManager(t, dir, met)
 	if m2.Outcome() != OutcomeWarm {
 		t.Fatalf("outcome = %s, want warm", m2.Outcome())
 	}
@@ -75,28 +73,29 @@ func TestIdleStopWritesNothing(t *testing.T) {
 		}
 	}
 	wantCounters(t, met, "an idle Open and Stop", 0, 0)
-	sameWindow(t, store2, frames[:5])
 
-	// Frames with no sync point since: Stop checkpoints them.
+	// A static mark on a known value: no record, and Stop checkpoints it.
 	met = syncMetrics()
-	m3, _, store3 := openManager(t, dir, met)
-	appendAll(t, store3, frames[5:])
+	m3, kb3 := openManager(t, dir, met)
+	kb3.PutStatic("Multihop", "", "true")
 	if err := m3.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	wantCounters(t, met, "frames and Stop", 0, 1)
+	wantCounters(t, met, "a static mark and Stop", 0, 1)
 	// A KB change: Stop checkpoints it.
 	met = syncMetrics()
-	m4, kb4, store4 := openManager(t, dir, met)
-	sameWindow(t, store4, frames)
+	m4, kb4 := openManager(t, dir, met)
+	if !kb4.IsStatic("Multihop") {
+		t.Error("the static mark Stop checkpointed is lost")
+	}
 	kb4.Put("B", "2")
 	if err := m4.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
 	wantCounters(t, met, "a KB change and Stop", 0, 1)
-	m5, kb5, _ := openManager(t, dir, Metrics{})
-	if got := kbMap(kb5); len(got) != 3 || got["K1$B"] != "2" {
-		t.Errorf("recovered %v, want A, B and Mobility", got)
+	m5, kb5 := openManager(t, dir, Metrics{})
+	if got := kbMap(kb5); len(got) != 4 || got["K1$B"] != "2" {
+		t.Errorf("recovered %v, want A, B, Mobility and Multihop", got)
 	}
 	if err := m5.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
@@ -119,7 +118,7 @@ const killPuts = 1000
 func TestRecordSurvivesProcessKill(t *testing.T) {
 	if dir := os.Getenv(killChildDir); dir != "" {
 		kb := knowledge.NewBase("K1")
-		if _, err := Open(Config{Dir: dir}, kb, datastore.New(windowCapacity)); err != nil {
+		if _, err := Open(Config{Dir: dir}, kb); err != nil {
 			fmt.Println("open:", err)
 			os.Exit(1)
 		}
@@ -154,7 +153,7 @@ func TestRecordSurvivesProcessKill(t *testing.T) {
 		t.Fatalf("the child never got ready (last line %q)", lines.Text())
 	}
 
-	m, kb, _ := openManager(t, dir, Metrics{})
+	m, kb := openManager(t, dir, Metrics{})
 	if m.Outcome() != OutcomeWarm {
 		t.Errorf("outcome = %s, want warm", m.Outcome())
 	}
@@ -166,14 +165,13 @@ func TestRecordSurvivesProcessKill(t *testing.T) {
 	}
 }
 
-// TestLogGrowsPastItsMapping: records and window chunks keep landing
-// whole when the log outgrows its mapping and is remapped, more than
-// once, and a crash after that replays every one of them, warm. Stop
+// TestLogGrowsPastItsMapping: records keep landing whole when the log
+// outgrows its mapping and is remapped, more than once, across a sync
+// point, and a crash after that replays every one of them, warm. Stop
 // then cuts the file to its logical length.
 func TestLogGrowsPastItsMapping(t *testing.T) {
 	dir := t.TempDir()
-	m, kb, store := openManager(t, dir, Metrics{})
-	frames := windowFrames(t, 0, windowCapacity)
+	m, kb := openManager(t, dir, Metrics{})
 	t0 := time.Unix(1500000000, 0).UTC()
 	m.Tick(t0)
 	kb.Put("A", "1")
@@ -182,8 +180,7 @@ func TestLogGrowsPastItsMapping(t *testing.T) {
 	for i := range puts {
 		kb.PutEntity("SignalStrength", fmt.Sprintf("0x%05x", i), "-67")
 		if i == 100 {
-			appendAll(t, store, frames)
-			syncAt(t, m, t0.Add(11*time.Second)) // a window chunk: a sync point, not a checkpoint
+			syncAt(t, m, t0.Add(11*time.Second)) // a sync point, not a checkpoint
 		}
 	}
 	if err := m.Err(); err != nil {
@@ -197,14 +194,13 @@ func TestLogGrowsPastItsMapping(t *testing.T) {
 	}
 	// Crash: the manager is abandoned where it stands.
 
-	m2, kb2, store2 := openManager(t, dir, Metrics{})
+	m2, kb2 := openManager(t, dir, Metrics{})
 	if m2.Outcome() != OutcomeWarm {
 		t.Fatalf("outcome = %s, want warm", m2.Outcome())
 	}
 	if got := kb2.Len(); got != puts+1 {
 		t.Errorf("recovered %d knowggets, want %d", got, puts+1)
 	}
-	sameWindow(t, store2, frames)
 	if err := m2.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
@@ -220,7 +216,7 @@ var recordKnowgget = knowledge.Knowgget{Creator: "K1", Label: "SignalStrength", 
 // grown, a KB record allocates nothing: it is encoded into reused
 // buffers and copied into the mapping.
 func TestRecordAllocs(t *testing.T) {
-	m, _, _ := openManager(t, t.TempDir(), Metrics{})
+	m, _ := openManager(t, t.TempDir(), Metrics{})
 	m.record(knowledge.OpPut, "", recordKnowgget) // warm: maps the log
 	if got := testing.AllocsPerRun(1000, func() { m.record(knowledge.OpPut, "", recordKnowgget) }); got != 0 {
 		t.Errorf("a KB record allocates %v times, want 0", got)
@@ -236,14 +232,14 @@ func TestRecordAllocs(t *testing.T) {
 // A checkpoint, outside the timer, rewinds the log once it has grown
 // rotateBytes, as a sync point would.
 func BenchmarkJournalRecord(b *testing.B) {
-	m, err := Open(Config{Dir: b.TempDir()}, knowledge.NewBase("K1"), datastore.New(windowCapacity))
+	m, err := Open(Config{Dir: b.TempDir()}, knowledge.NewBase("K1"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		if m.journal.bytes-m.base >= rotateBytes {
+		if m.journal.bytes-journalHeaderLen >= rotateBytes {
 			b.StopTimer()
 			if err := m.Compact(); err != nil {
 				b.Fatal(err)

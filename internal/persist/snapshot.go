@@ -20,7 +20,7 @@ const SnapshotVersion = 1
 // Snapshot section identifiers.
 const (
 	sectionKB        = byte(1) // Knowledge Base entries + static labels
-	sectionDataStore = byte(2) // Data Store window as an embedded trace stream; read for compatibility, no longer written
+	sectionDataStore = byte(2) // the Data Store window, in snapshots of older commits; skipped
 )
 
 // maxSectionLen bounds a section payload; anything larger is treated
@@ -40,12 +40,6 @@ var (
 type Snapshot struct {
 	Knowggets    []knowledge.Knowgget
 	StaticLabels []string
-	// WindowTrace is read, never written: snapshots from before the
-	// window was logged carried the Data Store window as a second
-	// section, a complete Kalis trace stream of the sliding-window
-	// records, oldest first. DecodeSnapshot still returns it so that
-	// such a state dir restarts warm with its window.
-	WindowTrace []byte
 }
 
 // EncodeSnapshot serializes the snapshot: magic, version, then one
@@ -152,8 +146,8 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 				return nil, err
 			}
 		case sectionDataStore:
-			// Compatibility path: see Snapshot.WindowTrace.
-			snap.WindowTrace = payload
+			// Verified like any section, and not read: a node's window
+			// is not durable state.
 		default:
 			return nil, fmt.Errorf("%w: unknown section %d", ErrSnapshotCorrupt, id)
 		}

@@ -156,20 +156,20 @@ func WithoutDefaultModules() Option {
 }
 
 // WithStateDir enables durable state in the given directory: the node
-// recovers its Knowledge Base and Data Store window from a previous
-// run at startup (warm restart), logs every accepted knowledge
-// mutation, at every sync point (WithPersistInterval) logs the frames
-// that arrived and fsyncs the log, and at Close — or sooner, once the
-// log has grown — compacts it into a crash-safe snapshot. A corrupt
-// snapshot or a torn log degrades gracefully — a truncated or cold
-// start, never a failure.
+// recovers its Knowledge Base from a previous run at startup (warm
+// restart), logs every accepted knowledge mutation, fsyncs the log at
+// every sync point (WithPersistInterval), and at Close — or sooner,
+// once the log has grown — compacts it into a crash-safe snapshot. The
+// directory holds knowledge only: Recent starts empty after a restart.
+// A corrupt snapshot or a torn log degrades gracefully — a truncated or
+// cold start, never a failure.
 func WithStateDir(dir string) Option {
 	return func(c *core.Config) { c.StateDir = dir }
 }
 
 // WithPersistInterval sets the time between durable-state sync points
 // on the capture clock (default 30s of observed traffic time): the most
-// a power cut can lose, per file, and never an earlier record. Only
+// a power cut can lose, and never an earlier record. Only
 // meaningful together with WithStateDir.
 func WithPersistInterval(d time.Duration) Option {
 	return func(c *core.Config) { c.PersistInterval = d }
@@ -183,7 +183,7 @@ func WithPersistInterval(d time.Duration) Option {
 // per-source detector state and per-source capture order stay intact.
 // HandleCapture then only enqueues; call DrainIngest (or Close) before
 // reading alerts or counters after a replay. Only the first shard's
-// window is persisted and logged (WithStateDir, SetLog).
+// window is logged (SetLog).
 func WithShards(n int) Option {
 	return func(c *core.Config) { c.Shards = n }
 }
@@ -325,7 +325,9 @@ func (n *Node) SetLog(w io.Writer) { n.inner.SetLog(w) }
 // shard's, merged by capture time), typically pulled by an operator to
 // analyze the traffic around an incident. count <= 0 returns the whole
 // window. The window keeps frames as trace records, so each call
-// decodes them afresh: the frames returned are the caller's own.
+// decodes them afresh: the frames returned are the caller's own. It
+// holds frames observed since the node started: a warm restart from a
+// state dir brings knowledge back, not traffic.
 func (n *Node) Recent(count int) []*Captured { return n.inner.Recent(count) }
 
 // ReplayTrace feeds a recorded trace through the node, transparently

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross test race bench benchdiff bench-smoke vet fmt lint callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo scale-demo fleet-demo clean
+.PHONY: all build cross test race bench benchdiff bench-smoke vet fmt lint callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo fleet-demo clean
 
 all: build test lint
 
@@ -20,14 +20,15 @@ test:
 	$(GO) test ./...
 
 # The whole tree under the race detector, matching CI: first the tests
-# that exist to be run under it (ring ordering and drain accounting; a
-# slow module on full rings is never withheld; the one-caller tests —
-# gossip and cross-shard knowledge flips while capturing; same alerts in
-# line, on a ring and on 2 and 4 shards), verbose, then everything. The
+# that exist to be run under it (the medium shard key; ring ordering and
+# drain accounting; a slow module on full rings is never withheld; the
+# one-caller tests — gossip and knowledge flips on two busy shards while
+# capturing; same alerts, alert for alert, in line, on a ring and on 2
+# and 4 shards), verbose, then everything. The
 # simulator suites push this well past the default bench budget, hence
 # -timeout.
 race:
-	$(GO) test -race -run 'TestShardedIngest|TestSlowModuleIsNeverWithheld|TestUnshardedStaysSynchronous|TestGossipWhileCapturing|TestShardedKnowledgeFlipsWhileCapturing|TestModuleHasOneCaller|TestActivationChurnUnderTraffic|TestExecutorsRaiseTheSameAlerts' -v . ./internal/ingest/ ./internal/core/ ./internal/core/module/ ./internal/eval/
+	$(GO) test -race -run 'TestShardKeyByMedium|TestShardedIngest|TestSlowModuleIsNeverWithheld|TestUnshardedStaysSynchronous|TestGossipWhileCapturing|TestShardedKnowledgeFlipsWhileCapturing|TestModuleHasOneCaller|TestActivationChurnUnderTraffic|TestExecutorsRaiseTheSameAlerts' -v . ./internal/ingest/ ./internal/core/ ./internal/core/module/ ./internal/eval/
 	$(GO) test -race -timeout 10m ./...
 
 bench:
@@ -136,12 +137,6 @@ telemetry-demo:
 # flows expire — the per-flow feature pipeline end to end.
 flow-demo:
 	$(GO) run ./examples/flowexport
-
-# Sharded-ingestion scaling table: sweep shard counts up to NumCPU,
-# scrape each node's live /metrics for delivered packets, drops and
-# batch sizes, and print shards vs throughput (EXPERIMENTS.md "Scaling").
-scale-demo:
-	$(GO) run ./cmd/kalis-bench -exp scale
 
 # Fleet-scale collective: anti-entropy digest gossip on 1k-10k simulated
 # nodes, with live kalis_collective_* scrapes, a partition convergence

@@ -387,8 +387,10 @@ func BenchmarkKalisPerPacket(b *testing.B) {
 }
 
 // BenchmarkKalisThroughput measures aggregate packets/sec through the
-// sharded ingestion pipeline at 1, 2, 4 and 8 shards on mixed WSN
-// traffic from 64 distinct sources. shards=1 is the synchronous
+// sharded ingestion pipeline at 1, 2 and 3 shards — every count a node
+// builds — on a WiFi + 802.15.4 mix from 64 distinct sources. A shard
+// owns whole media, so from shards=2 on both media have a busy worker
+// of their own (at 3 the BLE shard is idle). shards=1 is the synchronous
 // in-line dispatch path (single caller — the sync contract); shards>1
 // enqueues from GOMAXPROCS parallel producers with lossless
 // backpressure and drains before the clock stops, so ns/op covers
@@ -398,12 +400,17 @@ func BenchmarkKalisPerPacket(b *testing.B) {
 func BenchmarkKalisThroughput(b *testing.B) {
 	mkCaps := func(b *testing.B) []*Captured {
 		var caps []*Captured
+		dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
 		for i := 0; i < 256; i++ {
-			// 64 distinct 802.15.4 sources (2..65) so the shard hash
-			// spreads work; payload varies to defeat trivial dedup.
-			src := uint16(2 + i%64)
+			// Alternating media, 32 distinct sources on each;
+			// payload varies to defeat trivial dedup.
+			medium, src := packet.MediumIEEE802154, uint16(2+i/2%32)
 			raw := stack.BuildCTPData(src, 1, src, uint8(i), 0, 10, []byte{0x01, uint8(i)})
-			c, err := stack.Decode(packet.MediumIEEE802154, raw)
+			if i%2 == 1 {
+				medium = packet.MediumWiFi
+				raw = stack.BuildUDP(netip.AddrFrom4([4]byte{10, 0, 0, byte(src)}), dst, 5683, 5683, uint16(i), []byte{0x01, uint8(i)})
+			}
+			c, err := stack.Decode(medium, raw)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -413,7 +420,7 @@ func BenchmarkKalisThroughput(b *testing.B) {
 		}
 		return caps
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			node, err := New(WithNodeID("K1"), WithShards(shards), WithIngestBlocking())
 			if err != nil {

@@ -11,6 +11,9 @@ package main
 import (
 	"fmt"
 	"io"
+	"net/http"
+	"regexp"
+	"strconv"
 
 	"kalis/internal/fleet"
 	"kalis/internal/telemetry"
@@ -86,4 +89,28 @@ func runFleet(out io.Writer, seed int64) error {
 		}
 	}
 	return nil
+}
+
+func httpGet(url string) (string, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return string(body), err
+}
+
+// promSum sums the sample values of every exposition line whose metric
+// (with labels) matches the pattern.
+func promSum(exposition, pattern string) float64 {
+	re := regexp.MustCompile(`(?m)^` + pattern + ` (\S+)$`)
+	var sum float64
+	for _, m := range re.FindAllStringSubmatch(exposition, -1) {
+		v, err := strconv.ParseFloat(m[len(m)-1], 64)
+		if err == nil {
+			sum += v
+		}
+	}
+	return sum
 }

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"kalis/internal/eval"
 	"kalis/internal/taxonomy"
@@ -30,13 +29,11 @@ func main() {
 
 func run() error {
 	var (
-		exp           = flag.String("exp", "all", "experiment: table1|fig3|table2|fig8|reactivity|wormhole|countermeasure|overhead|delivery|scale|fleet|all (scale and fleet run only when named)")
+		exp           = flag.String("exp", "all", "experiment: table1|fig3|table2|fig8|reactivity|wormhole|countermeasure|overhead|delivery|fleet|all (fleet runs only when named)")
 		episodes      = flag.Int("episodes", 0, "symptom instances per scenario (0 = paper default of 50)")
 		seed          = flag.Int64("seed", 1, "simulation seed")
 		rules         = flag.Int("snort-rules", 0, "snort-like community ruleset size (0 = default 3000)")
 		telemetryAddr = flag.String("telemetry", "", "serve process-wide runtime metrics and pprof on this address while the experiments run")
-		shards        = flag.Int("shards", runtime.NumCPU(), "max ingestion shard count for -exp scale (sweeps 1,2,4,... up to this)")
-		packets       = flag.Int("packets", 200000, "packets per row for -exp scale")
 	)
 	flag.Parse()
 
@@ -136,14 +133,8 @@ func run() error {
 		eval.WriteDelivery(out, res)
 		fmt.Fprintln(out)
 	}
-	// scale and fleet are wall-clock demos over large node counts, not
-	// evaluation tables: they run only when named, never as -exp all.
-	if *exp == "scale" {
-		ran = true
-		if err := runScale(out, *shards, *packets); err != nil {
-			return err
-		}
-	}
+	// fleet is a wall-clock demo over large node counts, not an
+	// evaluation table: it runs only when named, never as -exp all.
 	if *exp == "fleet" {
 		ran = true
 		if err := runFleet(out, *seed); err != nil {

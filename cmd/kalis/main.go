@@ -69,7 +69,7 @@ func run(args []string, stdout io.Writer) error {
 		list          = fs.Bool("list", false, "list built-in scenarios and exit")
 		telemetryAddr = fs.String("telemetry", "", "serve the runtime-telemetry admin endpoint on this address (e.g. 127.0.0.1:9090)")
 		stateDir      = fs.String("state-dir", "", "persist the node's Knowledge Base in this directory and warm-restart from it (empty: no persistence)")
-		shards        = fs.Int("shards", 1, "ingestion shards (default 1: synchronous in-line dispatch; n > 1 shards by packet source — race-free and one alert per incident on every scenario; on the WSN ones frame order across shards can still move a verdict over a cooldown's edge, a few alerts more or less than in line)")
+		shards        = fs.Int("shards", 1, "ingestion shards (default 1: synchronous in-line dispatch; n > 1 builds min(n, 3) shards, one per medium key — 802.15.4, WiFi/wired, BLE — and raises the in-line alerts on every scenario)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -31,7 +31,7 @@ import (
 // from the flow layer for it, and the first of them — gate, the
 // module's alert cooldown ledger. A detector owns neither evidence nor
 // repeat policy: "may this verdict be raised again?" is always
-// gate.Pass, on a ledger the module's instances on every shard share.
+// gate.Pass, on the ledger in its shard's flow table.
 type base struct {
 	name string
 	ctx  *module.Context

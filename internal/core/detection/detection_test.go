@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"kalis/internal/attack"
-	"kalis/internal/core/datastore"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/flow"
@@ -31,7 +30,6 @@ func newHarness(knowledgeDriven bool) *harness {
 	h := &harness{kb: knowledge.NewBase("K1"), table: flow.NewTable(flow.Config{})}
 	h.ctx = &module.Context{
 		KB:              h.kb,
-		Store:           datastore.New(64),
 		Flows:           h.table,
 		Emit:            func(a module.Alert) { h.alerts = append(h.alerts, a) },
 		KnowledgeDriven: knowledgeDriven,

@@ -68,37 +68,43 @@ type Config struct {
 	PersistInterval time.Duration
 	// Shards selects the ingestion parallelism. 0 or 1 is one shard,
 	// dispatched in line unless Async is set (deterministic; the
-	// simulator and virtual-clock tests depend on it). n > 1 runs n
-	// shards — each with its own ring buffer, worker, Data Store
-	// window, flow table and module instances — sharded by hash of the
-	// packet source, so per-source state and ordering stay shard-local.
+	// simulator and virtual-clock tests depend on it). n > 1 runs
+	// min(n, 3) shards — each with its own ring buffer, worker, Data
+	// Store window, flow table with its trackers, and module instances
+	// — and a shard owns whole media (see ingest): 802.15.4 on one,
+	// WiFi and wired on another, BLE on a third, folded onto fewer
+	// shards when n < 3. A medium's state and capture order stay on its
+	// shard.
 	Shards int
 	// IngestBlock selects lossless ingestion backpressure (spin until
 	// ring space frees) instead of the default drop-newest policy.
 	// Honoured whenever a ring exists.
 	IngestBlock bool
-	// IngestMaxSkew bounds, in capture time, how far the feed may run
-	// ahead of the slowest busy shard — see ingest.Config.MaxSkew.
-	// Only honoured with IngestBlock and Shards > 1; 0 disables.
+	// IngestMaxSkew bounds, in capture time, how far one medium's feed
+	// may run ahead of another medium's busy shard — see
+	// ingest.Config.MaxSkew. Only honoured with IngestBlock and
+	// Shards > 1; 0 disables.
 	IngestMaxSkew time.Duration
 }
 
 // shard is one packet pipeline and the owner of its state: a Data Store
-// window, a flow table and a Module Manager with its own module
-// *instances* (detection modules keep per-source state and are not
-// written for concurrent dispatch). Every packet reaches the modules
-// through HandleBatch, called by exactly one goroutine per shard.
+// window, a flow table with its endpoint trackers and alert cooldowns,
+// and a Module Manager with its own module *instances* (detection
+// modules keep per-medium state and are not written for concurrent
+// dispatch). Every packet reaches the modules through HandleBatch,
+// called by exactly one goroutine per shard.
 //
-// The first shard is the primary. Two things exist on the primary only:
-// the traffic log (SetLog: the trace format is one serial stream) and
-// the durable-state manager, whose sync points the primary's packets
-// drive on their capture clock. On a node with more than one shard the
-// other shards' windows are not logged.
+// The first shard is the primary, and the traffic log exists on it
+// only (SetLog: the trace format is one serial stream): on a node with
+// more than one shard the other shards' windows are not logged. The
+// durable-state manager is the node's and every shard drives its sync
+// points on its own capture clock, so a node that hears one medium only
+// still reaches them whichever shard that medium has.
 type shard struct {
 	store   *datastore.Store
 	table   *flow.Table
 	manager *module.Manager
-	persist *persist.Manager // primary only, nil without a state dir: ticked per batch
+	persist *persist.Manager // nil without a state dir: ticked per batch
 }
 
 // HandleBatch implements ingest.Sink for a non-empty batch: module
@@ -160,19 +166,12 @@ func construct(cfg Config) *Kalis {
 		kb:       knowledge.NewBase(cfg.NodeID),
 		registry: module.NewRegistry(),
 		tel:      telemetry.NewRegistry(),
-		shards:   make([]*shard, max(cfg.Shards, 1)),
+		shards:   make([]*shard, min(max(cfg.Shards, 1), ingest.MediumKeys)),
 	}
 	sensing.Register(k.registry)
 	detection.Register(k.registry)
-	// One endpoint-tracker registry for all shards: packets shard by
-	// source hash, but victim windows, handshake ledgers and identity
-	// fingerprints key their evidence by the *other* endpoint — a
-	// spoofed-source flood scatters across every shard while its
-	// victim's window must accumulate globally (see flow.Trackers).
-	// 5-tuple flow state stays shard-local.
-	flowCfg := flow.Config{Trackers: flow.NewTrackers()}
 	for i := range k.shards {
-		store, table := datastore.New(cfg.WindowSize), flow.NewTable(flowCfg)
+		store, table := datastore.New(cfg.WindowSize), flow.NewTable(flow.Config{})
 		k.shards[i] = &shard{
 			store:   store,
 			table:   table,
@@ -182,19 +181,18 @@ func construct(cfg Config) *Kalis {
 	return k
 }
 
-// primary returns the shard that carries the traffic log and durable
-// state (see shard). It also answers questions the shared Knowledge
+// primary returns the shard that carries the traffic log (see shard),
+// and the durable-state manager every shard shares. It also answers questions the shared Knowledge
 // Base decides identically for every shard (which modules are
 // installed, which are active).
 func (k *Kalis) primary() *shard { return k.shards[0] }
 
 // recover opens the state directory, if any, loads the persisted
-// Knowledge Base, and hands the manager to the primary shard.
+// Knowledge Base, and hands the manager to every shard.
 func (k *Kalis) recover(cfg Config) error {
 	if cfg.StateDir == "" {
 		return nil
 	}
-	p := k.primary()
 	pm, err := persist.Open(persist.Config{
 		Dir:      cfg.StateDir,
 		Interval: cfg.PersistInterval,
@@ -212,7 +210,9 @@ func (k *Kalis) recover(cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("kalis: persist: %w", err)
 	}
-	p.persist = pm
+	for _, s := range k.shards {
+		s.persist = pm
+	}
 	return nil
 }
 
@@ -246,8 +246,8 @@ func (k *Kalis) wire(cfg Config) {
 
 // install loads the configuration file's knowggets and modules, then
 // the rest of the library when asked to. Each shard's manager gets its
-// own module instances: modules keep per-source detector state, which
-// is exactly the state the source hash keeps shard-local.
+// own module instances: modules keep per-medium detector state, which
+// is exactly the state the medium key keeps shard-local.
 func (k *Kalis) install(cfg Config) error {
 	installed := make(map[string]bool)
 	if cfg.ConfigText != "" {
@@ -391,7 +391,7 @@ func (k *Kalis) KB() *knowledge.Base { return k.kb }
 func (k *Kalis) Registry() *module.Registry { return k.registry }
 
 // Install instantiates a registered module by name and installs it —
-// one instance per shard, since modules hold per-source state and each
+// one instance per shard, since modules hold per-medium state and each
 // shard dispatches independently.
 func (k *Kalis) Install(name string, params map[string]string) error {
 	for _, s := range k.shards {
@@ -410,7 +410,7 @@ func (k *Kalis) Installed() []string { return k.primary().manager.Installed() }
 
 // HandleCapture feeds one captured packet into the node — the entry
 // point wired to sniffers and trace replay. With an ingest ring the
-// packet is enqueued to its source's shard and dispatched by that
+// packet is enqueued to its medium's shard and dispatched by that
 // shard's worker; without one (a single synchronous shard) it is
 // dispatched here, as a one-element batch, before HandleCapture
 // returns (it waits for the shard's dispatch token, so concurrent
@@ -447,7 +447,8 @@ func (k *Kalis) IngestStats() ingest.Stats {
 	return ingest.Stats{}
 }
 
-// Shards returns the node's shard count.
+// Shards returns the number of shards the node built: min(n, 3) for
+// Config.Shards n (see Config.Shards).
 func (k *Kalis) Shards() int { return len(k.shards) }
 
 // Stats returns the node's work-accounting counters, summed over
@@ -570,8 +571,10 @@ func (k *Kalis) LastPanic(name string) string {
 // that expired, were evicted, or were flushed by Close).
 func (k *Kalis) OnFlowRecord(fn func(flow.Record)) { k.records.subscribe(fn) }
 
-// SetLog enables traffic logging to w in the Kalis trace format (the
-// primary shard's traffic, see shard).
+// SetLog enables traffic logging to w in the Kalis trace format: the
+// primary shard's traffic, which on a node with more than one shard is
+// its media only — 802.15.4, and BLE when the node has two shards (see
+// shard).
 func (k *Kalis) SetLog(w io.Writer) { k.primary().store.SetLog(w) }
 
 // FlushLog flushes the traffic log, if enabled.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"net/netip"
 	"regexp"
 	"strconv"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/packet"
+	"kalis/internal/proto/icmp"
 	"kalis/internal/proto/ieee802154"
 	"kalis/internal/proto/stack"
 	"kalis/internal/trace"
@@ -341,7 +343,8 @@ func (bombModule) HandlePacket(c *packet.Captured) { panic("boom") }
 
 // TestShardedAccessorsCoverEveryShard: the node-level accessors answer
 // for all shards — Stats sums them (the eval CPU proxy read shard 0
-// only) and Recent merges every window in capture order.
+// only) and Recent merges every window in capture order. The traffic
+// alternates two media, so each of the two shards dispatches half.
 func TestShardedAccessorsCoverEveryShard(t *testing.T) {
 	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, ConfigText: sensingOnly,
 		Shards: 2, IngestBlock: true})
@@ -350,10 +353,15 @@ func TestShardedAccessorsCoverEveryShard(t *testing.T) {
 	}
 	defer k.Close()
 	const n = 64
+	dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
 	for i := 0; i < n; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
-		k.HandleCapture(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPBeacon(uint16(2+i%8), 1, 10, uint8(i)), at, -60))
+		c := mkCap(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(uint16(2+i%8), 1, 10, uint8(i)), at, -60)
+		if i%2 == 1 {
+			src := netip.AddrFrom4([4]byte{10, 0, 0, byte(2 + i%8)})
+			c = mkCap(t, packet.MediumWiFi, stack.BuildICMPEcho(src, dst, icmp.TypeEchoRequest, 1, uint16(i), 64), at, -60)
+		}
+		k.HandleCapture(c)
 	}
 	k.DrainIngest()
 	packets, invocations, _ := k.Stats()
@@ -364,8 +372,8 @@ func TestShardedAccessorsCoverEveryShard(t *testing.T) {
 		t.Errorf("Stats invocations = %d, want >= %d (sensing modules see every packet)", invocations, n)
 	}
 	for i, s := range k.shards {
-		if p, _, _ := s.manager.Stats(); p == 0 || p == n {
-			t.Fatalf("shard %d dispatched %d of %d packets: the sources did not spread", i, p, n)
+		if p, _, _ := s.manager.Stats(); p != n/2 {
+			t.Fatalf("shard %d dispatched %d of %d packets, want its medium's %d", i, p, n, n/2)
 		}
 	}
 	recent := k.Recent(0)
@@ -379,6 +387,38 @@ func TestShardedAccessorsCoverEveryShard(t *testing.T) {
 	}
 	if last := k.Recent(10); len(last) != 10 || !last[0].Time.Equal(t0.Add((n-10)*time.Second)) {
 		t.Errorf("Recent(10) = %d packets starting %v", len(last), last[0].Time)
+	}
+}
+
+// TestShardedSyncPointsFollowAnyMedium: every shard drives the durable
+// state's sync points, so a sharded node that hears WiFi only — none
+// of it on the primary's medium — still makes its knowledge durable
+// while it runs, not only at Close.
+func TestShardedSyncPointsFollowAnyMedium(t *testing.T) {
+	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, ConfigText: sensingOnly,
+		Shards: 2, IngestBlock: true, StateDir: t.TempDir(), PersistInterval: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
+	for i := 0; i < 20; i++ {
+		src := netip.AddrFrom4([4]byte{10, 0, 0, byte(2 + i%8)})
+		at := t0.Add(time.Duration(i) * time.Second)
+		k.HandleCapture(mkCap(t, packet.MediumWiFi, stack.BuildICMPEcho(src, dst, icmp.TypeEchoRequest, 1, uint16(i), 64), at, -60))
+		k.DrainIngest() // one batch a frame: a tick a second of capture time
+	}
+	if err := k.Persistence().Err(); err != nil {
+		t.Fatal(err)
+	}
+	if p, _, _ := k.primary().manager.Stats(); p != 0 {
+		t.Fatalf("the primary dispatched %d WiFi frames: the test needs them on another shard", p)
+	}
+	if k.KB().Len() == 0 {
+		t.Fatal("the WiFi frames changed no knowledge: nothing to make durable")
+	}
+	if got := k.Telemetry().Counter("kalis_persist_sync_total", "").Value(); got < 1 {
+		t.Errorf("kalis_persist_sync_total = %v over 19 s of capture time at a 2 s interval, want >= 1", got)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"kalis/internal/core/datastore"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/flow"
 	"kalis/internal/packet"
@@ -62,8 +61,6 @@ type Alert struct {
 type Context struct {
 	// KB is the node's Knowledge Base.
 	KB *knowledge.Base
-	// Store is the node's Data Store (recent-traffic window).
-	Store *datastore.Store
 	// Flows is the flow table the manager updates once per packet before
 	// module fan-out; detection modules acquire their endpoint trackers
 	// from it and own no evidence themselves. Never nil.

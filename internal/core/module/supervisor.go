@@ -135,7 +135,6 @@ func (m *Manager) activate(st *moduleState) {
 	defer m.contain(st)
 	st.mod.Activate(&Context{
 		KB:              m.kb,
-		Store:           m.store,
 		Flows:           m.flows,
 		Emit:            m.emit,
 		Params:          st.params,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net/netip"
 	"runtime"
 	"strconv"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/packet"
+	"kalis/internal/proto/icmp"
 	"kalis/internal/proto/stack"
 )
 
@@ -23,8 +25,7 @@ import (
 
 // wormholeFrames builds n CTP data frames in which eight relays forward
 // traffic of origins they were never handed — emergent sources, the
-// Wormhole module's per-packet map work — spread over sources so that a
-// sharded node uses every shard.
+// Wormhole module's per-packet map work.
 func wormholeFrames(t *testing.T, from, n int) []*packet.Captured {
 	frames := make([]*packet.Captured, n)
 	for j := range frames {
@@ -35,19 +36,26 @@ func wormholeFrames(t *testing.T, from, n int) []*packet.Captured {
 	return frames
 }
 
+// withPings follows every frame with a WiFi ping captured at the same
+// time, so that a node with more than one shard dispatches on two:
+// 802.15.4 on the first, WiFi on the second.
+func withPings(t *testing.T, frames []*packet.Captured) []*packet.Captured {
+	out := make([]*packet.Captured, 0, 2*len(frames))
+	dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
+	for i, c := range frames {
+		src := netip.AddrFrom4([4]byte{10, 0, 0, byte(2 + i%8)})
+		raw := stack.BuildICMPEcho(src, dst, icmp.TypeEchoRequest, 1, uint16(i), 64)
+		out = append(out, c, mkCap(t, packet.MediumWiFi, raw, c.Time, -60))
+	}
+	return out
+}
+
 // gossipSuspicions plays the collective receive loop: n blackhole
 // suspicions from peer K2 about relay 0x0005, each a changed value (so
 // each is handed to the subscribers), all naming every origin the
-// frames carry. All five, not one: on a sharded node each shard's
-// Wormhole publishes EmergentSource@<relay> with the origins its own
-// partition saw, the shared Knowledge Base keeps the last writer's, and
-// a suspicion naming only origin 20 met a mirrored source set that
-// still contained it about nine runs in ten. That residual is real: it
-// is the cross-shard ordering problem — shards share one Knowledge Base
-// but not one order, so which shard's put lands last is a race no lock
-// settles. These tests pin something else — one caller at a time, and
-// the knowledge reaches the module — and must not depend on which
-// shard's put landed last.
+// frames carry, so that the tests pin one caller at a time and the
+// knowledge reaching the module, not which origins the Wormhole module
+// has published by the time a suspicion arrives.
 func gossipSuspicions(kb *knowledge.Base, n int) {
 	for i := 0; i < n; i++ {
 		kb.AcceptGossip("K2", knowledge.Knowgget{
@@ -142,9 +150,10 @@ func (f *labelFlipper) HandlePacket(*packet.Captured) {
 	}
 }
 
-// TestShardedKnowledgeFlipsWhileCapturing: the same traffic and gossip
-// over four shard workers, plus a label flip written from inside a
-// shard's module.
+// TestShardedKnowledgeFlipsWhileCapturing: the same traffic, with a
+// WiFi ping beside every frame, and gossip over a node asked for four
+// shards (it builds three, two of them busy), plus a label flip written
+// from inside a shard's module.
 func TestShardedKnowledgeFlipsWhileCapturing(t *testing.T) {
 	const n = 20000
 	k := wsnNode(t, Config{Shards: 4, IngestBlock: true})
@@ -155,7 +164,7 @@ func TestShardedKnowledgeFlipsWhileCapturing(t *testing.T) {
 	if err := k.Install("flipper", nil); err != nil {
 		t.Fatal(err)
 	}
-	frames := wormholeFrames(t, 0, n)
+	frames := withPings(t, wormholeFrames(t, 0, n))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -168,8 +177,13 @@ func TestShardedKnowledgeFlipsWhileCapturing(t *testing.T) {
 	wg.Wait()
 	k.DrainIngest()
 	p, _, activations := k.Stats()
-	if p != n {
-		t.Errorf("%d packets dispatched, want %d", p, n)
+	if p != uint64(len(frames)) {
+		t.Errorf("%d packets dispatched, want %d", p, len(frames))
+	}
+	for i, s := range k.shards[:2] {
+		if sp, _, _ := s.manager.Stats(); sp != n {
+			t.Errorf("shard %d dispatched %d packets, want %d (one medium each)", i, sp, n)
+		}
 	}
 	if activations < 100 {
 		t.Errorf("%d activation transitions: the Mobility flips did not reach the shards", activations)
@@ -341,7 +355,7 @@ func TestModuleHasOneCaller(t *testing.T) {
 					return len(solos) == k.Shards()
 				}
 				for round := 0; round < 100 && (round == 0 || !covered()); round++ {
-					for _, c := range wormholeFrames(t, round*n, n) {
+					for _, c := range withPings(t, wormholeFrames(t, round*n, n)) {
 						k.HandleCapture(c)
 						fed.Add(1)
 					}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"kalis/internal/core/datastore"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/packet"
@@ -32,7 +31,7 @@ func mkCap(t *testing.T, medium packet.Medium, raw []byte, at time.Time, rssi fl
 }
 
 func newCtx(kb *knowledge.Base) *module.Context {
-	return &module.Context{KB: kb, Store: datastore.New(64), Emit: func(module.Alert) {}, KnowledgeDriven: true}
+	return &module.Context{KB: kb, Emit: func(module.Alert) {}, KnowledgeDriven: true}
 }
 
 func TestTopologyDetectsMultihopFromTHL(t *testing.T) {

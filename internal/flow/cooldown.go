@@ -1,21 +1,14 @@
 package flow
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Cooldown is one owner's alert-repeat ledger: per subject (the victim,
 // suspect or pair a verdict names), the capture time until which the
-// owner stays silent about it. It lives in the registry beside the
-// evidence (Table.Cooldown), keyed by owner, so on a sharded node the
-// owner's per-shard module instances share it and raise one alert per
-// incident, not one per shard; it observes no packets and is not on
-// the per-frame observe list. The ledger has no clock of its own: every
-// call carries the caller's capture time, and shard workers' clocks
-// interleave.
+// owner stays silent about it. It lives in the table's registry beside
+// the evidence (Table.Cooldown), keyed by owner; it observes no packets
+// and is not on the per-frame observe list. The ledger has no clock of
+// its own: every call carries the caller's capture time.
 type Cooldown struct {
-	mu    sync.Mutex
 	until map[string]time.Time
 	// sweepAt is the capture time by which every entry that survived
 	// the last sweep has lapsed (see arm).
@@ -31,35 +24,28 @@ type cooldownKey string
 func NewCooldown() *Cooldown { return &Cooldown{until: make(map[string]time.Time)} }
 
 // Cooldown acquires the owner's ledger (a module passes its name),
-// creating it on first use. Release the handle when done; tables
-// sharing a registry return the same ledger, and its armed cooldowns
-// are forgotten with the last holder's release.
+// creating it on first use. Release the handle when done; its armed
+// cooldowns are forgotten with the last holder's release.
 func (t *Table) Cooldown(owner string) *Cooldown {
 	return acquire(t.trk, cooldownKey(owner), NewCooldown)
 }
 
 // lapsed is the alert-repeat decision, the one place a capture time
-// meets a stored deadline: silence holds while now is before it — so a
-// reader whose clock lags the armer's is refused as well. A subject
-// never armed has the zero deadline, long lapsed.
+// meets a stored deadline: silence holds while now is before it. A
+// subject never armed has the zero deadline, long lapsed.
 func lapsed(until, now time.Time) bool { return !now.Before(until) }
 
 // Armed reports whether the subject is silent at now, changing nothing:
 // the cheap exit before expensive evidence gathering. Only Pass decides.
 func (l *Cooldown) Armed(subject string, now time.Time) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return !lapsed(l.until[subject], now)
 }
 
 // Pass reports whether the owner may raise a verdict about subject at
-// now, and if so arms the cooldown — one critical section, so of
-// several shard workers reaching the same verdict exactly one passes.
-// Passing arms even if the caller then withholds the alert (a
-// knowledge veto), which keeps one decision per burst.
+// now, and if so arms the cooldown. Passing arms even if the caller
+// then withholds the alert (a knowledge veto), which keeps one decision
+// per burst.
 func (l *Cooldown) Pass(subject string, now time.Time, cooldown time.Duration) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if !lapsed(l.until[subject], now) {
 		return false
 	}
@@ -68,11 +54,9 @@ func (l *Cooldown) Pass(subject string, now time.Time, cooldown time.Duration) b
 }
 
 // Hold keeps the subject silent until at least now+d without raising
-// anything. It never shortens an armed cooldown: with interleaved shard
-// clocks an earlier "now" must not undo a later one's deadline.
+// anything. It never shortens an armed cooldown: a Pass with a longer
+// cooldown keeps its deadline.
 func (l *Cooldown) Hold(subject string, now time.Time, d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if until := now.Add(d); until.After(l.until[subject]) {
 		l.arm(subject, now, until)
 	}
@@ -84,7 +68,7 @@ func (l *Cooldown) Hold(subject string, now time.Time, d time.Duration) {
 // sweepAt every entry the last sweep kept has lapsed, so one pass drops
 // them; an entry is visited at most twice, the cost is amortised O(1)
 // per arm, and the live size is bounded by the subjects armed within
-// the longest cooldown. Callers hold l.mu.
+// the longest cooldown.
 func (l *Cooldown) arm(subject string, now, until time.Time) {
 	l.until[subject] = until
 	if !lapsed(l.sweepAt, now) {

@@ -2,49 +2,28 @@ package flow
 
 import (
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestCooldownLedger pins what the detectors rely on when they ask
-// "may I say it again?": every case runs on two tables sharing one
-// registry — two shards of one node — each holding owner "mod"'s
-// ledger.
+// "may I say it again?": every case runs on one table with owner
+// "mod"'s ledger acquired twice, as two module instances of one owner
+// would.
 func TestCooldownLedger(t *testing.T) {
 	const cd = 10 * time.Second
 	cases := []struct {
 		name string
-		run  func(t *testing.T, reg *Trackers, a, b *Cooldown)
+		run  func(t *testing.T, tbl *Table, a, b *Cooldown)
 	}{
-		{"one Pass per incident across shards", func(t *testing.T, _ *Trackers, a, b *Cooldown) {
-			var passed atomic.Int32
-			var wg sync.WaitGroup
-			for _, l := range []*Cooldown{a, b} {
-				wg.Add(1)
-				go func(l *Cooldown) {
-					defer wg.Done()
-					for i := 0; i < 1000; i++ {
-						if l.Pass("v", t0.Add(time.Duration(i)*time.Millisecond), cd) {
-							passed.Add(1)
-						}
-					}
-				}(l)
-			}
-			wg.Wait()
-			if n := passed.Load(); n != 1 {
-				t.Errorf("%d calls passed inside one cooldown, want exactly 1", n)
-			}
-		}},
-		{"a subject per entry", func(t *testing.T, _ *Trackers, a, b *Cooldown) {
+		{"a subject per entry", func(t *testing.T, _ *Table, a, b *Cooldown) {
 			if !a.Pass("v", t0, cd) || !b.Pass("w", t0, cd) {
 				t.Error("one subject's cooldown silenced another")
 			}
 		}},
-		{"Hold never shortens, may extend", func(t *testing.T, _ *Trackers, a, b *Cooldown) {
+		{"Hold never shortens, may extend", func(t *testing.T, _ *Table, a, b *Cooldown) {
 			a.Pass("v", t0, cd)
-			// A laggard's hold would end before the armed cooldown does.
+			// This hold would end before the armed cooldown does.
 			b.Hold("v", t0.Add(-5*time.Second), 8*time.Second)
 			if !a.Armed("v", t0.Add(cd-time.Second)) {
 				t.Error("Hold shortened an armed cooldown")
@@ -57,7 +36,7 @@ func TestCooldownLedger(t *testing.T) {
 				t.Error("Pass went through a Hold")
 			}
 		}},
-		{"skewed clocks", func(t *testing.T, _ *Trackers, a, b *Cooldown) {
+		{"skewed clocks", func(t *testing.T, _ *Table, a, b *Cooldown) {
 			armed := t0.Add(5 * time.Second)
 			a.Pass("v", armed, cd)
 			if b.Pass("v", armed.Add(-time.Second), cd) {
@@ -70,7 +49,7 @@ func TestCooldownLedger(t *testing.T) {
 				t.Error("a reader at the deadline was refused")
 			}
 		}},
-		{"an armed subject costs no allocation", func(t *testing.T, _ *Trackers, a, b *Cooldown) {
+		{"an armed subject costs no allocation", func(t *testing.T, _ *Table, a, b *Cooldown) {
 			a.Pass("v", t0, cd)
 			now := t0.Add(time.Second)
 			if n := testing.AllocsPerRun(100, func() {
@@ -81,21 +60,43 @@ func TestCooldownLedger(t *testing.T) {
 				t.Errorf("Pass+Armed on an armed subject: %v allocs, want 0", n)
 			}
 		}},
-		{"not observed per frame", func(t *testing.T, reg *Trackers, a, b *Cooldown) {
-			if n := len(reg.snapshot()); n != 0 {
+		{"owners gate independently", func(t *testing.T, tbl *Table, a, _ *Cooldown) {
+			other := tbl.Cooldown("other")
+			defer other.Release()
+			a.Pass("v", t0, cd)
+			if !other.Pass("v", t0, cd) {
+				t.Error("one owner's armed cooldown silenced another owner")
+			}
+		}},
+		{"the last release forgets", func(t *testing.T, tbl *Table, a, b *Cooldown) {
+			a.Pass("v", t0, cd)
+			a.Release()
+			again := tbl.Cooldown("mod")
+			if again != b || again.Pass("v", t0.Add(time.Second), cd) {
+				t.Error("an earlier release dropped the armed cooldowns a holder still has")
+			}
+			again.Release()
+			b.Release()
+			fresh := tbl.Cooldown("mod")
+			defer fresh.Release()
+			if !fresh.Pass("v", t0.Add(time.Second), cd) {
+				t.Error("a ledger acquired after the last release kept the old cooldowns")
+			}
+		}},
+		{"not observed per frame", func(t *testing.T, tbl *Table, _, _ *Cooldown) {
+			if n := len(tbl.trk.observe); n != 0 {
 				t.Errorf("observe list holds %d entries with only ledgers acquired, want 0", n)
 			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := NewTrackers()
-			a := NewTable(Config{Trackers: reg}).Cooldown("mod")
-			b := NewTable(Config{Trackers: reg}).Cooldown("mod")
+			tbl := NewTable(Config{})
+			a, b := tbl.Cooldown("mod"), tbl.Cooldown("mod")
 			if a != b {
-				t.Fatal("tables sharing a registry yielded distinct ledgers for one owner")
+				t.Fatal("one owner got distinct ledgers from one table")
 			}
-			tc.run(t, reg, a, b)
+			tc.run(t, tbl, a, b)
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"kalis/internal/packet"
@@ -21,9 +20,10 @@ import (
 // O(1) per packet. Trackers are acquired from a Table's registry
 // (deduplicated by configuration and reference-counted, so e.g. the
 // ICMP-flood and Smurf modules share one victim window updated once per
-// packet; see Trackers for cross-shard sharing), or created standalone
-// for direct-construction unit tests. All pruning runs on capture
-// timestamps (simclock discipline).
+// packet; see Trackers), or created standalone for direct-construction
+// unit tests. Like their table they belong to its owner's goroutine
+// and take no lock. All pruning runs on capture timestamps (simclock
+// discipline).
 
 // The endpoint trackers, and the forwarding watch beside them.
 var (
@@ -67,13 +67,12 @@ type victimKey struct {
 // VictimWindow keeps, per destination, the sliding window of matching
 // packets — the rate evidence behind the flood detectors. Storage is
 // time-sorted and cap-bounded; windowing is applied read-side against
-// the reader's own capture clock (see Observe), so per-packet cost is
+// the reader's capture clock (see Observe), so per-packet cost is
 // amortized O(1) on insert and O(log n) per threshold probe.
 type VictimWindow struct {
 	mask   KindMask
 	window int64
 
-	mu    sync.Mutex
 	byDst packet.ByHandle[[]Event]
 
 	handle
@@ -85,10 +84,9 @@ func NewVictimWindow(mask KindMask, window time.Duration) *VictimWindow {
 	return &VictimWindow{mask: mask, window: int64(window)}
 }
 
-// VictimWindow acquires the table's shared victim window for the given
-// kind mask and window, creating it on first use. Release the handle
-// when done (module Deactivate). Tables sharing a registry
-// (Config.Trackers) return the same window.
+// VictimWindow acquires the table's victim window for the given kind
+// mask and window, creating it on first use. Release the handle when
+// done (module Deactivate).
 func (t *Table) VictimWindow(mask KindMask, window time.Duration) *VictimWindow {
 	return acquire(t.trk, victimKey{mask, window}, func() *VictimWindow { return NewVictimWindow(mask, window) })
 }
@@ -98,16 +96,11 @@ func (w *VictimWindow) Observe(c *packet.Captured, now int64) {
 	if !w.mask.Has(c.Kind) || c.DstH == 0 {
 		return
 	}
-	w.mu.Lock()
 	evs, _ := w.byDst.Put(c.DstH)
-	// Concurrent shard workers deliver captures out of timestamp order,
-	// and a shard that races ahead in an accelerated replay can be a
-	// full episode past a laggard. Storage is therefore time-sorted and
-	// cap-bounded, never time-pruned: pruning on insert against any
-	// "current" time would destroy a slower shard's still-live window.
-	// Readers count within their own [now-window, now] instead. The
-	// backward scan is O(1) for in-order arrival and bounded by shard
-	// lag otherwise.
+	// Storage is time-sorted and cap-bounded, never time-pruned: a
+	// capture stamped earlier than the last one (a replayed or merged
+	// trace) is inserted in place, and readers count within their own
+	// [now-window, now]. The backward scan is O(1) for in-order arrival.
 	i := len(*evs)
 	for i > 0 && (*evs)[i-1].At > now {
 		i--
@@ -120,7 +113,6 @@ func (w *VictimWindow) Observe(c *packet.Captured, now int64) {
 		s = s[len(s)-maxVictimEvents:]
 	}
 	*evs = s
-	w.mu.Unlock()
 }
 
 // maxVictimEvents bounds retained events per destination (storage is
@@ -129,9 +121,8 @@ func (w *VictimWindow) Observe(c *packet.Captured, now int64) {
 const maxVictimEvents = 1024
 
 // windowSpan returns the half-open index range [lo, hi) of evs (sorted
-// by At) falling inside [now-window, now] — events from shards that
-// have raced ahead of the reader are excluded just as events the
-// reader has outlived are.
+// by At) falling inside [now-window, now] — events stamped after the
+// reader's now are excluded just as events the reader has outlived are.
 func windowSpan(evs []Event, window, now int64) (int, int) {
 	oldest := now - window
 	lo := sort.Search(len(evs), func(i int) bool { return evs[i].At >= oldest })
@@ -143,8 +134,6 @@ func windowSpan(evs []Event, window, now int64) (int, int) {
 // (capture nanoseconds) for a destination, without copying — the cheap
 // threshold probe.
 func (w *VictimWindow) Len(dst packet.Handle, now int64) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	evs := w.byDst.Get(dst)
 	if evs == nil {
 		return 0
@@ -158,8 +147,6 @@ func (w *VictimWindow) Len(dst packet.Handle, now int64) int {
 // the cold, threshold-crossed branch only; a caller that keeps buf
 // copies nothing but the events).
 func (w *VictimWindow) Events(buf []Event, dst packet.Handle, now int64) []Event {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	evs := w.byDst.Get(dst)
 	if evs == nil {
 		return buf
@@ -177,7 +164,6 @@ type handshakeKey time.Duration
 type TCPHandshakes struct {
 	window int64
 
-	mu      sync.Mutex
 	pending map[hsKey]bool
 	// sweepAt is the pending-map size at which handshakes of evicted
 	// identities are dropped: a spoofed SYN flood opens one per source
@@ -204,8 +190,8 @@ func NewTCPHandshakes(window time.Duration) *TCPHandshakes {
 	return &TCPHandshakes{window: int64(window), pending: make(map[hsKey]bool), sweepAt: minPendingSweep}
 }
 
-// Handshakes acquires the table's shared handshake tracker for the
-// given completion window.
+// Handshakes acquires the table's handshake tracker for the given
+// completion window.
 func (t *Table) Handshakes(window time.Duration) *TCPHandshakes {
 	return acquire(t.trk, handshakeKey(window), func() *TCPHandshakes { return NewTCPHandshakes(window) })
 }
@@ -214,7 +200,6 @@ func (t *Table) Handshakes(window time.Duration) *TCPHandshakes {
 func (h *TCPHandshakes) Observe(c *packet.Captured, now int64) {
 	switch c.Kind {
 	case packet.KindTCPSYN:
-		h.mu.Lock()
 		h.pending[hsKey{src: c.SrcH, dst: c.DstH}] = true
 		if len(h.pending) >= h.sweepAt {
 			for k := range h.pending {
@@ -224,7 +209,6 @@ func (h *TCPHandshakes) Observe(c *packet.Captured, now int64) {
 			}
 			h.sweepAt = max(minPendingSweep, 2*len(h.pending))
 		}
-		h.mu.Unlock()
 	case packet.KindTCPACK:
 		// A pure ACK from an initiator with an open handshake is the
 		// handshake-completing third packet — legitimate bursts produce
@@ -234,13 +218,11 @@ func (h *TCPHandshakes) Observe(c *packet.Captured, now int64) {
 			return
 		}
 		key := hsKey{src: c.SrcH, dst: c.DstH}
-		h.mu.Lock()
 		if h.pending[key] {
 			delete(h.pending, key)
 			if c.DstH != 0 {
-				// Time-ordered insert, as in VictimWindow.Observe: ACKs
-				// from initiators on different shards can arrive out of
-				// timestamp order and Completions counts a window.
+				// Time-ordered insert, as in VictimWindow.Observe:
+				// Completions counts a window.
 				comps, _ := h.comps.Put(c.DstH)
 				i := len(*comps)
 				for i > 0 && (*comps)[i-1] > now {
@@ -256,17 +238,13 @@ func (h *TCPHandshakes) Observe(c *packet.Captured, now int64) {
 				*comps = s
 			}
 		}
-		h.mu.Unlock()
 	}
 }
 
 // Completions returns how many handshakes completed towards dst within
 // the window ending at now (capture nanoseconds). As with
-// VictimWindow, storage is sorted and cap-bounded rather than pruned,
-// so slower shards' reads stay correct while others race ahead.
+// VictimWindow, storage is sorted and cap-bounded rather than pruned.
 func (h *TCPHandshakes) Completions(dst packet.Handle, now int64) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	p := h.comps.Get(dst)
 	if p == nil {
 		return 0
@@ -291,7 +269,6 @@ type IdentityStats struct {
 	alpha  float64
 	medium packet.Medium
 
-	mu      sync.Mutex
 	started bool
 	start   int64
 	ids     packet.ByHandle[identStat]
@@ -312,8 +289,8 @@ func NewIdentityStats(alpha float64, medium packet.Medium) *IdentityStats {
 	return &IdentityStats{alpha: alpha, medium: medium}
 }
 
-// IdentityStats acquires the table's shared identity tracker for the
-// given EWMA smoothing factor and medium.
+// IdentityStats acquires the table's identity tracker for the given
+// EWMA smoothing factor and medium.
 func (t *Table) IdentityStats(alpha float64, medium packet.Medium) *IdentityStats {
 	return acquire(t.trk, identityKey{alpha, medium}, func() *IdentityStats { return NewIdentityStats(alpha, medium) })
 }
@@ -323,7 +300,6 @@ func (s *IdentityStats) Observe(c *packet.Captured, now int64) {
 	if c.Medium != s.medium || c.TransmitterH == 0 {
 		return
 	}
-	s.mu.Lock()
 	if !s.started {
 		s.started, s.start = true, now
 	}
@@ -333,7 +309,6 @@ func (s *IdentityStats) Observe(c *packet.Captured, now int64) {
 		st.ewma += s.alpha * (c.RSSI - st.ewma)
 		st.frames++
 	}
-	s.mu.Unlock()
 }
 
 // Cluster collects the recently-appeared identities (first seen more
@@ -343,15 +318,13 @@ func (s *IdentityStats) Observe(c *packet.Captured, now int64) {
 // does not qualify. Identities evicted from the identity table are left
 // out.
 func (s *IdentityStats) Cluster(id packet.Handle, tol float64, minFrames int, warmup time.Duration) []packet.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	center := s.ids.Get(id)
-	if center == nil || !s.isNewLocked(center, warmup) || center.frames < minFrames {
+	if center == nil || !s.isNew(center, warmup) || center.frames < minFrames {
 		return nil
 	}
 	var cluster []packet.NodeID
 	s.ids.Range(func(_ packet.Handle, live bool, st *identStat) {
-		if live && s.isNewLocked(st, warmup) && st.frames >= minFrames && math.Abs(st.ewma-center.ewma) <= tol {
+		if live && s.isNew(st, warmup) && st.frames >= minFrames && math.Abs(st.ewma-center.ewma) <= tol {
 			//lint:ignore hotalloc the cluster materializes only when tolerance-close new identities exist — the Sybil-suspicion case, not the steady state
 			cluster = append(cluster, st.id)
 		}
@@ -360,9 +333,9 @@ func (s *IdentityStats) Cluster(id packet.Handle, tol float64, minFrames int, wa
 	return cluster
 }
 
-// isNewLocked reports whether the identity appeared after the warmup
-// period (pre-existing identities are legitimate even if co-located).
-func (s *IdentityStats) isNewLocked(st *identStat, warmup time.Duration) bool {
+// isNew reports whether the identity appeared after the warmup period
+// (pre-existing identities are legitimate even if co-located).
+func (s *IdentityStats) isNew(st *identStat, warmup time.Duration) bool {
 	return st.firstSeen-s.start > int64(warmup)
 }
 
@@ -400,14 +373,12 @@ type motionTrack struct {
 type IdentityMotion struct {
 	cfg MotionConfig
 
-	mu     sync.Mutex
 	tracks packet.ByHandle[motionTrack]
 
 	handle
 }
 
-// MotionSnapshot is the race-safe read of one identity's current
-// evidence.
+// MotionSnapshot is one identity's current evidence.
 type MotionSnapshot struct {
 	// Jumps and Flips count the in-window RSSI jumps and sequence
 	// regressions.
@@ -423,7 +394,7 @@ func NewIdentityMotion(cfg MotionConfig) *IdentityMotion {
 	return &IdentityMotion{cfg: cfg}
 }
 
-// Motion acquires the table's shared motion tracker for the given
+// Motion acquires the table's motion tracker for the given
 // configuration (the static and mobile replication modules share one
 // tracker when configured alike, so the state updates once per packet).
 func (t *Table) Motion(cfg MotionConfig) *IdentityMotion {
@@ -435,8 +406,6 @@ func (m *IdentityMotion) Observe(c *packet.Captured, now int64) {
 	if c.Medium != m.cfg.Medium || c.TransmitterH == 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	t, fresh := m.tracks.Put(c.TransmitterH)
 	if fresh {
 		t.ewma, t.samples = c.RSSI, 1
@@ -487,8 +456,6 @@ func (m *IdentityMotion) Observe(c *packet.Captured, now int64) {
 // Snapshot returns the identity's current evidence (zero value when the
 // identity is unknown).
 func (m *IdentityMotion) Snapshot(id packet.Handle) MotionSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	t := m.tracks.Get(id)
 	if t == nil {
 		return MotionSnapshot{}
@@ -509,8 +476,6 @@ func (m *IdentityMotion) Snapshot(id packet.Handle) MotionSnapshot {
 // network is in motion, RSSI stability means nothing. Identities
 // evicted from the identity table do not count.
 func (m *IdentityMotion) JumpyFraction() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	tracked, jumpy := 0, 0
 	m.tracks.Range(func(_ packet.Handle, live bool, t *motionTrack) {
 		if !live {

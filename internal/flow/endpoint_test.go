@@ -299,6 +299,36 @@ func TestTrackerDedupAndRelease(t *testing.T) {
 	}
 	m1.Release()
 	m2.Release()
+
+	// So do forwarding watches: the selective-forwarding and blackhole
+	// modules fold a frame into one watch, once.
+	sel, bh := tbl.Forwarding(fwdCfg), tbl.Forwarding(fwdCfg)
+	if sel != bh {
+		t.Error("alike-configured callers got distinct forwarding watches")
+	}
+	slow := fwdCfg
+	slow.Timeout = time.Second
+	if odd := tbl.Forwarding(slow); odd == sel {
+		t.Error("differently configured caller shares the forwarding watch")
+	} else {
+		odd.Release()
+	}
+	// A cooldown ledger sits beside the evidence but observes nothing.
+	gate := tbl.Cooldown("mod")
+	if n := len(tbl.trk.observe); n != 1 {
+		t.Errorf("%d trackers observe each frame, want 1 (the forwarding watch)", n)
+	}
+	gate.Release()
+	sel.Release()
+	bh.Release()
+	if n := len(tbl.trk.observe); n != 0 {
+		t.Errorf("%d trackers still observe after their last release", n)
+	}
+	if f := tbl.Forwarding(fwdCfg); f == sel {
+		t.Error("fully released forwarding watch was resurrected instead of recreated")
+	} else {
+		f.Release()
+	}
 }
 
 // TestIdentityMotionSteadyAllocs: once every evidence queue has grown to

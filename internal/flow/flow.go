@@ -13,6 +13,13 @@
 // Expired, evicted and flushed flows are exported as Records through
 // OnExport callbacks; the core hands them to its OnFlowRecord
 // subscribers.
+//
+// A table and its trackers belong to one goroutine at a time: on a
+// Kalis node, whichever holds the shard's dispatch token. Update, every
+// tracker's acquire, release, Observe and read, and the cooldown
+// ledgers run there, so no tracker locks. Only Len (telemetry scrapes)
+// and Flush (shutdown) are called from elsewhere, under the table's
+// mutex.
 package flow
 
 import (

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"kalis/internal/packet"
@@ -57,7 +56,6 @@ type RelayRatio struct {
 type ForwardingWatch struct {
 	cfg ForwardingConfig
 
-	mu sync.Mutex
 	// recs holds the evidence of every node heard on CTP data or as a
 	// root: what the watch learned about a node survives the node's
 	// eviction from the identity table.
@@ -136,21 +134,18 @@ func NewForwardingWatch(cfg ForwardingConfig) *ForwardingWatch {
 	return &ForwardingWatch{cfg: cfg, nextTrim: math.MaxInt64, walkSweep: minWalkSweep}
 }
 
-// Forwarding acquires the table's shared forwarding watch for the given
+// Forwarding acquires the table's forwarding watch for the given
 // configuration (the selective-forwarding and blackhole modules share
 // one when configured alike, so the state updates once per packet).
 func (t *Table) Forwarding(cfg ForwardingConfig) *ForwardingWatch {
 	return acquire(t.trk, cfg, func() *ForwardingWatch { return NewForwardingWatch(cfg) })
 }
 
-// Observe implements Tracker. Frames without a CTP layer return before
-// the lock.
+// Observe implements Tracker.
 func (w *ForwardingWatch) Observe(c *packet.Captured, now int64) {
 	if b, ok := c.Layer("ctp-beacon").(*ctp.Beacon); ok {
 		if b.ETX == 0 && c.TransmitterH != 0 {
-			w.mu.Lock()
 			w.relay(c.TransmitterH, c.Transmitter).root = true
-			w.mu.Unlock()
 		}
 		return
 	}
@@ -158,8 +153,6 @@ func (w *ForwardingWatch) Observe(c *packet.Captured, now int64) {
 	if !ok {
 		return
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.expire(now)
 
 	key := pendKey{origin: d.Origin, seq: d.SeqNo}
@@ -277,8 +270,6 @@ const minWalkSweep = 1024
 // detectors poll it on every frame; in steady state a poll allocates
 // nothing.
 func (w *ForwardingWatch) Ratios(now int64, buf []RelayRatio) []RelayRatio {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.dirty || now > w.nextTrim {
 		w.report(now)
 	}
@@ -380,8 +371,6 @@ func (w *ForwardingWatch) pop() deadline {
 // DroppedOrigins returns, sorted, the origins the relay has dropped
 // (the payload of SuspectBlackhole knowggets).
 func (w *ForwardingWatch) DroppedOrigins(relay packet.Handle) []uint16 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	var dropped map[uint16]bool
 	if r := w.recs.Get(relay); r != nil {
 		dropped = r.dropped

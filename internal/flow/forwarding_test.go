@@ -3,7 +3,6 @@ package flow
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -267,81 +266,5 @@ func TestForwardingWatchSpoofedRelays(t *testing.T) {
 	}
 	if got := w.DroppedOrigins(hid("spoof-99999")); !reflect.DeepEqual(got, []uint16{3}) {
 		t.Errorf("DroppedOrigins(spoof-99999) = %v, want [3]", got)
-	}
-}
-
-// TestForwardingWatchShared: the registry hands alike-configured
-// callers one instance — on one table or on two sharing the registry —
-// that the table folds a frame into exactly once, and a differently
-// configured caller its own.
-func TestForwardingWatchShared(t *testing.T) {
-	reg := NewTrackers()
-	tblA := NewTable(Config{Trackers: reg})
-	tblB := NewTable(Config{Trackers: reg})
-
-	sel, bh := tblA.Forwarding(fwdCfg), tblA.Forwarding(fwdCfg)
-	if sel != bh {
-		t.Fatal("alike-configured callers on one table got distinct watches")
-	}
-	if other := tblB.Forwarding(fwdCfg); other != sel {
-		t.Fatal("tables sharing a registry yielded distinct watches")
-	}
-	if n := len(reg.snapshot()); n != 1 {
-		t.Fatalf("%d trackers observe each frame, want 1 (one fold per frame)", n)
-	}
-	slow := fwdCfg
-	slow.Timeout = time.Second
-	odd := tblA.Forwarding(slow)
-	if odd == sel {
-		t.Fatal("differently configured caller shares the watch")
-	}
-	odd.Release()
-
-	// Hand-offs split across the two tables accumulate in the one watch.
-	flip := false
-	now := feedChain(t, func(c *packet.Captured) {
-		if flip = !flip; flip {
-			tblA.Update(c)
-		} else {
-			tblB.Update(c)
-		}
-	}, t0, 9, func(i int) bool { return i%2 == 0 })
-	if got := sel.Ratios(nanos(now), nil); len(got) != 1 || got[0].Ratio != 0.5 {
-		t.Errorf("Ratios = %+v, want relay 0x0002 at 0.5", got)
-	}
-}
-
-// TestForwardingWatchConcurrent drives one registry from two tables on
-// two goroutines, as shard workers do, each polling the verdict input
-// after every frame (meaningful under -race).
-func TestForwardingWatchConcurrent(t *testing.T) {
-	reg := NewTrackers()
-	held := NewTable(Config{Trackers: reg}).Forwarding(fwdCfg)
-	defer held.Release()
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		g := g
-		var frames []*packet.Captured
-		feedChain(t, func(c *packet.Captured) { frames = append(frames, c) },
-			t0.Add(time.Duration(g)*time.Second), 40, func(i int) bool { return i%2 == g })
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tbl := NewTable(Config{Trackers: reg})
-			w := tbl.Forwarding(fwdCfg)
-			defer w.Release()
-			var buf []RelayRatio
-			for _, c := range frames {
-				tbl.Update(c)
-				buf = w.Ratios(nanos(c.Time), buf)
-				for _, r := range buf {
-					w.DroppedOrigins(hid(r.Relay))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := held.Ratios(nanos(t0.Add(2*time.Minute)), nil); len(got) != 1 || got[0].Relay != "0x0002" {
-		t.Errorf("Ratios after concurrent feeds = %+v, want relay 0x0002", got)
 	}
 }

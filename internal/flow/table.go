@@ -24,15 +24,9 @@ const (
 	SweepEvery = 256
 )
 
-// Config configures a flow table.
-type Config struct {
-	// Trackers is the endpoint-tracker registry the table serves and
-	// observes. Nil creates a private one; sharded nodes pass one shared
-	// registry to every per-shard table so endpoint-keyed evidence
-	// (victim windows, handshake ledgers, identity fingerprints) stays
-	// global under source-hash sharding (see Trackers).
-	Trackers *Trackers
-}
+// Config configures a flow table. It has no fields: the table's bounds
+// are the constants above, and every table owns its trackers.
+type Config struct{}
 
 // Metrics are the table's optional telemetry hooks; zero-value fields
 // are skipped (all telemetry types are nil-safe).
@@ -48,7 +42,7 @@ type ExportFunc func(Record)
 
 // Tracker is an endpoint-level aggregate updated once per packet by the
 // table (see endpoint.go). Observe runs after the flow-level update,
-// outside the table lock.
+// on the table owner's goroutine, outside the table lock.
 type Tracker interface {
 	// Observe folds in one capture; now is its capture time in
 	// nanoseconds (Captured.Nanos).
@@ -58,6 +52,12 @@ type Tracker interface {
 // Table is the flow table: a bounded map of live flows with an
 // intrusive LRU list for eviction order, idle/active expiry on the
 // capture clock, and per-flow feature accumulators.
+//
+// A table and its trackers belong to one goroutine at a time, its
+// owner: Update, tracker acquire and release, and every tracker read
+// run there (on a Kalis node, under the shard's dispatch token). Only
+// Len (telemetry scrapes), Flush (shutdown), SetMetrics and OnExport
+// may be called from elsewhere; they take t.mu, which guards the flows.
 type Table struct {
 	mu      sync.Mutex
 	flows   map[handleKey]*flow
@@ -70,23 +70,18 @@ type Table struct {
 	// mu and iterates after unlock.
 	exports []ExportFunc
 
-	// trk is the endpoint-tracker registry (private or shared across
-	// tables, see Config.Trackers). It locks independently of t.mu and
-	// the two are never nested.
+	// trk is the table's endpoint-tracker registry: the owner's alone,
+	// so t.mu does not cover it.
 	trk *Trackers
 }
 
 // NewTable creates a flow table.
-func NewTable(cfg Config) *Table {
-	t := &Table{
+func NewTable(Config) *Table {
+	return &Table{
 		flows:   make(map[handleKey]*flow),
 		toSweep: SweepEvery,
-		trk:     cfg.Trackers,
+		trk:     newTrackers(),
 	}
-	if t.trk == nil {
-		t.trk = NewTrackers()
-	}
-	return t
 }
 
 // SetMetrics installs telemetry hooks. Call it before traffic flows.
@@ -169,7 +164,7 @@ func (t *Table) Update(c *packet.Captured) {
 	exports := t.exports
 	t.mu.Unlock()
 
-	for _, tr := range t.trk.snapshot() {
+	for _, tr := range t.trk.observe {
 		tr.Observe(c, now)
 	}
 	if len(exported) > 0 {

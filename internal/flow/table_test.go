@@ -270,66 +270,63 @@ func TestKeyOfAndString(t *testing.T) {
 	}
 }
 
-// TestChurnRace hammers one table from concurrent goroutines — packet
-// updates on overlapping keys and on enough one-off keys to overflow
-// MaxFlows, tracker acquire/release churn, export consumers and metric
-// reads — to let the race detector prove the locking discipline. Run
-// with -race.
+// TestChurnRace drives one table by the single-owner contract: one
+// goroutine — the owner — runs packet updates on overlapping keys and
+// on enough one-off keys to overflow MaxFlows, interleaved with tracker
+// acquire, read and release; others run what may be called from
+// elsewhere — Len, metric reads and Flush — to let the race detector
+// prove the table's locking. Run with -race.
 func TestChurnRace(t *testing.T) {
 	tbl, exps, evs := countedTable()
 	var exported sync.Map
 	tbl.OnExport(func(r Record) { exported.Store(r.Key, r.Packets) })
 
-	const (
-		workers = 4
-		packets = 8000
-	)
+	const packets = 32000
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		at := t0
+		for i := 0; i < packets; i++ {
+			if i == packets*4/5 {
+				at = at.Add(IdleTimeout) // every flow so far goes idle
+			}
+			at = at.Add(time.Duration(1+i%7) * time.Millisecond)
+			src := packet.NodeID(fmt.Sprintf("n%d", i%48))
+			if i%4 != 0 {
+				src = packet.NodeID(fmt.Sprintf("w%d", i))
+			}
+			c := cap1(src, "sink", at)
+			c.Transmitter = src
+			tbl.Update(c.Identify())
+			if i%40 == 0 {
+				// Tracker churn between packets, as module activation
+				// and deactivation run between a shard's packets.
+				vw := tbl.VictimWindow(MaskOf(packet.KindICMPEchoRequest), 5*time.Second)
+				hs := tbl.Handshakes(5 * time.Second)
+				ids := tbl.IdentityStats(0.3, packet.MediumWiFi)
+				_ = vw.Len(hid("sink"), nanos(at))
+				hs.Release()
+				ids.Release()
+				vw.Release()
+			}
+		}
+	}()
+	// Metric reads and a mid-run flush.
+	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			at := t0
-			for i := 0; i < packets; i++ {
-				if i == packets*4/5 {
-					at = at.Add(IdleTimeout) // every flow so far goes idle
+			for i := 0; i < 500; i++ {
+				tbl.Len()
+				exps.Value()
+				evs.Value()
+				if g == 1 && i == 250 {
+					tbl.Flush()
 				}
-				at = at.Add(time.Duration(1+i%7) * time.Millisecond)
-				src := packet.NodeID(fmt.Sprintf("n%d", (w*13+i)%48))
-				if i%4 != 0 {
-					src = packet.NodeID(fmt.Sprintf("w%d-%d", w, i))
-				}
-				c := cap1(src, "sink", at)
-				c.Transmitter = src
-				tbl.Update(c.Identify())
 			}
 		}()
 	}
-	// Tracker churn alongside the packet load.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			vw := tbl.VictimWindow(MaskOf(packet.KindICMPEchoRequest), 5*time.Second)
-			hs := tbl.Handshakes(5 * time.Second)
-			ids := tbl.IdentityStats(0.3, packet.MediumWiFi)
-			_ = vw.Len(hid("sink"), nanos(t0))
-			hs.Release()
-			ids.Release()
-			vw.Release()
-		}
-	}()
-	// Metric reads.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			tbl.Len()
-			exps.Value()
-			evs.Value()
-		}
-	}()
 	wg.Wait()
 	if evs.Value() == 0 || exps.Value() == 0 {
 		t.Errorf("counters = (%v expirations, %v evictions): churn never reached a bound", exps.Value(), evs.Value())

@@ -1,41 +1,25 @@
 package flow
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
-// Trackers is the endpoint-tracker registry: victim windows, TCP
+// Trackers is a table's endpoint-tracker registry: victim windows, TCP
 // handshake ledgers, identity fingerprints, motion tracks and
 // forwarding watches, deduplicated by configuration, plus the alert
 // cooldown ledgers, one per owner (see Cooldown) — all
-// reference-counted. Every Table points at one — private by default, or
-// shared across tables via Config.Trackers.
-//
-// Sharing exists for the sharded ingestion pipeline: packets shard by
-// *source* hash, but these trackers key their evidence by victim,
-// responder or transmitter identity — under a spoofed-source flood the
-// attack traffic scatters across every shard while the victim's window
-// must still accumulate globally, or no shard ever crosses the alert
-// threshold. A sharded node therefore gives all per-shard flow tables
-// one registry: endpoint-keyed evidence is global, 5-tuple flow state
-// stays shard-local. Every tracker locks internally, so concurrent
-// Observe calls from several shard workers are safe.
+// reference-counted. Every Table owns one, and it belongs to the
+// table's owner like the trackers in it: acquire, release and the
+// per-packet observe walk run on one goroutine at a time (on a Kalis
+// node, the shard's dispatch token holder), so nothing here locks.
 type Trackers struct {
-	mu sync.Mutex
 	// byKey holds every live entry under its configuration key; each
 	// kind has its own key type, so kinds cannot collide.
 	byKey map[any]registered
-
-	// observe is the copy-on-write Tracker list: Table.Update loads the
-	// snapshot with one atomic read per packet; acquire and release swap
-	// it under mu.
-	observe atomic.Value // []Tracker
+	// observe lists the entries Table.Update feeds every packet.
+	observe []Tracker
 }
 
-// NewTrackers creates an empty registry, shareable across flow tables
-// via Config.Trackers.
-func NewTrackers() *Trackers { return &Trackers{byKey: make(map[any]registered)} }
+// newTrackers creates an empty registry.
+func newTrackers() *Trackers { return &Trackers{byKey: make(map[any]registered)} }
 
 // registered is what the registry holds: anything embedding a handle.
 type registered interface{ registration() *handle }
@@ -61,12 +45,10 @@ func (h *handle) Release() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if h.refs--; h.refs <= 0 {
 		delete(r.byKey, h.key)
 		if h.tr != nil {
-			r.dropLocked(h.tr)
+			r.observe = slices.DeleteFunc(r.observe, func(x Tracker) bool { return x == h.tr })
 		}
 	}
 }
@@ -77,8 +59,6 @@ func (h *handle) Release() {
 // per packet however many modules read it. Only an entry that is a
 // Tracker joins the per-packet observe list.
 func acquire[T registered](r *Trackers, key any, mk func() T) T {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	e, ok := r.byKey[key].(T)
 	if !ok {
 		e = mk()
@@ -86,35 +66,9 @@ func acquire[T registered](r *Trackers, key any, mk func() T) T {
 		*e.registration() = handle{reg: r, key: key, tr: tr}
 		r.byKey[key] = e
 		if tr != nil {
-			r.addLocked(tr)
+			r.observe = append(r.observe, tr)
 		}
 	}
 	e.registration().refs++
 	return e
-}
-
-// snapshot returns the current observe list (nil when empty).
-func (r *Trackers) snapshot() []Tracker {
-	s, _ := r.observe.Load().([]Tracker)
-	return s
-}
-
-// addLocked appends a tracker copy-on-write. Callers must hold r.mu.
-func (r *Trackers) addLocked(tr Tracker) {
-	cur := r.snapshot()
-	next := make([]Tracker, len(cur), len(cur)+1)
-	copy(next, cur)
-	r.observe.Store(append(next, tr))
-}
-
-// dropLocked removes a tracker copy-on-write. Callers must hold r.mu.
-func (r *Trackers) dropLocked(tr Tracker) {
-	cur := r.snapshot()
-	next := make([]Tracker, 0, len(cur))
-	for _, x := range cur {
-		if x != tr {
-			next = append(next, x)
-		}
-	}
-	r.observe.Store(next)
 }

@@ -10,118 +10,8 @@ import (
 	"kalis/internal/proto/tcp"
 )
 
-// TestSharedTrackersAcrossTables: tables given one registry
-// (Config.Trackers) serve the same tracker instances and all drive
-// them — the sharded-node contract, where a victim's evidence must
-// accumulate globally even though its packets hash to different
-// shards by source.
-func TestSharedTrackersAcrossTables(t *testing.T) {
-	reg := NewTrackers()
-	tblA := NewTable(Config{Trackers: reg})
-	tblB := NewTable(Config{Trackers: reg})
-	mask := MaskOf(packet.KindICMPEchoReply)
-
-	wA := tblA.VictimWindow(mask, 5*time.Second)
-	wB := tblB.VictimWindow(mask, 5*time.Second)
-	if wA != wB {
-		t.Fatal("tables sharing a registry yielded distinct victim windows")
-	}
-
-	// Spoofed-source flood split across two tables: the shared window
-	// must see every event.
-	for i := 0; i < 10; i++ {
-		src := packet.NodeID(rune('a' + i))
-		c := cap1(src, "v", t0.Add(time.Duration(i)*time.Millisecond))
-		c.Kind = packet.KindICMPEchoReply
-		if i%2 == 0 {
-			tblA.Update(c)
-		} else {
-			tblB.Update(c)
-		}
-	}
-	if got := wA.Len(hid("v"), nanos(t0.Add(time.Second))); got != 10 {
-		t.Errorf("shared window Len = %d, want 10 (evidence split across tables)", got)
-	}
-	// But 5-tuple flow state stays table-local: each table holds only
-	// the flows it updated.
-	if a, b := tblA.Len(), tblB.Len(); a != 5 || b != 5 {
-		t.Errorf("table flow counts = %d, %d, want 5, 5 (flows must stay local)", a, b)
-	}
-
-	// The alert policy sits beside the evidence: an owner's cooldown
-	// ledger is one per registry, so the first table's module to say
-	// "threshold crossed" arms the cooldown for every table's.
-	gA, gB := tblA.Cooldown("mod"), tblB.Cooldown("mod")
-	if gA != gB {
-		t.Fatal("tables sharing a registry yielded distinct cooldown ledgers for one owner")
-	}
-	now := t0.Add(20 * time.Millisecond)
-	if wA.Len(hid("v"), nanos(now)) < 10 || !gA.Pass("v", now, 10*time.Second) {
-		t.Error("first Pass at threshold did not pass")
-	}
-	if gB.Pass("v", now.Add(time.Millisecond), 10*time.Second) {
-		t.Error("second Pass within cooldown passed — cross-table dedup broken")
-	}
-	// Distinct owners gate independently over the same evidence (the
-	// ICMP-flood and Smurf modules read one window).
-	other := tblB.Cooldown("other")
-	if other == gB || !other.Pass("v", now.Add(time.Millisecond), 10*time.Second) {
-		t.Error("distinct owner was silenced by another owner's cooldown")
-	}
-	other.Release()
-	// The ledger observes nothing: no frame pays for it.
-	if n := len(reg.snapshot()); n != 1 {
-		t.Errorf("observe list holds %d entries, want 1 (the victim window; a ledger must not be observed)", n)
-	}
-	// An earlier release keeps the armed cooldowns, the last forgets them.
-	gA.Release()
-	if gB.Pass("v", now.Add(2*time.Millisecond), 10*time.Second) {
-		t.Error("one table's release reset a cooldown the other table still holds")
-	}
-	gB.Release()
-	if g := tblA.Cooldown("mod"); g == gB || !g.Pass("v", now.Add(3*time.Millisecond), 10*time.Second) {
-		t.Error("fully released ledger kept its armed cooldowns")
-	} else {
-		g.Release()
-	}
-
-	// Cross-table reference counting: one release keeps the shared
-	// instance alive, the last one detaches it.
-	wA.Release()
-	if w := tblB.VictimWindow(mask, 5*time.Second); w != wB {
-		t.Error("release of one handle detached a still-referenced tracker")
-	} else {
-		w.Release()
-	}
-	wB.Release()
-	if w := tblA.VictimWindow(mask, 5*time.Second); w == wB {
-		t.Error("fully released tracker was resurrected instead of recreated")
-	} else {
-		w.Release()
-	}
-
-	// The forwarding watch lives by the same rule: evidence from first
-	// acquire to last release, whichever table's module holds it.
-	fA, fB := tblA.Forwarding(fwdCfg), tblB.Forwarding(fwdCfg)
-	fA.Release()
-	if f := tblB.Forwarding(fwdCfg); f != fB {
-		t.Error("release of one handle detached a still-referenced forwarding watch")
-	} else {
-		f.Release()
-	}
-	fB.Release()
-	if n := len(reg.snapshot()); n != 0 {
-		t.Errorf("%d trackers still observe after their last release", n)
-	}
-	if f := tblA.Forwarding(fwdCfg); f == fB {
-		t.Error("fully released forwarding watch was resurrected instead of recreated")
-	} else {
-		f.Release()
-	}
-}
-
-// TestPrivateTrackersByDefault: tables built without Config.Trackers
-// keep independent registries (the pre-sharding contract).
+// TestPrivateTrackersByDefault: every table owns its registry, so two
+// tables — two shards of one node — never share a tracker.
 func TestPrivateTrackersByDefault(t *testing.T) {
 	tblA := NewTable(Config{})
 	tblB := NewTable(Config{})
@@ -135,32 +25,32 @@ func TestPrivateTrackersByDefault(t *testing.T) {
 	wB.Release()
 }
 
-// TestVictimWindowShardSkew: shard workers read the shared window at
-// their own packet's capture time, so a shard that has raced a whole
-// episode ahead must neither see a laggard's events in its window nor
-// destroy them — the laggard's threshold probe still has to fire.
+// TestVictimWindowShardSkew: the window is read at the reader's capture
+// time against time-sorted storage, so a capture stamped a whole
+// episode ahead (a trace merged from two sniffers) must neither show up
+// in an earlier reader's window nor destroy it — the earlier threshold
+// probe still has to fire.
 func TestVictimWindowShardSkew(t *testing.T) {
 	w := NewVictimWindow(MaskOf(packet.KindTCPSYN), 5*time.Second)
 	mk := func(src packet.NodeID, at time.Time) *packet.Captured {
 		return &packet.Captured{Kind: packet.KindTCPSYN, Src: src, Dst: "v", Time: at}
 	}
-	// The fast shard inserts an event from the next episode, 20s ahead.
+	// An event from the next episode, 20s ahead, arrives first.
 	ahead := t0.Add(20 * time.Second)
 	w.Observe(obs(mk("fast", ahead)))
-	// The laggard then delivers this episode's burst — out of global
-	// timestamp order.
+	// This episode's burst follows — out of timestamp order.
 	for i := 0; i < 10; i++ {
 		w.Observe(obs(mk(packet.NodeID(rune('a'+i)), t0.Add(time.Duration(i)*100*time.Millisecond))))
 	}
 	lagNow := t0.Add(time.Second)
 	if got := w.Len(hid("v"), nanos(lagNow)); got != 10 {
-		t.Errorf("laggard window = %d, want 10 (ahead-shard insert destroyed or polluted it)", got)
+		t.Errorf("laggard window = %d, want 10 (the ahead insert destroyed or polluted it)", got)
 	}
 	if got := w.Len(hid("v"), nanos(ahead)); got != 1 {
 		t.Errorf("ahead window = %d, want 1 (stale episode leaked forward)", got)
 	}
 	if w.Len(hid("v"), nanos(lagNow)) < 10 || !NewCooldown().Pass("v", lagNow, 10*time.Second) {
-		t.Error("laggard threshold probe failed after cross-shard skew")
+		t.Error("laggard threshold probe failed after an out-of-order insert")
 	}
 	evs := w.Events(nil, hid("v"), nanos(lagNow))
 	if len(evs) != 10 || evs[0].Src != "a" || evs[9].Src != "j" {
@@ -187,8 +77,8 @@ func TestHandshakeShardSkew(t *testing.T) {
 		ack.Time = at.Add(50 * time.Millisecond)
 		hs.Observe(obs(ack))
 	}
-	// A fast shard completes a handshake 20s ahead, then a laggard
-	// completes two in this episode — out of global timestamp order.
+	// A handshake completes 20s ahead, then two complete in this
+	// episode — out of timestamp order.
 	hshake(netip.MustParseAddr("10.0.0.1"), t0.Add(20*time.Second))
 	hshake(netip.MustParseAddr("10.0.0.2"), t0)
 	hshake(netip.MustParseAddr("10.0.0.3"), t0)

@@ -4,12 +4,13 @@
 // dispatched on the capture goroutine — several shards fed in
 // parallel, or one shard on an asynchronous node.
 //
-// Packets are sharded by a hash of the source endpoint (falling back
-// to the capture medium for frames without one), so every flow, every
-// per-source detector state and every endpoint tracker stays local to
-// one shard and per-source capture order is preserved end to end: one
-// source always hashes to one shard, its packets enter that shard's
-// ring in capture order, and a single worker drains the ring FIFO.
+// A shard owns whole media, as Kalis overhears each medium through its
+// own interface: a packet's shard is a fixed key of its capture medium
+// (see shardKey) modulo the shard count. Every flow, detector state,
+// endpoint tracker and alert cooldown of a medium therefore lives on one
+// shard, and a medium's capture order is preserved end to end: its
+// packets enter one ring in capture order and a single worker drains
+// the ring FIFO.
 //
 // Each shard owns a fixed-size lock-free ring buffer (ring.go) drained
 // by one worker goroutine that hands *batches* to its Sink, amortizing
@@ -45,12 +46,13 @@ type Config struct {
 	// is drop-newest with a per-shard drop counter.
 	Block bool
 	// MaxSkew bounds, in capture time, how far a packet being enqueued
-	// may run ahead of the slowest shard that still has work queued.
-	// Live capture never needs it (arrival time tracks capture time),
-	// but an accelerated replay can hand one worker a whole trace
-	// before another is scheduled, so traffic-derived knowledge — and
-	// the module activations it drives — would lag entire attack
-	// episodes behind the racing shard. Only honoured in Block mode
+	// may run ahead of the slowest shard that still has work queued —
+	// one medium's shard against another's. Live capture never needs
+	// it (arrival time tracks capture time), but an accelerated replay
+	// of a multi-medium trace can hand one worker its whole medium
+	// before another is scheduled, so knowledge one medium's traffic
+	// yields — and the module activations it drives — would lag entire
+	// attack episodes behind the racing shard. Only honoured in Block mode
 	// (pacing means waiting, and drop-newest capture must never wait);
 	// 0 disables. The bound is approximate: a worker's progress mark
 	// trails the batch it is currently dispatching.
@@ -183,25 +185,28 @@ func New(cfg Config, sinks []Sink, met Metrics) *Pipeline {
 // Shards returns the shard count.
 func (p *Pipeline) Shards() int { return len(p.shards) }
 
-// shardOf routes a packet to its shard: FNV-1a over the source
-// endpoint, falling back to the capture medium for sourceless frames.
-// The source is the key precisely because it is what keeps per-source
-// state (flows, endpoint trackers, detector windows) shard-local and
-// per-source packet order intact.
-func (p *Pipeline) shardOf(c *packet.Captured) *shardState {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	if len(c.Src) == 0 {
-		h = (h ^ uint64(c.Medium)) * prime64
-	} else {
-		for i := 0; i < len(c.Src); i++ {
-			h = (h ^ uint64(c.Src[i])) * prime64
-		}
+// MediumKeys is the number of distinct shard keys: a node with more
+// shards than this would leave some idle.
+const MediumKeys = 3
+
+// shardKey is the routing table: 802.15.4 is key 0, WiFi and wired
+// share key 1 (IP evidence — victim windows, handshakes — is keyed by
+// IP address across both), BLE is key 2. A frame with no known medium
+// goes with key 0.
+func shardKey(m packet.Medium) int {
+	switch m {
+	case packet.MediumWiFi, packet.MediumWired:
+		return 1
+	case packet.MediumBluetooth:
+		return 2
 	}
-	return p.shards[h%uint64(len(p.shards))]
+	return 0
+}
+
+// shardOf routes a packet to its shard: its medium's key modulo the
+// shard count.
+func (p *Pipeline) shardOf(c *packet.Captured) *shardState {
+	return p.shards[shardKey(c.Medium)%len(p.shards)]
 }
 
 // Enqueue routes one packet to its shard ring. It reports false when

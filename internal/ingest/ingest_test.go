@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -72,8 +74,10 @@ func TestPipelineShardAffinityAndOrder(t *testing.T) {
 	sources := []packet.NodeID{"node-1", "node-2", "node-3", "node-4", "node-5", ""}
 	const per = 500
 	for seq := 0; seq < per; seq++ {
-		for _, src := range sources {
-			if !p.Enqueue(cap4(src, seq)) {
+		for i, src := range sources {
+			c := cap4(src, seq)
+			c.Medium = packet.Medium(1 + i%4)
+			if !p.Enqueue(c) {
 				t.Fatalf("lossless enqueue refused (src=%q seq=%d)", src, seq)
 			}
 		}
@@ -103,6 +107,58 @@ func TestPipelineShardAffinityAndOrder(t *testing.T) {
 	st := p.Stats()
 	if st.Enqueued != st.Accepted+st.Dropped || st.Dropped != 0 || st.Delivered != st.Accepted {
 		t.Fatalf("accounting broken after Stop: %+v", st)
+	}
+}
+
+// TestShardKeyByMedium pins the routing table at every shard count a
+// node builds and one more: 802.15.4, WiFi/wired and BLE are keys 0, 1
+// and 2 modulo the shard count, so WiFi and wired always share a shard,
+// three shards give each key its own, and each medium's packets reach
+// their shard in enqueue order.
+func TestShardKeyByMedium(t *testing.T) {
+	media := []packet.Medium{packet.MediumIEEE802154, packet.MediumWiFi, packet.MediumWired, packet.MediumBluetooth}
+	want := map[int][]int{ // shard of each of media, by shard count
+		1: {0, 0, 0, 0},
+		2: {0, 1, 1, 0},
+		3: {0, 1, 1, 2},
+		4: {0, 1, 1, 2},
+	}
+	for n := 1; n <= 4; n++ {
+		collect := make([]*collectSink, n)
+		sinks := make([]Sink, n)
+		for i := range sinks {
+			collect[i] = &collectSink{}
+			sinks[i] = collect[i]
+		}
+		p := New(Config{Shards: n, Block: true}, sinks, Metrics{})
+		const per = 300
+		for seq := 0; seq < per; seq++ {
+			for mi, m := range media {
+				// Two sources per medium, interleaved.
+				c := cap4(packet.NodeID(fmt.Sprintf("%v-%d", m, seq%2)), seq)
+				c.Medium = m
+				if p.shardOf(c) != p.shards[want[n][mi]] {
+					t.Fatalf("%d shards: %v routed off shard %d", n, m, want[n][mi])
+				}
+				p.Enqueue(c)
+			}
+		}
+		p.Stop()
+		for si, cs := range collect {
+			last := make(map[packet.NodeID]int)
+			for _, c := range cs.got {
+				if mi := slices.Index(media, c.Medium); want[n][mi] != si {
+					t.Fatalf("%d shards: %v delivered on shard %d, want %d", n, c.Medium, si, want[n][mi])
+				}
+				if prev, ok := last[c.Src]; ok && seqOf(c) != prev+2 {
+					t.Fatalf("%d shards: source %q out of order: %d after %d", n, c.Src, seqOf(c), prev)
+				}
+				last[c.Src] = seqOf(c)
+			}
+		}
+		if st := p.Stats(); st.Delivered != per*uint64(len(media)) {
+			t.Fatalf("%d shards: delivered %d, want %d", n, st.Delivered, per*len(media))
+		}
 	}
 }
 
@@ -228,37 +284,23 @@ func TestPipelineMaxSkewPacing(t *testing.T) {
 	t0 := time.Unix(1_500_000_000, 0)
 	slow := &parkedSink{parked: make(chan struct{}, 1), release: make(chan struct{})}
 	fast := &collectSink{}
-	// Probe which shard each source hashes to, then wire the parked
-	// sink onto srcSlow's shard.
-	probe := New(Config{Shards: 2}, []Sink{&collectSink{}, &collectSink{}}, Metrics{})
-	srcSlow, srcFast := packet.NodeID("node-1"), packet.NodeID("node-2")
-	for _, cand := range []packet.NodeID{"node-2", "node-3", "node-4"} {
-		if probe.shardOf(&packet.Captured{Src: cand}) != probe.shardOf(&packet.Captured{Src: srcSlow}) {
-			srcFast = cand
-			break
-		}
-	}
-	probe.Stop()
-	sinks := []Sink{Sink(slow), Sink(fast)}
-	if probe.shardOf(&packet.Captured{Src: srcSlow}) == probe.shards[1] {
-		sinks[0], sinks[1] = sinks[1], sinks[0]
-	}
-	p := New(Config{Shards: 2, Block: true, MaxSkew: time.Second}, sinks, Metrics{})
+	// 802.15.4 routes to shard 0, WiFi to shard 1.
+	p := New(Config{Shards: 2, Block: true, MaxSkew: time.Second}, []Sink{slow, fast}, Metrics{})
 	defer p.Stop()
 
-	at := func(src packet.NodeID, d time.Duration) *packet.Captured {
-		return &packet.Captured{Src: src, Time: t0.Add(d)}
+	at := func(m packet.Medium, d time.Duration) *packet.Captured {
+		return &packet.Captured{Medium: m, Time: t0.Add(d)}
 	}
 	// First packet parks the slow worker inside HandleBatch; the
 	// second stays queued so the shard counts as busy at t0.
-	p.Enqueue(at(srcSlow, 0))
+	p.Enqueue(at(packet.MediumIEEE802154, 0))
 	<-slow.parked
-	p.Enqueue(at(srcSlow, 0))
+	p.Enqueue(at(packet.MediumIEEE802154, 0))
 
 	// 5s of capture time ahead of the parked shard: must pace.
 	done := make(chan struct{})
 	go func() {
-		p.Enqueue(at(srcFast, 5*time.Second))
+		p.Enqueue(at(packet.MediumWiFi, 5*time.Second))
 		close(done)
 	}()
 	select {

@@ -177,7 +177,8 @@ type Manager struct {
 
 	// snapCurrent is set when the snapshot on disk holds the KB as it
 	// was when the log was last written as its header: by a checkpoint,
-	// and by a recovery that found the log holding its header alone.
+	// and by a recovery that found the log holding its header alone
+	// and a snapshot with no section a checkpoint would drop.
 	// With nothing appended to the log since and no new static label, a
 	// checkpoint would write what is on disk already (see onDisk).
 	snapCurrent bool
@@ -278,7 +279,7 @@ func (m *Manager) recover() error {
 		err = m.writeLog()
 	case log.good-journalHeaderLen < rotateBytes:
 		m.journal, err = openJournalWriter(JournalPath(m.dir), log.good, 0)
-		m.snapCurrent = snap != nil && log.good == journalHeaderLen
+		m.snapCurrent = snap != nil && !snap.skipped && log.good == journalHeaderLen
 	default:
 		err = m.compactLocked()
 	}

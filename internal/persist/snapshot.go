@@ -40,6 +40,11 @@ var (
 type Snapshot struct {
 	Knowggets    []knowledge.Knowgget
 	StaticLabels []string
+
+	// skipped is set when the stream also carried a section that was
+	// verified and not read (an older commit's window section): such a
+	// snapshot is not what a checkpoint would write.
+	skipped bool
 }
 
 // EncodeSnapshot serializes the snapshot: magic, version, then one
@@ -148,6 +153,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		case sectionDataStore:
 			// Verified like any section, and not read: a node's window
 			// is not durable state.
+			snap.skipped = true
 		default:
 			return nil, fmt.Errorf("%w: unknown section %d", ErrSnapshotCorrupt, id)
 		}

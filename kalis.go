@@ -177,10 +177,13 @@ func WithPersistInterval(d time.Duration) Option {
 
 // WithShards selects the ingestion parallelism. n <= 1 is one shard,
 // dispatched in line by default (deterministic: HandleCapture returns
-// only after every module saw the packet). n > 1 runs n shards — each
-// with its own ring buffer, worker, Data Store window, flow table and
-// module instances — sharded by hash of the packet source, so
-// per-source detector state and per-source capture order stay intact.
+// only after every module saw the packet). n > 1 runs min(n, 3) shards
+// — each with its own ring buffer, worker, Data Store window, flow
+// table with its trackers, and module instances — and a shard owns
+// whole media: 802.15.4 on the first, WiFi and wired on the second, BLE
+// on the third (on the first when n == 2). A medium's detector state
+// and capture order stay on its shard, so a node that overhears two
+// media gets two busy workers and one that overhears one gets one.
 // HandleCapture then only enqueues; call DrainIngest (or Close) before
 // reading alerts or counters after a replay. Only the first shard's
 // window is logged (SetLog).
@@ -200,14 +203,15 @@ func WithIngestBlocking() Option {
 }
 
 // WithIngestMaxSkew bounds, in capture time, how far the ingestion
-// feed may run ahead of the slowest shard that still has queued work.
-// An accelerated replay can otherwise hand one shard worker a whole
-// trace before another is scheduled, so traffic-derived knowledge (and
-// the module activations it drives) lags entire attack episodes behind
-// the racing shard. Live capture does not need it — arrival time
-// tracks capture time, so skew is physically bounded by queue depth.
-// Only meaningful with WithShards(n > 1) and WithIngestBlocking; 0
-// disables pacing.
+// feed may run ahead of the slowest shard that still has queued work:
+// one medium's shard against another's. An accelerated replay of a
+// multi-medium trace can otherwise hand one shard worker its whole
+// medium before another is scheduled, so knowledge one medium's
+// traffic yields (and the module activations it drives) lags entire
+// attack episodes behind the racing shard. Live capture does not need
+// it — arrival time tracks capture time, so skew is physically bounded
+// by queue depth. Only meaningful with WithShards(n > 1) and
+// WithIngestBlocking; 0 disables pacing.
 func WithIngestMaxSkew(d time.Duration) Option {
 	return func(c *core.Config) { c.IngestMaxSkew = d }
 }
@@ -317,7 +321,8 @@ func (n *Node) RegisterModule(name string, factory func(params map[string]string
 func (n *Node) OnFlowRecord(fn func(FlowRecord)) { n.inner.OnFlowRecord(fn) }
 
 // SetLog writes all observed traffic to w in the Kalis trace format
-// (with WithShards(n > 1), the first shard's traffic only).
+// (with WithShards(n > 1), the first shard's media only: 802.15.4, and
+// BLE when n == 2).
 func (n *Node) SetLog(w io.Writer) { n.inner.SetLog(w) }
 
 // Recent returns up to count of the most recently observed frames,

@@ -2,11 +2,12 @@ package kalis
 
 // Regression tests for the sharded ingestion pipeline (internal/ingest
 // + core wiring): per-source capture order must survive the trip
-// through 8 shard rings and workers, and shutdown must account for
-// every packet — delivered + dropped == enqueued, with zero accepted
-// packets lost on drain (mirroring the event bus' own
-// TestAsyncCloseAccounting). Run with -race: the ring's memory model
-// claims are exactly what the race detector checks here.
+// through the shard rings and workers of a node with one shard per
+// medium, and shutdown must account for every packet — delivered +
+// dropped == enqueued, with zero accepted packets lost on drain
+// (mirroring the event bus' own TestAsyncCloseAccounting). Run with
+// -race: the ring's memory model claims are exactly what the race
+// detector checks here.
 
 import (
 	"fmt"
@@ -22,8 +23,9 @@ import (
 
 // seqRecorder collects (source → sequence numbers in arrival order)
 // across all shard module instances. The lock serializes appends from
-// different shard workers; within one source, all packets arrive via
-// a single shard worker, so the recorded order is dispatch order.
+// different shard workers; a source's packets share its medium and so
+// arrive via a single shard worker, and the recorded order is dispatch
+// order.
 type seqRecorder struct {
 	mu   sync.Mutex
 	seqs map[packet.NodeID][]int
@@ -62,12 +64,17 @@ func (m *recorderModule) HandlePacket(c *packet.Captured) {
 	m.rec.record(c)
 }
 
-// seqCapture builds a synthetic capture whose payload encodes a
-// per-source sequence number.
+// seqCapture builds a synthetic 802.15.4 capture whose payload encodes
+// a per-source sequence number.
 func seqCapture(src packet.NodeID, seq int) *Captured {
+	return mediumCapture(packet.MediumIEEE802154, src, seq)
+}
+
+// mediumCapture is seqCapture on the given medium.
+func mediumCapture(m packet.Medium, src packet.NodeID, seq int) *Captured {
 	return (&Captured{
 		Time:    netsim.Epoch.Add(time.Duration(seq) * time.Millisecond),
-		Medium:  packet.MediumIEEE802154,
+		Medium:  m,
 		Src:     src,
 		Dst:     "sink",
 		Payload: []byte{byte(seq >> 8), byte(seq)},
@@ -90,21 +97,23 @@ func newRecorderNode(t testing.TB, rec *seqRecorder, delay time.Duration, opts .
 }
 
 // TestShardedIngestOrdering replays an interleaved multi-source trace
-// through 8 shards from 4 concurrent producers (each source owned by
-// exactly one producer, as one capture goroutine owns a sniffer) and
-// asserts every per-source sequence reaches the detector in capture
-// order, with lossless accounting.
+// of four media from 4 concurrent producers — one per medium, as one
+// capture goroutine owns a sniffer — through a node asked for 8 shards
+// (it builds one per medium key: 3) and asserts every per-source
+// sequence reaches the detector in capture order, with lossless
+// accounting.
 func TestShardedIngestOrdering(t *testing.T) {
 	const (
 		producers = 4
 		perProd   = 16 // sources per producer
 		per       = 200
 	)
+	media := [producers]packet.Medium{packet.MediumIEEE802154, packet.MediumWiFi, packet.MediumBluetooth, packet.MediumWired}
 	rec := &seqRecorder{seqs: make(map[packet.NodeID][]int)}
 	node := newRecorderNode(t, rec, 0,
 		WithShards(8), WithIngestBlocking())
-	if got := node.Shards(); got != 8 {
-		t.Fatalf("Shards() = %d, want 8", got)
+	if got := node.Shards(); got != 3 {
+		t.Fatalf("Shards() = %d, want 3", got)
 	}
 
 	var wg sync.WaitGroup
@@ -117,7 +126,7 @@ func TestShardedIngestOrdering(t *testing.T) {
 			for seq := 0; seq < per; seq++ {
 				for s := 0; s < perProd; s++ {
 					src := packet.NodeID(fmt.Sprintf("node-%02d-%02d", p, s))
-					node.HandleCapture(seqCapture(src, seq))
+					node.HandleCapture(mediumCapture(media[p], src, seq))
 				}
 			}
 		}(p)
@@ -161,8 +170,8 @@ func TestShardedIngestOrdering(t *testing.T) {
 // delivered (drain-on-Stop loses nothing).
 func TestShardedIngestDrainAccounting(t *testing.T) {
 	// A shard holds at most one 256-packet batch at the gate and 4096
-	// packets in its ring; eight sources over two shards put at least
-	// half the burst on one of them.
+	// packets in its ring; eight 802.15.4 sources put the whole burst
+	// on one of the two shards.
 	const total = 2*(4096+256) + 1000
 	rec := &seqRecorder{seqs: make(map[packet.NodeID][]int), gate: make(chan struct{})}
 	node := newRecorderNode(t, rec, 0, WithShards(2))

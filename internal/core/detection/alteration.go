@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kalis/internal/attack"
-	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/packet"
 	"kalis/internal/proto/ctp"
@@ -33,21 +32,9 @@ var _ module.Module = (*DataAlteration)(nil)
 func NewDataAlteration(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
 	return p.Done(&DataAlteration{
-		base:     base{name: DataAlterationName},
+		base:     base{name: DataAlterationName, attack: attack.DataAlteration},
 		cooldown: p.Duration("cooldown", 10*time.Second),
 	})
-}
-
-// WatchLabels implements module.Module.
-func (d *DataAlteration) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelEncrypted}
-}
-
-// Required implements module.Module: pointless when the monitored
-// devices encrypt (a prevention-technique feature, §III-B2).
-func (d *DataAlteration) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154) &&
-		boolIsOrUnknown(kb, knowledge.LabelEncrypted, false)
 }
 
 // HandlePacket implements module.Module.

@@ -4,14 +4,16 @@
 // sybil, sinkhole, wormhole (collective-knowledge driven), and data
 // alteration.
 //
-// Each module declares, through Required, the knowledge predicate under
-// which its services are needed — the heart of the knowledge-driven
+// Each module declares its attack (and replication its technique), and
+// Fig. 3 decides when its services are needed (base.Required reads
+// taxonomy.Due through featureTable) — the heart of the knowledge-driven
 // approach: "a selective forwarding attack cannot be carried out in a
-// single-hop network" (§III). Several modules also adapt their
-// *technique* to the available knowledge: with knowledge-driven
-// operation disabled (the traditional-IDS baseline) they fall back to
-// naive symptom-only techniques, reproducing the ambiguities the paper
-// observes (e.g. flood vs Smurf).
+// single-hop network" (§III). TrafficAnomaly and HealthCorr are not
+// Fig. 3 decisions and keep predicates of their own. Several modules
+// also adapt their *technique* to the available knowledge: with
+// knowledge-driven operation disabled (the traditional-IDS baseline)
+// they fall back to naive symptom-only techniques, reproducing the
+// ambiguities the paper observes (e.g. flood vs Smurf).
 package detection
 
 import (
@@ -24,19 +26,73 @@ import (
 	"kalis/internal/core/module"
 	"kalis/internal/flow"
 	"kalis/internal/packet"
+	"kalis/internal/taxonomy"
 )
 
 // base carries the state shared by every detection module: its registry
-// name, the context of the current activation, the handles acquired
-// from the flow layer for it, and the first of them — gate, the
-// module's alert cooldown ledger. A detector owns neither evidence nor
-// repeat policy: "may this verdict be raised again?" is always
-// gate.Pass, on the ledger in its shard's flow table.
+// name, the Fig. 3 attack it detects and the feature its technique is
+// built for (see taxonomy.Due), the context of the current activation,
+// the handles acquired from the flow layer for it, and the first of
+// them — gate, the module's alert cooldown ledger. A detector owns
+// neither evidence nor repeat policy: "may this verdict be raised
+// again?" is always gate.Pass, on the ledger in its shard's flow table.
 type base struct {
-	name string
-	ctx  *module.Context
-	gate *flow.Cooldown
-	held []interface{ Release() }
+	name      string
+	attack    string
+	technique taxonomy.Feature
+	ctx       *module.Context
+	gate      *flow.Cooldown
+	held      []interface{ Release() }
+}
+
+// featureTable maps each Fig. 3 column to the Knowledge Base literals
+// that make it hold: one boolean knowgget key reading value, whose
+// changes arrive under label. Sensing answers Multihop and Mobility
+// either way, Encrypted only once seen.
+var featureTable = []literal{
+	{taxonomy.FeatureConstrained, knowledge.LabelMediums, knowledge.LabelMediums + "." + packet.MediumIEEE802154.String(), true},
+	{taxonomy.FeatureIPNetwork, knowledge.LabelMediums, knowledge.LabelMediums + "." + packet.MediumWiFi.String(), true},
+	{taxonomy.FeatureIPNetwork, knowledge.LabelMediums, knowledge.LabelMediums + "." + packet.MediumWired.String(), true},
+	{taxonomy.FeatureMultihop, knowledge.LabelMultihop, knowledge.LabelMultihop, true},
+	{taxonomy.FeatureSinglehop, knowledge.LabelMultihop, knowledge.LabelMultihop, false},
+	{taxonomy.FeatureMobile, knowledge.LabelMobility, knowledge.LabelMobility, true},
+	{taxonomy.FeatureStatic, knowledge.LabelMobility, knowledge.LabelMobility, false},
+	{taxonomy.FeatureEncrypted, knowledge.LabelEncrypted, knowledge.LabelEncrypted, true},
+}
+
+type literal struct {
+	feature    taxonomy.Feature
+	label, key string
+	value      bool
+}
+
+// featureLabels returns, once each and in featureTable order, the
+// labels of the columns keep accepts.
+func featureLabels(keep func(taxonomy.Feature) bool) []string {
+	out := make([]string, 0, len(featureTable))
+	for _, l := range featureTable {
+		if keep(l.feature) && !slices.Contains(out, l.label) {
+			out = append(out, l.label)
+		}
+	}
+	return out
+}
+
+// FeatureLabels lists the labels of the knowledge Fig. 3 reads.
+func FeatureLabels() []string { return featureLabels(func(taxonomy.Feature) bool { return true }) }
+
+// Required implements module.Module: Fig. 3 decides whether the
+// module's attack is due on the network the Knowledge Base describes.
+func (b *base) Required(kb *knowledge.Base) bool {
+	return taxonomy.Due(b.attack, b.technique, func(f taxonomy.Feature) bool {
+		return slices.ContainsFunc(featureTable, func(l literal) bool { return l.feature == f && boolIs(kb, l.key, l.value) })
+	})
+}
+
+// WatchLabels implements module.Module: the labels of the columns whose
+// holding can change Required.
+func (b *base) WatchLabels() []string {
+	return featureLabels(func(f taxonomy.Feature) bool { return taxonomy.Reads(b.attack, b.technique, f) })
 }
 
 // Name implements module.Module.
@@ -74,24 +130,11 @@ func (b *base) knowledgeDriven() bool {
 	return b.ctx != nil && b.ctx.KnowledgeDriven
 }
 
-// hasMedium reports whether the given medium has been observed.
-func hasMedium(kb *knowledge.Base, m packet.Medium) bool {
-	v, ok := kb.Value(knowledge.LabelMediums + "." + m.String())
-	return ok && v == "true"
-}
-
 // boolIs reports whether a boolean knowgget is present with the given
 // value.
 func boolIs(kb *knowledge.Base, label string, want bool) bool {
 	v, ok := kb.Bool(label)
 	return ok && v == want
-}
-
-// boolIsOrUnknown reports whether a boolean knowgget is absent or has
-// the given value.
-func boolIsOrUnknown(kb *knowledge.Base, label string, want bool) bool {
-	v, ok := kb.Bool(label)
-	return !ok || v == want
 }
 
 // fingerprints is fingerprintMatch's scratch, kept by its caller and

@@ -147,7 +147,8 @@ func FuzzFingerprintMatch(f *testing.F) {
 			case fpDeleteLocal:
 				kb.Delete(knowledge.Knowgget{Creator: "K1", Label: knowledge.LabelSignalStrength, Entity: entity}.Key())
 			case fpRestore:
-				kb.Restore([]knowledge.Knowgget{{Label: knowledge.LabelSignalStrength, Value: value, Creator: "K1", Entity: entity}}, nil)
+				k := knowledge.Knowgget{Label: knowledge.LabelSignalStrength, Value: value, Creator: "K1", Entity: entity}
+				kb.Restore(map[string]knowledge.Knowgget{k.Key(): k}, nil)
 			case fpPutOther:
 				kb.PutEntity(knowledge.LabelSignalStrength+".child", entity, value)
 				kb.PutEntity(knowledge.LabelTrafficFrequency, entity, value)

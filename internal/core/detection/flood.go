@@ -101,9 +101,9 @@ type rate struct {
 
 // newRate reads the parameters "window", "cooldown" (durations) and
 // "detectionThresh" (events per window, default 25).
-func newRate(name string, p *module.ParamReader) rate {
+func newRate(b base, p *module.ParamReader) rate {
 	r := rate{
-		base:      base{name: name},
+		base:      b,
 		window:    p.Duration("window", 5*time.Second),
 		minEvents: p.Int("detectionThresh", 25),
 		cooldown:  p.Duration("cooldown", 10*time.Second),
@@ -160,16 +160,7 @@ var _ module.Module = (*ICMPFlood)(nil)
 // (durations), "detectionThresh" (events per window, default 25).
 func NewICMPFlood(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
-	return p.Done(&ICMPFlood{newRate(ICMPFloodName, p)})
-}
-
-// WatchLabels implements module.Module.
-func (d *ICMPFlood) WatchLabels() []string { return []string{knowledge.LabelMediums} }
-
-// Required implements module.Module: ICMP floods need IP traffic,
-// observed on the WiFi (or wired) medium.
-func (d *ICMPFlood) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumWiFi) || hasMedium(kb, packet.MediumWired)
+	return p.Done(&ICMPFlood{newRate(base{name: ICMPFloodName, attack: attack.ICMPFlood}, p)})
 }
 
 // Activate implements module.Module.
@@ -241,20 +232,7 @@ var _ module.Module = (*Smurf)(nil)
 // NewSmurf creates the module. Parameters as NewICMPFlood.
 func NewSmurf(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
-	return p.Done(&Smurf{rate: newRate(SmurfName, p)})
-}
-
-// WatchLabels implements module.Module.
-func (d *Smurf) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
-}
-
-// Required implements module.Module: "the Smurf attack is not possible
-// in single-hop networks" (§III-A1) — the module is needed only on
-// multi-hop IP networks.
-func (d *Smurf) Required(kb *knowledge.Base) bool {
-	ip := hasMedium(kb, packet.MediumWiFi) || hasMedium(kb, packet.MediumWired)
-	return ip && boolIs(kb, knowledge.LabelMultihop, true)
+	return p.Done(&Smurf{rate: newRate(base{name: SmurfName, attack: attack.Smurf}, p)})
 }
 
 // Activate implements module.Module.
@@ -382,15 +360,7 @@ var _ module.Module = (*SYNFlood)(nil)
 // (detectionThresh default 25).
 func NewSYNFlood(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
-	return p.Done(&SYNFlood{rate: newRate(SYNFloodName, p)})
-}
-
-// WatchLabels implements module.Module.
-func (d *SYNFlood) WatchLabels() []string { return []string{knowledge.LabelMediums} }
-
-// Required implements module.Module.
-func (d *SYNFlood) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumWiFi) || hasMedium(kb, packet.MediumWired)
+	return p.Done(&SYNFlood{rate: newRate(base{name: SYNFloodName, attack: attack.SYNFlood}, p)})
 }
 
 // Activate implements module.Module.

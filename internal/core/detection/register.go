@@ -19,14 +19,3 @@ func Register(r *module.Registry) {
 	r.Register(TrafficAnomalyName, NewTrafficAnomaly)
 	r.Register(HealthCorrName, NewHealthCorr)
 }
-
-// Names lists the registry names of all detection modules.
-func Names() []string {
-	return []string{
-		ICMPFloodName, SmurfName, SYNFloodName,
-		SelectiveForwardingName, BlackholeName,
-		ReplicationStaticName, ReplicationMobileName,
-		SybilName, SinkholeName, WormholeName, DataAlterationName,
-		TrafficAnomalyName, HealthCorrName,
-	}
-}

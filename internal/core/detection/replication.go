@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"kalis/internal/attack"
-	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/flow"
 	"kalis/internal/packet"
+	"kalis/internal/taxonomy"
 )
 
 // Registry names of the replication-detection modules.
@@ -44,9 +44,9 @@ type replicationCore struct {
 
 // newReplicationCore reads the parameters "threshold" (dB), "window",
 // "cooldown" (durations) and "minEvents" (int).
-func newReplicationCore(name string, p *module.ParamReader) replicationCore {
+func newReplicationCore(b base, p *module.ParamReader) replicationCore {
 	return replicationCore{
-		base:       base{name: name},
+		base:       b,
 		threshold:  p.Float("threshold", 6),
 		window:     p.Duration("window", 30*time.Second),
 		minEvents:  p.Int("minEvents", 3),
@@ -54,11 +54,6 @@ func newReplicationCore(name string, p *module.ParamReader) replicationCore {
 		alpha:      0.3,
 		minSamples: 3,
 	}
-}
-
-// WatchLabels implements module.Module.
-func (r *replicationCore) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMobility}
 }
 
 // Activate implements module.Module: it attaches the module to the
@@ -90,13 +85,7 @@ var _ module.Module = (*ReplicationStatic)(nil)
 // (dB), "window", "cooldown" (durations), "minEvents" (int).
 func NewReplicationStatic(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
-	return p.Done(&ReplicationStatic{newReplicationCore(ReplicationStaticName, p)})
-}
-
-// Required implements module.Module: suitable for static wireless
-// networks of constrained devices.
-func (d *ReplicationStatic) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMobility, false)
+	return p.Done(&ReplicationStatic{newReplicationCore(base{name: ReplicationStaticName, attack: attack.Replication, technique: taxonomy.FeatureStatic}, p)})
 }
 
 // HandlePacket implements module.Module.
@@ -143,13 +132,7 @@ var _ module.Module = (*ReplicationMobile)(nil)
 // NewReplicationStatic.
 func NewReplicationMobile(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
-	return p.Done(&ReplicationMobile{newReplicationCore(ReplicationMobileName, p)})
-}
-
-// Required implements module.Module: suitable for mobile wireless
-// networks.
-func (d *ReplicationMobile) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMobility, true)
+	return p.Done(&ReplicationMobile{newReplicationCore(base{name: ReplicationMobileName, attack: attack.Replication, technique: taxonomy.FeatureMobile}, p)})
 }
 
 // HandlePacket implements module.Module.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kalis/internal/attack"
-	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/packet"
 	"kalis/internal/proto/ctp"
@@ -57,24 +56,13 @@ var _ module.Module = (*Sinkhole)(nil)
 func NewSinkhole(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
 	return p.Done(&Sinkhole{
-		base:            base{name: SinkholeName},
+		base:            base{name: SinkholeName, attack: attack.Sinkhole},
 		dropFactor:      p.Float("dropFactor", 0.4),
 		rootBand:        uint16(p.Int("rootBand", 2)),
 		minObservations: 2,
 		learn:           p.Duration("learn", 45*time.Second),
 		cooldown:        p.Duration("cooldown", 20*time.Second),
 	})
-}
-
-// WatchLabels implements module.Module.
-func (d *Sinkhole) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
-}
-
-// Required implements module.Module: sinkholes are a routing attack —
-// they need a multi-hop collection topology.
-func (d *Sinkhole) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMultihop, true)
 }
 
 // Activate implements module.Module.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kalis/internal/attack"
-	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/flow"
 	"kalis/internal/packet"
@@ -52,22 +51,13 @@ var _ module.Module = (*Sybil)(nil)
 func NewSybil(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
 	return p.Done(&Sybil{
-		base:          base{name: SybilName},
+		base:          base{name: SybilName, attack: attack.Sybil},
 		tolerance:     p.Float("tolerance", 1.5),
 		minIdentities: p.Int("minIdentities", 4),
 		minFrames:     2,
 		warmup:        p.Duration("warmup", 20*time.Second),
 		cooldown:      p.Duration("cooldown", 20*time.Second),
 	})
-}
-
-// WatchLabels implements module.Module.
-func (d *Sybil) WatchLabels() []string { return []string{knowledge.LabelMediums} }
-
-// Required implements module.Module: the RSSI technique applies to
-// wireless constrained-device networks.
-func (d *Sybil) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154)
 }
 
 // Activate implements module.Module.

@@ -36,9 +36,9 @@ type forwardingCore struct {
 
 // newForwardingCore reads the parameters "timeout", "window",
 // "cooldown" (durations) and "minSamples" (int, at least 1).
-func newForwardingCore(name string, p *module.ParamReader) forwardingCore {
+func newForwardingCore(b base, p *module.ParamReader) forwardingCore {
 	return forwardingCore{
-		base: base{name: name},
+		base: b,
 		cfg: flow.ForwardingConfig{
 			Timeout:    p.Duration("timeout", 500*time.Millisecond),
 			Window:     p.Duration("window", 30*time.Second),
@@ -46,17 +46,6 @@ func newForwardingCore(name string, p *module.ParamReader) forwardingCore {
 		},
 		cooldown: p.Duration("cooldown", 20*time.Second),
 	}
-}
-
-// WatchLabels implements module.Module.
-func (f *forwardingCore) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
-}
-
-// Required implements module.Module: "a selective forwarding attack
-// cannot be carried out in a single-hop network" (§III).
-func (f *forwardingCore) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMultihop, true)
 }
 
 // Activate implements module.Module.
@@ -81,7 +70,7 @@ var _ module.Module = (*SelectiveForwarding)(nil)
 // "window", "cooldown" (durations), "minSamples" (int, at least 1).
 func NewSelectiveForwarding(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
-	return p.Done(&SelectiveForwarding{newForwardingCore(SelectiveForwardingName, p)})
+	return p.Done(&SelectiveForwarding{newForwardingCore(base{name: SelectiveForwardingName, attack: attack.SelectiveForwarding}, p)})
 }
 
 // HandlePacket implements module.Module.
@@ -126,7 +115,7 @@ var _ module.Module = (*Blackhole)(nil)
 // NewSelectiveForwarding.
 func NewBlackhole(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
-	return p.Done(&Blackhole{forwardingCore: newForwardingCore(BlackholeName, p)})
+	return p.Done(&Blackhole{forwardingCore: newForwardingCore(base{name: BlackholeName, attack: attack.Blackhole}, p)})
 }
 
 // Activate implements module.Module.

@@ -71,27 +71,17 @@ var (
 func NewWormhole(params map[string]string) (module.Module, error) {
 	p := module.ReadParams(params)
 	return p.Done(&Wormhole{
-		base:        base{name: WormholeName},
+		base:        base{name: WormholeName, attack: attack.Wormhole},
 		minEmergent: p.Int("minEmergent", 5),
 		cooldown:    p.Duration("cooldown", 30*time.Second),
 	})
 }
 
-// WatchLabels implements module.Module. The blackhole suspicions and
-// emergent sources the module correlates do not decide Required; those
-// are its KnowledgeLabels.
-func (d *Wormhole) WatchLabels() []string {
-	return []string{knowledge.LabelMediums, knowledge.LabelMultihop}
-}
-
-// KnowledgeLabels implements module.KnowledgeHandler.
+// KnowledgeLabels implements module.KnowledgeHandler: the blackhole
+// suspicions and emergent sources the module correlates are evidence;
+// they do not decide Required.
 func (d *Wormhole) KnowledgeLabels() []string {
 	return []string{knowledge.LabelSuspectBlackhole, knowledge.LabelEmergentSource}
-}
-
-// Required implements module.Module.
-func (d *Wormhole) Required(kb *knowledge.Base) bool {
-	return hasMedium(kb, packet.MediumIEEE802154) && boolIs(kb, knowledge.LabelMultihop, true)
 }
 
 // Activate implements module.Module.

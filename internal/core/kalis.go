@@ -181,10 +181,11 @@ func construct(cfg Config) *Kalis {
 	return k
 }
 
-// primary returns the shard that carries the traffic log (see shard),
-// and the durable-state manager every shard shares. It also answers questions the shared Knowledge
-// Base decides identically for every shard (which modules are
-// installed, which are active).
+// primary returns the shard that carries the traffic log (see shard).
+// The node also reads from it what every shard holds alike: the
+// durable-state manager they share, and the answers the shared
+// Knowledge Base gives every shard (which modules are installed, which
+// are active).
 func (k *Kalis) primary() *shard { return k.shards[0] }
 
 // recover opens the state directory, if any, loads the persisted
@@ -629,8 +630,8 @@ func (k *Kalis) Collective() *collective.Node { return k.coll }
 // network — and ... deploy that configuration at compile-time". The
 // output lists the detection modules the current knowledge requires
 // (with their installed parameters) and pins the discovered network
-// features as a-priori knowggets, so a constrained node skips
-// discovery entirely. The result parses back with kconfig.Parse.
+// features — the knowledge Fig. 3 reads, detection.FeatureLabels — as
+// a-priori knowggets, so a constrained node skips discovery entirely. The result parses back with kconfig.Parse.
 func (k *Kalis) SuggestConfig() string {
 	cfg := &kconfig.Config{}
 	m := k.primary().manager
@@ -644,9 +645,10 @@ func (k *Kalis) SuggestConfig() string {
 		}
 		cfg.Modules = append(cfg.Modules, def)
 	}
-	for _, label := range []string{
-		knowledge.LabelMultihop, knowledge.LabelMobility, knowledge.LabelEncrypted,
-	} {
+	for _, label := range detection.FeatureLabels() {
+		if label == knowledge.LabelMediums {
+			continue // pinned per medium below
+		}
 		if v, ok := k.kb.Value(label); ok {
 			cfg.Knowggets = append(cfg.Knowggets, kconfig.KnowggetDef{Label: label, Value: v})
 		}

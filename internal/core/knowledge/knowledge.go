@@ -13,6 +13,7 @@
 package knowledge
 
 import (
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -630,17 +631,23 @@ func appendCopy(fns []SubscribeFunc, fn SubscribeFunc) []SubscribeFunc {
 	return append(fns[:len(fns):len(fns)], fn)
 }
 
-// Restore bulk-loads recovered state into the Base: every knowgget is
-// stored under its key and the given labels are marked static. It
-// fires no subscribers, no sync, and no journal hook — recovery runs
-// before any of them are installed, and replayed state must not be
+// Restore bulk-loads recovered state into the Base: state holds every
+// knowgget under its Key(), and the given labels are marked static. An
+// empty Base takes state over as its own, so the caller must not use
+// it afterwards; a Base that holds knowledge already adds state to it.
+// Restore fires no subscribers, no sync, and no journal hook — recovery
+// runs before any of them are installed, and replayed state must not be
 // re-propagated or re-journaled. Restore is the warm-start half of the
 // durable-state design; it is not meant for use after traffic flows.
-func (b *Base) Restore(entries []Knowgget, staticLabels []string) {
+func (b *Base) Restore(state map[string]Knowgget, staticLabels []string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, k := range entries {
-		b.entries[k.Key()] = k
+	if len(b.entries) == 0 {
+		b.entries = state
+	} else {
+		maps.Copy(b.entries, state)
+	}
+	for _, k := range state {
 		// Resume the local version counter past every recovered local
 		// collective change so post-restart versions stay monotonic.
 		if k.Creator == b.local && k.Version > b.localVer {

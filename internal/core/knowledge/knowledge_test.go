@@ -117,7 +117,7 @@ func TestAppendLocal(t *testing.T) {
 	b.PutEntity("SignalStrength", "SensorA", "-66")
 	b.PutEntity("SignalStrength", "SensorE", "-50")
 	b.Delete(Knowgget{Creator: "K1", Label: "SignalStrength", Entity: "SensorB"}.Key())
-	b.Restore([]Knowgget{{Label: "SignalStrength", Value: "-90", Creator: "K1", Entity: "SensorD"}}, nil)
+	b.Restore(keyed(Knowgget{Label: "SignalStrength", Value: "-90", Creator: "K1", Entity: "SensorD"}), nil)
 	if got := read(nil); !slices.Equal(got, []string{"SensorA=-66", "SensorD=-90", "SensorE=-50"}) {
 		t.Errorf("after puts, a delete and a restore: AppendLocal = %v, want SensorA=-66, SensorD=-90 and SensorE=-50", got)
 	}

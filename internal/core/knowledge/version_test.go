@@ -99,10 +99,13 @@ func TestDigestAndCollectiveSince(t *testing.T) {
 
 func TestRestoreResumesLocalVersionCounter(t *testing.T) {
 	b := NewBase("K1")
-	b.Restore([]Knowgget{
-		{Label: "A", Value: "1", Creator: "K1", Collective: true, Version: 4},
-		{Label: "B", Value: "2", Creator: "K2", Collective: true, Version: 9},
-	}, nil)
+	b.Restore(keyed(
+		Knowgget{Label: "A", Value: "1", Creator: "K1", Collective: true, Version: 4},
+		Knowgget{Label: "B", Value: "2", Creator: "K2", Collective: true, Version: 9},
+	), nil)
+	if b.Len() != 2 {
+		t.Fatalf("Len after restore = %d, want 2", b.Len())
+	}
 	if got := b.LocalVersion(); got != 4 {
 		t.Fatalf("LocalVersion after restore = %d, want 4", got)
 	}
@@ -111,4 +114,13 @@ func TestRestoreResumesLocalVersionCounter(t *testing.T) {
 	if k.Version != 5 {
 		t.Fatalf("post-restore version = %d, want 5", k.Version)
 	}
+}
+
+// keyed returns ks keyed as Restore takes them.
+func keyed(ks ...Knowgget) map[string]Knowgget {
+	state := make(map[string]Knowgget, len(ks))
+	for _, k := range ks {
+		state[k.Key()] = k
+	}
+	return state
 }

@@ -20,6 +20,17 @@ var labelStates = []struct {
 		func(kb *knowledge.Base) { kb.Put(knowledge.LabelMediums+".wifi", "true") },
 		func(kb *knowledge.Base) { kb.Put(knowledge.LabelMediums+".wired", "true") },
 		func(kb *knowledge.Base) { kb.Put(knowledge.LabelMediums+".ieee802.15.4", "true") },
+		func(kb *knowledge.Base) { kb.Put(knowledge.LabelMediums+".bluetooth", "true") },
+		// Mixed homes: a medium without a Fig. 3 ● for an attack
+		// vetoes nothing the other medium selects.
+		func(kb *knowledge.Base) {
+			kb.Put(knowledge.LabelMediums+".wifi", "true")
+			kb.Put(knowledge.LabelMediums+".ieee802.15.4", "true")
+		},
+		func(kb *knowledge.Base) {
+			kb.Put(knowledge.LabelMediums+".wired", "true")
+			kb.Put(knowledge.LabelMediums+".ieee802.15.4", "true")
+		},
 	}},
 	{knowledge.LabelMultihop, boolStates(knowledge.LabelMultihop)},
 	{knowledge.LabelMobility, boolStates(knowledge.LabelMobility)},

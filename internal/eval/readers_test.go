@@ -30,9 +30,9 @@ type labelReader struct {
 // record and a subscriber fan-out that explains nothing.
 var labelReaders = map[string]labelReader{
 	"Mediums":          {file: "internal/core/detection/detection.go"},
-	"Mobility":         {file: "internal/core/detection/replication.go"},
+	"Mobility":         {file: "internal/core/detection/detection.go"},
 	"MonitoredNodes":   {file: "examples/quickstart/main.go"},
-	"Multihop":         {file: "internal/core/detection/watchdog.go"},
+	"Multihop":         {file: "internal/core/detection/detection.go"},
 	"MultihopEvidence": {operator: "the forwarding proof that made the node declare a multi-hop topology"},
 	"SignalStrength":   {file: "internal/core/detection/detection.go"},
 	"SuspectBlackhole": {file: "internal/core/detection/wormhole.go"},

@@ -66,8 +66,11 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatalf("re-encode round trip diverged:\n%+v\n%+v", snap, again)
 		}
 		// And it must load into a KB without panicking.
-		kb := knowledge.NewBase("K1")
-		kb.Restore(snap.Knowggets, snap.StaticLabels)
+		state := make(map[string]knowledge.Knowgget, len(snap.Knowggets))
+		for _, k := range snap.Knowggets {
+			state[k.Key()] = k
+		}
+		knowledge.NewBase("K1").Restore(state, snap.StaticLabels)
 	})
 }
 
@@ -148,10 +151,6 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("replay accepted unknown op %d", e.Op)
 			}
 		}
-		ks := make([]knowledge.Knowgget, 0, len(state))
-		for _, k := range state {
-			ks = append(ks, k)
-		}
-		kb.Restore(ks, nil)
+		kb.Restore(state, nil)
 	})
 }

@@ -337,12 +337,8 @@ func (m *Manager) apply(snap *Snapshot, log logContents) {
 			delete(state, e.Key)
 		}
 	}
-	ks := make([]knowledge.Knowgget, 0, len(state))
-	for _, k := range state {
-		ks = append(ks, k)
-	}
-	m.kb.Restore(ks, statics)
-	m.recovered = len(ks)
+	m.recovered = len(state)
+	m.kb.Restore(state, statics)
 	m.replayed = len(log.entries)
 }
 

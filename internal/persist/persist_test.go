@@ -567,7 +567,10 @@ func TestFullJournalReplays(t *testing.T) {
 		}
 	})
 	apply := fastest(func() { (&Manager{kb: knowledge.NewBase("K1")}).apply(nil, log) })
-	state := kb.Snapshot()
+	state := make(map[string]knowledge.Knowgget, kb.Len())
+	for _, k := range kb.Snapshot() {
+		state[k.Key()] = k
+	}
 	restore := fastest(func() { knowledge.NewBase("K1").Restore(state, nil) })
 	start := time.Now()
 	m2, kb2 := openManager(t, dir, Metrics{})

@@ -8,6 +8,7 @@ package taxonomy
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -134,69 +135,127 @@ func (r Relation) Symbol() string {
 // Matrix is the feature × attack relationship table.
 type Matrix map[Feature]map[string]Relation
 
+// fig3 is Fig. 3 for the attacks Kalis implements, built once: Due and
+// the printers read it.
+var fig3 = Matrix{
+	FeatureSinglehop: {
+		attack.ICMPFlood:           Possible,
+		attack.Smurf:               Impossible, // §III-A1
+		attack.SYNFlood:            Possible,
+		attack.SelectiveForwarding: Impossible, // §III: needs relays
+		attack.Blackhole:           Impossible,
+		attack.Sinkhole:            Impossible,
+		attack.Wormhole:            Impossible,
+		attack.Replication:         Possible,
+		attack.Sybil:               TechniqueDepends,
+		attack.DataAlteration:      Possible,
+		// Extension beyond Fig. 3: crashing the same detector on
+		// many nodes works over any topology; detecting it needs
+		// the collective layer, not a topology feature.
+		attack.CoordinatedQuarantine: Possible,
+	},
+	FeatureMultihop: {
+		attack.ICMPFlood:             TechniqueDepends, // single-source check
+		attack.Smurf:                 Possible,
+		attack.SYNFlood:              Possible,
+		attack.SelectiveForwarding:   Possible,
+		attack.Blackhole:             Possible,
+		attack.Sinkhole:              Possible,
+		attack.Wormhole:              Possible,
+		attack.Replication:           Possible,
+		attack.Sybil:                 TechniqueDepends,
+		attack.DataAlteration:        Possible,
+		attack.CoordinatedQuarantine: Possible,
+	},
+	FeatureStatic: {
+		attack.Replication: TechniqueDepends, // RSSI-stability technique
+		attack.Sybil:       Possible,
+	},
+	FeatureMobile: {
+		attack.Replication: TechniqueDepends, // sequence/velocity technique
+		attack.Sybil:       Possible,
+	},
+	FeatureConstrained: {
+		attack.SelectiveForwarding: Possible,
+		attack.Blackhole:           Possible,
+		attack.Sinkhole:            Possible,
+		attack.Wormhole:            Possible,
+		attack.Replication:         Possible,
+		attack.Sybil:               Possible,
+		attack.DataAlteration:      Possible,
+		attack.ICMPFlood:           Impossible, // no IP stack to flood
+		attack.SYNFlood:            Impossible,
+		attack.Smurf:               Impossible,
+	},
+	FeatureIPNetwork: {
+		attack.ICMPFlood: Possible,
+		attack.Smurf:     Possible,
+		attack.SYNFlood:  Possible,
+	},
+	FeatureEncrypted: {
+		attack.DataAlteration: Impossible, // prevention technique, §III-B2
+	},
+}
+
 // ByFeature returns the Fig. 3 relationships for the attacks Kalis
-// implements. Every entry is load-bearing: the detection modules'
-// Required predicates in internal/core/detection are its executable
-// form.
-func ByFeature() Matrix {
-	return Matrix{
-		FeatureSinglehop: {
-			attack.ICMPFlood:           Possible,
-			attack.Smurf:               Impossible, // §III-A1
-			attack.SYNFlood:            Possible,
-			attack.SelectiveForwarding: Impossible, // §III: needs relays
-			attack.Blackhole:           Impossible,
-			attack.Sinkhole:            Impossible,
-			attack.Wormhole:            Impossible,
-			attack.Replication:         Possible,
-			attack.Sybil:               TechniqueDepends,
-			attack.DataAlteration:      Possible,
-			// Extension beyond Fig. 3: crashing the same detector on
-			// many nodes works over any topology; detecting it needs
-			// the collective layer, not a topology feature.
-			attack.CoordinatedQuarantine: Possible,
-		},
-		FeatureMultihop: {
-			attack.ICMPFlood:             TechniqueDepends, // single-source check
-			attack.Smurf:                 Possible,
-			attack.SYNFlood:              Possible,
-			attack.SelectiveForwarding:   Possible,
-			attack.Blackhole:             Possible,
-			attack.Sinkhole:              Possible,
-			attack.Wormhole:              Possible,
-			attack.Replication:           Possible,
-			attack.Sybil:                 TechniqueDepends,
-			attack.DataAlteration:        Possible,
-			attack.CoordinatedQuarantine: Possible,
-		},
-		FeatureStatic: {
-			attack.Replication: TechniqueDepends, // RSSI-stability technique
-			attack.Sybil:       Possible,
-		},
-		FeatureMobile: {
-			attack.Replication: TechniqueDepends, // sequence/velocity technique
-			attack.Sybil:       Possible,
-		},
-		FeatureConstrained: {
-			attack.SelectiveForwarding: Possible,
-			attack.Blackhole:           Possible,
-			attack.Sinkhole:            Possible,
-			attack.Wormhole:            Possible,
-			attack.Replication:         Possible,
-			attack.Sybil:               Possible,
-			attack.DataAlteration:      Possible,
-			attack.ICMPFlood:           Impossible, // no IP stack to flood
-			attack.SYNFlood:            Impossible,
-			attack.Smurf:               Impossible,
-		},
-		FeatureIPNetwork: {
-			attack.ICMPFlood: Possible,
-			attack.Smurf:     Possible,
-			attack.SYNFlood:  Possible,
-		},
-		FeatureEncrypted: {
-			attack.DataAlteration: Impossible, // prevention technique, §III-B2
-		},
+// implements. The matrix is shared and must not be modified. Due is its
+// executable form: a detection module of internal/core/detection that
+// declares an attack runs exactly when Due says the attack is due.
+func ByFeature() Matrix { return fig3 }
+
+// The structure of Fig. 3's columns. The media columns say which
+// networks an attack can run on at all. Single- and multi-hop topology
+// answer one question, as do static and mobile network: partner maps
+// each column of such a pair to the other. Cryptographic protection
+// stands alone.
+var (
+	media   = []Feature{FeatureConstrained, FeatureIPNetwork}
+	others  = []Feature{FeatureSinglehop, FeatureMultihop, FeatureStatic, FeatureMobile, FeatureEncrypted}
+	partner = map[Feature]Feature{
+		FeatureSinglehop: FeatureMultihop, FeatureMultihop: FeatureSinglehop,
+		FeatureStatic: FeatureMobile, FeatureMobile: FeatureStatic,
+	}
+)
+
+// Due reports whether attack a is due — whether its detector must run —
+// on a network of which holds reports the features known to hold
+// (§III-B2). technique is the column of the ◯ cell the detector's
+// technique is built for, or "" for an attack with one technique. Fig. 3
+// decides:
+//
+//   - media select: some medium column with a ● for a must hold. A
+//     medium's ✗ vetoes nothing another medium selects — a WiFi flood
+//     detector stays on in a home that also has motes;
+//   - a ✗ under a column of a pair waits for the answer: the pair's
+//     other column must hold;
+//   - a ✗ under a lone column vetoes once that column holds;
+//   - a declared technique's column must hold. The other ◯ cells are
+//     notes on a single technique and decide nothing.
+func Due(a string, technique Feature, holds func(Feature) bool) bool {
+	selected := false
+	for _, f := range media {
+		selected = selected || fig3[f][a] == Possible && holds(f)
+	}
+	for _, f := range others {
+		if p, paired := partner[f]; selected && fig3[f][a] == Impossible {
+			selected = paired && holds(p) || !paired && !holds(f)
+		}
+	}
+	return selected && (technique == "" || holds(technique))
+}
+
+// Reads reports whether Due(a, technique, ·) asks holds about column f
+// and can change with its answer.
+func Reads(a string, technique, f Feature) bool {
+	switch p, paired := partner[f]; {
+	case f == technique:
+		return true
+	case slices.Contains(media, f):
+		return fig3[f][a] == Possible
+	case paired:
+		return fig3[p][a] == Impossible
+	default:
+		return fig3[f][a] == Impossible
 	}
 }
 

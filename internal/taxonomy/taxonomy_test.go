@@ -1,6 +1,10 @@
 package taxonomy
 
 import (
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,5 +104,40 @@ func TestWriters(t *testing.T) {
 func TestEntityString(t *testing.T) {
 	if EntityHub.String() != "Hub" || Entity(99).String() != "entity(99)" {
 		t.Error("entity strings")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the printer goldens under testdata")
+
+// TestWritersGolden pins the printers byte for byte, so that any edit
+// of a Table I or Fig. 3 cell shows up in the diff of
+// testdata/*.golden; -update rewrites them.
+func TestWritersGolden(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		write func(io.Writer)
+	}{
+		{"table1.golden", WriteTableI},
+		{"figure3.golden", WriteFigure3},
+	} {
+		var sb strings.Builder
+		c.write(&sb)
+		path := filepath.Join("testdata", c.file)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != string(want) {
+			t.Errorf("%s differs from the printer's output:\n%s", path, sb.String())
+		}
 	}
 }
